@@ -31,12 +31,16 @@ from .classical import (
     best_homogeneous,
     canonical_division,
     canonical_strategy_reps,
+    crt_primes,
     division_type,
     evaluate_collapsed,
     evaluate_exhaustive,
+    evaluator_metrics,
     random_profile,
     ten_player_worked_example,
     strategy_groups,
+    strategy_orbit_reps,
+    transcript_class_count,
     transcript_class_stats,
 )
 from .combinat import (
@@ -93,9 +97,10 @@ __all__ = [
     # classical analysis
     "DIVISION_NAMES", "REGISTER_VALUES", "Strategy", "StrategyProfile",
     "TranscriptClassStats", "best_homogeneous", "canonical_division",
-    "canonical_strategy_reps", "division_type", "evaluate_collapsed",
-    "evaluate_exhaustive", "random_profile", "ten_player_worked_example",
-    "strategy_groups", "transcript_class_stats",
+    "canonical_strategy_reps", "crt_primes", "division_type", "evaluate_collapsed",
+    "evaluate_exhaustive", "evaluator_metrics", "random_profile", "ten_player_worked_example",
+    "strategy_groups", "strategy_orbit_reps", "transcript_class_count",
+    "transcript_class_stats",
     # bounds
     "BoundParams", "BoundRow", "bound_A", "bound_F", "bound_L", "bound_N",
     "bound_value", "convergence_table", "plus_op",

@@ -8,10 +8,12 @@ independent evaluators compute the referee's exact success probability:
 
 * :func:`evaluate_exhaustive` enumerates every admissible input and groups
   by full transcript (feasible up to k = 7; k = 10 behind ``long_run``).
-* :func:`evaluate_collapsed` groups parties with identical strategies,
-  convolves per-party contributions on a 27-state residue ring (zero-bit
-  count mod 9, trit sum mod 3) and weights each transcript class by its
-  multinomial multiplicity.  Exact at any k the class count allows.
+* :func:`evaluate_collapsed` groups parties with identical strategies and
+  scans transcript classes weighted by their multinomial multiplicity.
+  Per-party contributions live on a 27-state residue ring (zero-bit count
+  mod 9, trit sum mod 3), multiplied pointwise in its characters modulo
+  word-size primes and rebuilt exactly by the Chinese remainder theorem.
+  Exact at any k the class count allows.
 
 Both return reduced fractions and must agree wherever both run.
 """
@@ -19,6 +21,7 @@ Both return reduced fractions and must agree wherever both run.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,8 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinat import binomial
-from .kernel import fold_counts, ring_mul, ring_one
+from .combinat import binomial, grouped_sum
 from .protocol import admissible_bit_vectors, zero_triples_mod3
 
 #: Register values in serialization order; a strategy string lists the sent
@@ -69,6 +71,10 @@ class Strategy:
     def relabel(self, perm: Sequence[int]) -> "Strategy":
         """Apply a permutation of the sent alphabet."""
         return Strategy(tuple(perm[t] for t in self.sent))
+
+    def shift(self, c: int) -> "Strategy":
+        """Shift the register trit: send for (y + c, x) what was sent for (y, x)."""
+        return Strategy(tuple(self.sent[2 * ((i // 2 - c) % 3) + i % 2] for i in range(6)))
 
     def canonical(self) -> "Strategy":
         """Lexicographically smallest relabeling of the sent alphabet."""
@@ -266,30 +272,163 @@ def evaluate_exhaustive(profile: StrategyProfile, long_run: bool = False) -> Fra
 
 
 # ---------------------------------------------------------------------------
-# Collapsed evaluator (residue dynamic program)
+# Collapsed evaluator (characters of Z9 x Z3 modulo primes)
 # ---------------------------------------------------------------------------
+#
+# A party's consistent register values form a vector in the group ring
+# Z[Z9 x Z3]: state 3*u + w counts the values with u zero bits (mod 9) and
+# trit sum w (mod 3), and a set of parties multiplies (convolves) their
+# vectors.  The 27 characters chi(a, b)(u, w) = z^(a*u + 3*b*w), z a
+# primitive 9th root of unity, turn that convolution into pointwise
+# multiplication (Pollard, "The fast Fourier transform in a finite field",
+# 1971).  Modulo a prime p = 1 (mod 9) z exists in Z/p, so a transcript
+# class is a pointwise product of per-party character values, and one
+# matrix product maps it back to the admissible counts per global value.
+# Those counts are integers below 6^k.  The primes' product exceeds 6^k, and
+# one redundant prime checks it: its Garner digit (Knuth, TAOCP vol. 2,
+# section 4.3.2) is zero exactly when a value lies below the other primes'
+# product, so a nonzero digit raises instead of returning a wrong count.
 
-@lru_cache(maxsize=4096)
-def _step_polys(sent: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Per sent trit: ring vector of the party's consistent register values.
+#: Transcript classes evaluated per numpy block; bounds the working set.
+_BLOCK = 1024
+#: Primes stay below 2^28, so a 27-term sum of products fits in int64.
+_PRIME_LIMIT = 1 << 28
+
+
+def _is_prime(n: int) -> bool:
+    # Miller-Rabin with bases 2, 3, 5, 7 is deterministic below 3.2e9.
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=64)
+def crt_primes(k: int) -> tuple[int, ...]:
+    """Primes the collapsed evaluator works modulo at k parties.
+
+    The largest primes p = 1 (mod 9) below 2^28, in descending order, until
+    their product exceeds 6^k (which bounds every count and the numerator),
+    then one more, redundant prime.
+    """
+    primes: list[int] = []
+    product, bound = 1, 6**k
+    p = _PRIME_LIMIT - 1 - (_PRIME_LIMIT - 2) % 18
+    while True:
+        if _is_prime(p):
+            primes.append(p)
+            if product > bound:
+                return tuple(primes)
+            product *= p
+        p -= 18
+
+
+def evaluator_metrics(k: int, classes: int, orbits: int) -> dict:
+    """Report of a collapsed-evaluator run at k parties: evaluator, primes, exact range.
+
+    ``classes`` and ``orbits`` are the transcript classes scanned and the
+    strategy orbits evaluated, echoed into the report.
+    """
+    primes = crt_primes(k)
+    return {
+        "evaluator": "collapsed, characters of Z9xZ3 modulo primes",
+        "primes": list(primes),
+        # Counts below 2^crt_bound_bits are exact; the last prime is redundant.
+        "crt_bound_bits": math.prod(primes[:-1]).bit_length() - 1,
+        "transcript_classes": classes,
+        "strategy_orbits": orbits,
+    }
+
+
+@dataclass(frozen=True)
+class _PrimeTables:
+    """Transform constants for a prime set, stacked along axis 0.
+
+    Rows of ``characters`` are the characters 3a + b, columns the ring
+    states 3u + w; ``inverse`` is the inverse transform (states by
+    characters).  Each global value's admissible states form a coset of
+    H = {(0, 0), (3, 2), (6, 1)}, so only the 9 characters trivial on H,
+    listed in ``folded``, reach ``fold``, which maps their values to the
+    admissible counts per global value.  ``garner[i][j]`` is the inverse
+    of ``primes[j]`` modulo ``primes[i]``.
+    """
+
+    primes: tuple[int, ...]
+    modulus: np.ndarray  # (P,)
+    characters: np.ndarray  # (P, 27, 27)
+    inverse: np.ndarray  # (P, 27, 27)
+    folded: np.ndarray  # (9,)
+    fold: np.ndarray  # (P, 9, 3)
+    garner: tuple[tuple[int, ...], ...]
+
+
+def _root_of_unity9(p: int) -> int:
+    h = 2
+    while pow(z := pow(h, (p - 1) // 9, p), 3, p) == 1:
+        h += 1
+    return z
+
+
+@lru_cache(maxsize=8)
+def _prime_tables(primes: tuple[int, ...]) -> _PrimeTables:
+    u, w = np.divmod(np.arange(27), 3)
+    exponent = (np.outer(u, u) + 3 * np.outer(w, w)) % 9
+    onto = np.zeros((27, 3), dtype=np.int64)
+    admissible = u % 3 == 0
+    onto[admissible, ((w + u // 3) % 3)[admissible]] = 1
+    folded = np.flatnonzero((u + 2 * w) % 3 == 0)
+    characters, inverse = [], []
+    for p in primes:
+        z = _root_of_unity9(p)
+        z_pow = np.array([pow(z, e, p) for e in range(9)], dtype=np.int64)
+        characters.append(z_pow[exponent])
+        inverse.append(z_pow[-exponent % 9].T * pow(27, -1, p) % p)
+    modulus = np.array(primes, dtype=np.int64)
+    inverse = np.stack(inverse)
+    return _PrimeTables(
+        primes=primes,
+        modulus=modulus,
+        characters=np.stack(characters),
+        inverse=inverse,
+        folded=folded,
+        fold=inverse.transpose(0, 2, 1)[:, folded] @ onto % modulus[:, None, None],
+        garner=tuple(tuple(pow(q, -1, p) for q in primes[:i]) for i, p in enumerate(primes)),
+    )
+
+
+def _step_polys(sent: tuple[int, ...]) -> np.ndarray:
+    """(3, 27): per sent trit, the ring vector of the consistent register values.
 
     A register value (y, x) contributes one unit at ring state
     (u=1 if x==0 else 0, w=y); the vector for sent trit t sums the
     contributions of t's preimage cell.
     """
-    polys = [[0] * 27 for _ in range(3)]
+    polys = np.zeros((3, 27), dtype=np.int64)
     for (y, x), t in zip(REGISTER_VALUES, sent):
-        u = 1 if x == 0 else 0
-        polys[t][u * 3 + y] += 1
-    return tuple(tuple(p) for p in polys)
+        polys[t, (1 if x == 0 else 0) * 3 + y] += 1
+    return polys
 
 
-def _powers(vec: Sequence[int], n: int) -> list[list[int]]:
-    out = [ring_one()]
-    cur = out[0]
-    for _ in range(n):
-        cur = ring_mul(cur, list(vec))
-        out.append(cur)
+def _group_powers(sent: tuple[int, ...], size: int, tables: _PrimeTables) -> np.ndarray:
+    """(3, P, size + 1, 9): folded character values of each step vector to the powers 0..size."""
+    p = tables.modulus[:, None]
+    characters = tables.characters[:, tables.folded]
+    base = (_step_polys(sent) @ characters.transpose(0, 2, 1)) % p[:, None]
+    base = base.transpose(1, 0, 2)
+    out = np.empty((3, len(tables.primes), size + 1, len(tables.folded)), dtype=np.int64)
+    out[:, :, 0] = 1
+    for e in range(1, size + 1):
+        out[:, :, e] = out[:, :, e - 1] * base % p
     return out
 
 
@@ -297,84 +436,137 @@ def _multinomial(size: int, counts: tuple[int, int, int]) -> int:
     return binomial(size, counts[0]) * binomial(size - counts[0], counts[1])
 
 
-def _group_class_vectors(strategy: Strategy, size: int) -> list[tuple[tuple[int, int, int], int, list[int]]]:
-    """Full ring vectors for every sent-count composition of one group."""
-    q0, q1, q2 = (list(p) for p in _step_polys(strategy.sent))
-    pow0 = _powers(q0, size)
-    pow2 = _powers(q2, size)
-    out = []
-    for c0 in range(size + 1):
-        cur = pow0[c0]
-        for c1 in range(size - c0 + 1):
-            c2 = size - c0 - c1
-            counts = (c0, c1, c2)
-            out.append((counts, _multinomial(size, counts), ring_mul(cur, pow2[c2])))
-            if c1 < size - c0:
-                cur = ring_mul(cur, q1)
+@lru_cache(maxsize=16)
+def _compositions(size: int, primes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """A group's sent-count compositions (C, 3) and their multinomials mod each prime (P, C)."""
+    comps = [(c0, c1, size - c0 - c1) for c0 in range(size + 1) for c1 in range(size - c0 + 1)]
+    mults = [_multinomial(size, c) for c in comps]
+    return (
+        np.array(comps, dtype=np.intp),
+        np.array([[m % p for m in mults] for p in primes], dtype=np.int64),
+    )
+
+
+def _class_counts(
+    tables: _PrimeTables,
+    powers: list[np.ndarray],
+    comps: list[np.ndarray],
+    index: Sequence[np.ndarray],
+) -> np.ndarray:
+    """(P, B, 3): admissible counts per global value of B transcript classes, mod each prime.
+
+    In group g, class b sends the counts ``comps[g][index[g][b]]``; the
+    group's step-vector powers are ``powers[g]``.  Each group multiplies
+    out only the compositions that differ within the block.
+    """
+    groups = []
+    for pw, comp, i in zip(powers, comps, index):
+        distinct, back = np.unique(i, return_inverse=True)
+        groups.append((pw, comp[distinct], back))
+    out = np.empty((len(tables.primes), len(index[0]), 3), dtype=np.int64)
+    for j, p in enumerate(tables.primes):  # one prime at a time keeps the working set small
+        vec = None
+        for pw, c, back in groups:
+            group = (pw[0, j, c[:, 0]] * pw[1, j, c[:, 1]] % p * pw[2, j, c[:, 2]] % p)[back]
+            vec = group if vec is None else vec * group % p
+        out[j] = vec @ tables.fold[j] % p
     return out
 
 
-def _class_count(groups: list[tuple[Strategy, int]]) -> int:
-    total = 1
-    for _, size in groups:
-        total *= (size + 1) * (size + 2) // 2
-    return total
+def _mixed_radix(residues: np.ndarray, tables: _PrimeTables) -> list[np.ndarray]:
+    """Garner digits of exact integers from their residues along axis 0.
+
+    Digits come least significant first, without the redundant prime's
+    digit; raises ArithmeticError when that digit is nonzero anywhere.
+    """
+    digits: list[np.ndarray] = []
+    for p, x, inverses in zip(tables.primes, residues, tables.garner):
+        for d, inv in zip(digits, inverses):
+            x = (x - d) * inv % p
+        digits.append(x)
+    if np.any(digits[-1]):
+        raise ArithmeticError(
+            f"a count reached the CRT bound of primes {tables.primes[:-1]}; "
+            "the redundant prime's digit is nonzero"
+        )
+    return digits[:-1]
+
+
+def _from_digits(digits: Sequence[int], primes: Sequence[int]) -> int:
+    value, radix = 0, 1
+    for d, p in zip(digits, primes):
+        value += int(d) * radix
+        radix *= p
+    return value
+
+
+def _largest(digits: list[np.ndarray]) -> np.ndarray:
+    """Per row of (B, 3) digit arrays, the column of the largest count (first on ties)."""
+
+    def greater(i: int, j: int) -> np.ndarray:
+        out = np.zeros(len(digits[0]), dtype=bool)
+        for d in digits:  # a more significant digit that differs decides
+            out = np.where(d[:, i] != d[:, j], d[:, i] > d[:, j], out)
+        return out
+
+    best = greater(1, 0).astype(np.intp)
+    best[np.where(best == 1, greater(2, 1), greater(2, 0))] = 2
+    return best
+
+
+def transcript_class_count(profile: StrategyProfile) -> int:
+    """Transcript classes the collapsed evaluator scans for ``profile``."""
+    return math.prod((size + 1) * (size + 2) // 2 for _, size in strategy_groups(profile))
 
 
 def evaluate_collapsed(profile: StrategyProfile) -> Fraction:
-    """Referee success probability via the grouped residue dynamic program.
+    """Referee success probability over transcript classes, in the character domain.
 
     Exactly equals :func:`evaluate_exhaustive` wherever both run; scales to
     large k for profiles with few distinct strategies because the scan is
     over transcript classes, not transcripts.
     """
-    groups = strategy_groups(profile)
-    if _class_count(groups) > _MAX_CLASSES:
+    n_classes = transcript_class_count(profile)
+    if n_classes > _MAX_CLASSES:
         raise ValueError(
-            f"profile has too many transcript classes ({_class_count(groups)}); "
+            f"profile has too many transcript classes ({n_classes}); "
             "reduce the number of distinct strategies"
         )
+    return _collapsed_value(strategy_groups(profile), crt_primes(profile.k))
 
-    numerator = 0
-    denominator = 0
-    if len(groups) == 1:
-        # Homogeneous fast path: scan the composition triangle with one
-        # cheap sparse update per class and fold without forming products.
-        strategy, k = groups[0]
-        q0, q1, q2 = (list(p) for p in _step_polys(strategy.sent))
-        pow0 = _powers(q0, k)
-        pow2 = _powers(q2, k)
-        for c0 in range(k + 1):
-            cur = pow0[c0]
-            for c1 in range(k - c0 + 1):
-                c2 = k - c0 - c1
-                counts = fold_counts(cur, pow2[c2])
-                mult = _multinomial(k, (c0, c1, c2))
-                numerator += mult * max(counts)
-                denominator += mult * (counts[0] + counts[1] + counts[2])
-                if c1 < k - c0:
-                    cur = ring_mul(cur, q1)
-        return Fraction(numerator, denominator)
 
-    # General path: cartesian product of per-group class vectors, folding
-    # against the largest group last to avoid one full multiplication.
-    groups = sorted(groups, key=lambda g: g[1])
-    per_group = [_group_class_vectors(s, size) for s, size in groups[:-1]]
-    last = _group_class_vectors(*groups[-1])
-    partials: list[tuple[int, list[int]]] = [(1, ring_one())]
-    for classes in per_group:
-        partials = [
-            (mult * m2, ring_mul(vec, v2))
-            for mult, vec in partials
-            for _, m2, v2 in classes
-        ]
-    for mult, vec in partials:
-        for _, m2, v2 in last:
-            counts = fold_counts(vec, v2)
-            m = mult * m2
-            numerator += m * max(counts)
-            denominator += m * sum(counts)
-    return Fraction(numerator, denominator)
+def _collapsed_value(groups: list[tuple[Strategy, int]], primes: tuple[int, ...]) -> Fraction:
+    """Success probability of the profile ``groups`` computed modulo ``primes``.
+
+    The classes are the cartesian product of each group's sent-count
+    compositions, taken in blocks of ``_BLOCK``.  The numerator is summed
+    mod each prime and reconstructed once; the denominator is the number
+    of admissible inputs, 3^k * sum_i C(k, 3i), which the summed class
+    totals must match.
+    """
+    tables = _prime_tables(primes)
+    p = tables.modulus[:, None]
+    powers = [_group_powers(s.sent, size, tables) for s, size in groups]
+    comps = [_compositions(size, primes) for _, size in groups]
+    shape = tuple(len(c) for c, _ in comps)
+    n_classes = math.prod(shape)
+    numerator = total = np.zeros(len(primes), dtype=np.int64)
+    for start in range(0, n_classes, _BLOCK):
+        index = np.unravel_index(np.arange(start, min(start + _BLOCK, n_classes)), shape)
+        mult = np.ones((len(primes), len(index[0])), dtype=np.int64)
+        for (_, m), i in zip(comps, index):
+            mult = mult * m[:, i] % p
+        counts = _class_counts(tables, powers, [c for c, _ in comps], index)
+        best = _largest(_mixed_radix(counts, tables))
+        top = np.take_along_axis(counts, best[None, :, None], axis=2)[:, :, 0]
+        numerator = (numerator + (mult * top % p).sum(axis=1)) % tables.modulus
+        total = (total + (mult * (counts.sum(axis=2) % p) % p).sum(axis=1)) % tables.modulus
+
+    k = sum(size for _, size in groups)
+    denominator = 3**k * grouped_sum(k, 0, 3)
+    if total.tolist() != [denominator % q for q in primes]:
+        raise ArithmeticError("transcript-class totals do not match the admissible input count")
+    return Fraction(_from_digits(_mixed_radix(numerator, tables), primes), denominator)
 
 
 def transcript_class_stats(
@@ -390,17 +582,21 @@ def transcript_class_stats(
     if len(class_id) != len(groups):
         raise ValueError(f"expected counts for {len(groups)} group(s), got {len(class_id)}")
 
-    vec = ring_one()
+    primes = crt_primes(profile.k)
+    tables = _prime_tables(primes)
+    powers = []
     multiplicity = 1
     for (strategy, size), counts in zip(groups, class_id):
         if len(counts) != 3 or any(c < 0 for c in counts) or sum(counts) != size:
             raise ValueError(f"sent counts {counts!r} do not partition group of size {size}")
-        polys = _step_polys(strategy.sent)
-        for t in range(3):
-            for _ in range(counts[t]):
-                vec = ring_mul(vec, list(polys[t]))
+        powers.append(_group_powers(strategy.sent, size, tables))
         multiplicity *= _multinomial(size, counts)
-    g_counts = fold_counts(vec, ring_one())
+    zero = np.zeros(1, dtype=np.intp)
+    residues = _class_counts(
+        tables, powers, [np.array([c]) for c in class_id], [zero] * len(class_id)
+    )[:, 0]
+    digits = _mixed_radix(residues, tables)
+    g_counts = tuple(_from_digits([d[v] for d in digits], primes) for v in range(3))
     return TranscriptClassStats(class_id, g_counts, multiplicity)
 
 
@@ -425,15 +621,38 @@ def canonical_strategy_reps() -> list[Strategy]:
     return reps
 
 
+@lru_cache(maxsize=1)
+def strategy_orbit_reps() -> tuple[Strategy, ...]:
+    """One representative per orbit of the 729 tables under S3 x Z3.
+
+    S3 relabels the sent alphabet.  Z3 shifts the register trit, y -> y + c,
+    in every party at once: that maps admissible inputs one to one, keeps
+    each transcript and moves every global value by k*c = c (mod 3), since
+    k = 1 (mod 3).  Neither changes a homogeneous profile's success
+    probability.  Each of the 44 orbits is represented by its
+    lexicographically smallest member, which is among the 122
+    :func:`canonical_strategy_reps`.
+    """
+    seen: set[Strategy] = set()
+    reps: list[Strategy] = []
+    for strategy in canonical_strategy_reps():  # lexicographic order
+        if strategy not in seen:
+            reps.append(strategy)
+            seen.update(strategy.shift(c).relabel(perm) for c in range(3) for perm in _PERMS3)
+    return tuple(reps)
+
+
 def best_homogeneous(k: int) -> tuple[Strategy, Fraction]:
     """Best success probability over all single-strategy profiles at k parties.
 
-    Scans the 122 relabeling orbit representatives with the collapsed
-    evaluator; returns the first maximizer in lexicographic order.
+    Evaluates the 44 :func:`strategy_orbit_reps` with the collapsed
+    evaluator and returns the first maximizer.  Each orbit's representative
+    is its smallest member, so this is also the first maximizer in
+    lexicographic order among all 729 tables.
     """
     best_strategy: Strategy | None = None
     best_value: Fraction | None = None
-    for strategy in canonical_strategy_reps():
+    for strategy in strategy_orbit_reps():
         value = evaluate_collapsed(StrategyProfile.homogeneous(strategy, k))
         if best_value is None or value > best_value:
             best_strategy, best_value = strategy, value

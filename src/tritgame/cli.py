@@ -33,7 +33,10 @@ from .classical import (
     canonical_division,
     evaluate_collapsed,
     evaluate_exhaustive,
+    evaluator_metrics,
+    strategy_orbit_reps,
     ten_player_worked_example,
+    transcript_class_count,
 )
 from .combinat import grouped_sum
 from .protocol import (
@@ -58,9 +61,11 @@ def _fraction_payload(value: Fraction) -> dict:
     }
 
 
-def _envelope(command: str, config: dict, payload: dict, started: float) -> dict:
+def _envelope(
+    command: str, config: dict, payload: dict, started: float, metrics: dict | None = None
+) -> dict:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return {
+    envelope = {
         "command": command,
         "config": config,
         "payload": payload,
@@ -68,7 +73,9 @@ def _envelope(command: str, config: dict, payload: dict, started: float) -> dict
         "version": __version__,
         "duration_seconds": round(time.perf_counter() - started, 6),
     }
-
+    if metrics is not None:
+        envelope["metrics"] = metrics
+    return envelope
 
 def _emit(text: str, output: str | None) -> None:
     if output:
@@ -122,8 +129,9 @@ def cmd_quantum_verify(args: argparse.Namespace) -> int:
             tol=args.tolerance,
             _perturb=1e-6 if args.debug_tamper else 0.0,
         )
+        sweep_ok = max(cert.sweep_deviations) <= args.tolerance
         payload = {
-            "ok": True,
+            "ok": cert.root_check.ok and cert.swap_check.ok and sweep_ok,
             "checks": [
                 {
                     "name": "root-branch-search",
@@ -144,14 +152,15 @@ def cmd_quantum_verify(args: argparse.Namespace) -> int:
                 },
                 {
                     "name": "class-sweep",
-                    "ok": True,
+                    "ok": sweep_ok,
                     "k": list(cert.checked_k),
                     "bit_vectors_checked": [grouped_sum(k, 0, 3) for k in cert.checked_k],
+                    "max_deviation": list(cert.sweep_deviations),
                 },
             ],
             "token": cert.token,
         }
-        code = EXIT_OK
+        code = EXIT_OK if payload["ok"] else EXIT_CHECK_FAILED
     except (VerificationError, LookupError) as exc:
         payload = {"ok": False, "error": str(exc)}
         code = EXIT_CHECK_FAILED
@@ -266,7 +275,8 @@ def cmd_classical(args: argparse.Namespace) -> int:
             payload["evaluators_agree"] = exhaustive == collapsed
             if not payload["evaluators_agree"]:
                 code = EXIT_CHECK_FAILED
-        _emit_envelope(_envelope("classical", config, payload, started), args.output)
+        metrics = evaluator_metrics(args.k, transcript_class_count(profile), 0)
+        _emit_envelope(_envelope("classical", config, payload, started, metrics), args.output)
         return code
 
     # search
@@ -277,7 +287,10 @@ def cmd_classical(args: argparse.Namespace) -> int:
         "best_strategy": strategy.to_string(),
         "probability": _fraction_payload(value),
     }
-    _emit_envelope(_envelope("classical", config, payload, started), args.output)
+    orbits = len(strategy_orbit_reps())
+    classes = orbits * transcript_class_count(StrategyProfile.homogeneous(strategy, args.k))
+    metrics = evaluator_metrics(args.k, classes, orbits)
+    _emit_envelope(_envelope("classical", config, payload, started, metrics), args.output)
     return EXIT_OK
 
 

@@ -35,11 +35,11 @@ from .qudit import (
     RootBranch,
     RootCheck,
     apply_local,
-    classify_sum_class,
     digit_string,
     find_valid_root_branch,
     make_sum_class_state,
     root_gate,
+    sum_class_deviation,
     verify_dim2_swap,
     verify_root_branch,
 )
@@ -278,12 +278,15 @@ class SteppingCertificate:
     later process to skip re-verification.  It is only issued when the
     checked sizes cover the canonical suite (k = 4 and 7); a weaker sweep
     yields a certificate without a token and does not unlock the engine.
+    ``sweep_deviations[i]`` is the worst sum-class deviation of an evolved
+    state at ``checked_k[i]``; ``max_deviation`` covers every check.
     """
 
     branch: RootBranch
     root_check: RootCheck
     swap_check: RootCheck
     checked_k: tuple[int, ...]
+    sweep_deviations: tuple[float, ...]
     max_deviation: float
     token: str | None
 
@@ -319,18 +322,21 @@ def verify_class_stepping(
             f"dimension-2 swap check failed: max deviation {swap_check.max_deviation:.3e}"
         )
 
-    max_dev = max(root_check.max_deviation, swap_check.max_deviation)
+    sweep_devs = []
     for k in ks:
         if k > DENSE_MAX_K:
             raise ValueError(f"verification needs dense states; k={k} exceeds {DENSE_MAX_K}")
+        worst = 0.0
         for bits in admissible_bit_vectors(k):
             state = dense_pre_measurement_state(k, bits)
-            result = classify_sum_class(state, tol)
             expected = zero_triples_mod3(bits)
-            if result is None or result[0] != expected:
+            phase, dev = sum_class_deviation(state, expected)
+            if dev > tol or abs(abs(phase) - 1.0) > tol:
                 raise VerificationError(
                     f"evolved state at k={k}, bits={bits} is not class {expected}"
                 )
+            worst = max(worst, dev)
+        sweep_devs.append(worst)
 
     token = None
     if set(_CERT_KS).issubset(ks) and tol <= _CERT_TOL:
@@ -342,7 +348,8 @@ def verify_class_stepping(
         root_check=root_check,
         swap_check=swap_check,
         checked_k=tuple(ks),
-        max_deviation=max_dev,
+        sweep_deviations=tuple(sweep_devs),
+        max_deviation=max(root_check.max_deviation, swap_check.max_deviation, *sweep_devs),
         token=token,
     )
 

@@ -1,0 +1,184 @@
+"""The character-domain core of the collapsed evaluator against direct oracles."""
+
+import itertools
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tritgame.classical import (
+    Strategy,
+    StrategyProfile,
+    _collapsed_value,
+    _is_prime,
+    _prime_tables,
+    best_homogeneous,
+    canonical_division,
+    canonical_strategy_reps,
+    crt_primes,
+    evaluate_collapsed,
+    evaluate_exhaustive,
+    strategy_groups,
+    strategy_orbit_reps,
+)
+
+
+def convolve(a, b):
+    """Reference product in Z[Z9 x Z3]; state 3u + w, both coordinates cyclic."""
+    out = [0] * 27
+    for s1, x in enumerate(a):
+        for s2, y in enumerate(b):
+            u = (s1 // 3 + s2 // 3) % 9
+            w = (s1 % 3 + s2 % 3) % 3
+            out[3 * u + w] += x * y
+    return out
+
+
+def explicit_fold(vec):
+    """Admissible states (u = 0 mod 3) summed by global value (w + u/3) mod 3."""
+    counts = [0, 0, 0]
+    for u in range(0, 9, 3):
+        for w in range(3):
+            counts[(w + u // 3) % 3] += vec[3 * u + w]
+    return counts
+
+
+def is_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def homogeneous_value(strategy, k):
+    return evaluate_collapsed(StrategyProfile.homogeneous(strategy, k))
+
+
+class TestPrimes:
+    @pytest.mark.parametrize("k", [4, 31, 61, 100])
+    def test_bound_and_redundant_prime(self, k):
+        primes = crt_primes(k)
+        assert len(set(primes)) == len(primes)
+        assert all(p % 9 == 1 and p < 2**28 and is_prime(p) for p in primes)
+        # The base primes are the fewest whose product exceeds 6^k; the
+        # last prime is the redundant check.
+        assert math.prod(primes[:-1]) > 6**k >= math.prod(primes[:-2])
+
+    def test_primality_test(self):
+        for n in itertools.chain(range(11, 3000), range(2**28 - 3000, 2**28)):
+            assert _is_prime(n) == is_prime(n), n
+
+
+class TestTransform:
+    PRIMES = crt_primes(13)
+
+    def random_vectors(self, seed, n=20):
+        rng = random.Random(seed)
+        for _ in range(n):
+            yield (
+                [rng.randrange(1000) for _ in range(27)],
+                [rng.randrange(1000) for _ in range(27)],
+            )
+
+    def test_inverse_undoes_transform(self):
+        tables = _prime_tables(self.PRIMES)
+        for a, _ in self.random_vectors(1):
+            for i, p in enumerate(self.PRIMES):
+                back = tables.inverse[i] @ (tables.characters[i] @ a % p) % p
+                assert back.tolist() == a
+
+    def test_pointwise_product_is_convolution(self):
+        tables = _prime_tables(self.PRIMES)
+        for a, b in self.random_vectors(2):
+            expected = convolve(a, b)
+            for i, p in enumerate(self.PRIMES):
+                fa = tables.characters[i] @ a % p
+                fb = tables.characters[i] @ b % p
+                back = tables.inverse[i] @ (fa * fb % p) % p
+                assert back.tolist() == [c % p for c in expected]
+
+    def test_fold_matches_explicit_product(self):
+        tables = _prime_tables(self.PRIMES)
+        for a, b in self.random_vectors(3):
+            expected = explicit_fold(convolve(a, b))
+            for i, p in enumerate(self.PRIMES):
+                product = (tables.characters[i] @ a % p) * (tables.characters[i] @ b % p) % p
+                folded = product[tables.folded] @ tables.fold[i] % p
+                assert folded.tolist() == [c % p for c in expected]
+
+
+@st.composite
+def small_profiles(draw):
+    """Profiles of 1 to 3 distinct strategies at k = 4 or 7, each used at least once."""
+    k = draw(st.sampled_from([4, 7]))
+    n_groups = draw(st.integers(1, 3))
+    tables = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 2)] * 6),
+            min_size=n_groups,
+            max_size=n_groups,
+            unique=True,
+        )
+    )
+    extra = draw(
+        st.lists(st.integers(0, n_groups - 1), min_size=k - n_groups, max_size=k - n_groups)
+    )
+    order = draw(st.permutations(list(range(n_groups)) + extra))
+    return StrategyProfile(tuple(Strategy(tables[g]) for g in order))
+
+
+class TestDifferential:
+    @settings(deadline=None, max_examples=60)
+    @given(small_profiles())
+    def test_collapsed_matches_exhaustive(self, profile):
+        assert evaluate_collapsed(profile) == evaluate_exhaustive(profile)
+
+
+class TestOrbits:
+    def test_shift_moves_register_trits(self):
+        s = Strategy.from_string("001122")
+        assert s.shift(1).to_string() == "220011"
+        assert s.shift(1).shift(2) == s
+        for (y, x) in itertools.product(range(3), range(2)):
+            assert s.shift(2).sent_for((y + 2) % 3, x) == s.sent_for(y, x)
+
+    def test_44_orbits_cover_all_tables(self):
+        reps = strategy_orbit_reps()
+        assert len(reps) == 44
+        covered = set()
+        for s in reps:
+            orbit = {s.shift(c).relabel(perm) for c in range(3)
+                     for perm in itertools.permutations(range(3))}
+            assert s == min(orbit, key=lambda t: t.sent)
+            assert not covered & orbit
+            covered |= orbit
+        assert len(covered) == 3**6
+
+    def test_shift_invariance_at_k7(self):
+        for s in canonical_strategy_reps():
+            value = homogeneous_value(s, 7)
+            assert homogeneous_value(s.shift(1), 7) == value
+            assert homogeneous_value(s.shift(2), 7) == value
+
+    def test_orbit_search_matches_full_scan_at_k13(self):
+        best = None
+        for s in canonical_strategy_reps():
+            value = homogeneous_value(s, 13)
+            if best is None or value > best[1]:
+                best = (s, value)
+        assert best_homogeneous(13) == best
+
+
+class TestRedundantPrime:
+    def test_one_prime_short_raises(self):
+        k = 31
+        groups = strategy_groups(StrategyProfile.homogeneous(canonical_division("A"), k))
+        primes = crt_primes(k)
+        short = primes[:-2] + primes[-1:]
+        assert math.prod(short[:-1]) < 6**k
+        with pytest.raises(ArithmeticError, match="redundant prime"):
+            _collapsed_value(groups, short)
+
+    def test_full_prime_set_matches_oracle(self):
+        profile = StrategyProfile.homogeneous(canonical_division("F"), 7)
+        value = _collapsed_value(strategy_groups(profile), crt_primes(7))
+        assert value == evaluate_exhaustive(profile)

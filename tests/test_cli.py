@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
 from tritgame import cli
+from tritgame.classical import crt_primes
 
 
 def run_cli(capsys, argv):
@@ -32,6 +34,16 @@ class TestQuantumVerify:
         ]
         assert env["payload"]["token"]
         assert env["config"]["tolerance"] == 1e-10
+
+    def test_class_sweep_reports_worst_deviation_per_k(self, capsys):
+        code, env = run_json(capsys, ["quantum-verify"])
+        assert code == 0
+        sweep = env["payload"]["checks"][3]
+        assert sweep["k"] == [4, 7]
+        deviations = sweep["max_deviation"]
+        assert len(deviations) == 2
+        assert all(0.0 <= d <= env["config"]["tolerance"] for d in deviations)
+        assert sweep["ok"] is True
 
     def test_tamper_fails_with_exit_one(self, capsys):
         code, env = run_json(capsys, ["quantum-verify", "--debug-tamper"])
@@ -130,6 +142,23 @@ class TestClassical:
         assert env["payload"]["best_strategy"] == "001122"
         assert env["payload"]["probability"]["numerator"] == 4
         assert env["payload"]["probability"]["denominator"] == 5
+
+    def test_metrics_sit_outside_the_hashed_payload(self, capsys):
+        _, env = run_json(capsys, ["classical", "search", "--k", "13"])
+        metrics = env["metrics"]
+        assert metrics["primes"] == list(crt_primes(13))
+        assert metrics["crt_bound_bits"] >= (6**13).bit_length()
+        assert metrics["strategy_orbits"] == 44
+        assert metrics["transcript_classes"] == 44 * 105
+        assert "collapsed" in metrics["evaluator"]
+        assert "metrics" not in env["payload"]
+        canonical = json.dumps(env["payload"], sort_keys=True, separators=(",", ":"))
+        assert env["payload_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
+
+    def test_eval_metrics_count_profile_classes(self, capsys):
+        _, env = run_json(capsys, ["classical", "eval", "--profile", "A:3,100122", "--k", "4"])
+        assert env["metrics"]["transcript_classes"] == 10 * 3
+        assert env["metrics"]["strategy_orbits"] == 0
 
     def test_determinism(self, capsys):
         argv = ["classical", "eval", "--strategy", "F", "--k", "7"]
