@@ -57,14 +57,19 @@ from .protocol import (
     ProtocolRun,
     RegisterInput,
     VerificationError,
-    analytic_token,
+    batch_runs,
     decode,
+    decode_batch,
     dense_pre_measurement_state,
     enumerate_admissible,
     global_function,
+    global_function_batch,
     run_analytic,
+    run_analytic_batch,
     run_dense,
+    run_dense_batch,
     sample_admissible,
+    sample_admissible_batch,
     verify_class_stepping,
     zero_triples_mod3,
 )
@@ -75,6 +80,7 @@ from .qudit import (
     apply_local,
     classify_sum_class,
     find_valid_root_branch,
+    inverse_cdf,
     make_sum_class_state,
     measure_all,
     permutation_gate,
@@ -87,13 +93,15 @@ __all__ = [
     "GroupedSumSpec", "binomial", "grouped_sum", "grouped_sum_primed", "ramus", "trit_add",
     # qudit simulation
     "LocalGate", "QuditState", "RootBranch", "apply_local", "classify_sum_class",
-    "find_valid_root_branch", "make_sum_class_state", "measure_all",
+    "find_valid_root_branch", "inverse_cdf", "make_sum_class_state", "measure_all",
     "permutation_gate", "root_gate",
     # protocol
     "AnalyticEngineLockedError", "SteppingCertificate", "ProtocolRun", "RegisterInput",
-    "VerificationError", "analytic_token", "decode", "dense_pre_measurement_state",
-    "enumerate_admissible", "global_function", "run_analytic", "run_dense",
-    "sample_admissible", "verify_class_stepping", "zero_triples_mod3",
+    "VerificationError", "batch_runs", "decode", "decode_batch",
+    "dense_pre_measurement_state", "enumerate_admissible", "global_function",
+    "global_function_batch", "run_analytic", "run_analytic_batch", "run_dense",
+    "run_dense_batch", "sample_admissible", "sample_admissible_batch",
+    "verify_class_stepping", "zero_triples_mod3",
     # classical analysis
     "DIVISION_NAMES", "REGISTER_VALUES", "Strategy", "StrategyProfile",
     "TranscriptClassStats", "best_homogeneous", "canonical_division",

@@ -39,18 +39,17 @@ from .classical import (
     transcript_class_count,
 )
 from .combinat import grouped_sum
-from .protocol import (
-    AnalyticEngineLockedError,
-    VerificationError,
-    run_analytic,
-    run_dense,
-    sample_admissible,
-    verify_class_stepping,
-)
+from .protocol import VerificationError, verify_class_stepping
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+#: Protocol trials per batch.  It bounds the memory of one block (at k=100
+#: the sampler's draws for a full block take about 20 MB).  The random
+#: stream is consumed block by block, so records for a seed depend on it:
+#: it is a constant, not an option.
+BLOCK_TRIALS = 65_536
 
 
 def _fraction_payload(value: Fraction) -> dict:
@@ -158,7 +157,6 @@ def cmd_quantum_verify(args: argparse.Namespace) -> int:
                     "max_deviation": list(cert.sweep_deviations),
                 },
             ],
-            "token": cert.token,
         }
         code = EXIT_OK if payload["ok"] else EXIT_CHECK_FAILED
     except (VerificationError, LookupError) as exc:
@@ -166,6 +164,94 @@ def cmd_quantum_verify(args: argparse.Namespace) -> int:
         code = EXIT_CHECK_FAILED
     _emit_envelope(_envelope("quantum-verify", config, payload, started), args.output)
     return code
+
+
+def _protocol_metrics(engine: str) -> dict:
+    metrics = {
+        "engine": engine,
+        "stage_seconds": {"verify": 0.0, "sample": 0.0, "engine": 0.0, "render": 0.0},
+        "trials": 0,
+        "blocks": 0,
+        "first_failure": None,
+    }
+    if engine == "dense":
+        metrics["bit_vectors_evolved"] = 0
+    return metrics
+
+
+def _timed_verify(metrics: dict) -> bool:
+    """Unlocks the analytic engine; False (with a message) if verification fails."""
+    t0 = time.perf_counter()
+    try:
+        verify_class_stepping()
+    except VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    finally:
+        metrics["stage_seconds"]["verify"] += time.perf_counter() - t0
+    return True
+
+
+def _run_trials(
+    k: int, trials: int, rng: np.random.Generator, metrics: dict, records: list | None
+) -> int:
+    """Runs protocol trials in blocks of BLOCK_TRIALS and returns the successes.
+
+    Success is measured on every row, from the decoded and expected values.
+    Stage seconds and counters accumulate in ``metrics``, which also keeps
+    the first failing row; each run's record is appended to ``records``
+    when it is a list.
+    """
+    engine = metrics["engine"]
+    stages = metrics["stage_seconds"]
+    successes = 0
+    for start in range(0, trials, BLOCK_TRIALS):
+        n = min(BLOCK_TRIALS, trials - start)
+        t0 = time.perf_counter()
+        trits, bits = protocol.sample_admissible_batch(k, n, rng)
+        t1 = time.perf_counter()
+        if engine == "dense":
+            outcomes, evolved = protocol.run_dense_batch(bits, rng)
+            metrics["bit_vectors_evolved"] += evolved
+        else:
+            outcomes = protocol.run_analytic_batch(bits, rng)
+        decoded = protocol.decode_batch(trits, outcomes)
+        expected = protocol.global_function_batch(trits, bits)
+        ok = decoded == expected
+        t2 = time.perf_counter()
+        stages["sample"] += t1 - t0
+        stages["engine"] += t2 - t1
+        successes += int(np.count_nonzero(ok))
+        metrics["trials"] += n
+        metrics["blocks"] += 1
+        if metrics["first_failure"] is None and not ok.all():
+            i = int(np.argmin(ok))
+            metrics["first_failure"] = {
+                "k": k,
+                "trits": trits[i].tolist(),
+                "bits": bits[i].tolist(),
+                "outcomes": outcomes[i].tolist(),
+                "decoded": int(decoded[i]),
+                "expected": int(expected[i]),
+            }
+        if records is not None:
+            runs = protocol.batch_runs(trits, bits, outcomes, engine)
+            records.extend(run.to_record() for run in runs)
+            stages["render"] += time.perf_counter() - t2
+    return successes
+
+
+def _protocol_envelope(
+    command: str, config: dict, payload: dict, started: float, metrics: dict
+) -> dict:
+    # Render time covers building records and hashing the payload.
+    t0 = time.perf_counter()
+    envelope = _envelope(command, config, payload, started, metrics)
+    stages = metrics["stage_seconds"]
+    stages["render"] += time.perf_counter() - t0
+    for name, seconds in stages.items():
+        stages[name] = round(seconds, 6)
+    return envelope
 
 
 def cmd_quantum_run(args: argparse.Namespace) -> int:
@@ -181,34 +267,11 @@ def cmd_quantum_run(args: argparse.Namespace) -> int:
         print(f"error: dense engine supports k <= {protocol.DENSE_MAX_K}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.engine == "analytic":
-        if args.token:
-            token = args.token
-        else:
-            try:
-                verify_class_stepping()
-            except VerificationError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_CHECK_FAILED
-            token = protocol.analytic_token()
-    rng = _make_rng(args.seed)
-    successes = 0
-    records = []
-    try:
-        for _ in range(args.trials):
-            reg = sample_admissible(args.k, rng)
-            if args.engine == "dense":
-                run = run_dense(reg, rng)
-            else:
-                run = run_analytic(reg, rng, token=token)
-            successes += int(run.ok)
-            if args.records:
-                record = run.to_record()
-                record["seed"] = args.seed
-                records.append(record)
-    except AnalyticEngineLockedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    metrics = _protocol_metrics(args.engine)
+    if args.engine == "analytic" and not _timed_verify(metrics):
         return EXIT_CHECK_FAILED
+    records = [] if args.records else None
+    successes = _run_trials(args.k, args.trials, _make_rng(args.seed), metrics, records)
     payload = {
         "k": args.k,
         "engine": args.engine,
@@ -216,9 +279,12 @@ def cmd_quantum_run(args: argparse.Namespace) -> int:
         "successes": successes,
         "failures": args.trials - successes,
     }
-    if args.records:
+    if records is not None:
+        for record in records:
+            record["seed"] = args.seed
         payload["records"] = records
-    _emit_envelope(_envelope("quantum-run", config, payload, started), args.output)
+    envelope = _protocol_envelope("quantum-run", config, payload, started, metrics)
+    _emit_envelope(envelope, args.output)
     return EXIT_OK if successes == args.trials else EXIT_CHECK_FAILED
 
 
@@ -345,21 +411,17 @@ def cmd_gap_report(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "seed_scheme": "numpy default_rng([seed, stream]); stream = index of k",
     }
-    try:
-        verify_class_stepping()
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    metrics = _protocol_metrics("analytic")
+    metrics["stage_seconds"]["search"] = 0.0
+    if not _timed_verify(metrics):
         return EXIT_CHECK_FAILED
-    token = protocol.analytic_token()
     entries = []
     ok = True
     for stream, k in enumerate(args.k):
-        rng = _make_rng(args.seed, stream)
-        successes = 0
-        for _ in range(args.trials):
-            reg = sample_admissible(k, rng)
-            successes += int(run_analytic(reg, rng, token=token).ok)
+        successes = _run_trials(k, args.trials, _make_rng(args.seed, stream), metrics, None)
+        t0 = time.perf_counter()
         strategy, value = best_homogeneous(k)
+        metrics["stage_seconds"]["search"] += time.perf_counter() - t0
         ok = ok and successes == args.trials
         entries.append(
             {
@@ -389,7 +451,8 @@ def cmd_gap_report(args: argparse.Namespace) -> int:
         _emit(buf.getvalue(), args.output)
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     payload = {"rows": entries}
-    _emit_envelope(_envelope("gap-report", config, payload, started), args.output)
+    envelope = _protocol_envelope("gap-report", config, payload, started, metrics)
+    _emit_envelope(envelope, args.output)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -417,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--engine", choices=("dense", "analytic"), default="dense")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--token", default=None, help="cached verification token for the analytic engine")
     p.add_argument("--records", action="store_true", help="include per-run records")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_quantum_run)

@@ -8,35 +8,40 @@ cube root of the cyclic shift; everyone measures and transmits their own
 trit plus their measured digit.  The transcript's digit sum is the global
 value, on every input and every measurement outcome.
 
-Two interchangeable engines produce runs:
+Trials run in batches of int8 arrays, one row per trial:
+:func:`sample_admissible_batch` draws inputs, an engine draws the
+measurement outcomes, and :func:`decode_batch` and
+:func:`global_function_batch` give each row's decoded and expected values.
+Two interchangeable engines produce the outcomes:
 
-* :func:`run_dense` evolves the full state vector (k <= 13) and samples a
-  measurement from it.
-* :func:`run_analytic` skips the state entirely and samples the outcome
-  string uniformly from the digit-sum class the evolution provably lands
-  in.  It is gated on :func:`verify_class_stepping` having passed in this
-  process (or on its cached token), so the shortcut never outruns the
-  evidence for it.
+* :func:`run_dense_batch` evolves the full state vector (k <= 13) once per
+  distinct bit vector and samples a measurement from it.
+* :func:`run_analytic_batch` skips the state entirely and samples the
+  outcome string uniformly from the digit-sum class the evolution provably
+  lands in.  It is gated on :func:`verify_class_stepping` having passed in
+  this process, so the shortcut never outruns the evidence for it.
+
+:func:`sample_admissible`, :func:`run_dense` and :func:`run_analytic` are
+the one-row forms, returning validated :class:`RegisterInput` and
+:class:`ProtocolRun` objects.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .combinat import binomial, trit_add
+from .combinat import trit_add
 from .qudit import (
+    LocalGate,
     QuditState,
     RootBranch,
     RootCheck,
-    apply_local,
-    digit_string,
     find_valid_root_branch,
+    inverse_cdf,
     make_sum_class_state,
     root_gate,
     sum_class_deviation,
@@ -48,12 +53,17 @@ from .qudit import (
 DENSE_MAX_K = 13
 
 
+def _check_party_count(k: int) -> None:
+    if k < 4 or k % 3 != 1:
+        raise ValueError(f"party count must be >= 4 and 1 mod 3, got {k}")
+
+
 class VerificationError(RuntimeError):
     """A protocol verification check failed."""
 
 
 class AnalyticEngineLockedError(RuntimeError):
-    """run_analytic called before verify_class_stepping passed (and no token)."""
+    """The analytic engine ran before verify_class_stepping passed."""
 
 
 @dataclass(frozen=True)
@@ -69,8 +79,7 @@ class RegisterInput:
 
     def __post_init__(self) -> None:
         k = len(self.trits)
-        if k < 4 or k % 3 != 1:
-            raise ValueError(f"party count must be >= 4 and 1 mod 3, got {k}")
+        _check_party_count(k)
         if len(self.bits) != k:
             raise ValueError(f"need {k} bits to match {k} trits, got {len(self.bits)}")
         if any(t not in (0, 1, 2) for t in self.trits):
@@ -153,131 +162,204 @@ def enumerate_admissible(k: int) -> Iterator[RegisterInput]:
     Intended for exhaustive sweeps at k <= 7; the count is the number of
     admissible bit vectors times 3^k.
     """
-    if k < 4 or k % 3 != 1:
-        raise ValueError(f"party count must be >= 4 and 1 mod 3, got {k}")
+    _check_party_count(k)
     for bits in admissible_bit_vectors(k):
         for trits in itertools.product((0, 1, 2), repeat=k):
             yield RegisterInput(trits, bits)
 
 
-def _randbelow(rng: np.random.Generator, n: int) -> int:
-    """Exactly uniform integer in [0, n), including beyond 64-bit n."""
-    if n <= 0:
-        raise ValueError(f"need a positive bound, got {n}")
-    if n <= 1 << 62:
-        return int(rng.integers(0, n))
-    nbits = n.bit_length()
-    nwords = (nbits + 31) // 32
-    while True:
-        r = 0
-        for w in rng.integers(0, 1 << 32, size=nwords, dtype=np.uint64):
-            r = (r << 32) | int(w)
-        r &= (1 << nbits) - 1
-        if r < n:
-            return r
+# ---------------------------------------------------------------------------
+# Batches: int8 arrays with one row per trial
+# ---------------------------------------------------------------------------
+
+def _zero_triples_rows(bits: np.ndarray) -> np.ndarray:
+    """Zero-triple count mod 3 of every row of an (n, k) bit array.
+
+    Validates the array: two dimensions, a valid party count, bits in
+    {0, 1} and a multiple of three zeros in every row.
+    """
+    if bits.ndim != 2:
+        raise ValueError(f"need an (n, k) bit array, got shape {bits.shape}")
+    _check_party_count(bits.shape[1])
+    if np.any((bits != 0) & (bits != 1)):
+        raise ValueError("bits out of range: every entry must be 0 or 1")
+    zeros = np.count_nonzero(bits == 0, axis=1)
+    if np.any(zeros % 3):
+        raise ValueError("inadmissible bit vector: zero count is not a multiple of 3")
+    return (zeros // 3) % 3
+
+
+def sample_admissible_batch(
+    k: int, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """n independent uniform samples from the admissible set.
+
+    Returns int8 ``(trits, bits)``, both of shape (n, k).  The bits are
+    exact rejection samples: uniform bit rows are drawn and kept when their
+    zero count is a multiple of 3, which makes every admissible bit vector
+    equally likely (about a third of the rows are kept).  The trits are
+    drawn uniformly after the bits.
+    """
+    _check_party_count(k)
+    if n < 0:
+        raise ValueError(f"need a non-negative sample count, got {n}")
+    kept = [np.empty((0, k), dtype=np.int8)]
+    have = 0
+    while have < n:
+        draws = 3 * (n - have) + 8
+        packed = rng.integers(0, 256, size=(draws, (k + 7) // 8), dtype=np.uint8)
+        rows = np.unpackbits(packed, axis=1, count=k).view(np.int8)
+        rows = rows[np.count_nonzero(rows == 0, axis=1) % 3 == 0]
+        kept.append(rows)
+        have += len(rows)
+    bits = np.concatenate(kept)[:n]
+    trits = rng.integers(0, 3, size=(n, k), dtype=np.int8)
+    return trits, bits
+
+
+def global_function_batch(trits: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Each row's global value: trit sum plus zero-triple count, mod 3."""
+    return (trits.sum(axis=1, dtype=np.int64) + _zero_triples_rows(bits)) % 3
+
+
+def decode_batch(trits: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """Each row's decoded value.
+
+    Party i transmits (trit + outcome) mod 3; the referee sums the
+    transmissions mod 3.
+    """
+    return ((trits + outcomes) % 3).sum(axis=1, dtype=np.int64) % 3
+
+
+def batch_runs(
+    trits: np.ndarray, bits: np.ndarray, outcomes: np.ndarray, engine: str
+) -> list[ProtocolRun]:
+    """Validated :class:`ProtocolRun` objects for the rows of a batch."""
+    transmissions = (trits + outcomes) % 3
+    return [
+        ProtocolRun(
+            input=RegisterInput(tuple(t), tuple(b)),
+            outcomes=tuple(o),
+            transmissions=tuple(x),
+            decoded=d,
+            expected=e,
+            engine=engine,
+        )
+        for t, b, o, x, d, e in zip(
+            trits.tolist(),
+            bits.tolist(),
+            outcomes.tolist(),
+            transmissions.tolist(),
+            decode_batch(trits, outcomes).tolist(),
+            global_function_batch(trits, bits).tolist(),
+        )
+    ]
+
+
+def _one_row(reg: RegisterInput) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([reg.trits], dtype=np.int8), np.array([reg.bits], dtype=np.int8)
 
 
 def sample_admissible(k: int, rng: np.random.Generator) -> RegisterInput:
-    """Uniform sample from the admissible set, without enumerating it.
-
-    Draws the zero count m with exact weight C(k, m) over m in {0, 3, ...},
-    then uniform zero positions and uniform trits.
-    """
-    if k < 4 or k % 3 != 1:
-        raise ValueError(f"party count must be >= 4 and 1 mod 3, got {k}")
-    ms = list(range(0, k + 1, 3))
-    weights = [binomial(k, m) for m in ms]
-    r = _randbelow(rng, sum(weights))
-    for m, w in zip(ms, weights):
-        if r < w:
-            break
-        r -= w
-    bits = [1] * k
-    for i in rng.choice(k, size=m, replace=False):
-        bits[int(i)] = 0
-    trits = tuple(int(t) for t in rng.integers(0, 3, size=k))
-    return RegisterInput(trits, tuple(bits))
+    """One uniform sample from the admissible set (see the batch sampler)."""
+    trits, bits = sample_admissible_batch(k, 1, rng)
+    return RegisterInput(tuple(trits[0].tolist()), tuple(bits[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
 # Dense engine
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _validated_branch() -> RootBranch:
-    return find_valid_root_branch()
+def dense_pre_measurement_state(
+    k: int,
+    bits: Sequence[int],
+    *,
+    gate: LocalGate | None = None,
+    start: QuditState | None = None,
+) -> QuditState:
+    """Shared state after every zero-bit party applied the root gate.
 
-
-def dense_pre_measurement_state(k: int, bits: Sequence[int]) -> QuditState:
-    """Shared state after every zero-bit party applied the root gate."""
+    ``gate`` defaults to the root gate of the first valid branch and
+    ``start`` to the digit-sum-0 class state; callers that evolve many
+    vectors build both once and pass them.  Party p's gate is one matmul on
+    the (3^p, 3, B) view of the amplitudes, B = 3^(k-p-1).  For the last
+    parties, where B < 27, that view would mean thousands of tiny products,
+    so the same map is one matmul of the (3^p, 3B) view with the transpose
+    of gate ⊗ I_B.  The final state is validated once, when it becomes a
+    :class:`QuditState`.
+    """
     if k > DENSE_MAX_K:
         raise ValueError(f"dense engine supports k <= {DENSE_MAX_K}, got {k}")
-    gate = root_gate(3, _validated_branch())
-    state = make_sum_class_state(k, 0)
-    for party, bit in enumerate(bits, start=1):
+    if len(bits) != k:
+        raise ValueError(f"need {k} bits, got {len(bits)}")
+    if gate is None:
+        gate = root_gate(3, find_valid_root_branch())
+    if start is None:
+        start = make_sum_class_state(k, 0)
+    elif (start.d, start.k) != (3, k):
+        raise ValueError(f"start must be a state of {k} qutrits, got d={start.d}, k={start.k}")
+    amps = start.amplitudes
+    for party, bit in enumerate(bits):
         if bit == 0:
-            state = apply_local(state, gate, party)
-    return state
+            block = 3 ** (k - party - 1)
+            if block >= 27:
+                amps = np.matmul(gate.matrix, amps.reshape(3**party, 3, block))
+            else:
+                amps = amps.reshape(3**party, 3 * block) @ np.kron(gate.matrix, np.eye(block)).T
+    return QuditState(3, k, amps)
 
 
-@lru_cache(maxsize=64)
-def _dense_cumulative_cached(k: int, bits: tuple[int, ...]) -> np.ndarray:
-    cum = np.cumsum(np.abs(dense_pre_measurement_state(k, bits).amplitudes) ** 2)
-    cum.setflags(write=False)
-    return cum
+def run_dense_batch(bits: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Measurement outcomes of full state-vector runs, one row per trial.
 
-
-def _dense_cumulative(k: int, bits: tuple[int, ...]) -> np.ndarray:
-    # The evolved distribution depends on the bit vector only, so repeated
-    # runs share it; k > 10 states are too large to be worth caching.
-    if k <= 10:
-        return _dense_cumulative_cached(k, bits)
-    return np.cumsum(np.abs(dense_pre_measurement_state(k, bits).amplitudes) ** 2)
-
-
-def _finish_run(reg: RegisterInput, outcomes: Sequence[int], engine: str) -> ProtocolRun:
-    transmissions = tuple((y + x) % 3 for y, x in zip(reg.trits, outcomes))
-    return ProtocolRun(
-        input=reg,
-        outcomes=tuple(outcomes),
-        transmissions=transmissions,
-        decoded=decode(transmissions),
-        expected=global_function(reg),
-        engine=engine,
+    Rows are grouped by bit vector.  Each distinct vector is evolved once,
+    one at a time, so only one state is held, and all its rows are
+    measured with one vectorised inverse CDF.  Returns the int8 (n, k)
+    outcomes and the number of distinct bit vectors evolved.
+    """
+    _zero_triples_rows(bits)
+    n, k = bits.shape
+    if k > DENSE_MAX_K:
+        raise ValueError(f"dense engine supports k <= {DENSE_MAX_K}, got {k}")
+    gate = root_gate(3, find_valid_root_branch())
+    start_state = make_sum_class_state(k, 0)
+    uniforms = rng.random(n)
+    distinct, inverse, counts = np.unique(
+        bits, axis=0, return_inverse=True, return_counts=True
     )
+    order = np.argsort(inverse.reshape(-1), kind="stable")
+    index = np.empty(n, dtype=np.int64)
+    first = 0
+    for vector, count in zip(distinct, counts):
+        rows = order[first:first + count]
+        first += count
+        state = dense_pre_measurement_state(k, vector, gate=gate, start=start_state)
+        index[rows] = inverse_cdf(np.cumsum(np.abs(state.amplitudes) ** 2), uniforms[rows])
+    # Party 1 owns the most significant base-3 digit of the basis index.
+    outcomes = index[:, None] // 3 ** np.arange(k - 1, -1, -1) % 3
+    return outcomes.astype(np.int8), len(distinct)
 
 
 def run_dense(reg: RegisterInput, rng: np.random.Generator) -> ProtocolRun:
     """Full state-vector execution: evolve, measure, transmit, decode."""
-    cum = _dense_cumulative(reg.k, reg.bits)
-    index = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), cum.size - 1)
-    outcomes = tuple(int(c) for c in digit_string(index, 3, reg.k))
-    return _finish_run(reg, outcomes, "dense")
+    trits, bits = _one_row(reg)
+    outcomes, _ = run_dense_batch(bits, rng)
+    return batch_runs(trits, bits, outcomes, "dense")[0]
 
 
 # ---------------------------------------------------------------------------
 # Analytic engine, gated on verification
 # ---------------------------------------------------------------------------
 
-_CERT_VERSION = "v1"
 _CERT_KS = (4, 7)
 _CERT_TOL = 1e-10
-_process_token: str | None = None
-
-
-def _expected_token() -> str:
-    payload = f"tritgame-analytic-certificate:{_CERT_VERSION}:ks={_CERT_KS}:tol={_CERT_TOL}"
-    return hashlib.sha256(payload.encode()).hexdigest()[:32]
+_verified = False
 
 
 @dataclass(frozen=True)
 class SteppingCertificate:
     """Evidence that the analytic shortcut is sound in this build.
 
-    ``token`` can be cached and handed back to :func:`run_analytic` in a
-    later process to skip re-verification.  It is only issued when the
-    checked sizes cover the canonical suite (k = 4 and 7); a weaker sweep
-    yields a certificate without a token and does not unlock the engine.
     ``sweep_deviations[i]`` is the worst sum-class deviation of an evolved
     state at ``checked_k[i]``; ``max_deviation`` covers every check.
     """
@@ -288,7 +370,6 @@ class SteppingCertificate:
     checked_k: tuple[int, ...]
     sweep_deviations: tuple[float, ...]
     max_deviation: float
-    token: str | None
 
 
 def verify_class_stepping(
@@ -303,10 +384,14 @@ def verify_class_stepping(
     analog swaps the parity classes; and for every admissible bit vector at
     each k in ``ks`` the dense pre-measurement state is exactly the class
     predicted by the zero-triple count.  Raises VerificationError on any
-    failure; on success unlocks :func:`run_analytic` for this process and
-    returns the certificate.  ``_perturb`` is a debug hook that injects an
-    error into the root-gate check.
+    failure.  The analytic engine is unlocked for this process only while
+    the latest verification passed and covered the canonical suite
+    (k = 4 and 7 at tolerance 1e-10 or tighter); any other call leaves it
+    locked.  ``_perturb`` is a debug hook that injects an error into the
+    root-gate check.
     """
+    global _verified
+    _verified = False
     branch = find_valid_root_branch(tol)
     root_check = verify_root_branch(branch, tol)
     if _perturb:
@@ -322,13 +407,14 @@ def verify_class_stepping(
             f"dimension-2 swap check failed: max deviation {swap_check.max_deviation:.3e}"
         )
 
+    gate = root_gate(3, branch)
     sweep_devs = []
     for k in ks:
         if k > DENSE_MAX_K:
             raise ValueError(f"verification needs dense states; k={k} exceeds {DENSE_MAX_K}")
         worst = 0.0
         for bits in admissible_bit_vectors(k):
-            state = dense_pre_measurement_state(k, bits)
+            state = dense_pre_measurement_state(k, bits, gate=gate)
             expected = zero_triples_mod3(bits)
             phase, dev = sum_class_deviation(state, expected)
             if dev > tol or abs(abs(phase) - 1.0) > tol:
@@ -338,11 +424,7 @@ def verify_class_stepping(
             worst = max(worst, dev)
         sweep_devs.append(worst)
 
-    token = None
-    if set(_CERT_KS).issubset(ks) and tol <= _CERT_TOL:
-        global _process_token
-        token = _expected_token()
-        _process_token = token
+    _verified = set(_CERT_KS).issubset(ks) and tol <= _CERT_TOL
     return SteppingCertificate(
         branch=branch,
         root_check=root_check,
@@ -350,40 +432,37 @@ def verify_class_stepping(
         checked_k=tuple(ks),
         sweep_deviations=tuple(sweep_devs),
         max_deviation=max(root_check.max_deviation, swap_check.max_deviation, *sweep_devs),
-        token=token,
     )
-
-
-def analytic_token() -> str | None:
-    """The token issued by a successful verification in this process."""
-    return _process_token
 
 
 def _reset_verification() -> None:
     # Test hook: relock the analytic engine.
-    global _process_token
-    _process_token = None
+    global _verified
+    _verified = False
 
 
-def run_analytic(
-    reg: RegisterInput, rng: np.random.Generator, token: str | None = None
-) -> ProtocolRun:
-    """Execute without state evolution, at any k.
+def run_analytic_batch(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Measurement outcomes without state evolution, at any k.
 
-    Samples the outcome string uniformly from the digit-sum class the dense
-    evolution lands in (k-1 free digits, last digit forced), which is the
-    exact measurement distribution.  Refuses to run unless
-    :func:`verify_class_stepping` has passed in this process or ``token``
-    carries its cached certificate.
+    Samples each row's outcome string uniformly from the digit-sum class
+    the dense evolution lands in (k-1 free digits, last digit forced),
+    which is the exact measurement distribution.  Returns int8 (n, k)
+    outcomes.  Refuses to run unless :func:`verify_class_stepping` has
+    passed in this process.
     """
-    if token is not None:
-        if token != _expected_token():
-            raise AnalyticEngineLockedError("supplied verification token is not valid")
-    elif _process_token is None:
+    if not _verified:
         raise AnalyticEngineLockedError(
-            "analytic engine is locked: run verify_class_stepping() first or supply its token"
+            "analytic engine is locked: run verify_class_stepping() first"
         )
-    target = zero_triples_mod3(reg.bits)
-    head = [int(t) for t in rng.integers(0, 3, size=reg.k - 1)]
-    outcomes = head + [(target - sum(head)) % 3]
-    return _finish_run(reg, outcomes, "analytic")
+    target = _zero_triples_rows(bits)
+    n, k = bits.shape
+    outcomes = np.empty((n, k), dtype=np.int8)
+    outcomes[:, :-1] = rng.integers(0, 3, size=(n, k - 1), dtype=np.int8)
+    outcomes[:, -1] = (target - outcomes[:, :-1].sum(axis=1, dtype=np.int64)) % 3
+    return outcomes
+
+
+def run_analytic(reg: RegisterInput, rng: np.random.Generator) -> ProtocolRun:
+    """Execute one input without state evolution (see the batch engine)."""
+    trits, bits = _one_row(reg)
+    return batch_runs(trits, bits, run_analytic_batch(bits, rng), "analytic")[0]

@@ -185,13 +185,22 @@ def apply_local(state: QuditState, gate: LocalGate, party: int) -> QuditState:
     return QuditState(d, k, new.reshape(-1))
 
 
+def inverse_cdf(cumulative: np.ndarray, uniforms) -> np.ndarray:
+    """Basis indices drawn by inverse CDF, one per uniform in [0, 1).
+
+    ``cumulative`` is the running sum of the outcome probabilities.  Each
+    index is the first whose cumulative value exceeds ``u`` times the total;
+    rounding can put ``u`` times the total past the last entry, so indices
+    are clipped to the last basis state.
+    """
+    index = np.searchsorted(cumulative, np.asarray(uniforms) * cumulative[-1], side="right")
+    return np.minimum(index, cumulative.size - 1)
+
+
 def measure_all(state: QuditState, rng: np.random.Generator) -> str:
     """Sample one basis string with probability |amplitude|^2."""
-    probs = np.abs(state.amplitudes) ** 2
-    cum = np.cumsum(probs)
-    index = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    index = min(index, state.dim - 1)
-    return state.basis_label(index)
+    cum = np.cumsum(np.abs(state.amplitudes) ** 2)
+    return state.basis_label(int(inverse_cdf(cum, rng.random())))
 
 
 def sum_class_deviation(state: QuditState, j: int) -> tuple[complex, float]:

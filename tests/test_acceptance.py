@@ -6,6 +6,7 @@ were computed once with the validated implementation (cross-checked
 against independent oracles where one exists) and frozen.
 """
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -25,10 +26,12 @@ from tritgame.classical import (
 )
 from tritgame.combinat import grouped_sum, ramus
 from tritgame.protocol import (
-    enumerate_admissible,
-    run_analytic,
-    run_dense,
-    sample_admissible,
+    admissible_bit_vectors,
+    decode_batch,
+    global_function_batch,
+    run_analytic_batch,
+    run_dense_batch,
+    sample_admissible_batch,
     verify_class_stepping,
 )
 from tritgame.qudit import (
@@ -88,19 +91,29 @@ def test_criterion_3_quantum_perfect_success():
     rng = np.random.default_rng(2026)
     failures = 0
     counts = {}
+
+    def check(trits, bits, outcomes):
+        wrong = decode_batch(trits, outcomes) != global_function_batch(trits, bits)
+        return int(np.count_nonzero(wrong))
+
     for k in (4, 7):
-        n = 0
-        for reg in enumerate_admissible(k):
-            n += 1
-            failures += not run_dense(reg, rng).ok
-        counts[f"k={k} dense exhaustive"] = n
-    for _ in range(1_000):
-        failures += not run_dense(sample_admissible(10, rng), rng).ok
-    counts["k=10 dense sampled"] = 1_000
+        # Every admissible input: bit vectors outer, trits inner.
+        vectors = np.array(list(admissible_bit_vectors(k)), dtype=np.int8)
+        trit_rows = np.array(list(itertools.product((0, 1, 2), repeat=k)), dtype=np.int8)
+        bits = np.repeat(vectors, len(trit_rows), axis=0)
+        trits = np.tile(trit_rows, (len(vectors), 1))
+        assert len(np.unique(np.hstack([trits, bits]), axis=0)) == grouped_sum(k, 0, 3) * 3**k
+        outcomes, _ = run_dense_batch(bits, rng)
+        failures += check(trits, bits, outcomes)
+        counts[f"k={k} dense exhaustive"] = len(bits)
+    trits, bits = sample_admissible_batch(10, 1_000, rng)
+    outcomes, _ = run_dense_batch(bits, rng)
+    failures += check(trits, bits, outcomes)
+    counts["k=10 dense sampled"] = len(bits)
     verify_class_stepping()
-    for _ in range(100_000):
-        failures += not run_analytic(sample_admissible(100, rng), rng).ok
-    counts["k=100 analytic sampled"] = 100_000
+    trits, bits = sample_admissible_batch(100, 100_000, rng)
+    failures += check(trits, bits, run_analytic_batch(bits, rng))
+    counts["k=100 analytic sampled"] = len(bits)
     ok = failures == 0
     report(
         "3. quantum protocol decodes the global value on every run",

@@ -32,7 +32,7 @@ class TestQuantumVerify:
             "dim2-swap",
             "class-sweep",
         ]
-        assert env["payload"]["token"]
+        assert "token" not in env["payload"]
         assert env["config"]["tolerance"] == 1e-10
 
     def test_class_sweep_reports_worst_deviation_per_k(self, capsys):
@@ -90,6 +90,43 @@ class TestQuantumRun:
     def test_dense_k_bound_is_usage_error(self, capsys):
         code = cli.main(["quantum-run", "--k", "16", "--trials", "1"])
         assert code == 2
+
+    def test_metrics_sit_outside_the_hashed_payload(self, capsys):
+        code, env = run_json(
+            capsys, ["quantum-run", "--k", "7", "--trials", "100", "--seed", "5"]
+        )
+        assert code == 0
+        canonical = json.dumps(env["payload"], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode()).hexdigest() == env["payload_sha256"]
+        metrics = env["metrics"]
+        assert metrics["engine"] == "dense"
+        assert metrics["trials"] == 100
+        assert metrics["blocks"] == 1
+        assert 1 <= metrics["bit_vectors_evolved"] <= 43
+        assert metrics["first_failure"] is None
+        assert set(metrics["stage_seconds"]) == {"verify", "sample", "engine", "render"}
+        assert metrics["stage_seconds"]["verify"] == 0.0
+        assert all(v >= 0.0 for v in metrics["stage_seconds"].values())
+
+    def test_trials_run_in_blocks(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "BLOCK_TRIALS", 7)
+        code, env = run_json(
+            capsys,
+            ["quantum-run", "--k", "10", "--engine", "analytic",
+             "--trials", "20", "--seed", "3", "--records"],
+        )
+        assert code == 0
+        assert env["payload"]["successes"] == 20
+        assert len(env["payload"]["records"]) == 20
+        assert env["metrics"]["blocks"] == 3
+        assert env["metrics"]["trials"] == 20
+        assert "bit_vectors_evolved" not in env["metrics"]
+        assert env["metrics"]["stage_seconds"]["verify"] > 0.0
+
+    def test_token_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["quantum-run", "--k", "4", "--engine", "analytic", "--token", "x"])
+        assert excinfo.value.code == 2
 
 
 class TestClassical:
@@ -213,6 +250,14 @@ class TestGapReport:
             assert row["baseline"]["float"] == pytest.approx(1 / 3)
         values = [r["classical_best"]["float"] for r in rows]
         assert values[0] >= values[1]
+        metrics = env["metrics"]
+        assert metrics["engine"] == "analytic"
+        assert metrics["trials"] == 80
+        assert metrics["blocks"] == 2
+        assert metrics["first_failure"] is None
+        assert set(metrics["stage_seconds"]) == {
+            "verify", "sample", "engine", "search", "render",
+        }
 
     def test_determinism(self, capsys):
         argv = ["gap-report", "--k", "4", "--trials", "25", "--seed", "3"]

@@ -1,22 +1,37 @@
+import json
+
 import numpy as np
 import pytest
 
-from tritgame import protocol
+from tritgame import cli, protocol
 from tritgame.combinat import binomial
 from tritgame.protocol import (
     AnalyticEngineLockedError,
     RegisterInput,
+    admissible_bit_vectors,
     decode,
+    decode_batch,
     dense_pre_measurement_state,
     enumerate_admissible,
     global_function,
+    global_function_batch,
     run_analytic,
+    run_analytic_batch,
     run_dense,
+    run_dense_batch,
     sample_admissible,
+    sample_admissible_batch,
     verify_class_stepping,
     zero_triples_mod3,
 )
-from tritgame.qudit import classify_sum_class
+from tritgame.qudit import (
+    LocalGate,
+    apply_local,
+    classify_sum_class,
+    find_valid_root_branch,
+    make_sum_class_state,
+    root_gate,
+)
 
 CHI2_99_DF3 = 11.345
 CHI2_99_DF26 = 45.642
@@ -31,6 +46,19 @@ class TestZeroTriples:
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError, match="inadmissible"):
             zero_triples_mod3((0, 1, 1, 1))
+
+    def test_batch_rows_validated(self):
+        trits = np.zeros((2, 4), dtype=np.int8)
+        good = np.array([[1, 1, 1, 1], [0, 0, 0, 1]], dtype=np.int8)
+        assert global_function_batch(trits, good).tolist() == [0, 1]
+        for bits, match in [
+            (np.array([[1, 1, 1, 1], [0, 1, 1, 1]], dtype=np.int8), "inadmissible"),
+            (np.array([[1, 1, 1, 2]], dtype=np.int8), "bits"),
+            (np.ones((2, 5), dtype=np.int8), "party count"),
+            (np.ones(4, dtype=np.int8), "shape"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                run_dense_batch(bits, np.random.default_rng(0))
 
 
 class TestRegisterInput:
@@ -91,14 +119,18 @@ class TestSampling:
         b = [sample_admissible(7, np.random.default_rng(5)) for _ in range(25)]
         assert a == b
         assert all(r.zero_count % 3 == 0 for r in a)
+        assert sample_admissible_batch(7, 0, np.random.default_rng(5))[1].shape == (0, 7)
 
     def test_zero_count_distribution_at_ten_parties(self):
         # Weights C(10, m) for m in {0, 3, 6, 9} are (1, 120, 210, 10)/341.
         rng = np.random.default_rng(17)
         draws = 100_000
-        counts = {0: 0, 3: 0, 6: 0, 9: 0}
-        for _ in range(draws):
-            counts[sample_admissible(10, rng).zero_count] += 1
+        trits, bits = sample_admissible_batch(10, draws, rng)
+        assert trits.shape == bits.shape == (draws, 10)
+        assert trits.dtype == bits.dtype == np.int8
+        zeros = np.count_nonzero(bits == 0, axis=1)
+        counts = {m: int(np.count_nonzero(zeros == m)) for m in (0, 3, 6, 9)}
+        assert sum(counts.values()) == draws
         total_weight = sum(binomial(10, m) for m in counts)
         chi2 = 0.0
         for m, observed in counts.items():
@@ -106,17 +138,14 @@ class TestSampling:
             chi2 += (observed - expected) ** 2 / expected
         assert chi2 < CHI2_99_DF3
 
+    def test_every_admissible_vector_appears_at_four_parties(self):
+        trits, bits = sample_admissible_batch(4, 2_000, np.random.default_rng(4))
+        assert {tuple(row) for row in bits.tolist()} == set(admissible_bit_vectors(4))
+        assert set(np.unique(trits).tolist()) == {0, 1, 2}
+
     def test_large_k_is_cheap(self):
         reg = sample_admissible(100, np.random.default_rng(0))
         assert reg.k == 100
-
-    def test_randbelow_exact_coverage(self):
-        rng = np.random.default_rng(3)
-        seen = {protocol._randbelow(rng, 7) for _ in range(500)}
-        assert seen == set(range(7))
-        big = 341**20  # forces the multi-word path
-        values = [protocol._randbelow(rng, big) for _ in range(50)]
-        assert all(0 <= v < big for v in values)
 
 
 class TestDecode:
@@ -168,6 +197,63 @@ class TestDenseEngine:
         with pytest.raises(ValueError, match="dense"):
             dense_pre_measurement_state(16, (1,) * 16)
 
+    def test_evolution_matches_apply_local_chain_at_ten_parties(self):
+        # Reference: one validated apply_local per zero-bit party.
+        gate = root_gate(3, find_valid_root_branch())
+        start = make_sum_class_state(10, 0)
+        vectors = list(admissible_bit_vectors(10))
+        assert len(vectors) == 341
+        worst = 0.0
+        for bits in vectors:
+            ref = start
+            for party, bit in enumerate(bits, start=1):
+                if bit == 0:
+                    ref = apply_local(ref, gate, party)
+            state = dense_pre_measurement_state(10, bits, gate=gate, start=start)
+            worst = max(worst, float(np.max(np.abs(state.amplitudes - ref.amplitudes))))
+        assert worst <= 1e-12
+
+    def test_batch_evolves_each_distinct_vector_once(self, monkeypatch):
+        calls = []
+        evolve = protocol.dense_pre_measurement_state
+
+        def counting(k, bits, **kwargs):
+            calls.append(tuple(bits.tolist()))
+            return evolve(k, bits, **kwargs)
+
+        monkeypatch.setattr(protocol, "dense_pre_measurement_state", counting)
+        trits, bits = sample_admissible_batch(7, 300, np.random.default_rng(12))
+        outcomes, evolved = run_dense_batch(bits, np.random.default_rng(13))
+        distinct = {tuple(row) for row in bits.tolist()}
+        assert evolved == len(calls) == len(set(calls)) == len(distinct) < 300
+        assert outcomes.shape == (300, 7) and outcomes.dtype == np.int8
+        assert np.array_equal(decode_batch(trits, outcomes), global_function_batch(trits, bits))
+
+    def test_identity_gate_mutation_is_caught(self, monkeypatch, capsys):
+        # Success is measured, not assumed: with the root gate replaced by
+        # the identity, the state never leaves class 0 and inputs with zero
+        # bits decode wrongly.
+        monkeypatch.setattr(protocol, "root_gate", lambda d, branch=None: LocalGate(d, np.eye(d)))
+        trits, bits = sample_admissible_batch(7, 300, np.random.default_rng(21))
+        outcomes, _ = run_dense_batch(bits, np.random.default_rng(22))
+        wrong = decode_batch(trits, outcomes) != global_function_batch(trits, bits)
+        assert np.count_nonzero(wrong) > 0
+        assert np.array_equal(wrong, np.count_nonzero(bits == 0, axis=1) > 0)
+
+        code = cli.main(["quantum-run", "--k", "7", "--trials", "300", "--seed", "5"])
+        env = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert env["payload"]["failures"] > 0
+        failure = env["metrics"]["first_failure"]
+        assert failure is not None
+        assert set(failure) == {"k", "trits", "bits", "outcomes", "decoded", "expected"}
+        assert failure["decoded"] != failure["expected"]
+        assert failure["bits"].count(0) in (3, 6)
+        reg = RegisterInput(tuple(failure["trits"]), tuple(failure["bits"]))
+        assert failure["expected"] == global_function(reg)
+        transmissions = [(y + x) % 3 for y, x in zip(failure["trits"], failure["outcomes"])]
+        assert failure["decoded"] == decode(transmissions)
+
 
 class TestAnalyticEngine:
     def test_locked_without_verification(self):
@@ -177,21 +263,13 @@ class TestAnalyticEngine:
         with pytest.raises(AnalyticEngineLockedError):
             run_analytic(reg, rng)
         with pytest.raises(AnalyticEngineLockedError):
-            run_analytic(reg, rng, token="bogus")
-
-    def test_cached_token_unlocks(self):
-        cert = verify_class_stepping()
-        protocol._reset_verification()
-        rng = np.random.default_rng(0)
-        reg = RegisterInput((0, 0, 0, 0), (1, 1, 1, 1))
-        run = run_analytic(reg, rng, token=cert.token)
-        assert run.ok
+            run_analytic_batch(np.ones((3, 4), dtype=np.int8), rng)
         verify_class_stepping()  # re-unlock for the rest of the session
 
-    def test_partial_sweep_issues_no_token(self):
+    def test_partial_sweep_does_not_unlock(self):
         protocol._reset_verification()
         cert = verify_class_stepping(ks=(4,))
-        assert cert.token is None
+        assert cert.checked_k == (4,)
         rng = np.random.default_rng(0)
         reg = RegisterInput((0, 0, 0, 0), (1, 1, 1, 1))
         with pytest.raises(AnalyticEngineLockedError):
@@ -212,24 +290,23 @@ class TestAnalyticEngine:
         assert stepping_cert.branch == (0, 0)
         assert stepping_cert.checked_k == (4, 7)
         assert stepping_cert.max_deviation <= 1e-10
-        assert stepping_cert.token == protocol.analytic_token()
 
     def test_outcome_distribution_matches_dense(self, stepping_cert):
-        # Same fixed input, paired seeds, two-sample chi-square over the 27
-        # strings of the predicted class.
-        reg = RegisterInput((0, 0, 0, 0), (0, 0, 0, 1))
+        # Same fixed input, two-sample chi-square over the 27 strings of the
+        # predicted class, 10,000 trials per engine.
         trials = 10_000
-        dense_rng = np.random.default_rng(777)
-        analytic_rng = np.random.default_rng(777)
+        bits = np.tile(np.array([[0, 0, 0, 1]], dtype=np.int8), (trials, 1))
+        dense, evolved = run_dense_batch(bits, np.random.default_rng(777))
+        analytic = run_analytic_batch(bits, np.random.default_rng(778))
+        assert evolved == 1
         dense_counts: dict[tuple, int] = {}
         analytic_counts: dict[tuple, int] = {}
-        for _ in range(trials):
-            d = run_dense(reg, dense_rng).outcomes
-            a = run_analytic(reg, analytic_rng).outcomes
-            dense_counts[d] = dense_counts.get(d, 0) + 1
-            analytic_counts[a] = analytic_counts.get(a, 0) + 1
+        for counts, outcomes in ((dense_counts, dense), (analytic_counts, analytic)):
+            for row in outcomes.tolist():
+                counts[tuple(row)] = counts.get(tuple(row), 0) + 1
         support = set(dense_counts) | set(analytic_counts)
         assert len(support) == 27
+        assert all(sum(outcome) % 3 == 1 for outcome in support)
         chi2 = 0.0
         for outcome in support:
             o1 = dense_counts.get(outcome, 0)
