@@ -36,6 +36,7 @@ from .classical import (
     evaluate_collapsed,
     evaluate_exhaustive,
     evaluator_metrics,
+    exhaustive_transcript_counts,
     random_profile,
     ten_player_worked_example,
     strategy_groups,
@@ -106,8 +107,8 @@ __all__ = [
     "DIVISION_NAMES", "REGISTER_VALUES", "Strategy", "StrategyProfile",
     "TranscriptClassStats", "best_homogeneous", "canonical_division",
     "canonical_strategy_reps", "crt_primes", "division_type", "evaluate_collapsed",
-    "evaluate_exhaustive", "evaluator_metrics", "random_profile", "ten_player_worked_example",
-    "strategy_groups", "strategy_orbit_reps", "transcript_class_count",
+    "evaluate_exhaustive", "evaluator_metrics", "exhaustive_transcript_counts",
+    "random_profile", "ten_player_worked_example", "strategy_groups", "strategy_orbit_reps", "transcript_class_count",
     "transcript_class_stats",
     # bounds
     "BoundParams", "BoundRow", "bound_A", "bound_F", "bound_L", "bound_N",

@@ -31,6 +31,7 @@ import numpy as np
 
 from .combinat import binomial, grouped_sum
 from .protocol import admissible_bit_vectors, zero_triples_mod3
+from .qudit import digit_sums
 
 #: Register values in serialization order; a strategy string lists the sent
 #: trit for each of these six values in this order.
@@ -231,41 +232,78 @@ def strategy_groups(profile: StrategyProfile) -> list[tuple[Strategy, int]]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _digit_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Base-3 digits of 0..3^k-1 (most significant first) and digit sums mod 3."""
-    idx = np.arange(3**k, dtype=np.int64)
-    digits = np.empty((3**k, k), dtype=np.int8)
-    for i in range(k):
-        digits[:, i] = (idx // 3 ** (k - 1 - i)) % 3
-    return digits, digits.sum(axis=1, dtype=np.int64) % 3
+def _shifted_trit_sums(k: int) -> np.ndarray:
+    """(3, 3^k), read-only: row s holds (trit sum + s) mod 3 of every trit vector."""
+    sums = ((digit_sums(3, k) + np.arange(3)[:, None]) % 3).astype(np.intp)
+    sums.setflags(write=False)
+    return sums
+
+
+def _half_codes(luts: Sequence[np.ndarray]) -> np.ndarray:
+    """(2^n, 3^n): transcript codes of n parties under every bit pattern.
+
+    Row b is the bit pattern with party 1's bit most significant; column y
+    is the trit vector read in base 3, party 1 most significant; the entry
+    is the sent trits read the same way.  Each party extends the codes by
+    one base-3 digit, an outer sum with its lookup column.
+    """
+    patterns = np.arange(2 ** len(luts))
+    codes = np.zeros((len(patterns), 1), dtype=np.intp)
+    for i, lut in enumerate(luts):
+        sent = lut[:, (patterns >> (len(luts) - 1 - i)) & 1].T  # (2^n, 3)
+        codes = (codes[:, :, None] * 3 + sent[:, None, :]).reshape(len(patterns), -1)
+    return codes
+
+
+def _pack_bits(bits: Sequence[int]) -> int:
+    return int("".join(map(str, bits)), 2)
+
+
+def exhaustive_transcript_counts(profile: StrategyProfile, long_run: bool = False) -> np.ndarray:
+    """(3^k, 3) exact counts of admissible inputs per transcript and global value.
+
+    Row c is the transcript whose sent trits, read in base 3 with party 1
+    most significant, give c; column v counts the admissible (trit vector,
+    bit vector) inputs that send it and have global value v = (trit sum +
+    zero count / 3) mod 3.  Every input is enumerated, about 20 million at
+    k = 10, vectorized: the parties split at h = k // 2, and each half's
+    codes are built once per half bit pattern (:func:`_half_codes`).  Under
+    a bit vector the code of the trit vector (y_hi, y_lo) is then
+    hi[y_hi] * 3^(k-h) + lo[y_lo], one broadcast add, and one ``bincount``
+    adds the vector's inputs to the histogram.  Bounded to k <= 7 unless
+    ``long_run`` admits k = 10.
+    """
+    k = profile.k
+    if k > 7 and not (long_run and k == 10):
+        raise ValueError(f"enumeration bound exceeded for k={k}; pass long_run=True for k=10")
+
+    h = k // 2
+    luts = [s.lookup_array() for s in profile.strategies]
+    # Histogram index code * 3 + g, with the factor 3 folded into the halves.
+    hi = _half_codes(luts[:h]) * 3 ** (k - h + 1)
+    lo = _half_codes(luts[h:]) * 3
+    global_values = _shifted_trit_sums(k)
+
+    acc = np.zeros(3**k * 3, dtype=np.int64)
+    index = np.empty((3**h, 3 ** (k - h)), dtype=np.intp)
+    flat = index.reshape(-1)
+    for bits in admissible_bit_vectors(k):
+        np.add(hi[_pack_bits(bits[:h]), :, None], lo[_pack_bits(bits[h:])], out=index)
+        flat += global_values[zero_triples_mod3(bits)]
+        acc += np.bincount(flat, minlength=acc.size)
+    return acc.reshape(-1, 3)
 
 
 def evaluate_exhaustive(profile: StrategyProfile, long_run: bool = False) -> Fraction:
     """Referee success probability by full enumeration of admissible inputs.
 
     Groups every admissible (trit vector, bit vector) pair by its exact
-    transcript; the per-transcript maximum count is exact integer
-    arithmetic throughout.  Bounded to k <= 7 unless ``long_run`` admits
-    k = 10 (about 20 million inputs, vectorized).
+    transcript (:func:`exhaustive_transcript_counts`); the per-transcript
+    maximum count is exact integer arithmetic throughout.  Bounded to
+    k <= 7 unless ``long_run`` admits k = 10 (about 20 million inputs,
+    vectorized).
     """
-    k = profile.k
-    if k > 7 and not (long_run and k == 10):
-        raise ValueError(f"enumeration bound exceeded for k={k}; pass long_run=True for k=10")
-
-    digits, trit_sums = _digit_tables(k)
-    luts = [s.lookup_array() for s in profile.strategies]
-    weights = 3 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-
-    acc = np.zeros(3**k * 3, dtype=np.int64)
-    for bits in admissible_bit_vectors(k):
-        shift = zero_triples_mod3(bits)
-        codes = np.zeros(3**k, dtype=np.int64)
-        for i in range(k):
-            codes += luts[i][digits[:, i], bits[i]] * weights[i]
-        g = (trit_sums + shift) % 3
-        acc += np.bincount(codes * 3 + g, minlength=acc.size)
-
-    per_transcript = acc.reshape(-1, 3)
+    per_transcript = exhaustive_transcript_counts(profile, long_run)
     numerator = int(per_transcript.max(axis=1).sum())
     denominator = int(per_transcript.sum())
     return Fraction(numerator, denominator)

@@ -241,10 +241,11 @@ def _run_trials(
     return successes
 
 
-def _protocol_envelope(
+def _timed_envelope(
     command: str, config: dict, payload: dict, started: float, metrics: dict
 ) -> dict:
-    # Render time covers building records and hashing the payload.
+    # Render time covers hashing the payload, plus whatever the caller already
+    # counted under "render" (building protocol records).
     t0 = time.perf_counter()
     envelope = _envelope(command, config, payload, started, metrics)
     stages = metrics["stage_seconds"]
@@ -283,7 +284,7 @@ def cmd_quantum_run(args: argparse.Namespace) -> int:
         for record in records:
             record["seed"] = args.seed
         payload["records"] = records
-    envelope = _protocol_envelope("quantum-run", config, payload, started, metrics)
+    envelope = _timed_envelope("quantum-run", config, payload, started, metrics)
     _emit_envelope(envelope, args.output)
     return EXIT_OK if successes == args.trials else EXIT_CHECK_FAILED
 
@@ -328,7 +329,10 @@ def cmd_classical(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        stages = {"collapsed": 0.0, "exhaustive": 0.0, "render": 0.0}
+        t0 = time.perf_counter()
         collapsed = evaluate_collapsed(profile)
+        stages["collapsed"] = time.perf_counter() - t0
         payload = {
             "k": args.k,
             "profile": [s.to_string() for s in profile.strategies],
@@ -336,13 +340,17 @@ def cmd_classical(args: argparse.Namespace) -> int:
         }
         code = EXIT_OK
         if args.k <= 7 or (args.k == 10 and args.long_run):
+            t0 = time.perf_counter()
             exhaustive = evaluate_exhaustive(profile, long_run=args.long_run)
+            stages["exhaustive"] = time.perf_counter() - t0
             payload["exhaustive"] = _fraction_payload(exhaustive)
             payload["evaluators_agree"] = exhaustive == collapsed
             if not payload["evaluators_agree"]:
                 code = EXIT_CHECK_FAILED
         metrics = evaluator_metrics(args.k, transcript_class_count(profile), 0)
-        _emit_envelope(_envelope("classical", config, payload, started, metrics), args.output)
+        metrics["stage_seconds"] = stages
+        envelope = _timed_envelope("classical", config, payload, started, metrics)
+        _emit_envelope(envelope, args.output)
         return code
 
     # search
@@ -389,8 +397,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     im_rule = args.im_rule if args.im_rule == "max" else int(args.im_rule)
     config = {"family": args.family, "j": list(args.j), "im_rule": str(im_rule)}
+    t0 = time.perf_counter()
     rows = convergence_table(args.family, args.j, im_rule=im_rule)
+    t1 = time.perf_counter()
     row_dicts = _bounds_rows_payload(rows)
+    metrics = {
+        "stage_seconds": {"tables": t1 - t0, "render": time.perf_counter() - t1},
+        "rows": len(rows),
+    }
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(row_dicts[0].keys()))
@@ -399,7 +413,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         _emit(buf.getvalue(), args.output)
         return EXIT_OK
     payload = {"rows": row_dicts}
-    _emit_envelope(_envelope("bounds", config, payload, started), args.output)
+    _emit_envelope(_timed_envelope("bounds", config, payload, started, metrics), args.output)
     return EXIT_OK
 
 
@@ -451,7 +465,7 @@ def cmd_gap_report(args: argparse.Namespace) -> int:
         _emit(buf.getvalue(), args.output)
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     payload = {"rows": entries}
-    envelope = _protocol_envelope("gap-report", config, payload, started, metrics)
+    envelope = _timed_envelope("gap-report", config, payload, started, metrics)
     _emit_envelope(envelope, args.output)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

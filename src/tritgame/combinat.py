@@ -9,6 +9,7 @@ exact summation.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -49,8 +50,13 @@ def binomial(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
+@lru_cache(maxsize=4096)
 def grouped_sum(n: int, q: int, p: int) -> int:
-    """Sum of C(n, q+ip) over all i >= 0 with q+ip <= n, exactly."""
+    """Sum of C(n, q+ip) over all i >= 0 with q+ip <= n, exactly.
+
+    Memoized: the bound tables ask for the same few hundred sums tens of
+    thousands of times.
+    """
     _check_spec(n, q, p)
     return sum(math.comb(n, r) for r in range(q, n + 1, p))
 

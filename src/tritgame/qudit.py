@@ -14,6 +14,7 @@ as plain ket sums).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -111,8 +112,16 @@ def make_sum_class_state(k: int, j: int, d: int = 3) -> QuditState:
     """Uniform superposition over all strings with digit sum = j mod d.
 
     Each of the d^(k-1) strings in the class carries amplitude
-    d**(-(k-1)/2); every other amplitude is zero.
+    d**(-(k-1)/2); every other amplitude is zero.  Built once per
+    (k, j, d) and shared: the state is frozen and its amplitudes are
+    read-only.
     """
+    return _sum_class_state(k, j, d)
+
+
+# Sixteen entries hold every class state one verify_class_stepping() uses.
+@lru_cache(maxsize=16)
+def _sum_class_state(k: int, j: int, d: int) -> QuditState:
     if d not in (2, 3):
         raise ValueError(f"local dimension must be 2 or 3, got {d}")
     if k < 1:
@@ -208,7 +217,8 @@ def sum_class_deviation(state: QuditState, j: int) -> tuple[complex, float]:
 
     Returns (c, dev) minimizing nothing fancy: c is the overlap with the
     normalized class state, dev the max entrywise deviation of the
-    amplitudes from c times the class pattern.
+    amplitudes from c times the class pattern.  The class state is the
+    shared one of :func:`make_sum_class_state`, not rebuilt per call.
     """
     if state.d != 3:
         raise ValueError("sum-class matching is defined for dimension 3 only")
@@ -229,7 +239,8 @@ def classify_sum_class(
     """
     if state.d != 3:
         raise ValueError("sum-class classification is defined for dimension 3 only")
-    candidate = int(digit_sums(state.d, state.k)[int(np.argmax(np.abs(state.amplitudes)))]) % 3
+    peak = state.basis_label(int(np.argmax(np.abs(state.amplitudes))))
+    candidate = sum(map(int, peak)) % 3
     c, dev = sum_class_deviation(state, candidate)
     if dev <= tol and abs(abs(c) - 1.0) <= tol:
         return candidate, c

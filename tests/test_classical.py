@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tritgame import classical
 from tritgame.classical import (
     DIVISION_NAMES,
     REGISTER_VALUES,
@@ -17,6 +18,7 @@ from tritgame.classical import (
     division_type,
     evaluate_collapsed,
     evaluate_exhaustive,
+    exhaustive_transcript_counts,
     random_profile,
     ten_player_worked_example,
     strategy_groups,
@@ -64,8 +66,8 @@ def trit_reveal_closed_form(k: int) -> Fraction:
     return Fraction(best, grouped_sum(k, 0, 3))
 
 
-def brute_force_success(profile: StrategyProfile) -> Fraction:
-    """Tiny dict-based referee, independent of both production evaluators."""
+def referee_histogram(profile: StrategyProfile) -> dict[tuple, list[int]]:
+    """Admissible-input counts per global value, keyed by transcript, in pure Python."""
     by_transcript: dict[tuple, list[int]] = {}
     for reg in enumerate_admissible(profile.k):
         transcript = tuple(
@@ -73,6 +75,31 @@ def brute_force_success(profile: StrategyProfile) -> Fraction:
         )
         g = (sum(reg.trits) + (profile.k - sum(reg.bits)) // 3) % 3
         by_transcript.setdefault(transcript, [0, 0, 0])[g] += 1
+    return by_transcript
+
+
+def oracle_histogram(profile: StrategyProfile) -> dict[tuple, list[int]]:
+    """The oracle's (3^k, 3) count array as a dict keyed by transcript."""
+    counts = exhaustive_transcript_counts(profile)
+    assert counts.shape == (3**profile.k, 3)
+    return {
+        tuple(int(t) for t in np.base_repr(code, 3).zfill(profile.k)): row.tolist()
+        for code, row in enumerate(counts)
+        if row.any()
+    }
+
+
+# A 3-group profile at k = 7, listed party by party.
+K7_THREE_GROUPS = StrategyProfile(
+    tuple(Strategy.from_string(s) for s in (
+        "021201", "210012", "220011", "021201", "220011", "210012", "220011",
+    ))
+)
+
+
+def brute_force_success(profile: StrategyProfile) -> Fraction:
+    """Tiny dict-based referee, independent of both production evaluators."""
+    by_transcript = referee_histogram(profile)
     num = sum(max(counts) for counts in by_transcript.values())
     den = sum(sum(counts) for counts in by_transcript.values())
     return Fraction(num, den)
@@ -225,6 +252,30 @@ class TestEvaluators:
         exhaustive = evaluate_exhaustive(profile, long_run=True)
         assert exhaustive == evaluate_collapsed(profile)
         assert exhaustive == Fraction(625969, 1830519)
+
+    def test_long_run_three_group_enumeration(self):
+        groups = (("021201", 3), ("210012", 3), ("220011", 4))
+        profile = StrategyProfile(
+            tuple(Strategy.from_string(s) for s, n in groups for _ in range(n))
+        )
+        exhaustive = evaluate_exhaustive(profile, long_run=True)
+        assert exhaustive == Fraction(88486, 248589)
+        assert evaluate_collapsed(profile) == exhaustive
+
+    @pytest.mark.parametrize("name", DIVISION_NAMES)
+    def test_k4_transcript_counts_match_dict_referee(self, name):
+        profile = StrategyProfile.homogeneous(canonical_division(name), 4)
+        assert oracle_histogram(profile) == referee_histogram(profile)
+
+    def test_k7_three_group_transcript_counts_match_dict_referee(self):
+        assert len(strategy_groups(K7_THREE_GROUPS)) == 3
+        assert oracle_histogram(K7_THREE_GROUPS) == referee_histogram(K7_THREE_GROUPS)
+
+    def test_dropping_the_zero_triple_shift_breaks_the_cross_check(self, monkeypatch):
+        # Mutation: g = trit sum mod 3, without the zero-count term.
+        assert evaluate_exhaustive(K7_THREE_GROUPS) == evaluate_collapsed(K7_THREE_GROUPS)
+        monkeypatch.setattr(classical, "zero_triples_mod3", lambda bits: 0)
+        assert evaluate_exhaustive(K7_THREE_GROUPS) != evaluate_collapsed(K7_THREE_GROUPS)
 
     def test_collapsed_class_count_guard(self):
         strategies = tuple(

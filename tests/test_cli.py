@@ -197,6 +197,19 @@ class TestClassical:
         assert env["metrics"]["transcript_classes"] == 10 * 3
         assert env["metrics"]["strategy_orbits"] == 0
 
+    def test_eval_metrics_time_each_stage(self, capsys):
+        _, env = run_json(capsys, ["classical", "eval", "--strategy", "F", "--k", "7"])
+        stages = env["metrics"]["stage_seconds"]
+        assert set(stages) == {"collapsed", "exhaustive", "render"}
+        assert all(v >= 0.0 for v in stages.values())
+        assert stages["exhaustive"] > 0.0
+        assert "stage_seconds" not in env["payload"]
+        canonical = json.dumps(env["payload"], sort_keys=True, separators=(",", ":"))
+        assert env["payload_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
+        _, env = run_json(capsys, ["classical", "eval", "--strategy", "F", "--k", "13"])
+        assert env["metrics"]["stage_seconds"]["exhaustive"] == 0.0
+        assert env["metrics"]["stage_seconds"]["collapsed"] > 0.0
+
     def test_determinism(self, capsys):
         argv = ["classical", "eval", "--strategy", "F", "--k", "7"]
         _, env_a = run_json(capsys, argv)
@@ -225,6 +238,18 @@ class TestBounds:
             "family", "j", "i", "m", "a", "im_rule",
             "value_num", "value_den", "value_float", "gap_float",
         }
+
+    def test_metrics_sit_outside_the_hashed_payload(self, capsys):
+        code, env = run_json(capsys, ["bounds", "--family", "L", "--j", "5", "60"])
+        assert code == 0
+        metrics = env["metrics"]
+        assert metrics["rows"] == len(env["payload"]["rows"]) == 2 * 4
+        assert set(metrics["stage_seconds"]) == {"tables", "render"}
+        assert metrics["stage_seconds"]["tables"] > 0.0
+        assert metrics["stage_seconds"]["render"] >= 0.0
+        assert "metrics" not in env["payload"]
+        canonical = json.dumps(env["payload"], sort_keys=True, separators=(",", ":"))
+        assert env["payload_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
 
     def test_im_rule_echoed(self, capsys):
         code, env = run_json(

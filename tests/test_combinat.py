@@ -38,6 +38,16 @@ class TestGroupedSum:
         assert grouped_sum(10, 1, 3) == 341  # C(10,1)+C(10,4)+C(10,7)+C(10,10)
         assert grouped_sum(5, 0, 1) == 32
 
+    def test_memoized_values_match_the_sum(self):
+        grouped_sum.cache_clear()
+        direct = sum(binomial(181, r) for r in range(2, 182, 3))
+        assert grouped_sum(181, 2, 3) == direct
+        assert grouped_sum(181, 2, 3) == direct
+        assert grouped_sum.cache_info().hits == 1
+        for _ in range(2):  # a rejected call is never cached
+            with pytest.raises(ValueError):
+                grouped_sum(3, -1, 2)
+
     def test_empty_progression(self):
         assert grouped_sum(3, 5, 2) == 0
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tritgame import cli, protocol
+from tritgame import cli, protocol, qudit
 from tritgame.combinat import binomial
 from tritgame.protocol import (
     AnalyticEngineLockedError,
@@ -28,6 +28,7 @@ from tritgame.qudit import (
     LocalGate,
     apply_local,
     classify_sum_class,
+    digit_sums,
     find_valid_root_branch,
     make_sum_class_state,
     root_gate,
@@ -320,6 +321,26 @@ class TestVerification:
         with pytest.raises(protocol.VerificationError):
             verify_class_stepping(_perturb=1e-6)
         verify_class_stepping()  # restore the unlocked state
+
+    def test_certificate_unchanged_by_class_state_cache(self):
+        qudit._sum_class_state.cache_clear()
+        cold = verify_class_stepping()
+        warm = verify_class_stepping()
+        assert warm == cold
+        assert cold.root_check.ok and cold.swap_check.ok
+        # The sweep's worst deviations, recomputed against freshly built
+        # class patterns, are exactly the certificate's.
+        gate = root_gate(3, cold.branch)
+        for k, reported in zip(cold.checked_k, cold.sweep_deviations):
+            worst = 0.0
+            for bits in admissible_bit_vectors(k):
+                amps = dense_pre_measurement_state(k, bits, gate=gate).amplitudes
+                mask = digit_sums(3, k) % 3 == zero_triples_mod3(bits)
+                target = np.where(mask, 3 ** (-(k - 1) / 2), 0.0).astype(complex)
+                c = np.vdot(target, amps)
+                worst = max(worst, float(np.max(np.abs(amps - c * target))))
+            assert reported == worst
+        assert max(cold.sweep_deviations) <= 1e-10
 
     def test_record_serialization(self, stepping_cert):
         rng = np.random.default_rng(4)

@@ -89,6 +89,14 @@ class TestSumClassStates:
         with pytest.raises(ValueError):
             make_sum_class_state(3, 3)
 
+    def test_cached_state_is_shared_and_read_only(self):
+        state = make_sum_class_state(4, 1)
+        assert make_sum_class_state(4, 1) is state
+        assert not state.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 1.0
+        assert make_sum_class_state(4, 1, d=3) is state
+
 
 class TestGates:
     def test_shift_gate_cycles_digits(self):
