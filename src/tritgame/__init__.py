@@ -54,6 +54,7 @@ from .combinat import (
 )
 from .protocol import (
     AnalyticEngineLockedError,
+    DenseCounts,
     SteppingCertificate,
     ProtocolRun,
     RegisterInput,
@@ -97,7 +98,8 @@ __all__ = [
     "find_valid_root_branch", "inverse_cdf", "make_sum_class_state", "measure_all",
     "permutation_gate", "root_gate",
     # protocol
-    "AnalyticEngineLockedError", "SteppingCertificate", "ProtocolRun", "RegisterInput",
+    "AnalyticEngineLockedError", "DenseCounts", "SteppingCertificate", "ProtocolRun",
+    "RegisterInput",
     "VerificationError", "batch_runs", "decode", "decode_batch",
     "dense_pre_measurement_state", "enumerate_admissible", "global_function",
     "global_function_batch", "run_analytic", "run_analytic_batch", "run_dense",

@@ -175,7 +175,7 @@ def _protocol_metrics(engine: str) -> dict:
         "first_failure": None,
     }
     if engine == "dense":
-        metrics["bit_vectors_evolved"] = 0
+        metrics.update(bit_vectors_evolved=0, half_states_evolved=0, gates_applied=0)
     return metrics
 
 
@@ -211,8 +211,10 @@ def _run_trials(
         trits, bits = protocol.sample_admissible_batch(k, n, rng)
         t1 = time.perf_counter()
         if engine == "dense":
-            outcomes, evolved = protocol.run_dense_batch(bits, rng)
-            metrics["bit_vectors_evolved"] += evolved
+            outcomes, counts = protocol.run_dense_batch(bits, rng)
+            metrics["bit_vectors_evolved"] += counts.bit_vectors
+            metrics["half_states_evolved"] += counts.half_states
+            metrics["gates_applied"] += counts.gates
         else:
             outcomes = protocol.run_analytic_batch(bits, rng)
         decoded = protocol.decode_batch(trits, outcomes)
@@ -355,7 +357,9 @@ def cmd_classical(args: argparse.Namespace) -> int:
 
     # search
     config = {"subcommand": "search", "k": args.k}
+    t0 = time.perf_counter()
     strategy, value = best_homogeneous(args.k)
+    searched = time.perf_counter() - t0
     payload = {
         "k": args.k,
         "best_strategy": strategy.to_string(),
@@ -364,7 +368,9 @@ def cmd_classical(args: argparse.Namespace) -> int:
     orbits = len(strategy_orbit_reps())
     classes = orbits * transcript_class_count(StrategyProfile.homogeneous(strategy, args.k))
     metrics = evaluator_metrics(args.k, classes, orbits)
-    _emit_envelope(_envelope("classical", config, payload, started, metrics), args.output)
+    metrics["stage_seconds"] = {"search": searched, "render": 0.0}
+    envelope = _timed_envelope("classical", config, payload, started, metrics)
+    _emit_envelope(envelope, args.output)
     return EXIT_OK
 
 

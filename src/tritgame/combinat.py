@@ -1,22 +1,20 @@
 """Exact binomial machinery: grouped binomial sums and their closed form.
 
 Everything on the counting path is arbitrary-precision integer arithmetic;
-the only floating-point routine is :func:`ramus`, the trigonometric closed
-form for a grouped sum, which exists as an independent cross-check of the
-exact summation.
+the only non-integer routine is :func:`ramus`, the trigonometric closed
+form for a grouped sum, evaluated in decimal arithmetic as an independent
+cross-check of the exact summation.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
-# Pi to extended precision; numpy's float64 pi would cap the closed form's
-# accuracy below what integer recovery needs at large n.
-_PI = np.longdouble("3.14159265358979323846264338327950288419716939937510")
+#: Decimal digits :func:`ramus` carries beyond the integer digits of 2^n.
+_RAMUS_GUARD_DIGITS = 20
 
 
 class GroupedSumSpec(NamedTuple):
@@ -73,24 +71,74 @@ def grouped_sum_primed(n: int, q: int, p: int) -> int:
     return grouped_sum(n, q, p)
 
 
-def ramus(n: int, q: int, p: int) -> np.longdouble:
+@lru_cache(maxsize=64)
+def _pi(prec: int) -> Decimal:
+    """Pi to ``prec`` significant digits, from Machin's formula."""
+    with localcontext() as ctx:
+        ctx.prec = prec + 5
+
+        def arctan_inverse(x: int) -> Decimal:
+            # arctan(1/x) = sum_m (-1)^m / ((2m+1) x^(2m+1))
+            tiny = Decimal(1).scaleb(-ctx.prec)
+            total, power, m = Decimal(0), Decimal(1) / x, 0
+            while power >= tiny:
+                total += power / (2 * m + 1) * (-1) ** m
+                power /= x * x
+                m += 1
+            return total
+
+        value = 4 * (4 * arctan_inverse(5) - arctan_inverse(239))
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return +value
+
+
+@lru_cache(maxsize=1024)
+def _cos_pi_fraction(j: int, p: int, prec: int) -> Decimal:
+    """cos(j*pi/p), rounded to ``prec`` digits, with absolute error below 10^-prec.
+
+    Takes 0 <= j < 2p.  The angle is folded into [0, pi/2] by symmetry,
+    where the Taylor series converges quickly.
+    """
+    if j > p:
+        j = 2 * p - j  # cos(2pi - x) = cos(x)
+    sign = 1
+    if 2 * j > p:
+        j, sign = p - j, -1  # cos(pi - x) = -cos(x)
+    with localcontext() as ctx:
+        ctx.prec = prec + 5
+        x2 = (_pi(prec + 5) * j / p) ** 2
+        # |cos| <= 1, so an absolute cut-off keeps prec + 5 digits after the point.
+        tiny = Decimal(1).scaleb(-ctx.prec)
+        total, term, m = Decimal(1), Decimal(1), 0
+        while abs(term) >= tiny:
+            m += 2
+            term = -term * x2 / (m * (m - 1))
+            total += term
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return +(sign * total)
+
+
+def ramus(n: int, q: int, p: int) -> Decimal:
     """Closed trigonometric form of :func:`grouped_sum`.
 
-    Evaluates (1/p) * sum_{0<=i<p} (2 cos(i*pi/p))^n * cos(i*(n-2q)*pi/p).
-    The arithmetic runs in numpy's extended precision (80-bit on x86):
-    grouped sums pass 2^53 near n = 54, where a double could no longer
-    round back to the exact integer.  With extended precision, rounding
-    recovers the exact sum through n = 60 for every p <= 9 (with margin);
-    the pre-rounding relative error stays below 1e-9 throughout.  On
-    platforms whose long double is plain double, exactness of the rounding
-    degrades to n <= 52.
+    Evaluates (1/p) * sum_{0<=i<p} (2 cos(i*pi/p))^n * cos(i*(n-2q)*pi/p)
+    in stdlib :mod:`decimal`, so the result does not depend on the
+    platform's floating point.  Every term is at most 2^n in magnitude, so
+    the working precision is the digit count of 2^n plus 20 guard digits.
+    That keeps the error far below 1/2 at every n, and rounding the result
+    recovers the exact sum.
     """
     _check_spec(n, q, p)
-    total = np.longdouble(0)
-    for i in range(p):
-        base = 2 * np.cos(i * _PI / p)
-        total += base**n * np.cos(i * (n - 2 * q) * _PI / p)
-    return total / p
+    prec = len(str(2**n)) + _RAMUS_GUARD_DIGITS
+    with localcontext() as ctx:
+        ctx.prec = prec
+        total = Decimal(0)
+        for i in range(p):
+            base = 2 * _cos_pi_fraction(i, p, prec)
+            total += base**n * _cos_pi_fraction(i * (n - 2 * q) % (2 * p), p, prec)
+        return total / p
 
 
 def trit_add(values: Iterable[int]) -> int:

@@ -14,8 +14,11 @@ measurement outcomes, and :func:`decode_batch` and
 :func:`global_function_batch` give each row's decoded and expected values.
 Two interchangeable engines produce the outcomes:
 
-* :func:`run_dense_batch` evolves the full state vector (k <= 13) once per
-  distinct bit vector and samples a measurement from it.
+* :func:`run_dense_batch` evolves the full state vector (k <= 13) and
+  samples a measurement from it.  It evolves each distinct first-half bit
+  pattern once (a half state) and each distinct bit vector once from its
+  half state, and reports both counts and the gates applied
+  (:class:`DenseCounts`).
 * :func:`run_analytic_batch` skips the state entirely and samples the
   outcome string uniformly from the digit-sum class the evolution provably
   lands in.  It is gated on :func:`verify_class_stepping` having passed in
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -285,8 +288,8 @@ def dense_pre_measurement_state(
     the (3^p, 3, B) view of the amplitudes, B = 3^(k-p-1).  For the last
     parties, where B < 27, that view would mean thousands of tiny products,
     so the same map is one matmul of the (3^p, 3B) view with the transpose
-    of gate ⊗ I_B.  The final state is validated once, when it becomes a
-    :class:`QuditState`.
+    of gate ⊗ I_B, which the gate builds once per B and keeps.  The final
+    state is validated once, when it becomes a :class:`QuditState`.
     """
     if k > DENSE_MAX_K:
         raise ValueError(f"dense engine supports k <= {DENSE_MAX_K}, got {k}")
@@ -305,17 +308,32 @@ def dense_pre_measurement_state(
             if block >= 27:
                 amps = np.matmul(gate.matrix, amps.reshape(3**party, 3, block))
             else:
-                amps = amps.reshape(3**party, 3 * block) @ np.kron(gate.matrix, np.eye(block)).T
+                amps = amps.reshape(3**party, 3 * block) @ gate.lifted_transpose(block)
     return QuditState(3, k, amps)
 
 
-def run_dense_batch(bits: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+class DenseCounts(NamedTuple):
+    """What one dense batch evolved."""
+
+    bit_vectors: int  # distinct bit vectors: one full state each
+    half_states: int  # distinct first-half bit patterns: one half state each
+    gates: int  # root-gate applications over all evolutions
+
+
+def run_dense_batch(
+    bits: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, DenseCounts]:
     """Measurement outcomes of full state-vector runs, one row per trial.
 
-    Rows are grouped by bit vector.  Each distinct vector is evolved once,
-    one at a time, so only one state is held, and all its rows are
-    measured with one vectorised inverse CDF.  Returns the int8 (n, k)
-    outcomes and the number of distinct bit vectors evolved.
+    Rows are grouped by bit vector, and the distinct vectors, which come
+    sorted, by their first h = k // 2 bits.  Each distinct first-half
+    pattern is evolved once from the class-0 state (suffix bits set to 1);
+    each distinct vector then starts from its group's half state with its
+    own suffix (prefix bits set to 1).  The gates run in party order, so
+    every state is the one a single evolution of the whole vector gives,
+    bit for bit.  Only the current half state and full state are held, and
+    all rows of a vector are measured with one vectorised inverse CDF.
+    Returns the int8 (n, k) outcomes and the :class:`DenseCounts`.
     """
     _zero_triples_rows(bits)
     n, k = bits.shape
@@ -328,16 +346,30 @@ def run_dense_batch(bits: np.ndarray, rng: np.random.Generator) -> tuple[np.ndar
         bits, axis=0, return_inverse=True, return_counts=True
     )
     order = np.argsort(inverse.reshape(-1), kind="stable")
+    h = k // 2
+    prefix_only = distinct.copy()
+    prefix_only[:, h:] = 1
+    suffix_only = distinct.copy()
+    suffix_only[:, :h] = 1
+    new_half = np.ones(len(distinct), dtype=bool)
+    new_half[1:] = np.any(distinct[1:, :h] != distinct[:-1, :h], axis=1)
     index = np.empty(n, dtype=np.int64)
     first = 0
-    for vector, count in zip(distinct, counts):
+    for i, count in enumerate(counts):
+        if new_half[i]:
+            half = dense_pre_measurement_state(k, prefix_only[i], gate=gate, start=start_state)
+        state = dense_pre_measurement_state(k, suffix_only[i], gate=gate, start=half)
         rows = order[first:first + count]
         first += count
-        state = dense_pre_measurement_state(k, vector, gate=gate, start=start_state)
         index[rows] = inverse_cdf(np.cumsum(np.abs(state.amplitudes) ** 2), uniforms[rows])
     # Party 1 owns the most significant base-3 digit of the basis index.
     outcomes = index[:, None] // 3 ** np.arange(k - 1, -1, -1) % 3
-    return outcomes.astype(np.int8), len(distinct)
+    gates = np.count_nonzero(prefix_only[new_half] == 0) + np.count_nonzero(suffix_only == 0)
+    return outcomes.astype(np.int8), DenseCounts(
+        bit_vectors=len(distinct),
+        half_states=int(np.count_nonzero(new_half)),
+        gates=int(gates),
+    )
 
 
 def run_dense(reg: RegisterInput, rng: np.random.Generator) -> ProtocolRun:

@@ -13,7 +13,7 @@ as plain ket sums).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -64,8 +64,12 @@ class QuditState:
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1).copy()
         if amps.size != self.d**self.k:
             raise ValueError(f"expected {self.d**self.k} amplitudes, got {amps.size}")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > _NORM_TOL:
+        # One pass over the amplitudes; a NaN or infinite amplitude makes the
+        # norm NaN or infinite.  Comparisons are phrased so that NaN fails.
+        norm_sq = float(np.vdot(amps, amps).real)
+        if not np.isfinite(norm_sq):
+            raise ValueError(f"amplitudes are not finite: sum |amp|^2 = {norm_sq!r}")
+        if not abs(norm_sq - 1.0) <= _NORM_TOL:
             raise ValueError(f"state is not normalized: sum |amp|^2 = {norm_sq!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -84,16 +88,32 @@ class LocalGate:
 
     d: int
     matrix: np.ndarray
+    _lifted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=np.complex128).copy()
         if m.shape != (self.d, self.d):
             raise ValueError(f"gate must be {self.d}x{self.d}, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("gate entries are not finite")
         dev = np.max(np.abs(m.conj().T @ m - np.eye(self.d)))
-        if dev > _UNITARY_TOL:
+        if not dev <= _UNITARY_TOL:
             raise ValueError(f"gate is not unitary: max |M†M - I| = {dev:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    def lifted_transpose(self, block: int) -> np.ndarray:
+        """The transpose of gate ⊗ I_block, built once per block and kept.
+
+        Right-multiplying a (rows, d * block) view by it applies the gate to
+        the digit just above the last ``block`` basis positions.
+        """
+        lifted = self._lifted.get(block)
+        if lifted is None:
+            lifted = np.kron(self.matrix, np.eye(block)).T
+            lifted.setflags(write=False)
+            self._lifted[block] = lifted
+        return lifted
 
 
 class RootBranch(NamedTuple):

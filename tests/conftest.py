@@ -1,9 +1,37 @@
+import numpy as np
 import pytest
 
-from tritgame.protocol import verify_class_stepping
+from tritgame.protocol import dense_pre_measurement_state, verify_class_stepping
+from tritgame.qudit import find_valid_root_branch, inverse_cdf, root_gate
 
 
 @pytest.fixture(scope="session")
 def stepping_cert():
     """Unlock the analytic engine once for the whole session."""
     return verify_class_stepping()
+
+
+@pytest.fixture(scope="session")
+def per_vector_outcomes():
+    """Dense outcomes without the half split, as a reference.
+
+    Returns a function of an (n, k) bit array and n uniforms that evolves
+    every distinct bit vector from the class-0 state in one call each and
+    measures row i with uniform i.  It returns the int8 outcomes and the
+    number of distinct vectors.
+    """
+    gate = root_gate(3, find_valid_root_branch())
+
+    def outcomes(bits, uniforms):
+        k = bits.shape[1]
+        cumulative = {}
+        index = np.empty(len(bits), dtype=np.int64)
+        for i, row in enumerate(bits.tolist()):
+            if tuple(row) not in cumulative:
+                amps = dense_pre_measurement_state(k, row, gate=gate).amplitudes
+                cumulative[tuple(row)] = np.cumsum(np.abs(amps) ** 2)
+            index[i] = inverse_cdf(cumulative[tuple(row)], uniforms[i])
+        digits = index[:, None] // 3 ** np.arange(k - 1, -1, -1) % 3
+        return digits.astype(np.int8), len(cumulative)
+
+    return outcomes

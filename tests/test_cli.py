@@ -3,9 +3,10 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
-from tritgame import cli
+from tritgame import cli, protocol
 from tritgame.classical import crt_primes
 
 
@@ -103,10 +104,41 @@ class TestQuantumRun:
         assert metrics["trials"] == 100
         assert metrics["blocks"] == 1
         assert 1 <= metrics["bit_vectors_evolved"] <= 43
+        assert 1 <= metrics["half_states_evolved"] <= 2**3
+        assert metrics["gates_applied"] >= 1
         assert metrics["first_failure"] is None
         assert set(metrics["stage_seconds"]) == {"verify", "sample", "engine", "render"}
         assert metrics["stage_seconds"]["verify"] == 0.0
         assert all(v >= 0.0 for v in metrics["stage_seconds"].values())
+
+    def test_dense_counters_leave_the_payload_hash_unchanged(self, capsys, per_vector_outcomes):
+        # The payload is rebuilt from the per-vector reference with the same
+        # random stream.  Its hash must be the one the command reports, and
+        # the dense counters must sit only in the metrics.
+        k, trials, seed = 7, 400, 1
+        code, env = run_json(
+            capsys,
+            ["quantum-run", "--k", str(k), "--trials", str(trials),
+             "--seed", str(seed), "--records"],
+        )
+        assert code == 0
+        rng = np.random.default_rng([seed, 0])
+        trits, bits = protocol.sample_admissible_batch(k, trials, rng)
+        outcomes, distinct = per_vector_outcomes(bits, rng.random(trials))
+        records = [run.to_record() | {"seed": seed}
+                   for run in protocol.batch_runs(trits, bits, outcomes, "dense")]
+        payload = {"k": k, "engine": "dense", "trials": trials,
+                   "successes": trials, "failures": 0, "records": records}
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert env["payload_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
+
+        metrics = env["metrics"]
+        vectors = {tuple(row) for row in bits.tolist()}
+        assert metrics["bit_vectors_evolved"] == distinct == len(vectors)
+        assert metrics["half_states_evolved"] == len({v[: k // 2] for v in vectors})
+        assert 0 < metrics["gates_applied"] < sum(v.count(0) for v in vectors)
+        for name in ("bit_vectors_evolved", "half_states_evolved", "gates_applied"):
+            assert name not in env["payload"]
 
     def test_trials_run_in_blocks(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "BLOCK_TRIALS", 7)
@@ -120,7 +152,8 @@ class TestQuantumRun:
         assert len(env["payload"]["records"]) == 20
         assert env["metrics"]["blocks"] == 3
         assert env["metrics"]["trials"] == 20
-        assert "bit_vectors_evolved" not in env["metrics"]
+        for name in ("bit_vectors_evolved", "half_states_evolved", "gates_applied"):
+            assert name not in env["metrics"]
         assert env["metrics"]["stage_seconds"]["verify"] > 0.0
 
     def test_token_option_is_gone(self, capsys):
@@ -189,6 +222,16 @@ class TestClassical:
         assert metrics["transcript_classes"] == 44 * 105
         assert "collapsed" in metrics["evaluator"]
         assert "metrics" not in env["payload"]
+        canonical = json.dumps(env["payload"], sort_keys=True, separators=(",", ":"))
+        assert env["payload_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
+
+    def test_search_metrics_time_each_stage(self, capsys):
+        _, env = run_json(capsys, ["classical", "search", "--k", "13"])
+        stages = env["metrics"]["stage_seconds"]
+        assert set(stages) == {"search", "render"}
+        assert stages["search"] > 0.0
+        assert stages["render"] >= 0.0
+        assert "stage_seconds" not in env["payload"]
         canonical = json.dumps(env["payload"], sort_keys=True, separators=(",", ":"))
         assert env["payload_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
 

@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -85,9 +87,9 @@ class TestGroupedSumPrimed:
 
 class TestRamus:
     def test_examples(self):
-        assert ramus(3, 0, 3) == pytest.approx(2.0, abs=1e-12)
-        assert ramus(1, 0, 1) == pytest.approx(2.0, abs=1e-12)
-        assert ramus(10, 1, 3) == pytest.approx(341.0, abs=1e-9)
+        assert ramus(3, 0, 3) == pytest.approx(Decimal(2), abs=Decimal("1e-12"))
+        assert ramus(1, 0, 1) == pytest.approx(Decimal(2), abs=Decimal("1e-12"))
+        assert ramus(10, 1, 3) == pytest.approx(Decimal(341), abs=Decimal("1e-9"))
 
     def test_closed_form_matches_direct_sum(self):
         # Full agreement sweep lives in the acceptance suite; spot a grid here.
@@ -98,6 +100,14 @@ class TestRamus:
                     approx = ramus(n, q, p)
                     assert round(approx) == exact
                     assert abs(approx - exact) <= 1e-9 * max(1, exact)
+
+    def test_exact_past_extended_precision(self):
+        # Decimal precision grows with n, so rounding stays exact where an
+        # 80-bit long double (64-bit mantissa) no longer could.
+        for n in (64, 100, 200):
+            for p in (2, 3, 7, 9):
+                for q in range(p):
+                    assert round(ramus(n, q, p)) == grouped_sum(n, q, p)
 
 
 class TestTritAdd:

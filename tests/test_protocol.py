@@ -215,20 +215,53 @@ class TestDenseEngine:
         assert worst <= 1e-12
 
     def test_batch_evolves_each_distinct_vector_once(self, monkeypatch):
-        calls = []
+        # Each distinct first half is evolved once from the class-0 state, and
+        # each distinct vector once, from the state of its own first half.
+        k, h = 7, 7 // 2
+        class0 = make_sum_class_state(k, 0)
+        halves: dict[int, tuple] = {}  # id(half state) -> (prefix, state)
+        prefixes, vectors = [], []
         evolve = protocol.dense_pre_measurement_state
 
-        def counting(k, bits, **kwargs):
-            calls.append(tuple(bits.tolist()))
-            return evolve(k, bits, **kwargs)
+        def counting(k, bits, *, gate, start):
+            bits = tuple(bits.tolist())
+            state = evolve(k, bits, gate=gate, start=start)
+            if start is class0:
+                assert bits[h:] == (1,) * (k - h)
+                prefixes.append(bits[:h])
+                halves[id(state)] = (bits[:h], state)  # held, so ids stay unique
+            else:
+                assert bits[:h] == (1,) * h
+                vectors.append(halves[id(start)][0] + bits[h:])
+            return state
 
         monkeypatch.setattr(protocol, "dense_pre_measurement_state", counting)
-        trits, bits = sample_admissible_batch(7, 300, np.random.default_rng(12))
-        outcomes, evolved = run_dense_batch(bits, np.random.default_rng(13))
+        trits, bits = sample_admissible_batch(k, 300, np.random.default_rng(12))
+        outcomes, counts = run_dense_batch(bits, np.random.default_rng(13))
         distinct = {tuple(row) for row in bits.tolist()}
-        assert evolved == len(calls) == len(set(calls)) == len(distinct) < 300
+        assert sorted(vectors) == sorted(distinct)
+        assert counts.bit_vectors == len(vectors) == len(distinct) < 300
+        assert len(set(prefixes)) == len(prefixes) == counts.half_states
+        assert set(prefixes) == {v[:h] for v in distinct}
+        gates = sum(p.count(0) for p in prefixes) + sum(v[h:].count(0) for v in vectors)
+        assert counts.gates == gates
         assert outcomes.shape == (300, 7) and outcomes.dtype == np.int8
         assert np.array_equal(decode_batch(trits, outcomes), global_function_batch(trits, bits))
+
+    @pytest.mark.parametrize("k", [7, 10])
+    def test_batch_matches_per_vector_reference(self, k, per_vector_outcomes):
+        # The half split applies the same gates in the same order as one
+        # evolution per vector, so with the same uniforms the outcomes agree
+        # element for element.
+        trits, bits = sample_admissible_batch(k, 400, np.random.default_rng(k))
+        extremes = np.ones((2, k), dtype=np.int8)
+        extremes[1, : 9 if k >= 9 else 6] = 0  # all ones, and the most zeros
+        bits = np.concatenate([bits, extremes])
+        outcomes, counts = run_dense_batch(bits, np.random.default_rng(100 + k))
+        uniforms = np.random.default_rng(100 + k).random(len(bits))
+        expected, distinct = per_vector_outcomes(bits, uniforms)
+        assert counts.bit_vectors == distinct
+        assert np.array_equal(outcomes, expected)
 
     def test_identity_gate_mutation_is_caught(self, monkeypatch, capsys):
         # Success is measured, not assumed: with the root gate replaced by
@@ -299,7 +332,7 @@ class TestAnalyticEngine:
         bits = np.tile(np.array([[0, 0, 0, 1]], dtype=np.int8), (trials, 1))
         dense, evolved = run_dense_batch(bits, np.random.default_rng(777))
         analytic = run_analytic_batch(bits, np.random.default_rng(778))
-        assert evolved == 1
+        assert evolved.bit_vectors == 1
         dense_counts: dict[tuple, int] = {}
         analytic_counts: dict[tuple, int] = {}
         for counts, outcomes in ((dense_counts, dense), (analytic_counts, analytic)):

@@ -45,6 +45,14 @@ class TestQuditState:
         with pytest.raises(ValueError, match="cap"):
             make_sum_class_state(16, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            QuditState(3, 1, np.full(3, bad, dtype=complex))
+        # One bad entry beside a unit amplitude fails as well.
+        with pytest.raises(ValueError, match="not finite"):
+            QuditState(3, 2, np.r_[1.0, np.zeros(7), bad])
+
     def test_amplitudes_are_frozen(self):
         state = make_sum_class_state(2, 0)
         with pytest.raises(ValueError):
@@ -119,6 +127,23 @@ class TestGates:
     def test_gate_must_be_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             LocalGate(2, [[1, 0], [1, 1]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gate_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            LocalGate(3, np.full((3, 3), bad))
+        matrix = np.eye(3, dtype=complex)
+        matrix[1, 2] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            LocalGate(3, matrix)
+
+    def test_lifted_transpose_is_gate_kron_identity(self):
+        gate = root_gate(3, RootBranch(0, 0))
+        for block in (1, 3, 9):
+            lifted = gate.lifted_transpose(block)
+            assert np.array_equal(lifted, np.kron(gate.matrix, np.eye(block)).T)
+            assert gate.lifted_transpose(block) is lifted  # built once, then kept
+            assert not lifted.flags.writeable
 
     def test_dim2_root_is_the_explicit_matrix(self):
         expected = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
