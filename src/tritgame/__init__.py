@@ -30,7 +30,6 @@ from .classical import (
     TranscriptClassStats,
     best_homogeneous,
     canonical_division,
-    canonical_strategy_reps,
     crt_primes,
     division_type,
     evaluate_collapsed,
@@ -50,27 +49,17 @@ from .combinat import (
     grouped_sum,
     grouped_sum_primed,
     ramus,
-    trit_add,
 )
 from .protocol import (
     AnalyticEngineLockedError,
     DenseCounts,
     SteppingCertificate,
-    ProtocolRun,
-    RegisterInput,
     VerificationError,
-    batch_runs,
-    decode,
     decode_batch,
     dense_pre_measurement_state,
-    enumerate_admissible,
-    global_function,
     global_function_batch,
-    run_analytic,
     run_analytic_batch,
-    run_dense,
     run_dense_batch,
-    sample_admissible,
     sample_admissible_batch,
     verify_class_stepping,
     zero_triples_mod3,
@@ -79,12 +68,11 @@ from .qudit import (
     LocalGate,
     QuditState,
     RootBranch,
-    apply_local,
     classify_sum_class,
+    evolve,
     find_valid_root_branch,
     inverse_cdf,
     make_sum_class_state,
-    measure_all,
     permutation_gate,
     root_gate,
 )
@@ -92,25 +80,22 @@ from .qudit import (
 __all__ = [
     "__version__",
     # combinatorics
-    "GroupedSumSpec", "binomial", "grouped_sum", "grouped_sum_primed", "ramus", "trit_add",
+    "GroupedSumSpec", "binomial", "grouped_sum", "grouped_sum_primed", "ramus",
     # qudit simulation
-    "LocalGate", "QuditState", "RootBranch", "apply_local", "classify_sum_class",
-    "find_valid_root_branch", "inverse_cdf", "make_sum_class_state", "measure_all",
-    "permutation_gate", "root_gate",
+    "LocalGate", "QuditState", "RootBranch", "classify_sum_class", "evolve",
+    "find_valid_root_branch", "inverse_cdf", "make_sum_class_state", "permutation_gate",
+    "root_gate",
     # protocol
-    "AnalyticEngineLockedError", "DenseCounts", "SteppingCertificate", "ProtocolRun",
-    "RegisterInput",
-    "VerificationError", "batch_runs", "decode", "decode_batch",
-    "dense_pre_measurement_state", "enumerate_admissible", "global_function",
-    "global_function_batch", "run_analytic", "run_analytic_batch", "run_dense",
-    "run_dense_batch", "sample_admissible", "sample_admissible_batch",
+    "AnalyticEngineLockedError", "DenseCounts", "SteppingCertificate", "VerificationError",
+    "decode_batch", "dense_pre_measurement_state", "global_function_batch",
+    "run_analytic_batch", "run_dense_batch", "sample_admissible_batch",
     "verify_class_stepping", "zero_triples_mod3",
     # classical analysis
     "DIVISION_NAMES", "REGISTER_VALUES", "Strategy", "StrategyProfile",
-    "TranscriptClassStats", "best_homogeneous", "canonical_division",
-    "canonical_strategy_reps", "crt_primes", "division_type", "evaluate_collapsed",
-    "evaluate_exhaustive", "evaluator_metrics", "exhaustive_transcript_counts",
-    "random_profile", "ten_player_worked_example", "strategy_groups", "strategy_orbit_reps", "transcript_class_count",
+    "TranscriptClassStats", "best_homogeneous", "canonical_division", "crt_primes",
+    "division_type", "evaluate_collapsed", "evaluate_exhaustive", "evaluator_metrics",
+    "exhaustive_transcript_counts", "random_profile", "ten_player_worked_example",
+    "strategy_groups", "strategy_orbit_reps", "transcript_class_count",
     "transcript_class_stats",
     # bounds
     "BoundParams", "BoundRow", "bound_A", "bound_F", "bound_L", "bound_N",

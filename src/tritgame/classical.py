@@ -642,23 +642,6 @@ def transcript_class_stats(
 # Strategy search and the ten-player worked example
 # ---------------------------------------------------------------------------
 
-def canonical_strategy_reps() -> list[Strategy]:
-    """One representative per orbit of the 729 tables under sent relabeling.
-
-    Relabeling the sent alphabet permutes transcripts bijectively and leaves
-    the success probability unchanged, so searching one representative per
-    orbit (122 of them) covers all strategies.
-    """
-    seen: set[tuple[int, ...]] = set()
-    reps: list[Strategy] = []
-    for sent in itertools.product(range(3), repeat=6):
-        canon = min(tuple(perm[t] for t in sent) for perm in _PERMS3)
-        if canon not in seen:
-            seen.add(canon)
-            reps.append(Strategy(canon))
-    return reps
-
-
 @lru_cache(maxsize=1)
 def strategy_orbit_reps() -> tuple[Strategy, ...]:
     """One representative per orbit of the 729 tables under S3 x Z3.
@@ -667,13 +650,14 @@ def strategy_orbit_reps() -> tuple[Strategy, ...]:
     in every party at once: that maps admissible inputs one to one, keeps
     each transcript and moves every global value by k*c = c (mod 3), since
     k = 1 (mod 3).  Neither changes a homogeneous profile's success
-    probability.  Each of the 44 orbits is represented by its
-    lexicographically smallest member, which is among the 122
-    :func:`canonical_strategy_reps`.
+    probability.  The tables are scanned in lexicographic order and a table
+    not yet seen starts a new orbit, so each of the 44 orbits is
+    represented by its lexicographically smallest member.
     """
     seen: set[Strategy] = set()
     reps: list[Strategy] = []
-    for strategy in canonical_strategy_reps():  # lexicographic order
+    for sent in itertools.product(range(3), repeat=6):
+        strategy = Strategy(sent)
         if strategy not in seen:
             reps.append(strategy)
             seen.update(strategy.shift(c).relabel(perm) for c in range(3) for perm in _PERMS3)

@@ -237,8 +237,12 @@ def _run_trials(
                 "expected": int(expected[i]),
             }
         if records is not None:
-            runs = protocol.batch_runs(trits, bits, outcomes, engine)
-            records.extend(run.to_record() for run in runs)
+            columns = (trits, bits, outcomes, (trits + outcomes) % 3, decoded, expected)
+            records.extend(
+                {"k": k, "trits": t, "bits": b, "outcomes": o, "transmissions": x,
+                 "decoded": d, "expected": e, "engine": engine}
+                for t, b, o, x, d, e in zip(*(column.tolist() for column in columns))
+            )
             stages["render"] += time.perf_counter() - t2
     return successes
 

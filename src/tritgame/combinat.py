@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 #: Decimal digits :func:`ramus` carries beyond the integer digits of 2^n.
 _RAMUS_GUARD_DIGITS = 20
@@ -140,12 +140,3 @@ def ramus(n: int, q: int, p: int) -> Decimal:
             total += base**n * _cos_pi_fraction(i * (n - 2 * q) % (2 * p), p, prec)
         return total / p
 
-
-def trit_add(values: Iterable[int]) -> int:
-    """Sum of trits modulo 3; the empty sum is 0."""
-    total = 0
-    for v in values:
-        if v not in (0, 1, 2):
-            raise ValueError(f"trit out of range: {v!r}")
-        total += v
-    return total % 3

@@ -8,25 +8,26 @@ cube root of the cyclic shift; everyone measures and transmits their own
 trit plus their measured digit.  The transcript's digit sum is the global
 value, on every input and every measurement outcome.
 
-Trials run in batches of int8 arrays, one row per trial:
-:func:`sample_admissible_batch` draws inputs, an engine draws the
-measurement outcomes, and :func:`decode_batch` and
-:func:`global_function_batch` give each row's decoded and expected values.
+The API works on whole arrays only.  Trials are int8 arrays with one
+row per trial and one column per party: :func:`sample_admissible_batch`
+draws (trits, bits), an engine draws the measurement outcomes, and
+:func:`decode_batch` and :func:`global_function_batch` give each row's
+decoded and expected values; both validate the rows they are given.
 Two interchangeable engines produce the outcomes:
 
 * :func:`run_dense_batch` evolves the full state vector (k <= 13) and
   samples a measurement from it.  It evolves each distinct first-half bit
   pattern once (a half state) and each distinct bit vector once from its
   half state, and reports both counts and the gates applied
-  (:class:`DenseCounts`).
+  (:class:`DenseCounts`).  Every gate goes through :func:`qudit.evolve`,
+  the one routine that applies gates to amplitudes.
 * :func:`run_analytic_batch` skips the state entirely and samples the
   outcome string uniformly from the digit-sum class the evolution provably
   lands in.  It is gated on :func:`verify_class_stepping` having passed in
   this process, so the shortcut never outruns the evidence for it.
 
-:func:`sample_admissible`, :func:`run_dense` and :func:`run_analytic` are
-the one-row forms, returning validated :class:`RegisterInput` and
-:class:`ProtocolRun` objects.
+:func:`admissible_bit_vectors` enumerates the admissible bit vectors for
+the verification sweep and the classical exhaustive oracle.
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .combinat import trit_add
 from .qudit import (
     LocalGate,
     QuditState,
     RootBranch,
     RootCheck,
+    evolve,
     find_valid_root_branch,
     inverse_cdf,
     make_sum_class_state,
@@ -69,68 +70,6 @@ class AnalyticEngineLockedError(RuntimeError):
     """The analytic engine ran before verify_class_stepping passed."""
 
 
-@dataclass(frozen=True)
-class RegisterInput:
-    """Distributed inputs: one trit and one bit per party.
-
-    Admissibility requires the number of zero bits to be a multiple of 3;
-    the party count must be at least 4 and 1 mod 3.
-    """
-
-    trits: tuple[int, ...]
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        k = len(self.trits)
-        _check_party_count(k)
-        if len(self.bits) != k:
-            raise ValueError(f"need {k} bits to match {k} trits, got {len(self.bits)}")
-        if any(t not in (0, 1, 2) for t in self.trits):
-            raise ValueError(f"trits out of range: {self.trits!r}")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"bits out of range: {self.bits!r}")
-        if self.zero_count % 3 != 0:
-            raise ValueError(
-                f"inadmissible input: {self.zero_count} zero bits is not a multiple of 3"
-            )
-
-    @property
-    def k(self) -> int:
-        return len(self.trits)
-
-    @property
-    def zero_count(self) -> int:
-        return sum(1 for b in self.bits if b == 0)
-
-
-@dataclass(frozen=True)
-class ProtocolRun:
-    """One execution: measurement outcomes, transmissions, decoded value."""
-
-    input: RegisterInput
-    outcomes: tuple[int, ...]
-    transmissions: tuple[int, ...]
-    decoded: int
-    expected: int
-    engine: str
-
-    @property
-    def ok(self) -> bool:
-        return self.decoded == self.expected
-
-    def to_record(self) -> dict:
-        return {
-            "k": self.input.k,
-            "trits": list(self.input.trits),
-            "bits": list(self.input.bits),
-            "outcomes": list(self.outcomes),
-            "transmissions": list(self.transmissions),
-            "decoded": self.decoded,
-            "expected": self.expected,
-            "engine": self.engine,
-        }
-
-
 def zero_triples_mod3(bits: Sequence[int]) -> int:
     """Number of zero-bit triples, mod 3; the class the shared state lands in."""
     zeros = sum(1 for b in bits if b == 0)
@@ -139,36 +78,19 @@ def zero_triples_mod3(bits: Sequence[int]) -> int:
     return (zeros // 3) % 3
 
 
-def global_function(reg: RegisterInput) -> int:
-    """The value every run must decode: trit sum plus zero-triple count, mod 3."""
-    return (sum(reg.trits) + zero_triples_mod3(reg.bits)) % 3
-
-
-def decode(transmissions: Sequence[int]) -> int:
-    """Referee-side decoding: sum of the transmitted trits mod 3."""
-    return trit_add(transmissions)
-
-
 def admissible_bit_vectors(k: int) -> Iterator[tuple[int, ...]]:
-    """All bit vectors of length k whose zero count is a multiple of 3."""
+    """All bit vectors of length k whose zero count is a multiple of 3.
+
+    Vectors come in order of zero count, then lexicographically by the
+    positions of the zeros; the first is all ones.
+    """
+    _check_party_count(k)
     for m in range(0, k + 1, 3):
         for zeros in itertools.combinations(range(k), m):
             bits = [1] * k
             for i in zeros:
                 bits[i] = 0
             yield tuple(bits)
-
-
-def enumerate_admissible(k: int) -> Iterator[RegisterInput]:
-    """Every admissible input exactly once (bit vectors outer, trits inner).
-
-    Intended for exhaustive sweeps at k <= 7; the count is the number of
-    admissible bit vectors times 3^k.
-    """
-    _check_party_count(k)
-    for bits in admissible_bit_vectors(k):
-        for trits in itertools.product((0, 1, 2), repeat=k):
-            yield RegisterInput(trits, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +112,14 @@ def _zero_triples_rows(bits: np.ndarray) -> np.ndarray:
     if np.any(zeros % 3):
         raise ValueError("inadmissible bit vector: zero count is not a multiple of 3")
     return (zeros // 3) % 3
+
+
+def _check_trits(trits: np.ndarray, rows: np.ndarray) -> None:
+    """Rejects trits shaped unlike ``rows`` or holding a value outside 0..2."""
+    if trits.shape != rows.shape:
+        raise ValueError(f"trits of shape {trits.shape} do not match rows of shape {rows.shape}")
+    if trits.size and (trits.min() < 0 or trits.max() > 2):
+        raise ValueError("trits out of range: every entry must be 0, 1 or 2")
 
 
 def sample_admissible_batch(
@@ -221,52 +151,26 @@ def sample_admissible_batch(
 
 
 def global_function_batch(trits: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Each row's global value: trit sum plus zero-triple count, mod 3."""
-    return (trits.sum(axis=1, dtype=np.int64) + _zero_triples_rows(bits)) % 3
+    """Each row's global value: trit sum plus zero-triple count, mod 3.
+
+    Validates the bits as the engines do and the trits against them.
+    """
+    zero_triples = _zero_triples_rows(bits)
+    _check_trits(trits, bits)
+    return (trits.sum(axis=1, dtype=np.int64) + zero_triples) % 3
 
 
 def decode_batch(trits: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
     """Each row's decoded value.
 
     Party i transmits (trit + outcome) mod 3; the referee sums the
-    transmissions mod 3.
+    transmissions mod 3.  The trits must match the (n, k) outcomes.
     """
+    if outcomes.ndim != 2:
+        raise ValueError(f"need an (n, k) outcome array, got shape {outcomes.shape}")
+    _check_party_count(outcomes.shape[1])
+    _check_trits(trits, outcomes)
     return ((trits + outcomes) % 3).sum(axis=1, dtype=np.int64) % 3
-
-
-def batch_runs(
-    trits: np.ndarray, bits: np.ndarray, outcomes: np.ndarray, engine: str
-) -> list[ProtocolRun]:
-    """Validated :class:`ProtocolRun` objects for the rows of a batch."""
-    transmissions = (trits + outcomes) % 3
-    return [
-        ProtocolRun(
-            input=RegisterInput(tuple(t), tuple(b)),
-            outcomes=tuple(o),
-            transmissions=tuple(x),
-            decoded=d,
-            expected=e,
-            engine=engine,
-        )
-        for t, b, o, x, d, e in zip(
-            trits.tolist(),
-            bits.tolist(),
-            outcomes.tolist(),
-            transmissions.tolist(),
-            decode_batch(trits, outcomes).tolist(),
-            global_function_batch(trits, bits).tolist(),
-        )
-    ]
-
-
-def _one_row(reg: RegisterInput) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([reg.trits], dtype=np.int8), np.array([reg.bits], dtype=np.int8)
-
-
-def sample_admissible(k: int, rng: np.random.Generator) -> RegisterInput:
-    """One uniform sample from the admissible set (see the batch sampler)."""
-    trits, bits = sample_admissible_batch(k, 1, rng)
-    return RegisterInput(tuple(trits[0].tolist()), tuple(bits[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +188,8 @@ def dense_pre_measurement_state(
 
     ``gate`` defaults to the root gate of the first valid branch and
     ``start`` to the digit-sum-0 class state; callers that evolve many
-    vectors build both once and pass them.  Party p's gate is one matmul on
-    the (3^p, 3, B) view of the amplitudes, B = 3^(k-p-1).  For the last
-    parties, where B < 27, that view would mean thousands of tiny products,
-    so the same map is one matmul of the (3^p, 3B) view with the transpose
-    of gate ⊗ I_B, which the gate builds once per B and keeps.  The final
-    state is validated once, when it becomes a :class:`QuditState`.
+    vectors build both once and pass them.  The gates run in party order
+    through :func:`qudit.evolve`, which validates the final state once.
     """
     if k > DENSE_MAX_K:
         raise ValueError(f"dense engine supports k <= {DENSE_MAX_K}, got {k}")
@@ -301,15 +201,7 @@ def dense_pre_measurement_state(
         start = make_sum_class_state(k, 0)
     elif (start.d, start.k) != (3, k):
         raise ValueError(f"start must be a state of {k} qutrits, got d={start.d}, k={start.k}")
-    amps = start.amplitudes
-    for party, bit in enumerate(bits):
-        if bit == 0:
-            block = 3 ** (k - party - 1)
-            if block >= 27:
-                amps = np.matmul(gate.matrix, amps.reshape(3**party, 3, block))
-            else:
-                amps = amps.reshape(3**party, 3 * block) @ gate.lifted_transpose(block)
-    return QuditState(3, k, amps)
+    return evolve(start, gate, [party for party, bit in enumerate(bits) if bit == 0])
 
 
 class DenseCounts(NamedTuple):
@@ -370,13 +262,6 @@ def run_dense_batch(
         half_states=int(np.count_nonzero(new_half)),
         gates=int(gates),
     )
-
-
-def run_dense(reg: RegisterInput, rng: np.random.Generator) -> ProtocolRun:
-    """Full state-vector execution: evolve, measure, transmit, decode."""
-    trits, bits = _one_row(reg)
-    outcomes, _ = run_dense_batch(bits, rng)
-    return batch_runs(trits, bits, outcomes, "dense")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +378,3 @@ def run_analytic_batch(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray
     outcomes[:, -1] = (target - outcomes[:, :-1].sum(axis=1, dtype=np.int64)) % 3
     return outcomes
 
-
-def run_analytic(reg: RegisterInput, rng: np.random.Generator) -> ProtocolRun:
-    """Execute one input without state evolution (see the batch engine)."""
-    trits, bits = _one_row(reg)
-    return batch_runs(trits, bits, run_analytic_batch(bits, rng), "analytic")[0]

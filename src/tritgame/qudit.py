@@ -2,20 +2,22 @@
 
 Provides the sum-class superpositions shared by the parties, the cyclic
 shift gate, its fractional root obtained through the discrete-Fourier
-eigenbasis, single-party gate application, full measurement, and a
-classifier that recognizes sum-class states up to a global phase.
+eigenbasis, :func:`evolve`, the one routine that applies gates to
+amplitudes, inverse-CDF sampling of basis indices, and a classifier that
+recognizes sum-class states up to a global phase.
 
-Conventions: party 1 owns the most significant base-d digit; basis strings
-render as ASCII digits '0'..'2' ('0'..'1' for d=2); states are unit vectors
-(sum-class states are stored normalized even where they are usually written
-as plain ket sums).
+Conventions: the first party owns the most significant base-d digit
+(:func:`evolve` numbers parties from 0); basis strings render as ASCII
+digits '0'..'2' ('0'..'1' for d=2); states are unit vectors (sum-class
+states are stored normalized even where they are usually written as
+plain ket sums).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -44,15 +46,22 @@ def digit_sums(d: int, k: int) -> np.ndarray:
     return sums
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuditState:
-    """Unit-norm dense amplitude vector over all k-digit base-d strings."""
+    """Unit-norm dense amplitude vector over all k-digit base-d strings.
+
+    The amplitudes are stored read-only.  The constructor copies them, so
+    the caller's array can change afterwards; ``_copy=False`` adopts an
+    array nobody else holds, such as one :func:`evolve` just built, and
+    validates it all the same.  States compare by identity.
+    """
 
     d: int
     k: int
     amplitudes: np.ndarray
+    _copy: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _copy: bool) -> None:
         if self.d not in (2, 3):
             raise ValueError(f"local dimension must be 2 or 3, got {self.d}")
         if self.k < 1:
@@ -61,7 +70,8 @@ class QuditState:
             raise ValueError(
                 f"state of {self.d}^{self.k} amplitudes exceeds the dense cap {MAX_AMPLITUDES}"
             )
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1).copy()
+        copy = True if _copy else None  # None: copy only to convert the dtype
+        amps = np.array(self.amplitudes, dtype=np.complex128, copy=copy).reshape(-1)
         if amps.size != self.d**self.k:
             raise ValueError(f"expected {self.d**self.k} amplitudes, got {amps.size}")
         # One pass over the amplitudes; a NaN or infinite amplitude makes the
@@ -74,21 +84,17 @@ class QuditState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dim(self) -> int:
-        return self.d**self.k
-
     def basis_label(self, index: int) -> str:
         return digit_string(index, self.d, self.k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalGate:
-    """A d x d unitary acting on a single party's qudit."""
+    """A d x d unitary acting on a single party's qudit; gates compare by identity."""
 
     d: int
     matrix: np.ndarray
-    _lifted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _lifted: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=np.complex128).copy()
@@ -153,7 +159,7 @@ def _sum_class_state(k: int, j: int, d: int) -> QuditState:
     mask = digit_sums(d, k) % d == j
     amps = np.zeros(d**k, dtype=np.complex128)
     amps[mask] = d ** (-(k - 1) / 2)
-    return QuditState(d, k, amps)
+    return QuditState(d, k, amps, _copy=False)
 
 
 def permutation_gate(d: int) -> LocalGate:
@@ -200,18 +206,30 @@ def root_gate(d: int, branch: RootBranch | None = None) -> LocalGate:
     return LocalGate(3, s_inv @ roots @ s)
 
 
-def apply_local(state: QuditState, gate: LocalGate, party: int) -> QuditState:
-    """Apply a gate to one party's tensor factor (parties are 1-based)."""
+def evolve(state: QuditState, gate: LocalGate, parties: Iterable[int]) -> QuditState:
+    """The state after ``gate`` acted on each listed party, in the order given.
+
+    Parties are numbered from 0, party 0 owning the most significant
+    digit.  Party p's gate is one matmul on the (d^p, d, B) view of the
+    amplitudes, B = d^(k-p-1).  For the last parties, where B < 27, that
+    view would mean thousands of tiny products, so the same map is one
+    matmul of the (d^p, dB) view with the transpose of gate ⊗ I_B, which
+    the gate builds once per B and keeps.  The result is validated once,
+    at the end, and adopted without a copy.
+    """
     if gate.d != state.d:
         raise ValueError(f"gate dimension {gate.d} != state dimension {state.d}")
-    if not 1 <= party <= state.k:
-        raise ValueError(f"party must be in 1..{state.k}, got {party}")
     d, k = state.d, state.k
-    before = d ** (party - 1)
-    after = d ** (k - party)
-    arr = state.amplitudes.reshape(before, d, after)
-    new = np.einsum("ij,ajb->aib", gate.matrix, arr)
-    return QuditState(d, k, new.reshape(-1))
+    amps = state.amplitudes
+    for party in parties:
+        if not 0 <= party < k:
+            raise ValueError(f"party must be in 0..{k - 1}, got {party}")
+        block = d ** (k - party - 1)
+        if block >= 27:
+            amps = np.matmul(gate.matrix, amps.reshape(d**party, d, block))
+        else:
+            amps = amps.reshape(d**party, d * block) @ gate.lifted_transpose(block)
+    return QuditState(d, k, amps, _copy=False)
 
 
 def inverse_cdf(cumulative: np.ndarray, uniforms) -> np.ndarray:
@@ -226,22 +244,14 @@ def inverse_cdf(cumulative: np.ndarray, uniforms) -> np.ndarray:
     return np.minimum(index, cumulative.size - 1)
 
 
-def measure_all(state: QuditState, rng: np.random.Generator) -> str:
-    """Sample one basis string with probability |amplitude|^2."""
-    cum = np.cumsum(np.abs(state.amplitudes) ** 2)
-    return state.basis_label(int(inverse_cdf(cum, rng.random())))
-
-
 def sum_class_deviation(state: QuditState, j: int) -> tuple[complex, float]:
-    """Best-fit phase and worst amplitude error against class j.
+    """Best-fit phase and worst amplitude error against class j (digit sum mod d).
 
     Returns (c, dev) minimizing nothing fancy: c is the overlap with the
     normalized class state, dev the max entrywise deviation of the
     amplitudes from c times the class pattern.  The class state is the
     shared one of :func:`make_sum_class_state`, not rebuilt per call.
     """
-    if state.d != 3:
-        raise ValueError("sum-class matching is defined for dimension 3 only")
     target = make_sum_class_state(state.k, j, state.d).amplitudes
     c = complex(np.vdot(target, state.amplitudes))
     dev = float(np.max(np.abs(state.amplitudes - c * target)))
@@ -291,9 +301,7 @@ def verify_root_branch(branch: RootBranch, tol: float = 1e-10) -> RootCheck:
 
     phase: complex | None = None
     for p in range(3):
-        out = make_sum_class_state(3, p)
-        for party in (1, 2, 3):
-            out = apply_local(out, gate, party)
+        out = evolve(make_sum_class_state(3, p), gate, range(3))
         c, class_dev = sum_class_deviation(out, (p + 1) % 3)
         if phase is None:
             phase = c
@@ -325,12 +333,7 @@ def verify_dim2_swap(tol: float = 1e-10) -> RootCheck:
     even-parity class (|00>+|11>)/sqrt(2) to a modulus-1 phase times the
     odd-parity class (|01>+|10>)/sqrt(2).
     """
-    gate = root_gate(2)
-    out = make_sum_class_state(2, 0, d=2)
-    for party in (1, 2):
-        out = apply_local(out, gate, party)
-    target = make_sum_class_state(2, 1, d=2).amplitudes
-    c = complex(np.vdot(target, out.amplitudes))
-    dev = float(np.max(np.abs(out.amplitudes - c * target)))
+    out = evolve(make_sum_class_state(2, 0, d=2), root_gate(2), range(2))
+    c, dev = sum_class_deviation(out, 1)
     ok = dev <= tol and abs(abs(c) - 1.0) <= tol
     return RootCheck(branch=None, phase=c, max_deviation=dev, ok=ok)

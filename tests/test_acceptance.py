@@ -35,7 +35,7 @@ from tritgame.protocol import (
     verify_class_stepping,
 )
 from tritgame.qudit import (
-    apply_local,
+    evolve,
     find_valid_root_branch,
     make_sum_class_state,
     permutation_gate,
@@ -72,10 +72,7 @@ def test_criterion_1_root_gate_step_law():
 
 
 def test_criterion_2_dimension_two_analog():
-    state = make_sum_class_state(2, 0, d=2)
-    gate = root_gate(2)
-    for party in (1, 2):
-        state = apply_local(state, gate, party)
+    state = evolve(make_sum_class_state(2, 0, d=2), root_gate(2), (0, 1))
     target = make_sum_class_state(2, 1, d=2).amplitudes
     c = complex(np.vdot(target, state.amplitudes))
     dev = float(np.max(np.abs(state.amplitudes - c * target)))

@@ -16,12 +16,18 @@ from tritgame.classical import (
     _prime_tables,
     best_homogeneous,
     canonical_division,
-    canonical_strategy_reps,
     crt_primes,
     evaluate_collapsed,
     evaluate_exhaustive,
     strategy_groups,
     strategy_orbit_reps,
+)
+
+
+# One table per orbit under relabeling of the sent trit, in lexicographic order.
+CANONICAL_REPS = sorted(
+    {Strategy(t).canonical() for t in itertools.product(range(3), repeat=6)},
+    key=lambda s: s.sent,
 )
 
 
@@ -154,14 +160,15 @@ class TestOrbits:
         assert len(covered) == 3**6
 
     def test_shift_invariance_at_k7(self):
-        for s in canonical_strategy_reps():
+        assert len(CANONICAL_REPS) == 122
+        for s in CANONICAL_REPS:
             value = homogeneous_value(s, 7)
             assert homogeneous_value(s.shift(1), 7) == value
             assert homogeneous_value(s.shift(2), 7) == value
 
     def test_orbit_search_matches_full_scan_at_k13(self):
         best = None
-        for s in canonical_strategy_reps():
+        for s in CANONICAL_REPS:
             value = homogeneous_value(s, 13)
             if best is None or value > best[1]:
                 best = (s, value)

@@ -14,7 +14,6 @@ from tritgame.classical import (
     StrategyProfile,
     best_homogeneous,
     canonical_division,
-    canonical_strategy_reps,
     division_type,
     evaluate_collapsed,
     evaluate_exhaustive,
@@ -22,10 +21,11 @@ from tritgame.classical import (
     random_profile,
     ten_player_worked_example,
     strategy_groups,
+    strategy_orbit_reps,
     transcript_class_stats,
 )
 from tritgame.combinat import grouped_sum
-from tritgame.protocol import enumerate_admissible
+from tritgame.protocol import admissible_bit_vectors
 
 # Exact values of the homogeneous canonical divisions at k=4, frozen from
 # the first dual-evaluator run.
@@ -69,12 +69,13 @@ def trit_reveal_closed_form(k: int) -> Fraction:
 def referee_histogram(profile: StrategyProfile) -> dict[tuple, list[int]]:
     """Admissible-input counts per global value, keyed by transcript, in pure Python."""
     by_transcript: dict[tuple, list[int]] = {}
-    for reg in enumerate_admissible(profile.k):
-        transcript = tuple(
-            s.sent_for(y, x) for s, y, x in zip(profile.strategies, reg.trits, reg.bits)
-        )
-        g = (sum(reg.trits) + (profile.k - sum(reg.bits)) // 3) % 3
-        by_transcript.setdefault(transcript, [0, 0, 0])[g] += 1
+    for bits in admissible_bit_vectors(profile.k):
+        for trits in itertools.product((0, 1, 2), repeat=profile.k):
+            transcript = tuple(
+                s.sent_for(y, x) for s, y, x in zip(profile.strategies, trits, bits)
+            )
+            g = (sum(trits) + (profile.k - sum(bits)) // 3) % 3
+            by_transcript.setdefault(transcript, [0, 0, 0])[g] += 1
     return by_transcript
 
 
@@ -357,9 +358,10 @@ class TestWorkedExample:
 
 class TestBestHomogeneous:
     def test_search_space_has_122_orbits(self):
-        reps = canonical_strategy_reps()
+        reps = {Strategy(t).canonical() for t in itertools.product(range(3), repeat=6)}
         assert len(reps) == 122
         assert all(s == s.canonical() for s in reps)
+        assert set(strategy_orbit_reps()) <= reps
 
     def test_pinned_values_at_small_k(self):
         for k in (4, 13):

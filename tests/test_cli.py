@@ -125,8 +125,12 @@ class TestQuantumRun:
         rng = np.random.default_rng([seed, 0])
         trits, bits = protocol.sample_admissible_batch(k, trials, rng)
         outcomes, distinct = per_vector_outcomes(bits, rng.random(trials))
-        records = [run.to_record() | {"seed": seed}
-                   for run in protocol.batch_runs(trits, bits, outcomes, "dense")]
+        records = []
+        for t, b, o in zip(trits.tolist(), bits.tolist(), outcomes.tolist()):
+            sent = [(y + x) % 3 for y, x in zip(t, o)]
+            records.append({"k": k, "trits": t, "bits": b, "outcomes": o, "transmissions": sent,
+                            "decoded": sum(sent) % 3, "expected": (sum(t) + b.count(0) // 3) % 3,
+                            "engine": "dense", "seed": seed})
         payload = {"k": k, "engine": "dense", "trials": trials,
                    "successes": trials, "failures": 0, "records": records}
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))

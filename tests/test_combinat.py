@@ -10,7 +10,6 @@ from tritgame.combinat import (
     grouped_sum,
     grouped_sum_primed,
     ramus,
-    trit_add,
 )
 
 
@@ -109,17 +108,3 @@ class TestRamus:
                 for q in range(p):
                     assert round(ramus(n, q, p)) == grouped_sum(n, q, p)
 
-
-class TestTritAdd:
-    def test_examples(self):
-        assert trit_add([]) == 0
-        assert trit_add([2, 2]) == 1
-        assert trit_add([1, 2, 0, 1]) == 1
-
-    def test_rejects_non_trits(self):
-        with pytest.raises(ValueError):
-            trit_add([0, 3])
-
-    @given(st.lists(st.integers(0, 2), max_size=30))
-    def test_matches_plain_sum(self, values):
-        assert trit_add(values) == sum(values) % 3

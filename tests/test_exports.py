@@ -1,0 +1,30 @@
+"""The package's export list."""
+
+import tritgame
+from tritgame import classical, combinat, protocol, qudit
+
+# Names of the per-row protocol API and the helpers only it used.
+REMOVED = (
+    "RegisterInput", "ProtocolRun", "global_function", "decode", "enumerate_admissible",
+    "batch_runs", "sample_admissible", "run_dense", "run_analytic", "apply_local",
+    "measure_all", "trit_add", "canonical_strategy_reps",
+)
+
+
+def test_every_exported_name_resolves():
+    assert len(set(tritgame.__all__)) == len(tritgame.__all__)
+    for name in tritgame.__all__:
+        assert hasattr(tritgame, name), name
+
+
+def test_star_import():
+    namespace: dict = {}
+    exec("from tritgame import *", namespace)
+    assert set(tritgame.__all__) <= set(namespace)
+
+
+def test_removed_names_are_gone():
+    for name in REMOVED:
+        assert name not in tritgame.__all__
+        for module in (tritgame, classical, combinat, protocol, qudit):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"

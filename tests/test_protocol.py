@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -7,26 +8,19 @@ from tritgame import cli, protocol, qudit
 from tritgame.combinat import binomial
 from tritgame.protocol import (
     AnalyticEngineLockedError,
-    RegisterInput,
     admissible_bit_vectors,
-    decode,
     decode_batch,
     dense_pre_measurement_state,
-    enumerate_admissible,
-    global_function,
     global_function_batch,
-    run_analytic,
     run_analytic_batch,
-    run_dense,
     run_dense_batch,
-    sample_admissible,
     sample_admissible_batch,
     verify_class_stepping,
     zero_triples_mod3,
 )
 from tritgame.qudit import (
     LocalGate,
-    apply_local,
+    QuditState,
     classify_sum_class,
     digit_sums,
     find_valid_root_branch,
@@ -36,6 +30,35 @@ from tritgame.qudit import (
 
 CHI2_99_DF3 = 11.345
 CHI2_99_DF26 = 45.642
+
+RECORD_KEYS = {
+    "k", "trits", "bits", "outcomes", "transmissions", "decoded", "expected", "engine", "seed",
+}
+
+
+def rows(*values):
+    """An int8 array with one row per tuple."""
+    return np.array(values, dtype=np.int8)
+
+
+def admissible_inputs(k):
+    """Every admissible input once, as int8 (trits, bits): bit vectors outer, trits inner."""
+    vectors = np.array(list(admissible_bit_vectors(k)), dtype=np.int8)
+    trit_rows = np.array(list(itertools.product((0, 1, 2), repeat=k)), dtype=np.int8)
+    return np.tile(trit_rows, (len(vectors), 1)), np.repeat(vectors, len(trit_rows), axis=0)
+
+
+def apply_local(state, matrix, party):
+    """Reference gate application: one einsum on the (3^p, 3, rest) view, validated."""
+    k = state.k
+    view = state.amplitudes.reshape(3**party, 3, 3 ** (k - party - 1))
+    return QuditState(3, k, np.einsum("ij,ajb->aib", matrix, view).reshape(-1))
+
+
+def record_run(capsys, argv):
+    code = cli.main(argv)
+    assert code == 0
+    return json.loads(capsys.readouterr().out)["payload"]["records"]
 
 
 class TestZeroTriples:
@@ -63,63 +86,86 @@ class TestZeroTriples:
 
 
 class TestRegisterInput:
+    """Input validation of the batch API, one row per input."""
+
     def test_bad_party_counts(self):
         for trits, bits in [((0,) * 3, (1,) * 3), ((0,) * 5, (1,) * 5), ((0,), (1,))]:
             with pytest.raises(ValueError, match="party count"):
-                RegisterInput(trits, bits)
+                global_function_batch(rows(trits), rows(bits))
+            with pytest.raises(ValueError, match="party count"):
+                decode_batch(rows(trits), rows(bits))
 
     def test_values_validated(self):
         with pytest.raises(ValueError, match="trits"):
-            RegisterInput((0, 1, 2, 3), (1, 1, 1, 1))
+            global_function_batch(rows((0, 1, 2, 3)), rows((1, 1, 1, 1)))
+        with pytest.raises(ValueError, match="trits"):
+            global_function_batch(rows((0, 1, -1, 0)), rows((1, 1, 1, 1)))
+        with pytest.raises(ValueError, match="trits"):
+            decode_batch(rows((0, 1, 2, 3)), rows((0, 0, 0, 0)))
         with pytest.raises(ValueError, match="bits"):
-            RegisterInput((0, 1, 2, 0), (1, 1, 1, 2))
+            global_function_batch(rows((0, 1, 2, 0)), rows((1, 1, 1, 2)))
         with pytest.raises(ValueError, match="inadmissible"):
-            RegisterInput((0, 1, 2, 0), (0, 1, 1, 1))
+            global_function_batch(rows((0, 1, 2, 0)), rows((0, 1, 1, 1)))
+
+    def test_trit_shape_must_match_the_rows(self):
+        # A single trit row must not broadcast against five bit rows.
+        trits = np.zeros((1, 4), dtype=np.int8)
+        bits = np.ones((5, 4), dtype=np.int8)
+        with pytest.raises(ValueError, match="trits"):
+            global_function_batch(trits, bits)
+        with pytest.raises(ValueError, match="trits"):
+            decode_batch(trits, np.zeros((5, 4), dtype=np.int8))
+        with pytest.raises(ValueError, match="trits"):
+            global_function_batch(np.zeros((5, 7), dtype=np.int8), bits)
 
     def test_zero_count(self):
-        reg = RegisterInput((0, 0, 0, 0), (0, 0, 0, 1))
-        assert reg.k == 4
-        assert reg.zero_count == 3
+        trits, bits = rows((0, 0, 0, 0)), rows((0, 0, 0, 1))
+        assert bits.shape[1] == 4
+        assert np.count_nonzero(bits == 0) == 3
+        assert global_function_batch(trits, bits).tolist() == [1]  # one zero triple
 
 
 class TestGlobalFunction:
     def test_examples(self):
-        assert global_function(RegisterInput((0, 0, 0, 0), (1, 1, 1, 1))) == 0
-        assert global_function(RegisterInput((1, 2, 0, 1), (0, 0, 0, 1))) == 2
+        assert global_function_batch(rows((0, 0, 0, 0)), rows((1, 1, 1, 1))).tolist() == [0]
+        assert global_function_batch(rows((1, 2, 0, 1)), rows((0, 0, 0, 1))).tolist() == [2]
         # Six zeros at k=10: two zero triples, trit sum 0.
         bits = (0,) * 6 + (1,) * 4
-        assert global_function(RegisterInput((0,) * 10, bits)) == 2
+        assert global_function_batch(rows((0,) * 10), rows(bits)).tolist() == [2]
 
 
 class TestEnumeration:
     def test_counts(self):
-        assert sum(1 for _ in enumerate_admissible(4)) == 405
+        trits, bits = admissible_inputs(4)
+        assert trits.shape == bits.shape == (405, 4)
 
     def test_no_duplicates_and_all_admissible(self):
-        seen = set()
-        for reg in enumerate_admissible(4):
-            key = (reg.trits, reg.bits)
-            assert key not in seen
-            seen.add(key)
-            assert reg.zero_count % 3 == 0
+        trits, bits = admissible_inputs(4)
+        seen = {(tuple(t), tuple(b)) for t, b in zip(trits.tolist(), bits.tolist())}
         assert len(seen) == 405
+        assert np.all(np.count_nonzero(bits == 0, axis=1) % 3 == 0)
+        assert global_function_batch(trits, bits).shape == (405,)
 
     def test_deterministic_order(self):
-        first = next(enumerate_admissible(4))
-        assert first.trits == (0, 0, 0, 0)
-        assert first.bits == (1, 1, 1, 1)
+        assert list(admissible_bit_vectors(4)) == [
+            (1, 1, 1, 1), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0),
+        ]
+        trits, bits = admissible_inputs(4)
+        assert trits[0].tolist() == [0, 0, 0, 0]
+        assert bits[0].tolist() == [1, 1, 1, 1]
 
     def test_k_validated(self):
-        with pytest.raises(ValueError):
-            list(enumerate_admissible(5))
+        with pytest.raises(ValueError, match="party count"):
+            list(admissible_bit_vectors(5))
 
 
 class TestSampling:
     def test_samples_are_admissible_and_deterministic(self):
-        a = [sample_admissible(7, np.random.default_rng(5)) for _ in range(25)]
-        b = [sample_admissible(7, np.random.default_rng(5)) for _ in range(25)]
-        assert a == b
-        assert all(r.zero_count % 3 == 0 for r in a)
+        trits, bits = sample_admissible_batch(7, 25, np.random.default_rng(5))
+        again = sample_admissible_batch(7, 25, np.random.default_rng(5))
+        assert np.array_equal(trits, again[0]) and np.array_equal(bits, again[1])
+        assert np.all(np.count_nonzero(bits == 0, axis=1) % 3 == 0)
+        assert global_function_batch(trits, bits).shape == (25,)
         assert sample_admissible_batch(7, 0, np.random.default_rng(5))[1].shape == (0, 7)
 
     def test_zero_count_distribution_at_ten_parties(self):
@@ -145,23 +191,28 @@ class TestSampling:
         assert set(np.unique(trits).tolist()) == {0, 1, 2}
 
     def test_large_k_is_cheap(self):
-        reg = sample_admissible(100, np.random.default_rng(0))
-        assert reg.k == 100
+        trits, bits = sample_admissible_batch(100, 1, np.random.default_rng(0))
+        assert trits.shape == bits.shape == (1, 100)
 
 
 class TestDecode:
     def test_examples(self):
-        assert decode((0, 0, 0, 0)) == 0
-        assert decode((1, 1, 1, 1)) == 1
+        zeros = rows((0, 0, 0, 0))
+        assert decode_batch(zeros, zeros).tolist() == [0]
+        assert decode_batch(rows((1, 1, 1, 1)), zeros).tolist() == [1]
+        # Transmissions (0, 1, 0, 0): each party sends trit plus outcome, mod 3.
+        assert decode_batch(rows((2, 2, 1, 0)), rows((1, 2, 2, 0))).tolist() == [1]
 
 
 class TestDenseEngine:
     def test_no_gates_when_all_bits_one(self):
-        rng = np.random.default_rng(11)
-        for trits in ((0, 0, 0, 0), (1, 2, 0, 1), (2, 2, 2, 2)):
-            run = run_dense(RegisterInput(trits, (1, 1, 1, 1)), rng)
-            assert run.decoded == sum(trits) % 3
-            assert run.ok
+        trits = rows((0, 0, 0, 0), (1, 2, 0, 1), (2, 2, 2, 2))
+        bits = np.ones_like(trits)
+        outcomes, counts = run_dense_batch(bits, np.random.default_rng(11))
+        assert counts.gates == 0
+        decoded = decode_batch(trits, outcomes)
+        assert decoded.tolist() == [sum(t) % 3 for t in trits.tolist()]
+        assert np.array_equal(decoded, global_function_batch(trits, bits))
 
     def test_pre_measurement_state_is_the_predicted_class(self):
         state = dense_pre_measurement_state(4, (0, 0, 0, 1))
@@ -171,35 +222,42 @@ class TestDenseEngine:
         assert j == 1
         assert abs(abs(c) - 1.0) <= 1e-10
 
-    def test_run_consistency_fields(self):
-        rng = np.random.default_rng(2)
-        reg = RegisterInput((1, 0, 2, 1), (0, 1, 0, 0))
-        run = run_dense(reg, rng)
-        # One trit per party; the decoder sees nothing but the transmissions.
-        assert len(run.transmissions) == reg.k
-        assert run.transmissions == tuple(
-            (y + x) % 3 for y, x in zip(reg.trits, run.outcomes)
+    def test_run_consistency_fields(self, capsys):
+        trits, bits = rows((1, 0, 2, 1)), rows((0, 1, 0, 0))
+        outcomes, _ = run_dense_batch(bits, np.random.default_rng(2))
+        assert decode_batch(trits, outcomes).tolist() == [(4 + 1) % 3]
+        # On real records: one trit per party, and the decoder sees nothing
+        # but the transmissions.
+        records = record_run(
+            capsys, ["quantum-run", "--k", "4", "--trials", "200", "--seed", "2", "--records"]
         )
-        assert run.decoded == decode(run.transmissions)
-        assert run.expected == global_function(reg)
-        assert run.engine == "dense"
+        assert len(records) == 200
+        for r in records:
+            assert len(r["transmissions"]) == r["k"] == 4
+            assert r["transmissions"] == [(y + x) % 3 for y, x in zip(r["trits"], r["outcomes"])]
+            assert r["decoded"] == sum(r["transmissions"]) % 3
+            assert r["expected"] == (sum(r["trits"]) + r["bits"].count(0) // 3) % 3
+            assert r["decoded"] == r["expected"]
+            assert r["engine"] == "dense"
 
     def test_exhaustive_sweep_at_four_parties(self):
-        rng = np.random.default_rng(123)
-        assert all(run_dense(reg, rng).ok for reg in enumerate_admissible(4))
+        trits, bits = admissible_inputs(4)
+        outcomes, _ = run_dense_batch(bits, np.random.default_rng(123))
+        assert len(outcomes) == 405
+        assert np.array_equal(decode_batch(trits, outcomes), global_function_batch(trits, bits))
 
     def test_outcome_sum_equals_zero_triple_count(self):
-        rng = np.random.default_rng(8)
-        for reg in list(enumerate_admissible(4))[:50]:
-            run = run_dense(reg, rng)
-            assert sum(run.outcomes) % 3 == zero_triples_mod3(reg.bits)
+        _, bits = admissible_inputs(4)
+        outcomes, _ = run_dense_batch(bits, np.random.default_rng(8))
+        expected = [zero_triples_mod3(b) for b in bits.tolist()]
+        assert (outcomes.sum(axis=1) % 3).tolist() == expected
 
     def test_k_bound(self):
         with pytest.raises(ValueError, match="dense"):
             dense_pre_measurement_state(16, (1,) * 16)
 
     def test_evolution_matches_apply_local_chain_at_ten_parties(self):
-        # Reference: one validated apply_local per zero-bit party.
+        # Reference: one validated einsum per zero-bit party.
         gate = root_gate(3, find_valid_root_branch())
         start = make_sum_class_state(10, 0)
         vectors = list(admissible_bit_vectors(10))
@@ -207,9 +265,9 @@ class TestDenseEngine:
         worst = 0.0
         for bits in vectors:
             ref = start
-            for party, bit in enumerate(bits, start=1):
+            for party, bit in enumerate(bits):
                 if bit == 0:
-                    ref = apply_local(ref, gate, party)
+                    ref = apply_local(ref, gate.matrix, party)
             state = dense_pre_measurement_state(10, bits, gate=gate, start=start)
             worst = max(worst, float(np.max(np.abs(state.amplitudes - ref.amplitudes))))
         assert worst <= 1e-12
@@ -283,19 +341,17 @@ class TestDenseEngine:
         assert set(failure) == {"k", "trits", "bits", "outcomes", "decoded", "expected"}
         assert failure["decoded"] != failure["expected"]
         assert failure["bits"].count(0) in (3, 6)
-        reg = RegisterInput(tuple(failure["trits"]), tuple(failure["bits"]))
-        assert failure["expected"] == global_function(reg)
+        assert failure["expected"] == (sum(failure["trits"]) + failure["bits"].count(0) // 3) % 3
         transmissions = [(y + x) % 3 for y, x in zip(failure["trits"], failure["outcomes"])]
-        assert failure["decoded"] == decode(transmissions)
+        assert failure["decoded"] == sum(transmissions) % 3
 
 
 class TestAnalyticEngine:
     def test_locked_without_verification(self):
         protocol._reset_verification()
         rng = np.random.default_rng(0)
-        reg = RegisterInput((0, 0, 0, 0), (1, 1, 1, 1))
         with pytest.raises(AnalyticEngineLockedError):
-            run_analytic(reg, rng)
+            run_analytic_batch(rows((1, 1, 1, 1)), rng)
         with pytest.raises(AnalyticEngineLockedError):
             run_analytic_batch(np.ones((3, 4), dtype=np.int8), rng)
         verify_class_stepping()  # re-unlock for the rest of the session
@@ -304,21 +360,20 @@ class TestAnalyticEngine:
         protocol._reset_verification()
         cert = verify_class_stepping(ks=(4,))
         assert cert.checked_k == (4,)
-        rng = np.random.default_rng(0)
-        reg = RegisterInput((0, 0, 0, 0), (1, 1, 1, 1))
         with pytest.raises(AnalyticEngineLockedError):
-            run_analytic(reg, rng)
+            run_analytic_batch(rows((1, 1, 1, 1)), np.random.default_rng(0))
         verify_class_stepping()  # full suite re-unlocks
 
     def test_always_correct_at_large_k(self, stepping_cert):
         rng = np.random.default_rng(31)
-        for _ in range(2000):
-            reg = sample_admissible(100, rng)
-            run = run_analytic(reg, rng)
-            assert run.ok
-            assert sum(run.outcomes) % 3 == zero_triples_mod3(reg.bits)
-        for _ in range(200):
-            assert run_analytic(sample_admissible(1000, rng), rng).ok
+        trits, bits = sample_admissible_batch(100, 2000, rng)
+        outcomes = run_analytic_batch(bits, rng)
+        assert np.array_equal(decode_batch(trits, outcomes), global_function_batch(trits, bits))
+        zeros = np.count_nonzero(bits == 0, axis=1)
+        assert np.array_equal(outcomes.sum(axis=1) % 3, zeros // 3 % 3)
+        trits, bits = sample_admissible_batch(1000, 200, rng)
+        outcomes = run_analytic_batch(bits, rng)
+        assert np.array_equal(decode_batch(trits, outcomes), global_function_batch(trits, bits))
 
     def test_certificate_contents(self, stepping_cert):
         assert stepping_cert.branch == (0, 0)
@@ -375,12 +430,14 @@ class TestVerification:
             assert reported == worst
         assert max(cold.sweep_deviations) <= 1e-10
 
-    def test_record_serialization(self, stepping_cert):
-        rng = np.random.default_rng(4)
-        reg = sample_admissible(7, rng)
-        record = run_analytic(reg, rng).to_record()
-        assert record["k"] == 7
-        assert set(record) == {
-            "k", "trits", "bits", "outcomes", "transmissions",
-            "decoded", "expected", "engine",
-        }
+    def test_record_serialization(self, capsys):
+        records = record_run(capsys, ["quantum-run", "--k", "7", "--engine", "analytic",
+                                      "--trials", "5", "--seed", "4", "--records"])
+        assert len(records) == 5
+        for record in records:
+            assert set(record) == RECORD_KEYS
+            assert record["k"] == 7 and record["engine"] == "analytic" and record["seed"] == 4
+            for key in ("trits", "bits", "outcomes", "transmissions"):
+                assert len(record[key]) == 7
+                assert all(type(v) is int for v in record[key])
+            assert type(record["decoded"]) is type(record["expected"]) is int

@@ -5,13 +5,13 @@ from tritgame.qudit import (
     LocalGate,
     QuditState,
     RootBranch,
-    apply_local,
     classify_sum_class,
     digit_string,
     digit_sums,
+    evolve,
     find_valid_root_branch,
+    inverse_cdf,
     make_sum_class_state,
-    measure_all,
     permutation_gate,
     root_gate,
     sum_class_deviation,
@@ -30,6 +30,12 @@ def basis_state(digits, d=3):
         index = index * d + t
     amps[index] = 1.0
     return QuditState(d, k, amps)
+
+
+def measure_all(state, rng):
+    """One basis string drawn with probability |amplitude|^2, by inverse CDF."""
+    cumulative = np.cumsum(np.abs(state.amplitudes) ** 2)
+    return state.basis_label(int(inverse_cdf(cumulative, rng.random())))
 
 
 class TestQuditState:
@@ -57,6 +63,37 @@ class TestQuditState:
         state = make_sum_class_state(2, 0)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.5
+
+    def test_constructor_copies_the_callers_array(self):
+        amps = np.zeros(9, dtype=complex)
+        amps[4] = 1.0
+        state = QuditState(3, 2, amps)
+        amps[4], amps[0] = 0.0, 1.0
+        assert state.amplitudes[4] == 1.0 and state.amplitudes[0] == 0.0
+        assert not np.shares_memory(state.amplitudes, amps)
+
+    def test_adopted_arrays_are_validated_not_copied(self):
+        amps = np.zeros(3, dtype=complex)
+        amps[1] = 1.0
+        assert np.shares_memory(QuditState(3, 1, amps, _copy=False).amplitudes, amps)
+        with pytest.raises(ValueError, match="not finite"):
+            QuditState(3, 1, np.array([np.nan, 0, 0], dtype=complex), _copy=False)
+        with pytest.raises(ValueError, match="not normalized"):
+            QuditState(3, 1, np.ones(3, dtype=complex), _copy=False)
+        # With no gate to apply, evolve adopts the start's read-only array.
+        start = make_sum_class_state(3, 1)
+        out = evolve(start, permutation_gate(3), [])
+        assert out is not start
+        assert np.shares_memory(out.amplitudes, start.amplitudes)
+        assert not out.amplitudes.flags.writeable
+
+    def test_equality_returns_a_bool(self):
+        gate_a, gate_b = permutation_gate(3), permutation_gate(3)
+        assert (gate_a == gate_b) is False
+        assert (gate_a == gate_a) is True
+        a, b = make_sum_class_state(3, 0), basis_state((0, 0, 0))
+        assert ((a, b) == (a, b)) is True
+        assert ((a, b) == (b, a)) is False
 
     def test_basis_labels_party_one_first(self):
         state = basis_state((0, 1, 2))
@@ -110,12 +147,12 @@ class TestGates:
     def test_shift_gate_cycles_digits(self):
         gate = permutation_gate(3)
         for start, want in ((0, 1), (1, 2), (2, 0)):
-            out = apply_local(basis_state((start,)), gate, 1)
+            out = evolve(basis_state((start,)), gate, [0])
             assert out.basis_label(int(np.argmax(np.abs(out.amplitudes)))) == str(want)
 
     def test_not_gate(self):
         gate = permutation_gate(2)
-        out = apply_local(basis_state((1,), d=2), gate, 1)
+        out = evolve(basis_state((1,), d=2), gate, [0])
         np.testing.assert_allclose(out.amplitudes, [1, 0], atol=1e-15)
 
     def test_unsupported_dimension(self):
@@ -192,13 +229,15 @@ class TestRootBranchSearch:
 
 
 class TestApplyLocal:
+    """Single-party gates through :func:`evolve`; parties count from 0."""
+
     def test_identity_gate_keeps_amplitudes(self):
         state = make_sum_class_state(3, 2)
-        out = apply_local(state, LocalGate(3, np.eye(3)), 2)
+        out = evolve(state, LocalGate(3, np.eye(3)), [1])
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
     def test_shift_on_party_one(self):
-        out = apply_local(basis_state((0, 1, 2)), permutation_gate(3), 1)
+        out = evolve(basis_state((0, 1, 2)), permutation_gate(3), [0])
         assert out.basis_label(int(np.argmax(np.abs(out.amplitudes)))) == "112"
 
     def test_norm_preserved_on_random_state(self):
@@ -206,22 +245,22 @@ class TestApplyLocal:
         raw = rng.normal(size=27) + 1j * rng.normal(size=27)
         state = QuditState(3, 3, raw / np.linalg.norm(raw))
         gate = root_gate(3, RootBranch(1, 2))
-        for party in (1, 2, 3):
-            state = apply_local(state, gate, party)
+        for party in (0, 1, 2):
+            state = evolve(state, gate, [party])
         assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) <= 1e-10
 
     def test_dimension_and_index_errors(self):
         state = make_sum_class_state(2, 0)
         with pytest.raises(ValueError, match="dimension"):
-            apply_local(state, permutation_gate(2), 1)
+            evolve(state, permutation_gate(2), [0])
         with pytest.raises(ValueError, match="party"):
-            apply_local(state, permutation_gate(3), 3)
+            evolve(state, permutation_gate(3), [2])
+        with pytest.raises(ValueError, match="party"):
+            evolve(state, permutation_gate(3), [-1])
 
     def test_root_gate_on_both_qubits_swaps_parity_classes(self):
         state = make_sum_class_state(2, 0, d=2)
-        gate = root_gate(2)
-        for party in (1, 2):
-            state = apply_local(state, gate, party)
+        state = evolve(state, root_gate(2), [0, 1])
         target = make_sum_class_state(2, 1, d=2).amplitudes
         c = np.vdot(target, state.amplitudes)
         assert abs(abs(c) - 1.0) <= 1e-10
