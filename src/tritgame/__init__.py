@@ -12,13 +12,11 @@ one-trit strategies, which collapses toward 1/3 as the party count grows.
 __version__ = "0.1.0"
 
 from .bounds import (
-    BoundParams,
     BoundRow,
     bound_A,
     bound_F,
     bound_L,
     bound_N,
-    bound_value,
     convergence_table,
     plus_op,
 )
@@ -44,7 +42,6 @@ from .classical import (
     transcript_class_stats,
 )
 from .combinat import (
-    GroupedSumSpec,
     binomial,
     grouped_sum,
     grouped_sum_primed,
@@ -80,7 +77,7 @@ from .qudit import (
 __all__ = [
     "__version__",
     # combinatorics
-    "GroupedSumSpec", "binomial", "grouped_sum", "grouped_sum_primed", "ramus",
+    "binomial", "grouped_sum", "grouped_sum_primed", "ramus",
     # qudit simulation
     "LocalGate", "QuditState", "RootBranch", "classify_sum_class", "evolve",
     "find_valid_root_branch", "inverse_cdf", "make_sum_class_state", "permutation_gate",
@@ -98,6 +95,5 @@ __all__ = [
     "strategy_groups", "strategy_orbit_reps", "transcript_class_count",
     "transcript_class_stats",
     # bounds
-    "BoundParams", "BoundRow", "bound_A", "bound_F", "bound_L", "bound_N",
-    "bound_value", "convergence_table", "plus_op",
+    "BoundRow", "bound_A", "bound_F", "bound_L", "bound_N", "convergence_table", "plus_op",
 ]

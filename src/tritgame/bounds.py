@@ -28,22 +28,6 @@ _FAMILIES = ("A", "F", "L", "N")
 
 
 @dataclass(frozen=True)
-class BoundParams:
-    """Parameter point of one bound family.
-
-    ``j`` sizes the group (3j+1 parties); ``i`` and ``m`` select the
-    A-family offsets; ``a`` the residue of the F/L/N families; ``im_rule``
-    the sub-configuration residue rule.
-    """
-
-    j: int
-    i: int = 0
-    m: int = 0
-    a: int = 0
-    im_rule: ImRule = "max"
-
-
-@dataclass(frozen=True)
 class BoundRow:
     """One convergence-table entry; ``gap`` renders value - 1/3 as float."""
 
@@ -65,45 +49,44 @@ def plus_op(z: int) -> int:
     return z if z > 0 else 0
 
 
-def _check_j(j: int) -> None:
+def _parties(j: int, a: int = 0) -> int:
+    """The party count 3j + 1, after checking j and the residue a."""
     if j < 1:
         raise ValueError(f"group parameter j must be >= 1, got {j}")
+    if a not in (0, 1, 2):
+        raise ValueError(f"residue a must be in 0..2, got {a}")
+    return 3 * j + 1
 
 
-def _residue_terms(n: int, im_rule: ImRule) -> int:
-    """Grouped sum over one residue class of n, under the selection rule."""
+def _residues(im_rule: ImRule) -> tuple[int, ...]:
+    """The residues a rule maximizes over: all three for "max", else its own."""
     if im_rule == "max":
-        return max(grouped_sum(n, r, 3) for r in (0, 1, 2))
+        return (0, 1, 2)
     if im_rule in (0, 1, 2):
-        return grouped_sum(n, im_rule, 3)
+        return (im_rule,)
     raise ValueError(f"im_rule must be 0, 1, 2 or 'max', got {im_rule!r}")
 
 
 def bound_A(j: int, i: int, m: int) -> Fraction:
     """(2,2,2) family: zero-count classes against all admissible classes."""
-    _check_j(j)
+    n = _parties(j)
     if i not in (0, 1):
         raise ValueError(f"offset i must be 0 or 1, got {i}")
     if m not in (0, 3, 6):
         raise ValueError(f"offset m must be 0, 3 or 6, got {m}")
-    n = 3 * j + 1
     return Fraction(grouped_sum(n, 1 + i + m, 9), grouped_sum(n, 1 + i, 3))
 
 
 def bound_F(j: int, a: int, im_rule: ImRule = "max") -> Fraction:
     """(3,2,1) family: one three-value cell, residue a from outside parties."""
-    _check_j(j)
-    if a not in (0, 1, 2):
-        raise ValueError(f"residue a must be in 0..2, got {a}")
-    n = 3 * j + 1
+    n = _parties(j, a)
+    residues = _residues(im_rule)
     numerator = 2 * binomial(n, a)
     denominator = 0
-    m = 0
-    while a + m <= n:
-        if m >= 3:
-            numerator += binomial(n, a + m) * _residue_terms(a + m, im_rule)
-        denominator += binomial(n, a + m) * 2 ** (a + m)
-        m += 3
+    for am in range(a, n + 1, 3):
+        if am >= a + 3:
+            numerator += binomial(n, am) * max(grouped_sum(am, r, 3) for r in residues)
+        denominator += binomial(n, am) * 2**am
     return Fraction(numerator, denominator)
 
 
@@ -119,105 +102,53 @@ def _l_inner(am: int, rest: int, i_m: int) -> int:
 
 def bound_L(j: int, a: int, im_rule: ImRule = "max") -> Fraction:
     """(4,1,1) family (mixed cell): primed grouped sums on both bit sides."""
-    _check_j(j)
-    if a not in (0, 1, 2):
-        raise ValueError(f"residue a must be in 0..2, got {a}")
-    n = 3 * j + 1
+    n = _parties(j, a)
+    residues = _residues(im_rule)
     numerator = 0
     denominator = 0
-    m = 0
-    while a + m <= n:
-        am = a + m
-        if im_rule == "max":
-            inner = max(_l_inner(am, n - am, r) for r in (0, 1, 2))
-        elif im_rule in (0, 1, 2):
-            inner = _l_inner(am, n - am, im_rule)
-        else:
-            raise ValueError(f"im_rule must be 0, 1, 2 or 'max', got {im_rule!r}")
-        numerator += binomial(n, am) * inner
+    for am in range(a, n + 1, 3):
+        numerator += binomial(n, am) * max(_l_inner(am, n - am, r) for r in residues)
         denominator += binomial(n, am) * 2**n
-        m += 3
     return Fraction(numerator, denominator)
 
 
 def bound_N(j: int, a: int) -> Fraction:
     """(4,1,1) family (single-bit cell); exactly 1/3 whenever a >= 1."""
-    _check_j(j)
-    if a not in (0, 1, 2):
-        raise ValueError(f"residue a must be in 0..2, got {a}")
-    n = 3 * j + 1
+    n = _parties(j, a)
     numerator = 0
     denominator = 0
-    m = 0
-    while a + m <= n:
-        numerator += binomial(n, m + a) * 3 ** plus_op(m + a - 1)
-        denominator += binomial(n, m + a) * 3 ** (m + a)
-        m += 3
+    for am in range(a, n + 1, 3):
+        numerator += binomial(n, am) * 3 ** plus_op(am - 1)
+        denominator += binomial(n, am) * 3**am
     return Fraction(numerator, denominator)
 
 
-def _family_points(family: str, j: int, im_rule: ImRule) -> list[BoundParams]:
-    if family == "A":
-        return [BoundParams(j, i=i, m=m) for i in (0, 1) for m in (0, 3, 6)]
-    return [BoundParams(j, a=a, im_rule=im_rule) for a in (0, 1, 2)]
-
-
-def bound_value(family: str, params: BoundParams) -> Fraction:
-    """Evaluate one family at one parameter point."""
-    if family == "A":
-        return bound_A(params.j, params.i, params.m)
-    if family == "F":
-        return bound_F(params.j, params.a, params.im_rule)
-    if family == "L":
-        return bound_L(params.j, params.a, params.im_rule)
-    if family == "N":
-        return bound_N(params.j, params.a)
-    raise ValueError(f"unknown bound family {family!r}; expected one of {_FAMILIES}")
-
-
 def convergence_table(
-    family: str,
-    j_values: Iterable[int],
-    im_rule: ImRule = "max",
-    include_headline: bool = True,
+    family: str, j_values: Iterable[int], im_rule: ImRule = "max"
 ) -> list[BoundRow]:
     """Evaluate a family on its parameter grid for each j.
 
-    Emits one row per grid point and, when ``include_headline`` is set, a
-    summary row per j taking the maximum over the grid (grid fields None),
-    which is the quantity the per-type bound statements refer to.
+    The grid is (i, m) for A and the residue a for F, L and N.  Each j
+    gives one row per grid point, then a summary row taking the maximum
+    over the grid (grid fields None), which is the quantity the per-type
+    bound statements refer to.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown bound family {family!r}; expected one of {_FAMILIES}")
+    rule = im_rule if family in ("F", "L") else None
     rows: list[BoundRow] = []
-    uses_rule = family in ("F", "L")
-    grid_fields = ("i", "m") if family == "A" else ("a",)
     for j in sorted(set(j_values)):
-        values = []
-        for point in _family_points(family, j, im_rule):
-            value = bound_value(family, point)
-            values.append(value)
-            rows.append(
-                BoundRow(
-                    family=family,
-                    j=j,
-                    i=point.i if "i" in grid_fields else None,
-                    m=point.m if "m" in grid_fields else None,
-                    a=point.a if "a" in grid_fields else None,
-                    im_rule=im_rule if uses_rule else None,
-                    value=value,
-                )
-            )
-        if include_headline:
-            rows.append(
-                BoundRow(
-                    family=family,
-                    j=j,
-                    i=None,
-                    m=None,
-                    a=None,
-                    im_rule=im_rule if uses_rule else None,
-                    value=max(values),
-                )
-            )
+        if family == "A":
+            grid = [
+                BoundRow(family, j, i, m, None, None, bound_A(j, i, m))
+                for i in (0, 1)
+                for m in (0, 3, 6)
+            ]
+        elif family == "N":
+            grid = [BoundRow(family, j, None, None, a, None, bound_N(j, a)) for a in (0, 1, 2)]
+        else:
+            bound = bound_F if family == "F" else bound_L
+            grid = [BoundRow(family, j, None, None, a, rule, bound(j, a, rule)) for a in (0, 1, 2)]
+        rows += grid
+        rows.append(BoundRow(family, j, None, None, None, rule, max(r.value for r in grid)))
     return rows

@@ -106,69 +106,42 @@ def division_type(strategy: Strategy) -> DivisionType:
     return tuple(sorted(sizes, reverse=True))
 
 
-# Named division families.  Each entry: (pattern, default slot values) where
-# the pattern gives the 0-cell as (trit, bit) pairs and "*" marks a
-# caller-fillable trit slot.  Families whose documented 0-cell is fully
-# concrete have no slots; slots of the remaining families default to the
-# smallest assignment that keeps the cell's size.
-_DIVISION_FAMILIES: dict[str, tuple[tuple[tuple[object, int], ...], tuple[int, ...]]] = {
-    "A": (((0, 0), (0, 1)), ()),
-    "B": ((("*", 0), ("*", 1)), (1, 0)),
-    "C": ((("*", 1), ("*", 1)), (1, 0)),
-    "D": ((("*", 0), ("*", 1)), (2, 0)),
-    "E": ((("*", 1), ("*", 1)), (2, 0)),
-    "F": (((1, 0), (1, 1), (0, 1)), ()),
-    "H": ((("*", 0), ("*", 1), ("*", 1)), (0, 0, 1)),
-    "I": ((("*", 1), ("*", 0), ("*", 0)), (0, 0, 1)),
-    "J": ((("*", 1), ("*", 1), ("*", 1)), (0, 1, 2)),
-    "K": ((("*", 0), ("*", 0), ("*", 0)), (0, 1, 2)),
-    "L": (((1, 0), (0, 0), (1, 1), (0, 1)), ()),
-    "M": ((("*", 0), ("*", 0), ("*", 1), ("*", 1)), (0, 1, 0, 1)),
-    "N": ((("*", 0), (2, 1), (1, 1), (0, 1)), (0,)),
-    "O": ((("*", 1), (2, 0), (1, 0), (0, 0)), (0,)),
+# Named division families by their 0-cell, as (trit, bit) register values.
+_DIVISION_FAMILIES: dict[str, tuple[tuple[int, int], ...]] = {
+    "A": ((0, 0), (0, 1)),
+    "B": ((0, 1), (1, 0)),
+    "C": ((0, 1), (1, 1)),
+    "D": ((0, 1), (2, 0)),
+    "E": ((0, 1), (2, 1)),
+    "F": ((0, 1), (1, 0), (1, 1)),
+    "H": ((0, 0), (0, 1), (1, 1)),
+    "I": ((0, 0), (0, 1), (1, 0)),
+    "J": ((0, 1), (1, 1), (2, 1)),
+    "K": ((0, 0), (1, 0), (2, 0)),
+    "L": ((0, 0), (0, 1), (1, 0), (1, 1)),
+    "M": ((0, 0), (0, 1), (1, 0), (1, 1)),
+    "N": ((0, 0), (0, 1), (1, 1), (2, 1)),
+    "O": ((0, 0), (0, 1), (1, 0), (2, 0)),
 }
 
 DIVISION_NAMES = tuple(_DIVISION_FAMILIES)
 
 
-def canonical_division(name: str, slots: Sequence[int] | None = None) -> Strategy:
+def canonical_division(name: str) -> Strategy:
     """Named division family, completed to a full strategy.
 
-    ``slots`` fills the family's free trit positions in the order they occur
-    in the 0-cell pattern; defaults keep the documented cells (concrete
-    families) or the smallest valid assignment (slot-only families).  The
-    register values outside the 0-cell are assigned to cells 1 and 2 in
-    lexicographic order, cell 1 taking the larger half, which keeps the
-    division of the advertised type.
+    The register values outside the family's 0-cell are assigned to cells 1
+    and 2 in lexicographic order, cell 1 taking the larger half, which
+    keeps the division of the advertised type.
     """
     if name not in _DIVISION_FAMILIES:
         raise ValueError(f"unknown division name {name!r}; expected one of {DIVISION_NAMES}")
-    pattern, defaults = _DIVISION_FAMILIES[name]
-    n_slots = sum(1 for v, _ in pattern if isinstance(v, str))
-    if slots is None:
-        slots = defaults
-    if len(slots) != n_slots:
-        raise ValueError(f"division {name} takes {n_slots} slot value(s), got {len(slots)}")
-    if any(s not in (0, 1, 2) for s in slots):
-        raise ValueError(f"slot values must be trits, got {tuple(slots)!r}")
-
-    it = iter(slots)
-    zero_cell = [((next(it) if isinstance(v, str) else v), bit) for v, bit in pattern]
-    if len(set(zero_cell)) != len(pattern):
-        raise ValueError(
-            f"slot values {tuple(slots)!r} collapse the 0-cell of division {name}"
-        )
-
-    rest = [v for v in REGISTER_VALUES if v not in set(zero_cell)]
-    size1 = (len(rest) + 1) // 2
-    table = {}
-    for v in zero_cell:
-        table[v] = 0
-    for v in rest[:size1]:
-        table[v] = 1
-    for v in rest[size1:]:
-        table[v] = 2
-    return Strategy(tuple(table[v] for v in REGISTER_VALUES))
+    zero_cell = _DIVISION_FAMILIES[name]
+    rest = [v for v in REGISTER_VALUES if v not in zero_cell]
+    cell_2 = rest[(len(rest) + 1) // 2:]
+    return Strategy(
+        tuple(0 if v in zero_cell else 2 if v in cell_2 else 1 for v in REGISTER_VALUES)
+    )
 
 
 @dataclass(frozen=True)
@@ -255,10 +228,6 @@ def _half_codes(luts: Sequence[np.ndarray]) -> np.ndarray:
     return codes
 
 
-def _pack_bits(bits: Sequence[int]) -> int:
-    return int("".join(map(str, bits)), 2)
-
-
 def exhaustive_transcript_counts(profile: StrategyProfile, long_run: bool = False) -> np.ndarray:
     """(3^k, 3) exact counts of admissible inputs per transcript and global value.
 
@@ -284,12 +253,14 @@ def exhaustive_transcript_counts(profile: StrategyProfile, long_run: bool = Fals
     lo = _half_codes(luts[h:]) * 3
     global_values = _shifted_trit_sums(k)
 
+    vectors = admissible_bit_vectors(k)
+    codes = vectors @ (1 << np.arange(k - 1, -1, -1))  # party 1's bit most significant
     acc = np.zeros(3**k * 3, dtype=np.int64)
     index = np.empty((3**h, 3 ** (k - h)), dtype=np.intp)
     flat = index.reshape(-1)
-    for bits in admissible_bit_vectors(k):
-        np.add(hi[_pack_bits(bits[:h]), :, None], lo[_pack_bits(bits[h:])], out=index)
-        flat += global_values[zero_triples_mod3(bits)]
+    for code, g in zip(codes.tolist(), zero_triples_mod3(vectors).tolist()):
+        np.add(hi[code >> (k - h), :, None], lo[code & ((1 << (k - h)) - 1)], out=index)
+        flat += global_values[g]
         acc += np.bincount(flat, minlength=acc.size)
     return acc.reshape(-1, 3)
 
@@ -689,15 +660,17 @@ class WorkedExampleReport:
     ``per_m_counts`` maps the zero-bit count m to the number of admissible
     configurations consistent with the all-zero transcript; ``g_label_by_m``
     assigns each m its global value under the normative definition
-    (trit sum + m/3 mod 3).  A common rendition of this example labels the
-    cases offset by +1 from that definition; counts and the success ratio
-    do not depend on the labels.
+    (trit sum + m/3 mod 3), and ``g_totals[v]`` sums the counts labelled v.
+    A common rendition of this example labels the cases offset by +1 from
+    that definition; counts and the success ratio do not depend on the
+    labels.
     """
 
     k: int
     strategy: Strategy
     per_m_counts: dict[int, int]
     g_label_by_m: dict[int, int]
+    g_totals: tuple[int, int, int]
     total: int
     majority_value: int
     majority_count: int
@@ -734,6 +707,7 @@ def ten_player_worked_example() -> WorkedExampleReport:
         strategy=strategy,
         per_m_counts=per_m,
         g_label_by_m=labels,
+        g_totals=tuple(g_totals),
         total=total,
         majority_value=majority_value,
         majority_count=majority_count,

@@ -122,6 +122,7 @@ def _parse_profile(text: str, k: int) -> StrategyProfile:
 def cmd_quantum_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     config = {"k": list(args.k), "tolerance": args.tolerance, "tampered": args.debug_tamper}
+    metrics = None
     try:
         cert = verify_class_stepping(
             ks=tuple(args.k),
@@ -132,37 +133,33 @@ def cmd_quantum_verify(args: argparse.Namespace) -> int:
         payload = {
             "ok": cert.root_check.ok and cert.swap_check.ok and sweep_ok,
             "checks": [
-                {
-                    "name": "root-branch-search",
-                    "ok": True,
-                    "branch": list(cert.branch),
-                },
-                {
-                    "name": "root-cube-and-class-step",
-                    "ok": cert.root_check.ok,
-                    "max_deviation": cert.root_check.max_deviation,
-                    "phase_real": cert.root_check.phase.real,
-                    "phase_imag": cert.root_check.phase.imag,
-                },
-                {
-                    "name": "dim2-swap",
-                    "ok": cert.swap_check.ok,
-                    "max_deviation": cert.swap_check.max_deviation,
-                },
+                {"name": "root-branch-search", "ok": True, "branch": list(cert.branch)},
+                {"name": "root-cube-and-class-step", "ok": cert.root_check.ok},
+                {"name": "dim2-swap", "ok": cert.swap_check.ok},
                 {
                     "name": "class-sweep",
                     "ok": sweep_ok,
                     "k": list(cert.checked_k),
                     "bit_vectors_checked": [grouped_sum(k, 0, 3) for k in cert.checked_k],
-                    "max_deviation": list(cert.sweep_deviations),
                 },
             ],
+        }
+        # The measured floats depend on the order numpy sums in, so they stay
+        # out of the hashed payload.
+        metrics = {
+            "root-cube-and-class-step": {
+                "max_deviation": cert.root_check.max_deviation,
+                "phase_real": cert.root_check.phase.real,
+                "phase_imag": cert.root_check.phase.imag,
+            },
+            "dim2-swap": {"max_deviation": cert.swap_check.max_deviation},
+            "class-sweep": {"max_deviation": list(cert.sweep_deviations)},
         }
         code = EXIT_OK if payload["ok"] else EXIT_CHECK_FAILED
     except (VerificationError, LookupError) as exc:
         payload = {"ok": False, "error": str(exc)}
         code = EXIT_CHECK_FAILED
-    _emit_envelope(_envelope("quantum-verify", config, payload, started), args.output)
+    _emit_envelope(_envelope("quantum-verify", config, payload, started, metrics), args.output)
     return code
 
 
@@ -305,7 +302,7 @@ def cmd_classical(args: argparse.Namespace) -> int:
             "transcript": "all parties send 0",
             "per_m_counts": {str(m): c for m, c in sorted(report.per_m_counts.items())},
             "g_label_by_m": {str(m): g for m, g in sorted(report.g_label_by_m.items())},
-            "g_totals": _g_totals(report),
+            "g_totals": {str(v): n for v, n in enumerate(report.g_totals)},
             "total": report.total,
             "majority_value": report.majority_value,
             "majority_count": report.majority_count,
@@ -376,13 +373,6 @@ def cmd_classical(args: argparse.Namespace) -> int:
     envelope = _timed_envelope("classical", config, payload, started, metrics)
     _emit_envelope(envelope, args.output)
     return EXIT_OK
-
-
-def _g_totals(report) -> dict:
-    totals = [0, 0, 0]
-    for m, count in report.per_m_counts.items():
-        totals[report.g_label_by_m[m]] += count
-    return {str(v): totals[v] for v in range(3)}
 
 
 def _bounds_rows_payload(rows) -> list[dict]:

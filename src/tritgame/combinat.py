@@ -11,23 +11,9 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from functools import lru_cache
-from typing import NamedTuple
 
 #: Decimal digits :func:`ramus` carries beyond the integer digits of 2^n.
 _RAMUS_GUARD_DIGITS = 20
-
-
-class GroupedSumSpec(NamedTuple):
-    """Parameters of the sum C(n,q) + C(n,q+p) + C(n,q+2p) + ...
-
-    ``n`` is the upper index, ``q`` the first lower index, ``p`` the step of
-    the arithmetic progression of lower indices.  Terms with q+ip > n are
-    zero, so every instance denotes a finite sum.
-    """
-
-    n: int
-    q: int
-    p: int
 
 
 def _check_spec(n: int, q: int, p: int) -> None:

@@ -26,15 +26,16 @@ Two interchangeable engines produce the outcomes:
   lands in.  It is gated on :func:`verify_class_stepping` having passed in
   this process, so the shortcut never outruns the evidence for it.
 
-:func:`admissible_bit_vectors` enumerates the admissible bit vectors for
-the verification sweep and the classical exhaustive oracle.
+:func:`admissible_bit_vectors` enumerates the admissible bit vectors, and
+:func:`zero_triples_mod3` gives each row's class, for the verification
+sweep and the classical exhaustive oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,38 +71,31 @@ class AnalyticEngineLockedError(RuntimeError):
     """The analytic engine ran before verify_class_stepping passed."""
 
 
-def zero_triples_mod3(bits: Sequence[int]) -> int:
-    """Number of zero-bit triples, mod 3; the class the shared state lands in."""
-    zeros = sum(1 for b in bits if b == 0)
-    if zeros % 3 != 0:
-        raise ValueError(f"inadmissible bit vector: {zeros} zeros is not a multiple of 3")
-    return (zeros // 3) % 3
-
-
-def admissible_bit_vectors(k: int) -> Iterator[tuple[int, ...]]:
+def admissible_bit_vectors(k: int) -> np.ndarray:
     """All bit vectors of length k whose zero count is a multiple of 3.
 
-    Vectors come in order of zero count, then lexicographically by the
-    positions of the zeros; the first is all ones.
+    Returns an int8 (N, k) array.  Vectors come in order of zero count,
+    then lexicographically by the positions of the zeros; the first is all
+    ones.
     """
     _check_party_count(k)
-    for m in range(0, k + 1, 3):
-        for zeros in itertools.combinations(range(k), m):
-            bits = [1] * k
-            for i in zeros:
-                bits[i] = 0
-            yield tuple(bits)
+    zero_sets = [z for m in range(0, k + 1, 3) for z in itertools.combinations(range(k), m)]
+    bits = np.ones((len(zero_sets), k), dtype=np.int8)
+    for row, zeros in zip(bits, zero_sets):
+        row[list(zeros)] = 0
+    return bits
 
 
 # ---------------------------------------------------------------------------
 # Batches: int8 arrays with one row per trial
 # ---------------------------------------------------------------------------
 
-def _zero_triples_rows(bits: np.ndarray) -> np.ndarray:
+def zero_triples_mod3(bits: np.ndarray) -> np.ndarray:
     """Zero-triple count mod 3 of every row of an (n, k) bit array.
 
-    Validates the array: two dimensions, a valid party count, bits in
-    {0, 1} and a multiple of three zeros in every row.
+    That is the digit-sum class the shared state lands in.  Validates the
+    array: two dimensions, a valid party count, bits in {0, 1} and a
+    multiple of three zeros in every row.
     """
     if bits.ndim != 2:
         raise ValueError(f"need an (n, k) bit array, got shape {bits.shape}")
@@ -155,7 +149,7 @@ def global_function_batch(trits: np.ndarray, bits: np.ndarray) -> np.ndarray:
 
     Validates the bits as the engines do and the trits against them.
     """
-    zero_triples = _zero_triples_rows(bits)
+    zero_triples = zero_triples_mod3(bits)
     _check_trits(trits, bits)
     return (trits.sum(axis=1, dtype=np.int64) + zero_triples) % 3
 
@@ -227,7 +221,7 @@ def run_dense_batch(
     all rows of a vector are measured with one vectorised inverse CDF.
     Returns the int8 (n, k) outcomes and the :class:`DenseCounts`.
     """
-    _zero_triples_rows(bits)
+    zero_triples_mod3(bits)
     n, k = bits.shape
     if k > DENSE_MAX_K:
         raise ValueError(f"dense engine supports k <= {DENSE_MAX_K}, got {k}")
@@ -330,13 +324,13 @@ def verify_class_stepping(
         if k > DENSE_MAX_K:
             raise ValueError(f"verification needs dense states; k={k} exceeds {DENSE_MAX_K}")
         worst = 0.0
-        for bits in admissible_bit_vectors(k):
+        vectors = admissible_bit_vectors(k)
+        for bits, expected in zip(vectors.tolist(), zero_triples_mod3(vectors).tolist()):
             state = dense_pre_measurement_state(k, bits, gate=gate)
-            expected = zero_triples_mod3(bits)
             phase, dev = sum_class_deviation(state, expected)
             if dev > tol or abs(abs(phase) - 1.0) > tol:
                 raise VerificationError(
-                    f"evolved state at k={k}, bits={bits} is not class {expected}"
+                    f"evolved state at k={k}, bits={tuple(bits)} is not class {expected}"
                 )
             worst = max(worst, dev)
         sweep_devs.append(worst)
@@ -371,7 +365,7 @@ def run_analytic_batch(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray
         raise AnalyticEngineLockedError(
             "analytic engine is locked: run verify_class_stepping() first"
         )
-    target = _zero_triples_rows(bits)
+    target = zero_triples_mod3(bits)
     n, k = bits.shape
     outcomes = np.empty((n, k), dtype=np.int8)
     outcomes[:, :-1] = rng.integers(0, 3, size=(n, k - 1), dtype=np.int8)

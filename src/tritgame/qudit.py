@@ -183,8 +183,14 @@ def root_gate(d: int, branch: RootBranch | None = None) -> LocalGate:
     Diagonalizes the shift in the discrete-Fourier basis and takes d-th
     roots of the eigenvalues.  For d=3 the two non-unit roots are selected
     by ``branch``; for d=2 the principal square root is returned, which is
-    the matrix (1/2) [[1+i, 1-i], [1-i, 1+i]].
+    the matrix (1/2) [[1+i, 1-i], [1-i, 1+i]].  Built once per (d, branch)
+    and shared, so every caller reuses the gate's lifted matrices.
     """
+    return _root_gate(d, branch)
+
+
+@lru_cache(maxsize=16)
+def _root_gate(d: int, branch: RootBranch | None) -> LocalGate:
     if d == 2:
         m = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
         return LocalGate(2, m)

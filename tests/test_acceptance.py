@@ -95,7 +95,7 @@ def test_criterion_3_quantum_perfect_success():
 
     for k in (4, 7):
         # Every admissible input: bit vectors outer, trits inner.
-        vectors = np.array(list(admissible_bit_vectors(k)), dtype=np.int8)
+        vectors = admissible_bit_vectors(k)
         trit_rows = np.array(list(itertools.product((0, 1, 2), repeat=k)), dtype=np.int8)
         bits = np.repeat(vectors, len(trit_rows), axis=0)
         trits = np.tile(trit_rows, (len(vectors), 1))

@@ -3,13 +3,11 @@ from fractions import Fraction
 import pytest
 
 from tritgame.bounds import (
-    BoundParams,
     BoundRow,
     bound_A,
     bound_F,
     bound_L,
     bound_N,
-    bound_value,
     convergence_table,
     plus_op,
 )
@@ -78,6 +76,26 @@ class TestBoundF:
         with pytest.raises(ValueError, match="im_rule"):
             bound_F(1, 0, 5)
 
+    def test_im_rule_checked_where_no_residue_term_enters(self):
+        # At j=1, a=2 the only summand is m=0, which carries no residue
+        # term; the rule is still checked.
+        assert bound_F(1, 2, 0) == Fraction(1, 2)
+        for j, a in [(1, 2), (5, 0)]:
+            with pytest.raises(ValueError, match="im_rule"):
+                bound_F(j, a, "bogus")
+        with pytest.raises(ValueError, match="im_rule"):
+            bound_L(1, 2, "bogus")
+
+
+class TestParameterChecks:
+    def test_group_and_residue_validated_in_every_family(self):
+        for bound in (bound_F, bound_L, bound_N):
+            with pytest.raises(ValueError, match="group parameter"):
+                bound(0, 0)
+            for a in (-1, 3):
+                with pytest.raises(ValueError, match="residue"):
+                    bound(1, a)
+
 
 class TestBoundL:
     def test_hand_expanded_smallest_group(self):
@@ -133,7 +151,8 @@ class TestConvergenceTable:
             assert head == grid_max
 
     def test_family_n_constant_column(self):
-        rows = convergence_table("N", [1, 10, 60], include_headline=False)
+        rows = convergence_table("N", [1, 10, 60])
+        assert len(rows) == 3 * 4
         assert all(r.value == THIRD for r in rows if r.a in (1, 2))
 
     def test_values_in_unit_interval(self):
@@ -150,9 +169,10 @@ class TestConvergenceTable:
         assert row.gap == pytest.approx(float(Fraction(4, 5) - THIRD))
 
     def test_dispatch_and_errors(self):
-        assert bound_value("A", BoundParams(1, i=0, m=0)) == Fraction(4, 5)
-        assert bound_value("N", BoundParams(1, a=1)) == THIRD
-        with pytest.raises(ValueError, match="family"):
-            bound_value("Z", BoundParams(1))
-        with pytest.raises(ValueError, match="family"):
-            convergence_table("Q", [1])
+        a_row = convergence_table("A", [1])[0]
+        assert (a_row.i, a_row.m, a_row.value) == (0, 0, Fraction(4, 5))
+        n_row = convergence_table("N", [1])[1]
+        assert (n_row.a, n_row.value) == (1, THIRD)
+        for family in ("Z", "Q"):
+            with pytest.raises(ValueError, match="family"):
+                convergence_table(family, [1])

@@ -69,7 +69,7 @@ def trit_reveal_closed_form(k: int) -> Fraction:
 def referee_histogram(profile: StrategyProfile) -> dict[tuple, list[int]]:
     """Admissible-input counts per global value, keyed by transcript, in pure Python."""
     by_transcript: dict[tuple, list[int]] = {}
-    for bits in admissible_bit_vectors(profile.k):
+    for bits in admissible_bit_vectors(profile.k).tolist():
         for trits in itertools.product((0, 1, 2), repeat=profile.k):
             transcript = tuple(
                 s.sent_for(y, x) for s, y, x in zip(profile.strategies, trits, bits)
@@ -171,21 +171,19 @@ class TestCanonicalDivisions:
     def test_constant_strategy_type(self):
         assert division_type(Strategy.from_string("000000")) == (6, 0, 0)
 
-    def test_slots(self):
-        n2 = canonical_division("N", slots=(2,))
-        assert set(n2.cells()[0]) == {(2, 0), (2, 1), (1, 1), (0, 1)}
-        j = canonical_division("J", slots=(2, 1, 0))
-        assert set(j.cells()[0]) == {(0, 1), (1, 1), (2, 1)}
+    def test_all_fourteen_tables_pinned(self):
+        expected = {
+            "A": "001122", "B": "100122", "C": "101022", "D": "101202", "E": "101220",
+            "F": "100012", "H": "001012", "I": "000112", "J": "101020", "K": "010102",
+            "L": "000012", "M": "000012", "N": "001020", "O": "000102",
+        }
+        assert DIVISION_NAMES == tuple(expected)
+        for name, table in expected.items():
+            assert canonical_division(name).to_string() == table, name
 
-    def test_slot_errors(self):
+    def test_unknown_name_is_rejected(self):
         with pytest.raises(ValueError, match="unknown division"):
             canonical_division("G")
-        with pytest.raises(ValueError, match="slot value"):
-            canonical_division("J", slots=(0, 0, 1))
-        with pytest.raises(ValueError, match="slot"):
-            canonical_division("N", slots=(0, 1))
-        with pytest.raises(ValueError, match="slot"):
-            canonical_division("H", slots=(0, 1, 1))
 
 
 class TestProfiles:
@@ -275,7 +273,7 @@ class TestEvaluators:
     def test_dropping_the_zero_triple_shift_breaks_the_cross_check(self, monkeypatch):
         # Mutation: g = trit sum mod 3, without the zero-count term.
         assert evaluate_exhaustive(K7_THREE_GROUPS) == evaluate_collapsed(K7_THREE_GROUPS)
-        monkeypatch.setattr(classical, "zero_triples_mod3", lambda bits: 0)
+        monkeypatch.setattr(classical, "zero_triples_mod3", lambda bits: np.zeros(len(bits), int))
         assert evaluate_exhaustive(K7_THREE_GROUPS) != evaluate_collapsed(K7_THREE_GROUPS)
 
     def test_collapsed_class_count_guard(self):
@@ -343,6 +341,7 @@ class TestWorkedExample:
         assert report.majority_count == 210
         assert report.success == Fraction(210, 341)
         assert report.g_label_by_m == {9: 0, 6: 2, 3: 1, 0: 0}
+        assert report.g_totals == (11, 120, 210)
         assert report.majority_value == 2
         assert "offset" in report.label_note
 
@@ -353,7 +352,7 @@ class TestWorkedExample:
         g_totals = [0, 0, 0]
         for m, count in report.per_m_counts.items():
             g_totals[report.g_label_by_m[m]] += count
-        assert tuple(g_totals) == stats.g_counts
+        assert tuple(g_totals) == stats.g_counts == report.g_totals
 
 
 class TestBestHomogeneous:

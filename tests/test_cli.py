@@ -41,7 +41,7 @@ class TestQuantumVerify:
         assert code == 0
         sweep = env["payload"]["checks"][3]
         assert sweep["k"] == [4, 7]
-        deviations = sweep["max_deviation"]
+        deviations = env["metrics"]["class-sweep"]["max_deviation"]
         assert len(deviations) == 2
         assert all(0.0 <= d <= env["config"]["tolerance"] for d in deviations)
         assert sweep["ok"] is True

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tritgame.combinat import (
-    GroupedSumSpec,
     binomial,
     grouped_sum,
     grouped_sum_primed,
@@ -53,7 +52,8 @@ class TestGroupedSum:
         assert grouped_sum(3, 5, 2) == 0
 
     def test_spec_tuple_unpacks(self):
-        assert grouped_sum(*GroupedSumSpec(n=10, q=1, p=3)) == 341
+        spec = (10, 1, 3)  # (n, q, p)
+        assert grouped_sum(*spec) == grouped_sum(n=10, q=1, p=3) == 341
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

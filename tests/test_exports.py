@@ -1,13 +1,15 @@
 """The package's export list."""
 
 import tritgame
-from tritgame import classical, combinat, protocol, qudit
+from tritgame import bounds, classical, combinat, protocol, qudit
 
-# Names of the per-row protocol API and the helpers only it used.
+# Names of the per-row protocol API and the helpers only it used, the bound
+# dispatch layer and the unused grouped-sum parameter tuple.
 REMOVED = (
     "RegisterInput", "ProtocolRun", "global_function", "decode", "enumerate_admissible",
     "batch_runs", "sample_admissible", "run_dense", "run_analytic", "apply_local",
-    "measure_all", "trit_add", "canonical_strategy_reps",
+    "measure_all", "trit_add", "canonical_strategy_reps", "BoundParams", "bound_value",
+    "GroupedSumSpec",
 )
 
 
@@ -26,5 +28,5 @@ def test_star_import():
 def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in tritgame.__all__
-        for module in (tritgame, classical, combinat, protocol, qudit):
+        for module in (tritgame, bounds, classical, combinat, protocol, qudit):
             assert not hasattr(module, name), f"{module.__name__}.{name}"

@@ -182,6 +182,14 @@ class TestGates:
             assert gate.lifted_transpose(block) is lifted  # built once, then kept
             assert not lifted.flags.writeable
 
+    def test_root_gate_is_built_once_per_branch(self):
+        # The dense batches and the certificate share one gate, so its
+        # lifted matrices are built once per process.
+        gate = root_gate(3, RootBranch(0, 0))
+        assert root_gate(3, RootBranch(0, 0)) is gate
+        assert root_gate(3, RootBranch(0, 1)) is not gate
+        assert root_gate(2) is root_gate(2)
+
     def test_dim2_root_is_the_explicit_matrix(self):
         expected = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
         np.testing.assert_allclose(root_gate(2).matrix, expected, atol=1e-15)
