@@ -95,6 +95,13 @@ def _make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
 
 
+def _trial_count(text: str) -> int:
+    """An argparse type: a non-negative trial count."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"need a non-negative trial count, got {text!r}")
+    return int(text)
+
+
 def _parse_strategy(text: str) -> Strategy:
     if text in DIVISION_NAMES:
         return canonical_division(text)
@@ -172,7 +179,9 @@ def _protocol_metrics(engine: str) -> dict:
         "first_failure": None,
     }
     if engine == "dense":
-        metrics.update(bit_vectors_evolved=0, half_states_evolved=0, gates_applied=0)
+        metrics.update(
+            half_states_evolved=0, gates_applied=0, rows_evolved=0, row_gates_applied=0
+        )
     return metrics
 
 
@@ -209,9 +218,10 @@ def _run_trials(
         t1 = time.perf_counter()
         if engine == "dense":
             outcomes, counts = protocol.run_dense_batch(bits, rng)
-            metrics["bit_vectors_evolved"] += counts.bit_vectors
             metrics["half_states_evolved"] += counts.half_states
             metrics["gates_applied"] += counts.gates
+            metrics["rows_evolved"] += counts.rows
+            metrics["row_gates_applied"] += counts.row_gates
         else:
             outcomes = protocol.run_analytic_batch(bits, rng)
         decoded = protocol.decode_batch(trits, outcomes)
@@ -491,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantum-run", help="run protocol trials on sampled inputs")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_trial_count, default=1000)
     p.add_argument("--engine", choices=("dense", "analytic"), default="dense")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--records", action="store_true", help="include per-run records")
@@ -521,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap-report", help="quantum vs best-classical success per k")
     p.add_argument("--k", type=int, nargs="+", default=[4, 13, 31])
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_trial_count, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None)

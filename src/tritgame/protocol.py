@@ -15,12 +15,18 @@ draws (trits, bits), an engine draws the measurement outcomes, and
 decoded and expected values; both validate the rows they are given.
 Two interchangeable engines produce the outcomes:
 
-* :func:`run_dense_batch` evolves the full state vector (k <= 13) and
-  samples a measurement from it.  It evolves each distinct first-half bit
-  pattern once (a half state) and each distinct bit vector once from its
-  half state, and reports both counts and the gates applied
-  (:class:`DenseCounts`).  Every gate goes through :func:`qudit.evolve`,
-  the one routine that applies gates to amplitudes.
+* :func:`run_dense_batch` simulates the state vector (k <= 13) and
+  samples a measurement from it.  Only the first h = k // 2 parties'
+  gates touch full-size states: each distinct first-half bit pattern is
+  evolved once (a half state).  The second-half parties' gates act on
+  their own qudits only, so they cannot change the distribution of the
+  first half's outcomes (no-signalling).  The engine therefore draws the
+  first-half digits from the half state's row norms, and evolves only the
+  drawn rows through the second-half gates.  It reports the half states
+  and full-size gates, and the conditional rows and the gates applied to
+  them (:class:`DenseCounts`).  Every gate goes through
+  :func:`qudit.evolve`, the one routine that applies gates to amplitudes,
+  whether to a full state or to a stack of rows.
 * :func:`run_analytic_batch` skips the state entirely and samples the
   outcome string uniformly from the digit-sum class the evolution provably
   lands in.  It is gated on :func:`verify_class_stepping` having passed in
@@ -201,9 +207,39 @@ def dense_pre_measurement_state(
 class DenseCounts(NamedTuple):
     """What one dense batch evolved."""
 
-    bit_vectors: int  # distinct bit vectors: one full state each
-    half_states: int  # distinct first-half bit patterns: one half state each
-    gates: int  # root-gate applications over all evolutions
+    half_states: int  # distinct first-half bit patterns: one full-size state each
+    gates: int  # root-gate applications to full-size states
+    rows: int  # conditional second-half rows: one per trial
+    row_gates: int  # root-gate applications to single rows (s rows through g gates: s * g)
+
+
+#: An outcome this unlikely counts as impossible: its amplitude is within
+#: 1e-10 of zero, the tolerance of every state check, and float evolution
+#: leaves amplitudes of about 1e-17 where exact ones vanish.
+_ZERO_PROBABILITY = 1e-20
+
+
+def _possible(probabilities: np.ndarray) -> np.ndarray:
+    """The probabilities with every impossible one set to exactly zero."""
+    return np.where(probabilities > _ZERO_PROBABILITY, probabilities, 0.0)
+
+
+def _sample_rows(
+    probabilities: np.ndarray, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices drawn by inverse CDF, and what is left of each uniform.
+
+    ``probabilities`` holds the squared row norms of a half state.  No row
+    of impossible probability is ever drawn, so the drawn norms can be
+    divided by.  The remainder (u * total - mass before the drawn row) /
+    its mass is uniform on [0, 1) given the row (rounding can put it at
+    1), so it drives the draw of the remaining digits.
+    """
+    probabilities = _possible(probabilities)
+    edges = np.concatenate(([0.0], np.cumsum(probabilities)))
+    rows = inverse_cdf(edges[1:], uniforms)
+    remainders = (uniforms * edges[-1] - edges[rows]) / probabilities[rows]
+    return rows, remainders
 
 
 def run_dense_batch(
@@ -211,15 +247,25 @@ def run_dense_batch(
 ) -> tuple[np.ndarray, DenseCounts]:
     """Measurement outcomes of full state-vector runs, one row per trial.
 
-    Rows are grouped by bit vector, and the distinct vectors, which come
-    sorted, by their first h = k // 2 bits.  Each distinct first-half
-    pattern is evolved once from the class-0 state (suffix bits set to 1);
-    each distinct vector then starts from its group's half state with its
-    own suffix (prefix bits set to 1).  The gates run in party order, so
-    every state is the one a single evolution of the whole vector gives,
-    bit for bit.  Only the current half state and full state are held, and
-    all rows of a vector are measured with one vectorised inverse CDF.
-    Returns the int8 (n, k) outcomes and the :class:`DenseCounts`.
+    Only the first h = k // 2 parties' gates are applied to full-size
+    states.  Each distinct first-half bit pattern is evolved once from the
+    class-0 state (suffix bits set to 1), and its (3^h, 3^(k-h)) matrix
+    view is measured in two steps, both driven by the trial's one uniform:
+
+    * The squared norm of row r is the probability that the first h
+      parties read r.  The other parties' gates act on their own qudits
+      only, so they cannot change it (no-signalling).  The first-half
+      digits are drawn by inverse CDF over the row norms.
+    * The drawn row divided by its norm is the conditional state of the
+      last k-h parties.  The rows of each distinct bit vector go through
+      its second-half gates as one stack, in one :func:`qudit.evolve` call
+      that checks every row, and the second-half digits are drawn from
+      them with what is left of the uniform.
+
+    This draws what an inverse CDF over the fully evolved state draws with
+    the same uniform, except at rounding edges, and no row of impossible
+    probability is drawn.  Returns the int8 (n, k) outcomes and the
+    :class:`DenseCounts`.
     """
     zero_triples_mod3(bits)
     n, k = bits.shape
@@ -235,8 +281,6 @@ def run_dense_batch(
     h = k // 2
     prefix_only = distinct.copy()
     prefix_only[:, h:] = 1
-    suffix_only = distinct.copy()
-    suffix_only[:, :h] = 1
     new_half = np.ones(len(distinct), dtype=bool)
     new_half[1:] = np.any(distinct[1:, :h] != distinct[:-1, :h], axis=1)
     index = np.empty(n, dtype=np.int64)
@@ -244,17 +288,22 @@ def run_dense_batch(
     for i, count in enumerate(counts):
         if new_half[i]:
             half = dense_pre_measurement_state(k, prefix_only[i], gate=gate, start=start_state)
-        state = dense_pre_measurement_state(k, suffix_only[i], gate=gate, start=half)
-        rows = order[first:first + count]
+            matrix = half.amplitudes.reshape(3**h, 3 ** (k - h))
+            row_norms = np.sum(np.abs(matrix) ** 2, axis=1)
+        trials = order[first:first + count]
         first += count
-        index[rows] = inverse_cdf(np.cumsum(np.abs(state.amplitudes) ** 2), uniforms[rows])
+        rows, remainders = _sample_rows(row_norms, uniforms[trials])
+        conditional = matrix[rows] / np.sqrt(row_norms[rows])[:, None]
+        conditional = evolve(conditional, gate, np.flatnonzero(distinct[i, h:] == 0).tolist())
+        cumulative = np.cumsum(_possible(np.abs(conditional) ** 2), axis=1)
+        index[trials] = rows * 3 ** (k - h) + inverse_cdf(cumulative, remainders)
     # Party 1 owns the most significant base-3 digit of the basis index.
     outcomes = index[:, None] // 3 ** np.arange(k - 1, -1, -1) % 3
-    gates = np.count_nonzero(prefix_only[new_half] == 0) + np.count_nonzero(suffix_only == 0)
     return outcomes.astype(np.int8), DenseCounts(
-        bit_vectors=len(distinct),
         half_states=int(np.count_nonzero(new_half)),
-        gates=int(gates),
+        gates=int(np.count_nonzero(prefix_only[new_half] == 0)),
+        rows=n,
+        row_gates=int(np.count_nonzero(bits[:, h:] == 0)),
     )
 
 

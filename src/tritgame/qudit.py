@@ -15,6 +15,7 @@ plain ket sums).
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -46,6 +47,22 @@ def digit_sums(d: int, k: int) -> np.ndarray:
     return sums
 
 
+def _check_unit_norms(norm_sq) -> None:
+    """Raises ValueError unless every squared norm given is finite and within 1e-10 of 1.
+
+    A NaN or infinite amplitude makes its state's squared norm NaN or
+    infinite, so one pass over the amplitudes checks both.  Comparisons are
+    phrased so that NaN fails.
+    """
+    norm_sq = np.asarray(norm_sq, dtype=float).reshape(-1)
+    bad = ~np.isfinite(norm_sq)
+    if bad.any():
+        raise ValueError(f"amplitudes are not finite: sum |amp|^2 = {float(norm_sq[bad][0])!r}")
+    bad = ~(np.abs(norm_sq - 1.0) <= _NORM_TOL)
+    if bad.any():
+        raise ValueError(f"state is not normalized: sum |amp|^2 = {float(norm_sq[bad][0])!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class QuditState:
     """Unit-norm dense amplitude vector over all k-digit base-d strings.
@@ -74,13 +91,7 @@ class QuditState:
         amps = np.array(self.amplitudes, dtype=np.complex128, copy=copy).reshape(-1)
         if amps.size != self.d**self.k:
             raise ValueError(f"expected {self.d**self.k} amplitudes, got {amps.size}")
-        # One pass over the amplitudes; a NaN or infinite amplitude makes the
-        # norm NaN or infinite.  Comparisons are phrased so that NaN fails.
-        norm_sq = float(np.vdot(amps, amps).real)
-        if not np.isfinite(norm_sq):
-            raise ValueError(f"amplitudes are not finite: sum |amp|^2 = {norm_sq!r}")
-        if not abs(norm_sq - 1.0) <= _NORM_TOL:
-            raise ValueError(f"state is not normalized: sum |amp|^2 = {norm_sq!r}")
+        _check_unit_norms(np.vdot(amps, amps).real)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -212,42 +223,70 @@ def _root_gate(d: int, branch: RootBranch | None) -> LocalGate:
     return LocalGate(3, s_inv @ roots @ s)
 
 
-def evolve(state: QuditState, gate: LocalGate, parties: Iterable[int]) -> QuditState:
+def evolve(
+    state: QuditState | np.ndarray, gate: LocalGate, parties: Iterable[int]
+) -> QuditState | np.ndarray:
     """The state after ``gate`` acted on each listed party, in the order given.
 
-    Parties are numbered from 0, party 0 owning the most significant
-    digit.  Party p's gate is one matmul on the (d^p, d, B) view of the
-    amplitudes, B = d^(k-p-1).  For the last parties, where B < 27, that
-    view would mean thousands of tiny products, so the same map is one
-    matmul of the (d^p, dB) view with the transpose of gate ⊗ I_B, which
-    the gate builds once per B and keeps.  The result is validated once,
-    at the end, and adopted without a copy.
+    ``state`` is a :class:`QuditState`, or a stack of s states of m qudits
+    each: an (s, d^m) array of unit rows, d being the gate's dimension.  The
+    result is of the same kind.  Parties are numbered from 0, party 0
+    owning the most significant digit.  One party loop serves both kinds,
+    with a leading stack axis (s = 1 for a single state): party p's gate is
+    one matmul on the (s d^p, d, B) view of the amplitudes, B = d^(m-p-1).
+    For the last parties, where B < 27, that view would mean thousands of
+    tiny products, so the same map is one matmul of the (s d^p, dB) view
+    with the transpose of gate ⊗ I_B, which the gate builds once per B and
+    keeps.  The result is validated once, at the end: a state is adopted
+    without a copy, and every row of a stack is checked for finite
+    amplitudes and unit norm.
     """
-    if gate.d != state.d:
-        raise ValueError(f"gate dimension {gate.d} != state dimension {state.d}")
-    d, k = state.d, state.k
-    amps = state.amplitudes
+    d = gate.d
+    if isinstance(state, QuditState):
+        if state.d != d:
+            raise ValueError(f"gate dimension {d} != state dimension {state.d}")
+        k = state.k
+        amps = state.amplitudes[None]
+    else:
+        amps = np.asarray(state, dtype=np.complex128)
+        k = round(math.log(amps.shape[1], d)) if amps.ndim == 2 and amps.shape[1] > 1 else 0
+        if k < 1 or amps.shape[1] != d**k:
+            raise ValueError(f"need an (s, {d}^m) stack of states, got shape {amps.shape}")
+    s = len(amps)
     for party in parties:
         if not 0 <= party < k:
             raise ValueError(f"party must be in 0..{k - 1}, got {party}")
         block = d ** (k - party - 1)
         if block >= 27:
-            amps = np.matmul(gate.matrix, amps.reshape(d**party, d, block))
+            amps = np.matmul(gate.matrix, amps.reshape(s * d**party, d, block))
         else:
-            amps = amps.reshape(d**party, d * block) @ gate.lifted_transpose(block)
-    return QuditState(d, k, amps, _copy=False)
+            amps = amps.reshape(s * d**party, d * block) @ gate.lifted_transpose(block)
+    if isinstance(state, QuditState):
+        return QuditState(d, k, amps.reshape(-1), _copy=False)
+    amps = amps.reshape(s, d**k)
+    _check_unit_norms(np.sum(np.abs(amps) ** 2, axis=1))
+    return amps
 
 
 def inverse_cdf(cumulative: np.ndarray, uniforms) -> np.ndarray:
     """Basis indices drawn by inverse CDF, one per uniform in [0, 1).
 
-    ``cumulative`` is the running sum of the outcome probabilities.  Each
-    index is the first whose cumulative value exceeds ``u`` times the total;
-    rounding can put ``u`` times the total past the last entry, so indices
-    are clipped to the last basis state.
+    ``cumulative`` is the running sum of the outcome probabilities: one
+    distribution for every uniform (1-D), or one per uniform (2-D, row i
+    for uniform i).  Each index is the first whose cumulative value exceeds
+    ``u`` times the total, so an outcome of probability zero is never
+    drawn.  A uniform at or past 1 (a rounded one) is clipped to the last
+    index of positive probability, where the running sum first reaches its
+    total, not to the last index.
     """
-    index = np.searchsorted(cumulative, np.asarray(uniforms) * cumulative[-1], side="right")
-    return np.minimum(index, cumulative.size - 1)
+    cumulative = np.asarray(cumulative)
+    targets = np.asarray(uniforms) * cumulative[..., -1]
+    if cumulative.ndim == 1:
+        index = np.searchsorted(cumulative, targets, side="right")
+    else:
+        index = np.count_nonzero(cumulative <= targets[:, None], axis=1)
+    last = np.count_nonzero(cumulative < cumulative[..., -1:], axis=-1)
+    return np.minimum(index, last)
 
 
 def sum_class_deviation(state: QuditState, j: int) -> tuple[complex, float]:

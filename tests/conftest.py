@@ -13,11 +13,12 @@ def stepping_cert():
 
 @pytest.fixture(scope="session")
 def per_vector_outcomes():
-    """Dense outcomes without the half split, as a reference.
+    """Dense outcomes from the full CDF of every fully evolved vector, as a reference.
 
     Returns a function of an (n, k) bit array and n uniforms that evolves
-    every distinct bit vector from the class-0 state in one call each and
-    measures row i with uniform i.  It returns the int8 outcomes and the
+    every distinct bit vector from the class-0 state in one call each, with
+    no half split, and measures row i with uniform i by inverse CDF over
+    all 3^k amplitudes.  It returns the int8 outcomes and the
     number of distinct vectors.
     """
     gate = root_gate(3, find_valid_root_branch())

@@ -10,6 +10,9 @@ from tritgame import cli, protocol
 from tritgame.classical import crt_primes
 
 
+DENSE_COUNTERS = ("half_states_evolved", "gates_applied", "rows_evolved", "row_gates_applied")
+
+
 def run_cli(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
@@ -103,9 +106,12 @@ class TestQuantumRun:
         assert metrics["engine"] == "dense"
         assert metrics["trials"] == 100
         assert metrics["blocks"] == 1
-        assert 1 <= metrics["bit_vectors_evolved"] <= 43
         assert 1 <= metrics["half_states_evolved"] <= 2**3
-        assert metrics["gates_applied"] >= 1
+        # Full-size gates act on the first three parties only: at most the
+        # 12 zeros of all eight 3-bit patterns.
+        assert 1 <= metrics["gates_applied"] <= 12
+        assert metrics["rows_evolved"] == 100
+        assert metrics["row_gates_applied"] >= 1
         assert metrics["first_failure"] is None
         assert set(metrics["stage_seconds"]) == {"verify", "sample", "engine", "render"}
         assert metrics["stage_seconds"]["verify"] == 0.0
@@ -137,11 +143,15 @@ class TestQuantumRun:
         assert env["payload_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
 
         metrics = env["metrics"]
+        h = k // 2
         vectors = {tuple(row) for row in bits.tolist()}
-        assert metrics["bit_vectors_evolved"] == distinct == len(vectors)
-        assert metrics["half_states_evolved"] == len({v[: k // 2] for v in vectors})
-        assert 0 < metrics["gates_applied"] < sum(v.count(0) for v in vectors)
-        for name in ("bit_vectors_evolved", "half_states_evolved", "gates_applied"):
+        halves = {v[:h] for v in vectors}
+        assert distinct == len(vectors)
+        assert metrics["half_states_evolved"] == len(halves)
+        assert metrics["gates_applied"] == sum(p.count(0) for p in halves)
+        assert metrics["rows_evolved"] == trials
+        assert metrics["row_gates_applied"] == sum(row[h:].count(0) for row in bits.tolist())
+        for name in DENSE_COUNTERS:
             assert name not in env["payload"]
 
     def test_trials_run_in_blocks(self, capsys, monkeypatch):
@@ -156,9 +166,19 @@ class TestQuantumRun:
         assert len(env["payload"]["records"]) == 20
         assert env["metrics"]["blocks"] == 3
         assert env["metrics"]["trials"] == 20
-        for name in ("bit_vectors_evolved", "half_states_evolved", "gates_applied"):
+        for name in DENSE_COUNTERS:
             assert name not in env["metrics"]
         assert env["metrics"]["stage_seconds"]["verify"] > 0.0
+
+    def test_negative_trials_is_usage_error(self, capsys, monkeypatch):
+        # Rejected while parsing: nothing is sampled and no payload is written.
+        monkeypatch.setattr(protocol, "sample_admissible_batch", None)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["quantum-run", "--k", "4", "--trials", "-3"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-negative trial count" in captured.err
 
     def test_token_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -330,6 +350,18 @@ class TestGapReport:
         assert set(metrics["stage_seconds"]) == {
             "verify", "sample", "engine", "search", "render",
         }
+
+    def test_negative_trials_is_usage_error(self, capsys, monkeypatch):
+        # Rejected while parsing: no verification, sampling or search runs.
+        for name in ("verify_class_stepping", "best_homogeneous"):
+            monkeypatch.setattr(cli, name, None)
+        monkeypatch.setattr(protocol, "sample_admissible_batch", None)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["gap-report", "--k", "4", "--trials", "-5"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-negative trial count" in captured.err
 
     def test_determinism(self, capsys):
         argv = ["gap-report", "--k", "4", "--trials", "25", "--seed", "3"]

@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -53,6 +54,11 @@ def apply_local(state, matrix, party):
     k = state.k
     view = state.amplitudes.reshape(3**party, 3, 3 ** (k - party - 1))
     return QuditState(3, k, np.einsum("ij,ajb->aib", matrix, view).reshape(-1))
+
+
+def row_norms(state, h):
+    """Squared norms of the rows of the (3^h, 3^(k-h)) view of a state's amplitudes."""
+    return np.sum(np.abs(state.amplitudes.reshape(3**h, -1)) ** 2, axis=1)
 
 
 def record_run(capsys, argv):
@@ -274,53 +280,85 @@ class TestDenseEngine:
         assert worst <= 1e-12
 
     def test_batch_evolves_each_distinct_vector_once(self, monkeypatch):
-        # Each distinct first half is evolved once from the class-0 state, and
-        # each distinct vector once, from the state of its own first half.
+        # The only full-size states are the half states: each distinct first
+        # half is evolved once from the class-0 state.  The rows of each
+        # distinct vector then go through its second-half gates as one stack,
+        # in one call, with parties counted from party h.
         k, h = 7, 7 // 2
         class0 = make_sum_class_state(k, 0)
-        halves: dict[int, tuple] = {}  # id(half state) -> (prefix, state)
-        prefixes, vectors = [], []
-        evolve = protocol.dense_pre_measurement_state
+        prefixes = []
+        stacks = []  # (first half, second-half zero positions, rows in the stack)
+        pre_measurement = protocol.dense_pre_measurement_state
+        evolve = protocol.evolve
 
-        def counting(k, bits, *, gate, start):
+        def counting_state(k, bits, *, gate, start):
             bits = tuple(bits.tolist())
-            state = evolve(k, bits, gate=gate, start=start)
-            if start is class0:
-                assert bits[h:] == (1,) * (k - h)
-                prefixes.append(bits[:h])
-                halves[id(state)] = (bits[:h], state)  # held, so ids stay unique
-            else:
-                assert bits[:h] == (1,) * h
-                vectors.append(halves[id(start)][0] + bits[h:])
-            return state
+            assert start is class0
+            assert bits[h:] == (1,) * (k - h)
+            prefixes.append(bits[:h])
+            return pre_measurement(k, bits, gate=gate, start=start)
 
-        monkeypatch.setattr(protocol, "dense_pre_measurement_state", counting)
+        def counting_evolve(state, gate, parties):
+            if not isinstance(state, QuditState):
+                assert state.shape[1] == 3 ** (k - h)
+                stacks.append((prefixes[-1], tuple(parties), len(state)))
+            return evolve(state, gate, parties)
+
+        monkeypatch.setattr(protocol, "dense_pre_measurement_state", counting_state)
+        monkeypatch.setattr(protocol, "evolve", counting_evolve)
         trits, bits = sample_admissible_batch(k, 300, np.random.default_rng(12))
         outcomes, counts = run_dense_batch(bits, np.random.default_rng(13))
-        distinct = {tuple(row) for row in bits.tolist()}
-        assert sorted(vectors) == sorted(distinct)
-        assert counts.bit_vectors == len(vectors) == len(distinct) < 300
+        trials = Counter(tuple(row) for row in bits.tolist())
+        expected = [
+            (v[:h], tuple(q for q, bit in enumerate(v[h:]) if bit == 0), n)
+            for v, n in trials.items()
+        ]
+        assert sorted(stacks) == sorted(expected)
+        assert len(stacks) == len(trials) < 300
         assert len(set(prefixes)) == len(prefixes) == counts.half_states
-        assert set(prefixes) == {v[:h] for v in distinct}
-        gates = sum(p.count(0) for p in prefixes) + sum(v[h:].count(0) for v in vectors)
-        assert counts.gates == gates
+        assert set(prefixes) == {v[:h] for v in trials}
+        assert counts.gates == sum(p.count(0) for p in prefixes)
+        assert counts.rows == sum(n for _, _, n in stacks) == 300
+        assert counts.row_gates == sum(len(zeros) * n for _, zeros, n in stacks)
         assert outcomes.shape == (300, 7) and outcomes.dtype == np.int8
         assert np.array_equal(decode_batch(trits, outcomes), global_function_batch(trits, bits))
 
-    @pytest.mark.parametrize("k", [7, 10])
+    @pytest.mark.parametrize("k", [4, 7, 10, 13])
     def test_batch_matches_per_vector_reference(self, k, per_vector_outcomes):
-        # The half split applies the same gates in the same order as one
-        # evolution per vector, so with the same uniforms the outcomes agree
-        # element for element.
-        trits, bits = sample_admissible_batch(k, 400, np.random.default_rng(k))
+        # Measuring the first half from its half state and the rest from the
+        # drawn row draws what the full CDF of each fully evolved vector
+        # draws with the same uniforms, so the outcomes agree element for
+        # element.
+        n = 40 if k == 13 else 400
+        trits, bits = sample_admissible_batch(k, n, np.random.default_rng(k))
         extremes = np.ones((2, k), dtype=np.int8)
-        extremes[1, : 9 if k >= 9 else 6] = 0  # all ones, and the most zeros
+        extremes[1, : 3 * (k // 3)] = 0  # all ones, and the most zeros
         bits = np.concatenate([bits, extremes])
         outcomes, counts = run_dense_batch(bits, np.random.default_rng(100 + k))
         uniforms = np.random.default_rng(100 + k).random(len(bits))
-        expected, distinct = per_vector_outcomes(bits, uniforms)
-        assert counts.bit_vectors == distinct
+        expected, _ = per_vector_outcomes(bits, uniforms)
+        assert counts.half_states == len({tuple(row[: k // 2]) for row in bits.tolist()})
+        assert counts.rows == len(bits)
         assert np.array_equal(outcomes, expected)
+
+    @pytest.mark.parametrize("k", [7, 10])
+    def test_second_half_gates_leave_the_first_half_marginal_unchanged(self, k):
+        # No-signalling: for every second-half bit pattern, the first-half
+        # marginal of the fully evolved state is the half state's row norms.
+        h = k // 2
+        gate = root_gate(3, find_valid_root_branch())
+        if k == 7:
+            prefixes = list(itertools.product((0, 1), repeat=h))
+        else:
+            prefixes = [(1,) * h, (0,) * h, (0, 1, 0, 1, 0)]
+        worst = 0.0
+        for prefix in prefixes:
+            half = dense_pre_measurement_state(k, prefix + (1,) * (k - h), gate=gate)
+            norms = row_norms(half, h)
+            for suffix in itertools.product((0, 1), repeat=k - h):
+                full = dense_pre_measurement_state(k, (1,) * h + suffix, gate=gate, start=half)
+                worst = max(worst, float(np.max(np.abs(row_norms(full, h) - norms))))
+        assert worst <= 1e-12
 
     def test_identity_gate_mutation_is_caught(self, monkeypatch, capsys):
         # Success is measured, not assumed: with the root gate replaced by
@@ -345,6 +383,64 @@ class TestDenseEngine:
         assert failure["expected"] == (sum(failure["trits"]) + failure["bits"].count(0) // 3) % 3
         transmissions = [(y + x) % 3 for y, x in zip(failure["trits"], failure["outcomes"])]
         assert failure["decoded"] == sum(transmissions) % 3
+
+
+class FixedUniforms:
+    """Stands in for a Generator: ``random(n)`` returns the given n uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=float)
+
+    def random(self, n):
+        assert n == len(self.uniforms)
+        return self.uniforms
+
+
+class TestRowSampler:
+    def test_never_draws_an_impossible_row(self):
+        # Exact zeros and rounding dust of about 1e-34 are impossible rows.
+        # Uniform 0, the largest uniform below 1, uniforms exactly on the
+        # cumulative edges, and a uniform of 1 (clipped) all draw a row of
+        # positive probability; the clip goes to row 4, the last possible
+        # one, not to the last row.
+        probabilities = np.array([1e-34, 0.25, 0.0, 0.5, 0.25, 0.0, 1e-34])
+        uniforms = np.array([0.0, 1 - 2**-53, 0.25, 0.75, 1.0])
+        rows, remainders = protocol._sample_rows(probabilities, uniforms)
+        assert rows.tolist() == [1, 4, 3, 4, 4]
+        assert remainders.tolist() == [0.0, 1 - 2**-51, 0.0, 0.0, 1.0]
+        assert np.all(probabilities[rows] >= 0.25)
+
+    def test_remainder_drives_the_draw_inside_the_row(self):
+        probabilities = np.full(3, 1 / 3)
+        rows, remainders = protocol._sample_rows(probabilities, np.array([0.1, 0.5, 0.9]))
+        assert rows.tolist() == [0, 1, 2]
+        assert np.allclose(remainders, [0.3, 0.5, 0.7], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("k", [7, 10])
+    def test_edge_uniforms_decode_correctly(self, k):
+        # For vectors of every class, uniforms 0 and 1 - 2^-53, and uniforms
+        # landing exactly on each cumulative row edge of the vector's half
+        # state (the second-half draw then starts from a remainder of 0):
+        # every trial reads a possible outcome, so it decodes correctly.
+        h = k // 2
+        gate = root_gate(3, find_valid_root_branch())
+        vectors = admissible_bit_vectors(k)
+        picks = [vectors[0], vectors[1], vectors[len(vectors) // 2], vectors[-1]]
+        bits, uniforms = [], []
+        for vector in picks:
+            prefix = np.concatenate([vector[:h], np.ones(k - h, dtype=np.int8)])
+            half = dense_pre_measurement_state(k, prefix, gate=gate)
+            cumulative = np.cumsum(row_norms(half, h))
+            edges = cumulative[:-1] / cumulative[-1]
+            assert np.array_equal(edges * cumulative[-1], cumulative[:-1])  # exactly on the edges
+            row_uniforms = [0.0, 1 - 2**-53, *edges]
+            uniforms += row_uniforms
+            bits += [vector] * len(row_uniforms)
+        bits = np.array(bits, dtype=np.int8)
+        trits = np.zeros_like(bits)
+        outcomes, _ = run_dense_batch(bits, FixedUniforms(uniforms))
+        assert np.array_equal(decode_batch(trits, outcomes), global_function_batch(trits, bits))
+        assert np.array_equal(outcomes.sum(axis=1) % 3, zero_triples_mod3(bits))
 
 
 class TestAnalyticEngine:
@@ -388,7 +484,7 @@ class TestAnalyticEngine:
         bits = np.tile(np.array([[0, 0, 0, 1]], dtype=np.int8), (trials, 1))
         dense, evolved = run_dense_batch(bits, np.random.default_rng(777))
         analytic = run_analytic_batch(bits, np.random.default_rng(778))
-        assert evolved.bit_vectors == 1
+        assert evolved.half_states == 1 and evolved.rows == trials
         dense_counts: dict[tuple, int] = {}
         analytic_counts: dict[tuple, int] = {}
         for counts, outcomes in ((dense_counts, dense), (analytic_counts, analytic)):

@@ -275,6 +275,67 @@ class TestApplyLocal:
         np.testing.assert_allclose(state.amplitudes, c * target, atol=1e-10)
 
 
+class TestEvolveStack:
+    """A stack of states goes through the same party loop as a single state."""
+
+    def test_stack_rows_match_single_state_evolution(self):
+        # Five parties cover both branches of the loop (blocks of 81 and 27,
+        # then 9, 3 and 1); each row equals its own evolution bit for bit.
+        rng = np.random.default_rng(7)
+        raw = rng.normal(size=(6, 3**5)) + 1j * rng.normal(size=(6, 3**5))
+        stack = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        gate = root_gate(3, find_valid_root_branch())
+        parties = [0, 1, 3, 4, 2, 4]
+        out = evolve(stack, gate, parties)
+        assert out.shape == stack.shape
+        for row, evolved in zip(stack, out):
+            single = evolve(QuditState(3, 5, row), gate, parties)
+            assert np.array_equal(evolved, single.amplitudes)
+
+    def test_every_row_is_checked(self):
+        stack = np.zeros((3, 9), dtype=complex)
+        stack[:, 4] = 1.0
+        gate = permutation_gate(3)
+        assert evolve(stack, gate, [1]).shape == (3, 9)
+        unnormalized = stack.copy()
+        unnormalized[2, 4] = 1.1
+        with pytest.raises(ValueError, match="not normalized"):
+            evolve(unnormalized, gate, [0])
+        broken = stack.copy()
+        broken[1, 0] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            evolve(broken, gate, [0])
+
+    def test_shape_and_index_errors(self):
+        gate = permutation_gate(3)
+        for bad in (np.ones(9, dtype=complex), np.ones((2, 10), dtype=complex),
+                    np.ones((2, 1), dtype=complex)):
+            with pytest.raises(ValueError, match="stack"):
+                evolve(bad, gate, [])
+        with pytest.raises(ValueError, match="party"):
+            evolve(np.eye(9, dtype=complex), gate, [2])
+
+
+class TestInverseCdf:
+    def test_rows_match_one_distribution_at_a_time(self):
+        rng = np.random.default_rng(3)
+        cumulative = np.cumsum(rng.random((5, 12)), axis=1)
+        uniforms = rng.random(5)
+        stacked = inverse_cdf(cumulative, uniforms)
+        assert stacked.tolist() == [int(inverse_cdf(c, u)) for c, u in zip(cumulative, uniforms)]
+
+    def test_clips_to_the_last_possible_outcome(self):
+        # The last two outcomes have probability zero; a uniform of 1 (what
+        # rounding can produce) must not draw them.
+        cumulative = np.cumsum([0.0, 0.5, 0.5, 0.0, 0.0])
+        assert inverse_cdf(cumulative, np.array([0.0, 0.5, 1 - 2**-53, 1.0])).tolist() == [
+            1, 2, 2, 2,
+        ]
+        stacked = np.array([cumulative, np.cumsum([0.25, 0.0, 0.75, 0.0, 0.0])])
+        assert inverse_cdf(stacked, np.array([1.0, 1.0])).tolist() == [2, 2]
+        assert inverse_cdf(stacked, np.array([0.0, 0.25])).tolist() == [1, 2]
+
+
 class TestMeasurement:
     def test_basis_state_is_deterministic(self):
         rng = np.random.default_rng(0)
