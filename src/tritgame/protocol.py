@@ -232,8 +232,9 @@ def _sample_rows(
     ``probabilities`` holds the squared row norms of a half state.  No row
     of impossible probability is ever drawn, so the drawn norms can be
     divided by.  The remainder (u * total - mass before the drawn row) /
-    its mass is uniform on [0, 1) given the row (rounding can put it at
-    1), so it drives the draw of the remaining digits.
+    its mass is uniform on [0, 1) given the row (rounding can put it at or
+    just past 1, which :func:`qudit.inverse_cdf` clips), so it drives the
+    draw of the remaining digits.
     """
     probabilities = _possible(probabilities)
     edges = np.concatenate(([0.0], np.cumsum(probabilities)))
