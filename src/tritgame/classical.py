@@ -228,6 +228,11 @@ def _half_codes(luts: Sequence[np.ndarray]) -> np.ndarray:
     return codes
 
 
+def exhaustive_in_bound(k: int, long_run: bool = False) -> bool:
+    """Whether the exhaustive oracle enumerates k parties: k <= 7, or k = 10 with ``long_run``."""
+    return k <= 7 or (long_run and k == 10)
+
+
 def exhaustive_transcript_counts(profile: StrategyProfile, long_run: bool = False) -> np.ndarray:
     """(3^k, 3) exact counts of admissible inputs per transcript and global value.
 
@@ -239,11 +244,11 @@ def exhaustive_transcript_counts(profile: StrategyProfile, long_run: bool = Fals
     codes are built once per half bit pattern (:func:`_half_codes`).  Under
     a bit vector the code of the trit vector (y_hi, y_lo) is then
     hi[y_hi] * 3^(k-h) + lo[y_lo], one broadcast add, and one ``bincount``
-    adds the vector's inputs to the histogram.  Bounded to k <= 7 unless
-    ``long_run`` admits k = 10.
+    adds the vector's inputs to the histogram.  Bounded by
+    :func:`exhaustive_in_bound`.
     """
     k = profile.k
-    if k > 7 and not (long_run and k == 10):
+    if not exhaustive_in_bound(k, long_run):
         raise ValueError(f"enumeration bound exceeded for k={k}; pass long_run=True for k=10")
 
     h = k // 2

@@ -1,13 +1,18 @@
 """Batch command-line front end with deterministic, hashable reports.
 
-Every command emits a JSON envelope: command name, config echo, result
-payload, the SHA-256 of the canonical payload encoding, package version
-and wall-clock duration.  The hash covers only the payload, so two runs
-with the same command line and seed are byte-identical in the hashed
-region.  Probabilities always carry exact numerator/denominator next to
-their float rendering.
+Each command returns a :class:`Report`; :func:`main` alone times it, maps
+errors to exit codes, renders it and writes it to ``--output`` or stdout.
+``--format csv`` writes the report's table and no envelope.  Otherwise
+the output is a JSON envelope: command name, config echo, result payload,
+the SHA-256 of the canonical payload encoding, package version,
+wall-clock duration and any metrics.  The hash covers only the payload,
+so two runs with the same command line and seed are byte-identical in
+the hashed region.  Probabilities always carry exact numerator/denominator
+next to their float rendering.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage error.
+Exit codes: 0 all checks passed, 1 a check failed (a failed verification
+of the analytic engine among them), 2 usage error.  Errors print
+``error: ...`` to stderr and nothing to stdout.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +40,7 @@ from .classical import (
     evaluate_collapsed,
     evaluate_exhaustive,
     evaluator_metrics,
+    exhaustive_in_bound,
     strategy_orbit_reps,
     ten_player_worked_example,
     transcript_class_count,
@@ -52,6 +59,16 @@ EXIT_USAGE = 2
 BLOCK_TRIALS = 65_536
 
 
+class Report(NamedTuple):
+    """What a command computed; :func:`main` renders and emits it."""
+
+    config: dict
+    payload: dict  # the hashed part of the envelope
+    metrics: dict | None = None  # outside the hash; render time joins its stage_seconds
+    code: int = EXIT_OK
+    table: list[list] | None = None  # the --format csv rendering, header row first
+
+
 def _fraction_payload(value: Fraction) -> dict:
     return {
         "numerator": value.numerator,
@@ -60,21 +77,28 @@ def _fraction_payload(value: Fraction) -> dict:
     }
 
 
-def _envelope(
-    command: str, config: dict, payload: dict, started: float, metrics: dict | None = None
-) -> dict:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _envelope(command: str, report: Report, started: float) -> dict:
+    # Render time covers hashing the payload, plus whatever the command
+    # already counted under "render" (building records or table rows).
+    t0 = time.perf_counter()
+    canonical = json.dumps(report.payload, sort_keys=True, separators=(",", ":"))
     envelope = {
         "command": command,
-        "config": config,
-        "payload": payload,
+        "config": report.config,
+        "payload": report.payload,
         "payload_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
         "version": __version__,
         "duration_seconds": round(time.perf_counter() - started, 6),
     }
-    if metrics is not None:
-        envelope["metrics"] = metrics
+    if report.metrics is not None:
+        stages = report.metrics.get("stage_seconds")
+        if stages is not None:
+            stages["render"] += time.perf_counter() - t0
+            for name, seconds in stages.items():
+                stages[name] = round(seconds, 6)
+        envelope["metrics"] = report.metrics
     return envelope
+
 
 def _emit(text: str, output: str | None) -> None:
     if output:
@@ -84,10 +108,6 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-
-
-def _emit_envelope(envelope: dict, output: str | None) -> None:
-    _emit(json.dumps(envelope, indent=2, sort_keys=True), output)
 
 
 def _make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -126,48 +146,43 @@ def _parse_profile(text: str, k: int) -> StrategyProfile:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_quantum_verify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_quantum_verify(args: argparse.Namespace) -> Report:
     config = {"k": list(args.k), "tolerance": args.tolerance, "tampered": args.debug_tamper}
-    metrics = None
     try:
         cert = verify_class_stepping(
             ks=tuple(args.k),
             tol=args.tolerance,
             _perturb=1e-6 if args.debug_tamper else 0.0,
         )
-        sweep_ok = max(cert.sweep_deviations) <= args.tolerance
-        payload = {
-            "ok": cert.root_check.ok and cert.swap_check.ok and sweep_ok,
-            "checks": [
-                {"name": "root-branch-search", "ok": True, "branch": list(cert.branch)},
-                {"name": "root-cube-and-class-step", "ok": cert.root_check.ok},
-                {"name": "dim2-swap", "ok": cert.swap_check.ok},
-                {
-                    "name": "class-sweep",
-                    "ok": sweep_ok,
-                    "k": list(cert.checked_k),
-                    "bit_vectors_checked": [grouped_sum(k, 0, 3) for k in cert.checked_k],
-                },
-            ],
-        }
-        # The measured floats depend on the order numpy sums in, so they stay
-        # out of the hashed payload.
-        metrics = {
-            "root-cube-and-class-step": {
-                "max_deviation": cert.root_check.max_deviation,
-                "phase_real": cert.root_check.phase.real,
-                "phase_imag": cert.root_check.phase.imag,
-            },
-            "dim2-swap": {"max_deviation": cert.swap_check.max_deviation},
-            "class-sweep": {"max_deviation": list(cert.sweep_deviations)},
-        }
-        code = EXIT_OK if payload["ok"] else EXIT_CHECK_FAILED
     except (VerificationError, LookupError) as exc:
-        payload = {"ok": False, "error": str(exc)}
-        code = EXIT_CHECK_FAILED
-    _emit_envelope(_envelope("quantum-verify", config, payload, started, metrics), args.output)
-    return code
+        return Report(config, {"ok": False, "error": str(exc)}, code=EXIT_CHECK_FAILED)
+    sweep_ok = max(cert.sweep_deviations) <= args.tolerance
+    payload = {
+        "ok": cert.root_check.ok and cert.swap_check.ok and sweep_ok,
+        "checks": [
+            {"name": "root-branch-search", "ok": True, "branch": list(cert.branch)},
+            {"name": "root-cube-and-class-step", "ok": cert.root_check.ok},
+            {"name": "dim2-swap", "ok": cert.swap_check.ok},
+            {
+                "name": "class-sweep",
+                "ok": sweep_ok,
+                "k": list(cert.checked_k),
+                "bit_vectors_checked": [grouped_sum(k, 0, 3) for k in cert.checked_k],
+            },
+        ],
+    }
+    # The measured floats depend on the order numpy sums in, so they stay
+    # out of the hashed payload.
+    metrics = {
+        "root-cube-and-class-step": {
+            "max_deviation": cert.root_check.max_deviation,
+            "phase_real": cert.root_check.phase.real,
+            "phase_imag": cert.root_check.phase.imag,
+        },
+        "dim2-swap": {"max_deviation": cert.swap_check.max_deviation},
+        "class-sweep": {"max_deviation": list(cert.sweep_deviations)},
+    }
+    return Report(config, payload, metrics, EXIT_OK if payload["ok"] else EXIT_CHECK_FAILED)
 
 
 def _protocol_metrics(engine: str) -> dict:
@@ -185,17 +200,11 @@ def _protocol_metrics(engine: str) -> dict:
     return metrics
 
 
-def _timed_verify(metrics: dict) -> bool:
-    """Unlocks the analytic engine; False (with a message) if verification fails."""
+def _timed_verify(metrics: dict) -> None:
+    """Unlocks the analytic engine; a failed verification raises VerificationError."""
     t0 = time.perf_counter()
-    try:
-        verify_class_stepping()
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    finally:
-        metrics["stage_seconds"]["verify"] += time.perf_counter() - t0
-    return True
+    verify_class_stepping()
+    metrics["stage_seconds"]["verify"] += time.perf_counter() - t0
 
 
 def _run_trials(
@@ -254,22 +263,7 @@ def _run_trials(
     return successes
 
 
-def _timed_envelope(
-    command: str, config: dict, payload: dict, started: float, metrics: dict
-) -> dict:
-    # Render time covers hashing the payload, plus whatever the caller already
-    # counted under "render" (building protocol records).
-    t0 = time.perf_counter()
-    envelope = _envelope(command, config, payload, started, metrics)
-    stages = metrics["stage_seconds"]
-    stages["render"] += time.perf_counter() - t0
-    for name, seconds in stages.items():
-        stages[name] = round(seconds, 6)
-    return envelope
-
-
-def cmd_quantum_run(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_quantum_run(args: argparse.Namespace) -> Report:
     config = {
         "k": args.k,
         "trials": args.trials,
@@ -278,12 +272,12 @@ def cmd_quantum_run(args: argparse.Namespace) -> int:
         "seed_scheme": "numpy default_rng([seed, stream]); single stream 0",
     }
     if args.engine == "dense" and args.k > protocol.DENSE_MAX_K:
-        print(f"error: dense engine supports k <= {protocol.DENSE_MAX_K}", file=sys.stderr)
-        return EXIT_USAGE
+        # Checked here too: at --trials 0 the engine never runs.
+        raise ValueError(f"dense engine supports k <= {protocol.DENSE_MAX_K}")
 
     metrics = _protocol_metrics(args.engine)
-    if args.engine == "analytic" and not _timed_verify(metrics):
-        return EXIT_CHECK_FAILED
+    if args.engine == "analytic":
+        _timed_verify(metrics)
     records = [] if args.records else None
     successes = _run_trials(args.k, args.trials, _make_rng(args.seed), metrics, records)
     payload = {
@@ -297,13 +291,11 @@ def cmd_quantum_run(args: argparse.Namespace) -> int:
         for record in records:
             record["seed"] = args.seed
         payload["records"] = records
-    envelope = _timed_envelope("quantum-run", config, payload, started, metrics)
-    _emit_envelope(envelope, args.output)
-    return EXIT_OK if successes == args.trials else EXIT_CHECK_FAILED
+    code = EXIT_OK if successes == args.trials else EXIT_CHECK_FAILED
+    return Report(config, payload, metrics, code)
 
 
-def cmd_classical(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_classical(args: argparse.Namespace) -> Report:
     if args.subcommand == "example":
         report = ten_player_worked_example()
         payload = {
@@ -319,9 +311,7 @@ def cmd_classical(args: argparse.Namespace) -> int:
             "success": _fraction_payload(report.success),
             "label_note": report.label_note,
         }
-        config = {"subcommand": "example"}
-        _emit_envelope(_envelope("classical", config, payload, started), args.output)
-        return EXIT_OK
+        return Report({"subcommand": "example"}, payload)
 
     if args.subcommand == "eval":
         config = {
@@ -331,17 +321,12 @@ def cmd_classical(args: argparse.Namespace) -> int:
             "profile": args.profile,
             "long_run": args.long_run,
         }
-        try:
-            if args.strategy:
-                profile = StrategyProfile.homogeneous(_parse_strategy(args.strategy), args.k)
-            elif args.profile:
-                profile = _parse_profile(args.profile, args.k)
-            else:
-                print("error: eval needs --strategy or --profile", file=sys.stderr)
-                return EXIT_USAGE
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        if args.strategy:
+            profile = StrategyProfile.homogeneous(_parse_strategy(args.strategy), args.k)
+        elif args.profile:
+            profile = _parse_profile(args.profile, args.k)
+        else:
+            raise ValueError("eval needs --strategy or --profile")
         stages = {"collapsed": 0.0, "exhaustive": 0.0, "render": 0.0}
         t0 = time.perf_counter()
         collapsed = evaluate_collapsed(profile)
@@ -352,7 +337,7 @@ def cmd_classical(args: argparse.Namespace) -> int:
             "collapsed": _fraction_payload(collapsed),
         }
         code = EXIT_OK
-        if args.k <= 7 or (args.k == 10 and args.long_run):
+        if exhaustive_in_bound(args.k, args.long_run):
             t0 = time.perf_counter()
             exhaustive = evaluate_exhaustive(profile, long_run=args.long_run)
             stages["exhaustive"] = time.perf_counter() - t0
@@ -362,9 +347,7 @@ def cmd_classical(args: argparse.Namespace) -> int:
                 code = EXIT_CHECK_FAILED
         metrics = evaluator_metrics(args.k, transcript_class_count(profile), 0)
         metrics["stage_seconds"] = stages
-        envelope = _timed_envelope("classical", config, payload, started, metrics)
-        _emit_envelope(envelope, args.output)
-        return code
+        return Report(config, payload, metrics, code)
 
     # search
     config = {"subcommand": "search", "k": args.k}
@@ -380,13 +363,16 @@ def cmd_classical(args: argparse.Namespace) -> int:
     classes = orbits * transcript_class_count(StrategyProfile.homogeneous(strategy, args.k))
     metrics = evaluator_metrics(args.k, classes, orbits)
     metrics["stage_seconds"] = {"search": searched, "render": 0.0}
-    envelope = _timed_envelope("classical", config, payload, started, metrics)
-    _emit_envelope(envelope, args.output)
-    return EXIT_OK
+    return Report(config, payload, metrics)
 
 
-def _bounds_rows_payload(rows) -> list[dict]:
-    return [
+def cmd_bounds(args: argparse.Namespace) -> Report:
+    im_rule = args.im_rule if args.im_rule == "max" else int(args.im_rule)
+    config = {"family": args.family, "j": list(args.j), "im_rule": str(im_rule)}
+    t0 = time.perf_counter()
+    rows = convergence_table(args.family, args.j, im_rule=im_rule)
+    t1 = time.perf_counter()
+    row_dicts = [
         {
             "family": r.family,
             "j": r.j,
@@ -401,34 +387,15 @@ def _bounds_rows_payload(rows) -> list[dict]:
         }
         for r in rows
     ]
-
-
-def cmd_bounds(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    im_rule = args.im_rule if args.im_rule == "max" else int(args.im_rule)
-    config = {"family": args.family, "j": list(args.j), "im_rule": str(im_rule)}
-    t0 = time.perf_counter()
-    rows = convergence_table(args.family, args.j, im_rule=im_rule)
-    t1 = time.perf_counter()
-    row_dicts = _bounds_rows_payload(rows)
+    table = [list(row_dicts[0]), *(list(r.values()) for r in row_dicts)]
     metrics = {
         "stage_seconds": {"tables": t1 - t0, "render": time.perf_counter() - t1},
         "rows": len(rows),
     }
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(row_dicts[0].keys()))
-        writer.writeheader()
-        writer.writerows(row_dicts)
-        _emit(buf.getvalue(), args.output)
-        return EXIT_OK
-    payload = {"rows": row_dicts}
-    _emit_envelope(_timed_envelope("bounds", config, payload, started, metrics), args.output)
-    return EXIT_OK
+    return Report(config, {"rows": row_dicts}, metrics, table=table)
 
 
-def cmd_gap_report(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_gap_report(args: argparse.Namespace) -> Report:
     config = {
         "k": list(args.k),
         "trials": args.trials,
@@ -437,9 +404,10 @@ def cmd_gap_report(args: argparse.Namespace) -> int:
     }
     metrics = _protocol_metrics("analytic")
     metrics["stage_seconds"]["search"] = 0.0
-    if not _timed_verify(metrics):
-        return EXIT_CHECK_FAILED
+    _timed_verify(metrics)
     entries = []
+    table = [["k", "quantum_trials", "quantum_successes", "classical_strategy",
+              "classical_num", "classical_den", "classical_float", "baseline_float"]]
     ok = True
     for stream, k in enumerate(args.k):
         successes = _run_trials(k, args.trials, _make_rng(args.seed, stream), metrics, None)
@@ -458,26 +426,9 @@ def cmd_gap_report(args: argparse.Namespace) -> int:
                 "baseline": _fraction_payload(Fraction(1, 3)),
             }
         )
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            ["k", "quantum_trials", "quantum_successes", "classical_strategy",
-             "classical_num", "classical_den", "classical_float", "baseline_float"]
-        )
-        for e in entries:
-            writer.writerow(
-                [e["k"], e["quantum"]["trials"], e["quantum"]["successes"],
-                 e["classical_best"]["strategy"], e["classical_best"]["numerator"],
-                 e["classical_best"]["denominator"], e["classical_best"]["float"],
-                 e["baseline"]["float"]]
-            )
-        _emit(buf.getvalue(), args.output)
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
-    payload = {"rows": entries}
-    envelope = _timed_envelope("gap-report", config, payload, started, metrics)
-    _emit_envelope(envelope, args.output)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        table.append([k, args.trials, successes, strategy.to_string(), value.numerator,
+                      value.denominator, float(value), float(Fraction(1, 3))])
+    return Report(config, {"rows": entries}, metrics, EXIT_OK if ok else EXIT_CHECK_FAILED, table)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, nargs="+", default=[4, 7], help="dense sweep sizes")
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--debug-tamper", action="store_true", help="inject a gate error (must fail)")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_quantum_verify)
 
     p = sub.add_parser("quantum-run", help="run protocol trials on sampled inputs")
@@ -505,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("dense", "analytic"), default="dense")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--records", action="store_true", help="include per-run records")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_quantum_run)
 
     p = sub.add_parser("classical", help="exact classical success probabilities")
@@ -518,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated divisions/6-trit strings, optional :count (e.g. 'A:3,100122')",
     )
     p.add_argument("--long-run", action="store_true", help="allow exhaustive evaluation at k=10")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_classical)
 
     p = sub.add_parser("bounds", help="convergence tables for the bound families")
@@ -526,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, nargs="+", default=[5, 10, 20, 40, 60])
     p.add_argument("--im-rule", choices=("max", "0", "1", "2"), default="max")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("gap-report", help="quantum vs best-classical success per k")
@@ -534,19 +481,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_trial_count, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_gap_report)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except ValueError as exc:
+        report = args.func(args)
+    except (ValueError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_CHECK_FAILED if isinstance(exc, VerificationError) else EXIT_USAGE
+    if getattr(args, "format", "json") == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows(report.table)
+        text = buf.getvalue()
+    else:
+        text = json.dumps(_envelope(args.command, report, started), indent=2, sort_keys=True)
+    _emit(text, args.output)
+    return report.code
 
 
 if __name__ == "__main__":

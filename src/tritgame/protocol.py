@@ -182,14 +182,13 @@ def dense_pre_measurement_state(
     bits: Sequence[int],
     *,
     gate: LocalGate | None = None,
-    start: QuditState | None = None,
 ) -> QuditState:
     """Shared state after every zero-bit party applied the root gate.
 
-    ``gate`` defaults to the root gate of the first valid branch and
-    ``start`` to the digit-sum-0 class state; callers that evolve many
-    vectors build both once and pass them.  The gates run in party order
-    through :func:`qudit.evolve`, which validates the final state once.
+    The gates act on the digit-sum-0 class state, in party order, through
+    :func:`qudit.evolve`, which validates the final state once.  ``gate``
+    defaults to the root gate of the first valid branch; callers that
+    evolve many vectors build it once and pass it.
     """
     if k > DENSE_MAX_K:
         raise ValueError(f"dense engine supports k <= {DENSE_MAX_K}, got {k}")
@@ -197,11 +196,8 @@ def dense_pre_measurement_state(
         raise ValueError(f"need {k} bits, got {len(bits)}")
     if gate is None:
         gate = root_gate(3, find_valid_root_branch())
-    if start is None:
-        start = make_sum_class_state(k, 0)
-    elif (start.d, start.k) != (3, k):
-        raise ValueError(f"start must be a state of {k} qutrits, got d={start.d}, k={start.k}")
-    return evolve(start, gate, [party for party, bit in enumerate(bits) if bit == 0])
+    zeros = [party for party, bit in enumerate(bits) if bit == 0]
+    return evolve(make_sum_class_state(k, 0), gate, zeros)
 
 
 class DenseCounts(NamedTuple):
@@ -270,10 +266,7 @@ def run_dense_batch(
     """
     zero_triples_mod3(bits)
     n, k = bits.shape
-    if k > DENSE_MAX_K:
-        raise ValueError(f"dense engine supports k <= {DENSE_MAX_K}, got {k}")
     gate = root_gate(3, find_valid_root_branch())
-    start_state = make_sum_class_state(k, 0)
     uniforms = rng.random(n)
     distinct, inverse, counts = np.unique(
         bits, axis=0, return_inverse=True, return_counts=True
@@ -288,7 +281,7 @@ def run_dense_batch(
     first = 0
     for i, count in enumerate(counts):
         if new_half[i]:
-            half = dense_pre_measurement_state(k, prefix_only[i], gate=gate, start=start_state)
+            half = dense_pre_measurement_state(k, prefix_only[i], gate=gate)
             matrix = half.amplitudes.reshape(3**h, 3 ** (k - h))
             row_norms = np.sum(np.abs(matrix) ** 2, axis=1)
         trials = order[first:first + count]

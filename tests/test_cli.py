@@ -54,6 +54,13 @@ class TestQuantumVerify:
         assert code == 1
         assert env["payload"]["ok"] is False
 
+    def test_sweep_beyond_dense_bound_is_usage_error(self, capsys):
+        code = cli.main(["quantum-verify", "--k", "100"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: verification needs dense states; k=100")
+
 
 class TestQuantumRun:
     def test_dense_run_all_successes(self, capsys):
@@ -91,9 +98,14 @@ class TestQuantumRun:
         assert code == 0
         assert env["payload"]["successes"] == 500
 
-    def test_dense_k_bound_is_usage_error(self, capsys):
-        code = cli.main(["quantum-run", "--k", "16", "--trials", "1"])
+    @pytest.mark.parametrize("trials", ["1", "0"])
+    def test_dense_k_bound_is_usage_error(self, capsys, trials):
+        # At --trials 0 the engine never runs, so the command checks the size itself.
+        code = cli.main(["quantum-run", "--k", "16", "--trials", trials])
         assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: dense engine supports k <= 13")
 
     def test_metrics_sit_outside_the_hashed_payload(self, capsys):
         code, env = run_json(
@@ -384,6 +396,62 @@ class TestGapReport:
 
 
 class TestHarness:
+    @pytest.mark.parametrize("argv", [
+        ["quantum-run", "--k", "7", "--engine", "analytic", "--trials", "10"],
+        ["gap-report", "--k", "4", "--trials", "10"],
+    ])
+    def test_failed_unlock_exits_one(self, capsys, monkeypatch, argv):
+        def fail():
+            raise protocol.VerificationError("tampered")
+
+        monkeypatch.setattr(cli, "verify_class_stepping", fail)
+        code = cli.main(argv)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tampered\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--family", "F", "--j", "5", "10", "--format", "csv"],
+        ["gap-report", "--k", "4", "13", "--trials", "10", "--seed", "2", "--format", "csv"],
+    ])
+    def test_csv_output_file_matches_stdout(self, capsys, tmp_path, argv):
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        path = tmp_path / "table.csv"
+        assert cli.main([*argv, "--output", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["classical", "example"],
+         "ef9fca9ddabaf2e8732200a879e2e1cda8c4596bec151b7da01ccc17bd151e67"),
+        (["classical", "eval", "--k", "7", "--profile", "A:3,F:4"],
+         "2749c993f6727ce548052c806b3c66c8cfa4e3e1b7860bc478fecb51cb54c79f"),
+        (["classical", "search", "--k", "13"],
+         "9365a35f94ccde740d6d7f07fa9829c7f5ff37fd5a687b665ded2f70cc0305ce"),
+        (["bounds", "--family", "A"],
+         "3968edaf6143e6406dff2ce03a9d831c8a68783f524e1647e3f2a8bcd65a0cda"),
+        (["bounds", "--family", "F"],
+         "c916b87a5c30d0faab05f53d36499023c527bc5cbc220244192f66573f17799e"),
+        (["bounds", "--family", "L"],
+         "2b4c44ae9c8cfe2090964f81f551b910f5c5d26bc55175f0c38cf479475f4ed5"),
+        (["bounds", "--family", "N"],
+         "0e35dee9bcea432a7803fd5aedfbd9de5e7c525fcd844204d033d0e426b2a7e8"),
+        (["gap-report", "--k", "4", "13", "--trials", "50"],
+         "c27d55449a423273da5e78c5570a2af715885bafc9fe5758f4b506f8d8df47d3"),
+        (["quantum-run", "--k", "7", "--trials", "200", "--seed", "3"],
+         "453651a301c5488acd4abe578e9588a782581da0d6a604b6122ab0e82799af12"),
+        (["quantum-run", "--k", "100", "--engine", "analytic", "--trials", "1000", "--seed", "4"],
+         "bb88ef234b3d7f2263772d873e8d53d01776c1c0cbb638ebd0976242c4939b7a"),
+    ])
+    def test_payload_hash_pinned(self, capsys, argv, digest):
+        # These payloads hold counts, exact fractions and floats rounded from
+        # them, so their hashes do not depend on the platform.
+        code, env = run_json(capsys, argv)
+        assert code == 0
+        assert env["payload_sha256"] == digest
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code = cli.main(["classical", "example", "--output", str(path)])

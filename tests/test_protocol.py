@@ -275,7 +275,7 @@ class TestDenseEngine:
             for party, bit in enumerate(bits):
                 if bit == 0:
                     ref = apply_local(ref, gate.matrix, party)
-            state = dense_pre_measurement_state(10, bits, gate=gate, start=start)
+            state = dense_pre_measurement_state(10, bits, gate=gate)
             worst = max(worst, float(np.max(np.abs(state.amplitudes - ref.amplitudes))))
         assert worst <= 1e-12
 
@@ -285,18 +285,16 @@ class TestDenseEngine:
         # distinct vector then go through its second-half gates as one stack,
         # in one call, with parties counted from party h.
         k, h = 7, 7 // 2
-        class0 = make_sum_class_state(k, 0)
         prefixes = []
         stacks = []  # (first half, second-half zero positions, rows in the stack)
         pre_measurement = protocol.dense_pre_measurement_state
         evolve = protocol.evolve
 
-        def counting_state(k, bits, *, gate, start):
+        def counting_state(k, bits, *, gate):
             bits = tuple(bits.tolist())
-            assert start is class0
             assert bits[h:] == (1,) * (k - h)
             prefixes.append(bits[:h])
-            return pre_measurement(k, bits, gate=gate, start=start)
+            return pre_measurement(k, bits, gate=gate)
 
         def counting_evolve(state, gate, parties):
             if not isinstance(state, QuditState):
@@ -356,7 +354,8 @@ class TestDenseEngine:
             half = dense_pre_measurement_state(k, prefix + (1,) * (k - h), gate=gate)
             norms = row_norms(half, h)
             for suffix in itertools.product((0, 1), repeat=k - h):
-                full = dense_pre_measurement_state(k, (1,) * h + suffix, gate=gate, start=half)
+                zeros = [h + q for q, bit in enumerate(suffix) if bit == 0]
+                full = qudit.evolve(half, gate, zeros)
                 worst = max(worst, float(np.max(np.abs(row_norms(full, h) - norms))))
         assert worst <= 1e-12
 
@@ -471,6 +470,20 @@ class TestAnalyticEngine:
         trits, bits = sample_admissible_batch(1000, 200, rng)
         outcomes = run_analytic_batch(bits, rng)
         assert np.array_equal(decode_batch(trits, outcomes), global_function_batch(trits, bits))
+
+    def test_sweep_beyond_dense_bound_fails_before_enumerating(self, monkeypatch):
+        # k=100 would mean enumerating about 2^100/3 bit vectors: the size
+        # check must come first, and the engine must stay locked.
+        def enumerate_vectors(k):
+            raise AssertionError(f"enumerated the bit vectors of k={k}")
+
+        monkeypatch.setattr(protocol, "admissible_bit_vectors", enumerate_vectors)
+        with pytest.raises(ValueError, match="k=100 exceeds 13"):
+            verify_class_stepping(ks=(100,))
+        with pytest.raises(AnalyticEngineLockedError):
+            run_analytic_batch(rows((1, 1, 1, 1)), np.random.default_rng(0))
+        monkeypatch.undo()
+        verify_class_stepping()  # restore the unlocked state
 
     def test_certificate_contents(self, stepping_cert):
         assert stepping_cert.branch == (0, 0)
