@@ -228,7 +228,7 @@ def _half_codes(luts: Sequence[np.ndarray]) -> np.ndarray:
     return codes
 
 
-def exhaustive_in_bound(k: int, long_run: bool = False) -> bool:
+def exhaustive_in_bound(k: int, long_run: bool) -> bool:
     """Whether the exhaustive oracle enumerates k parties: k <= 7, or k = 10 with ``long_run``."""
     return k <= 7 or (long_run and k == 10)
 

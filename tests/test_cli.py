@@ -98,14 +98,14 @@ class TestQuantumRun:
         assert code == 0
         assert env["payload"]["successes"] == 500
 
-    @pytest.mark.parametrize("trials", ["1", "0"])
-    def test_dense_k_bound_is_usage_error(self, capsys, trials):
+    def test_dense_k_bound_is_usage_error(self, capsys):
         # At --trials 0 the engine never runs, so the command checks the size itself.
-        code = cli.main(["quantum-run", "--k", "16", "--trials", trials])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: dense engine supports k <= 13")
+        for trials in ("1", "0"):
+            code = cli.main(["quantum-run", "--k", "16", "--trials", trials])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: dense engine supports k <= 13")
 
     def test_metrics_sit_outside_the_hashed_payload(self, capsys):
         code, env = run_json(
