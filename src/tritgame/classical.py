@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .combinat import binomial, grouped_sum
-from .protocol import admissible_bit_vectors, zero_triples_mod3
+from .protocol import admissible_bit_vectors, check_party_count, zero_triples_mod3
 from .qudit import digit_sums
 
 #: Register values in serialization order; a strategy string lists the sent
@@ -151,9 +151,7 @@ class StrategyProfile:
     strategies: tuple[Strategy, ...]
 
     def __post_init__(self) -> None:
-        k = len(self.strategies)
-        if k < 4 or k % 3 != 1:
-            raise ValueError(f"party count must be >= 4 and 1 mod 3, got {k}")
+        check_party_count(len(self.strategies))
 
     @property
     def k(self) -> int:

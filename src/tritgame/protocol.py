@@ -29,8 +29,9 @@ Two interchangeable engines produce the outcomes:
   whether to a full state or to a stack of rows.
 * :func:`run_analytic_batch` skips the state entirely and samples the
   outcome string uniformly from the digit-sum class the evolution provably
-  lands in.  It is gated on :func:`verify_class_stepping` having passed in
-  this process, so the shortcut never outruns the evidence for it.
+  lands in.  It runs only on a :class:`SteppingCertificate` from
+  :func:`verify_class_stepping` that covers the canonical sweep, so the
+  shortcut never outruns the evidence for it.
 
 :func:`admissible_bit_vectors` enumerates the admissible bit vectors, and
 :func:`zero_triples_mod3` gives each row's class, for the verification
@@ -64,7 +65,8 @@ from .qudit import (
 DENSE_MAX_K = 13
 
 
-def _check_party_count(k: int) -> None:
+def check_party_count(k: int) -> None:
+    """Rejects a party count that is not 4, 7, 10, ... (>= 4 and 1 mod 3)."""
     if k < 4 or k % 3 != 1:
         raise ValueError(f"party count must be >= 4 and 1 mod 3, got {k}")
 
@@ -74,7 +76,7 @@ class VerificationError(RuntimeError):
 
 
 class AnalyticEngineLockedError(RuntimeError):
-    """The analytic engine ran before verify_class_stepping passed."""
+    """The analytic engine ran without a certificate for the canonical sweep."""
 
 
 def admissible_bit_vectors(k: int) -> np.ndarray:
@@ -84,7 +86,7 @@ def admissible_bit_vectors(k: int) -> np.ndarray:
     then lexicographically by the positions of the zeros; the first is all
     ones.
     """
-    _check_party_count(k)
+    check_party_count(k)
     zero_sets = [z for m in range(0, k + 1, 3) for z in itertools.combinations(range(k), m)]
     bits = np.ones((len(zero_sets), k), dtype=np.int8)
     for row, zeros in zip(bits, zero_sets):
@@ -105,7 +107,7 @@ def zero_triples_mod3(bits: np.ndarray) -> np.ndarray:
     """
     if bits.ndim != 2:
         raise ValueError(f"need an (n, k) bit array, got shape {bits.shape}")
-    _check_party_count(bits.shape[1])
+    check_party_count(bits.shape[1])
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bits out of range: every entry must be 0 or 1")
     zeros = np.count_nonzero(bits == 0, axis=1)
@@ -133,7 +135,7 @@ def sample_admissible_batch(
     equally likely (about a third of the rows are kept).  The trits are
     drawn uniformly after the bits.
     """
-    _check_party_count(k)
+    check_party_count(k)
     if n < 0:
         raise ValueError(f"need a non-negative sample count, got {n}")
     kept = [np.empty((0, k), dtype=np.int8)]
@@ -168,7 +170,7 @@ def decode_batch(trits: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
     """
     if outcomes.ndim != 2:
         raise ValueError(f"need an (n, k) outcome array, got shape {outcomes.shape}")
-    _check_party_count(outcomes.shape[1])
+    check_party_count(outcomes.shape[1])
     _check_trits(trits, outcomes)
     return ((trits + outcomes) % 3).sum(axis=1, dtype=np.int64) % 3
 
@@ -203,10 +205,10 @@ def dense_pre_measurement_state(
 class DenseCounts(NamedTuple):
     """What one dense batch evolved."""
 
-    half_states: int  # distinct first-half bit patterns: one full-size state each
-    gates: int  # root-gate applications to full-size states
-    rows: int  # conditional second-half rows: one per trial
-    row_gates: int  # root-gate applications to single rows (s rows through g gates: s * g)
+    half_states_evolved: int  # distinct first-half bit patterns: one full-size state each
+    gates_applied: int  # root-gate applications to full-size states
+    rows_evolved: int  # conditional second-half rows: one per trial
+    row_gates_applied: int  # root-gate applications to single rows (s rows through g gates: s * g)
 
 
 #: An outcome this unlikely counts as impossible: its amplitude is within
@@ -294,34 +296,34 @@ def run_dense_batch(
     # Party 1 owns the most significant base-3 digit of the basis index.
     outcomes = index[:, None] // 3 ** np.arange(k - 1, -1, -1) % 3
     return outcomes.astype(np.int8), DenseCounts(
-        half_states=int(np.count_nonzero(new_half)),
-        gates=int(np.count_nonzero(prefix_only[new_half] == 0)),
-        rows=n,
-        row_gates=int(np.count_nonzero(bits[:, h:] == 0)),
+        half_states_evolved=int(np.count_nonzero(new_half)),
+        gates_applied=int(np.count_nonzero(prefix_only[new_half] == 0)),
+        rows_evolved=n,
+        row_gates_applied=int(np.count_nonzero(bits[:, h:] == 0)),
     )
 
 
 # ---------------------------------------------------------------------------
-# Analytic engine, gated on verification
+# Analytic engine, gated on a verification certificate
 # ---------------------------------------------------------------------------
 
 _CERT_KS = (4, 7)
 _CERT_TOL = 1e-10
-_verified = False
 
 
 @dataclass(frozen=True)
 class SteppingCertificate:
     """Evidence that the analytic shortcut is sound in this build.
 
-    ``sweep_deviations[i]`` is the worst sum-class deviation of an evolved
-    state at ``checked_k[i]``; ``max_deviation`` covers every check.
+    Every check passed at tolerance ``tol``.  ``sweep_deviations[i]`` is the
+    worst sum-class deviation at ``checked_k[i]``; ``max_deviation`` covers every check.
     """
 
     branch: RootBranch
     root_check: RootCheck
     swap_check: RootCheck
     checked_k: tuple[int, ...]
+    tol: float
     sweep_deviations: tuple[float, ...]
     max_deviation: float
 
@@ -337,15 +339,13 @@ def verify_class_stepping(
     and steps 3-party classes with one modulus-1 phase; the dimension-2
     analog swaps the parity classes; and for every admissible bit vector at
     each k in ``ks`` the dense pre-measurement state is exactly the class
-    predicted by the zero-triple count.  Raises VerificationError on any
-    failure.  The analytic engine is unlocked for this process only while
-    the latest verification passed and covered the canonical suite
-    (k = 4 and 7 at tolerance 1e-10 or tighter); any other call leaves it
-    locked.  ``_perturb`` is a debug hook that injects an error into the
+    predicted by the zero-triple count.  Returns the certificate, or raises
+    VerificationError on any failure (a NaN deviation fails too).  It
+    changes no state: :func:`run_analytic_batch` runs on the certificate
+    when it covers the canonical suite (k = 4 and 7 at tolerance 1e-10 or
+    tighter).  ``_perturb`` is a debug hook that injects an error into the
     root-gate check.
     """
-    global _verified
-    _verified = False
     branch = find_valid_root_branch(tol)
     root_check = verify_root_branch(branch, tol)
     if _perturb:
@@ -371,42 +371,41 @@ def verify_class_stepping(
         for bits, expected in zip(vectors.tolist(), zero_triples_mod3(vectors).tolist()):
             state = dense_pre_measurement_state(k, bits, gate=gate)
             phase, dev = sum_class_deviation(state, expected)
-            if dev > tol or abs(abs(phase) - 1.0) > tol:
+            if not (dev <= tol and abs(abs(phase) - 1.0) <= tol):
                 raise VerificationError(
                     f"evolved state at k={k}, bits={tuple(bits)} is not class {expected}"
                 )
             worst = max(worst, dev)
         sweep_devs.append(worst)
 
-    _verified = set(_CERT_KS).issubset(ks) and tol <= _CERT_TOL
     return SteppingCertificate(
         branch=branch,
         root_check=root_check,
         swap_check=swap_check,
         checked_k=tuple(ks),
+        tol=tol,
         sweep_deviations=tuple(sweep_devs),
         max_deviation=max(root_check.max_deviation, swap_check.max_deviation, *sweep_devs),
     )
 
 
-def _reset_verification() -> None:
-    # Test hook: relock the analytic engine.
-    global _verified
-    _verified = False
-
-
-def run_analytic_batch(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def run_analytic_batch(
+    bits: np.ndarray, rng: np.random.Generator, certificate: SteppingCertificate | None
+) -> np.ndarray:
     """Measurement outcomes without state evolution, at any k.
 
     Samples each row's outcome string uniformly from the digit-sum class
     the dense evolution lands in (k-1 free digits, last digit forced),
     which is the exact measurement distribution.  Returns int8 (n, k)
-    outcomes.  Refuses to run unless :func:`verify_class_stepping` has
-    passed in this process.
+    outcomes.  Refuses to run unless ``certificate`` comes from a
+    :func:`verify_class_stepping` that swept k = 4 and 7 at tolerance
+    1e-10 or tighter.
     """
-    if not _verified:
+    if certificate is None or not (
+        set(_CERT_KS).issubset(certificate.checked_k) and certificate.tol <= _CERT_TOL
+    ):
         raise AnalyticEngineLockedError(
-            "analytic engine is locked: run verify_class_stepping() first"
+            "analytic engine is locked: pass the certificate of verify_class_stepping()"
         )
     target = zero_triples_mod3(bits)
     n, k = bits.shape

@@ -7,7 +7,7 @@ from tritgame.qudit import find_valid_root_branch, inverse_cdf, root_gate
 
 @pytest.fixture(scope="session")
 def stepping_cert():
-    """Unlock the analytic engine once for the whole session."""
+    """The default verification certificate, computed once for the session."""
     return verify_class_stepping()
 
 

@@ -107,9 +107,9 @@ def test_criterion_3_quantum_perfect_success():
     outcomes, _ = run_dense_batch(bits, rng)
     failures += check(trits, bits, outcomes)
     counts["k=10 dense sampled"] = len(bits)
-    verify_class_stepping()
+    cert = verify_class_stepping()
     trits, bits = sample_admissible_batch(100, 100_000, rng)
-    failures += check(trits, bits, run_analytic_batch(bits, rng))
+    failures += check(trits, bits, run_analytic_batch(bits, rng, cert))
     counts["k=100 analytic sampled"] = len(bits)
     ok = failures == 0
     report(

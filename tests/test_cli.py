@@ -241,6 +241,9 @@ class TestClassical:
         assert cli.main(
             ["classical", "eval", "--profile", "A:2", "--k", "4"]
         ) == 2
+        # A count below 1 would drop A without a word and evaluate B x 4.
+        for profile in ("A:-1,B:4", "A:0,B:4"):
+            assert cli.main(["classical", "eval", "--profile", profile, "--k", "4"]) == 2
 
     def test_search(self, capsys):
         code, env = run_json(capsys, ["classical", "search", "--k", "4"])
@@ -374,6 +377,17 @@ class TestGapReport:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-negative trial count" in captured.err
+
+    def test_bad_k_fails_before_any_work(self, capsys, monkeypatch):
+        # Every k is checked before verification, trials or searches start.
+        def fail():
+            raise AssertionError("verification ran before the k check")
+
+        monkeypatch.setattr(cli, "verify_class_stepping", fail)
+        assert cli.main(["gap-report", "--k", "31", "61", "5", "--trials", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: party count must be >= 4 and 1 mod 3, got 5\n"
 
     def test_determinism(self, capsys):
         argv = ["gap-report", "--k", "4", "--trials", "25", "--seed", "3"]

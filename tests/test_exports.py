@@ -4,12 +4,13 @@ import tritgame
 from tritgame import bounds, classical, combinat, protocol, qudit
 
 # Names of the per-row protocol API and the helpers only it used, the bound
-# dispatch layer and the unused grouped-sum parameter tuple.
+# dispatch layer, the unused grouped-sum parameter tuple, and the process-wide
+# verification flag with its reset hook.
 REMOVED = (
     "RegisterInput", "ProtocolRun", "global_function", "decode", "enumerate_admissible",
     "batch_runs", "sample_admissible", "run_dense", "run_analytic", "apply_local",
     "measure_all", "trit_add", "canonical_strategy_reps", "BoundParams", "bound_value",
-    "GroupedSumSpec",
+    "GroupedSumSpec", "_verified", "_reset_verification",
 )
 
 

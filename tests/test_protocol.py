@@ -216,7 +216,7 @@ class TestDenseEngine:
         trits = rows((0, 0, 0, 0), (1, 2, 0, 1), (2, 2, 2, 2))
         bits = np.ones_like(trits)
         outcomes, counts = run_dense_batch(bits, np.random.default_rng(11))
-        assert counts.gates == 0
+        assert counts.gates_applied == 0
         decoded = decode_batch(trits, outcomes)
         assert decoded.tolist() == [sum(t) % 3 for t in trits.tolist()]
         assert np.array_equal(decoded, global_function_batch(trits, bits))
@@ -313,11 +313,11 @@ class TestDenseEngine:
         ]
         assert sorted(stacks) == sorted(expected)
         assert len(stacks) == len(trials) < 300
-        assert len(set(prefixes)) == len(prefixes) == counts.half_states
+        assert len(set(prefixes)) == len(prefixes) == counts.half_states_evolved
         assert set(prefixes) == {v[:h] for v in trials}
-        assert counts.gates == sum(p.count(0) for p in prefixes)
-        assert counts.rows == sum(n for _, _, n in stacks) == 300
-        assert counts.row_gates == sum(len(zeros) * n for _, zeros, n in stacks)
+        assert counts.gates_applied == sum(p.count(0) for p in prefixes)
+        assert counts.rows_evolved == sum(n for _, _, n in stacks) == 300
+        assert counts.row_gates_applied == sum(len(zeros) * n for _, zeros, n in stacks)
         assert outcomes.shape == (300, 7) and outcomes.dtype == np.int8
         assert np.array_equal(decode_batch(trits, outcomes), global_function_batch(trits, bits))
 
@@ -335,8 +335,8 @@ class TestDenseEngine:
         outcomes, counts = run_dense_batch(bits, np.random.default_rng(100 + k))
         uniforms = np.random.default_rng(100 + k).random(len(bits))
         expected, _ = per_vector_outcomes(bits, uniforms)
-        assert counts.half_states == len({tuple(row[: k // 2]) for row in bits.tolist()})
-        assert counts.rows == len(bits)
+        assert counts.half_states_evolved == len({tuple(row[: k // 2]) for row in bits.tolist()})
+        assert counts.rows_evolved == len(bits)
         assert np.array_equal(outcomes, expected)
 
     @pytest.mark.parametrize("k", [7, 10])
@@ -444,50 +444,57 @@ class TestRowSampler:
 
 class TestAnalyticEngine:
     def test_locked_without_verification(self):
-        protocol._reset_verification()
         rng = np.random.default_rng(0)
         with pytest.raises(AnalyticEngineLockedError):
-            run_analytic_batch(rows((1, 1, 1, 1)), rng)
+            run_analytic_batch(rows((1, 1, 1, 1)), rng, None)
         with pytest.raises(AnalyticEngineLockedError):
-            run_analytic_batch(np.ones((3, 4), dtype=np.int8), rng)
-        verify_class_stepping()  # re-unlock for the rest of the session
+            run_analytic_batch(np.ones((3, 4), dtype=np.int8), rng, None)
 
     def test_partial_sweep_does_not_unlock(self):
-        protocol._reset_verification()
         cert = verify_class_stepping(ks=(4,))
         assert cert.checked_k == (4,)
         with pytest.raises(AnalyticEngineLockedError):
-            run_analytic_batch(rows((1, 1, 1, 1)), np.random.default_rng(0))
-        verify_class_stepping()  # full suite re-unlocks
+            run_analytic_batch(rows((1, 1, 1, 1)), np.random.default_rng(0), cert)
+
+    def test_loose_tolerance_does_not_unlock(self):
+        cert = verify_class_stepping(tol=1e-6)
+        assert cert.checked_k == (4, 7) and cert.tol == 1e-6
+        with pytest.raises(AnalyticEngineLockedError):
+            run_analytic_batch(rows((1, 1, 1, 1)), np.random.default_rng(0), cert)
+
+    def test_certificate_outlives_a_failed_verification(self, stepping_cert):
+        # A later failed call leaves the certificate in hand valid: nothing
+        # but the certificate decides whether the engine runs.
+        with pytest.raises(protocol.VerificationError):
+            verify_class_stepping(_perturb=1e-6)
+        outcomes = run_analytic_batch(rows((0, 0, 0, 1)), np.random.default_rng(0), stepping_cert)
+        assert outcomes.sum() % 3 == 1
 
     def test_always_correct_at_large_k(self, stepping_cert):
         rng = np.random.default_rng(31)
         trits, bits = sample_admissible_batch(100, 2000, rng)
-        outcomes = run_analytic_batch(bits, rng)
+        outcomes = run_analytic_batch(bits, rng, stepping_cert)
         assert np.array_equal(decode_batch(trits, outcomes), global_function_batch(trits, bits))
         zeros = np.count_nonzero(bits == 0, axis=1)
         assert np.array_equal(outcomes.sum(axis=1) % 3, zeros // 3 % 3)
         trits, bits = sample_admissible_batch(1000, 200, rng)
-        outcomes = run_analytic_batch(bits, rng)
+        outcomes = run_analytic_batch(bits, rng, stepping_cert)
         assert np.array_equal(decode_batch(trits, outcomes), global_function_batch(trits, bits))
 
     def test_sweep_beyond_dense_bound_fails_before_enumerating(self, monkeypatch):
         # k=100 would mean enumerating about 2^100/3 bit vectors: the size
-        # check must come first, and the engine must stay locked.
+        # check must come first.
         def enumerate_vectors(k):
             raise AssertionError(f"enumerated the bit vectors of k={k}")
 
         monkeypatch.setattr(protocol, "admissible_bit_vectors", enumerate_vectors)
         with pytest.raises(ValueError, match="k=100 exceeds 13"):
             verify_class_stepping(ks=(100,))
-        with pytest.raises(AnalyticEngineLockedError):
-            run_analytic_batch(rows((1, 1, 1, 1)), np.random.default_rng(0))
-        monkeypatch.undo()
-        verify_class_stepping()  # restore the unlocked state
 
     def test_certificate_contents(self, stepping_cert):
         assert stepping_cert.branch == (0, 0)
         assert stepping_cert.checked_k == (4, 7)
+        assert stepping_cert.tol == 1e-10
         assert stepping_cert.max_deviation <= 1e-10
 
     def test_outcome_distribution_matches_dense(self, stepping_cert):
@@ -496,8 +503,8 @@ class TestAnalyticEngine:
         trials = 10_000
         bits = np.tile(np.array([[0, 0, 0, 1]], dtype=np.int8), (trials, 1))
         dense, evolved = run_dense_batch(bits, np.random.default_rng(777))
-        analytic = run_analytic_batch(bits, np.random.default_rng(778))
-        assert evolved.half_states == 1 and evolved.rows == trials
+        analytic = run_analytic_batch(bits, np.random.default_rng(778), stepping_cert)
+        assert evolved.half_states_evolved == 1 and evolved.rows_evolved == trials
         dense_counts: dict[tuple, int] = {}
         analytic_counts: dict[tuple, int] = {}
         for counts, outcomes in ((dense_counts, dense), (analytic_counts, analytic)):
@@ -518,7 +525,13 @@ class TestVerification:
     def test_tamper_hook_fails(self):
         with pytest.raises(protocol.VerificationError):
             verify_class_stepping(_perturb=1e-6)
-        verify_class_stepping()  # restore the unlocked state
+
+    def test_nan_sweep_deviation_fails(self, monkeypatch):
+        # A NaN compares false with everything, so only a test written as
+        # "not (dev <= tol)" rejects it.
+        monkeypatch.setattr(protocol, "sum_class_deviation", lambda state, j: (1.0, float("nan")))
+        with pytest.raises(protocol.VerificationError, match="is not class"):
+            verify_class_stepping()
 
     def test_certificate_unchanged_by_class_state_cache(self):
         qudit._sum_class_state.cache_clear()
