@@ -25,21 +25,17 @@ from .classical import (
     REGISTER_VALUES,
     Strategy,
     StrategyProfile,
-    TranscriptClassStats,
     best_homogeneous,
     canonical_division,
     crt_primes,
-    division_type,
     evaluate_collapsed,
     evaluate_exhaustive,
     evaluator_metrics,
     exhaustive_transcript_counts,
-    random_profile,
     ten_player_worked_example,
     strategy_groups,
     strategy_orbit_reps,
     transcript_class_count,
-    transcript_class_stats,
 )
 from .combinat import (
     binomial,
@@ -65,7 +61,6 @@ from .qudit import (
     LocalGate,
     QuditState,
     RootBranch,
-    classify_sum_class,
     evolve,
     find_valid_root_branch,
     inverse_cdf,
@@ -79,9 +74,8 @@ __all__ = [
     # combinatorics
     "binomial", "grouped_sum", "grouped_sum_primed", "ramus",
     # qudit simulation
-    "LocalGate", "QuditState", "RootBranch", "classify_sum_class", "evolve",
-    "find_valid_root_branch", "inverse_cdf", "make_sum_class_state", "permutation_gate",
-    "root_gate",
+    "LocalGate", "QuditState", "RootBranch", "evolve", "find_valid_root_branch",
+    "inverse_cdf", "make_sum_class_state", "permutation_gate", "root_gate",
     # protocol
     "AnalyticEngineLockedError", "DenseCounts", "SteppingCertificate", "VerificationError",
     "decode_batch", "dense_pre_measurement_state", "global_function_batch",
@@ -89,11 +83,10 @@ __all__ = [
     "verify_class_stepping", "zero_triples_mod3",
     # classical analysis
     "DIVISION_NAMES", "REGISTER_VALUES", "Strategy", "StrategyProfile",
-    "TranscriptClassStats", "best_homogeneous", "canonical_division", "crt_primes",
-    "division_type", "evaluate_collapsed", "evaluate_exhaustive", "evaluator_metrics",
-    "exhaustive_transcript_counts", "random_profile", "ten_player_worked_example",
-    "strategy_groups", "strategy_orbit_reps", "transcript_class_count",
-    "transcript_class_stats",
+    "best_homogeneous", "canonical_division", "crt_primes", "evaluate_collapsed",
+    "evaluate_exhaustive", "evaluator_metrics", "exhaustive_transcript_counts",
+    "ten_player_worked_example", "strategy_groups", "strategy_orbit_reps",
+    "transcript_class_count",
     # bounds
     "BoundRow", "bound_A", "bound_F", "bound_L", "bound_N", "convergence_table", "plus_op",
 ]

@@ -59,16 +59,6 @@ class Strategy:
         if len(self.sent) != 6 or any(t not in (0, 1, 2) for t in self.sent):
             raise ValueError(f"strategy table must be six trits, got {self.sent!r}")
 
-    def sent_for(self, trit: int, bit: int) -> int:
-        return self.sent[2 * trit + bit]
-
-    def cells(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The three preimage cells, indexed by sent trit."""
-        out: list[list[tuple[int, int]]] = [[], [], []]
-        for value, t in zip(REGISTER_VALUES, self.sent):
-            out[t].append(value)
-        return tuple(tuple(cell) for cell in out)
-
     def relabel(self, perm: Sequence[int]) -> "Strategy":
         """Apply a permutation of the sent alphabet."""
         return Strategy(tuple(perm[t] for t in self.sent))
@@ -76,10 +66,6 @@ class Strategy:
     def shift(self, c: int) -> "Strategy":
         """Shift the register trit: send for (y + c, x) what was sent for (y, x)."""
         return Strategy(tuple(self.sent[2 * ((i // 2 - c) % 3) + i % 2] for i in range(6)))
-
-    def canonical(self) -> "Strategy":
-        """Lexicographically smallest relabeling of the sent alphabet."""
-        return Strategy(min(tuple(perm[t] for t in self.sent) for perm in _PERMS3))
 
     def to_string(self) -> str:
         return "".join(str(t) for t in self.sent)
@@ -93,17 +79,6 @@ class Strategy:
     def lookup_array(self) -> np.ndarray:
         """(3, 2) array: row = register trit, column = register bit."""
         return np.array(self.sent, dtype=np.int64).reshape(3, 2)
-
-
-DivisionType = tuple[int, int, int]
-
-
-def division_type(strategy: Strategy) -> DivisionType:
-    """Cell sizes of the partition, sorted descending."""
-    sizes = [0, 0, 0]
-    for t in strategy.sent:
-        sizes[t] += 1
-    return tuple(sorted(sizes, reverse=True))
 
 
 # Named division families by their 0-cell, as (trit, bit) register values.
@@ -160,30 +135,6 @@ class StrategyProfile:
     @classmethod
     def homogeneous(cls, strategy: Strategy, k: int) -> "StrategyProfile":
         return cls((strategy,) * k)
-
-
-@dataclass(frozen=True)
-class TranscriptClassStats:
-    """Exact statistics of one transcript class of a profile.
-
-    ``class_id`` lists, per strategy group, how many parties of the group
-    sent 0, 1 and 2.  ``g_counts[v]`` is the number of admissible inputs
-    with global value v that produce one fixed representative transcript of
-    the class; ``multiplicity`` is the number of transcripts in the class.
-    """
-
-    class_id: tuple[tuple[int, int, int], ...]
-    g_counts: tuple[int, int, int]
-    multiplicity: int
-
-    @property
-    def admissible_total(self) -> int:
-        return sum(self.g_counts)
-
-    @property
-    def best_guess(self) -> int:
-        m = max(self.g_counts)
-        return self.g_counts.index(m)
 
 
 def strategy_groups(profile: StrategyProfile) -> list[tuple[Strategy, int]]:
@@ -581,37 +532,6 @@ def _collapsed_value(groups: list[tuple[Strategy, int]], primes: tuple[int, ...]
     return Fraction(_from_digits(_mixed_radix(numerator, tables), primes), denominator)
 
 
-def transcript_class_stats(
-    profile: StrategyProfile, class_id: Sequence[tuple[int, int, int]]
-) -> TranscriptClassStats:
-    """Exact per-value admissible counts for one transcript class.
-
-    ``class_id`` gives, per strategy group (first-appearance order, see
-    :func:`strategy_groups`), the number of parties that sent 0, 1 and 2.
-    """
-    groups = strategy_groups(profile)
-    class_id = tuple(tuple(c) for c in class_id)
-    if len(class_id) != len(groups):
-        raise ValueError(f"expected counts for {len(groups)} group(s), got {len(class_id)}")
-
-    primes = crt_primes(profile.k)
-    tables = _prime_tables(primes)
-    powers = []
-    multiplicity = 1
-    for (strategy, size), counts in zip(groups, class_id):
-        if len(counts) != 3 or any(c < 0 for c in counts) or sum(counts) != size:
-            raise ValueError(f"sent counts {counts!r} do not partition group of size {size}")
-        powers.append(_group_powers(strategy.sent, size, tables))
-        multiplicity *= _multinomial(size, counts)
-    zero = np.zeros(1, dtype=np.intp)
-    residues = _class_counts(
-        tables, powers, [np.array([c]) for c in class_id], [zero] * len(class_id)
-    )[:, 0]
-    digits = _mixed_radix(residues, tables)
-    g_counts = tuple(_from_digits([d[v] for d in digits], primes) for v in range(3))
-    return TranscriptClassStats(class_id, g_counts, multiplicity)
-
-
 # ---------------------------------------------------------------------------
 # Strategy search and the ten-player worked example
 # ---------------------------------------------------------------------------
@@ -722,20 +642,3 @@ def ten_player_worked_example() -> WorkedExampleReport:
         ),
     )
 
-
-def random_profile(
-    k: int, rng: np.random.Generator, n_groups: int = 2
-) -> StrategyProfile:
-    """Random profile with ``n_groups`` distinct strategies, parties shuffled."""
-    if not 1 <= n_groups <= k:
-        raise ValueError(f"need 1 <= n_groups <= {k}, got {n_groups}")
-    tables: set[tuple[int, ...]] = set()
-    while len(tables) < n_groups:
-        tables.add(tuple(int(t) for t in rng.integers(0, 3, size=6)))
-    strategies = [Strategy(t) for t in sorted(tables)]
-    # Composition of k into n_groups positive parts, then a random assignment.
-    cuts = sorted(rng.choice(np.arange(1, k), size=n_groups - 1, replace=False).tolist())
-    sizes = np.diff([0, *cuts, k])
-    assignment = np.repeat(np.arange(n_groups), sizes)
-    assignment = assignment[rng.permutation(k)]
-    return StrategyProfile(tuple(strategies[g] for g in assignment))

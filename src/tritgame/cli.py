@@ -260,6 +260,7 @@ def _run_trials(
 
 
 def cmd_quantum_run(args: argparse.Namespace) -> Report:
+    check_party_count(args.k)
     config = {
         "k": args.k,
         "trials": args.trials,

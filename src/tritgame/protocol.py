@@ -339,13 +339,18 @@ def verify_class_stepping(
     and steps 3-party classes with one modulus-1 phase; the dimension-2
     analog swaps the parity classes; and for every admissible bit vector at
     each k in ``ks`` the dense pre-measurement state is exactly the class
-    predicted by the zero-triple count.  Returns the certificate, or raises
-    VerificationError on any failure (a NaN deviation fails too).  It
-    changes no state: :func:`run_analytic_batch` runs on the certificate
-    when it covers the canonical suite (k = 4 and 7 at tolerance 1e-10 or
-    tighter).  ``_perturb`` is a debug hook that injects an error into the
-    root-gate check.
+    predicted by the zero-triple count.  A k in ``ks`` that is not a party
+    count or exceeds DENSE_MAX_K raises ValueError before any check runs.
+    Returns the certificate, or raises VerificationError on any failure (a
+    NaN deviation fails too).  It changes no state: :func:`run_analytic_batch`
+    runs on the certificate when it covers the canonical suite (k = 4 and 7
+    at tolerance 1e-10 or tighter).  ``_perturb`` is a debug hook that
+    injects an error into the root-gate check.
     """
+    for k in ks:
+        if k > DENSE_MAX_K:
+            raise ValueError(f"verification needs dense states; k={k} exceeds {DENSE_MAX_K}")
+        check_party_count(k)
     branch = find_valid_root_branch(tol)
     root_check = verify_root_branch(branch, tol)
     if _perturb:
@@ -364,8 +369,6 @@ def verify_class_stepping(
     gate = root_gate(3, branch)
     sweep_devs = []
     for k in ks:
-        if k > DENSE_MAX_K:
-            raise ValueError(f"verification needs dense states; k={k} exceeds {DENSE_MAX_K}")
         worst = 0.0
         vectors = admissible_bit_vectors(k)
         for bits, expected in zip(vectors.tolist(), zero_triples_mod3(vectors).tolist()):

@@ -3,14 +3,13 @@
 Provides the sum-class superpositions shared by the parties, the cyclic
 shift gate, its fractional root obtained through the discrete-Fourier
 eigenbasis, :func:`evolve`, the one routine that applies gates to
-amplitudes, inverse-CDF sampling of basis indices, and a classifier that
-recognizes sum-class states up to a global phase.
+amplitudes, inverse-CDF sampling of basis indices, and the checks that
+a root gate steps sum classes.
 
 Conventions: the first party owns the most significant base-d digit
-(:func:`evolve` numbers parties from 0); basis strings render as ASCII
-digits '0'..'2' ('0'..'1' for d=2); states are unit vectors (sum-class
-states are stored normalized even where they are usually written as
-plain ket sums).
+(:func:`evolve` numbers parties from 0); states are unit vectors
+(sum-class states are stored normalized even where they are usually
+written as plain ket sums).
 """
 
 from __future__ import annotations
@@ -27,15 +26,6 @@ MAX_AMPLITUDES = 2**24
 
 _UNITARY_TOL = 1e-10
 _NORM_TOL = 1e-10
-
-
-def digit_string(index: int, d: int, k: int) -> str:
-    """Base-d digits of a basis index, party 1 first."""
-    digits = []
-    for _ in range(k):
-        index, r = divmod(index, d)
-        digits.append(str(r))
-    return "".join(reversed(digits))
 
 
 def digit_sums(d: int, k: int) -> np.ndarray:
@@ -94,9 +84,6 @@ class QuditState:
         _check_unit_norms(np.vdot(amps, amps).real)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    def basis_label(self, index: int) -> str:
-        return digit_string(index, self.d, self.k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,25 +288,6 @@ def sum_class_deviation(state: QuditState, j: int) -> tuple[complex, float]:
     c = complex(np.vdot(target, state.amplitudes))
     dev = float(np.max(np.abs(state.amplitudes - c * target)))
     return c, dev
-
-
-def classify_sum_class(
-    state: QuditState, tol: float = 1e-10
-) -> tuple[int, complex] | None:
-    """Recognize c times a sum-class state; None if nothing matches.
-
-    The candidate class is read off the digit sum at the largest amplitude;
-    the match must have every amplitude within ``tol`` of the phased class
-    pattern and a phase of modulus 1 within ``tol``.
-    """
-    if state.d != 3:
-        raise ValueError("sum-class classification is defined for dimension 3 only")
-    peak = state.basis_label(int(np.argmax(np.abs(state.amplitudes))))
-    candidate = sum(map(int, peak)) % 3
-    c, dev = sum_class_deviation(state, candidate)
-    if dev <= tol and abs(abs(c) - 1.0) <= tol:
-        return candidate, c
-    return None
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from tritgame.classical import (
     canonical_division,
     evaluate_collapsed,
     evaluate_exhaustive,
-    random_profile,
     ten_player_worked_example,
 )
 from tritgame.combinat import grouped_sum, ramus
@@ -42,6 +41,8 @@ from tritgame.qudit import (
     root_gate,
     verify_root_branch,
 )
+
+from helpers import random_profile
 
 TOL = 1e-10
 THIRD = Fraction(1, 3)

@@ -23,10 +23,12 @@ from tritgame.classical import (
     strategy_orbit_reps,
 )
 
+from helpers import canonical
+
 
 # One table per orbit under relabeling of the sent trit, in lexicographic order.
 CANONICAL_REPS = sorted(
-    {Strategy(t).canonical() for t in itertools.product(range(3), repeat=6)},
+    {canonical(Strategy(t)) for t in itertools.product(range(3), repeat=6)},
     key=lambda s: s.sent,
 )
 
@@ -145,7 +147,7 @@ class TestOrbits:
         assert s.shift(1).to_string() == "220011"
         assert s.shift(1).shift(2) == s
         for (y, x) in itertools.product(range(3), range(2)):
-            assert s.shift(2).sent_for((y + 2) % 3, x) == s.sent_for(y, x)
+            assert s.shift(2).sent[2 * ((y + 2) % 3) + x] == s.sent[2 * y + x]
 
     def test_44_orbits_cover_all_tables(self):
         reps = strategy_orbit_reps()

@@ -14,18 +14,17 @@ from tritgame.classical import (
     StrategyProfile,
     best_homogeneous,
     canonical_division,
-    division_type,
     evaluate_collapsed,
     evaluate_exhaustive,
     exhaustive_transcript_counts,
-    random_profile,
     ten_player_worked_example,
     strategy_groups,
     strategy_orbit_reps,
-    transcript_class_stats,
 )
 from tritgame.combinat import grouped_sum
 from tritgame.protocol import admissible_bit_vectors
+
+from helpers import canonical, cells, division_type, random_profile, transcript_class_stats
 
 # Exact values of the homogeneous canonical divisions at k=4, frozen from
 # the first dual-evaluator run.
@@ -72,7 +71,7 @@ def referee_histogram(profile: StrategyProfile) -> dict[tuple, list[int]]:
     for bits in admissible_bit_vectors(profile.k).tolist():
         for trits in itertools.product((0, 1, 2), repeat=profile.k):
             transcript = tuple(
-                s.sent_for(y, x) for s, y, x in zip(profile.strategies, trits, bits)
+                s.sent[2 * y + x] for s, y, x in zip(profile.strategies, trits, bits)
             )
             g = (sum(trits) + (profile.k - sum(bits)) // 3) % 3
             by_transcript.setdefault(transcript, [0, 0, 0])[g] += 1
@@ -110,7 +109,7 @@ class TestStrategy:
     def test_string_round_trip(self):
         s = Strategy.from_string("120021")
         assert s.to_string() == "120021"
-        assert s.sent_for(0, 0) == 1 and s.sent_for(2, 1) == 1
+        assert s.sent[2 * 0 + 0] == 1 and s.sent[2 * 2 + 1] == 1
 
     def test_invalid_strings(self):
         with pytest.raises(ValueError):
@@ -120,19 +119,19 @@ class TestStrategy:
 
     def test_relabel_and_canonical(self):
         s = Strategy.from_string("221100")
-        assert s.canonical().to_string() == "001122"
+        assert canonical(s).to_string() == "001122"
         assert s.relabel((2, 0, 1)).to_string() == "110022"
 
     def test_cells_partition_register_values(self):
         s = canonical_division("F")
-        cells = s.cells()
-        assert sorted(v for cell in cells for v in cell) == sorted(REGISTER_VALUES)
+        parts = cells(s)
+        assert sorted(v for cell in parts for v in cell) == sorted(REGISTER_VALUES)
 
 
 class TestCanonicalDivisions:
     def test_division_a_matches_displayed_cells(self):
         a = canonical_division("A")
-        assert a.cells() == (
+        assert cells(a) == (
             ((0, 0), (0, 1)),
             ((1, 0), (1, 1)),
             ((2, 0), (2, 1)),
@@ -140,12 +139,12 @@ class TestCanonicalDivisions:
 
     def test_division_f_completion(self):
         f = canonical_division("F")
-        cells = f.cells()
-        assert set(cells[0]) == {(1, 0), (1, 1), (0, 1)}
+        parts = cells(f)
+        assert set(parts[0]) == {(1, 0), (1, 1), (0, 1)}
         assert division_type(f) == (3, 2, 1)
         # Leftovers split (2, 1) in lexicographic order.
-        assert set(cells[1]) == {(0, 0), (2, 0)}
-        assert set(cells[2]) == {(2, 1)}
+        assert set(parts[1]) == {(0, 0), (2, 0)}
+        assert set(parts[2]) == {(2, 1)}
 
     def test_displayed_zero_cells(self):
         expected = {
@@ -158,7 +157,7 @@ class TestCanonicalDivisions:
             "O": {(0, 1), (2, 0), (1, 0), (0, 0)},
         }
         for name, cell in expected.items():
-            assert set(canonical_division(name).cells()[0]) == cell, name
+            assert set(cells(canonical_division(name))[0]) == cell, name
 
     def test_division_types_by_family(self):
         for name in "ABCDE":
@@ -357,9 +356,9 @@ class TestWorkedExample:
 
 class TestBestHomogeneous:
     def test_search_space_has_122_orbits(self):
-        reps = {Strategy(t).canonical() for t in itertools.product(range(3), repeat=6)}
+        reps = {canonical(Strategy(t)) for t in itertools.product(range(3), repeat=6)}
         assert len(reps) == 122
-        assert all(s == s.canonical() for s in reps)
+        assert all(s == canonical(s) for s in reps)
         assert set(strategy_orbit_reps()) <= reps
 
     def test_pinned_values_at_small_k(self):

@@ -61,6 +61,21 @@ class TestQuantumVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: verification needs dense states; k=100")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--k", "4", "5"], "party count must be >= 4 and 1 mod 3, got 5"),
+        (["--k", "16", "--debug-tamper"], "verification needs dense states; k=16 exceeds 13"),
+    ], ids=["party-count", "dense-bound"])
+    def test_bad_k_fails_before_any_gate(self, capsys, monkeypatch, argv, message):
+        # Every k is checked before the root-branch search builds a gate.
+        def fail(*args):
+            raise AssertionError("the root-branch search ran before the k check")
+
+        monkeypatch.setattr(protocol, "find_valid_root_branch", fail)
+        assert cli.main(["quantum-verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestQuantumRun:
     def test_dense_run_all_successes(self, capsys):
@@ -106,6 +121,23 @@ class TestQuantumRun:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: dense engine supports k <= 13")
+
+    @pytest.mark.parametrize("argv", [
+        ["--k", "5", "--trials", "0"],
+        ["--engine", "analytic", "--k", "2", "--trials", "0"],
+        ["--engine", "analytic", "--k", "5", "--trials", "10"],
+    ], ids=["dense-no-trials", "analytic-no-trials", "analytic"])
+    def test_bad_k_fails_before_any_work(self, capsys, monkeypatch, argv):
+        # At --trials 0 nothing samples, so the command checks k itself, first.
+        def fail():
+            raise AssertionError("verification ran before the k check")
+
+        monkeypatch.setattr(cli, "verify_class_stepping", fail)
+        assert cli.main(["quantum-run", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        k = argv[argv.index("--k") + 1]
+        assert captured.err == f"error: party count must be >= 4 and 1 mod 3, got {k}\n"
 
     def test_metrics_sit_outside_the_hashed_payload(self, capsys):
         code, env = run_json(
@@ -458,10 +490,12 @@ class TestHarness:
          "453651a301c5488acd4abe578e9588a782581da0d6a604b6122ab0e82799af12"),
         (["quantum-run", "--k", "100", "--engine", "analytic", "--trials", "1000", "--seed", "4"],
          "bb88ef234b3d7f2263772d873e8d53d01776c1c0cbb638ebd0976242c4939b7a"),
+        (["quantum-verify"],
+         "32346f358e5c6543d7dbe7b9ed949e399f5eed8d2c1b5d4ad8ed66c1a8aec7af"),
     ])
     def test_payload_hash_pinned(self, capsys, argv, digest):
-        # These payloads hold counts, exact fractions and floats rounded from
-        # them, so their hashes do not depend on the platform.
+        # These payloads hold flags, counts, exact fractions and floats rounded
+        # from them, so their hashes do not depend on the platform.
         code, env = run_json(capsys, argv)
         assert code == 0
         assert env["payload_sha256"] == digest

@@ -4,13 +4,16 @@ import tritgame
 from tritgame import bounds, classical, combinat, protocol, qudit
 
 # Names of the per-row protocol API and the helpers only it used, the bound
-# dispatch layer, the unused grouped-sum parameter tuple, and the process-wide
-# verification flag with its reset hook.
+# dispatch layer, the unused grouped-sum parameter tuple, the process-wide
+# verification flag with its reset hook, and the helpers only tests call
+# (now in tests/helpers.py).
 REMOVED = (
     "RegisterInput", "ProtocolRun", "global_function", "decode", "enumerate_admissible",
     "batch_runs", "sample_admissible", "run_dense", "run_analytic", "apply_local",
     "measure_all", "trit_add", "canonical_strategy_reps", "BoundParams", "bound_value",
-    "GroupedSumSpec", "_verified", "_reset_verification",
+    "GroupedSumSpec", "_verified", "_reset_verification", "TranscriptClassStats",
+    "transcript_class_stats", "division_type", "DivisionType", "random_profile",
+    "classify_sum_class", "digit_string",
 )
 
 
@@ -31,3 +34,9 @@ def test_removed_names_are_gone():
         assert name not in tritgame.__all__
         for module in (tritgame, bounds, classical, combinat, protocol, qudit):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_removed_methods_are_gone():
+    for name in ("sent_for", "cells", "canonical"):
+        assert not hasattr(tritgame.Strategy, name), name
+    assert not hasattr(tritgame.QuditState, "basis_label")

@@ -22,12 +22,13 @@ from tritgame.protocol import (
 from tritgame.qudit import (
     LocalGate,
     QuditState,
-    classify_sum_class,
     digit_sums,
     find_valid_root_branch,
     make_sum_class_state,
     root_gate,
 )
+
+from helpers import classify_sum_class
 
 CHI2_99_DF3 = 11.345
 CHI2_99_DF26 = 45.642
