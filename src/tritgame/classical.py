@@ -6,14 +6,18 @@ transcript and guesses the value with the largest count of consistent
 admissible inputs (uniform prior, ties toward the smallest value).  Two
 independent evaluators compute the referee's exact success probability:
 
-* :func:`evaluate_exhaustive` enumerates every admissible input and groups
-  by full transcript (feasible up to k = 7; k = 10 behind ``long_run``).
+* :func:`evaluate_exhaustive` counts every admissible input by full
+  transcript (feasible up to k = 7; k = 10 behind ``long_run``).  Each
+  half of the parties is histogrammed once by half transcript, zero
+  count mod 9 and trit sum mod 3, and three integer matrix products join
+  the halves into the counts per global value.
 * :func:`evaluate_collapsed` groups parties with identical strategies and
   scans transcript classes weighted by their multinomial multiplicity.
   Per-party contributions live on a 27-state residue ring (zero-bit count
   mod 9, trit sum mod 3), multiplied pointwise in its characters modulo
   word-size primes and rebuilt exactly by the Chinese remainder theorem.
-  Exact at any k the class count allows.
+  The classes are scanned as a table of all groups but the last times
+  slices of the last group.  Exact at any k the class count allows.
 
 Both return reduced fractions and must agree wherever both run.
 """
@@ -25,12 +29,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .combinat import binomial, grouped_sum
-from .protocol import admissible_bit_vectors, check_party_count, zero_triples_mod3
+from .protocol import check_party_count
 from .qudit import digit_sums
 
 #: Register values in serialization order; a strategy string lists the sent
@@ -153,14 +157,6 @@ def strategy_groups(profile: StrategyProfile) -> list[tuple[Strategy, int]]:
 # Exhaustive evaluator (enumeration oracle)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _shifted_trit_sums(k: int) -> np.ndarray:
-    """(3, 3^k), read-only: row s holds (trit sum + s) mod 3 of every trit vector."""
-    sums = ((digit_sums(3, k) + np.arange(3)[:, None]) % 3).astype(np.intp)
-    sums.setflags(write=False)
-    return sums
-
-
 def _half_codes(luts: Sequence[np.ndarray]) -> np.ndarray:
     """(2^n, 3^n): transcript codes of n parties under every bit pattern.
 
@@ -177,9 +173,45 @@ def _half_codes(luts: Sequence[np.ndarray]) -> np.ndarray:
     return codes
 
 
+def _half_histogram(luts: Sequence[np.ndarray]) -> np.ndarray:
+    """(3^n, 27): input counts of n parties by half transcript and residue column.
+
+    Column 3u + w holds the (bit pattern, trit vector) pairs with u zero
+    bits (mod 9) and trit sum w (mod 3); every pair is counted once, by one
+    ``bincount`` over :func:`_half_codes`.
+    """
+    n = len(luts)
+    patterns = np.arange(2**n)
+    zeros = n - (patterns[:, None] >> np.arange(n) & 1).sum(axis=1)
+    column = 3 * (zeros % 9)[:, None] + digit_sums(3, n) % 3  # (2^n, 3^n)
+    flat = _half_codes(luts) * 27 + column
+    return np.bincount(flat.reshape(-1), minlength=3**n * 27).reshape(3**n, 27)
+
+
+@lru_cache(maxsize=1)
+def _join_masks() -> np.ndarray:
+    """(3, 27, 27) int64, read-only: which pairs of half columns join into global value g.
+
+    Columns a = 3u + w and b = 3u' + w' (zeros mod 9, trit sum mod 3) of
+    the two halves join into an admissible input when u + u' = 0 (mod 3);
+    its global value is g = (w + w' + ((u + u') mod 9) / 3) mod 3, and
+    ``masks[g][a, b]`` is 1 exactly for those pairs.
+    """
+    u, w = np.divmod(np.arange(27), 3)
+    zeros = (u[:, None] + u) % 9
+    g = (w[:, None] + w + zeros // 3) % 3
+    masks = ((zeros % 3 == 0) & (g == np.arange(3)[:, None, None])).astype(np.int64)
+    masks.setflags(write=False)
+    return masks
+
+
 def exhaustive_in_bound(k: int, long_run: bool) -> bool:
     """Whether the exhaustive oracle enumerates k parties: k <= 7, or k = 10 with ``long_run``."""
     return k <= 7 or (long_run and k == 10)
+
+
+#: How :func:`exhaustive_transcript_counts` covers the admissible inputs.
+EXHAUSTIVE_METHOD = "half histograms joined by zero count and global value"
 
 
 def exhaustive_transcript_counts(profile: StrategyProfile, long_run: bool = False) -> np.ndarray:
@@ -188,12 +220,13 @@ def exhaustive_transcript_counts(profile: StrategyProfile, long_run: bool = Fals
     Row c is the transcript whose sent trits, read in base 3 with party 1
     most significant, give c; column v counts the admissible (trit vector,
     bit vector) inputs that send it and have global value v = (trit sum +
-    zero count / 3) mod 3.  Every input is enumerated, about 20 million at
-    k = 10, vectorized: the parties split at h = k // 2, and each half's
-    codes are built once per half bit pattern (:func:`_half_codes`).  Under
-    a bit vector the code of the trit vector (y_hi, y_lo) is then
-    hi[y_hi] * 3^(k-h) + lo[y_lo], one broadcast add, and one ``bincount``
-    adds the vector's inputs to the histogram.  Bounded by
+    zero count / 3) mod 3.  Every input is covered, about 20 million at
+    k = 10, without a loop over them: the parties split at h = k // 2, and
+    each half counts its inputs by half transcript, zero count mod 9 and
+    trit sum mod 3 (:func:`_half_histogram`).  An input is a pair of half
+    inputs, so the counts of global value g are the integer product
+    hi @ masks[g] @ lo.T (:func:`_join_masks`), whose entry (c_hi, c_lo)
+    is transcript c_hi * 3^(k-h) + c_lo.  Bounded by
     :func:`exhaustive_in_bound`.
     """
     k = profile.k
@@ -202,36 +235,28 @@ def exhaustive_transcript_counts(profile: StrategyProfile, long_run: bool = Fals
 
     h = k // 2
     luts = [s.lookup_array() for s in profile.strategies]
-    # Histogram index code * 3 + g, with the factor 3 folded into the halves.
-    hi = _half_codes(luts[:h]) * 3 ** (k - h + 1)
-    lo = _half_codes(luts[h:]) * 3
-    global_values = _shifted_trit_sums(k)
-
-    vectors = admissible_bit_vectors(k)
-    codes = vectors @ (1 << np.arange(k - 1, -1, -1))  # party 1's bit most significant
-    acc = np.zeros(3**k * 3, dtype=np.int64)
-    index = np.empty((3**h, 3 ** (k - h)), dtype=np.intp)
-    flat = index.reshape(-1)
-    for code, g in zip(codes.tolist(), zero_triples_mod3(vectors).tolist()):
-        np.add(hi[code >> (k - h), :, None], lo[code & ((1 << (k - h)) - 1)], out=index)
-        flat += global_values[g]
-        acc += np.bincount(flat, minlength=acc.size)
-    return acc.reshape(-1, 3)
+    hi, lo = _half_histogram(luts[:h]), _half_histogram(luts[h:])
+    per_value = [(hi @ mask @ lo.T).reshape(-1) for mask in _join_masks()]
+    return np.stack(per_value, axis=1)
 
 
-def evaluate_exhaustive(profile: StrategyProfile, long_run: bool = False) -> Fraction:
-    """Referee success probability by full enumeration of admissible inputs.
-
-    Groups every admissible (trit vector, bit vector) pair by its exact
-    transcript (:func:`exhaustive_transcript_counts`); the per-transcript
-    maximum count is exact integer arithmetic throughout.  Bounded to
-    k <= 7 unless ``long_run`` admits k = 10 (about 20 million inputs,
-    vectorized).
-    """
-    per_transcript = exhaustive_transcript_counts(profile, long_run)
+def referee_success(per_transcript: np.ndarray) -> Fraction:
+    """Success of the referee's best guess given (transcripts, 3) admissible counts."""
     numerator = int(per_transcript.max(axis=1).sum())
     denominator = int(per_transcript.sum())
     return Fraction(numerator, denominator)
+
+
+def evaluate_exhaustive(profile: StrategyProfile, long_run: bool = False) -> Fraction:
+    """Referee success probability over every admissible input.
+
+    Counts every admissible (trit vector, bit vector) pair by its exact
+    transcript (:func:`exhaustive_transcript_counts`, two half histograms
+    joined by matrix products) and sums the per-transcript maximum, in
+    exact integer arithmetic throughout.  Bounded to k <= 7 unless
+    ``long_run`` admits k = 10 (about 20 million inputs).
+    """
+    return referee_success(exhaustive_transcript_counts(profile, long_run))
 
 
 # ---------------------------------------------------------------------------
@@ -410,30 +435,18 @@ def _compositions(size: int, primes: tuple[int, ...]) -> tuple[np.ndarray, np.nd
     )
 
 
-def _class_counts(
-    tables: _PrimeTables,
-    powers: list[np.ndarray],
-    comps: list[np.ndarray],
-    index: Sequence[np.ndarray],
-) -> np.ndarray:
-    """(P, B, 3): admissible counts per global value of B transcript classes, mod each prime.
+def _composition_values(
+    powers: np.ndarray, comps: np.ndarray, tables: _PrimeTables
+) -> Iterator[np.ndarray]:
+    """Per prime, (C, 9): folded character values of a group sending ``comps`` (C, 3).
 
-    In group g, class b sends the counts ``comps[g][index[g][b]]``; the
-    group's step-vector powers are ``powers[g]``.  Each group multiplies
-    out only the compositions that differ within the block.
+    ``powers`` are the group's step-vector powers (:func:`_group_powers`);
+    a composition's value is the product of its three sent trits' powers.
+    One prime at a time keeps the working set small.
     """
-    groups = []
-    for pw, comp, i in zip(powers, comps, index):
-        distinct, back = np.unique(i, return_inverse=True)
-        groups.append((pw, comp[distinct], back))
-    out = np.empty((len(tables.primes), len(index[0]), 3), dtype=np.int64)
-    for j, p in enumerate(tables.primes):  # one prime at a time keeps the working set small
-        vec = None
-        for pw, c, back in groups:
-            group = (pw[0, j, c[:, 0]] * pw[1, j, c[:, 1]] % p * pw[2, j, c[:, 2]] % p)[back]
-            vec = group if vec is None else vec * group % p
-        out[j] = vec @ tables.fold[j] % p
-    return out
+    c0, c1, c2 = comps.T
+    for j, p in enumerate(tables.primes):
+        yield powers[0, j, c0] * powers[1, j, c1] % p * powers[2, j, c2] % p
 
 
 def _mixed_radix(residues: np.ndarray, tables: _PrimeTables) -> list[np.ndarray]:
@@ -498,28 +511,72 @@ def evaluate_collapsed(profile: StrategyProfile) -> Fraction:
     return _collapsed_value(strategy_groups(profile), crt_primes(profile.k))
 
 
+def _class_blocks(
+    groups: list[tuple[Strategy, int]], tables: _PrimeTables
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Counts (P, B, 3) and multiplicities (P, B) of the transcript classes, mod each prime.
+
+    The classes are the cartesian product of each group's sent-count
+    compositions, yielded in blocks of at most ``_BLOCK``.  Every group but
+    the last is a prefix group: its character values and multinomials per
+    composition are tabulated once.  The last group's compositions are
+    taken in slices of up to ``_BLOCK`` and their values computed per
+    slice.  A block is a run of prefix classes times one slice: the run's
+    values (products of its groups' table rows) times the slice's values
+    folded to counts, one integer matrix product per prime.  With a single
+    group there is no prefix and a block is the slice, folded directly.
+    """
+    n_primes = len(tables.primes)
+    p = tables.modulus[:, None, None]
+    *head, (last, last_size) = groups
+    prefix = []
+    for s, size in head:
+        comps, mults = _compositions(size, tables.primes)
+        values = _composition_values(_group_powers(s.sent, size, tables), comps, tables)
+        prefix.append((np.stack(list(values)), mults))
+    shape = tuple(len(m[0]) for _, m in prefix)
+    n_prefix = math.prod(shape)
+    last_powers = _group_powers(last.sent, last_size, tables)
+    last_comps, last_mults = _compositions(last_size, tables.primes)
+
+    for lo in range(0, len(last_comps), _BLOCK):
+        values = _composition_values(last_powers, last_comps[lo:lo + _BLOCK], tables)
+        mults = last_mults[:, lo:lo + _BLOCK]
+        if not prefix:
+            counts = np.empty((n_primes, mults.shape[1], 3), dtype=np.int64)
+            for j, v in enumerate(values):
+                counts[j] = v @ tables.fold[j] % tables.primes[j]
+            yield counts, mults
+            continue
+        # (P, 9, 3S): column 3s + v folds slice member s's values onto global value v.
+        values = np.stack(list(values))
+        folded = values[:, :, None, :] * tables.fold.transpose(0, 2, 1)[:, None] % p[..., None]
+        folded = folded.reshape(n_primes, -1, values.shape[2]).transpose(0, 2, 1)
+        run = max(1, _BLOCK // mults.shape[1])
+        for start in range(0, n_prefix, run):
+            index = np.unravel_index(np.arange(start, min(start + run, n_prefix)), shape)
+            head_values, head_mults = (t[:, index[0]] for t in prefix[0])
+            for (v, m), i in zip(prefix[1:], index[1:]):
+                head_values = head_values * v[:, i] % p
+                head_mults = head_mults * m[:, i] % p[..., 0]
+            counts = head_values @ folded % p
+            block_mults = head_mults[:, :, None] * mults[:, None] % p
+            yield counts.reshape(n_primes, -1, 3), block_mults.reshape(n_primes, -1)
+
+
 def _collapsed_value(groups: list[tuple[Strategy, int]], primes: tuple[int, ...]) -> Fraction:
     """Success probability of the profile ``groups`` computed modulo ``primes``.
 
-    The classes are the cartesian product of each group's sent-count
-    compositions, taken in blocks of ``_BLOCK``.  The numerator is summed
-    mod each prime and reconstructed once; the denominator is the number
-    of admissible inputs, 3^k * sum_i C(k, 3i), which the summed class
-    totals must match.
+    Scans the transcript classes block by block (:func:`_class_blocks`).
+    Each class's best guess is read from its exact counts' Garner digits;
+    the numerator is summed mod each prime and reconstructed once.  The
+    denominator is the number of admissible inputs, 3^k * sum_i C(k, 3i),
+    which the summed class totals must match.
     """
     tables = _prime_tables(primes)
     p = tables.modulus[:, None]
-    powers = [_group_powers(s.sent, size, tables) for s, size in groups]
-    comps = [_compositions(size, primes) for _, size in groups]
-    shape = tuple(len(c) for c, _ in comps)
-    n_classes = math.prod(shape)
     numerator = total = np.zeros(len(primes), dtype=np.int64)
-    for start in range(0, n_classes, _BLOCK):
-        index = np.unravel_index(np.arange(start, min(start + _BLOCK, n_classes)), shape)
-        mult = np.ones((len(primes), len(index[0])), dtype=np.int64)
-        for (_, m), i in zip(comps, index):
-            mult = mult * m[:, i] % p
-        counts = _class_counts(tables, powers, [c for c, _ in comps], index)
+    for counts, mult in _class_blocks(groups, tables):
         best = _largest(_mixed_radix(counts, tables))
         top = np.take_along_axis(counts, best[None, :, None], axis=2)[:, :, 0]
         numerator = (numerator + (mult * top % p).sum(axis=1)) % tables.modulus

@@ -33,14 +33,16 @@ from . import __version__, protocol
 from .bounds import convergence_table
 from .classical import (
     DIVISION_NAMES,
+    EXHAUSTIVE_METHOD,
     Strategy,
     StrategyProfile,
     best_homogeneous,
     canonical_division,
     evaluate_collapsed,
-    evaluate_exhaustive,
     evaluator_metrics,
     exhaustive_in_bound,
+    exhaustive_transcript_counts,
+    referee_success,
     strategy_orbit_reps,
     ten_player_worked_example,
     transcript_class_count,
@@ -335,15 +337,20 @@ def cmd_classical(args: argparse.Namespace) -> Report:
             "collapsed": _fraction_payload(collapsed),
         }
         code = EXIT_OK
+        metrics = evaluator_metrics(args.k, transcript_class_count(profile), 0)
         if exhaustive_in_bound(args.k, args.long_run):
             t0 = time.perf_counter()
-            exhaustive = evaluate_exhaustive(profile, long_run=args.long_run)
+            per_transcript = exhaustive_transcript_counts(profile, long_run=args.long_run)
+            exhaustive = referee_success(per_transcript)
             stages["exhaustive"] = time.perf_counter() - t0
+            metrics["exhaustive"] = {
+                "method": EXHAUSTIVE_METHOD,
+                "admissible_inputs": int(per_transcript.sum()),
+            }
             payload["exhaustive"] = _fraction_payload(exhaustive)
             payload["evaluators_agree"] = exhaustive == collapsed
             if not payload["evaluators_agree"]:
                 code = EXIT_CHECK_FAILED
-        metrics = evaluator_metrics(args.k, transcript_class_count(profile), 0)
         metrics["stage_seconds"] = stages
         return Report(config, payload, metrics, code)
 

@@ -35,7 +35,7 @@ Two interchangeable engines produce the outcomes:
 
 :func:`admissible_bit_vectors` enumerates the admissible bit vectors, and
 :func:`zero_triples_mod3` gives each row's class, for the verification
-sweep and the classical exhaustive oracle.
+sweep.
 """
 
 from __future__ import annotations

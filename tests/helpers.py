@@ -1,7 +1,9 @@
 """Helpers that only the tests use.
 
-Strategy cells and canonical forms, random profiles, per-class statistics
-of the collapsed evaluator, and a sum-class classifier for dense states.
+Strategy cells and canonical forms, random profiles, a per-bit-vector
+enumeration that the exhaustive oracle is checked against, per-class
+statistics of the collapsed evaluator, and a sum-class classifier for
+dense states.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from tritgame.classical import (
     REGISTER_VALUES,
     Strategy,
     StrategyProfile,
-    _class_counts,
+    _composition_values,
     _from_digits,
+    _half_codes,
     _group_powers,
     _mixed_radix,
     _multinomial,
@@ -25,7 +28,8 @@ from tritgame.classical import (
     crt_primes,
     strategy_groups,
 )
-from tritgame.qudit import QuditState, sum_class_deviation
+from tritgame.protocol import admissible_bit_vectors, zero_triples_mod3
+from tritgame.qudit import QuditState, digit_sums, sum_class_deviation
 
 
 def cells(strategy: Strategy) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -70,6 +74,34 @@ def random_profile(
     return StrategyProfile(tuple(strategies[g] for g in assignment))
 
 
+def per_vector_transcript_counts(profile: StrategyProfile) -> np.ndarray:
+    """(3^k, 3) admissible counts per transcript and global value, one bit vector at a time.
+
+    The reference for :func:`exhaustive_transcript_counts`, feasible to
+    k = 10.  The parties split at h = k // 2 and each half's codes are built
+    once per half bit pattern (:func:`_half_codes`).  Under a bit vector the
+    code of the trit vector (y_hi, y_lo) is hi[y_hi] * 3^(k-h) + lo[y_lo],
+    its global value is (trit sum + zero triples) mod 3 with the zero
+    triples from :func:`zero_triples_mod3`, and one ``bincount`` adds the
+    vector's 3^k inputs to the histogram.
+    """
+    k = profile.k
+    h = k // 2
+    luts = [s.lookup_array() for s in profile.strategies]
+    # Histogram index code * 3 + g, with the factor 3 folded into the halves.
+    hi = _half_codes(luts[:h]) * 3 ** (k - h + 1)
+    lo = _half_codes(luts[h:]) * 3
+    global_values = (digit_sums(3, k) + np.arange(3)[:, None]) % 3
+
+    vectors = admissible_bit_vectors(k)
+    codes = vectors @ (1 << np.arange(k - 1, -1, -1))  # party 1's bit most significant
+    acc = np.zeros(3**k * 3, dtype=np.int64)
+    for code, g in zip(codes.tolist(), zero_triples_mod3(vectors).tolist()):
+        index = hi[code >> (k - h), :, None] + lo[code & ((1 << (k - h)) - 1)]
+        acc += np.bincount((index.reshape(-1) + global_values[g]), minlength=acc.size)
+    return acc.reshape(-1, 3)
+
+
 @dataclass(frozen=True)
 class TranscriptClassStats:
     """Exact statistics of one transcript class of a profile.
@@ -109,17 +141,17 @@ def transcript_class_stats(
 
     primes = crt_primes(profile.k)
     tables = _prime_tables(primes)
-    powers = []
+    p = tables.modulus[:, None, None]
+    values = np.ones((len(primes), 1, len(tables.folded)), dtype=np.int64)
     multiplicity = 1
     for (strategy, size), counts in zip(groups, class_id):
         if len(counts) != 3 or any(c < 0 for c in counts) or sum(counts) != size:
             raise ValueError(f"sent counts {counts!r} do not partition group of size {size}")
-        powers.append(_group_powers(strategy.sent, size, tables))
+        powers = _group_powers(strategy.sent, size, tables)
+        group = _composition_values(powers, np.array([counts]), tables)
+        values = values * np.stack(list(group)) % p
         multiplicity *= _multinomial(size, counts)
-    zero = np.zeros(1, dtype=np.intp)
-    residues = _class_counts(
-        tables, powers, [np.array([c]) for c in class_id], [zero] * len(class_id)
-    )[:, 0]
+    residues = (values @ tables.fold % p)[:, 0]
     digits = _mixed_radix(residues, tables)
     g_counts = tuple(_from_digits([d[v] for d in digits], primes) for v in range(3))
     return TranscriptClassStats(class_id, g_counts, multiplicity)

@@ -24,7 +24,14 @@ from tritgame.classical import (
 from tritgame.combinat import grouped_sum
 from tritgame.protocol import admissible_bit_vectors
 
-from helpers import canonical, cells, division_type, random_profile, transcript_class_stats
+from helpers import (
+    canonical,
+    cells,
+    division_type,
+    per_vector_transcript_counts,
+    random_profile,
+    transcript_class_stats,
+)
 
 # Exact values of the homogeneous canonical divisions at k=4, frozen from
 # the first dual-evaluator run.
@@ -95,6 +102,24 @@ K7_THREE_GROUPS = StrategyProfile(
         "021201", "210012", "220011", "021201", "220011", "210012", "220011",
     ))
 )
+
+
+def profile_from_groups(groups) -> StrategyProfile:
+    """Profile listing each (strategy string, party count) group's parties in turn."""
+    return StrategyProfile(tuple(Strategy.from_string(s) for s, n in groups for _ in range(n)))
+
+
+# Ten-party profiles the exhaustive oracle is checked against party by
+# party: the two long-run profiles, the benchmark's three-group profile as
+# its workload seed 101 shifts it, and one with four groups.
+K10_PROFILES = {
+    "homogeneous F": profile_from_groups([("100012", 10)]),
+    "three groups": profile_from_groups([("021201", 3), ("210012", 3), ("220011", 4)]),
+    "three groups, shifted": profile_from_groups([("010212", 3), ("122100", 3), ("001122", 4)]),
+    "four groups": profile_from_groups(
+        [("021201", 2), ("100012", 3), ("220011", 2), ("012210", 3)]
+    ),
+}
 
 
 def brute_force_success(profile: StrategyProfile) -> Fraction:
@@ -270,10 +295,59 @@ class TestEvaluators:
         assert oracle_histogram(K7_THREE_GROUPS) == referee_histogram(K7_THREE_GROUPS)
 
     def test_dropping_the_zero_triple_shift_breaks_the_cross_check(self, monkeypatch):
-        # Mutation: g = trit sum mod 3, without the zero-count term.
+        # Mutation of the oracle's join rule: g = trit sum mod 3, without the
+        # zero-count term; the admissibility condition is kept.
         assert evaluate_exhaustive(K7_THREE_GROUPS) == evaluate_collapsed(K7_THREE_GROUPS)
-        monkeypatch.setattr(classical, "zero_triples_mod3", lambda bits: np.zeros(len(bits), int))
+        u, w = np.divmod(np.arange(27), 3)
+        admissible = (u[:, None] + u) % 3 == 0
+        g = (w[:, None] + w) % 3
+        mutated = (admissible & (g == np.arange(3)[:, None, None])).astype(np.int64)
+        assert mutated.shape == classical._join_masks().shape
+        assert not np.array_equal(mutated, classical._join_masks())
+        monkeypatch.setattr(classical, "_join_masks", lambda: mutated)
         assert evaluate_exhaustive(K7_THREE_GROUPS) != evaluate_collapsed(K7_THREE_GROUPS)
+
+    @pytest.mark.parametrize("name", K10_PROFILES)
+    def test_k10_transcript_counts_match_per_vector_enumeration(self, name):
+        profile = K10_PROFILES[name]
+        counts = exhaustive_transcript_counts(profile, long_run=True)
+        assert counts.shape == (3**10, 3)
+        assert np.array_equal(counts, per_vector_transcript_counts(profile))
+        assert counts.sum() == 3**10 * grouped_sum(10, 0, 3)
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.lists(st.lists(st.integers(0, 2), min_size=6, max_size=6), min_size=4, max_size=4))
+    def test_k4_heterogeneous_transcript_counts_match_dict_referee(self, tables):
+        profile = StrategyProfile(tuple(Strategy(tuple(t)) for t in tables))
+        assert oracle_histogram(profile) == referee_histogram(profile)
+
+    def test_four_group_profile_agrees_with_the_oracle(self):
+        profile = K10_PROFILES["four groups"]
+        assert len(strategy_groups(profile)) == 4
+        assert evaluate_collapsed(profile) == evaluate_exhaustive(profile, long_run=True)
+
+    def test_large_last_group_behind_a_prefix(self):
+        # 1,891 compositions of the 60-party group exceed one block, so its
+        # slices meet the prefix more than once; in reverse order the same
+        # classes come as a 1,891-class prefix times a 3-composition group.
+        a, b = Strategy.from_string("021201"), Strategy.from_string("210012")
+        forward = StrategyProfile((a,) + (b,) * 60)
+        reverse = StrategyProfile((b,) * 60 + (a,))
+        assert strategy_groups(forward) == [(a, 1), (b, 60)]
+        assert 1891 > classical._BLOCK
+        assert evaluate_collapsed(forward) == evaluate_collapsed(reverse)
+
+    def test_class_blocks_cover_every_class_once(self, monkeypatch):
+        # A tiny block splits the last group into slices and the prefix into
+        # runs that end mid-group; the value must not move.
+        expected = evaluate_exhaustive(K7_THREE_GROUPS)
+        monkeypatch.setattr(classical, "_BLOCK", 7)
+        groups = strategy_groups(K7_THREE_GROUPS)
+        tables = classical._prime_tables(classical.crt_primes(7))
+        sizes = [mult.shape[1] for _, mult in classical._class_blocks(groups, tables)]
+        assert max(sizes) <= 7
+        assert sum(sizes) == classical.transcript_class_count(K7_THREE_GROUPS)
+        assert evaluate_collapsed(K7_THREE_GROUPS) == expected
 
     def test_collapsed_class_count_guard(self):
         strategies = tuple(

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from tritgame import cli, protocol
-from tritgame.classical import crt_primes
+from tritgame.classical import EXHAUSTIVE_METHOD, crt_primes
+from tritgame.combinat import grouped_sum
 
 
 DENSE_COUNTERS = ("half_states_evolved", "gates_applied", "rows_evolved", "row_gates_applied")
@@ -310,6 +311,15 @@ class TestClassical:
         _, env = run_json(capsys, ["classical", "eval", "--profile", "A:3,100122", "--k", "4"])
         assert env["metrics"]["transcript_classes"] == 10 * 3
         assert env["metrics"]["strategy_orbits"] == 0
+
+    def test_eval_metrics_name_the_exhaustive_method(self, capsys):
+        _, env = run_json(capsys, ["classical", "eval", "--strategy", "F", "--k", "7"])
+        exhaustive = env["metrics"]["exhaustive"]
+        assert exhaustive["method"] == EXHAUSTIVE_METHOD
+        assert exhaustive["admissible_inputs"] == 3**7 * grouped_sum(7, 0, 3)
+        assert "admissible_inputs" not in json.dumps(env["payload"])
+        _, env = run_json(capsys, ["classical", "eval", "--strategy", "F", "--k", "13"])
+        assert "exhaustive" not in env["metrics"]
 
     def test_eval_metrics_time_each_stage(self, capsys):
         _, env = run_json(capsys, ["classical", "eval", "--strategy", "F", "--k", "7"])
