@@ -48,7 +48,8 @@ from .classical import (
     transcript_class_count,
 )
 from .combinat import grouped_sum
-from .protocol import VerificationError, check_party_count, verify_class_stepping
+from .protocol import check_party_count, verify_class_stepping
+from .qudit import DENSE_MAX_K, VerificationError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -158,7 +159,7 @@ def cmd_quantum_verify(args: argparse.Namespace) -> Report:
             tol=args.tolerance,
             _perturb=1e-6 if args.debug_tamper else 0.0,
         )
-    except (VerificationError, LookupError) as exc:
+    except VerificationError as exc:
         return Report(config, {"ok": False, "error": str(exc)}, code=EXIT_CHECK_FAILED)
     # A certificate exists only if every check passed.
     payload = {
@@ -270,9 +271,9 @@ def cmd_quantum_run(args: argparse.Namespace) -> Report:
         "seed": args.seed,
         "seed_scheme": "numpy default_rng([seed, stream]); single stream 0",
     }
-    if args.engine == "dense" and args.k > protocol.DENSE_MAX_K:
+    if args.engine == "dense" and args.k > DENSE_MAX_K:
         # Checked here too: at --trials 0 the engine never runs.
-        raise ValueError(f"dense engine supports k <= {protocol.DENSE_MAX_K}")
+        raise ValueError(f"dense engine supports k <= {DENSE_MAX_K}")
 
     metrics = _protocol_metrics(args.engine)
     certificate = _timed_verify(metrics) if args.engine == "analytic" else None

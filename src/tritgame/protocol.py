@@ -47,10 +47,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .qudit import (
+    DENSE_MAX_K,
     LocalGate,
     QuditState,
     RootBranch,
     RootCheck,
+    VerificationError,
+    class_step_ok,
     evolve,
     find_valid_root_branch,
     inverse_cdf,
@@ -61,18 +64,11 @@ from .qudit import (
     verify_root_branch,
 )
 
-#: Dense-engine party cap (3^13 amplitudes is the largest evolved state).
-DENSE_MAX_K = 13
-
 
 def check_party_count(k: int) -> None:
     """Rejects a party count that is not 4, 7, 10, ... (>= 4 and 1 mod 3)."""
     if k < 4 or k % 3 != 1:
         raise ValueError(f"party count must be >= 4 and 1 mod 3, got {k}")
-
-
-class VerificationError(RuntimeError):
-    """A protocol verification check failed."""
 
 
 class AnalyticEngineLockedError(RuntimeError):
@@ -183,21 +179,16 @@ def dense_pre_measurement_state(
     k: int,
     bits: Sequence[int],
     *,
-    gate: LocalGate | None = None,
+    gate: LocalGate,
 ) -> QuditState:
-    """Shared state after every zero-bit party applied the root gate.
+    """Shared state after every zero-bit party applied ``gate``, the root gate.
 
     The gates act on the digit-sum-0 class state, in party order, through
-    :func:`qudit.evolve`, which validates the final state once.  ``gate``
-    defaults to the root gate of the first valid branch; callers that
-    evolve many vectors build it once and pass it.
+    :func:`qudit.evolve`, which validates the final state once.  A k above
+    DENSE_MAX_K is rejected before any state is built.
     """
-    if k > DENSE_MAX_K:
-        raise ValueError(f"dense engine supports k <= {DENSE_MAX_K}, got {k}")
     if len(bits) != k:
         raise ValueError(f"need {k} bits, got {len(bits)}")
-    if gate is None:
-        gate = root_gate(3, find_valid_root_branch())
     zeros = [party for party, bit in enumerate(bits) if bit == 0]
     return evolve(make_sum_class_state(k, 0), gate, zeros)
 
@@ -268,7 +259,7 @@ def run_dense_batch(
     """
     zero_triples_mod3(bits)
     n, k = bits.shape
-    gate = root_gate(3, find_valid_root_branch())
+    gate = root_gate(find_valid_root_branch())
     uniforms = rng.random(n)
     distinct, inverse, counts = np.unique(
         bits, axis=0, return_inverse=True, return_counts=True
@@ -366,7 +357,7 @@ def verify_class_stepping(
             f"dimension-2 swap check failed: max deviation {swap_check.max_deviation:.3e}"
         )
 
-    gate = root_gate(3, branch)
+    gate = root_gate(branch)
     sweep_devs = []
     for k in ks:
         worst = 0.0
@@ -374,7 +365,7 @@ def verify_class_stepping(
         for bits, expected in zip(vectors.tolist(), zero_triples_mod3(vectors).tolist()):
             state = dense_pre_measurement_state(k, bits, gate=gate)
             phase, dev = sum_class_deviation(state, expected)
-            if not (dev <= tol and abs(abs(phase) - 1.0) <= tol):
+            if not class_step_ok(phase, dev, tol):
                 raise VerificationError(
                     f"evolved state at k={k}, bits={tuple(bits)} is not class {expected}"
                 )

@@ -1,12 +1,15 @@
-"""Dense state-vector simulation of k qudits (local dimension 2 or 3).
+"""Dense state-vector simulation of k qutrits, k <= DENSE_MAX_K.
 
 Provides the sum-class superpositions shared by the parties, the cyclic
-shift gate, its fractional root obtained through the discrete-Fourier
+shift gate, its cube roots obtained through the discrete-Fourier
 eigenbasis, :func:`evolve`, the one routine that applies gates to
 amplitudes, inverse-CDF sampling of basis indices, and the checks that
-a root gate steps sum classes.
+a root gate steps sum classes.  The two-qubit analog of the last check
+(the qubit protocol of Brukner, Zukowski, Pan and Zeilinger, PRL 92,
+127901 (2004)) is one fixed computation on 4-vectors,
+:func:`verify_dim2_swap`; nothing else here knows about qubits.
 
-Conventions: the first party owns the most significant base-d digit
+Conventions: the first party owns the most significant base-3 digit
 (:func:`evolve` numbers parties from 0); states are unit vectors
 (sum-class states are stored normalized even where they are usually
 written as plain ket sums).
@@ -21,11 +24,15 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-#: Hard cap on dense state size (number of complex amplitudes).
-MAX_AMPLITUDES = 2**24
+#: Dense party cap: 3^13 amplitudes is the largest state built.
+DENSE_MAX_K = 13
 
 _UNITARY_TOL = 1e-10
 _NORM_TOL = 1e-10
+
+
+class VerificationError(RuntimeError):
+    """A protocol verification check failed."""
 
 
 def digit_sums(d: int, k: int) -> np.ndarray:
@@ -35,6 +42,14 @@ def digit_sums(d: int, k: int) -> np.ndarray:
     for _ in range(k):
         sums = (sums[:, None] + step[None, :]).reshape(-1)
     return sums
+
+
+def _check_size(k: int) -> None:
+    """Rejects a qutrit count below 1 or above DENSE_MAX_K."""
+    if k < 1:
+        raise ValueError(f"party count must be >= 1, got {k}")
+    if k > DENSE_MAX_K:
+        raise ValueError(f"state of 3^{k} amplitudes exceeds the dense cap 3^{DENSE_MAX_K}")
 
 
 def _check_unit_norms(norm_sq) -> None:
@@ -55,7 +70,7 @@ def _check_unit_norms(norm_sq) -> None:
 
 @dataclass(frozen=True, eq=False)
 class QuditState:
-    """Unit-norm dense amplitude vector over all k-digit base-d strings.
+    """Unit-norm dense amplitude vector over all k-digit base-3 strings.
 
     The amplitudes are stored read-only.  The constructor copies them, so
     the caller's array can change afterwards; ``_copy=False`` adopts an
@@ -63,24 +78,16 @@ class QuditState:
     validates it all the same.  States compare by identity.
     """
 
-    d: int
     k: int
     amplitudes: np.ndarray
     _copy: InitVar[bool] = True
 
     def __post_init__(self, _copy: bool) -> None:
-        if self.d not in (2, 3):
-            raise ValueError(f"local dimension must be 2 or 3, got {self.d}")
-        if self.k < 1:
-            raise ValueError(f"party count must be >= 1, got {self.k}")
-        if self.d**self.k > MAX_AMPLITUDES:
-            raise ValueError(
-                f"state of {self.d}^{self.k} amplitudes exceeds the dense cap {MAX_AMPLITUDES}"
-            )
+        _check_size(self.k)
         copy = True if _copy else None  # None: copy only to convert the dtype
         amps = np.array(self.amplitudes, dtype=np.complex128, copy=copy).reshape(-1)
-        if amps.size != self.d**self.k:
-            raise ValueError(f"expected {self.d**self.k} amplitudes, got {amps.size}")
+        if amps.size != 3**self.k:
+            raise ValueError(f"expected {3**self.k} amplitudes, got {amps.size}")
         _check_unit_norms(np.vdot(amps, amps).real)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -88,19 +95,18 @@ class QuditState:
 
 @dataclass(frozen=True, eq=False)
 class LocalGate:
-    """A d x d unitary acting on a single party's qudit; gates compare by identity."""
+    """A 3 x 3 unitary acting on a single party's qutrit; gates compare by identity."""
 
-    d: int
     matrix: np.ndarray
     _lifted: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=np.complex128).copy()
-        if m.shape != (self.d, self.d):
-            raise ValueError(f"gate must be {self.d}x{self.d}, got shape {m.shape}")
+        if m.shape != (3, 3):
+            raise ValueError(f"gate must be 3x3, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("gate entries are not finite")
-        dev = np.max(np.abs(m.conj().T @ m - np.eye(self.d)))
+        dev = np.max(np.abs(m.conj().T @ m - np.eye(3)))
         if not dev <= _UNITARY_TOL:
             raise ValueError(f"gate is not unitary: max |M†M - I| = {dev:.3e}")
         m.setflags(write=False)
@@ -109,7 +115,7 @@ class LocalGate:
     def lifted_transpose(self, block: int) -> np.ndarray:
         """The transpose of gate ⊗ I_block, built once per block and kept.
 
-        Right-multiplying a (rows, d * block) view by it applies the gate to
+        Right-multiplying a (rows, 3 * block) view by it applies the gate to
         the digit just above the last ``block`` basis positions.
         """
         lifted = self._lifted.get(block)
@@ -132,73 +138,45 @@ class RootBranch(NamedTuple):
     r2: int
 
 
-def make_sum_class_state(k: int, j: int, d: int = 3) -> QuditState:
-    """Uniform superposition over all strings with digit sum = j mod d.
-
-    Each of the d^(k-1) strings in the class carries amplitude
-    d**(-(k-1)/2); every other amplitude is zero.  Built once per
-    (k, j, d) and shared: the state is frozen and its amplitudes are
-    read-only.
-    """
-    return _sum_class_state(k, j, d)
-
-
 # Sixteen entries hold every class state one verify_class_stepping() uses.
 @lru_cache(maxsize=16)
-def _sum_class_state(k: int, j: int, d: int) -> QuditState:
-    if d not in (2, 3):
-        raise ValueError(f"local dimension must be 2 or 3, got {d}")
-    if k < 1:
-        raise ValueError(f"party count must be >= 1, got {k}")
-    if not 0 <= j < d:
-        raise ValueError(f"class label must be in 0..{d - 1}, got {j}")
-    if d**k > MAX_AMPLITUDES:
-        raise ValueError(f"{d}^{k} amplitudes exceed the dense cap {MAX_AMPLITUDES}")
-    mask = digit_sums(d, k) % d == j
-    amps = np.zeros(d**k, dtype=np.complex128)
-    amps[mask] = d ** (-(k - 1) / 2)
-    return QuditState(d, k, amps, _copy=False)
+def make_sum_class_state(k: int, j: int) -> QuditState:
+    """Uniform superposition over all strings with digit sum = j mod 3.
 
-
-def permutation_gate(d: int) -> LocalGate:
-    """Cyclic digit shift: |y> -> |y+1 mod d| (the NOT gate for d=2)."""
-    if d not in (2, 3):
-        raise ValueError(f"unsupported dimension {d}")
-    m = np.zeros((d, d))
-    for y in range(d):
-        m[(y + 1) % d, y] = 1.0
-    return LocalGate(d, m)
-
-
-def _fourier_basis(d: int) -> np.ndarray:
-    a = np.exp(2j * np.pi / d)
-    return np.array([[a ** (r * c) for c in range(d)] for r in range(d)])
-
-
-def root_gate(d: int, branch: RootBranch | None = None) -> LocalGate:
-    """A d-th root of the cyclic shift gate.
-
-    Diagonalizes the shift in the discrete-Fourier basis and takes d-th
-    roots of the eigenvalues.  For d=3 the two non-unit roots are selected
-    by ``branch``; for d=2 the principal square root is returned, which is
-    the matrix (1/2) [[1+i, 1-i], [1-i, 1+i]].  Built once per (d, branch)
-    and shared, so every caller reuses the gate's lifted matrices.
+    Each of the 3^(k-1) strings in the class carries amplitude
+    3**(-(k-1)/2); every other amplitude is zero.  Built once per (k, j)
+    and shared: the state is frozen and its amplitudes are read-only.
     """
-    return _root_gate(d, branch)
+    _check_size(k)
+    if not 0 <= j < 3:
+        raise ValueError(f"class label must be in 0..2, got {j}")
+    mask = digit_sums(3, k) % 3 == j
+    amps = np.zeros(3**k, dtype=np.complex128)
+    amps[mask] = 3 ** (-(k - 1) / 2)
+    return QuditState(k, amps, _copy=False)
 
 
-@lru_cache(maxsize=16)
-def _root_gate(d: int, branch: RootBranch | None) -> LocalGate:
-    if d == 2:
-        m = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
-        return LocalGate(2, m)
-    if d != 3:
-        raise ValueError(f"unsupported dimension {d}")
-    if branch is None:
-        raise ValueError("a RootBranch is required for dimension 3")
+def permutation_gate() -> LocalGate:
+    """Cyclic digit shift: |y> -> |y+1 mod 3>."""
+    m = np.zeros((3, 3))
+    for y in range(3):
+        m[(y + 1) % 3, y] = 1.0
+    return LocalGate(m)
+
+
+@lru_cache(maxsize=9)
+def root_gate(branch: RootBranch) -> LocalGate:
+    """A cube root of the cyclic shift gate.
+
+    Diagonalizes the shift in the discrete-Fourier basis and takes cube
+    roots of the eigenvalues; ``branch`` selects the two non-unit roots.
+    Built once per branch and shared, so every caller reuses the gate's
+    lifted matrices.
+    """
     if branch.r1 not in (0, 1, 2) or branch.r2 not in (0, 1, 2):
         raise ValueError(f"branch indices must be in 0..2, got {tuple(branch)}")
-    s = _fourier_basis(3)
+    w = np.exp(2j * np.pi / 3)
+    s = np.array([[w ** (r * c) for c in range(3)] for r in range(3)])
     s_inv = s.conj() / 3.0
     roots = np.diag(
         [
@@ -207,7 +185,7 @@ def _root_gate(d: int, branch: RootBranch | None) -> LocalGate:
             np.exp(2j * np.pi * (2 + 3 * branch.r2) / 9),
         ]
     )
-    return LocalGate(3, s_inv @ roots @ s)
+    return LocalGate(s_inv @ roots @ s)
 
 
 def evolve(
@@ -215,42 +193,39 @@ def evolve(
 ) -> QuditState | np.ndarray:
     """The state after ``gate`` acted on each listed party, in the order given.
 
-    ``state`` is a :class:`QuditState`, or a stack of s states of m qudits
-    each: an (s, d^m) array of unit rows, d being the gate's dimension.  The
-    result is of the same kind.  Parties are numbered from 0, party 0
-    owning the most significant digit.  One party loop serves both kinds,
-    with a leading stack axis (s = 1 for a single state): party p's gate is
-    one matmul on the (s d^p, d, B) view of the amplitudes, B = d^(m-p-1).
-    For the last parties, where B < 27, that view would mean thousands of
-    tiny products, so the same map is one matmul of the (s d^p, dB) view
+    ``state`` is a :class:`QuditState`, or a stack of s states of m qutrits
+    each: an (s, 3^m) array of unit rows.  The result is of the same kind.
+    Parties are numbered from 0, party 0 owning the most significant
+    digit.  One party loop serves both kinds, with a leading stack axis
+    (s = 1 for a single state): party p's gate is one matmul on the
+    (s 3^p, 3, B) view of the amplitudes, B = 3^(m-p-1).  For the last
+    parties, where B < 27, that view would mean thousands of tiny
+    products, so the same map is one matmul of the (s 3^p, 3B) view
     with the transpose of gate ⊗ I_B, which the gate builds once per B and
     keeps.  The result is validated once, at the end: a state is adopted
     without a copy, and every row of a stack is checked for finite
     amplitudes and unit norm.
     """
-    d = gate.d
     if isinstance(state, QuditState):
-        if state.d != d:
-            raise ValueError(f"gate dimension {d} != state dimension {state.d}")
         k = state.k
         amps = state.amplitudes[None]
     else:
         amps = np.asarray(state, dtype=np.complex128)
-        k = round(math.log(amps.shape[1], d)) if amps.ndim == 2 and amps.shape[1] > 1 else 0
-        if k < 1 or amps.shape[1] != d**k:
-            raise ValueError(f"need an (s, {d}^m) stack of states, got shape {amps.shape}")
+        k = round(math.log(amps.shape[1], 3)) if amps.ndim == 2 and amps.shape[1] > 1 else 0
+        if k < 1 or amps.shape[1] != 3**k:
+            raise ValueError(f"need an (s, 3^m) stack of states, got shape {amps.shape}")
     s = len(amps)
     for party in parties:
         if not 0 <= party < k:
             raise ValueError(f"party must be in 0..{k - 1}, got {party}")
-        block = d ** (k - party - 1)
+        block = 3 ** (k - party - 1)
         if block >= 27:
-            amps = np.matmul(gate.matrix, amps.reshape(s * d**party, d, block))
+            amps = np.matmul(gate.matrix, amps.reshape(s * 3**party, 3, block))
         else:
-            amps = amps.reshape(s * d**party, d * block) @ gate.lifted_transpose(block)
+            amps = amps.reshape(s * 3**party, 3 * block) @ gate.lifted_transpose(block)
     if isinstance(state, QuditState):
-        return QuditState(d, k, amps.reshape(-1), _copy=False)
-    amps = amps.reshape(s, d**k)
+        return QuditState(k, amps.reshape(-1), _copy=False)
+    amps = amps.reshape(s, 3**k)
     _check_unit_norms(np.sum(np.abs(amps) ** 2, axis=1))
     return amps
 
@@ -277,17 +252,26 @@ def inverse_cdf(cumulative: np.ndarray, uniforms) -> np.ndarray:
 
 
 def sum_class_deviation(state: QuditState, j: int) -> tuple[complex, float]:
-    """Best-fit phase and worst amplitude error against class j (digit sum mod d).
+    """Best-fit phase and worst amplitude error against class j (digit sum mod 3).
 
     Returns (c, dev) minimizing nothing fancy: c is the overlap with the
     normalized class state, dev the max entrywise deviation of the
     amplitudes from c times the class pattern.  The class state is the
     shared one of :func:`make_sum_class_state`, not rebuilt per call.
     """
-    target = make_sum_class_state(state.k, j, state.d).amplitudes
+    target = make_sum_class_state(state.k, j).amplitudes
     c = complex(np.vdot(target, state.amplitudes))
     dev = float(np.max(np.abs(state.amplitudes - c * target)))
     return c, dev
+
+
+def class_step_ok(phase: complex, dev: float, tol: float) -> bool:
+    """The pass rule of every class-step check; a NaN deviation or phase fails.
+
+    The worst entrywise deviation and the phase's distance from modulus 1
+    must both be within ``tol``.
+    """
+    return dev <= tol and abs(abs(phase) - 1.0) <= tol
 
 
 @dataclass(frozen=True)
@@ -307,8 +291,8 @@ def verify_root_branch(branch: RootBranch, tol: float = 1e-10) -> RootCheck:
     advance the class by one, with a single modulus-1 constant shared by
     all three classes.  Deviations are entrywise maxima.
     """
-    gate = root_gate(3, branch)
-    shift = permutation_gate(3)
+    gate = root_gate(branch)
+    shift = permutation_gate()
     cubed = gate.matrix @ gate.matrix @ gate.matrix
     dev = float(np.max(np.abs(cubed - shift.matrix)))
 
@@ -320,33 +304,43 @@ def verify_root_branch(branch: RootBranch, tol: float = 1e-10) -> RootCheck:
             phase = c
         dev = max(dev, class_dev, abs(c - phase))
     assert phase is not None
-    ok = dev <= tol and abs(abs(phase) - 1.0) <= tol
-    return RootCheck(branch=branch, phase=phase, max_deviation=dev, ok=ok)
+    return RootCheck(branch, phase, dev, class_step_ok(phase, dev, tol))
 
 
 def find_valid_root_branch(tol: float = 1e-10) -> RootBranch:
     """Search all nine cube-root branches for one satisfying the step law.
 
     Scans in lexicographic order and returns the first branch whose check
-    passes; raises LookupError if none does (which would mean the class
-    stepping only holds up to per-class phases).
+    passes; raises VerificationError if none does (which would mean the
+    class stepping only holds up to per-class phases).
     """
     for r1 in range(3):
         for r2 in range(3):
             branch = RootBranch(r1, r2)
             if verify_root_branch(branch, tol).ok:
                 return branch
-    raise LookupError("no valid root branch: class stepping fails for all nine branches")
+    raise VerificationError("no valid root branch: class stepping fails for all nine branches")
+
+
+#: The two-qubit analog: the principal square root of NOT, and the even- and
+#: odd-parity Bell pairs over the basis |00>, |01>, |10>, |11>.  They are
+#: tuples: built as numpy arrays at import, they raised the peak RSS of
+#: `tritgame classical search` by about 0.4 MB.
+_SQRT_NOT = ((0.5 + 0.5j, 0.5 - 0.5j), (0.5 - 0.5j, 0.5 + 0.5j))
+_BELL_EVEN = (2**-0.5, 0.0, 0.0, 2**-0.5)
+_BELL_ODD = (0.0, 2**-0.5, 2**-0.5, 0.0)
 
 
 def verify_dim2_swap(tol: float = 1e-10) -> RootCheck:
-    """Check the two-party dimension-2 analog of the class-stepping law.
+    """Check the two-qubit analog of the class-stepping law.
 
-    The principal square root of NOT applied at both parties must take the
-    even-parity class (|00>+|11>)/sqrt(2) to a modulus-1 phase times the
-    odd-parity class (|01>+|10>)/sqrt(2).
+    R = (1/2) [[1+i, 1-i], [1-i, 1+i]], the principal square root of NOT,
+    applied at both parties must take the even-parity Bell pair
+    (|00>+|11>)/sqrt(2) to a modulus-1 phase times the odd-parity pair
+    (|01>+|10>)/sqrt(2).  The evolution is R (x) R applied to the 4-vector.
     """
-    out = evolve(make_sum_class_state(2, 0, d=2), root_gate(2), range(2))
-    c, dev = sum_class_deviation(out, 1)
-    ok = dev <= tol and abs(abs(c) - 1.0) <= tol
-    return RootCheck(branch=None, phase=c, max_deviation=dev, ok=ok)
+    odd = np.array(_BELL_ODD)
+    out = np.kron(_SQRT_NOT, _SQRT_NOT) @ np.array(_BELL_EVEN)
+    c = complex(np.vdot(odd, out))
+    dev = float(np.max(np.abs(out - c * odd)))
+    return RootCheck(None, c, dev, class_step_ok(c, dev, tol))

@@ -21,7 +21,7 @@ def per_vector_outcomes():
     all 3^k amplitudes.  It returns the int8 outcomes and the
     number of distinct vectors.
     """
-    gate = root_gate(3, find_valid_root_branch())
+    gate = root_gate(find_valid_root_branch())
 
     def outcomes(bits, uniforms):
         k = bits.shape[1]

@@ -166,8 +166,6 @@ def classify_sum_class(
     the match must have every amplitude within ``tol`` of the phased class
     pattern and a phase of modulus 1 within ``tol``.
     """
-    if state.d != 3:
-        raise ValueError("sum-class classification is defined for dimension 3 only")
     peak = np.base_repr(int(np.argmax(np.abs(state.amplitudes))), 3).zfill(state.k)
     candidate = sum(map(int, peak)) % 3
     c, dev = sum_class_deviation(state, candidate)

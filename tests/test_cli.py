@@ -2,16 +2,37 @@ import csv
 import hashlib
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tritgame import cli, protocol
+from tritgame import cli, protocol, qudit
 from tritgame.classical import EXHAUSTIVE_METHOD, crt_primes
 from tritgame.combinat import grouped_sum
 
 
 DENSE_COUNTERS = ("half_states_evolved", "gates_applied", "rows_evolved", "row_gates_applied")
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+#: Every ``tritgame ...`` line of README's ``sh`` blocks, without the program name.
+README_COMMANDS = [
+    line.split(None, 1)[1]
+    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    for line in block.splitlines()
+    if line.startswith("tritgame ")
+]
+
+
+@pytest.fixture
+def failed_branch_search(monkeypatch):
+    """Makes every root branch fail its check, so the root-branch search fails."""
+    def failing_check(branch, tol=1e-10):
+        return qudit.RootCheck(branch, 1.0, 1.0, False)
+
+    monkeypatch.setattr(qudit, "verify_root_branch", failing_check)
 
 
 def run_cli(capsys, argv):
@@ -54,6 +75,14 @@ class TestQuantumVerify:
         code, env = run_json(capsys, ["quantum-verify", "--debug-tamper"])
         assert code == 1
         assert env["payload"]["ok"] is False
+
+    def test_failed_branch_search_writes_a_failing_payload(self, capsys, failed_branch_search):
+        code, env = run_json(capsys, ["quantum-verify"])
+        assert code == 1
+        assert env["payload"] == {
+            "ok": False,
+            "error": "no valid root branch: class stepping fails for all nine branches",
+        }
 
     def test_sweep_beyond_dense_bound_is_usage_error(self, capsys):
         code = cli.main(["quantum-verify", "--k", "100"])
@@ -466,6 +495,27 @@ class TestHarness:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: tampered\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["quantum-run", "--k", "7", "--trials", "10"],
+        ["quantum-run", "--k", "7", "--engine", "analytic", "--trials", "10"],
+        ["gap-report", "--k", "4", "--trials", "10"],
+    ], ids=["dense", "analytic", "gap-report"])
+    def test_failed_branch_search_exits_one(self, capsys, failed_branch_search, argv):
+        code = cli.main(argv)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no valid root branch: class stepping fails for all nine branches\n"
+        )
+
+    @pytest.mark.parametrize("command", README_COMMANDS)
+    def test_readme_example_runs(self, capsys, tmp_path, command):
+        path = tmp_path / "out"
+        assert cli.main([*shlex.split(command), "--output", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.stat().st_size > 0
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--family", "F", "--j", "5", "10", "--format", "csv"],

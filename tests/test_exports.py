@@ -1,19 +1,23 @@
 """The package's export list."""
 
+import dataclasses
+
 import tritgame
 from tritgame import bounds, classical, combinat, protocol, qudit
 
 # Names of the per-row protocol API and the helpers only it used, the bound
 # dispatch layer, the unused grouped-sum parameter tuple, the process-wide
-# verification flag with its reset hook, and the helpers only tests call
-# (now in tests/helpers.py).
+# verification flag with its reset hook, the helpers only tests call (now in
+# tests/helpers.py), and the qudit layer's amplitude cap and the helpers
+# that took its dimension parameter.
 REMOVED = (
     "RegisterInput", "ProtocolRun", "global_function", "decode", "enumerate_admissible",
     "batch_runs", "sample_admissible", "run_dense", "run_analytic", "apply_local",
     "measure_all", "trit_add", "canonical_strategy_reps", "BoundParams", "bound_value",
     "GroupedSumSpec", "_verified", "_reset_verification", "TranscriptClassStats",
     "transcript_class_stats", "division_type", "DivisionType", "random_profile",
-    "classify_sum_class", "digit_string",
+    "classify_sum_class", "digit_string", "MAX_AMPLITUDES", "_sum_class_state", "_root_gate",
+    "_fourier_basis",
 )
 
 
@@ -40,3 +44,8 @@ def test_removed_methods_are_gone():
     for name in ("sent_for", "cells", "canonical"):
         assert not hasattr(tritgame.Strategy, name), name
     assert not hasattr(tritgame.QuditState, "basis_label")
+
+
+def test_qutrit_types_have_no_dimension():
+    for cls in (tritgame.QuditState, tritgame.LocalGate):
+        assert "d" not in {f.name for f in dataclasses.fields(cls)}, cls.__name__

@@ -54,7 +54,7 @@ def apply_local(state, matrix, party):
     """Reference gate application: one einsum on the (3^p, 3, rest) view, validated."""
     k = state.k
     view = state.amplitudes.reshape(3**party, 3, 3 ** (k - party - 1))
-    return QuditState(3, k, np.einsum("ij,ajb->aib", matrix, view).reshape(-1))
+    return QuditState(k, np.einsum("ij,ajb->aib", matrix, view).reshape(-1))
 
 
 def row_norms(state, h):
@@ -223,7 +223,8 @@ class TestDenseEngine:
         assert np.array_equal(decoded, global_function_batch(trits, bits))
 
     def test_pre_measurement_state_is_the_predicted_class(self):
-        state = dense_pre_measurement_state(4, (0, 0, 0, 1))
+        gate = root_gate(find_valid_root_branch())
+        state = dense_pre_measurement_state(4, (0, 0, 0, 1), gate=gate)
         result = classify_sum_class(state, tol=1e-10)
         assert result is not None
         j, c = result
@@ -262,11 +263,11 @@ class TestDenseEngine:
 
     def test_k_bound(self):
         with pytest.raises(ValueError, match="dense"):
-            dense_pre_measurement_state(16, (1,) * 16)
+            dense_pre_measurement_state(16, (1,) * 16, gate=root_gate(find_valid_root_branch()))
 
     def test_evolution_matches_apply_local_chain_at_ten_parties(self):
         # Reference: one validated einsum per zero-bit party.
-        gate = root_gate(3, find_valid_root_branch())
+        gate = root_gate(find_valid_root_branch())
         start = make_sum_class_state(10, 0)
         vectors = admissible_bit_vectors(10).tolist()
         assert len(vectors) == 341
@@ -345,7 +346,7 @@ class TestDenseEngine:
         # No-signalling: for every second-half bit pattern, the first-half
         # marginal of the fully evolved state is the half state's row norms.
         h = k // 2
-        gate = root_gate(3, find_valid_root_branch())
+        gate = root_gate(find_valid_root_branch())
         if k == 7:
             prefixes = list(itertools.product((0, 1), repeat=h))
         else:
@@ -364,7 +365,7 @@ class TestDenseEngine:
         # Success is measured, not assumed: with the root gate replaced by
         # the identity, the state never leaves class 0 and inputs with zero
         # bits decode wrongly.
-        monkeypatch.setattr(protocol, "root_gate", lambda d, branch=None: LocalGate(d, np.eye(d)))
+        monkeypatch.setattr(protocol, "root_gate", lambda branch: LocalGate(np.eye(3)))
         trits, bits = sample_admissible_batch(7, 300, np.random.default_rng(21))
         outcomes, _ = run_dense_batch(bits, np.random.default_rng(22))
         wrong = decode_batch(trits, outcomes) != global_function_batch(trits, bits)
@@ -423,7 +424,7 @@ class TestRowSampler:
         # state (the second-half draw then starts from a remainder of 0):
         # every trial reads a possible outcome, so it decodes correctly.
         h = k // 2
-        gate = root_gate(3, find_valid_root_branch())
+        gate = root_gate(find_valid_root_branch())
         vectors = admissible_bit_vectors(k)
         picks = [vectors[0], vectors[1], vectors[len(vectors) // 2], vectors[-1]]
         bits, uniforms = [], []
@@ -527,6 +528,13 @@ class TestVerification:
         with pytest.raises(protocol.VerificationError):
             verify_class_stepping(_perturb=1e-6)
 
+    def test_dim2_check_can_fail(self, monkeypatch):
+        # With R replaced by NOT, R (x) R keeps the even Bell pair even, so the
+        # parity swap fails.
+        monkeypatch.setattr(qudit, "_SQRT_NOT", np.array([[0, 1], [1, 0]]))
+        with pytest.raises(protocol.VerificationError, match="dimension-2 swap check failed"):
+            verify_class_stepping()
+
     def test_nan_sweep_deviation_fails(self, monkeypatch):
         # A NaN compares false with everything, so only a test written as
         # "not (dev <= tol)" rejects it.
@@ -535,14 +543,14 @@ class TestVerification:
             verify_class_stepping()
 
     def test_certificate_unchanged_by_class_state_cache(self):
-        qudit._sum_class_state.cache_clear()
+        qudit.make_sum_class_state.cache_clear()
         cold = verify_class_stepping()
         warm = verify_class_stepping()
         assert warm == cold
         assert cold.root_check.ok and cold.swap_check.ok
         # The sweep's worst deviations, recomputed against freshly built
         # class patterns, are exactly the certificate's.
-        gate = root_gate(3, cold.branch)
+        gate = root_gate(cold.branch)
         for k, reported in zip(cold.checked_k, cold.sweep_deviations):
             worst = 0.0
             for bits in admissible_bit_vectors(k).tolist():

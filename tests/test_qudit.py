@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tritgame import qudit
 from tritgame.qudit import (
     LocalGate,
     QuditState,
@@ -20,44 +21,50 @@ from tritgame.qudit import (
 from helpers import classify_sum_class
 
 CHI2_99_DF8 = 20.090  # chi-square 99th percentile, 8 degrees of freedom
+NOT = np.array([[0, 1], [1, 0]])
 
 
-def basis_state(digits, d=3):
+def basis_state(digits):
     k = len(digits)
-    amps = np.zeros(d**k, dtype=complex)
+    amps = np.zeros(3**k, dtype=complex)
     index = 0
     for t in digits:
-        index = index * d + t
+        index = index * 3 + t
     amps[index] = 1.0
-    return QuditState(d, k, amps)
+    return QuditState(k, amps)
 
 
 def measure_all(state, rng):
     """One basis string drawn with probability |amplitude|^2, by inverse CDF."""
     cumulative = np.cumsum(np.abs(state.amplitudes) ** 2)
-    return np.base_repr(int(inverse_cdf(cumulative, rng.random())), state.d).zfill(state.k)
+    return np.base_repr(int(inverse_cdf(cumulative, rng.random())), 3).zfill(state.k)
 
 
 class TestQuditState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
-            QuditState(3, 1, [1.0, 1.0, 0.0])
+            QuditState(1, [1.0, 1.0, 0.0])
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="amplitudes"):
-            QuditState(3, 2, [1.0, 0.0, 0.0])
+            QuditState(2, [1.0, 0.0, 0.0])
 
     def test_rejects_oversized_register(self):
         with pytest.raises(ValueError, match="cap"):
             make_sum_class_state(16, 0)
+        # The cap is DENSE_MAX_K = 13 qutrits, checked before any amplitude is read.
+        with pytest.raises(ValueError, match="cap"):
+            make_sum_class_state(14, 0)
+        with pytest.raises(ValueError, match="cap"):
+            QuditState(14, np.zeros(1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_rejects_non_finite_amplitudes(self, bad):
         with pytest.raises(ValueError, match="not finite"):
-            QuditState(3, 1, np.full(3, bad, dtype=complex))
+            QuditState(1, np.full(3, bad, dtype=complex))
         # One bad entry beside a unit amplitude fails as well.
         with pytest.raises(ValueError, match="not finite"):
-            QuditState(3, 2, np.r_[1.0, np.zeros(7), bad])
+            QuditState(2, np.r_[1.0, np.zeros(7), bad])
 
     def test_amplitudes_are_frozen(self):
         state = make_sum_class_state(2, 0)
@@ -67,7 +74,7 @@ class TestQuditState:
     def test_constructor_copies_the_callers_array(self):
         amps = np.zeros(9, dtype=complex)
         amps[4] = 1.0
-        state = QuditState(3, 2, amps)
+        state = QuditState(2, amps)
         amps[4], amps[0] = 0.0, 1.0
         assert state.amplitudes[4] == 1.0 and state.amplitudes[0] == 0.0
         assert not np.shares_memory(state.amplitudes, amps)
@@ -75,20 +82,20 @@ class TestQuditState:
     def test_adopted_arrays_are_validated_not_copied(self):
         amps = np.zeros(3, dtype=complex)
         amps[1] = 1.0
-        assert np.shares_memory(QuditState(3, 1, amps, _copy=False).amplitudes, amps)
+        assert np.shares_memory(QuditState(1, amps, _copy=False).amplitudes, amps)
         with pytest.raises(ValueError, match="not finite"):
-            QuditState(3, 1, np.array([np.nan, 0, 0], dtype=complex), _copy=False)
+            QuditState(1, np.array([np.nan, 0, 0], dtype=complex), _copy=False)
         with pytest.raises(ValueError, match="not normalized"):
-            QuditState(3, 1, np.ones(3, dtype=complex), _copy=False)
+            QuditState(1, np.ones(3, dtype=complex), _copy=False)
         # With no gate to apply, evolve adopts the start's read-only array.
         start = make_sum_class_state(3, 1)
-        out = evolve(start, permutation_gate(3), [])
+        out = evolve(start, permutation_gate(), [])
         assert out is not start
         assert np.shares_memory(out.amplitudes, start.amplitudes)
         assert not out.amplitudes.flags.writeable
 
     def test_equality_returns_a_bool(self):
-        gate_a, gate_b = permutation_gate(3), permutation_gate(3)
+        gate_a, gate_b = permutation_gate(), permutation_gate()
         assert (gate_a == gate_b) is False
         assert (gate_a == gate_a) is True
         a, b = make_sum_class_state(3, 0), basis_state((0, 0, 0))
@@ -115,9 +122,12 @@ class TestSumClassStates:
         np.testing.assert_allclose(state.amplitudes, [1, 0, 0], atol=1e-15)
 
     def test_two_qubit_even_class_is_bell_pair(self):
-        state = make_sum_class_state(2, 0, d=2)
+        # The even- and odd-parity pairs of the two-qubit check.
         np.testing.assert_allclose(
-            state.amplitudes, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)], atol=1e-15
+            qudit._BELL_EVEN, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)], atol=1e-15
+        )
+        np.testing.assert_allclose(
+            qudit._BELL_ODD, [0, 1 / np.sqrt(2), 1 / np.sqrt(2), 0], atol=1e-15
         )
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
@@ -140,42 +150,40 @@ class TestSumClassStates:
         assert not state.amplitudes.flags.writeable
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
-        assert make_sum_class_state(4, 1, d=3) is state
 
 
 class TestGates:
     def test_shift_gate_cycles_digits(self):
-        gate = permutation_gate(3)
+        gate = permutation_gate()
         for start, want in ((0, 1), (1, 2), (2, 0)):
             out = evolve(basis_state((start,)), gate, [0])
             assert np.base_repr(int(np.argmax(np.abs(out.amplitudes))), 3).zfill(out.k) == str(want)
 
     def test_not_gate(self):
-        gate = permutation_gate(2)
-        out = evolve(basis_state((1,), d=2), gate, [0])
-        np.testing.assert_allclose(out.amplitudes, [1, 0], atol=1e-15)
-
-    def test_unsupported_dimension(self):
-        with pytest.raises(ValueError):
-            permutation_gate(4)
-        with pytest.raises(ValueError):
-            root_gate(5)
+        # NOT takes |1> to |0>, and on one qubit of the even Bell pair it
+        # gives the odd pair.
+        np.testing.assert_allclose(NOT @ [0, 1], [1, 0], atol=1e-15)
+        np.testing.assert_allclose(
+            np.kron(NOT, np.eye(2)) @ qudit._BELL_EVEN, qudit._BELL_ODD, atol=1e-15
+        )
 
     def test_gate_must_be_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
-            LocalGate(2, [[1, 0], [1, 1]])
+            LocalGate([[1, 0, 0], [1, 1, 0], [0, 0, 1]])
+        with pytest.raises(ValueError, match="3x3"):
+            LocalGate(NOT)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_gate_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="not finite"):
-            LocalGate(3, np.full((3, 3), bad))
+            LocalGate(np.full((3, 3), bad))
         matrix = np.eye(3, dtype=complex)
         matrix[1, 2] = bad
         with pytest.raises(ValueError, match="not finite"):
-            LocalGate(3, matrix)
+            LocalGate(matrix)
 
     def test_lifted_transpose_is_gate_kron_identity(self):
-        gate = root_gate(3, RootBranch(0, 0))
+        gate = root_gate(RootBranch(0, 0))
         for block in (1, 3, 9):
             lifted = gate.lifted_transpose(block)
             assert np.array_equal(lifted, np.kron(gate.matrix, np.eye(block)).T)
@@ -185,29 +193,30 @@ class TestGates:
     def test_root_gate_is_built_once_per_branch(self):
         # The dense batches and the certificate share one gate, so its
         # lifted matrices are built once per process.
-        gate = root_gate(3, RootBranch(0, 0))
-        assert root_gate(3, RootBranch(0, 0)) is gate
-        assert root_gate(3, RootBranch(0, 1)) is not gate
-        assert root_gate(2) is root_gate(2)
+        gate = root_gate(RootBranch(0, 0))
+        assert root_gate(RootBranch(0, 0)) is gate
+        assert root_gate(RootBranch(0, 1)) is not gate
 
     def test_dim2_root_is_the_explicit_matrix(self):
         expected = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
-        np.testing.assert_allclose(root_gate(2).matrix, expected, atol=1e-15)
+        np.testing.assert_allclose(qudit._SQRT_NOT, expected, atol=1e-15)
 
     def test_dim2_root_squares_to_not(self):
-        m = root_gate(2).matrix
-        np.testing.assert_allclose(m @ m, permutation_gate(2).matrix, atol=1e-12)
+        m = np.array(qudit._SQRT_NOT)
+        np.testing.assert_allclose(m @ m, NOT, atol=1e-12)
 
     def test_dim3_requires_branch(self):
-        with pytest.raises(ValueError, match="RootBranch"):
-            root_gate(3)
+        with pytest.raises(TypeError, match="branch"):
+            root_gate()
+        with pytest.raises(ValueError, match="branch indices"):
+            root_gate(RootBranch(0, 3))
 
     @pytest.mark.parametrize("r1", [0, 1, 2])
     @pytest.mark.parametrize("r2", [0, 1, 2])
     def test_every_branch_cubes_to_the_shift(self, r1, r2):
-        m = root_gate(3, RootBranch(r1, r2)).matrix
+        m = root_gate(RootBranch(r1, r2)).matrix
         np.testing.assert_allclose(
-            m @ m @ m, permutation_gate(3).matrix, atol=1e-10
+            m @ m @ m, permutation_gate().matrix, atol=1e-10
         )
 
 
@@ -241,38 +250,35 @@ class TestApplyLocal:
 
     def test_identity_gate_keeps_amplitudes(self):
         state = make_sum_class_state(3, 2)
-        out = evolve(state, LocalGate(3, np.eye(3)), [1])
+        out = evolve(state, LocalGate(np.eye(3)), [1])
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
     def test_shift_on_party_one(self):
-        out = evolve(basis_state((0, 1, 2)), permutation_gate(3), [0])
+        out = evolve(basis_state((0, 1, 2)), permutation_gate(), [0])
         assert np.base_repr(int(np.argmax(np.abs(out.amplitudes))), 3).zfill(out.k) == "112"
 
     def test_norm_preserved_on_random_state(self):
         rng = np.random.default_rng(42)
         raw = rng.normal(size=27) + 1j * rng.normal(size=27)
-        state = QuditState(3, 3, raw / np.linalg.norm(raw))
-        gate = root_gate(3, RootBranch(1, 2))
+        state = QuditState(3, raw / np.linalg.norm(raw))
+        gate = root_gate(RootBranch(1, 2))
         for party in (0, 1, 2):
             state = evolve(state, gate, [party])
         assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) <= 1e-10
 
     def test_dimension_and_index_errors(self):
         state = make_sum_class_state(2, 0)
-        with pytest.raises(ValueError, match="dimension"):
-            evolve(state, permutation_gate(2), [0])
         with pytest.raises(ValueError, match="party"):
-            evolve(state, permutation_gate(3), [2])
+            evolve(state, permutation_gate(), [2])
         with pytest.raises(ValueError, match="party"):
-            evolve(state, permutation_gate(3), [-1])
+            evolve(state, permutation_gate(), [-1])
 
     def test_root_gate_on_both_qubits_swaps_parity_classes(self):
-        state = make_sum_class_state(2, 0, d=2)
-        state = evolve(state, root_gate(2), [0, 1])
-        target = make_sum_class_state(2, 1, d=2).amplitudes
-        c = np.vdot(target, state.amplitudes)
+        state = np.kron(qudit._SQRT_NOT, qudit._SQRT_NOT) @ qudit._BELL_EVEN
+        target = np.array(qudit._BELL_ODD)
+        c = np.vdot(target, state)
         assert abs(abs(c) - 1.0) <= 1e-10
-        np.testing.assert_allclose(state.amplitudes, c * target, atol=1e-10)
+        np.testing.assert_allclose(state, c * target, atol=1e-10)
 
 
 class TestEvolveStack:
@@ -284,18 +290,18 @@ class TestEvolveStack:
         rng = np.random.default_rng(7)
         raw = rng.normal(size=(6, 3**5)) + 1j * rng.normal(size=(6, 3**5))
         stack = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        gate = root_gate(3, find_valid_root_branch())
+        gate = root_gate(find_valid_root_branch())
         parties = [0, 1, 3, 4, 2, 4]
         out = evolve(stack, gate, parties)
         assert out.shape == stack.shape
         for row, evolved in zip(stack, out):
-            single = evolve(QuditState(3, 5, row), gate, parties)
+            single = evolve(QuditState(5, row), gate, parties)
             assert np.array_equal(evolved, single.amplitudes)
 
     def test_every_row_is_checked(self):
         stack = np.zeros((3, 9), dtype=complex)
         stack[:, 4] = 1.0
-        gate = permutation_gate(3)
+        gate = permutation_gate()
         assert evolve(stack, gate, [1]).shape == (3, 9)
         unnormalized = stack.copy()
         unnormalized[2, 4] = 1.1
@@ -307,7 +313,7 @@ class TestEvolveStack:
             evolve(broken, gate, [0])
 
     def test_shape_and_index_errors(self):
-        gate = permutation_gate(3)
+        gate = permutation_gate()
         for bad in (np.ones(9, dtype=complex), np.ones((2, 10), dtype=complex),
                     np.ones((2, 1), dtype=complex)):
             with pytest.raises(ValueError, match="stack"):
@@ -383,15 +389,11 @@ class TestClassify:
     def test_recovers_global_phase(self):
         phase = np.exp(0.7j)
         state = make_sum_class_state(3, 0)
-        phased = QuditState(3, 3, phase * state.amplitudes)
+        phased = QuditState(3, phase * state.amplitudes)
         result = classify_sum_class(phased)
         assert result is not None
         assert result[0] == 0
         assert result[1] == pytest.approx(phase, abs=1e-12)
-
-    def test_requires_dimension_three(self):
-        with pytest.raises(ValueError):
-            classify_sum_class(make_sum_class_state(2, 0, d=2))
 
     def test_deviation_helper_reports_mismatch(self):
         _, dev = sum_class_deviation(make_sum_class_state(3, 0), 1)
