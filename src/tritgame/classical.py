@@ -17,7 +17,11 @@ independent evaluators compute the referee's exact success probability:
   mod 9, trit sum mod 3), multiplied pointwise in its characters modulo
   word-size primes and rebuilt exactly by the Chinese remainder theorem.
   The classes are scanned as a table of all groups but the last times
-  slices of the last group.  Exact at any k the class count allows.
+  slices of the last group, skipping classes that send a trit no party of
+  its group can send.  A class's counts are bounded by the product of its
+  parties' largest cells, so they are computed modulo only as many primes
+  as that bound needs and lifted to the rest.  Exact at any k the class
+  count allows.
 
 Both return reduced fractions and must agree wherever both run.
 """
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -236,8 +241,10 @@ def exhaustive_transcript_counts(profile: StrategyProfile, long_run: bool = Fals
     h = k // 2
     luts = [s.lookup_array() for s in profile.strategies]
     hi, lo = _half_histogram(luts[:h]), _half_histogram(luts[h:])
-    per_value = [(hi @ mask @ lo.T).reshape(-1) for mask in _join_masks()]
-    return np.stack(per_value, axis=1)
+    counts = np.empty((len(hi) * len(lo), 3), dtype=np.int64)
+    for g, mask in enumerate(_join_masks()):  # one value's products at a time
+        counts[:, g] = (hi @ mask @ lo.T).reshape(-1)
+    return counts
 
 
 def referee_success(per_transcript: np.ndarray) -> Fraction:
@@ -272,10 +279,17 @@ def evaluate_exhaustive(profile: StrategyProfile, long_run: bool = False) -> Fra
 # 1971).  Modulo a prime p = 1 (mod 9) z exists in Z/p, so a transcript
 # class is a pointwise product of per-party character values, and one
 # matrix product maps it back to the admissible counts per global value.
-# Those counts are integers below 6^k.  The primes' product exceeds 6^k, and
-# one redundant prime checks it: its Garner digit (Knuth, TAOCP vol. 2,
-# section 4.3.2) is zero exactly when a value lies below the other primes'
-# product, so a nonzero digit raises instead of returning a wrong count.
+# A party's register value lies in the cell of the trit it sent, so a
+# class's counts are at most B = prod_g m_g^size_g, m_g the largest cell of
+# group g's strategy; the numerator is below 6^k.  The counts are computed
+# modulo the shortest prefix of the primes whose product, without its last
+# prime, exceeds B, and the numerator modulo all of them, whose product
+# without the last exceeds 6^k.  In both sets the last prime is redundant:
+# its Garner digit (Knuth, TAOCP vol. 2, section 4.3.2) is zero exactly when
+# a value lies below the other primes' product, so a nonzero digit raises
+# instead of returning a wrong count.  A count's residues modulo the other
+# primes follow from its digits d_i: N = sum_i d_i * R_i, R_i the product of
+# the first i primes.
 
 #: Transcript classes evaluated per numpy block; bounds the working set.
 _BLOCK = 1024
@@ -306,8 +320,9 @@ def crt_primes(k: int) -> tuple[int, ...]:
     """Primes the collapsed evaluator works modulo at k parties.
 
     The largest primes p = 1 (mod 9) below 2^28, in descending order, until
-    their product exceeds 6^k (which bounds every count and the numerator),
-    then one more, redundant prime.
+    their product exceeds 6^k (which bounds the numerator and every count),
+    then one more, redundant prime.  Each set is a prefix of every larger
+    one.
     """
     primes: list[int] = []
     product, bound = 1, 6**k
@@ -321,20 +336,23 @@ def crt_primes(k: int) -> tuple[int, ...]:
         p -= 18
 
 
-def evaluator_metrics(k: int, classes: int, orbits: int) -> dict:
+def evaluator_metrics(k: int, classes: int, orbits: int, work: Counter) -> dict:
     """Report of a collapsed-evaluator run at k parties: evaluator, primes, exact range.
 
-    ``classes`` and ``orbits`` are the transcript classes scanned and the
-    strategy orbits evaluated, echoed into the report.
+    ``classes`` and ``orbits`` are the profile's transcript classes and the
+    strategy orbits evaluated, echoed into the report; ``work`` is the
+    counter the evaluator filled (:func:`_collapsed_value`).
     """
     primes = crt_primes(k)
     return {
         "evaluator": "collapsed, characters of Z9xZ3 modulo primes",
         "primes": list(primes),
-        # Counts below 2^crt_bound_bits are exact; the last prime is redundant.
+        # Values below 2^crt_bound_bits are exact; the last prime is redundant.
         "crt_bound_bits": math.prod(primes[:-1]).bit_length() - 1,
         "transcript_classes": classes,
         "strategy_orbits": orbits,
+        "classes_scanned": work["classes_scanned"],
+        "prime_class_products": work["prime_class_products"],
     }
 
 
@@ -358,6 +376,13 @@ class _PrimeTables:
     folded: np.ndarray  # (9,)
     fold: np.ndarray  # (P, 9, 3)
     garner: tuple[tuple[int, ...], ...]
+
+    def prefix(self, n: int) -> "_PrimeTables":
+        """The tables of the first n primes, as views of these."""
+        return _PrimeTables(
+            self.primes[:n], self.modulus[:n], self.characters[:n], self.inverse[:n],
+            self.folded, self.fold[:n], self.garner[:n],
+        )
 
 
 def _root_of_unity9(p: int) -> int:
@@ -415,8 +440,14 @@ def _group_powers(sent: tuple[int, ...], size: int, tables: _PrimeTables) -> np.
     base = base.transpose(1, 0, 2)
     out = np.empty((3, len(tables.primes), size + 1, len(tables.folded)), dtype=np.int64)
     out[:, :, 0] = 1
-    for e in range(1, size + 1):
-        out[:, :, e] = out[:, :, e - 1] * base % p
+    filled = 1
+    while filled <= size:  # powers filled..2*filled-1 are powers 0..filled-1 times base^filled
+        step = out[:, :, filled - 1] * base % p
+        n = min(filled, size + 1 - filled)
+        block = out[:, :, filled:filled + n]
+        np.multiply(out[:, :, :n], step[:, :, None], out=block)
+        block %= p[..., None]
+        filled += n
     return out
 
 
@@ -446,7 +477,45 @@ def _composition_values(
     """
     c0, c1, c2 = comps.T
     for j, p in enumerate(tables.primes):
-        yield powers[0, j, c0] * powers[1, j, c1] % p * powers[2, j, c2] % p
+        values = powers[0, j, c0] * powers[1, j, c1]
+        values %= p
+        values *= powers[2, j, c2]
+        values %= p
+        yield values
+
+
+def _used_compositions(
+    strategy: Strategy, size: int, primes: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A group's :func:`_compositions` without those that send a trit ``strategy`` never sends.
+
+    A class with such a composition has no consistent register value, so
+    all its counts are 0 and the scan skips it.
+    """
+    comps, mults = _compositions(size, primes)
+    unused = [t for t in range(3) if t not in strategy.sent]
+    if not unused:
+        return comps, mults
+    keep = ~comps[:, unused].any(axis=1)
+    return comps[keep], mults[:, keep]
+
+
+def _count_bound(groups: list[tuple[Strategy, int]]) -> int:
+    """B = prod_g m_g^size_g, m_g the largest cell of group g's strategy: bounds every count."""
+    return math.prod(max(map(s.sent.count, range(3))) ** size for s, size in groups)
+
+
+def _count_primes(primes: tuple[int, ...], bound: int) -> tuple[int, ...]:
+    """Shortest prefix of ``primes`` whose product without its last prime exceeds ``bound``.
+
+    All of ``primes`` when no shorter prefix does.
+    """
+    product = 1
+    for n, p in enumerate(primes[:-1], start=2):
+        product *= p
+        if product > bound:
+            return primes[:n]
+    return primes
 
 
 def _mixed_radix(residues: np.ndarray, tables: _PrimeTables) -> list[np.ndarray]:
@@ -463,7 +532,7 @@ def _mixed_radix(residues: np.ndarray, tables: _PrimeTables) -> list[np.ndarray]
     if np.any(digits[-1]):
         raise ArithmeticError(
             f"a count reached the CRT bound of primes {tables.primes[:-1]}; "
-            "the redundant prime's digit is nonzero"
+            f"the redundant prime {tables.primes[-1]}'s digit is nonzero"
         )
     return digits[:-1]
 
@@ -490,97 +559,155 @@ def _largest(digits: list[np.ndarray]) -> np.ndarray:
     return best
 
 
+def _class_count(groups: list[tuple[Strategy, int]]) -> int:
+    return math.prod((size + 1) * (size + 2) // 2 for _, size in groups)
+
+
 def transcript_class_count(profile: StrategyProfile) -> int:
-    """Transcript classes the collapsed evaluator scans for ``profile``."""
-    return math.prod((size + 1) * (size + 2) // 2 for _, size in strategy_groups(profile))
+    """Transcript classes of ``profile``, counting those the scan skips as empty."""
+    return _class_count(strategy_groups(profile))
 
 
-def evaluate_collapsed(profile: StrategyProfile) -> Fraction:
+def evaluate_collapsed(profile: StrategyProfile, work: Counter | None = None) -> Fraction:
     """Referee success probability over transcript classes, in the character domain.
 
     Exactly equals :func:`evaluate_exhaustive` wherever both run; scales to
     large k for profiles with few distinct strategies because the scan is
-    over transcript classes, not transcripts.
+    over transcript classes, not transcripts.  ``work``, when given, counts
+    what the scan did (:func:`_collapsed_value`).
     """
-    n_classes = transcript_class_count(profile)
-    if n_classes > _MAX_CLASSES:
-        raise ValueError(
-            f"profile has too many transcript classes ({n_classes}); "
-            "reduce the number of distinct strategies"
-        )
-    return _collapsed_value(strategy_groups(profile), crt_primes(profile.k))
+    return _collapsed_value(strategy_groups(profile), crt_primes(profile.k), work)
 
 
 def _class_blocks(
-    groups: list[tuple[Strategy, int]], tables: _PrimeTables
+    groups: list[tuple[Strategy, int]], tables: _PrimeTables, counting: _PrimeTables
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Counts (P, B, 3) and multiplicities (P, B) of the transcript classes, mod each prime.
+    """Counts (C, B, 3) mod each counting prime and multiplicities (P, B) mod each prime.
 
-    The classes are the cartesian product of each group's sent-count
-    compositions, yielded in blocks of at most ``_BLOCK``.  Every group but
-    the last is a prefix group: its character values and multinomials per
-    composition are tabulated once.  The last group's compositions are
-    taken in slices of up to ``_BLOCK`` and their values computed per
-    slice.  A block is a run of prefix classes times one slice: the run's
-    values (products of its groups' table rows) times the slice's values
-    folded to counts, one integer matrix product per prime.  With a single
-    group there is no prefix and a block is the slice, folded directly.
+    ``counting`` holds the tables of a prefix of ``tables``' primes.  The
+    classes are the cartesian product of each group's compositions that
+    send only trits its strategy sends (:func:`_used_compositions`),
+    yielded in blocks of at most ``_BLOCK``.  Every group but the last is a
+    prefix group: its character values and multinomials per composition are
+    tabulated once.  The last group's compositions are taken in slices of
+    up to ``_BLOCK`` and their values computed per slice.  A block is a run
+    of prefix classes times one slice: the run's values (products of its
+    groups' table rows) times the slice's values folded to counts, one
+    integer matrix product per counting prime.  With a single group there is
+    no prefix and a block is the slice, folded directly.
     """
-    n_primes = len(tables.primes)
-    p = tables.modulus[:, None, None]
+    n_counting = len(counting.primes)
+    p = counting.modulus[:, None, None]
+    q = tables.modulus[:, None]
     *head, (last, last_size) = groups
     prefix = []
     for s, size in head:
-        comps, mults = _compositions(size, tables.primes)
-        values = _composition_values(_group_powers(s.sent, size, tables), comps, tables)
+        comps, mults = _used_compositions(s, size, tables.primes)
+        values = _composition_values(_group_powers(s.sent, size, counting), comps, counting)
         prefix.append((np.stack(list(values)), mults))
     shape = tuple(len(m[0]) for _, m in prefix)
     n_prefix = math.prod(shape)
-    last_powers = _group_powers(last.sent, last_size, tables)
-    last_comps, last_mults = _compositions(last_size, tables.primes)
+    last_powers = _group_powers(last.sent, last_size, counting)
+    last_comps, last_mults = _used_compositions(last, last_size, tables.primes)
 
     for lo in range(0, len(last_comps), _BLOCK):
-        values = _composition_values(last_powers, last_comps[lo:lo + _BLOCK], tables)
+        values = _composition_values(last_powers, last_comps[lo:lo + _BLOCK], counting)
         mults = last_mults[:, lo:lo + _BLOCK]
         if not prefix:
-            counts = np.empty((n_primes, mults.shape[1], 3), dtype=np.int64)
+            counts = np.empty((n_counting, mults.shape[1], 3), dtype=np.int64)
             for j, v in enumerate(values):
-                counts[j] = v @ tables.fold[j] % tables.primes[j]
+                counts[j] = v @ counting.fold[j] % counting.primes[j]
             yield counts, mults
             continue
-        # (P, 9, 3S): column 3s + v folds slice member s's values onto global value v.
+        # (C, 9, 3S): column 3s + v folds slice member s's values onto global value v.
         values = np.stack(list(values))
-        folded = values[:, :, None, :] * tables.fold.transpose(0, 2, 1)[:, None] % p[..., None]
-        folded = folded.reshape(n_primes, -1, values.shape[2]).transpose(0, 2, 1)
+        folded = values[:, :, None, :] * counting.fold.transpose(0, 2, 1)[:, None] % p[..., None]
+        folded = folded.reshape(n_counting, -1, values.shape[2]).transpose(0, 2, 1)
         run = max(1, _BLOCK // mults.shape[1])
         for start in range(0, n_prefix, run):
             index = np.unravel_index(np.arange(start, min(start + run, n_prefix)), shape)
             head_values, head_mults = (t[:, index[0]] for t in prefix[0])
             for (v, m), i in zip(prefix[1:], index[1:]):
                 head_values = head_values * v[:, i] % p
-                head_mults = head_mults * m[:, i] % p[..., 0]
+                head_mults = head_mults * m[:, i] % q
             counts = head_values @ folded % p
-            block_mults = head_mults[:, :, None] * mults[:, None] % p
-            yield counts.reshape(n_primes, -1, 3), block_mults.reshape(n_primes, -1)
+            block_mults = head_mults[:, :, None] * mults[:, None] % q[..., None]
+            yield counts.reshape(n_counting, -1, 3), block_mults.reshape(len(q), -1)
 
 
-def _collapsed_value(groups: list[tuple[Strategy, int]], primes: tuple[int, ...]) -> Fraction:
+def _weighted_sum(
+    digits: list[np.ndarray], mults: np.ndarray, primes: Sequence[int], q: np.ndarray
+) -> np.ndarray:
+    """(P,) sums over a block of multiplicity (P, B) times integer N, each term mod q (P, 1).
+
+    Each N is given by its Garner digits (n arrays (B,)) over ``primes`` and
+    lifted to q by Horner's rule, N = d_0 + p_0 * (d_1 + p_1 * (d_2 + ...)),
+    reduced at every step: for digits below 3 * 2^28 each intermediate stays
+    below 2^57, however many digits there are.
+    """
+    lifted = digits[-1] % q
+    for d, p in zip(digits[-2::-1], primes[len(digits) - 2::-1]):
+        lifted *= p % q
+        lifted += d
+        lifted %= q
+    lifted *= mults
+    lifted %= q
+    return lifted.sum(axis=1)
+
+
+def _block_sums(
+    counts: np.ndarray, mults: np.ndarray, counting: _PrimeTables, modulus: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A block's sums of multiplicity times best count and times class total, mod each prime.
+
+    ``counts`` (C, B, 3) are residues mod the counting primes; their Garner
+    digits give each class's best guess, and the digits of its best count
+    and the digit-wise sums of its three counts are lifted to every prime
+    of ``modulus`` (:func:`_weighted_sum`).  Returns two (P,) arrays.
+    """
+    digits = _mixed_radix(counts, counting)
+    best = _largest(digits)
+    q = modulus[:, None]
+    top = [d[np.arange(len(best)), best] for d in digits]
+    return (
+        _weighted_sum(top, mults, counting.primes, q),
+        _weighted_sum([d.sum(axis=1) for d in digits], mults, counting.primes, q),
+    )
+
+
+def _collapsed_value(
+    groups: list[tuple[Strategy, int]], primes: tuple[int, ...], work: Counter | None = None
+) -> Fraction:
     """Success probability of the profile ``groups`` computed modulo ``primes``.
 
-    Scans the transcript classes block by block (:func:`_class_blocks`).
-    Each class's best guess is read from its exact counts' Garner digits;
-    the numerator is summed mod each prime and reconstructed once.  The
-    denominator is the number of admissible inputs, 3^k * sum_i C(k, 3i),
-    which the summed class totals must match.
+    Scans the transcript classes block by block (:func:`_class_blocks`),
+    their counts modulo the counting primes, the prefix of ``primes`` that
+    :func:`_count_bound` needs (:func:`_count_primes`).  Each class's best
+    guess is read from its exact counts' Garner digits, and the digits of
+    its best count and of its total count are lifted to every prime of
+    ``primes``; the numerator is summed mod each prime and reconstructed
+    once.  The denominator is the number of admissible inputs,
+    3^k * sum_i C(k, 3i), which the summed class totals must match.
+    ``work``, when given, gains the classes scanned (``classes_scanned``)
+    and those classes times the counting primes (``prime_class_products``).
     """
+    n_classes = _class_count(groups)
+    if n_classes > _MAX_CLASSES:
+        raise ValueError(
+            f"profile has too many transcript classes ({n_classes}); "
+            "reduce the number of distinct strategies"
+        )
     tables = _prime_tables(primes)
-    p = tables.modulus[:, None]
+    counting = tables.prefix(len(_count_primes(primes, _count_bound(groups))))
     numerator = total = np.zeros(len(primes), dtype=np.int64)
-    for counts, mult in _class_blocks(groups, tables):
-        best = _largest(_mixed_radix(counts, tables))
-        top = np.take_along_axis(counts, best[None, :, None], axis=2)[:, :, 0]
-        numerator = (numerator + (mult * top % p).sum(axis=1)) % tables.modulus
-        total = (total + (mult * (counts.sum(axis=2) % p) % p).sum(axis=1)) % tables.modulus
+    scanned = 0
+    for counts, mults in _class_blocks(groups, tables, counting):
+        top, class_total = _block_sums(counts, mults, counting, tables.modulus)
+        numerator = (numerator + top) % tables.modulus
+        total = (total + class_total) % tables.modulus
+        scanned += mults.shape[1]
+    if work is not None:
+        work.update(classes_scanned=scanned, prime_class_products=scanned * len(counting.primes))
 
     k = sum(size for _, size in groups)
     denominator = 3**k * grouped_sum(k, 0, 3)
@@ -615,18 +742,21 @@ def strategy_orbit_reps() -> tuple[Strategy, ...]:
     return tuple(reps)
 
 
-def best_homogeneous(k: int) -> tuple[Strategy, Fraction]:
+def best_homogeneous(k: int, work: Counter | None = None) -> tuple[Strategy, Fraction]:
     """Best success probability over all single-strategy profiles at k parties.
 
     Evaluates the 44 :func:`strategy_orbit_reps` with the collapsed
-    evaluator and returns the first maximizer.  Each orbit's representative
-    is its smallest member, so this is also the first maximizer in
-    lexicographic order among all 729 tables.
+    evaluator, each as one group of k parties, and returns the first
+    maximizer.  Each orbit's representative is its smallest member, so
+    this is also the first maximizer in lexicographic order among all 729
+    tables.  ``work``, when given, sums the scans' counters.
     """
+    check_party_count(k)
+    primes = crt_primes(k)
     best_strategy: Strategy | None = None
     best_value: Fraction | None = None
     for strategy in strategy_orbit_reps():
-        value = evaluate_collapsed(StrategyProfile.homogeneous(strategy, k))
+        value = _collapsed_value([(strategy, k)], primes, work)
         if best_value is None or value > best_value:
             best_strategy, best_value = strategy, value
     assert best_strategy is not None and best_value is not None

@@ -24,6 +24,7 @@ import io
 import json
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -330,7 +331,8 @@ def cmd_classical(args: argparse.Namespace) -> Report:
             raise ValueError("eval needs --strategy or --profile")
         stages = {"collapsed": 0.0, "exhaustive": 0.0, "render": 0.0}
         t0 = time.perf_counter()
-        collapsed = evaluate_collapsed(profile)
+        work = Counter()
+        collapsed = evaluate_collapsed(profile, work)
         stages["collapsed"] = time.perf_counter() - t0
         payload = {
             "k": args.k,
@@ -338,7 +340,7 @@ def cmd_classical(args: argparse.Namespace) -> Report:
             "collapsed": _fraction_payload(collapsed),
         }
         code = EXIT_OK
-        metrics = evaluator_metrics(args.k, transcript_class_count(profile), 0)
+        metrics = evaluator_metrics(args.k, transcript_class_count(profile), 0, work)
         if exhaustive_in_bound(args.k, args.long_run):
             t0 = time.perf_counter()
             per_transcript = exhaustive_transcript_counts(profile, long_run=args.long_run)
@@ -358,7 +360,8 @@ def cmd_classical(args: argparse.Namespace) -> Report:
     # search
     config = {"subcommand": "search", "k": args.k}
     t0 = time.perf_counter()
-    strategy, value = best_homogeneous(args.k)
+    work = Counter()
+    strategy, value = best_homogeneous(args.k, work)
     searched = time.perf_counter() - t0
     payload = {
         "k": args.k,
@@ -367,7 +370,7 @@ def cmd_classical(args: argparse.Namespace) -> Report:
     }
     orbits = len(strategy_orbit_reps())
     classes = orbits * transcript_class_count(StrategyProfile.homogeneous(strategy, args.k))
-    metrics = evaluator_metrics(args.k, classes, orbits)
+    metrics = evaluator_metrics(args.k, classes, orbits, work)
     metrics["stage_seconds"] = {"search": searched, "render": 0.0}
     return Report(config, payload, metrics)
 

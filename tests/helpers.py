@@ -1,16 +1,18 @@
 """Helpers that only the tests use.
 
 Strategy cells and canonical forms, random profiles, a per-bit-vector
-enumeration that the exhaustive oracle is checked against, per-class
-statistics of the collapsed evaluator, and a sum-class classifier for
-dense states.
+enumeration that the exhaustive oracle is checked against, a full scan and
+per-class statistics of the collapsed evaluator, and a sum-class
+classifier for dense states.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from fractions import Fraction
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -18,16 +20,20 @@ from tritgame.classical import (
     REGISTER_VALUES,
     Strategy,
     StrategyProfile,
+    _BLOCK,
     _composition_values,
+    _compositions,
     _from_digits,
     _half_codes,
     _group_powers,
+    _largest,
     _mixed_radix,
     _multinomial,
     _prime_tables,
     crt_primes,
     strategy_groups,
 )
+from tritgame.combinat import grouped_sum
 from tritgame.protocol import admissible_bit_vectors, zero_triples_mod3
 from tritgame.qudit import QuditState, digit_sums, sum_class_deviation
 
@@ -155,6 +161,74 @@ def transcript_class_stats(
     digits = _mixed_radix(residues, tables)
     g_counts = tuple(_from_digits([d[v] for d in digits], primes) for v in range(3))
     return TranscriptClassStats(class_id, g_counts, multiplicity)
+
+
+def _full_class_blocks(groups, tables) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Counts (P, B, 3) and multiplicities (P, B) of every transcript class, mod each prime.
+
+    Every composition of every group, in blocks of at most ``_BLOCK``: a
+    run of classes of all groups but the last times a slice of the last
+    group's compositions, or the slice alone for a single group.
+    """
+    n_primes = len(tables.primes)
+    p = tables.modulus[:, None, None]
+    *head, (last, last_size) = groups
+    prefix = []
+    for s, size in head:
+        comps, mults = _compositions(size, tables.primes)
+        values = _composition_values(_group_powers(s.sent, size, tables), comps, tables)
+        prefix.append((np.stack(list(values)), mults))
+    shape = tuple(len(m[0]) for _, m in prefix)
+    n_prefix = math.prod(shape)
+    last_powers = _group_powers(last.sent, last_size, tables)
+    last_comps, last_mults = _compositions(last_size, tables.primes)
+
+    for lo in range(0, len(last_comps), _BLOCK):
+        values = _composition_values(last_powers, last_comps[lo:lo + _BLOCK], tables)
+        mults = last_mults[:, lo:lo + _BLOCK]
+        if not prefix:
+            counts = np.empty((n_primes, mults.shape[1], 3), dtype=np.int64)
+            for j, v in enumerate(values):
+                counts[j] = v @ tables.fold[j] % tables.primes[j]
+            yield counts, mults
+            continue
+        values = np.stack(list(values))
+        folded = values[:, :, None, :] * tables.fold.transpose(0, 2, 1)[:, None] % p[..., None]
+        folded = folded.reshape(n_primes, -1, values.shape[2]).transpose(0, 2, 1)
+        run = max(1, _BLOCK // mults.shape[1])
+        for start in range(0, n_prefix, run):
+            index = np.unravel_index(np.arange(start, min(start + run, n_prefix)), shape)
+            head_values, head_mults = (t[:, index[0]] for t in prefix[0])
+            for (v, m), i in zip(prefix[1:], index[1:]):
+                head_values = head_values * v[:, i] % p
+                head_mults = head_mults * m[:, i] % p[..., 0]
+            counts = head_values @ folded % p
+            block_mults = head_mults[:, :, None] * mults[:, None] % p
+            yield counts.reshape(n_primes, -1, 3), block_mults.reshape(n_primes, -1)
+
+
+def full_scan_value(groups: list[tuple[Strategy, int]], k: int) -> Fraction:
+    """The collapsed evaluator's value from every class's counts modulo every prime.
+
+    The reference for the evaluator's scan, which skips the classes that
+    send a trit their group never sends and computes counts modulo only
+    the primes the class counts need: here every composition of every group
+    is scanned, every count is computed modulo every prime of
+    ``crt_primes(k)``, and the best count is taken from those residues.
+    """
+    primes = crt_primes(k)
+    tables = _prime_tables(primes)
+    p = tables.modulus[:, None]
+    numerator = total = np.zeros(len(primes), dtype=np.int64)
+    for counts, mult in _full_class_blocks(groups, tables):
+        best = _largest(_mixed_radix(counts, tables))
+        top = np.take_along_axis(counts, best[None, :, None], axis=2)[:, :, 0]
+        numerator = (numerator + (mult * top % p).sum(axis=1)) % tables.modulus
+        total = (total + (mult * (counts.sum(axis=2) % p) % p).sum(axis=1)) % tables.modulus
+    denominator = 3**k * grouped_sum(k, 0, 3)
+    if total.tolist() != [denominator % q for q in primes]:
+        raise ArithmeticError("transcript-class totals do not match the admissible input count")
+    return Fraction(_from_digits(_mixed_radix(numerator, tables), primes), denominator)
 
 
 def classify_sum_class(

@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +16,7 @@ from tritgame.classical import (
     StrategyProfile,
     best_homogeneous,
     canonical_division,
+    crt_primes,
     evaluate_collapsed,
     evaluate_exhaustive,
     exhaustive_transcript_counts,
@@ -28,6 +31,7 @@ from helpers import (
     canonical,
     cells,
     division_type,
+    full_scan_value,
     per_vector_transcript_counts,
     random_profile,
     transcript_class_stats,
@@ -344,7 +348,8 @@ class TestEvaluators:
         monkeypatch.setattr(classical, "_BLOCK", 7)
         groups = strategy_groups(K7_THREE_GROUPS)
         tables = classical._prime_tables(classical.crt_primes(7))
-        sizes = [mult.shape[1] for _, mult in classical._class_blocks(groups, tables)]
+        counting = tables.prefix(len(counting_primes(groups, 7)))
+        sizes = [mult.shape[1] for _, mult in classical._class_blocks(groups, tables, counting)]
         assert max(sizes) <= 7
         assert sum(sizes) == classical.transcript_class_count(K7_THREE_GROUPS)
         assert evaluate_collapsed(K7_THREE_GROUPS) == expected
@@ -386,6 +391,121 @@ class TestEvaluators:
                 stats = transcript_class_stats(profile, [cls])
                 total += stats.multiplicity * stats.admissible_total
             assert total == grouped_sum(k, 0, 3) * 3**k
+
+
+# The classical_profiles benchmark profiles, as (strategy, party count) groups.
+BENCHMARK_PROFILES = [
+    [("021021", 8), ("110202", 8), ("221100", 9)],
+    [("010122", 15), ("102120", 16)],
+    [("012210", 9), ("201012", 10)],
+    [("012012", 3), ("001122", 4)],
+    [("021201", 3), ("210012", 3), ("220011", 4)],
+]
+
+
+def counting_primes(groups, k):
+    return classical._count_primes(crt_primes(k), classical._count_bound(groups))
+
+
+class TestCountingPrimes:
+    @pytest.mark.parametrize("k", [4, 7])
+    def test_class_counts_stay_within_the_bound(self, k):
+        profiles = [StrategyProfile.homogeneous(s, k) for s in strategy_orbit_reps()]
+        if k == 7:
+            profiles.append(K7_THREE_GROUPS)
+        for profile in profiles:
+            groups = strategy_groups(profile)
+            bound = math.prod(
+                max(s.sent.count(t) for t in range(3)) ** size for s, size in groups
+            )
+            assert classical._count_bound(groups) == bound
+            assert exhaustive_transcript_counts(profile).max() <= bound
+            # The shortest prefix whose product without its last prime exceeds B.
+            primes = counting_primes(groups, k)
+            assert primes == crt_primes(k)[:len(primes)]
+            assert math.prod(primes[:-1]) > bound
+            assert len(primes) == 2 or math.prod(primes[:-2]) <= bound
+
+    def test_counting_primes_at_k61_follow_the_largest_cell(self):
+        expected = {2: 4, 3: 5, 4: 6, 5: 7, 6: 7}
+        for s in strategy_orbit_reps():
+            largest = max(s.sent.count(t) for t in range(3))
+            assert len(counting_primes([(s, 61)], 61)) == expected[largest], s
+
+    def test_a_bound_too_small_raises_naming_the_redundant_prime(self, monkeypatch):
+        groups = [(canonical_division("F"), 31)]
+        expected = full_scan_value(groups, 31)
+        assert classical._collapsed_value(groups, crt_primes(31)) == expected
+        bound = classical._count_bound
+        monkeypatch.setattr(classical, "_count_bound", lambda g: bound(g) // 2**28)
+        # B / 2^28 is below the first prime, so the counting set is its first
+        # two primes, the second redundant, and a count of F at k = 31 exceeds it.
+        assert counting_primes(groups, 31) == crt_primes(31)[:2]
+        with pytest.raises(ArithmeticError, match=f"redundant prime {crt_primes(31)[1]}"):
+            evaluate_collapsed(StrategyProfile.homogeneous(canonical_division("F"), 31))
+
+    def test_lifting_is_exact_for_many_digits(self):
+        # Digit sums at their largest, 3 (p - 1), over the 93 base primes of
+        # k = 1000: a plain sum of digit * radix products would pass 2^63.
+        primes = crt_primes(1000)
+        q = np.array(primes)[:, None]
+        digits = np.array([[3 * (p - 1), p - 1, 1] for p in primes[:-1]], dtype=np.int64)
+        mults = np.array([[1, 2, p - 1] for p in primes], dtype=np.int64)
+        n = [sum(int(d) * math.prod(primes[:i]) for i, d in enumerate(column))
+             for column in digits.T]
+        expected = [(n[0] + 2 * n[1] - n[2]) % p for p in primes]
+        sums = classical._weighted_sum(list(digits), mults, primes, q)
+        assert (sums % q[:, 0]).tolist() == expected
+
+    @pytest.mark.parametrize("k", [13, 31])
+    def test_homogeneous_values_match_the_full_scan(self, k):
+        values = {}
+        for s in strategy_orbit_reps():
+            values[s] = evaluate_collapsed(StrategyProfile.homogeneous(s, k))
+            assert values[s] == full_scan_value([(s, k)], k), s
+        best = max(values, key=values.get)  # the first maximizer
+        assert best_homogeneous(k) == (best, values[best])
+
+    @pytest.mark.parametrize("groups", BENCHMARK_PROFILES, ids=lambda g: str(len(g)))
+    def test_benchmark_profiles_match_the_full_scan(self, groups):
+        profile = profile_from_groups(groups)
+        assert evaluate_collapsed(profile) == full_scan_value(strategy_groups(profile), profile.k)
+
+    @pytest.mark.parametrize("groups", [
+        [("000111", 13)],
+        [("000111", 4), ("020202", 3)],
+        [("001122", 3), ("000000", 4)],
+    ])
+    def test_classes_that_send_an_empty_cell_are_skipped(self, monkeypatch, groups):
+        profile = profile_from_groups(groups)
+        groups = strategy_groups(profile)
+        tables = classical._prime_tables(crt_primes(profile.k))
+        counting = tables.prefix(len(counting_primes(groups, profile.k)))
+        used = []
+        values = classical._composition_values
+
+        def recording(powers, comps, tables):
+            # A trit no party of the group sends has zero character values
+            # from the first power on.
+            empty = [t for t in range(3) if not powers[t, :, 1].any()]
+            used.append(comps[:, empty].any())
+            return values(powers, comps, tables)
+
+        monkeypatch.setattr(classical, "_composition_values", recording)
+        sizes = [m.shape[1] for _, m in classical._class_blocks(groups, tables, counting)]
+        assert used and not any(used)
+        work = Counter()
+        value = evaluate_collapsed(profile, work)
+        # A group of n parties sending u distinct trits has C(n + u - 1, u - 1) compositions.
+        expected_classes = math.prod(
+            math.comb(size + len(set(s.sent)) - 1, len(set(s.sent)) - 1) for s, size in groups
+        )
+        assert sum(sizes) == work["classes_scanned"] == expected_classes
+        assert work["classes_scanned"] < classical.transcript_class_count(profile)
+        assert work["prime_class_products"] == work["classes_scanned"] * len(counting.primes)
+        assert value == full_scan_value(groups, profile.k)
+        if profile.k <= 7:
+            assert value == evaluate_exhaustive(profile)
 
 
 class TestTranscriptClassStats:

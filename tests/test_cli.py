@@ -326,6 +326,17 @@ class TestClassical:
         canonical = json.dumps(env["payload"], sort_keys=True, separators=(",", ":"))
         assert env["payload_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
 
+    @pytest.mark.parametrize("k, scanned, products", [(31, 17_249, 54_612), (61, 63_179, 312_549)])
+    def test_search_metrics_count_the_scan(self, capsys, k, scanned, products):
+        # Classes that send an empty cell are skipped, and each class's
+        # counts are computed modulo only the primes its bound needs.
+        _, env = run_json(capsys, ["classical", "search", "--k", str(k)])
+        metrics = env["metrics"]
+        assert metrics["classes_scanned"] == scanned
+        assert metrics["prime_class_products"] == products
+        assert metrics["transcript_classes"] == 44 * (k + 1) * (k + 2) // 2
+        assert "classes_scanned" not in env["payload"]
+
     def test_search_metrics_time_each_stage(self, capsys):
         _, env = run_json(capsys, ["classical", "search", "--k", "13"])
         stages = env["metrics"]["stage_seconds"]
@@ -340,6 +351,9 @@ class TestClassical:
         _, env = run_json(capsys, ["classical", "eval", "--profile", "A:3,100122", "--k", "4"])
         assert env["metrics"]["transcript_classes"] == 10 * 3
         assert env["metrics"]["strategy_orbits"] == 0
+        # Every trit is used, and counts below 2^3 * 3 need two primes.
+        assert env["metrics"]["classes_scanned"] == 10 * 3
+        assert env["metrics"]["prime_class_products"] == 10 * 3 * 2
 
     def test_eval_metrics_name_the_exhaustive_method(self, capsys):
         _, env = run_json(capsys, ["classical", "eval", "--strategy", "F", "--k", "7"])
