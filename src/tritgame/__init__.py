@@ -60,9 +60,7 @@ from .protocol import (
 from .qudit import (
     LocalGate,
     QuditState,
-    RootBranch,
     evolve,
-    find_valid_root_branch,
     inverse_cdf,
     make_sum_class_state,
     permutation_gate,
@@ -74,8 +72,8 @@ __all__ = [
     # combinatorics
     "binomial", "grouped_sum", "grouped_sum_primed", "ramus",
     # qudit simulation
-    "LocalGate", "QuditState", "RootBranch", "evolve", "find_valid_root_branch",
-    "inverse_cdf", "make_sum_class_state", "permutation_gate", "root_gate",
+    "LocalGate", "QuditState", "evolve", "inverse_cdf", "make_sum_class_state",
+    "permutation_gate", "root_gate",
     # protocol
     "AnalyticEngineLockedError", "DenseCounts", "SteppingCertificate", "VerificationError",
     "decode_batch", "dense_pre_measurement_state", "global_function_batch",

@@ -316,16 +316,15 @@ def _is_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=64)
-def crt_primes(k: int) -> tuple[int, ...]:
-    """Primes the collapsed evaluator works modulo at k parties.
+def _primes_past(bound: int) -> tuple[int, ...]:
+    """Primes p = 1 (mod 9) below 2^28, largest first, until their product exceeds ``bound``.
 
-    The largest primes p = 1 (mod 9) below 2^28, in descending order, until
-    their product exceeds 6^k (which bounds the numerator and every count),
-    then one more, redundant prime.  Each set is a prefix of every larger
-    one.
+    Then one more, redundant prime: the shortest prefix of those primes
+    whose product without its last prime exceeds ``bound``.  Each set is a
+    prefix of every larger one.
     """
     primes: list[int] = []
-    product, bound = 1, 6**k
+    product = 1
     p = _PRIME_LIMIT - 1 - (_PRIME_LIMIT - 2) % 18
     while True:
         if _is_prime(p):
@@ -334,6 +333,15 @@ def crt_primes(k: int) -> tuple[int, ...]:
                 return tuple(primes)
             product *= p
         p -= 18
+
+
+def crt_primes(k: int) -> tuple[int, ...]:
+    """Primes the collapsed evaluator works modulo at k parties.
+
+    The primes past 6^k, which bounds the numerator and every count
+    (:func:`_primes_past`).
+    """
+    return _primes_past(6**k)
 
 
 def evaluator_metrics(k: int, classes: int, orbits: int, work: Counter) -> dict:
@@ -505,19 +513,6 @@ def _count_bound(groups: list[tuple[Strategy, int]]) -> int:
     return math.prod(max(map(s.sent.count, range(3))) ** size for s, size in groups)
 
 
-def _count_primes(primes: tuple[int, ...], bound: int) -> tuple[int, ...]:
-    """Shortest prefix of ``primes`` whose product without its last prime exceeds ``bound``.
-
-    All of ``primes`` when no shorter prefix does.
-    """
-    product = 1
-    for n, p in enumerate(primes[:-1], start=2):
-        product *= p
-        if product > bound:
-            return primes[:n]
-    return primes
-
-
 def _mixed_radix(residues: np.ndarray, tables: _PrimeTables) -> list[np.ndarray]:
     """Garner digits of exact integers from their residues along axis 0.
 
@@ -681,12 +676,12 @@ def _collapsed_value(
     """Success probability of the profile ``groups`` computed modulo ``primes``.
 
     Scans the transcript classes block by block (:func:`_class_blocks`),
-    their counts modulo the counting primes, the prefix of ``primes`` that
-    :func:`_count_bound` needs (:func:`_count_primes`).  Each class's best
-    guess is read from its exact counts' Garner digits, and the digits of
-    its best count and of its total count are lifted to every prime of
-    ``primes``; the numerator is summed mod each prime and reconstructed
-    once.  The denominator is the number of admissible inputs,
+    their counts modulo the counting primes, the primes past
+    :func:`_count_bound` (:func:`_primes_past`), a prefix of ``primes``.
+    Each class's best guess is read from its exact counts' Garner digits,
+    and the digits of its best count and of its total count are lifted to
+    every prime of ``primes``; the numerator is summed mod each prime and
+    reconstructed once.  The denominator is the number of admissible inputs,
     3^k * sum_i C(k, 3i), which the summed class totals must match.
     ``work``, when given, gains the classes scanned (``classes_scanned``)
     and those classes times the counting primes (``prime_class_products``).
@@ -698,7 +693,7 @@ def _collapsed_value(
             "reduce the number of distinct strategies"
         )
     tables = _prime_tables(primes)
-    counting = tables.prefix(len(_count_primes(primes, _count_bound(groups))))
+    counting = tables.prefix(len(_primes_past(_count_bound(groups))))
     numerator = total = np.zeros(len(primes), dtype=np.int64)
     scanned = 0
     for counts, mults in _class_blocks(groups, tables, counting):

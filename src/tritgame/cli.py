@@ -153,20 +153,15 @@ def _parse_profile(text: str, k: int) -> StrategyProfile:
 # ---------------------------------------------------------------------------
 
 def cmd_quantum_verify(args: argparse.Namespace) -> Report:
-    config = {"k": list(args.k), "tolerance": args.tolerance, "tampered": args.debug_tamper}
+    config = {"k": list(args.k), "tampered": args.debug_tamper}
     try:
-        cert = verify_class_stepping(
-            ks=tuple(args.k),
-            tol=args.tolerance,
-            _perturb=1e-6 if args.debug_tamper else 0.0,
-        )
+        cert = verify_class_stepping(ks=tuple(args.k), _perturb=1e-6 if args.debug_tamper else 0.0)
     except VerificationError as exc:
         return Report(config, {"ok": False, "error": str(exc)}, code=EXIT_CHECK_FAILED)
     # A certificate exists only if every check passed.
     payload = {
         "ok": True,
         "checks": [
-            {"name": "root-branch-search", "ok": True, "branch": list(cert.branch)},
             {"name": "root-cube-and-class-step", "ok": True},
             {"name": "dim2-swap", "ok": True},
             {"name": "class-sweep", "ok": True, "k": list(cert.checked_k),
@@ -457,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantum-verify", help="run the protocol verification suite")
     p.add_argument("--k", type=int, nargs="+", default=[4, 7], help="dense sweep sizes")
-    p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--debug-tamper", action="store_true", help="inject a gate error (must fail)")
     p.set_defaults(func=cmd_quantum_verify)
 
@@ -472,8 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classical", help="exact classical success probabilities")
     p.add_argument("subcommand", choices=("example", "eval", "search"))
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--strategy", default=None, help="division name or 6-trit string")
-    p.add_argument(
+    given = p.add_mutually_exclusive_group()
+    given.add_argument("--strategy", default=None, help="division name or 6-trit string")
+    given.add_argument(
         "--profile",
         default=None,
         help="comma-separated divisions/6-trit strings, optional :count (e.g. 'A:3,100122')",

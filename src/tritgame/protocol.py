@@ -48,20 +48,17 @@ import numpy as np
 
 from .qudit import (
     DENSE_MAX_K,
-    LocalGate,
     QuditState,
-    RootBranch,
     RootCheck,
     VerificationError,
     class_step_ok,
     evolve,
-    find_valid_root_branch,
     inverse_cdf,
     make_sum_class_state,
     root_gate,
     sum_class_deviation,
     verify_dim2_swap,
-    verify_root_branch,
+    verify_root_gate,
 )
 
 
@@ -175,13 +172,8 @@ def decode_batch(trits: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
 # Dense engine
 # ---------------------------------------------------------------------------
 
-def dense_pre_measurement_state(
-    k: int,
-    bits: Sequence[int],
-    *,
-    gate: LocalGate,
-) -> QuditState:
-    """Shared state after every zero-bit party applied ``gate``, the root gate.
+def dense_pre_measurement_state(k: int, bits: Sequence[int]) -> QuditState:
+    """Shared state after every zero-bit party applied the root gate.
 
     The gates act on the digit-sum-0 class state, in party order, through
     :func:`qudit.evolve`, which validates the final state once.  A k above
@@ -190,7 +182,7 @@ def dense_pre_measurement_state(
     if len(bits) != k:
         raise ValueError(f"need {k} bits, got {len(bits)}")
     zeros = [party for party, bit in enumerate(bits) if bit == 0]
-    return evolve(make_sum_class_state(k, 0), gate, zeros)
+    return evolve(make_sum_class_state(k, 0), root_gate(), zeros)
 
 
 class DenseCounts(NamedTuple):
@@ -259,7 +251,7 @@ def run_dense_batch(
     """
     zero_triples_mod3(bits)
     n, k = bits.shape
-    gate = root_gate(find_valid_root_branch())
+    gate = root_gate()
     uniforms = rng.random(n)
     distinct, inverse, counts = np.unique(
         bits, axis=0, return_inverse=True, return_counts=True
@@ -274,7 +266,7 @@ def run_dense_batch(
     first = 0
     for i, count in enumerate(counts):
         if new_half[i]:
-            half = dense_pre_measurement_state(k, prefix_only[i], gate=gate)
+            half = dense_pre_measurement_state(k, prefix_only[i])
             matrix = half.amplitudes.reshape(3**h, 3 ** (k - h))
             row_norms = np.sum(np.abs(matrix) ** 2, axis=1)
         trials = order[first:first + count]
@@ -299,73 +291,66 @@ def run_dense_batch(
 # ---------------------------------------------------------------------------
 
 _CERT_KS = (4, 7)
-_CERT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SteppingCertificate:
     """Evidence that the analytic shortcut is sound in this build.
 
-    Every check passed at tolerance ``tol``.  ``sweep_deviations[i]`` is the
-    worst sum-class deviation at ``checked_k[i]``; ``max_deviation`` covers every check.
+    Every check passed at tolerance :data:`qudit.TOL`.  ``sweep_deviations[i]``
+    is the worst sum-class deviation at ``checked_k[i]``; ``max_deviation``
+    covers every check.
     """
 
-    branch: RootBranch
     root_check: RootCheck
     swap_check: RootCheck
     checked_k: tuple[int, ...]
-    tol: float
     sweep_deviations: tuple[float, ...]
     max_deviation: float
 
 
 def verify_class_stepping(
     ks: Sequence[int] = _CERT_KS,
-    tol: float = _CERT_TOL,
     _perturb: float = 0.0,
 ) -> SteppingCertificate:
     """Run the full evidence chain for the analytic engine.
 
-    Checks, in order: a root branch exists whose gate cubes to the shift
-    and steps 3-party classes with one modulus-1 phase; the dimension-2
-    analog swaps the parity classes; and for every admissible bit vector at
-    each k in ``ks`` the dense pre-measurement state is exactly the class
-    predicted by the zero-triple count.  A k in ``ks`` that is not a party
-    count or exceeds DENSE_MAX_K raises ValueError before any check runs.
-    Returns the certificate, or raises VerificationError on any failure (a
-    NaN deviation fails too).  It changes no state: :func:`run_analytic_batch`
-    runs on the certificate when it covers the canonical suite (k = 4 and 7
-    at tolerance 1e-10 or tighter).  ``_perturb`` is a debug hook that
-    injects an error into the root-gate check.
+    Checks, in order: the root gate cubes to the shift and steps 3-party
+    classes with one modulus-1 phase; the dimension-2 analog swaps the
+    parity classes; and for every admissible bit vector at each k in
+    ``ks`` the dense pre-measurement state is exactly the class predicted
+    by the zero-triple count.  A k in ``ks`` that is not a party count or
+    exceeds DENSE_MAX_K raises ValueError before any check runs.  Returns
+    the certificate, or raises VerificationError on any failure (a NaN
+    deviation fails too).  It changes no state: :func:`run_analytic_batch`
+    runs on the certificate when it covers the canonical suite (k = 4 and
+    7).  ``_perturb`` is a debug hook that injects an error into the
+    root-gate check.
     """
     for k in ks:
         if k > DENSE_MAX_K:
             raise ValueError(f"verification needs dense states; k={k} exceeds {DENSE_MAX_K}")
         check_party_count(k)
-    branch = find_valid_root_branch(tol)
-    root_check = verify_root_branch(branch, tol)
+    root_check = verify_root_gate()
     if _perturb:
         dev = root_check.max_deviation + abs(_perturb)
-        root_check = RootCheck(branch, root_check.phase, dev, dev <= tol)
+        root_check = RootCheck(root_check.phase, dev, class_step_ok(root_check.phase, dev))
     if not root_check.ok:
-        raise VerificationError(
-            f"root branch {tuple(branch)} failed: max deviation {root_check.max_deviation:.3e}"
-        )
-    swap_check = verify_dim2_swap(tol)
+        raise VerificationError(f"root gate failed: max deviation {root_check.max_deviation:.3e}")
+    swap_check = verify_dim2_swap()
     if not swap_check.ok:
         raise VerificationError(
             f"dimension-2 swap check failed: max deviation {swap_check.max_deviation:.3e}"
         )
 
-    gate = root_gate(branch)
     sweep_devs = []
     for k in ks:
         worst = 0.0
         vectors = admissible_bit_vectors(k)
         for bits, expected in zip(vectors.tolist(), zero_triples_mod3(vectors).tolist()):
-            state = dense_pre_measurement_state(k, bits, gate=gate)
+            state = dense_pre_measurement_state(k, bits)
             phase, dev = sum_class_deviation(state, expected)
-            if not class_step_ok(phase, dev, tol):
+            if not class_step_ok(phase, dev):
                 raise VerificationError(
                     f"evolved state at k={k}, bits={tuple(bits)} is not class {expected}"
                 )
@@ -373,11 +358,9 @@ def verify_class_stepping(
         sweep_devs.append(worst)
 
     return SteppingCertificate(
-        branch=branch,
         root_check=root_check,
         swap_check=swap_check,
         checked_k=tuple(ks),
-        tol=tol,
         sweep_deviations=tuple(sweep_devs),
         max_deviation=max(root_check.max_deviation, swap_check.max_deviation, *sweep_devs),
     )
@@ -392,12 +375,9 @@ def run_analytic_batch(
     the dense evolution lands in (k-1 free digits, last digit forced),
     which is the exact measurement distribution.  Returns int8 (n, k)
     outcomes.  Refuses to run unless ``certificate`` comes from a
-    :func:`verify_class_stepping` that swept k = 4 and 7 at tolerance
-    1e-10 or tighter.
+    :func:`verify_class_stepping` that swept k = 4 and 7.
     """
-    if certificate is None or not (
-        set(_CERT_KS).issubset(certificate.checked_k) and certificate.tol <= _CERT_TOL
-    ):
+    if certificate is None or not set(_CERT_KS).issubset(certificate.checked_k):
         raise AnalyticEngineLockedError(
             "analytic engine is locked: pass the certificate of verify_class_stepping()"
         )

@@ -1,10 +1,11 @@
 """Dense state-vector simulation of k qutrits, k <= DENSE_MAX_K.
 
 Provides the sum-class superpositions shared by the parties, the cyclic
-shift gate, its cube roots obtained through the discrete-Fourier
+shift gate, its principal cube root obtained through the discrete-Fourier
 eigenbasis, :func:`evolve`, the one routine that applies gates to
-amplitudes, inverse-CDF sampling of basis indices, and the checks that
-a root gate steps sum classes.  The two-qubit analog of the last check
+amplitudes, inverse-CDF sampling of basis indices, and the check that
+the root gate steps sum classes.  Every numerical check uses the one
+tolerance :data:`TOL`.  The two-qubit analog of the last check
 (the qubit protocol of Brukner, Zukowski, Pan and Zeilinger, PRL 92,
 127901 (2004)) is one fixed computation on 4-vectors,
 :func:`verify_dim2_swap`; nothing else here knows about qubits.
@@ -20,15 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 #: Dense party cap: 3^13 amplitudes is the largest state built.
 DENSE_MAX_K = 13
 
-_UNITARY_TOL = 1e-10
-_NORM_TOL = 1e-10
+#: Tolerance of every numerical check: unitarity, unit norm and the class-step rule.
+TOL = 1e-10
 
 
 class VerificationError(RuntimeError):
@@ -53,7 +54,7 @@ def _check_size(k: int) -> None:
 
 
 def _check_unit_norms(norm_sq) -> None:
-    """Raises ValueError unless every squared norm given is finite and within 1e-10 of 1.
+    """Raises ValueError unless every squared norm given is finite and within TOL of 1.
 
     A NaN or infinite amplitude makes its state's squared norm NaN or
     infinite, so one pass over the amplitudes checks both.  Comparisons are
@@ -63,7 +64,7 @@ def _check_unit_norms(norm_sq) -> None:
     bad = ~np.isfinite(norm_sq)
     if bad.any():
         raise ValueError(f"amplitudes are not finite: sum |amp|^2 = {float(norm_sq[bad][0])!r}")
-    bad = ~(np.abs(norm_sq - 1.0) <= _NORM_TOL)
+    bad = ~(np.abs(norm_sq - 1.0) <= TOL)
     if bad.any():
         raise ValueError(f"state is not normalized: sum |amp|^2 = {float(norm_sq[bad][0])!r}")
 
@@ -107,7 +108,7 @@ class LocalGate:
         if not np.all(np.isfinite(m)):
             raise ValueError("gate entries are not finite")
         dev = np.max(np.abs(m.conj().T @ m - np.eye(3)))
-        if not dev <= _UNITARY_TOL:
+        if not dev <= TOL:
             raise ValueError(f"gate is not unitary: max |M†M - I| = {dev:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -124,18 +125,6 @@ class LocalGate:
             lifted.setflags(write=False)
             self._lifted[block] = lifted
         return lifted
-
-
-class RootBranch(NamedTuple):
-    """Choice of cube roots for the two non-unit eigenvalues of the shift.
-
-    The eigenvalue exp(2*pi*i/3) receives the root exp(2*pi*i*(1+3*r1)/9)
-    and its square the root exp(2*pi*i*(2+3*r2)/9); each choice cubes back
-    to the original eigenvalue exactly.
-    """
-
-    r1: int
-    r2: int
 
 
 # Sixteen entries hold every class state one verify_class_stepping() uses.
@@ -164,27 +153,22 @@ def permutation_gate() -> LocalGate:
     return LocalGate(m)
 
 
-@lru_cache(maxsize=9)
-def root_gate(branch: RootBranch) -> LocalGate:
-    """A cube root of the cyclic shift gate.
+@lru_cache(maxsize=1)
+def root_gate() -> LocalGate:
+    """The principal cube root of the cyclic shift gate.
 
-    Diagonalizes the shift in the discrete-Fourier basis and takes cube
-    roots of the eigenvalues; ``branch`` selects the two non-unit roots.
-    Built once per branch and shared, so every caller reuses the gate's
-    lifted matrices.
+    Diagonalizes the shift in the discrete-Fourier basis and takes the
+    principal cube roots of its eigenvalues 1, exp(2*pi*i/3) and
+    exp(4*pi*i/3).  Any other choice of roots gives the same protocol: the
+    m = 3n gates multiply each Fourier component of the shared state by
+    the m-th power of its root, which is the n-th power of the shift's
+    eigenvalue for every choice.  Built once and shared, so every caller
+    reuses the gate's lifted matrices.
     """
-    if branch.r1 not in (0, 1, 2) or branch.r2 not in (0, 1, 2):
-        raise ValueError(f"branch indices must be in 0..2, got {tuple(branch)}")
     w = np.exp(2j * np.pi / 3)
     s = np.array([[w ** (r * c) for c in range(3)] for r in range(3)])
     s_inv = s.conj() / 3.0
-    roots = np.diag(
-        [
-            1.0,
-            np.exp(2j * np.pi * (1 + 3 * branch.r1) / 9),
-            np.exp(2j * np.pi * (2 + 3 * branch.r2) / 9),
-        ]
-    )
+    roots = np.diag([1.0, np.exp(2j * np.pi / 9), np.exp(4j * np.pi / 9)])
     return LocalGate(s_inv @ roots @ s)
 
 
@@ -265,33 +249,32 @@ def sum_class_deviation(state: QuditState, j: int) -> tuple[complex, float]:
     return c, dev
 
 
-def class_step_ok(phase: complex, dev: float, tol: float) -> bool:
+def class_step_ok(phase: complex, dev: float) -> bool:
     """The pass rule of every class-step check; a NaN deviation or phase fails.
 
     The worst entrywise deviation and the phase's distance from modulus 1
-    must both be within ``tol``.
+    must both be within :data:`TOL`.
     """
-    return dev <= tol and abs(abs(phase) - 1.0) <= tol
+    return dev <= TOL and abs(abs(phase) - 1.0) <= TOL
 
 
 @dataclass(frozen=True)
 class RootCheck:
     """Result of checking a class-stepping property of a root gate."""
 
-    branch: RootBranch | None
     phase: complex
     max_deviation: float
     ok: bool
 
 
-def verify_root_branch(branch: RootBranch, tol: float = 1e-10) -> RootCheck:
-    """Check that the branch's gate cubes to the shift and steps classes.
+def verify_root_gate() -> RootCheck:
+    """Check that the root gate cubes to the shift and steps classes.
 
     The gate applied at all three parties of a 3-party sum-class state must
     advance the class by one, with a single modulus-1 constant shared by
     all three classes.  Deviations are entrywise maxima.
     """
-    gate = root_gate(branch)
+    gate = root_gate()
     shift = permutation_gate()
     cubed = gate.matrix @ gate.matrix @ gate.matrix
     dev = float(np.max(np.abs(cubed - shift.matrix)))
@@ -304,22 +287,7 @@ def verify_root_branch(branch: RootBranch, tol: float = 1e-10) -> RootCheck:
             phase = c
         dev = max(dev, class_dev, abs(c - phase))
     assert phase is not None
-    return RootCheck(branch, phase, dev, class_step_ok(phase, dev, tol))
-
-
-def find_valid_root_branch(tol: float = 1e-10) -> RootBranch:
-    """Search all nine cube-root branches for one satisfying the step law.
-
-    Scans in lexicographic order and returns the first branch whose check
-    passes; raises VerificationError if none does (which would mean the
-    class stepping only holds up to per-class phases).
-    """
-    for r1 in range(3):
-        for r2 in range(3):
-            branch = RootBranch(r1, r2)
-            if verify_root_branch(branch, tol).ok:
-                return branch
-    raise VerificationError("no valid root branch: class stepping fails for all nine branches")
+    return RootCheck(phase, dev, class_step_ok(phase, dev))
 
 
 #: The two-qubit analog: the principal square root of NOT, and the even- and
@@ -331,7 +299,7 @@ _BELL_EVEN = (2**-0.5, 0.0, 0.0, 2**-0.5)
 _BELL_ODD = (0.0, 2**-0.5, 2**-0.5, 0.0)
 
 
-def verify_dim2_swap(tol: float = 1e-10) -> RootCheck:
+def verify_dim2_swap() -> RootCheck:
     """Check the two-qubit analog of the class-stepping law.
 
     R = (1/2) [[1+i, 1-i], [1-i, 1+i]], the principal square root of NOT,
@@ -343,4 +311,4 @@ def verify_dim2_swap(tol: float = 1e-10) -> RootCheck:
     out = np.kron(_SQRT_NOT, _SQRT_NOT) @ np.array(_BELL_EVEN)
     c = complex(np.vdot(odd, out))
     dev = float(np.max(np.abs(out - c * odd)))
-    return RootCheck(None, c, dev, class_step_ok(c, dev, tol))
+    return RootCheck(c, dev, class_step_ok(c, dev))

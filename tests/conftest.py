@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tritgame.protocol import dense_pre_measurement_state, verify_class_stepping
-from tritgame.qudit import find_valid_root_branch, inverse_cdf, root_gate
+from tritgame.qudit import inverse_cdf
 
 
 @pytest.fixture(scope="session")
@@ -21,15 +21,13 @@ def per_vector_outcomes():
     all 3^k amplitudes.  It returns the int8 outcomes and the
     number of distinct vectors.
     """
-    gate = root_gate(find_valid_root_branch())
-
     def outcomes(bits, uniforms):
         k = bits.shape[1]
         cumulative = {}
         index = np.empty(len(bits), dtype=np.int64)
         for i, row in enumerate(bits.tolist()):
             if tuple(row) not in cumulative:
-                amps = dense_pre_measurement_state(k, row, gate=gate).amplitudes
+                amps = dense_pre_measurement_state(k, row).amplitudes
                 cumulative[tuple(row)] = np.cumsum(np.abs(amps) ** 2)
             index[i] = inverse_cdf(cumulative[tuple(row)], uniforms[i])
         digits = index[:, None] // 3 ** np.arange(k - 1, -1, -1) % 3

@@ -2,8 +2,8 @@
 
 Strategy cells and canonical forms, random profiles, a per-bit-vector
 enumeration that the exhaustive oracle is checked against, a full scan and
-per-class statistics of the collapsed evaluator, and a sum-class
-classifier for dense states.
+per-class statistics of the collapsed evaluator, a sum-class classifier
+for dense states, and the nine cube-root branches of the shift gate.
 """
 
 from __future__ import annotations
@@ -246,3 +246,25 @@ def classify_sum_class(
     if dev <= tol and abs(abs(c) - 1.0) <= tol:
         return candidate, c
     return None
+
+
+def branch_root_matrix(r1: int, r2: int) -> np.ndarray:
+    """The cube root of the shift gate on root branch (r1, r2), r1 and r2 in 0..2.
+
+    Diagonalizes the shift in the discrete-Fourier basis, as
+    :func:`tritgame.qudit.root_gate` does, and gives the eigenvalue
+    exp(2*pi*i/3) the root exp(2*pi*i*(1+3*r1)/9) and its square the root
+    exp(2*pi*i*(2+3*r2)/9); each cubes back to its eigenvalue.  Branch
+    (0, 0) is the principal root.
+    """
+    w = np.exp(2j * np.pi / 3)
+    s = np.array([[w ** (r * c) for c in range(3)] for r in range(3)])
+    s_inv = s.conj() / 3.0
+    roots = np.diag(
+        [
+            1.0,
+            np.exp(2j * np.pi * (1 + 3 * r1) / 9),
+            np.exp(2j * np.pi * (2 + 3 * r2) / 9),
+        ]
+    )
+    return s_inv @ roots @ s

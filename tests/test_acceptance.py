@@ -33,12 +33,7 @@ from tritgame.protocol import (
     sample_admissible_batch,
     verify_class_stepping,
 )
-from tritgame.qudit import (
-    find_valid_root_branch,
-    permutation_gate,
-    root_gate,
-    verify_root_branch,
-)
+from tritgame.qudit import permutation_gate, root_gate, verify_root_gate
 
 from helpers import random_profile
 
@@ -53,9 +48,8 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_root_gate_step_law():
-    branch = find_valid_root_branch(TOL)
-    check = verify_root_branch(branch, TOL)
-    gate = root_gate(branch).matrix
+    check = verify_root_gate()
+    gate = root_gate().matrix
     cube_dev = float(np.max(np.abs(gate @ gate @ gate - permutation_gate().matrix)))
     ok = (
         check.ok
@@ -64,9 +58,9 @@ def test_criterion_1_root_gate_step_law():
         and abs(abs(check.phase) - 1.0) <= TOL
     )
     report(
-        "1. root gate: branch found, U^3 = shift, classes step with one phase",
+        "1. root gate: U^3 = shift, classes step with one phase",
         ok,
-        f"branch={tuple(branch)}, max dev {max(cube_dev, check.max_deviation):.2e}",
+        f"max dev {max(cube_dev, check.max_deviation):.2e}",
     )
 
 

@@ -348,7 +348,7 @@ class TestEvaluators:
         monkeypatch.setattr(classical, "_BLOCK", 7)
         groups = strategy_groups(K7_THREE_GROUPS)
         tables = classical._prime_tables(classical.crt_primes(7))
-        counting = tables.prefix(len(counting_primes(groups, 7)))
+        counting = tables.prefix(len(counting_primes(groups)))
         sizes = [mult.shape[1] for _, mult in classical._class_blocks(groups, tables, counting)]
         assert max(sizes) <= 7
         assert sum(sizes) == classical.transcript_class_count(K7_THREE_GROUPS)
@@ -403,8 +403,8 @@ BENCHMARK_PROFILES = [
 ]
 
 
-def counting_primes(groups, k):
-    return classical._count_primes(crt_primes(k), classical._count_bound(groups))
+def counting_primes(groups):
+    return classical._primes_past(classical._count_bound(groups))
 
 
 class TestCountingPrimes:
@@ -421,7 +421,7 @@ class TestCountingPrimes:
             assert classical._count_bound(groups) == bound
             assert exhaustive_transcript_counts(profile).max() <= bound
             # The shortest prefix whose product without its last prime exceeds B.
-            primes = counting_primes(groups, k)
+            primes = counting_primes(groups)
             assert primes == crt_primes(k)[:len(primes)]
             assert math.prod(primes[:-1]) > bound
             assert len(primes) == 2 or math.prod(primes[:-2]) <= bound
@@ -430,7 +430,7 @@ class TestCountingPrimes:
         expected = {2: 4, 3: 5, 4: 6, 5: 7, 6: 7}
         for s in strategy_orbit_reps():
             largest = max(s.sent.count(t) for t in range(3))
-            assert len(counting_primes([(s, 61)], 61)) == expected[largest], s
+            assert len(counting_primes([(s, 61)])) == expected[largest], s
 
     def test_a_bound_too_small_raises_naming_the_redundant_prime(self, monkeypatch):
         groups = [(canonical_division("F"), 31)]
@@ -440,7 +440,7 @@ class TestCountingPrimes:
         monkeypatch.setattr(classical, "_count_bound", lambda g: bound(g) // 2**28)
         # B / 2^28 is below the first prime, so the counting set is its first
         # two primes, the second redundant, and a count of F at k = 31 exceeds it.
-        assert counting_primes(groups, 31) == crt_primes(31)[:2]
+        assert counting_primes(groups) == crt_primes(31)[:2]
         with pytest.raises(ArithmeticError, match=f"redundant prime {crt_primes(31)[1]}"):
             evaluate_collapsed(StrategyProfile.homogeneous(canonical_division("F"), 31))
 
@@ -480,7 +480,7 @@ class TestCountingPrimes:
         profile = profile_from_groups(groups)
         groups = strategy_groups(profile)
         tables = classical._prime_tables(crt_primes(profile.k))
-        counting = tables.prefix(len(counting_primes(groups, profile.k)))
+        counting = tables.prefix(len(counting_primes(groups)))
         used = []
         values = classical._composition_values
 

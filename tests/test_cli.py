@@ -27,12 +27,9 @@ README_COMMANDS = [
 
 
 @pytest.fixture
-def failed_branch_search(monkeypatch):
-    """Makes every root branch fail its check, so the root-branch search fails."""
-    def failing_check(branch, tol=1e-10):
-        return qudit.RootCheck(branch, 1.0, 1.0, False)
-
-    monkeypatch.setattr(qudit, "verify_root_branch", failing_check)
+def failed_root_check(monkeypatch):
+    """Makes the root gate fail its check."""
+    monkeypatch.setattr(protocol, "verify_root_gate", lambda: qudit.RootCheck(1.0, 1.0, False))
 
 
 def run_cli(capsys, argv):
@@ -52,23 +49,18 @@ class TestQuantumVerify:
         assert code == 0
         assert env["payload"]["ok"] is True
         names = [c["name"] for c in env["payload"]["checks"]]
-        assert names == [
-            "root-branch-search",
-            "root-cube-and-class-step",
-            "dim2-swap",
-            "class-sweep",
-        ]
+        assert names == ["root-cube-and-class-step", "dim2-swap", "class-sweep"]
         assert "token" not in env["payload"]
-        assert env["config"]["tolerance"] == 1e-10
+        assert env["config"] == {"k": [4, 7], "tampered": False}
 
     def test_class_sweep_reports_worst_deviation_per_k(self, capsys):
         code, env = run_json(capsys, ["quantum-verify"])
         assert code == 0
-        sweep = env["payload"]["checks"][3]
+        sweep = env["payload"]["checks"][2]
         assert sweep["k"] == [4, 7]
         deviations = env["metrics"]["class-sweep"]["max_deviation"]
         assert len(deviations) == 2
-        assert all(0.0 <= d <= env["config"]["tolerance"] for d in deviations)
+        assert all(0.0 <= d <= 1e-10 for d in deviations)
         assert sweep["ok"] is True
 
     def test_tamper_fails_with_exit_one(self, capsys):
@@ -76,13 +68,15 @@ class TestQuantumVerify:
         assert code == 1
         assert env["payload"]["ok"] is False
 
-    def test_failed_branch_search_writes_a_failing_payload(self, capsys, failed_branch_search):
+    def test_failed_branch_search_writes_a_failing_payload(self, capsys, failed_root_check):
         code, env = run_json(capsys, ["quantum-verify"])
         assert code == 1
-        assert env["payload"] == {
-            "ok": False,
-            "error": "no valid root branch: class stepping fails for all nine branches",
-        }
+        assert env["payload"] == {"ok": False, "error": "root gate failed: max deviation 1.000e+00"}
+
+    def test_tolerance_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["quantum-verify", "--tolerance", "1e-6"])
+        assert excinfo.value.code == 2
 
     def test_sweep_beyond_dense_bound_is_usage_error(self, capsys):
         code = cli.main(["quantum-verify", "--k", "100"])
@@ -96,11 +90,12 @@ class TestQuantumVerify:
         (["--k", "16", "--debug-tamper"], "verification needs dense states; k=16 exceeds 13"),
     ], ids=["party-count", "dense-bound"])
     def test_bad_k_fails_before_any_gate(self, capsys, monkeypatch, argv, message):
-        # Every k is checked before the root-branch search builds a gate.
-        def fail(*args):
-            raise AssertionError("the root-branch search ran before the k check")
+        # Every k is checked before the root gate is built or checked.
+        def fail():
+            raise AssertionError("the root gate was used before the k check")
 
-        monkeypatch.setattr(protocol, "find_valid_root_branch", fail)
+        monkeypatch.setattr(protocol, "root_gate", fail)
+        monkeypatch.setattr(protocol, "verify_root_gate", fail)
         assert cli.main(["quantum-verify", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -307,6 +302,13 @@ class TestClassical:
         for profile in ("A:-1,B:4", "A:0,B:4"):
             assert cli.main(["classical", "eval", "--profile", profile, "--k", "4"]) == 2
 
+    def test_eval_takes_a_strategy_or_a_profile_not_both(self, capsys):
+        # One of the two would go unused without a word.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["classical", "eval", "--k", "4", "--strategy", "A", "--profile", "B:4"])
+        assert excinfo.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_search(self, capsys):
         code, env = run_json(capsys, ["classical", "search", "--k", "4"])
         assert code == 0
@@ -511,18 +513,24 @@ class TestHarness:
         assert captured.err == "error: tampered\n"
 
     @pytest.mark.parametrize("argv", [
-        ["quantum-run", "--k", "7", "--trials", "10"],
         ["quantum-run", "--k", "7", "--engine", "analytic", "--trials", "10"],
         ["gap-report", "--k", "4", "--trials", "10"],
-    ], ids=["dense", "analytic", "gap-report"])
-    def test_failed_branch_search_exits_one(self, capsys, failed_branch_search, argv):
+    ], ids=["analytic", "gap-report"])
+    def test_failed_branch_search_exits_one(self, capsys, failed_root_check, argv):
         code = cli.main(argv)
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: no valid root branch: class stepping fails for all nine branches\n"
-        )
+        assert captured.err == "error: root gate failed: max deviation 1.000e+00\n"
+
+    def test_bad_gate_fails_the_dense_run_by_measurement(self, capsys, monkeypatch):
+        # The dense engine runs no root check: a wrong gate shows up as
+        # measured failures, with the first one reported.
+        monkeypatch.setattr(protocol, "root_gate", lambda: qudit.LocalGate(np.eye(3)))
+        code, env = run_json(capsys, ["quantum-run", "--k", "7", "--trials", "200"])
+        assert code == 1
+        assert env["payload"]["failures"] > 0
+        assert env["metrics"]["first_failure"] is not None
 
     @pytest.mark.parametrize("command", README_COMMANDS)
     def test_readme_example_runs(self, capsys, tmp_path, command):
@@ -565,7 +573,7 @@ class TestHarness:
         (["quantum-run", "--k", "100", "--engine", "analytic", "--trials", "1000", "--seed", "4"],
          "bb88ef234b3d7f2263772d873e8d53d01776c1c0cbb638ebd0976242c4939b7a"),
         (["quantum-verify"],
-         "32346f358e5c6543d7dbe7b9ed949e399f5eed8d2c1b5d4ad8ed66c1a8aec7af"),
+         "e28717fdc5af62636efee61416279384454601b33e58b2a998f5b1d08c5144d2"),
     ])
     def test_payload_hash_pinned(self, capsys, argv, digest):
         # These payloads hold flags, counts, exact fractions and floats rounded

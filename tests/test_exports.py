@@ -1,6 +1,7 @@
 """The package's export list."""
 
 import dataclasses
+import inspect
 
 import tritgame
 from tritgame import bounds, classical, combinat, protocol, qudit
@@ -8,8 +9,9 @@ from tritgame import bounds, classical, combinat, protocol, qudit
 # Names of the per-row protocol API and the helpers only it used, the bound
 # dispatch layer, the unused grouped-sum parameter tuple, the process-wide
 # verification flag with its reset hook, the helpers only tests call (now in
-# tests/helpers.py), and the qudit layer's amplitude cap and the helpers
-# that took its dimension parameter.
+# tests/helpers.py), the qudit layer's amplitude cap and the helpers
+# that took its dimension parameter, and the root-branch search with its
+# per-check tolerances.
 REMOVED = (
     "RegisterInput", "ProtocolRun", "global_function", "decode", "enumerate_admissible",
     "batch_runs", "sample_admissible", "run_dense", "run_analytic", "apply_local",
@@ -17,7 +19,8 @@ REMOVED = (
     "GroupedSumSpec", "_verified", "_reset_verification", "TranscriptClassStats",
     "transcript_class_stats", "division_type", "DivisionType", "random_profile",
     "classify_sum_class", "digit_string", "MAX_AMPLITUDES", "_sum_class_state", "_root_gate",
-    "_fourier_basis",
+    "_fourier_basis", "RootBranch", "find_valid_root_branch", "verify_root_branch",
+    "_UNITARY_TOL", "_NORM_TOL", "_CERT_TOL",
 )
 
 
@@ -49,3 +52,12 @@ def test_removed_methods_are_gone():
 def test_qutrit_types_have_no_dimension():
     for cls in (tritgame.QuditState, tritgame.LocalGate):
         assert "d" not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
+
+
+def test_verification_chain_has_no_knobs():
+    # One root gate, checked at one tolerance: nothing picks a branch, a
+    # tolerance or a gate.
+    for function in (qudit.root_gate, protocol.verify_class_stepping, qudit.verify_dim2_swap,
+                     qudit.class_step_ok, protocol.dense_pre_measurement_state):
+        params = set(inspect.signature(function).parameters)
+        assert not params & {"branch", "tol", "gate"}, function.__name__

@@ -5,20 +5,18 @@ from tritgame import qudit
 from tritgame.qudit import (
     LocalGate,
     QuditState,
-    RootBranch,
     digit_sums,
     evolve,
-    find_valid_root_branch,
     inverse_cdf,
     make_sum_class_state,
     permutation_gate,
     root_gate,
     sum_class_deviation,
     verify_dim2_swap,
-    verify_root_branch,
+    verify_root_gate,
 )
 
-from helpers import classify_sum_class
+from helpers import branch_root_matrix, classify_sum_class
 
 CHI2_99_DF8 = 20.090  # chi-square 99th percentile, 8 degrees of freedom
 NOT = np.array([[0, 1], [1, 0]])
@@ -183,7 +181,7 @@ class TestGates:
             LocalGate(matrix)
 
     def test_lifted_transpose_is_gate_kron_identity(self):
-        gate = root_gate(RootBranch(0, 0))
+        gate = root_gate()
         for block in (1, 3, 9):
             lifted = gate.lifted_transpose(block)
             assert np.array_equal(lifted, np.kron(gate.matrix, np.eye(block)).T)
@@ -193,9 +191,11 @@ class TestGates:
     def test_root_gate_is_built_once_per_branch(self):
         # The dense batches and the certificate share one gate, so its
         # lifted matrices are built once per process.
-        gate = root_gate(RootBranch(0, 0))
-        assert root_gate(RootBranch(0, 0)) is gate
-        assert root_gate(RootBranch(0, 1)) is not gate
+        assert root_gate() is root_gate()
+
+    def test_root_gate_is_the_principal_branch(self):
+        # Bit for bit the (0, 0) matrix of the nine-branch formula.
+        assert np.array_equal(root_gate().matrix, branch_root_matrix(0, 0))
 
     def test_dim2_root_is_the_explicit_matrix(self):
         expected = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
@@ -205,39 +205,37 @@ class TestGates:
         m = np.array(qudit._SQRT_NOT)
         np.testing.assert_allclose(m @ m, NOT, atol=1e-12)
 
-    def test_dim3_requires_branch(self):
-        with pytest.raises(TypeError, match="branch"):
-            root_gate()
-        with pytest.raises(ValueError, match="branch indices"):
-            root_gate(RootBranch(0, 3))
-
     @pytest.mark.parametrize("r1", [0, 1, 2])
     @pytest.mark.parametrize("r2", [0, 1, 2])
     def test_every_branch_cubes_to_the_shift(self, r1, r2):
-        m = root_gate(RootBranch(r1, r2)).matrix
+        m = branch_root_matrix(r1, r2)
         np.testing.assert_allclose(
             m @ m @ m, permutation_gate().matrix, atol=1e-10
         )
 
 
 class TestRootBranchSearch:
-    def test_search_returns_pinned_branch(self):
-        # Regression value from the first validated run.
-        assert find_valid_root_branch() == RootBranch(0, 0)
+    """Why the protocol fixes one root gate: no branch behaves differently."""
 
     def test_returned_branch_steps_all_classes_with_one_phase(self):
-        check = verify_root_branch(find_valid_root_branch())
+        check = verify_root_gate()
         assert check.ok
         assert check.max_deviation <= 1e-10
         assert abs(abs(check.phase) - 1.0) <= 1e-10
 
-    def test_every_branch_passes_the_step_law(self):
+    def test_every_branch_passes_the_step_law(self, monkeypatch):
         # A consequence of taking roots in the shift's own eigenbasis: the
         # cubed per-party root is the original eigenvalue, so the tensor
-        # cube acts identically for every root choice.
+        # cube acts identically for every root choice.  Each branch goes
+        # through the root gate's own check in place of the gate.
         for r1 in range(3):
             for r2 in range(3):
-                assert verify_root_branch(RootBranch(r1, r2)).ok
+                gate = LocalGate(branch_root_matrix(r1, r2))
+                monkeypatch.setattr(qudit, "root_gate", lambda: gate)
+                check = verify_root_gate()
+                assert check.ok, (r1, r2)
+                assert check.max_deviation <= 1e-10
+                assert abs(abs(check.phase) - 1.0) <= 1e-10
 
     def test_dim2_swap(self):
         check = verify_dim2_swap()
@@ -261,7 +259,7 @@ class TestApplyLocal:
         rng = np.random.default_rng(42)
         raw = rng.normal(size=27) + 1j * rng.normal(size=27)
         state = QuditState(3, raw / np.linalg.norm(raw))
-        gate = root_gate(RootBranch(1, 2))
+        gate = LocalGate(branch_root_matrix(1, 2))
         for party in (0, 1, 2):
             state = evolve(state, gate, [party])
         assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) <= 1e-10
@@ -290,7 +288,7 @@ class TestEvolveStack:
         rng = np.random.default_rng(7)
         raw = rng.normal(size=(6, 3**5)) + 1j * rng.normal(size=(6, 3**5))
         stack = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        gate = root_gate(find_valid_root_branch())
+        gate = root_gate()
         parties = [0, 1, 3, 4, 2, 4]
         out = evolve(stack, gate, parties)
         assert out.shape == stack.shape
