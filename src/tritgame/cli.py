@@ -1,18 +1,29 @@
 """Batch command-line front end with deterministic, hashable reports.
 
+Each command declares its options in :func:`build_parser` and nowhere
+else, and reads every option it accepts.  ``classical`` has three
+subcommands: ``example`` takes no options, ``eval`` takes ``--k``, one of
+``--strategy`` or ``--profile``, and ``--long-run``, and ``search`` takes
+``--k``.  Every command takes ``--output``.
+
 Each command returns a :class:`Report`; :func:`main` alone times it, maps
 errors to exit codes, renders it and writes it to ``--output`` or stdout.
 ``--format csv`` writes the report's table and no envelope.  Otherwise
-the output is a JSON envelope: command name, config echo, result payload,
+the output is a JSON envelope: command name, config, result payload,
 the SHA-256 of the canonical payload encoding, package version,
-wall-clock duration and any metrics.  The hash covers only the payload,
-so two runs with the same command line and seed are byte-identical in
-the hashed region.  Probabilities always carry exact numerator/denominator
-next to their float rendering.
+wall-clock duration and any metrics.  The config is the parsed options,
+without ``--output`` and ``--format``, which say how to render rather
+than what to compute.  The hash covers only the payload, so two runs with
+the same command line and seed are byte-identical in the hashed region.
+Probabilities always carry exact numerator/denominator next to their
+float rendering.  ``quantum-run`` draws its inputs and outcomes from
+``numpy.random.default_rng([seed, 0])``; ``gap-report`` draws those of its
+i-th ``--k`` (counting from 0) from ``default_rng([seed, i])``.
 
 Exit codes: 0 all checks passed, 1 a check failed (a failed verification
-of the analytic engine among them), 2 usage error.  Errors print
-``error: ...`` to stderr and nothing to stdout.
+of the analytic engine among them) or stdout was closed before the
+output was written, 2 usage error.  Errors print ``error: ...`` to stderr
+and nothing to stdout.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -66,7 +78,6 @@ BLOCK_TRIALS = 65_536
 class Report(NamedTuple):
     """What a command computed; :func:`main` renders and emits it."""
 
-    config: dict
     payload: dict  # the hashed part of the envelope
     metrics: dict | None = None  # outside the hash; render time joins its stage_seconds
     code: int = EXIT_OK
@@ -81,14 +92,14 @@ def _fraction_payload(value: Fraction) -> dict:
     }
 
 
-def _envelope(command: str, report: Report, started: float) -> dict:
+def _envelope(command: str, config: dict, report: Report, started: float) -> dict:
     # Render time covers hashing the payload, plus whatever the command
     # already counted under "render" (building records or table rows).
     t0 = time.perf_counter()
     canonical = json.dumps(report.payload, sort_keys=True, separators=(",", ":"))
     envelope = {
         "command": command,
-        "config": report.config,
+        "config": config,
         "payload": report.payload,
         "payload_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
         "version": __version__,
@@ -102,16 +113,6 @@ def _envelope(command: str, report: Report, started: float) -> dict:
                 stages[name] = round(seconds, 6)
         envelope["metrics"] = report.metrics
     return envelope
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -153,11 +154,10 @@ def _parse_profile(text: str, k: int) -> StrategyProfile:
 # ---------------------------------------------------------------------------
 
 def cmd_quantum_verify(args: argparse.Namespace) -> Report:
-    config = {"k": list(args.k), "tampered": args.debug_tamper}
     try:
-        cert = verify_class_stepping(ks=tuple(args.k), _perturb=1e-6 if args.debug_tamper else 0.0)
+        cert = verify_class_stepping(ks=tuple(args.k))
     except VerificationError as exc:
-        return Report(config, {"ok": False, "error": str(exc)}, code=EXIT_CHECK_FAILED)
+        return Report({"ok": False, "error": str(exc)}, code=EXIT_CHECK_FAILED)
     # A certificate exists only if every check passed.
     payload = {
         "ok": True,
@@ -179,7 +179,7 @@ def cmd_quantum_verify(args: argparse.Namespace) -> Report:
         "dim2-swap": {"max_deviation": cert.swap_check.max_deviation},
         "class-sweep": {"max_deviation": list(cert.sweep_deviations)},
     }
-    return Report(config, payload, metrics)
+    return Report(payload, metrics)
 
 
 def _protocol_metrics(engine: str) -> dict:
@@ -260,13 +260,6 @@ def _run_trials(
 
 def cmd_quantum_run(args: argparse.Namespace) -> Report:
     check_party_count(args.k)
-    config = {
-        "k": args.k,
-        "trials": args.trials,
-        "engine": args.engine,
-        "seed": args.seed,
-        "seed_scheme": "numpy default_rng([seed, stream]); single stream 0",
-    }
     if args.engine == "dense" and args.k > DENSE_MAX_K:
         # Checked here too: at --trials 0 the engine never runs.
         raise ValueError(f"dense engine supports k <= {DENSE_MAX_K}")
@@ -289,71 +282,62 @@ def cmd_quantum_run(args: argparse.Namespace) -> Report:
             record["seed"] = args.seed
         payload["records"] = records
     code = EXIT_OK if successes == args.trials else EXIT_CHECK_FAILED
-    return Report(config, payload, metrics, code)
+    return Report(payload, metrics, code)
 
 
-def cmd_classical(args: argparse.Namespace) -> Report:
-    if args.subcommand == "example":
-        report = ten_player_worked_example()
-        payload = {
-            "k": report.k,
-            "strategy": report.strategy.to_string(),
-            "transcript": "all parties send 0",
-            "per_m_counts": {str(m): c for m, c in sorted(report.per_m_counts.items())},
-            "g_label_by_m": {str(m): g for m, g in sorted(report.g_label_by_m.items())},
-            "g_totals": {str(v): n for v, n in enumerate(report.g_totals)},
-            "total": report.total,
-            "majority_value": report.majority_value,
-            "majority_count": report.majority_count,
-            "success": _fraction_payload(report.success),
-            "label_note": report.label_note,
-        }
-        return Report({"subcommand": "example"}, payload)
+def cmd_classical_example(args: argparse.Namespace) -> Report:
+    report = ten_player_worked_example()
+    payload = {
+        "k": report.k,
+        "strategy": report.strategy.to_string(),
+        "transcript": "all parties send 0",
+        "per_m_counts": {str(m): c for m, c in sorted(report.per_m_counts.items())},
+        "g_label_by_m": {str(m): g for m, g in sorted(report.g_label_by_m.items())},
+        "g_totals": {str(v): n for v, n in enumerate(report.g_totals)},
+        "total": report.total,
+        "majority_value": report.majority_value,
+        "majority_count": report.majority_count,
+        "success": _fraction_payload(report.success),
+        "label_note": report.label_note,
+    }
+    return Report(payload)
 
-    if args.subcommand == "eval":
-        config = {
-            "subcommand": "eval",
-            "k": args.k,
-            "strategy": args.strategy,
-            "profile": args.profile,
-            "long_run": args.long_run,
-        }
-        if args.strategy:
-            profile = StrategyProfile.homogeneous(_parse_strategy(args.strategy), args.k)
-        elif args.profile:
-            profile = _parse_profile(args.profile, args.k)
-        else:
-            raise ValueError("eval needs --strategy or --profile")
-        stages = {"collapsed": 0.0, "exhaustive": 0.0, "render": 0.0}
+
+def cmd_classical_eval(args: argparse.Namespace) -> Report:
+    if args.strategy is not None:
+        profile = StrategyProfile.homogeneous(_parse_strategy(args.strategy), args.k)
+    else:
+        profile = _parse_profile(args.profile, args.k)
+    stages = {"collapsed": 0.0, "exhaustive": 0.0, "render": 0.0}
+    t0 = time.perf_counter()
+    work = Counter()
+    collapsed = evaluate_collapsed(profile, work)
+    stages["collapsed"] = time.perf_counter() - t0
+    payload = {
+        "k": args.k,
+        "profile": [s.to_string() for s in profile.strategies],
+        "collapsed": _fraction_payload(collapsed),
+    }
+    code = EXIT_OK
+    metrics = evaluator_metrics(args.k, transcript_class_count(profile), 0, work)
+    if exhaustive_in_bound(args.k, args.long_run):
         t0 = time.perf_counter()
-        work = Counter()
-        collapsed = evaluate_collapsed(profile, work)
-        stages["collapsed"] = time.perf_counter() - t0
-        payload = {
-            "k": args.k,
-            "profile": [s.to_string() for s in profile.strategies],
-            "collapsed": _fraction_payload(collapsed),
+        per_transcript = exhaustive_transcript_counts(profile, long_run=args.long_run)
+        exhaustive = referee_success(per_transcript)
+        stages["exhaustive"] = time.perf_counter() - t0
+        metrics["exhaustive"] = {
+            "method": EXHAUSTIVE_METHOD,
+            "admissible_inputs": int(per_transcript.sum()),
         }
-        code = EXIT_OK
-        metrics = evaluator_metrics(args.k, transcript_class_count(profile), 0, work)
-        if exhaustive_in_bound(args.k, args.long_run):
-            t0 = time.perf_counter()
-            per_transcript = exhaustive_transcript_counts(profile, long_run=args.long_run)
-            exhaustive = referee_success(per_transcript)
-            stages["exhaustive"] = time.perf_counter() - t0
-            metrics["exhaustive"] = {
-                "method": EXHAUSTIVE_METHOD,
-                "admissible_inputs": int(per_transcript.sum()),
-            }
-            payload["exhaustive"] = _fraction_payload(exhaustive)
-            payload["evaluators_agree"] = exhaustive == collapsed
-            if not payload["evaluators_agree"]:
-                code = EXIT_CHECK_FAILED
-        metrics["stage_seconds"] = stages
-        return Report(config, payload, metrics, code)
+        payload["exhaustive"] = _fraction_payload(exhaustive)
+        payload["evaluators_agree"] = exhaustive == collapsed
+        if not payload["evaluators_agree"]:
+            code = EXIT_CHECK_FAILED
+    metrics["stage_seconds"] = stages
+    return Report(payload, metrics, code)
 
-    # search
-    config = {"subcommand": "search", "k": args.k}
+
+def cmd_classical_search(args: argparse.Namespace) -> Report:
     t0 = time.perf_counter()
     work = Counter()
     strategy, value = best_homogeneous(args.k, work)
@@ -367,12 +351,11 @@ def cmd_classical(args: argparse.Namespace) -> Report:
     classes = orbits * transcript_class_count(StrategyProfile.homogeneous(strategy, args.k))
     metrics = evaluator_metrics(args.k, classes, orbits, work)
     metrics["stage_seconds"] = {"search": searched, "render": 0.0}
-    return Report(config, payload, metrics)
+    return Report(payload, metrics)
 
 
 def cmd_bounds(args: argparse.Namespace) -> Report:
     im_rule = args.im_rule if args.im_rule == "max" else int(args.im_rule)
-    config = {"family": args.family, "j": list(args.j), "im_rule": str(im_rule)}
     t0 = time.perf_counter()
     rows = convergence_table(args.family, args.j, im_rule=im_rule)
     t1 = time.perf_counter()
@@ -396,16 +379,10 @@ def cmd_bounds(args: argparse.Namespace) -> Report:
         "stage_seconds": {"tables": t1 - t0, "render": time.perf_counter() - t1},
         "rows": len(rows),
     }
-    return Report(config, {"rows": row_dicts}, metrics, table=table)
+    return Report({"rows": row_dicts}, metrics, table=table)
 
 
 def cmd_gap_report(args: argparse.Namespace) -> Report:
-    config = {
-        "k": list(args.k),
-        "trials": args.trials,
-        "seed": args.seed,
-        "seed_scheme": "numpy default_rng([seed, stream]); stream = index of k",
-    }
     for k in args.k:
         check_party_count(k)
     metrics = _protocol_metrics("analytic")
@@ -435,7 +412,7 @@ def cmd_gap_report(args: argparse.Namespace) -> Report:
         )
         table.append([k, args.trials, successes, strategy.to_string(), value.numerator,
                       value.denominator, float(value), float(Fraction(1, 3))])
-    return Report(config, {"rows": entries}, metrics, EXIT_OK if ok else EXIT_CHECK_FAILED, table)
+    return Report({"rows": entries}, metrics, EXIT_OK if ok else EXIT_CHECK_FAILED, table)
 
 
 # ---------------------------------------------------------------------------
@@ -449,49 +426,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # On the leaf parsers only: a nested subparser's default would overwrite
+    # a value its parent parsed.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None)
 
-    p = sub.add_parser("quantum-verify", help="run the protocol verification suite")
+    p = sub.add_parser("quantum-verify", parents=[output],
+                       help="run the protocol verification suite")
     p.add_argument("--k", type=int, nargs="+", default=[4, 7], help="dense sweep sizes")
-    p.add_argument("--debug-tamper", action="store_true", help="inject a gate error (must fail)")
     p.set_defaults(func=cmd_quantum_verify)
 
-    p = sub.add_parser("quantum-run", help="run protocol trials on sampled inputs")
+    p = sub.add_parser("quantum-run", parents=[output],
+                       help="run protocol trials on sampled inputs")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=_trial_count, default=1000)
     p.add_argument("--engine", choices=("dense", "analytic"), default="dense")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="inputs and outcomes come from numpy default_rng([seed, 0])")
     p.add_argument("--records", action="store_true", help="include per-run records")
     p.set_defaults(func=cmd_quantum_run)
 
-    p = sub.add_parser("classical", help="exact classical success probabilities")
-    p.add_argument("subcommand", choices=("example", "eval", "search"))
+    classical = sub.add_parser("classical", help="exact classical success probabilities")
+    leaves = classical.add_subparsers(dest="subcommand", required=True)
+    p = leaves.add_parser("example", parents=[output], help="the ten-player worked example")
+    p.set_defaults(func=cmd_classical_example)
+    p = leaves.add_parser("eval", parents=[output],
+                          help="exact success of a strategy or profile")
     p.add_argument("--k", type=int, default=4)
-    given = p.add_mutually_exclusive_group()
-    given.add_argument("--strategy", default=None, help="division name or 6-trit string")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--strategy", help="division name or 6-trit string")
     given.add_argument(
         "--profile",
-        default=None,
         help="comma-separated divisions/6-trit strings, optional :count (e.g. 'A:3,100122')",
     )
     p.add_argument("--long-run", action="store_true", help="allow exhaustive evaluation at k=10")
-    p.set_defaults(func=cmd_classical)
+    p.set_defaults(func=cmd_classical_eval)
+    p = leaves.add_parser("search", parents=[output], help="best homogeneous strategy")
+    p.add_argument("--k", type=int, default=4)
+    p.set_defaults(func=cmd_classical_search)
 
-    p = sub.add_parser("bounds", help="convergence tables for the bound families")
+    p = sub.add_parser("bounds", parents=[output],
+                       help="convergence tables for the bound families")
     p.add_argument("--family", choices=("A", "F", "L", "N"), required=True)
     p.add_argument("--j", type=int, nargs="+", default=[5, 10, 20, 40, 60])
     p.add_argument("--im-rule", choices=("max", "0", "1", "2"), default="max")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("gap-report", help="quantum vs best-classical success per k")
+    p = sub.add_parser("gap-report", parents=[output],
+                       help="quantum vs best-classical success per k")
     p.add_argument("--k", type=int, nargs="+", default=[4, 13, 31])
     p.add_argument("--trials", type=_trial_count, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="the i-th --k draws from numpy default_rng([seed, i])")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_gap_report)
-
-    for p in sub.choices.values():
-        p.add_argument("--output", default=None)
     return parser
 
 
@@ -508,8 +497,24 @@ def main(argv: list[str] | None = None) -> int:
         csv.writer(buf).writerows(report.table)
         text = buf.getvalue()
     else:
-        text = json.dumps(_envelope(args.command, report, started), indent=2, sort_keys=True)
-    _emit(text, args.output)
+        # The config is what to compute; these say how to dispatch and render.
+        config = {name: value for name, value in vars(args).items()
+                  if name not in ("command", "func", "output", "format")}
+        text = json.dumps(_envelope(args.command, config, report, started), indent=2,
+                          sort_keys=True)
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+        return report.code
+    try:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (say, `| head`).  Pointing stdout at
+        # devnull keeps the flush at exit from raising again (Python docs,
+        # "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CHECK_FAILED
     return report.code
 
 

@@ -309,10 +309,7 @@ class SteppingCertificate:
     max_deviation: float
 
 
-def verify_class_stepping(
-    ks: Sequence[int] = _CERT_KS,
-    _perturb: float = 0.0,
-) -> SteppingCertificate:
+def verify_class_stepping(ks: Sequence[int] = _CERT_KS) -> SteppingCertificate:
     """Run the full evidence chain for the analytic engine.
 
     Checks, in order: the root gate cubes to the shift and steps 3-party
@@ -324,17 +321,13 @@ def verify_class_stepping(
     the certificate, or raises VerificationError on any failure (a NaN
     deviation fails too).  It changes no state: :func:`run_analytic_batch`
     runs on the certificate when it covers the canonical suite (k = 4 and
-    7).  ``_perturb`` is a debug hook that injects an error into the
-    root-gate check.
+    7).
     """
     for k in ks:
         if k > DENSE_MAX_K:
             raise ValueError(f"verification needs dense states; k={k} exceeds {DENSE_MAX_K}")
         check_party_count(k)
     root_check = verify_root_gate()
-    if _perturb:
-        dev = root_check.max_deviation + abs(_perturb)
-        root_check = RootCheck(root_check.phase, dev, class_step_ok(root_check.phase, dev))
     if not root_check.ok:
         raise VerificationError(f"root gate failed: max deviation {root_check.max_deviation:.3e}")
     swap_check = verify_dim2_swap()

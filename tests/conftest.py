@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tritgame import protocol, qudit
 from tritgame.protocol import dense_pre_measurement_state, verify_class_stepping
 from tritgame.qudit import inverse_cdf
 
@@ -9,6 +10,12 @@ from tritgame.qudit import inverse_cdf
 def stepping_cert():
     """The default verification certificate, computed once for the session."""
     return verify_class_stepping()
+
+
+@pytest.fixture
+def failed_root_check(monkeypatch):
+    """Makes the root gate fail its check."""
+    monkeypatch.setattr(protocol, "verify_root_gate", lambda: qudit.RootCheck(1.0, 1.0, False))
 
 
 @pytest.fixture(scope="session")

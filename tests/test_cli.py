@@ -2,8 +2,11 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,9 @@ from tritgame.combinat import grouped_sum
 
 DENSE_COUNTERS = ("half_states_evolved", "gates_applied", "rows_evolved", "row_gates_applied")
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+SRC = ROOT / "src"
 #: Every ``tritgame ...`` line of README's ``sh`` blocks, without the program name.
 README_COMMANDS = [
     line.split(None, 1)[1]
@@ -26,10 +31,31 @@ README_COMMANDS = [
 ]
 
 
-@pytest.fixture
-def failed_root_check(monkeypatch):
-    """Makes the root gate fail its check."""
-    monkeypatch.setattr(protocol, "verify_root_gate", lambda: qudit.RootCheck(1.0, 1.0, False))
+#: Payload digests of fixed command lines.
+PINNED_PAYLOADS = [
+    (["classical", "example"],
+     "ef9fca9ddabaf2e8732200a879e2e1cda8c4596bec151b7da01ccc17bd151e67"),
+    (["classical", "eval", "--k", "7", "--profile", "A:3,F:4"],
+     "2749c993f6727ce548052c806b3c66c8cfa4e3e1b7860bc478fecb51cb54c79f"),
+    (["classical", "search", "--k", "13"],
+     "9365a35f94ccde740d6d7f07fa9829c7f5ff37fd5a687b665ded2f70cc0305ce"),
+    (["bounds", "--family", "A"],
+     "3968edaf6143e6406dff2ce03a9d831c8a68783f524e1647e3f2a8bcd65a0cda"),
+    (["bounds", "--family", "F"],
+     "c916b87a5c30d0faab05f53d36499023c527bc5cbc220244192f66573f17799e"),
+    (["bounds", "--family", "L"],
+     "2b4c44ae9c8cfe2090964f81f551b910f5c5d26bc55175f0c38cf479475f4ed5"),
+    (["bounds", "--family", "N"],
+     "0e35dee9bcea432a7803fd5aedfbd9de5e7c525fcd844204d033d0e426b2a7e8"),
+    (["gap-report", "--k", "4", "13", "--trials", "50"],
+     "c27d55449a423273da5e78c5570a2af715885bafc9fe5758f4b506f8d8df47d3"),
+    (["quantum-run", "--k", "7", "--trials", "200", "--seed", "3"],
+     "453651a301c5488acd4abe578e9588a782581da0d6a604b6122ab0e82799af12"),
+    (["quantum-run", "--k", "100", "--engine", "analytic", "--trials", "1000", "--seed", "4"],
+     "bb88ef234b3d7f2263772d873e8d53d01776c1c0cbb638ebd0976242c4939b7a"),
+    (["quantum-verify"],
+     "e28717fdc5af62636efee61416279384454601b33e58b2a998f5b1d08c5144d2"),
+]
 
 
 def run_cli(capsys, argv):
@@ -51,7 +77,7 @@ class TestQuantumVerify:
         names = [c["name"] for c in env["payload"]["checks"]]
         assert names == ["root-cube-and-class-step", "dim2-swap", "class-sweep"]
         assert "token" not in env["payload"]
-        assert env["config"] == {"k": [4, 7], "tampered": False}
+        assert env["config"] == {"k": [4, 7]}
 
     def test_class_sweep_reports_worst_deviation_per_k(self, capsys):
         code, env = run_json(capsys, ["quantum-verify"])
@@ -62,11 +88,6 @@ class TestQuantumVerify:
         assert len(deviations) == 2
         assert all(0.0 <= d <= 1e-10 for d in deviations)
         assert sweep["ok"] is True
-
-    def test_tamper_fails_with_exit_one(self, capsys):
-        code, env = run_json(capsys, ["quantum-verify", "--debug-tamper"])
-        assert code == 1
-        assert env["payload"]["ok"] is False
 
     def test_failed_branch_search_writes_a_failing_payload(self, capsys, failed_root_check):
         code, env = run_json(capsys, ["quantum-verify"])
@@ -87,7 +108,7 @@ class TestQuantumVerify:
 
     @pytest.mark.parametrize("argv, message", [
         (["--k", "4", "5"], "party count must be >= 4 and 1 mod 3, got 5"),
-        (["--k", "16", "--debug-tamper"], "verification needs dense states; k=16 exceeds 13"),
+        (["--k", "16"], "verification needs dense states; k=16 exceeds 13"),
     ], ids=["party-count", "dense-bound"])
     def test_bad_k_fails_before_any_gate(self, capsys, monkeypatch, argv, message):
         # Every k is checked before the root gate is built or checked.
@@ -110,6 +131,10 @@ class TestQuantumRun:
         assert code == 0
         assert env["payload"]["successes"] == 100
         assert env["payload"]["failures"] == 0
+
+    def test_config_is_the_parsed_options(self, capsys):
+        _, env = run_json(capsys, ["quantum-run", "--k", "4", "--trials", "5", "--records"])
+        assert env["config"] == {"engine": "dense", "k": 4, "records": True, "seed": 0, "trials": 5}
 
     def test_fixed_seed_is_byte_identical(self, capsys):
         argv = ["quantum-run", "--k", "7", "--trials", "60", "--seed", "9"]
@@ -294,7 +319,9 @@ class TestClassical:
 
     def test_eval_bad_strategy_is_usage_error(self, capsys):
         assert cli.main(["classical", "eval", "--strategy", "01", "--k", "4"]) == 2
-        assert cli.main(["classical", "eval", "--k", "4"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["classical", "eval", "--k", "4"])
+        assert excinfo.value.code == 2
         assert cli.main(
             ["classical", "eval", "--profile", "A:2", "--k", "4"]
         ) == 2
@@ -551,30 +578,8 @@ class TestHarness:
         assert capsys.readouterr().out == ""
         assert path.read_bytes() == out.encode()
 
-    @pytest.mark.parametrize("argv, digest", [
-        (["classical", "example"],
-         "ef9fca9ddabaf2e8732200a879e2e1cda8c4596bec151b7da01ccc17bd151e67"),
-        (["classical", "eval", "--k", "7", "--profile", "A:3,F:4"],
-         "2749c993f6727ce548052c806b3c66c8cfa4e3e1b7860bc478fecb51cb54c79f"),
-        (["classical", "search", "--k", "13"],
-         "9365a35f94ccde740d6d7f07fa9829c7f5ff37fd5a687b665ded2f70cc0305ce"),
-        (["bounds", "--family", "A"],
-         "3968edaf6143e6406dff2ce03a9d831c8a68783f524e1647e3f2a8bcd65a0cda"),
-        (["bounds", "--family", "F"],
-         "c916b87a5c30d0faab05f53d36499023c527bc5cbc220244192f66573f17799e"),
-        (["bounds", "--family", "L"],
-         "2b4c44ae9c8cfe2090964f81f551b910f5c5d26bc55175f0c38cf479475f4ed5"),
-        (["bounds", "--family", "N"],
-         "0e35dee9bcea432a7803fd5aedfbd9de5e7c525fcd844204d033d0e426b2a7e8"),
-        (["gap-report", "--k", "4", "13", "--trials", "50"],
-         "c27d55449a423273da5e78c5570a2af715885bafc9fe5758f4b506f8d8df47d3"),
-        (["quantum-run", "--k", "7", "--trials", "200", "--seed", "3"],
-         "453651a301c5488acd4abe578e9588a782581da0d6a604b6122ab0e82799af12"),
-        (["quantum-run", "--k", "100", "--engine", "analytic", "--trials", "1000", "--seed", "4"],
-         "bb88ef234b3d7f2263772d873e8d53d01776c1c0cbb638ebd0976242c4939b7a"),
-        (["quantum-verify"],
-         "e28717fdc5af62636efee61416279384454601b33e58b2a998f5b1d08c5144d2"),
-    ])
+    @pytest.mark.parametrize("argv, digest", PINNED_PAYLOADS,
+                             ids=[" ".join(argv) for argv, _ in PINNED_PAYLOADS])
     def test_payload_hash_pinned(self, capsys, argv, digest):
         # These payloads hold flags, counts, exact fractions and floats rounded
         # from them, so their hashes do not depend on the platform.
@@ -588,6 +593,33 @@ class TestHarness:
         assert code == 0
         env = json.loads(path.read_text())
         assert env["command"] == "classical"
+
+    @pytest.mark.parametrize("argv", [
+        ["classical", "example", "--k", "13"],
+        ["classical", "example", "--profile", "A:13"],
+        ["classical", "search", "--strategy", "A"],
+        ["classical", "search", "--k", "4", "--long-run"],
+        ["quantum-verify", "--debug-tamper"],
+    ], ids=" ".join)
+    def test_option_the_command_does_not_read_exits_two(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+
+    def test_closed_stdout_exits_one_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "tritgame", "gap-report", "--k", "4", "--trials", "10"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert "Exception ignored" not in result.stderr
 
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:

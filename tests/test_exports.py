@@ -60,4 +60,4 @@ def test_verification_chain_has_no_knobs():
     for function in (qudit.root_gate, protocol.verify_class_stepping, qudit.verify_dim2_swap,
                      qudit.class_step_ok, protocol.dense_pre_measurement_state):
         params = set(inspect.signature(function).parameters)
-        assert not params & {"branch", "tol", "gate"}, function.__name__
+        assert not params & {"branch", "tol", "gate", "_perturb"}, function.__name__

@@ -455,11 +455,11 @@ class TestAnalyticEngine:
         with pytest.raises(AnalyticEngineLockedError):
             run_analytic_batch(rows((1, 1, 1, 1)), np.random.default_rng(0), cert)
 
-    def test_certificate_outlives_a_failed_verification(self, stepping_cert):
+    def test_certificate_outlives_a_failed_verification(self, stepping_cert, failed_root_check):
         # A later failed call leaves the certificate in hand valid: nothing
         # but the certificate decides whether the engine runs.
         with pytest.raises(protocol.VerificationError):
-            verify_class_stepping(_perturb=1e-6)
+            verify_class_stepping()
         outcomes = run_analytic_batch(rows((0, 0, 0, 1)), np.random.default_rng(0), stepping_cert)
         assert outcomes.sum() % 3 == 1
 
@@ -513,9 +513,9 @@ class TestAnalyticEngine:
 
 
 class TestVerification:
-    def test_tamper_hook_fails(self):
+    def test_tamper_hook_fails(self, failed_root_check):
         with pytest.raises(protocol.VerificationError):
-            verify_class_stepping(_perturb=1e-6)
+            verify_class_stepping()
 
     def test_dim2_check_can_fail(self, monkeypatch):
         # With R replaced by NOT, R (x) R keeps the even Bell pair even, so the
