@@ -35,7 +35,6 @@ from .classical import (
     ten_player_worked_example,
     strategy_groups,
     strategy_orbit_reps,
-    transcript_class_count,
 )
 from .combinat import (
     binomial,
@@ -84,7 +83,6 @@ __all__ = [
     "best_homogeneous", "canonical_division", "crt_primes", "evaluate_collapsed",
     "evaluate_exhaustive", "evaluator_metrics", "exhaustive_transcript_counts",
     "ten_player_worked_example", "strategy_groups", "strategy_orbit_reps",
-    "transcript_class_count",
     # bounds
     "BoundRow", "bound_A", "bound_F", "bound_L", "bound_N", "convergence_table", "plus_op",
 ]

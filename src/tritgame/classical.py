@@ -7,7 +7,7 @@ admissible inputs (uniform prior, ties toward the smallest value).  Two
 independent evaluators compute the referee's exact success probability:
 
 * :func:`evaluate_exhaustive` counts every admissible input by full
-  transcript (feasible up to k = 7; k = 10 behind ``long_run``).  Each
+  transcript, up to k = :data:`EXHAUSTIVE_MAX_K` (13).  Each
   half of the parties is histogrammed once by half transcript, zero
   count mod 9 and trit sum mod 3, and three integer matrix products join
   the halves into the counts per global value.
@@ -38,9 +38,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .combinat import binomial, grouped_sum
-from .protocol import check_party_count
-from .qudit import digit_sums
+from .combinat import binomial, check_party_count, digit_sums, grouped_sum
 
 #: Register values in serialization order; a strategy string lists the sent
 #: trit for each of these six values in this order.
@@ -188,7 +186,7 @@ def _half_histogram(luts: Sequence[np.ndarray]) -> np.ndarray:
     n = len(luts)
     patterns = np.arange(2**n)
     zeros = n - (patterns[:, None] >> np.arange(n) & 1).sum(axis=1)
-    column = 3 * (zeros % 9)[:, None] + digit_sums(3, n) % 3  # (2^n, 3^n)
+    column = 3 * (zeros % 9)[:, None] + digit_sums(n) % 3  # (2^n, 3^n)
     flat = _half_codes(luts) * 27 + column
     return np.bincount(flat.reshape(-1), minlength=3**n * 27).reshape(3**n, 27)
 
@@ -210,33 +208,32 @@ def _join_masks() -> np.ndarray:
     return masks
 
 
-def exhaustive_in_bound(k: int, long_run: bool) -> bool:
-    """Whether the exhaustive oracle enumerates k parties: k <= 7, or k = 10 with ``long_run``."""
-    return k <= 7 or (long_run and k == 10)
-
+#: Largest party count the exhaustive oracle enumerates, the dense engine's
+#: cap too; at k = 13 its (3^13, 3) int64 count array alone takes 38 MB.
+EXHAUSTIVE_MAX_K = 13
 
 #: How :func:`exhaustive_transcript_counts` covers the admissible inputs.
 EXHAUSTIVE_METHOD = "half histograms joined by zero count and global value"
 
 
-def exhaustive_transcript_counts(profile: StrategyProfile, long_run: bool = False) -> np.ndarray:
+def exhaustive_transcript_counts(profile: StrategyProfile) -> np.ndarray:
     """(3^k, 3) exact counts of admissible inputs per transcript and global value.
 
     Row c is the transcript whose sent trits, read in base 3 with party 1
     most significant, give c; column v counts the admissible (trit vector,
     bit vector) inputs that send it and have global value v = (trit sum +
-    zero count / 3) mod 3.  Every input is covered, about 20 million at
-    k = 10, without a loop over them: the parties split at h = k // 2, and
+    zero count / 3) mod 3.  Every input is covered, about 4.4 billion at
+    k = 13, without a loop over them: the parties split at h = k // 2, and
     each half counts its inputs by half transcript, zero count mod 9 and
     trit sum mod 3 (:func:`_half_histogram`).  An input is a pair of half
     inputs, so the counts of global value g are the integer product
     hi @ masks[g] @ lo.T (:func:`_join_masks`), whose entry (c_hi, c_lo)
-    is transcript c_hi * 3^(k-h) + c_lo.  Bounded by
-    :func:`exhaustive_in_bound`.
+    is transcript c_hi * 3^(k-h) + c_lo.  Refuses k above
+    :data:`EXHAUSTIVE_MAX_K`.
     """
     k = profile.k
-    if not exhaustive_in_bound(k, long_run):
-        raise ValueError(f"enumeration bound exceeded for k={k}; pass long_run=True for k=10")
+    if k > EXHAUSTIVE_MAX_K:
+        raise ValueError(f"enumeration bound exceeded for k={k} > {EXHAUSTIVE_MAX_K}")
 
     h = k // 2
     luts = [s.lookup_array() for s in profile.strategies]
@@ -254,16 +251,15 @@ def referee_success(per_transcript: np.ndarray) -> Fraction:
     return Fraction(numerator, denominator)
 
 
-def evaluate_exhaustive(profile: StrategyProfile, long_run: bool = False) -> Fraction:
+def evaluate_exhaustive(profile: StrategyProfile) -> Fraction:
     """Referee success probability over every admissible input.
 
     Counts every admissible (trit vector, bit vector) pair by its exact
     transcript (:func:`exhaustive_transcript_counts`, two half histograms
     joined by matrix products) and sums the per-transcript maximum, in
-    exact integer arithmetic throughout.  Bounded to k <= 7 unless
-    ``long_run`` admits k = 10 (about 20 million inputs).
+    exact integer arithmetic throughout.  Bounded to k <= :data:`EXHAUSTIVE_MAX_K`.
     """
-    return referee_success(exhaustive_transcript_counts(profile, long_run))
+    return referee_success(exhaustive_transcript_counts(profile))
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +340,11 @@ def crt_primes(k: int) -> tuple[int, ...]:
     return _primes_past(6**k)
 
 
-def evaluator_metrics(k: int, classes: int, orbits: int, work: Counter) -> dict:
+def evaluator_metrics(k: int, work: Counter) -> dict:
     """Report of a collapsed-evaluator run at k parties: evaluator, primes, exact range.
 
-    ``classes`` and ``orbits`` are the profile's transcript classes and the
-    strategy orbits evaluated, echoed into the report; ``work`` is the
-    counter the evaluator filled (:func:`_collapsed_value`).
+    ``work`` is the counter the evaluator filled (:func:`_collapsed_value`,
+    :func:`best_homogeneous`); a key it lacks reads 0.
     """
     primes = crt_primes(k)
     return {
@@ -357,8 +352,8 @@ def evaluator_metrics(k: int, classes: int, orbits: int, work: Counter) -> dict:
         "primes": list(primes),
         # Values below 2^crt_bound_bits are exact; the last prime is redundant.
         "crt_bound_bits": math.prod(primes[:-1]).bit_length() - 1,
-        "transcript_classes": classes,
-        "strategy_orbits": orbits,
+        "transcript_classes": work["transcript_classes"],
+        "strategy_orbits": work["strategy_orbits"],
         "classes_scanned": work["classes_scanned"],
         "prime_class_products": work["prime_class_products"],
     }
@@ -554,15 +549,6 @@ def _largest(digits: list[np.ndarray]) -> np.ndarray:
     return best
 
 
-def _class_count(groups: list[tuple[Strategy, int]]) -> int:
-    return math.prod((size + 1) * (size + 2) // 2 for _, size in groups)
-
-
-def transcript_class_count(profile: StrategyProfile) -> int:
-    """Transcript classes of ``profile``, counting those the scan skips as empty."""
-    return _class_count(strategy_groups(profile))
-
-
 def evaluate_collapsed(profile: StrategyProfile, work: Counter | None = None) -> Fraction:
     """Referee success probability over transcript classes, in the character domain.
 
@@ -683,10 +669,12 @@ def _collapsed_value(
     every prime of ``primes``; the numerator is summed mod each prime and
     reconstructed once.  The denominator is the number of admissible inputs,
     3^k * sum_i C(k, 3i), which the summed class totals must match.
-    ``work``, when given, gains the classes scanned (``classes_scanned``)
-    and those classes times the counting primes (``prime_class_products``).
+    ``work``, when given, gains the profile's transcript classes, counting
+    those the scan skips as empty (``transcript_classes``), the classes
+    scanned (``classes_scanned``) and those classes times the counting
+    primes (``prime_class_products``).
     """
-    n_classes = _class_count(groups)
+    n_classes = math.prod((size + 1) * (size + 2) // 2 for _, size in groups)
     if n_classes > _MAX_CLASSES:
         raise ValueError(
             f"profile has too many transcript classes ({n_classes}); "
@@ -702,7 +690,8 @@ def _collapsed_value(
         total = (total + class_total) % tables.modulus
         scanned += mults.shape[1]
     if work is not None:
-        work.update(classes_scanned=scanned, prime_class_products=scanned * len(counting.primes))
+        work.update(transcript_classes=n_classes, classes_scanned=scanned,
+                    prime_class_products=scanned * len(counting.primes))
 
     k = sum(size for _, size in groups)
     denominator = 3**k * grouped_sum(k, 0, 3)
@@ -744,12 +733,15 @@ def best_homogeneous(k: int, work: Counter | None = None) -> tuple[Strategy, Fra
     evaluator, each as one group of k parties, and returns the first
     maximizer.  Each orbit's representative is its smallest member, so
     this is also the first maximizer in lexicographic order among all 729
-    tables.  ``work``, when given, sums the scans' counters.
+    tables.  ``work``, when given, sums the scans' counters and gains the
+    orbits evaluated (``strategy_orbits``).
     """
     check_party_count(k)
     primes = crt_primes(k)
     best_strategy: Strategy | None = None
     best_value: Fraction | None = None
+    if work is not None:
+        work["strategy_orbits"] += len(strategy_orbit_reps())
     for strategy in strategy_orbit_reps():
         value = _collapsed_value([(strategy, k)], primes, work)
         if best_value is None or value > best_value:

@@ -46,6 +46,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .combinat import check_party_count
 from .qudit import (
     DENSE_MAX_K,
     QuditState,
@@ -60,12 +61,6 @@ from .qudit import (
     verify_dim2_swap,
     verify_root_gate,
 )
-
-
-def check_party_count(k: int) -> None:
-    """Rejects a party count that is not 4, 7, 10, ... (>= 4 and 1 mod 3)."""
-    if k < 4 or k % 3 != 1:
-        raise ValueError(f"party count must be >= 4 and 1 mod 3, got {k}")
 
 
 class AnalyticEngineLockedError(RuntimeError):

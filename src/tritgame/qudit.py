@@ -25,6 +25,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .combinat import digit_sums
+
 #: Dense party cap: 3^13 amplitudes is the largest state built.
 DENSE_MAX_K = 13
 
@@ -34,15 +36,6 @@ TOL = 1e-10
 
 class VerificationError(RuntimeError):
     """A protocol verification check failed."""
-
-
-def digit_sums(d: int, k: int) -> np.ndarray:
-    """Digit sum of every length-k base-d string, in basis order."""
-    sums = np.zeros(1, dtype=np.int16)
-    step = np.arange(d, dtype=np.int16)
-    for _ in range(k):
-        sums = (sums[:, None] + step[None, :]).reshape(-1)
-    return sums
 
 
 def _check_size(k: int) -> None:
@@ -139,7 +132,7 @@ def make_sum_class_state(k: int, j: int) -> QuditState:
     _check_size(k)
     if not 0 <= j < 3:
         raise ValueError(f"class label must be in 0..2, got {j}")
-    mask = digit_sums(3, k) % 3 == j
+    mask = digit_sums(k) % 3 == j
     amps = np.zeros(3**k, dtype=np.complex128)
     amps[mask] = 3 ** (-(k - 1) / 2)
     return QuditState(k, amps, _copy=False)

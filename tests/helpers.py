@@ -1,8 +1,8 @@
 """Helpers that only the tests use.
 
 Strategy cells and canonical forms, random profiles, a per-bit-vector
-enumeration that the exhaustive oracle is checked against, a full scan and
-per-class statistics of the collapsed evaluator, a sum-class classifier
+enumeration that the exhaustive oracle is checked against, a full scan, its
+class count and per-class statistics of the collapsed evaluator, a sum-class classifier
 for dense states, and the nine cube-root branches of the shift gate.
 """
 
@@ -33,9 +33,9 @@ from tritgame.classical import (
     crt_primes,
     strategy_groups,
 )
-from tritgame.combinat import grouped_sum
+from tritgame.combinat import digit_sums, grouped_sum
 from tritgame.protocol import admissible_bit_vectors, zero_triples_mod3
-from tritgame.qudit import QuditState, digit_sums, sum_class_deviation
+from tritgame.qudit import QuditState, sum_class_deviation
 
 
 def cells(strategy: Strategy) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -97,7 +97,7 @@ def per_vector_transcript_counts(profile: StrategyProfile) -> np.ndarray:
     # Histogram index code * 3 + g, with the factor 3 folded into the halves.
     hi = _half_codes(luts[:h]) * 3 ** (k - h + 1)
     lo = _half_codes(luts[h:]) * 3
-    global_values = (digit_sums(3, k) + np.arange(3)[:, None]) % 3
+    global_values = (digit_sums(k) + np.arange(3)[:, None]) % 3
 
     vectors = admissible_bit_vectors(k)
     codes = vectors @ (1 << np.arange(k - 1, -1, -1))  # party 1's bit most significant
@@ -161,6 +161,11 @@ def transcript_class_stats(
     digits = _mixed_radix(residues, tables)
     g_counts = tuple(_from_digits([d[v] for d in digits], primes) for v in range(3))
     return TranscriptClassStats(class_id, g_counts, multiplicity)
+
+
+def full_class_count(groups: list[tuple[Strategy, int]]) -> int:
+    """Transcript classes of ``groups``, those that send an empty cell included."""
+    return math.prod(math.comb(size + 2, 2) for _, size in groups)
 
 
 def _full_class_blocks(groups, tables) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -31,6 +31,7 @@ from helpers import (
     canonical,
     cells,
     division_type,
+    full_class_count,
     full_scan_value,
     per_vector_transcript_counts,
     random_profile,
@@ -62,6 +63,13 @@ BEST_HOMOGENEOUS = {
     13: Fraction(1716, 2731),
     31: Fraction(303906051, 715827883),
     61: Fraction(267037541015397434, 768614336404564651),
+}
+
+
+# Exact values of two homogeneous divisions at k=13, the exhaustive oracle's cap.
+K13_DIVISION_VALUES = {
+    "A": Fraction(1716, 2731),
+    "F": Fraction(1462373615, 4354096113),
 }
 
 
@@ -266,17 +274,16 @@ class TestEvaluators:
             assert evaluate_exhaustive(profile) == evaluate_collapsed(profile)
 
     def test_enumeration_bound(self):
-        profile = StrategyProfile.homogeneous(canonical_division("A"), 13)
+        assert classical.EXHAUSTIVE_MAX_K == 13
         with pytest.raises(ValueError, match="enumeration bound"):
-            evaluate_exhaustive(profile)
-        with pytest.raises(ValueError, match="enumeration bound"):
-            evaluate_exhaustive(
-                StrategyProfile.homogeneous(canonical_division("A"), 10)
-            )
+            evaluate_exhaustive(StrategyProfile.homogeneous(canonical_division("A"), 16))
+        for k in (10, 13):
+            profile = StrategyProfile.homogeneous(canonical_division("A"), k)
+            assert evaluate_exhaustive(profile) == trit_reveal_closed_form(k)
 
     def test_long_run_ten_party_enumeration(self):
         profile = StrategyProfile.homogeneous(canonical_division("F"), 10)
-        exhaustive = evaluate_exhaustive(profile, long_run=True)
+        exhaustive = evaluate_exhaustive(profile)
         assert exhaustive == evaluate_collapsed(profile)
         assert exhaustive == Fraction(625969, 1830519)
 
@@ -285,7 +292,7 @@ class TestEvaluators:
         profile = StrategyProfile(
             tuple(Strategy.from_string(s) for s, n in groups for _ in range(n))
         )
-        exhaustive = evaluate_exhaustive(profile, long_run=True)
+        exhaustive = evaluate_exhaustive(profile)
         assert exhaustive == Fraction(88486, 248589)
         assert evaluate_collapsed(profile) == exhaustive
 
@@ -314,7 +321,7 @@ class TestEvaluators:
     @pytest.mark.parametrize("name", K10_PROFILES)
     def test_k10_transcript_counts_match_per_vector_enumeration(self, name):
         profile = K10_PROFILES[name]
-        counts = exhaustive_transcript_counts(profile, long_run=True)
+        counts = exhaustive_transcript_counts(profile)
         assert counts.shape == (3**10, 3)
         assert np.array_equal(counts, per_vector_transcript_counts(profile))
         assert counts.sum() == 3**10 * grouped_sum(10, 0, 3)
@@ -328,7 +335,23 @@ class TestEvaluators:
     def test_four_group_profile_agrees_with_the_oracle(self):
         profile = K10_PROFILES["four groups"]
         assert len(strategy_groups(profile)) == 4
-        assert evaluate_collapsed(profile) == evaluate_exhaustive(profile, long_run=True)
+        assert evaluate_collapsed(profile) == evaluate_exhaustive(profile)
+
+    @pytest.mark.parametrize("name", DIVISION_NAMES)
+    def test_k13_named_divisions_agree_with_the_oracle(self, name):
+        # k = 13 is the oracle's cap: 3^13 transcripts of 4.4 billion inputs.
+        profile = StrategyProfile.homogeneous(canonical_division(name), 13)
+        exhaustive = evaluate_exhaustive(profile)
+        assert exhaustive == evaluate_collapsed(profile)
+        if name in K13_DIVISION_VALUES:
+            assert exhaustive == K13_DIVISION_VALUES[name]
+
+    def test_k13_three_group_profile_agrees_with_the_oracle(self):
+        profile = profile_from_groups([("021201", 4), ("210012", 4), ("220011", 5)])
+        assert len(strategy_groups(profile)) == 3
+        exhaustive = evaluate_exhaustive(profile)
+        assert exhaustive == evaluate_collapsed(profile)
+        assert exhaustive == Fraction(678836, 1990899)
 
     def test_large_last_group_behind_a_prefix(self):
         # 1,891 compositions of the 60-party group exceed one block, so its
@@ -351,7 +374,7 @@ class TestEvaluators:
         counting = tables.prefix(len(counting_primes(groups)))
         sizes = [mult.shape[1] for _, mult in classical._class_blocks(groups, tables, counting)]
         assert max(sizes) <= 7
-        assert sum(sizes) == classical.transcript_class_count(K7_THREE_GROUPS)
+        assert sum(sizes) == full_class_count(groups)
         assert evaluate_collapsed(K7_THREE_GROUPS) == expected
 
     def test_collapsed_class_count_guard(self):
@@ -501,7 +524,8 @@ class TestCountingPrimes:
             math.comb(size + len(set(s.sent)) - 1, len(set(s.sent)) - 1) for s, size in groups
         )
         assert sum(sizes) == work["classes_scanned"] == expected_classes
-        assert work["classes_scanned"] < classical.transcript_class_count(profile)
+        assert work["transcript_classes"] == full_class_count(groups)
+        assert work["classes_scanned"] < work["transcript_classes"]
         assert work["prime_class_products"] == work["classes_scanned"] * len(counting.primes)
         assert value == full_scan_value(groups, profile.k)
         if profile.k <= 7:

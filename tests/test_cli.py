@@ -317,6 +317,20 @@ class TestClassical:
         assert code == 0
         assert "exhaustive" not in env["payload"]
 
+    def test_eval_cross_checks_below_the_cap_without_a_flag(self, capsys):
+        code, env = run_json(capsys, ["classical", "eval", "--k", "10",
+                                      "--profile", "021201:3,210012:3,220011:4"])
+        assert code == 0
+        assert env["payload"]["evaluators_agree"] is True
+        assert env["payload"]["exhaustive"]["numerator"] == 88486
+
+    def test_eval_long_run_cross_checks_at_the_cap(self, capsys):
+        code, env = run_json(capsys, ["classical", "eval", "--strategy", "A", "--k", "13",
+                                      "--long-run"])
+        assert code == 0
+        assert env["payload"]["evaluators_agree"] is True
+        assert env["payload"]["exhaustive"] == env["payload"]["collapsed"]
+
     def test_eval_bad_strategy_is_usage_error(self, capsys):
         assert cli.main(["classical", "eval", "--strategy", "01", "--k", "4"]) == 2
         with pytest.raises(SystemExit) as excinfo:
@@ -620,6 +634,24 @@ class TestHarness:
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
         assert "Exception ignored" not in result.stderr
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "PYTHONUNBUFFERED=1"])
+    def test_stdout_closed_mid_stream_exits_one_quietly(self, unbuffered):
+        # The reader takes 10 bytes of a 1.4 MB report and closes the pipe.
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered is not None:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        argv = ["quantum-run", "--k", "4", "--trials", "3000", "--records"]
+        with subprocess.Popen([sys.executable, "-m", "tritgame", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            code = proc.wait(timeout=120)
+        assert code == 1
+        assert "Traceback" not in stderr
+        assert "Exception ignored" not in stderr
 
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,7 +1,9 @@
 """The package's export list."""
 
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import tritgame
 from tritgame import bounds, classical, combinat, protocol, qudit
@@ -10,8 +12,9 @@ from tritgame import bounds, classical, combinat, protocol, qudit
 # dispatch layer, the unused grouped-sum parameter tuple, the process-wide
 # verification flag with its reset hook, the helpers only tests call (now in
 # tests/helpers.py), the qudit layer's amplitude cap and the helpers
-# that took its dimension parameter, and the root-branch search with its
-# per-check tolerances.
+# that took its dimension parameter, the root-branch search with its
+# per-check tolerances, the class count the scan now reports itself, and the
+# exhaustive oracle's long-run gate.
 REMOVED = (
     "RegisterInput", "ProtocolRun", "global_function", "decode", "enumerate_admissible",
     "batch_runs", "sample_admissible", "run_dense", "run_analytic", "apply_local",
@@ -20,7 +23,7 @@ REMOVED = (
     "transcript_class_stats", "division_type", "DivisionType", "random_profile",
     "classify_sum_class", "digit_string", "MAX_AMPLITUDES", "_sum_class_state", "_root_gate",
     "_fourier_basis", "RootBranch", "find_valid_root_branch", "verify_root_branch",
-    "_UNITARY_TOL", "_NORM_TOL", "_CERT_TOL",
+    "_UNITARY_TOL", "_NORM_TOL", "_CERT_TOL", "transcript_class_count", "exhaustive_in_bound",
 )
 
 
@@ -61,3 +64,34 @@ def test_verification_chain_has_no_knobs():
                      qudit.class_step_ok, protocol.dense_pre_measurement_state):
         params = set(inspect.signature(function).parameters)
         assert not params & {"branch", "tol", "gate", "_perturb"}, function.__name__
+
+
+def test_exhaustive_oracle_has_no_knobs():
+    # One reach, EXHAUSTIVE_MAX_K: nothing admits a larger k.
+    for function in (classical.evaluate_exhaustive, classical.exhaustive_transcript_counts):
+        assert list(inspect.signature(function).parameters) == ["profile"], function.__name__
+
+
+def _package_imports(module) -> set[str]:
+    """The tritgame modules ``module`` imports, by their name in the package."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            dotted = [a.name for a in node.names if a.name.startswith("tritgame.")]
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or node.module.split(".")[0] == "tritgame"
+        ):
+            base = (node.module or "").removeprefix("tritgame").lstrip(".")
+            dotted = [base] if base else [a.name for a in node.names]
+        else:
+            continue
+        names.update(d.removeprefix("tritgame.") for d in dotted)
+    return names
+
+
+def test_classical_side_does_not_import_the_quantum_side():
+    # The classical evaluators and the bounds count inputs; they share only
+    # the counting rules in combinat with the protocol.
+    for module in (classical, bounds):
+        assert not _package_imports(module) & {"protocol", "qudit", "cli"}, module.__name__
+    assert _package_imports(classical) == {"combinat"}

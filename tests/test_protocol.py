@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tritgame import cli, protocol, qudit
-from tritgame.combinat import binomial
+from tritgame.combinat import binomial, digit_sums
 from tritgame.protocol import (
     AnalyticEngineLockedError,
     admissible_bit_vectors,
@@ -22,7 +22,6 @@ from tritgame.protocol import (
 from tritgame.qudit import (
     LocalGate,
     QuditState,
-    digit_sums,
     make_sum_class_state,
     root_gate,
 )
@@ -543,7 +542,7 @@ class TestVerification:
             worst = 0.0
             for bits in admissible_bit_vectors(k).tolist():
                 amps = dense_pre_measurement_state(k, bits).amplitudes
-                mask = digit_sums(3, k) % 3 == bits.count(0) // 3 % 3
+                mask = digit_sums(k) % 3 == bits.count(0) // 3 % 3
                 target = np.where(mask, 3 ** (-(k - 1) / 2), 0.0).astype(complex)
                 c = np.vdot(target, amps)
                 worst = max(worst, float(np.max(np.abs(amps - c * target))))

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from tritgame import qudit
+from tritgame.combinat import digit_sums
 from tritgame.qudit import (
     LocalGate,
     QuditState,
-    digit_sums,
     evolve,
     inverse_cdf,
     make_sum_class_state,
@@ -135,7 +135,7 @@ class TestSumClassStates:
         nonzero = state.amplitudes[state.amplitudes != 0]
         assert nonzero.size == 3 ** (k - 1)
         np.testing.assert_allclose(nonzero, nonzero[0], atol=1e-15)
-        sums = digit_sums(3, k)
+        sums = digit_sums(k)
         assert np.all(sums[state.amplitudes != 0] % 3 == j)
 
     def test_label_out_of_range(self):
