@@ -70,9 +70,21 @@ class Strategy:
         """Apply a permutation of the sent alphabet."""
         return Strategy(tuple(perm[t] for t in self.sent))
 
-    def shift(self, c: int) -> "Strategy":
-        """Shift the register trit: send for (y + c, x) what was sent for (y, x)."""
-        return Strategy(tuple(self.sent[2 * ((i // 2 - c) % 3) + i % 2] for i in range(6)))
+    def shift(self, c0: int, c1: int | None = None) -> "Strategy":
+        """Shift the register trit by c0 where the bit is 0 and by c1 where it is 1.
+
+        Sends for (y + c_x, x) what was sent for (y, x); ``c1`` defaults to
+        ``c0``, one shift of every register trit.  In every party at once
+        the shift keeps each transcript, and an admissible input's trit sum
+        moves by c0*m + c1*(k - m) = c1 (mod 3), m its zero count, since
+        m = 0 and k = 1 (mod 3): every global value moves by c1, and the
+        group S3 x Z3^2 of relabelings and these shifts keeps a homogeneous
+        profile's success.  In one party alone the global value moves by c0
+        or c1 with that party's bit, which the transcript does not fix, so
+        only c0 = c1 keeps the success of every profile.
+        """
+        c = (c0, c0 if c1 is None else c1)
+        return Strategy(tuple(self.sent[2 * ((i // 2 - c[i % 2]) % 3) + i % 2] for i in range(6)))
 
     def to_string(self) -> str:
         return "".join(str(t) for t in self.sent)
@@ -706,15 +718,22 @@ def _collapsed_value(
 
 @lru_cache(maxsize=1)
 def strategy_orbit_reps() -> tuple[Strategy, ...]:
-    """One representative per orbit of the 729 tables under S3 x Z3.
+    """One representative per orbit of the 729 tables under S3 x Z3^2.
 
-    S3 relabels the sent alphabet.  Z3 shifts the register trit, y -> y + c,
-    in every party at once: that maps admissible inputs one to one, keeps
-    each transcript and moves every global value by k*c = c (mod 3), since
-    k = 1 (mod 3).  Neither changes a homogeneous profile's success
-    probability.  The tables are scanned in lexicographic order and a table
-    not yet seen starts a new orbit, so each of the 44 orbits is
-    represented by its lexicographically smallest member.
+    S3 relabels the sent alphabet.  Z3^2 shifts the register trit by c0
+    where the bit is 0 and by c1 where it is 1 (:meth:`Strategy.shift`),
+    in every party at once: an admissible input has m = 0 (mod 3) zero
+    bits and k = 1 (mod 3), so the shift maps admissible inputs one to
+    one, keeps each transcript and moves every global value by
+    c0*m + c1*(k - m) = c1 (mod 3), a relabeling of the referee's guess.
+    Neither changes a homogeneous profile's success probability.  The
+    tables are scanned in lexicographic order and a table not yet seen
+    starts a new orbit, so each of the 22 orbits is represented by its
+    lexicographically smallest member.
+
+    The per-bit shift holds only when every party shifts at once.  A
+    single party's tables reduce only under S3 x Z3 (c0 = c1), 44 orbits,
+    so these 22 do not reduce the parties of a mixed profile.
     """
     seen: set[Strategy] = set()
     reps: list[Strategy] = []
@@ -722,19 +741,25 @@ def strategy_orbit_reps() -> tuple[Strategy, ...]:
         strategy = Strategy(sent)
         if strategy not in seen:
             reps.append(strategy)
-            seen.update(strategy.shift(c).relabel(perm) for c in range(3) for perm in _PERMS3)
+            seen.update(strategy.shift(c0, c1).relabel(perm)
+                        for c0 in range(3) for c1 in range(3) for perm in _PERMS3)
     return tuple(reps)
 
 
 def best_homogeneous(k: int, work: Counter | None = None) -> tuple[Strategy, Fraction]:
     """Best success probability over all single-strategy profiles at k parties.
 
-    Evaluates the 44 :func:`strategy_orbit_reps` with the collapsed
-    evaluator, each as one group of k parties, and returns the first
-    maximizer.  Each orbit's representative is its smallest member, so
-    this is also the first maximizer in lexicographic order among all 729
-    tables.  ``work``, when given, sums the scans' counters and gains the
-    orbits evaluated (``strategy_orbits``).
+    Evaluates the 22 :func:`strategy_orbit_reps`, one per orbit under
+    S3 x Z3^2 (relabeling the sent trit, shifting the register trit by c0
+    where the bit is 0 and by c1 where it is 1, in every party), with the
+    collapsed evaluator, each as one group of k parties, and returns the
+    first maximizer.  The shift moves every global value by c1, because
+    an admissible input's zero count m is 0 and k is 1 (mod 3), so every
+    table of an orbit has the same value; each orbit's representative is
+    its smallest member, so this is also the first maximizer in
+    lexicographic order among all 729 tables.  ``work``, when given, sums
+    the scans' counters and gains the orbits evaluated
+    (``strategy_orbits``).
     """
     check_party_count(k)
     primes = crt_primes(k)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import os
@@ -42,6 +41,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+
+try:  # the builtin SHA-256: importing hashlib loads OpenSSL, about 3.5 MB of RSS
+    from _sha256 import sha256  # Python <= 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python >= 3.12
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__, protocol
 from .bounds import convergence_table
@@ -100,7 +107,7 @@ def _envelope(command: str, config: dict, report: Report, started: float) -> dic
         "command": command,
         "config": config,
         "payload": report.payload,
-        "payload_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+        "payload_sha256": sha256(canonical.encode()).hexdigest(),
         "version": __version__,
         "duration_seconds": round(time.perf_counter() - started, 6),
     }

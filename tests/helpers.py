@@ -1,6 +1,7 @@
 """Helpers that only the tests use.
 
-Strategy cells and canonical forms, random profiles, a per-bit-vector
+Strategy cells and canonical forms, register-trit orbits and the 44
+S3 x Z3 orbit representatives, random profiles, a per-bit-vector
 enumeration that the exhaustive oracle is checked against, a full scan, its
 class count and per-class statistics of the collapsed evaluator, a sum-class classifier
 for dense states, and the nine cube-root branches of the shift gate.
@@ -52,6 +53,31 @@ def canonical(strategy: Strategy) -> Strategy:
         (strategy.relabel(perm) for perm in itertools.permutations(range(3))),
         key=lambda s: s.sent,
     )
+
+
+#: The register-trit shifts (c0, c1) of :meth:`Strategy.shift`: by c0 where
+#: the bit is 0 and by c1 where it is 1.
+PER_BIT_SHIFTS = tuple(itertools.product(range(3), repeat=2))
+
+
+def orbit(strategy: Strategy, shifts: Sequence[tuple[int, int]]) -> set[Strategy]:
+    """The tables ``strategy`` reaches by one of ``shifts`` and a relabeling of the sent alphabet."""
+    return {
+        strategy.shift(c0, c1).relabel(perm)
+        for c0, c1 in shifts
+        for perm in itertools.permutations(range(3))
+    }
+
+
+#: The smallest table of each orbit under S3 x Z3, where Z3 shifts every
+#: register trit by one c (c0 = c1), in lexicographic order: 44 tables.
+#: :func:`strategy_orbit_reps` shifts by bit too and keeps 22 of them; the
+#: tests that check values table by table iterate these.
+S3_Z3_REPS = tuple(sorted(
+    {min(orbit(Strategy(t), [(c, c) for c in range(3)]), key=lambda s: s.sent)
+     for t in itertools.product(range(3), repeat=6)},
+    key=lambda s: s.sent,
+))
 
 
 def division_type(strategy: Strategy) -> tuple[int, int, int]:

@@ -3,7 +3,9 @@
 import itertools
 import math
 import random
+from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +21,12 @@ from tritgame.classical import (
     crt_primes,
     evaluate_collapsed,
     evaluate_exhaustive,
+    exhaustive_transcript_counts,
     strategy_groups,
     strategy_orbit_reps,
 )
 
-from helpers import canonical
+from helpers import PER_BIT_SHIFTS, S3_Z3_REPS, canonical, orbit
 
 
 # One table per orbit under relabeling of the sent trit, in lexicographic order.
@@ -57,8 +60,23 @@ def is_prime(n):
     return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+#: The 729 tables as a (729, 6) array, in lexicographic order.
+TABLES = np.array(list(itertools.product(range(3), repeat=6)))
+
+
 def homogeneous_value(strategy, k):
     return evaluate_collapsed(StrategyProfile.homogeneous(strategy, k))
+
+
+@lru_cache(maxsize=None)
+def table_values(k):
+    """Homogeneous value of each of the 729 tables at k, in lexicographic order.
+
+    One evaluation per relabeling class (:data:`CANONICAL_REPS`): relabeling
+    the sent trit relabels the transcripts and keeps the value.
+    """
+    values = {s: homogeneous_value(s, k) for s in CANONICAL_REPS}
+    return tuple(values[canonical(Strategy(tuple(t)))] for t in TABLES.tolist())
 
 
 class TestPrimes:
@@ -148,18 +166,72 @@ class TestOrbits:
         assert s.shift(1).shift(2) == s
         for (y, x) in itertools.product(range(3), range(2)):
             assert s.shift(2).sent[2 * ((y + 2) % 3) + x] == s.sent[2 * y + x]
+        # By bit: c0 where the bit is 0, c1 where it is 1.
+        s = Strategy.from_string("012012")
+        assert s.shift(1, 2).to_string() == "100221"
+        assert s.shift(1, 2).shift(2, 1) == s
+        assert s.shift(1, 1) == s.shift(1)
+        for c0, c1 in PER_BIT_SHIFTS:
+            for (y, x) in itertools.product(range(3), range(2)):
+                c = (c0, c1)[x]
+                assert s.shift(c0, c1).sent[2 * ((y + c) % 3) + x] == s.sent[2 * y + x]
 
-    def test_44_orbits_cover_all_tables(self):
+    def test_22_orbits_cover_all_tables(self):
         reps = strategy_orbit_reps()
-        assert len(reps) == 44
+        assert len(reps) == 22
+        assert list(reps) == sorted(reps, key=lambda t: t.sent)
         covered = set()
         for s in reps:
-            orbit = {s.shift(c).relabel(perm) for c in range(3)
-                     for perm in itertools.permutations(range(3))}
-            assert s == min(orbit, key=lambda t: t.sent)
-            assert not covered & orbit
-            covered |= orbit
+            members = orbit(s, PER_BIT_SHIFTS)
+            assert s == min(members, key=lambda t: t.sent)
+            assert not covered & members
+            covered |= members
         assert len(covered) == 3**6
+        # Each orbit is a union of S3 x Z3 orbits, represented by the smallest.
+        assert len(S3_Z3_REPS) == 44
+        assert set(reps) <= set(S3_Z3_REPS)
+
+    def test_per_bit_shift_moves_every_global_value_by_c1(self):
+        # Exactly, transcript by transcript: an admissible input's m zero bits
+        # are 0 mod 3 and k = 1 mod 3, so its trit sum moves by c1 (mod 3).
+        for s in S3_Z3_REPS:
+            counts = exhaustive_transcript_counts(StrategyProfile.homogeneous(s, 7))
+            for c0, c1 in PER_BIT_SHIFTS:
+                shifted = StrategyProfile.homogeneous(s.shift(c0, c1), 7)
+                assert np.array_equal(
+                    exhaustive_transcript_counts(shifted), np.roll(counts, c1, axis=1)
+                ), (s, c0, c1)
+
+    @pytest.mark.parametrize("k", [4, 7])
+    def test_per_bit_shifts_are_the_only_register_symmetries(self, k):
+        # A permutation pi of the six register values sends for pi(v) what a
+        # table sent for v.  Of the 720, exactly the nine per-bit shifts keep
+        # every table's homogeneous value, so 22 orbits is as few as this gives.
+        values = table_values(k)
+        ids = {v: i for i, v in enumerate(set(values))}
+        value_ids = np.array([ids[v] for v in values])
+        digits = 3 ** np.arange(5, -1, -1)
+        keeping = {
+            pi for pi in itertools.permutations(range(6))
+            if np.array_equal(value_ids[TABLES[:, np.argsort(pi)] @ digits], value_ids)
+        }
+        shifts = {}
+        for c0, c1 in PER_BIT_SHIFTS:
+            pi = tuple(2 * ((i // 2 + (c0, c1)[i % 2]) % 3) + i % 2 for i in range(6))
+            assert TABLES[:, np.argsort(pi)].tolist() == [
+                list(Strategy(tuple(t)).shift(c0, c1).sent) for t in TABLES.tolist()
+            ]
+            shifts[pi] = (c0, c1)
+        assert keeping == set(shifts)
+
+    def test_one_party_keeps_only_the_uniform_shift(self):
+        # Shifting one party by bit moves the global value by c0 or c1 with
+        # its bit, so the 22 orbits do not reduce the parties of a mixed profile.
+        a, deviant = canonical_division("A"), Strategy.from_string("000112")
+        value = evaluate_exhaustive(StrategyProfile((a, a, a, deviant)))
+        for c0, c1 in PER_BIT_SHIFTS:
+            shifted = evaluate_exhaustive(StrategyProfile((a, a, a, deviant.shift(c0, c1))))
+            assert (shifted == value) == (c0 == c1), (c0, c1)
 
     def test_shift_invariance_at_k7(self):
         assert len(CANONICAL_REPS) == 122
@@ -167,6 +239,12 @@ class TestOrbits:
             value = homogeneous_value(s, 7)
             assert homogeneous_value(s.shift(1), 7) == value
             assert homogeneous_value(s.shift(2), 7) == value
+
+    @pytest.mark.parametrize("k", [7, 10])
+    def test_orbit_search_is_the_first_maximizer_of_all_tables(self, k):
+        values = table_values(k)
+        best = max(range(len(values)), key=values.__getitem__)  # the first maximizer
+        assert best_homogeneous(k) == (Strategy(tuple(TABLES[best].tolist())), values[best])
 
     def test_orbit_search_matches_full_scan_at_k13(self):
         best = None

@@ -28,6 +28,7 @@ from tritgame.combinat import grouped_sum
 from tritgame.protocol import admissible_bit_vectors
 
 from helpers import (
+    S3_Z3_REPS,
     canonical,
     cells,
     division_type,
@@ -433,7 +434,7 @@ def counting_primes(groups):
 class TestCountingPrimes:
     @pytest.mark.parametrize("k", [4, 7])
     def test_class_counts_stay_within_the_bound(self, k):
-        profiles = [StrategyProfile.homogeneous(s, k) for s in strategy_orbit_reps()]
+        profiles = [StrategyProfile.homogeneous(s, k) for s in S3_Z3_REPS]
         if k == 7:
             profiles.append(K7_THREE_GROUPS)
         for profile in profiles:
@@ -451,7 +452,7 @@ class TestCountingPrimes:
 
     def test_counting_primes_at_k61_follow_the_largest_cell(self):
         expected = {2: 4, 3: 5, 4: 6, 5: 7, 6: 7}
-        for s in strategy_orbit_reps():
+        for s in S3_Z3_REPS:
             largest = max(s.sent.count(t) for t in range(3))
             assert len(counting_primes([(s, 61)])) == expected[largest], s
 
@@ -483,7 +484,7 @@ class TestCountingPrimes:
     @pytest.mark.parametrize("k", [13, 31])
     def test_homogeneous_values_match_the_full_scan(self, k):
         values = {}
-        for s in strategy_orbit_reps():
+        for s in S3_Z3_REPS:
             values[s] = evaluate_collapsed(StrategyProfile.homogeneous(s, k))
             assert values[s] == full_scan_value([(s, k)], k), s
         best = max(values, key=values.get)  # the first maximizer

@@ -362,14 +362,14 @@ class TestClassical:
         metrics = env["metrics"]
         assert metrics["primes"] == list(crt_primes(13))
         assert metrics["crt_bound_bits"] >= (6**13).bit_length()
-        assert metrics["strategy_orbits"] == 44
-        assert metrics["transcript_classes"] == 44 * 105
+        assert metrics["strategy_orbits"] == 22
+        assert metrics["transcript_classes"] == 22 * 105
         assert "collapsed" in metrics["evaluator"]
         assert "metrics" not in env["payload"]
         canonical = json.dumps(env["payload"], sort_keys=True, separators=(",", ":"))
         assert env["payload_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
 
-    @pytest.mark.parametrize("k, scanned, products", [(31, 17_249, 54_612), (61, 63_179, 312_549)])
+    @pytest.mark.parametrize("k, scanned, products", [(31, 7_617, 24_596), (61, 27_777, 139_321)])
     def test_search_metrics_count_the_scan(self, capsys, k, scanned, products):
         # Classes that send an empty cell are skipped, and each class's
         # counts are computed modulo only the primes its bound needs.
@@ -377,7 +377,7 @@ class TestClassical:
         metrics = env["metrics"]
         assert metrics["classes_scanned"] == scanned
         assert metrics["prime_class_products"] == products
-        assert metrics["transcript_classes"] == 44 * (k + 1) * (k + 2) // 2
+        assert metrics["transcript_classes"] == 22 * (k + 1) * (k + 2) // 2
         assert "classes_scanned" not in env["payload"]
 
     def test_search_metrics_time_each_stage(self, capsys):
@@ -619,6 +619,26 @@ class TestHarness:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 2
+
+    def test_classical_search_does_not_load_openssl(self, tmp_path):
+        # The payload digest comes from the builtin SHA-256: importing
+        # hashlib would load OpenSSL (_hashlib) into every command.
+        script = (
+            "import sys\n"
+            "from tritgame.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, '_hashlib' in sys.modules)\n"
+        )
+        argv = ["classical", "search", "--k", "4", "--output", str(tmp_path / "search.json")]
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0", "False"]
+        env = json.loads((tmp_path / "search.json").read_text())
+        canonical = json.dumps(env["payload"], sort_keys=True, separators=(",", ":"))
+        assert env["payload_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
 
     def test_closed_stdout_exits_one_quietly(self):
         read_end, write_end = os.pipe()
