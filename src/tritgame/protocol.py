@@ -18,12 +18,17 @@ Two interchangeable engines produce the outcomes:
 * :func:`run_dense_batch` simulates the state vector (k <= 13) and
   samples a measurement from it.  Only the first h = k // 2 parties'
   gates touch full-size states: each distinct first-half bit pattern is
-  evolved once (a half state).  The second-half parties' gates act on
-  their own qudits only, so they cannot change the distribution of the
-  first half's outcomes (no-signalling).  The engine therefore draws the
-  first-half digits from the half state's row norms, and evolves only the
-  drawn rows through the second-half gates.  It reports the half states
-  and full-size gates, and the conditional rows and the gates applied to
+  evolved once (a half state).  Gates on different parties commute, so
+  the half states are built along chains of growing zero sets, each from
+  the one before by the gates of its new zeros alone.  The second-half
+  parties' gates act on their own qudits only, so they cannot change the
+  distribution of the first half's outcomes (no-signalling).  The engine
+  therefore draws the first-half digits from each half state's row norms
+  as soon as it is built, and puts the drawn rows on one stack shared by
+  all half states.  A full stack goes through each second-half party's
+  gate in one call, on the rows whose bit is 0 there, and all its digits
+  are drawn at once.  It reports the half states and the full-size gates
+  actually applied, and the conditional rows and the gates applied to
   them (:class:`DenseCounts`).  Every gate goes through
   :func:`qudit.evolve`, the one routine that applies gates to amplitudes,
   whether to a full state or to a stack of rows.
@@ -49,6 +54,7 @@ import numpy as np
 from .combinat import check_party_count
 from .qudit import (
     DENSE_MAX_K,
+    LocalGate,
     QuditState,
     RootCheck,
     VerificationError,
@@ -90,14 +96,14 @@ def zero_triples_mod3(bits: np.ndarray) -> np.ndarray:
     """Zero-triple count mod 3 of every row of an (n, k) bit array.
 
     That is the digit-sum class the shared state lands in.  Validates the
-    array: two dimensions, a valid party count, bits in {0, 1} and a
-    multiple of three zeros in every row.
+    array: two dimensions, a valid party count, integer bits in {0, 1} and
+    a multiple of three zeros in every row.
     """
     if bits.ndim != 2:
         raise ValueError(f"need an (n, k) bit array, got shape {bits.shape}")
     check_party_count(bits.shape[1])
-    if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("bits out of range: every entry must be 0 or 1")
+    if bits.dtype.kind not in "biu" or bits.size and (bits.min() < 0 or bits.max() > 1):
+        raise ValueError("bits out of range: every entry must be the integer 0 or 1")
     zeros = np.count_nonzero(bits == 0, axis=1)
     if np.any(zeros % 3):
         raise ValueError("inadmissible bit vector: zero count is not a multiple of 3")
@@ -112,6 +118,10 @@ def _check_trits(trits: np.ndarray, rows: np.ndarray) -> None:
         raise ValueError("trits out of range: every entry must be 0, 1 or 2")
 
 
+#: Set bits of each byte value.
+_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
+
+
 def sample_admissible_batch(
     k: int, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -120,19 +130,24 @@ def sample_admissible_batch(
     Returns int8 ``(trits, bits)``, both of shape (n, k).  The bits are
     exact rejection samples: uniform bit rows are drawn and kept when their
     zero count is a multiple of 3, which makes every admissible bit vector
-    equally likely (about a third of the rows are kept).  The trits are
+    equally likely (about a third of the rows are kept).  Zeros are counted
+    on the packed bytes, and only the kept rows are unpacked.  The trits are
     drawn uniformly after the bits.
     """
     check_party_count(k)
     if n < 0:
         raise ValueError(f"need a non-negative sample count, got {n}")
+    # Row i's bits are the first k bits of packed[i], most significant
+    # first; the unused low bits of the last byte are masked out of the count.
+    tail_mask = (0xFF << (-k % 8)) & 0xFF
     kept = [np.empty((0, k), dtype=np.int8)]
     have = 0
     while have < n:
         draws = 3 * (n - have) + 8
         packed = rng.integers(0, 256, size=(draws, (k + 7) // 8), dtype=np.uint8)
-        rows = np.unpackbits(packed, axis=1, count=k).view(np.int8)
-        rows = rows[np.count_nonzero(rows == 0, axis=1) % 3 == 0]
+        packed[:, -1] &= tail_mask
+        zeros = k - _POPCOUNT[packed].sum(axis=1)
+        rows = np.unpackbits(packed[zeros % 3 == 0], axis=1, count=k).view(np.int8)
         kept.append(rows)
         have += len(rows)
     bits = np.concatenate(kept)[:n]
@@ -184,7 +199,7 @@ class DenseCounts(NamedTuple):
     """What one dense batch evolved."""
 
     half_states_evolved: int  # distinct first-half bit patterns: one full-size state each
-    gates_applied: int  # root-gate applications to full-size states
+    gates_applied: int  # root gates applied to full-size states: a chain step applies its new zeros' only
     rows_evolved: int  # conditional second-half rows: one per trial
     row_gates_applied: int  # root-gate applications to single rows (s rows through g gates: s * g)
 
@@ -219,63 +234,149 @@ def _sample_rows(
     return rows, remainders
 
 
+def _superset_chains(zero_sets: Sequence[int], h: int) -> list[list[tuple[int, list[int]]]]:
+    """Chains of growing zero sets that visit every distinct first-half pattern once.
+
+    ``zero_sets`` holds distinct patterns of h bits as bit masks of their
+    zeros, party p at bit p.  Taking them by zero count, each chain starts
+    at the first pattern left and grows by the first pattern left whose
+    zero set strictly contains the chain's last one.  Each step is (index
+    into ``zero_sets``, the parties new to the chain), so a chain's first
+    step lists its pattern's whole zero set.  Gates on different parties
+    commute, so a step's state is the state before it after the gates of
+    its new parties.  With all 2^h patterns present this needs C(h, h // 2)
+    chains, as few as any chain cover of the Boolean lattice (de Bruijn,
+    van Ebbenhorst Tengbergen and Kruyswijk, 1951), and 7, 36 and 82 gates
+    at h = 3, 5 and 6.
+    """
+    left = sorted(range(len(zero_sets)), key=lambda i: bin(zero_sets[i]).count("1"))
+    chains = []
+    while left:
+        chain: list[tuple[int, list[int]]] = []
+        below, step = 0, left[0]
+        while step is not None:
+            left.remove(step)
+            new = zero_sets[step] & ~below
+            chain.append((step, [p for p in range(h) if new >> p & 1]))
+            below = zero_sets[step]
+            step = next((i for i in left if (zero_sets[i] & below) == below), None)
+        chains.append(chain)
+    return chains
+
+
+def _measure_tails(
+    rows: np.ndarray, tail_bits: np.ndarray, remainders: np.ndarray, gate: LocalGate
+) -> np.ndarray:
+    """Second-half basis indices drawn from a stack of conditional rows.
+
+    Row i goes through the gate of each party q whose bit ``tail_bits[i, q]``
+    is 0, in party order: one :func:`qudit.evolve` call per party, on the
+    rows whose bit is 0 there.  ``rows`` is overwritten.  One in-place
+    cumsum and one inverse CDF then draw every row's index with its
+    remainder.
+    """
+    for q in range(tail_bits.shape[1]):
+        gated = np.flatnonzero(tail_bits[:, q] == 0)
+        if len(gated):
+            rows[gated] = evolve(rows[gated], gate, [q])
+    cumulative = _possible(np.abs(rows) ** 2)
+    np.cumsum(cumulative, axis=1, out=cumulative)
+    return inverse_cdf(cumulative, remainders)
+
+
 def run_dense_batch(
     bits: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, DenseCounts]:
     """Measurement outcomes of full state-vector runs, one row per trial.
 
     Only the first h = k // 2 parties' gates are applied to full-size
-    states.  Each distinct first-half bit pattern is evolved once from the
-    class-0 state (suffix bits set to 1), and its (3^h, 3^(k-h)) matrix
-    view is measured in two steps, both driven by the trial's one uniform:
+    states, the half states: the class-0 state after the gates of one
+    distinct first-half bit pattern (suffix bits set to 1).  They are
+    built along :func:`_superset_chains`: a chain's first state is evolved
+    from the class-0 state, and each later one from the state before it,
+    by the gates of its new zeros alone.  Each half state's
+    (3^h, 3^(k-h)) matrix view is measured as soon as it exists, in two
+    steps, both driven by the trial's one uniform:
 
     * The squared norm of row r is the probability that the first h
       parties read r.  The other parties' gates act on their own qudits
       only, so they cannot change it (no-signalling).  The first-half
       digits are drawn by inverse CDF over the row norms.
     * The drawn row divided by its norm is the conditional state of the
-      last k-h parties.  The rows of each distinct bit vector go through
-      its second-half gates as one stack, in one :func:`qudit.evolve` call
-      that checks every row, and the second-half digits are drawn from
-      them with what is left of the uniform.
+      last k-h parties.  These rows go onto one stack shared by all half
+      states, of a third of a half state's amplitudes (3^(h-1) rows), or
+      3^9 amplitudes where that is more.  When it is full, and once at
+      the end, each second-half party's gate is applied in one
+      :func:`qudit.evolve` call to the rows whose bit is 0 there, which
+      checks every row, and the second-half digits are drawn from all
+      rows at once with what is left of the uniforms.
 
-    This draws what an inverse CDF over the fully evolved state draws with
-    the same uniform, except at rounding edges, and no row of impossible
-    probability is drawn.  Returns the int8 (n, k) outcomes and the
-    :class:`DenseCounts`.
+    Only the current half state and the one built from it are alive at
+    a time.  This draws what an inverse CDF over the fully evolved state
+    draws with the same uniform, except at rounding edges, and no row of
+    impossible probability is drawn.  Returns the int8 (n, k) outcomes
+    and the :class:`DenseCounts`.
     """
     zero_triples_mod3(bits)
     n, k = bits.shape
+    h = k // 2
+    width = 3 ** (k - h)
+    # A third of a half state's amplitudes, and never fewer than 3^9 (the
+    # third at k = 10), so that short rows come in stacks long enough to
+    # pay for the calls that measure them.
+    stack_rows = 3 ** max(h - 1, 9 - (k - h))
     gate = root_gate()
     uniforms = rng.random(n)
-    distinct, inverse, counts = np.unique(
-        bits, axis=0, return_inverse=True, return_counts=True
+    zero_sets, inverse, counts = np.unique(
+        (bits[:, :h] == 0) @ (1 << np.arange(h)), return_inverse=True, return_counts=True
     )
-    order = np.argsort(inverse.reshape(-1), kind="stable")
-    h = k // 2
-    prefix_only = distinct.copy()
-    prefix_only[:, h:] = 1
-    new_half = np.ones(len(distinct), dtype=bool)
-    new_half[1:] = np.any(distinct[1:, :h] != distinct[:-1, :h], axis=1)
+    chains = _superset_chains(zero_sets.tolist(), h)
+    # Trials in walk order: by half state in the order they are built,
+    # then by trial.  The arrays below are indexed in this order.
+    walk = np.empty(len(zero_sets), dtype=np.int64)
+    walk[[i for chain in chains for i, _ in chain]] = np.arange(len(zero_sets))
+    trials = np.argsort(walk[inverse], kind="stable")
+    tail_bits = bits[trials, h:]
+    drawn = np.empty(n, dtype=np.int64)
+    remainders = np.empty(n)
+    tails = np.empty(n, dtype=np.int64)
+    stack = np.empty((min(stack_rows, n), width), dtype=np.complex128)
+    start = make_sum_class_state(k, 0)
+    gates = end = 0
+    for chain in chains:
+        state = start
+        for i, parties in chain:
+            state = evolve(state, gate, parties)
+            gates += len(parties)
+            matrix = state.amplitudes.reshape(3**h, width)
+            # Squared row norms in one pass: the real and imaginary parts' squares.
+            parts = matrix.view(np.float64)
+            norms = np.einsum("ij,ij->i", parts, parts)
+            begin, end = end, end + counts[i]
+            drawn[begin:end], remainders[begin:end] = _sample_rows(
+                norms, uniforms[trials[begin:end]]
+            )
+            # This half state's trials, in pieces that end where a stack fills.
+            cuts = list(range(begin - begin % stack_rows + stack_rows, end, stack_rows))
+            for lo, hi in zip([begin, *cuts], [*cuts, end]):
+                picked = drawn[lo:hi]
+                stack[lo % stack_rows:(hi - 1) % stack_rows + 1] = (
+                    matrix[picked] / np.sqrt(norms[picked])[:, None]
+                )
+                if hi % stack_rows == 0:
+                    full = slice(hi - stack_rows, hi)
+                    tails[full] = _measure_tails(stack, tail_bits[full], remainders[full], gate)
+            del matrix, parts  # only `state` may carry a half state into the next step
+    if n % stack_rows:
+        rest = slice(n - n % stack_rows, n)
+        tails[rest] = _measure_tails(stack[:n % stack_rows], tail_bits[rest], remainders[rest], gate)
     index = np.empty(n, dtype=np.int64)
-    first = 0
-    for i, count in enumerate(counts):
-        if new_half[i]:
-            half = dense_pre_measurement_state(k, prefix_only[i])
-            matrix = half.amplitudes.reshape(3**h, 3 ** (k - h))
-            row_norms = np.sum(np.abs(matrix) ** 2, axis=1)
-        trials = order[first:first + count]
-        first += count
-        rows, remainders = _sample_rows(row_norms, uniforms[trials])
-        conditional = matrix[rows] / np.sqrt(row_norms[rows])[:, None]
-        conditional = evolve(conditional, gate, np.flatnonzero(distinct[i, h:] == 0).tolist())
-        cumulative = np.cumsum(_possible(np.abs(conditional) ** 2), axis=1)
-        index[trials] = rows * 3 ** (k - h) + inverse_cdf(cumulative, remainders)
+    index[trials] = drawn * width + tails
     # Party 1 owns the most significant base-3 digit of the basis index.
     outcomes = index[:, None] // 3 ** np.arange(k - 1, -1, -1) % 3
     return outcomes.astype(np.int8), DenseCounts(
-        half_states_evolved=int(np.count_nonzero(new_half)),
-        gates_applied=int(np.count_nonzero(prefix_only[new_half] == 0)),
+        half_states_evolved=len(zero_sets),
+        gates_applied=gates,
         rows_evolved=n,
         row_gates_applied=int(np.count_nonzero(bits[:, h:] == 0)),
     )

@@ -4,7 +4,8 @@ Strategy cells and canonical forms, register-trit orbits and the 44
 S3 x Z3 orbit representatives, random profiles, a per-bit-vector
 enumeration that the exhaustive oracle is checked against, a full scan, its
 class count and per-class statistics of the collapsed evaluator, a sum-class classifier
-for dense states, and the nine cube-root branches of the shift gate.
+for dense states, the nine cube-root branches of the shift gate, and a
+rejection sampler that unpacks every drawn row.
 """
 
 from __future__ import annotations
@@ -299,3 +300,26 @@ def branch_root_matrix(r1: int, r2: int) -> np.ndarray:
         ]
     )
     return s_inv @ roots @ s
+
+
+def unpacked_admissible_sample(
+    k: int, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The reference for :func:`sample_admissible_batch`: the same draws, every row unpacked.
+
+    Each drawn bit row is unpacked in full and its zeros are counted on
+    the unpacked bits, so the count never sees the packed bytes' unused
+    bits.
+    """
+    kept = [np.empty((0, k), dtype=np.int8)]
+    have = 0
+    while have < n:
+        draws = 3 * (n - have) + 8
+        packed = rng.integers(0, 256, size=(draws, (k + 7) // 8), dtype=np.uint8)
+        rows = np.unpackbits(packed, axis=1, count=k).view(np.int8)
+        rows = rows[np.count_nonzero(rows == 0, axis=1) % 3 == 0]
+        kept.append(rows)
+        have += len(rows)
+    bits = np.concatenate(kept)[:n]
+    trits = rng.integers(0, 3, size=(n, k), dtype=np.int8)
+    return trits, bits

@@ -1,5 +1,6 @@
 import itertools
 import json
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -26,7 +27,7 @@ from tritgame.qudit import (
     root_gate,
 )
 
-from helpers import classify_sum_class
+from helpers import classify_sum_class, unpacked_admissible_sample
 
 CHI2_99_DF3 = 11.345
 CHI2_99_DF26 = 45.642
@@ -82,6 +83,9 @@ class TestZeroTriples:
         for bits, match in [
             (np.array([[1, 1, 1, 1], [0, 1, 1, 1]], dtype=np.int8), "inadmissible"),
             (np.array([[1, 1, 1, 2]], dtype=np.int8), "bits"),
+            (np.array([[1, 1, 1, -1]], dtype=np.int8), "bits"),
+            (np.array([[0.5, 1, 1, 1]]), "bits"),
+            (np.array([[1.0, 1.0, 1.0, 1.0]]), "bits"),
             (np.ones((2, 5), dtype=np.int8), "party count"),
             (np.ones(4, dtype=np.int8), "shape"),
         ]:
@@ -196,6 +200,18 @@ class TestSampling:
         assert np.array_equal(np.unique(bits, axis=0), np.unique(admissible_bit_vectors(4), axis=0))
         assert set(np.unique(trits).tolist()) == {0, 1, 2}
 
+    @pytest.mark.parametrize("k", [4, 7, 10, 13, 16, 19, 22, 25, 100])
+    def test_packed_zero_count_matches_the_unpacked_rows(self, k):
+        # These k cover every k mod 8, so every number of unused bits in the
+        # last packed byte.  Counting zeros on the bytes keeps exactly the
+        # rows, trits and random stream of counting them on unpacked bits.
+        for seed in (0, 1):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            trits, bits = sample_admissible_batch(k, 500, rng)
+            ref_trits, ref_bits = unpacked_admissible_sample(k, 500, reference)
+            assert np.array_equal(bits, ref_bits) and np.array_equal(trits, ref_trits)
+            assert rng.random() == reference.random()
+
     def test_large_k_is_cheap(self):
         trits, bits = sample_admissible_batch(100, 1, np.random.default_rng(0))
         assert trits.shape == bits.shape == (1, 100)
@@ -279,45 +295,85 @@ class TestDenseEngine:
         assert worst <= 1e-12
 
     def test_batch_evolves_each_distinct_vector_once(self, monkeypatch):
-        # The only full-size states are the half states: each distinct first
-        # half is evolved once from the class-0 state.  The rows of each
-        # distinct vector then go through its second-half gates as one stack,
-        # in one call, with parties counted from party h.
-        k, h = 7, 7 // 2
-        prefixes = []
-        stacks = []  # (first half, second-half zero positions, rows in the stack)
-        pre_measurement = protocol.dense_pre_measurement_state
-        evolve = protocol.evolve
+        # The only full-size states are the half states, built along chains
+        # of growing zero sets: each distinct first half once, either from
+        # the class-0 state or from the state just built, by the gates of
+        # its new zeros alone.  With every first half present that takes 7,
+        # 36 and 82 gates.  The conditional rows then share stacks of at
+        # most stack_rows rows across half states: every stack but the last
+        # is full, and it goes through each second-half party's gate in one
+        # call, on the rows whose bit is 0 there, with parties counted from
+        # party h.
+        for k, chain_gates in [(7, 7), (10, 36), (13, 82)]:
+            self.check_chain_walk_and_stacks(k, chain_gates, monkeypatch)
 
-        def counting_state(k, bits):
-            bits = tuple(bits.tolist())
-            assert bits[h:] == (1,) * (k - h)
-            prefixes.append(bits[:h])
-            return pre_measurement(k, bits)
+    @staticmethod
+    def check_chain_walk_and_stacks(k, chain_gates, monkeypatch):
+        h = k // 2
+        stack_rows = 3 ** max(h - 1, 9 - (k - h))
+        start = make_sum_class_state(k, 0)
+        zero_sets = weakref.WeakKeyDictionary({start: frozenset()})
+        built = []  # zero set of each half state, in the order built
+        last = [weakref.ref(start)]  # the half state built last, held weakly
+        events = []  # ("gate", party, rows) per stack gate call, ("draw", rows) per stack drawn
+        evolve, inverse_cdf = qudit.evolve, qudit.inverse_cdf
 
         def counting_evolve(state, gate, parties):
-            if not isinstance(state, QuditState):
-                assert state.shape[1] == 3 ** (k - h)
-                stacks.append((prefixes[-1], tuple(parties), len(state)))
+            parties = list(parties)
+            if isinstance(state, QuditState):
+                assert state is start or state is last[0](), "a step starts from an older state"
+                below = zero_sets[state]
+                assert below.isdisjoint(parties) and parties == sorted(set(parties))
+                out = evolve(state, gate, parties)
+                zero_sets[out] = below | set(parties)
+                built.append(zero_sets[out])
+                last[0] = weakref.ref(out)
+                return out
+            assert state.shape[1] == 3 ** (k - h) and len(parties) == 1
+            events.append(("gate", parties[0], len(state)))
             return evolve(state, gate, parties)
 
-        monkeypatch.setattr(protocol, "dense_pre_measurement_state", counting_state)
+        def counting_inverse_cdf(cumulative, uniforms):
+            if np.ndim(cumulative) == 2:
+                events.append(("draw", len(cumulative)))
+            return inverse_cdf(cumulative, uniforms)
+
         monkeypatch.setattr(protocol, "evolve", counting_evolve)
-        trits, bits = sample_admissible_batch(k, 300, np.random.default_rng(12))
+        monkeypatch.setattr(protocol, "inverse_cdf", counting_inverse_cdf)
+        _, sampled = sample_admissible_batch(k, 300, np.random.default_rng(12))
+        # One more trial per first half, its suffix completing the zero count.
+        every = np.ones((2**h, k), dtype=np.int8)
+        every[:, :h] = list(itertools.product((0, 1), repeat=h))
+        for row in every:
+            row[h:h + (-np.count_nonzero(row == 0)) % 3] = 0
+        bits = np.concatenate([sampled, every])
+        trits = np.random.default_rng(14).integers(0, 3, size=bits.shape, dtype=np.int8)
         outcomes, counts = run_dense_batch(bits, np.random.default_rng(13))
-        trials = Counter(tuple(row) for row in bits.tolist())
-        expected = [
-            (v[:h], tuple(q for q, bit in enumerate(v[h:]) if bit == 0), n)
-            for v, n in trials.items()
-        ]
-        assert sorted(stacks) == sorted(expected)
-        assert len(stacks) == len(trials) < 300
-        assert len(set(prefixes)) == len(prefixes) == counts.half_states_evolved
-        assert set(prefixes) == {v[:h] for v in trials}
-        assert counts.gates_applied == sum(p.count(0) for p in prefixes)
-        assert counts.rows_evolved == sum(n for _, _, n in stacks) == 300
-        assert counts.row_gates_applied == sum(len(zeros) * n for _, zeros, n in stacks)
-        assert outcomes.shape == (300, 7) and outcomes.dtype == np.int8
+        n = len(bits)
+
+        halves = {frozenset(np.flatnonzero(row[:h] == 0).tolist()) for row in bits}
+        assert len(built) == len(set(built)) == len(halves) == 2**h == counts.half_states_evolved
+        assert set(built) == halves
+        assert counts.gates_applied == chain_gates
+
+        stacks, gated, parties = [], Counter(), []
+        for event in events:
+            if event[0] == "gate":
+                _, party, rows = event
+                parties.append(party)
+                gated[party] += rows
+            else:
+                assert parties == sorted(set(parties))  # one call per party and stack
+                stacks.append(event[1])
+                parties = []
+        assert parties == []
+        assert sum(stacks) == n and max(stacks) <= stack_rows
+        assert stacks[:-1] == [stack_rows] * (len(stacks) - 1)
+        for q in range(k - h):
+            assert gated[q] == np.count_nonzero(bits[:, h + q] == 0)
+        assert counts.rows_evolved == n
+        assert counts.row_gates_applied == sum(gated.values())
+        assert outcomes.shape == (n, k) and outcomes.dtype == np.int8
         assert np.array_equal(decode_batch(trits, outcomes), global_function_batch(trits, bits))
 
     @pytest.mark.parametrize("k", [4, 7, 10, 13])
