@@ -41,6 +41,7 @@ from .combinat import (
     grouped_sum,
     grouped_sum_primed,
     ramus,
+    residue_row,
 )
 from .protocol import (
     AnalyticEngineLockedError,
@@ -69,7 +70,7 @@ from .qudit import (
 __all__ = [
     "__version__",
     # combinatorics
-    "binomial", "grouped_sum", "grouped_sum_primed", "ramus",
+    "binomial", "grouped_sum", "grouped_sum_primed", "ramus", "residue_row",
     # qudit simulation
     "LocalGate", "QuditState", "evolve", "inverse_cdf", "make_sum_class_state",
     "permutation_gate", "root_gate",

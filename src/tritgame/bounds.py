@@ -5,7 +5,9 @@ consistent with a transcript is bounded by a ratio of grouped binomial
 sums, one family per division type: ``bound_A`` (the trit-revealing
 (2,2,2) division), ``bound_F`` ((3,2,1) types), ``bound_L`` and ``bound_N``
 ((4,1,1) types).  All four converge to 1/3 as j grows, which is the
-quantitative content of "the best classical protocol fails".
+quantitative content of "the best classical protocol fails".  Every
+grouped sum is read from :func:`combinat.residue_row`, one exact table of
+Pascal rows summed by residue class mod 3 and mod 9, so any j is cheap.
 
 Values are exact fractions; floats appear only in table renderings.  The
 residue-selection rule ``im_rule`` (how sub-configuration counts attach to
@@ -18,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from operator import itemgetter
+from typing import Callable, Iterable
 
-from .combinat import binomial, grouped_sum, grouped_sum_primed
+from .combinat import binomial, residue_row
 
 ImRule = int | str
 
@@ -58,12 +61,12 @@ def _parties(j: int, a: int = 0) -> int:
     return 3 * j + 1
 
 
-def _residues(im_rule: ImRule) -> tuple[int, ...]:
-    """The residues a rule maximizes over: all three for "max", else its own."""
+def _picker(im_rule: ImRule) -> Callable[[tuple[int, int, int]], int]:
+    """The term a rule takes from three residue terms: the largest for "max", else its own."""
     if im_rule == "max":
-        return (0, 1, 2)
+        return max
     if im_rule in (0, 1, 2):
-        return (im_rule,)
+        return itemgetter(im_rule)
     raise ValueError(f"im_rule must be 0, 1, 2 or 'max', got {im_rule!r}")
 
 
@@ -74,53 +77,50 @@ def bound_A(j: int, i: int, m: int) -> Fraction:
         raise ValueError(f"offset i must be 0 or 1, got {i}")
     if m not in (0, 3, 6):
         raise ValueError(f"offset m must be 0, 3 or 6, got {m}")
-    return Fraction(grouped_sum(n, 1 + i + m, 9), grouped_sum(n, 1 + i, 3))
+    return Fraction(residue_row(n, 9)[1 + i + m], residue_row(n, 3)[1 + i])
 
 
 def bound_F(j: int, a: int, im_rule: ImRule = "max") -> Fraction:
     """(3,2,1) family: one three-value cell, residue a from outside parties."""
     n = _parties(j, a)
-    residues = _residues(im_rule)
+    pick = _picker(im_rule)
     numerator = 2 * binomial(n, a)
     denominator = 0
     for am in range(a, n + 1, 3):
-        if am >= a + 3:
-            numerator += binomial(n, am) * max(grouped_sum(am, r, 3) for r in residues)
-        denominator += binomial(n, am) * 2**am
+        binom = binomial(n, am)
+        if am > a:
+            numerator += binom * pick(residue_row(am, 3))
+        denominator += binom << am
     return Fraction(numerator, denominator)
-
-
-def _l_inner(am: int, rest: int, i_m: int) -> int:
-    # Three (b, c) pairs with b + c = i_m mod 3 over representatives 0..2.
-    return sum(
-        grouped_sum_primed(am, b, 3) * grouped_sum_primed(rest, c, 3)
-        for b in (0, 1, 2)
-        for c in (0, 1, 2)
-        if (b + c) % 3 == i_m
-    )
 
 
 def bound_L(j: int, a: int, im_rule: ImRule = "max") -> Fraction:
-    """(4,1,1) family (mixed cell): primed grouped sums on both bit sides."""
+    """(4,1,1) family (mixed cell): primed grouped sums on both bit sides.
+
+    Summand am is C(n, am) times an inner sum, the rows of am and n - am
+    convolved mod 3: that is the row of n (Vandermonde's identity), or 2^n
+    where a side is primed, at am = 0 and am = n (C(n, am) = 1 there).
+    The C(n, am) add up to row[a].
+    """
     n = _parties(j, a)
-    residues = _residues(im_rule)
-    numerator = 0
-    denominator = 0
-    for am in range(a, n + 1, 3):
-        numerator += binomial(n, am) * max(_l_inner(am, n - am, r) for r in residues)
-        denominator += binomial(n, am) * 2**n
-    return Fraction(numerator, denominator)
+    pick = _picker(im_rule)
+    row = residue_row(n, 3)
+    edges = (a == 0) + (n % 3 == a)
+    return Fraction(pick(row) * (row[a] - edges) + (edges << n), row[a] << n)
 
 
 def bound_N(j: int, a: int) -> Fraction:
-    """(4,1,1) family (single-bit cell); exactly 1/3 whenever a >= 1."""
+    """(4,1,1) family (single-bit cell); exactly 1/3 whenever a >= 1.
+
+    Summand am's numerator power 3^plus_op(am - 1) is 3^am / 3, except
+    1 = (3^0 + 2) / 3 at am = 0.
+    """
     n = _parties(j, a)
-    numerator = 0
-    denominator = 0
+    denominator, power = 0, 3**a  # power = 3^am
     for am in range(a, n + 1, 3):
-        numerator += binomial(n, am) * 3 ** plus_op(am - 1)
-        denominator += binomial(n, am) * 3**am
-    return Fraction(numerator, denominator)
+        denominator += binomial(n, am) * power
+        power *= 27
+    return Fraction(denominator + 2 * (a == 0), 3 * denominator)
 
 
 def convergence_table(

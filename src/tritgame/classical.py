@@ -158,14 +158,7 @@ class StrategyProfile:
 
 def strategy_groups(profile: StrategyProfile) -> list[tuple[Strategy, int]]:
     """Distinct strategies with party counts, in first-appearance order."""
-    order: list[Strategy] = []
-    counts: dict[Strategy, int] = {}
-    for s in profile.strategies:
-        if s not in counts:
-            order.append(s)
-            counts[s] = 0
-        counts[s] += 1
-    return [(s, counts[s]) for s in order]
+    return list(Counter(profile.strategies).items())
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +251,8 @@ def exhaustive_transcript_counts(profile: StrategyProfile) -> np.ndarray:
 
 def referee_success(per_transcript: np.ndarray) -> Fraction:
     """Success of the referee's best guess given (transcripts, 3) admissible counts."""
-    numerator = int(per_transcript.max(axis=1).sum())
+    best = np.maximum(per_transcript[:, 0], per_transcript[:, 1])
+    numerator = int(np.maximum(best, per_transcript[:, 2], out=best).sum())
     denominator = int(per_transcript.sum())
     return Fraction(numerator, denominator)
 
@@ -763,16 +757,12 @@ def best_homogeneous(k: int, work: Counter | None = None) -> tuple[Strategy, Fra
     """
     check_party_count(k)
     primes = crt_primes(k)
-    best_strategy: Strategy | None = None
-    best_value: Fraction | None = None
+    reps = strategy_orbit_reps()
     if work is not None:
-        work["strategy_orbits"] += len(strategy_orbit_reps())
-    for strategy in strategy_orbit_reps():
-        value = _collapsed_value([(strategy, k)], primes, work)
-        if best_value is None or value > best_value:
-            best_strategy, best_value = strategy, value
-    assert best_strategy is not None and best_value is not None
-    return best_strategy, best_value
+        work["strategy_orbits"] += len(reps)
+    values = [_collapsed_value([(strategy, k)], primes, work) for strategy in reps]
+    best = max(range(len(reps)), key=values.__getitem__)  # max keeps the first maximizer
+    return reps[best], values[best]
 
 
 @dataclass(frozen=True)
@@ -810,14 +800,8 @@ def ten_player_worked_example() -> WorkedExampleReport:
     """
     k = 10
     strategy = canonical_division("A")
-    per_m: dict[int, int] = {}
-    labels: dict[int, int] = {}
-    for c in range(k + 1):
-        m = k - c
-        if m % 3 != 0:
-            continue
-        per_m[m] = binomial(k, c)
-        labels[m] = (m // 3) % 3
+    per_m = {m: binomial(k, k - m) for m in range(k - k % 3, -1, -3)}
+    labels = {m: (m // 3) % 3 for m in per_m}
     total = sum(per_m.values())
     g_totals = [0, 0, 0]
     for m, count in per_m.items():

@@ -51,15 +51,33 @@ def binomial(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
-@lru_cache(maxsize=4096)
+#: Per step p, the rows of :func:`residue_row` built so far, row n at index n.
+_RESIDUE_ROWS: dict[int, list[tuple[int, ...]]] = {}
+
+
+def residue_row(n: int, p: int) -> tuple[int, ...]:
+    """Row n of Pascal's triangle by residue class: entry r sums C(n, i) over i = r (mod p).
+
+    Rows come from Pascal's rule on residues, row_{n+1}[r] = row_n[r] +
+    row_n[r-1 mod p], into one table per p that grows to the largest n asked for.
+    """
+    rows = _RESIDUE_ROWS.get(p, ())
+    if not 0 <= n < len(rows):
+        _check_spec(n, 0, p)
+        rows = _RESIDUE_ROWS.setdefault(p, [(1,) + (0,) * (p - 1)])
+        while len(rows) <= n:
+            rows.append(tuple(rows[-1][r] + rows[-1][r - 1] for r in range(p)))
+    return rows[n]
+
+
 def grouped_sum(n: int, q: int, p: int) -> int:
     """Sum of C(n, q+ip) over all i >= 0 with q+ip <= n, exactly.
 
-    Memoized: the bound tables ask for the same few hundred sums tens of
-    thousands of times.
+    A :func:`residue_row` entry less the terms of its class below q.
     """
     _check_spec(n, q, p)
-    return sum(math.comb(n, r) for r in range(q, n + 1, p))
+    below = range(q % p, min(q, n + 1), p)
+    return residue_row(n, p)[q % p] - sum(math.comb(n, r) for r in below)
 
 
 def grouped_sum_primed(n: int, q: int, p: int) -> int:

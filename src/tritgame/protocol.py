@@ -111,11 +111,11 @@ def zero_triples_mod3(bits: np.ndarray) -> np.ndarray:
 
 
 def _check_trits(trits: np.ndarray, rows: np.ndarray) -> None:
-    """Rejects trits shaped unlike ``rows`` or holding a value outside 0..2."""
+    """Rejects trits shaped unlike ``rows``, not integers, or outside 0..2."""
     if trits.shape != rows.shape:
         raise ValueError(f"trits of shape {trits.shape} do not match rows of shape {rows.shape}")
-    if trits.size and (trits.min() < 0 or trits.max() > 2):
-        raise ValueError("trits out of range: every entry must be 0, 1 or 2")
+    if trits.dtype.kind not in "biu" or trits.size and (trits.min() < 0 or trits.max() > 2):
+        raise ValueError("trits out of range: every entry must be the integer 0, 1 or 2")
 
 
 #: Set bits of each byte value.

@@ -140,10 +140,7 @@ def make_sum_class_state(k: int, j: int) -> QuditState:
 
 def permutation_gate() -> LocalGate:
     """Cyclic digit shift: |y> -> |y+1 mod 3>."""
-    m = np.zeros((3, 3))
-    for y in range(3):
-        m[(y + 1) % 3, y] = 1.0
-    return LocalGate(m)
+    return LocalGate(np.roll(np.eye(3), 1, axis=0))
 
 
 @lru_cache(maxsize=1)

@@ -4,8 +4,9 @@ Strategy cells and canonical forms, register-trit orbits and the 44
 S3 x Z3 orbit representatives, random profiles, a per-bit-vector
 enumeration that the exhaustive oracle is checked against, a full scan, its
 class count and per-class statistics of the collapsed evaluator, a sum-class classifier
-for dense states, the nine cube-root branches of the shift gate, and a
-rejection sampler that unpacks every drawn row.
+for dense states, the nine cube-root branches of the shift gate, a
+rejection sampler that unpacks every drawn row, and the four bound
+families summed term by term.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -323,3 +325,47 @@ def unpacked_admissible_sample(
     bits = np.concatenate(kept)[:n]
     trits = rng.integers(0, 3, size=(n, k), dtype=np.int8)
     return trits, bits
+
+
+@cache
+def _direct_grouped_sum(n: int, q: int, p: int) -> int:
+    """Sum of C(n, i) over i = q, q + p, ... <= n, one ``math.comb`` per term."""
+    return sum(math.comb(n, i) for i in range(q, n + 1, p))
+
+
+def _direct_primed(n: int, q: int) -> int:
+    return 1 if n <= 0 else _direct_grouped_sum(n, q, 3)
+
+
+def reference_bound(family: str, j: int, point, im_rule="max") -> Fraction:
+    """The reference for :mod:`tritgame.bounds`: each family summed term by term.
+
+    ``point`` is (i, m) for A and the residue a for F, L and N.  Every
+    grouped sum is a direct sum of ``math.comb`` terms, every inner sum of
+    L runs over the nine (b, c) pairs, and every power is computed afresh,
+    so nothing is shared with the residue-row table the package reads.
+    """
+    n = 3 * j + 1
+    if family == "A":
+        i, m = point
+        return Fraction(_direct_grouped_sum(n, 1 + i + m, 9), _direct_grouped_sum(n, 1 + i, 3))
+    a = point
+    residues = (0, 1, 2) if im_rule == "max" else (im_rule,)
+    terms = range(a, n + 1, 3)
+    if family == "F":
+        numerator = 2 * math.comb(n, a) + sum(
+            math.comb(n, am) * max(_direct_grouped_sum(am, r, 3) for r in residues)
+            for am in terms if am >= a + 3)
+        denominator = sum(math.comb(n, am) * 2**am for am in terms)
+    elif family == "L":
+        numerator = sum(
+            math.comb(n, am) * max(
+                sum(_direct_primed(am, b) * _direct_primed(n - am, c)
+                    for b in range(3) for c in range(3) if (b + c) % 3 == r)
+                for r in residues)
+            for am in terms)
+        denominator = sum(math.comb(n, am) * 2**n for am in terms)
+    else:
+        numerator = sum(math.comb(n, am) * 3 ** max(am - 1, 0) for am in terms)
+        denominator = sum(math.comb(n, am) * 3**am for am in terms)
+    return Fraction(numerator, denominator)

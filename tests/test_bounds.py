@@ -13,6 +13,8 @@ from tritgame.bounds import (
 )
 from tritgame.combinat import grouped_sum
 
+from helpers import reference_bound
+
 THIRD = Fraction(1, 3)
 
 
@@ -176,3 +178,28 @@ class TestConvergenceTable:
         for family in ("Z", "Q"):
             with pytest.raises(ValueError, match="family"):
                 convergence_table(family, [1])
+
+
+class TestDifferential:
+    """Every family at every grid point and rule against the term-by-term reference."""
+
+    J_VALUES = [*range(1, 61), 120]
+
+    @pytest.mark.parametrize("family", ["F", "L"])
+    def test_rule_families(self, family):
+        bound = bound_F if family == "F" else bound_L
+        for j in self.J_VALUES:
+            for a in (0, 1, 2):
+                for rule in ("max", 0, 1, 2):
+                    assert bound(j, a, rule) == reference_bound(family, j, a, rule), (j, a, rule)
+
+    def test_family_a(self):
+        for j in self.J_VALUES:
+            for i in (0, 1):
+                for m in (0, 3, 6):
+                    assert bound_A(j, i, m) == reference_bound("A", j, (i, m)), (j, i, m)
+
+    def test_family_n(self):
+        for j in self.J_VALUES:
+            for a in (0, 1, 2):
+                assert bound_N(j, a) == reference_bound("N", j, a), (j, a)

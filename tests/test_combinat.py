@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tritgame import combinat
 from tritgame.combinat import (
     binomial,
     grouped_sum,
     grouped_sum_primed,
     ramus,
+    residue_row,
 )
 
 
@@ -38,15 +40,19 @@ class TestGroupedSum:
         assert grouped_sum(10, 1, 3) == 341  # C(10,1)+C(10,4)+C(10,7)+C(10,10)
         assert grouped_sum(5, 0, 1) == 32
 
-    def test_memoized_values_match_the_sum(self):
-        grouped_sum.cache_clear()
+    def test_table_values_match_the_sum(self):
         direct = sum(binomial(181, r) for r in range(2, 182, 3))
         assert grouped_sum(181, 2, 3) == direct
         assert grouped_sum(181, 2, 3) == direct
-        assert grouped_sum.cache_info().hits == 1
-        for _ in range(2):  # a rejected call is never cached
+        assert grouped_sum(181, 182, 3) == 0  # the whole class lies below q
+        # A rejected call never extends the table, nor starts one for a new step.
+        grown = len(combinat._RESIDUE_ROWS[3])
+        for call in [lambda: grouped_sum(grown + 500, -1, 3), lambda: grouped_sum(-1, 0, 3),
+                     lambda: residue_row(-1, 3), lambda: residue_row(grown + 500, 0)]:
             with pytest.raises(ValueError):
-                grouped_sum(3, -1, 2)
+                call()
+        assert len(combinat._RESIDUE_ROWS[3]) == grown
+        assert 0 not in combinat._RESIDUE_ROWS
 
     def test_empty_progression(self):
         assert grouped_sum(3, 5, 2) == 0
@@ -68,6 +74,20 @@ class TestGroupedSum:
     @given(st.integers(0, 60), st.integers(0, 12))
     def test_step_one_is_a_tail_sum(self, n, q):
         assert grouped_sum(n, q, 1) == 2**n - sum(binomial(n, r) for r in range(q))
+
+
+class TestResidueRow:
+    def test_examples(self):
+        assert residue_row(0, 3) == (1, 0, 0)
+        assert residue_row(4, 3) == (5, 5, 6)  # C(4,0)+C(4,3), C(4,1)+C(4,4), C(4,2)
+        assert residue_row(5, 1) == (32,)
+
+    @given(st.integers(0, 400), st.sampled_from([3, 9]))
+    def test_row_partitions_two_to_the_n_by_closed_form(self, n, p):
+        row = residue_row(n, p)
+        assert len(row) == p
+        assert sum(row) == 2**n
+        assert list(row) == [round(ramus(n, r, p)) for r in range(p)]
 
 
 class TestGroupedSumPrimed:

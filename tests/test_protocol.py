@@ -115,6 +115,14 @@ class TestRegisterInput:
         with pytest.raises(ValueError, match="inadmissible"):
             global_function_batch(rows((0, 1, 2, 0)), rows((0, 1, 1, 1)))
 
+    def test_float_trits_rejected(self):
+        # 1.5 lies in 0..2, so only the dtype tells it from a trit; it must not truncate to 1.
+        trits = np.array([[1.5, 0, 0, 0]])
+        with pytest.raises(ValueError, match="trits"):
+            global_function_batch(trits, rows((1, 1, 1, 1)))
+        with pytest.raises(ValueError, match="trits"):
+            decode_batch(trits, rows((0, 0, 0, 0)))
+
     def test_trit_shape_must_match_the_rows(self):
         # A single trit row must not broadcast against five bit rows.
         trits = np.zeros((1, 4), dtype=np.int8)
