@@ -18,7 +18,6 @@ from .bounds import (
     bound_L,
     bound_N,
     convergence_table,
-    plus_op,
 )
 from .classical import (
     DIVISION_NAMES,
@@ -39,7 +38,6 @@ from .classical import (
 from .combinat import (
     binomial,
     grouped_sum,
-    grouped_sum_primed,
     ramus,
     residue_row,
 )
@@ -70,7 +68,7 @@ from .qudit import (
 __all__ = [
     "__version__",
     # combinatorics
-    "binomial", "grouped_sum", "grouped_sum_primed", "ramus", "residue_row",
+    "binomial", "grouped_sum", "ramus", "residue_row",
     # qudit simulation
     "LocalGate", "QuditState", "evolve", "inverse_cdf", "make_sum_class_state",
     "permutation_gate", "root_gate",
@@ -85,5 +83,5 @@ __all__ = [
     "evaluate_exhaustive", "evaluator_metrics", "exhaustive_transcript_counts",
     "ten_player_worked_example", "strategy_groups", "strategy_orbit_reps",
     # bounds
-    "BoundRow", "bound_A", "bound_F", "bound_L", "bound_N", "convergence_table", "plus_op",
+    "BoundRow", "bound_A", "bound_F", "bound_L", "bound_N", "convergence_table",
 ]

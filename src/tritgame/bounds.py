@@ -47,11 +47,6 @@ class BoundRow:
         return float(self.value - Fraction(1, 3))
 
 
-def plus_op(z: int) -> int:
-    """z clamped to 0 unless z is a positive integer."""
-    return z if z > 0 else 0
-
-
 def _parties(j: int, a: int = 0) -> int:
     """The party count 3j + 1, after checking j and the residue a."""
     if j < 1:
@@ -112,7 +107,7 @@ def bound_L(j: int, a: int, im_rule: ImRule = "max") -> Fraction:
 def bound_N(j: int, a: int) -> Fraction:
     """(4,1,1) family (single-bit cell); exactly 1/3 whenever a >= 1.
 
-    Summand am's numerator power 3^plus_op(am - 1) is 3^am / 3, except
+    Summand am's numerator power 3^max(am - 1, 0) is 3^am / 3, except
     1 = (3^0 + 2) / 3 at am = 0.
     """
     n = _parties(j, a)

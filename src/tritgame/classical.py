@@ -3,19 +3,24 @@
 Each party partitions its six possible register values (trit, bit) into
 three cells and transmits the cell label.  The referee sees the k-trit
 transcript and guesses the value with the largest count of consistent
-admissible inputs (uniform prior, ties toward the smallest value).  Two
-independent evaluators compute the referee's exact success probability:
+admissible inputs (uniform prior, ties toward the smallest value).
+
+A register value (y, x) has residue s = [x = 0] + 3y (mod 9).  An
+input's residues add up to s = m + 3T (mod 9), m its zero count and T
+its trit sum, so it is admissible exactly when s = 0 (mod 3), and its
+global value is then s / 3.  Two independent evaluators count on this
+group Z9 and compute the referee's exact success probability:
 
 * :func:`evaluate_exhaustive` counts every admissible input by full
   transcript, up to k = :data:`EXHAUSTIVE_MAX_K` (13).  Each
-  half of the parties is histogrammed once by half transcript, zero
-  count mod 9 and trit sum mod 3, and three integer matrix products join
-  the halves into the counts per global value.
+  half of the parties is histogrammed once by half transcript and
+  residue, and three integer matrix products join the halves into the
+  counts per global value.
 * :func:`evaluate_collapsed` groups parties with identical strategies and
   scans transcript classes weighted by their multinomial multiplicity.
-  Per-party contributions live on a 27-state residue ring (zero-bit count
-  mod 9, trit sum mod 3), multiplied pointwise in its characters modulo
-  word-size primes and rebuilt exactly by the Chinese remainder theorem.
+  Per-party contributions are vectors over the residues, multiplied
+  pointwise in the characters of Z9 modulo word-size primes and rebuilt
+  exactly by the Chinese remainder theorem.
   The classes are scanned as a table of all groups but the last times
   slices of the last group, skipping classes that send a trit no party of
   its group can send.  A class's counts are bounded by the product of its
@@ -30,8 +35,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -57,14 +63,20 @@ class Strategy:
     """A party's map from register value (trit, bit) to the sent trit.
 
     ``sent[i]`` is the trit transmitted when the register holds
-    ``REGISTER_VALUES[i]``.
+    ``REGISTER_VALUES[i]``.  Entries are stored as plain ints; integer
+    types such as numpy's and bool convert, floats are rejected.
     """
 
     sent: tuple[int, int, int, int, int, int]
 
     def __post_init__(self) -> None:
-        if len(self.sent) != 6 or any(t not in (0, 1, 2) for t in self.sent):
+        try:
+            sent = tuple(map(operator.index, self.sent))
+        except TypeError:
+            sent = ()
+        if len(sent) != 6 or any(t not in (0, 1, 2) for t in sent):
             raise ValueError(f"strategy table must be six trits, got {self.sent!r}")
+        object.__setattr__(self, "sent", sent)
 
     def relabel(self, perm: Sequence[int]) -> "Strategy":
         """Apply a permutation of the sent alphabet."""
@@ -182,35 +194,18 @@ def _half_codes(luts: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _half_histogram(luts: Sequence[np.ndarray]) -> np.ndarray:
-    """(3^n, 27): input counts of n parties by half transcript and residue column.
+    """(3^n, 9): input counts of n parties by half transcript and residue.
 
-    Column 3u + w holds the (bit pattern, trit vector) pairs with u zero
-    bits (mod 9) and trit sum w (mod 3); every pair is counted once, by one
-    ``bincount`` over :func:`_half_codes`.
+    Column s holds the (bit pattern, trit vector) pairs with residue
+    s = (zero count + 3 * trit sum) mod 9; every pair is counted once, by
+    one ``bincount`` over :func:`_half_codes`.
     """
     n = len(luts)
     patterns = np.arange(2**n)
     zeros = n - (patterns[:, None] >> np.arange(n) & 1).sum(axis=1)
-    column = 3 * (zeros % 9)[:, None] + digit_sums(n) % 3  # (2^n, 3^n)
-    flat = _half_codes(luts) * 27 + column
-    return np.bincount(flat.reshape(-1), minlength=3**n * 27).reshape(3**n, 27)
-
-
-@lru_cache(maxsize=1)
-def _join_masks() -> np.ndarray:
-    """(3, 27, 27) int64, read-only: which pairs of half columns join into global value g.
-
-    Columns a = 3u + w and b = 3u' + w' (zeros mod 9, trit sum mod 3) of
-    the two halves join into an admissible input when u + u' = 0 (mod 3);
-    its global value is g = (w + w' + ((u + u') mod 9) / 3) mod 3, and
-    ``masks[g][a, b]`` is 1 exactly for those pairs.
-    """
-    u, w = np.divmod(np.arange(27), 3)
-    zeros = (u[:, None] + u) % 9
-    g = (w[:, None] + w + zeros // 3) % 3
-    masks = ((zeros % 3 == 0) & (g == np.arange(3)[:, None, None])).astype(np.int64)
-    masks.setflags(write=False)
-    return masks
+    column = (zeros[:, None] + 3 * digit_sums(n)) % 9  # (2^n, 3^n)
+    flat = _half_codes(luts) * 9 + column
+    return np.bincount(flat.reshape(-1), minlength=3**n * 9).reshape(3**n, 9)
 
 
 #: Largest party count the exhaustive oracle enumerates, the dense engine's
@@ -229,12 +224,12 @@ def exhaustive_transcript_counts(profile: StrategyProfile) -> np.ndarray:
     bit vector) inputs that send it and have global value v = (trit sum +
     zero count / 3) mod 3.  Every input is covered, about 4.4 billion at
     k = 13, without a loop over them: the parties split at h = k // 2, and
-    each half counts its inputs by half transcript, zero count mod 9 and
-    trit sum mod 3 (:func:`_half_histogram`).  An input is a pair of half
-    inputs, so the counts of global value g are the integer product
-    hi @ masks[g] @ lo.T (:func:`_join_masks`), whose entry (c_hi, c_lo)
-    is transcript c_hi * 3^(k-h) + c_lo.  Refuses k above
-    :data:`EXHAUSTIVE_MAX_K`.
+    each half counts its inputs by half transcript and residue
+    (:func:`_half_histogram`).  An input is a pair of half inputs, whose
+    residues s and s' join into global value g exactly when
+    s + s' = 3g (mod 9), so the counts of g are the integer product
+    hi @ lo[:, (3g - s) mod 9].T, whose entry (c_hi, c_lo) is transcript
+    c_hi * 3^(k-h) + c_lo.  Refuses k above :data:`EXHAUSTIVE_MAX_K`.
     """
     k = profile.k
     if k > EXHAUSTIVE_MAX_K:
@@ -244,8 +239,8 @@ def exhaustive_transcript_counts(profile: StrategyProfile) -> np.ndarray:
     luts = [s.lookup_array() for s in profile.strategies]
     hi, lo = _half_histogram(luts[:h]), _half_histogram(luts[h:])
     counts = np.empty((len(hi) * len(lo), 3), dtype=np.int64)
-    for g, mask in enumerate(_join_masks()):  # one value's products at a time
-        counts[:, g] = (hi @ mask @ lo.T).reshape(-1)
+    for g in range(3):  # one value's products at a time
+        counts[:, g] = (hi @ lo[:, (3 * g - np.arange(9)) % 9].T).reshape(-1)
     return counts
 
 
@@ -269,18 +264,19 @@ def evaluate_exhaustive(profile: StrategyProfile) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Collapsed evaluator (characters of Z9 x Z3 modulo primes)
+# Collapsed evaluator (characters of Z9 modulo primes)
 # ---------------------------------------------------------------------------
 #
 # A party's consistent register values form a vector in the group ring
-# Z[Z9 x Z3]: state 3*u + w counts the values with u zero bits (mod 9) and
-# trit sum w (mod 3), and a set of parties multiplies (convolves) their
-# vectors.  The 27 characters chi(a, b)(u, w) = z^(a*u + 3*b*w), z a
-# primitive 9th root of unity, turn that convolution into pointwise
-# multiplication (Pollard, "The fast Fourier transform in a finite field",
-# 1971).  Modulo a prime p = 1 (mod 9) z exists in Z/p, so a transcript
-# class is a pointwise product of per-party character values, and one
-# matrix product maps it back to the admissible counts per global value.
+# Z[Z9]: state s counts the values of residue s, and a set of parties
+# multiplies (convolves) their vectors.  The 9 characters
+# chi_c(s) = z^(c*s), z a primitive 9th root of unity, turn that
+# convolution into pointwise multiplication (Pollard, "The fast Fourier
+# transform in a finite field", 1971).  Modulo a prime p = 1 (mod 9) z
+# exists in Z/p, so a transcript class is a pointwise product of per-party
+# character values, and one matrix product maps it back to the admissible
+# counts per global value: the count of g is the inverse transform at
+# state 3g.
 # A party's register value lies in the cell of the trit it sent, so a
 # class's counts are at most B = prod_g m_g^size_g, m_g the largest cell of
 # group g's strategy; the numerator is below 6^k.  The counts are computed
@@ -295,7 +291,7 @@ def evaluate_exhaustive(profile: StrategyProfile) -> Fraction:
 
 #: Transcript classes evaluated per numpy block; bounds the working set.
 _BLOCK = 1024
-#: Primes stay below 2^28, so a 27-term sum of products fits in int64.
+#: Primes stay below 2^28, so a 9-term sum of products fits in int64.
 _PRIME_LIMIT = 1 << 28
 
 
@@ -354,7 +350,7 @@ def evaluator_metrics(k: int, work: Counter) -> dict:
     """
     primes = crt_primes(k)
     return {
-        "evaluator": "collapsed, characters of Z9xZ3 modulo primes",
+        "evaluator": "collapsed, characters of Z9 modulo primes",
         "primes": list(primes),
         # Values below 2^crt_bound_bits are exact; the last prime is redundant.
         "crt_bound_bits": math.prod(primes[:-1]).bit_length() - 1,
@@ -369,29 +365,22 @@ def evaluator_metrics(k: int, work: Counter) -> dict:
 class _PrimeTables:
     """Transform constants for a prime set, stacked along axis 0.
 
-    Rows of ``characters`` are the characters 3a + b, columns the ring
-    states 3u + w; ``inverse`` is the inverse transform (states by
-    characters).  Each global value's admissible states form a coset of
-    H = {(0, 0), (3, 2), (6, 1)}, so only the 9 characters trivial on H,
-    listed in ``folded``, reach ``fold``, which maps their values to the
-    admissible counts per global value.  ``garner[i][j]`` is the inverse
-    of ``primes[j]`` modulo ``primes[i]``.
+    ``characters[c, s]`` is z^(c*s), character c at state s;
+    ``fold[c, g]`` is z^(-3*c*g) / 9, the inverse transform at state 3g,
+    so character values times ``fold`` are the admissible counts per
+    global value.  ``garner[i][j]`` is the inverse of ``primes[j]``
+    modulo ``primes[i]``.
     """
 
     primes: tuple[int, ...]
     modulus: np.ndarray  # (P,)
-    characters: np.ndarray  # (P, 27, 27)
-    inverse: np.ndarray  # (P, 27, 27)
-    folded: np.ndarray  # (9,)
+    characters: np.ndarray  # (P, 9, 9)
     fold: np.ndarray  # (P, 9, 3)
     garner: tuple[tuple[int, ...], ...]
 
     def prefix(self, n: int) -> "_PrimeTables":
         """The tables of the first n primes, as views of these."""
-        return _PrimeTables(
-            self.primes[:n], self.modulus[:n], self.characters[:n], self.inverse[:n],
-            self.folded, self.fold[:n], self.garner[:n],
-        )
+        return _PrimeTables(*(getattr(self, f.name)[:n] for f in fields(self)))
 
 
 def _root_of_unity9(p: int) -> int:
@@ -403,51 +392,40 @@ def _root_of_unity9(p: int) -> int:
 
 @lru_cache(maxsize=8)
 def _prime_tables(primes: tuple[int, ...]) -> _PrimeTables:
-    u, w = np.divmod(np.arange(27), 3)
-    exponent = (np.outer(u, u) + 3 * np.outer(w, w)) % 9
-    onto = np.zeros((27, 3), dtype=np.int64)
-    admissible = u % 3 == 0
-    onto[admissible, ((w + u // 3) % 3)[admissible]] = 1
-    folded = np.flatnonzero((u + 2 * w) % 3 == 0)
-    characters, inverse = [], []
+    c = np.arange(9)
+    characters, fold = [], []
     for p in primes:
         z = _root_of_unity9(p)
         z_pow = np.array([pow(z, e, p) for e in range(9)], dtype=np.int64)
-        characters.append(z_pow[exponent])
-        inverse.append(z_pow[-exponent % 9].T * pow(27, -1, p) % p)
-    modulus = np.array(primes, dtype=np.int64)
-    inverse = np.stack(inverse)
+        characters.append(z_pow[np.outer(c, c) % 9])
+        fold.append(z_pow[-3 * np.outer(c, range(3)) % 9] * pow(9, -1, p) % p)
     return _PrimeTables(
         primes=primes,
-        modulus=modulus,
+        modulus=np.array(primes, dtype=np.int64),
         characters=np.stack(characters),
-        inverse=inverse,
-        folded=folded,
-        fold=inverse.transpose(0, 2, 1)[:, folded] @ onto % modulus[:, None, None],
+        fold=np.stack(fold),
         garner=tuple(tuple(pow(q, -1, p) for q in primes[:i]) for i, p in enumerate(primes)),
     )
 
 
 def _step_polys(sent: tuple[int, ...]) -> np.ndarray:
-    """(3, 27): per sent trit, the ring vector of the consistent register values.
+    """(3, 9): per sent trit, the vector of the consistent register values' residues.
 
-    A register value (y, x) contributes one unit at ring state
-    (u=1 if x==0 else 0, w=y); the vector for sent trit t sums the
-    contributions of t's preimage cell.
+    A register value (y, x) contributes one unit at state
+    (x == 0) + 3y; the vector for sent trit t sums the contributions of
+    t's preimage cell.
     """
-    polys = np.zeros((3, 27), dtype=np.int64)
+    polys = np.zeros((3, 9), dtype=np.int64)
     for (y, x), t in zip(REGISTER_VALUES, sent):
-        polys[t, (1 if x == 0 else 0) * 3 + y] += 1
+        polys[t, (x == 0) + 3 * y] += 1
     return polys
 
 
 def _group_powers(sent: tuple[int, ...], size: int, tables: _PrimeTables) -> np.ndarray:
-    """(3, P, size + 1, 9): folded character values of each step vector to the powers 0..size."""
+    """(3, P, size + 1, 9): character values of each step vector to the powers 0..size."""
     p = tables.modulus[:, None]
-    characters = tables.characters[:, tables.folded]
-    base = (_step_polys(sent) @ characters.transpose(0, 2, 1)) % p[:, None]
-    base = base.transpose(1, 0, 2)
-    out = np.empty((3, len(tables.primes), size + 1, len(tables.folded)), dtype=np.int64)
+    base = (tables.characters @ _step_polys(sent).T % p[:, None]).transpose(2, 0, 1)
+    out = np.empty((3, len(tables.primes), size + 1, 9), dtype=np.int64)
     out[:, :, 0] = 1
     filled = 1
     while filled <= size:  # powers filled..2*filled-1 are powers 0..filled-1 times base^filled
@@ -478,7 +456,7 @@ def _compositions(size: int, primes: tuple[int, ...]) -> tuple[np.ndarray, np.nd
 def _composition_values(
     powers: np.ndarray, comps: np.ndarray, tables: _PrimeTables
 ) -> Iterator[np.ndarray]:
-    """Per prime, (C, 9): folded character values of a group sending ``comps`` (C, 3).
+    """Per prime, (C, 9): character values of a group sending ``comps`` (C, 3).
 
     ``powers`` are the group's step-vector powers (:func:`_group_powers`);
     a composition's value is the product of its three sent trits' powers.
@@ -534,11 +512,7 @@ def _mixed_radix(residues: np.ndarray, tables: _PrimeTables) -> list[np.ndarray]
 
 
 def _from_digits(digits: Sequence[int], primes: Sequence[int]) -> int:
-    value, radix = 0, 1
-    for d, p in zip(digits, primes):
-        value += int(d) * radix
-        radix *= p
-    return value
+    return sum(int(d) * math.prod(primes[:i]) for i, d in enumerate(digits))
 
 
 def _largest(digits: list[np.ndarray]) -> np.ndarray:
@@ -803,9 +777,7 @@ def ten_player_worked_example() -> WorkedExampleReport:
     per_m = {m: binomial(k, k - m) for m in range(k - k % 3, -1, -3)}
     labels = {m: (m // 3) % 3 for m in per_m}
     total = sum(per_m.values())
-    g_totals = [0, 0, 0]
-    for m, count in per_m.items():
-        g_totals[labels[m]] += count
+    g_totals = tuple(sum(c for m, c in per_m.items() if labels[m] == v) for v in range(3))
     majority_count = max(g_totals)
     majority_value = g_totals.index(majority_count)
     return WorkedExampleReport(
@@ -813,7 +785,7 @@ def ten_player_worked_example() -> WorkedExampleReport:
         strategy=strategy,
         per_m_counts=per_m,
         g_label_by_m=labels,
-        g_totals=tuple(g_totals),
+        g_totals=g_totals,
         total=total,
         majority_value=majority_value,
         majority_count=majority_count,

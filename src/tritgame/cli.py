@@ -22,8 +22,8 @@ float rendering.  ``quantum-run`` draws its inputs and outcomes from
 i-th ``--k`` (counting from 0) from ``default_rng([seed, i])``.
 
 Exit codes: 0 all checks passed, 1 a check failed (a failed verification
-of the analytic engine among them) or stdout was closed before the
-output was written, 2 usage error.  Errors print ``error: ...`` to stderr
+of the analytic engine among them) or the output was not written
+(``--output`` could not be opened, or stdout was closed), 2 usage error.  Errors print ``error: ...`` to stderr
 and nothing to stdout.
 """
 
@@ -509,8 +509,12 @@ def main(argv: list[str] | None = None) -> int:
         text = json.dumps(_envelope(args.command, config, report, started), indent=2,
                           sort_keys=True)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --output: {exc}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
         return report.code
     data = memoryview((text if text.endswith("\n") else text + "\n").encode())
     try:

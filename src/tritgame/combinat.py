@@ -80,18 +80,6 @@ def grouped_sum(n: int, q: int, p: int) -> int:
     return residue_row(n, p)[q % p] - sum(math.comb(n, r) for r in below)
 
 
-def grouped_sum_primed(n: int, q: int, p: int) -> int:
-    """Primed variant of :func:`grouped_sum`: defined as 1 whenever n <= 0.
-
-    The unprimed sum would give C(0, 0) = 1 at n = 0 only when q = 0; the
-    primed notation pins the value 1 for every q as soon as the upper index
-    vanishes (or goes negative, where the unprimed sum is undefined).
-    """
-    if n <= 0:
-        return 1
-    return grouped_sum(n, q, p)
-
-
 @lru_cache(maxsize=64)
 def _pi(prec: int) -> Decimal:
     """Pi to ``prec`` significant digits, from Machin's formula."""

@@ -177,7 +177,7 @@ def transcript_class_stats(
     primes = crt_primes(profile.k)
     tables = _prime_tables(primes)
     p = tables.modulus[:, None, None]
-    values = np.ones((len(primes), 1, len(tables.folded)), dtype=np.int64)
+    values = np.ones((len(primes), 1, 9), dtype=np.int64)
     multiplicity = 1
     for (strategy, size), counts in zip(groups, class_id):
         if len(counts) != 3 or any(c < 0 for c in counts) or sum(counts) != size:

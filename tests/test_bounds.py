@@ -9,20 +9,12 @@ from tritgame.bounds import (
     bound_L,
     bound_N,
     convergence_table,
-    plus_op,
 )
 from tritgame.combinat import grouped_sum
 
 from helpers import reference_bound
 
 THIRD = Fraction(1, 3)
-
-
-class TestPlusOp:
-    def test_examples(self):
-        assert plus_op(5) == 5
-        assert plus_op(0) == 0
-        assert plus_op(-2) == 0
 
 
 class TestBoundA:

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritgame.classical import (
+    REGISTER_VALUES,
     Strategy,
     StrategyProfile,
     _collapsed_value,
+    _group_powers,
     _is_prime,
     _prime_tables,
     best_homogeneous,
@@ -54,6 +56,39 @@ def explicit_fold(vec):
         for w in range(3):
             counts[(w + u // 3) % 3] += vec[3 * u + w]
     return counts
+
+
+def convolve9(a, b):
+    """Reference product in Z[Z9]."""
+    out = [0] * 9
+    for s1, x in enumerate(a):
+        for s2, y in enumerate(b):
+            out[(s1 + s2) % 9] += x * y
+    return out
+
+
+def explicit_fold9(vec):
+    """Admissible states (s = 0 mod 3) by global value s/3."""
+    return [vec[0], vec[3], vec[6]]
+
+
+def onto_z9(vec):
+    """Image of a Z[Z9 x Z3] vector under phi(u, w) = u + 3w (mod 9)."""
+    out = [0] * 9
+    for state, x in enumerate(vec):
+        out[(state // 3 + 3 * (state % 3)) % 9] += x
+    return out
+
+
+def ring_characters(p):
+    """(27, 27) characters z^(a*u + 3*b*w) of Z9 x Z3 mod p: rows 3a + b, columns 3u + w."""
+    h = 2
+    while pow(h, (p - 1) // 3, p) == 1:  # z = h^((p-1)/9) must have order 9
+        h += 1
+    z = pow(h, (p - 1) // 9, p)
+    a, b = np.divmod(np.arange(27), 3)
+    return np.array([[pow(z, int(e), p) for e in row]
+                     for row in (np.outer(a, a) + 3 * np.outer(b, b)) % 9], dtype=np.int64)
 
 
 def is_prime(n):
@@ -97,45 +132,94 @@ class TestPrimes:
 class TestTransform:
     PRIMES = crt_primes(13)
 
-    def random_vectors(self, seed, n=20):
+    def random_vectors(self, seed, size=9, n=20):
         rng = random.Random(seed)
         for _ in range(n):
             yield (
-                [rng.randrange(1000) for _ in range(27)],
-                [rng.randrange(1000) for _ in range(27)],
+                [rng.randrange(1000) for _ in range(size)],
+                [rng.randrange(1000) for _ in range(size)],
             )
+
+    def inverse(self, i):
+        """(9, 9) inverse transform z^(-c*s) / 9 mod the i-th prime, states by characters."""
+        p = self.PRIMES[i]
+        z = int(_prime_tables(self.PRIMES).characters[i][1, 1])
+        assert pow(z, 9, p) == 1 and pow(z, 3, p) != 1
+        return np.array([[pow(z, -c * s % 9, p) * pow(9, -1, p) % p for c in range(9)]
+                         for s in range(9)], dtype=np.int64)
 
     def test_inverse_undoes_transform(self):
         tables = _prime_tables(self.PRIMES)
+        for i, p in enumerate(self.PRIMES):
+            z = int(tables.characters[i][1, 1])
+            assert tables.characters[i].tolist() == [
+                [pow(z, c * s, p) for s in range(9)] for c in range(9)
+            ]
         for a, _ in self.random_vectors(1):
             for i, p in enumerate(self.PRIMES):
-                back = tables.inverse[i] @ (tables.characters[i] @ a % p) % p
+                back = self.inverse(i) @ (tables.characters[i] @ a % p) % p
                 assert back.tolist() == a
 
     def test_pointwise_product_is_convolution(self):
         tables = _prime_tables(self.PRIMES)
         for a, b in self.random_vectors(2):
-            expected = convolve(a, b)
+            expected = convolve9(a, b)
             for i, p in enumerate(self.PRIMES):
                 fa = tables.characters[i] @ a % p
                 fb = tables.characters[i] @ b % p
-                back = tables.inverse[i] @ (fa * fb % p) % p
+                back = self.inverse(i) @ (fa * fb % p) % p
                 assert back.tolist() == [c % p for c in expected]
 
     def test_fold_matches_explicit_product(self):
         tables = _prime_tables(self.PRIMES)
+        for i in range(len(self.PRIMES)):  # the inverse transform at states 0, 3 and 6
+            assert tables.fold[i].tolist() == self.inverse(i)[[0, 3, 6]].T.tolist()
         for a, b in self.random_vectors(3):
-            expected = explicit_fold(convolve(a, b))
+            expected = explicit_fold9(convolve9(a, b))
             for i, p in enumerate(self.PRIMES):
                 product = (tables.characters[i] @ a % p) * (tables.characters[i] @ b % p) % p
-                folded = product[tables.folded] @ tables.fold[i] % p
-                assert folded.tolist() == [c % p for c in expected]
+                assert (product @ tables.fold[i] % p).tolist() == [c % p for c in expected]
+
+    def test_residue_map_carries_the_27_state_ring_onto_z9(self):
+        # phi(u, w) = u + 3w (mod 9) is a homomorphism Z9 x Z3 -> Z9 whose
+        # fibres over 0, 3 and 6 are the admissible states of global value
+        # 0, 1 and 2, so it keeps products and folds.
+        tables = _prime_tables(self.PRIMES)
+        for a, b in self.random_vectors(4, size=27):
+            product = convolve(a, b)
+            assert onto_z9(product) == convolve9(onto_z9(a), onto_z9(b))
+            assert explicit_fold(product) == explicit_fold9(onto_z9(product))
+            for i, p in enumerate(self.PRIMES):
+                fa = tables.characters[i] @ onto_z9(a) % p
+                fb = tables.characters[i] @ onto_z9(b) % p
+                folded = (fa * fb % p) @ tables.fold[i] % p
+                assert folded.tolist() == [c % p for c in explicit_fold(product)]
+
+    def test_group_powers_are_the_27_state_characters_trivial_on_h(self):
+        # H = {(0, 0), (3, 2), (6, 1)} is the kernel of phi; the Z9
+        # characters are the Z9 x Z3 characters trivial on it, in order.
+        tables = _prime_tables(self.PRIMES)
+        size = 7
+        for strategy in strategy_orbit_reps():
+            powers = _group_powers(strategy.sent, size, tables)
+            steps = np.zeros((3, 27), dtype=np.int64)
+            for (y, x), t in zip(REGISTER_VALUES, strategy.sent):
+                steps[t, 3 * (x == 0) + y] += 1
+            for i, p in enumerate(self.PRIMES):
+                ring = ring_characters(p)
+                trivial = ring[np.all(ring[:, [0, 3 * 3 + 2, 3 * 6 + 1]] == 1, axis=1)]
+                assert len(trivial) == 9
+                base = steps @ trivial.T % p
+                expected = np.ones((3, 9), dtype=np.int64)
+                for n in range(size + 1):
+                    assert np.array_equal(powers[:, i, n], expected), (strategy, p, n)
+                    expected = expected * base % p
 
 
 @st.composite
 def small_profiles(draw):
-    """Profiles of 1 to 3 distinct strategies at k = 4 or 7, each used at least once."""
-    k = draw(st.sampled_from([4, 7]))
+    """Profiles of 1 to 3 distinct strategies at k = 4, 7 or 10, each used at least once."""
+    k = draw(st.sampled_from([4, 7, 10]))
     n_groups = draw(st.integers(1, 3))
     tables = draw(
         st.lists(

@@ -24,7 +24,7 @@ from tritgame.classical import (
     strategy_groups,
     strategy_orbit_reps,
 )
-from tritgame.combinat import grouped_sum
+from tritgame.combinat import digit_sums, grouped_sum
 from tritgame.protocol import admissible_bit_vectors
 
 from helpers import (
@@ -154,6 +154,23 @@ class TestStrategy:
             Strategy.from_string("12002")
         with pytest.raises(ValueError):
             Strategy.from_string("120031")
+
+    def test_float_trits_rejected(self):
+        with pytest.raises(ValueError, match="six trits"):
+            Strategy((1.0, 0, 2, 1, 0, 2))
+
+    def test_bool_trits_stored_as_ints(self):
+        s = Strategy((True, 0, 2, 1, 0, 2))
+        assert s.to_string() == "102102"
+        assert all(type(t) is int for t in s.sent)
+        assert s == Strategy.from_string("102102")
+
+    def test_numpy_trits_stored_as_ints(self):
+        s = Strategy(tuple(np.array([1, 0, 2, 1, 0, 2], dtype=np.int8)))
+        assert s.to_string() == "102102"
+        assert all(type(t) is int for t in s.sent)
+        profile = StrategyProfile.homogeneous(s, 4)
+        assert evaluate_collapsed(profile) == evaluate_exhaustive(profile)
 
     def test_relabel_and_canonical(self):
         s = Strategy.from_string("221100")
@@ -307,17 +324,22 @@ class TestEvaluators:
         assert oracle_histogram(K7_THREE_GROUPS) == referee_histogram(K7_THREE_GROUPS)
 
     def test_dropping_the_zero_triple_shift_breaks_the_cross_check(self, monkeypatch):
-        # Mutation of the oracle's join rule: g = trit sum mod 3, without the
-        # zero-count term; the admissibility condition is kept.
-        assert evaluate_exhaustive(K7_THREE_GROUPS) == evaluate_collapsed(K7_THREE_GROUPS)
-        u, w = np.divmod(np.arange(27), 3)
-        admissible = (u[:, None] + u) % 3 == 0
-        g = (w[:, None] + w) % 3
-        mutated = (admissible & (g == np.arange(3)[:, None, None])).astype(np.int64)
-        assert mutated.shape == classical._join_masks().shape
-        assert not np.array_equal(mutated, classical._join_masks())
-        monkeypatch.setattr(classical, "_join_masks", lambda: mutated)
-        assert evaluate_exhaustive(K7_THREE_GROUPS) != evaluate_collapsed(K7_THREE_GROUPS)
+        # Mutation of the oracle's residue: the zero count taken mod 3, not
+        # mod 9, so g = trit sum mod 3 without the zero-triple term; the
+        # admissibility condition is kept.
+        def mutated_histogram(luts):
+            n = len(luts)
+            patterns = np.arange(2**n)
+            zeros = n - (patterns[:, None] >> np.arange(n) & 1).sum(axis=1)
+            column = (zeros[:, None] % 3 + 3 * digit_sums(n)) % 9
+            flat = classical._half_codes(luts) * 9 + column
+            return np.bincount(flat.reshape(-1), minlength=3**n * 9).reshape(3**n, 9)
+
+        value = evaluate_collapsed(K7_THREE_GROUPS)
+        assert evaluate_exhaustive(K7_THREE_GROUPS) == value == Fraction(1397, 3483)
+        monkeypatch.setattr(classical, "_half_histogram", mutated_histogram)
+        assert evaluate_exhaustive(K7_THREE_GROUPS) == Fraction(454, 1161)
+        assert evaluate_collapsed(K7_THREE_GROUPS) == value
 
     @pytest.mark.parametrize("name", K10_PROFILES)
     def test_k10_transcript_counts_match_per_vector_enumeration(self, name):
@@ -346,6 +368,12 @@ class TestEvaluators:
         assert exhaustive == evaluate_collapsed(profile)
         if name in K13_DIVISION_VALUES:
             assert exhaustive == K13_DIVISION_VALUES[name]
+
+    @pytest.mark.parametrize("strategy", strategy_orbit_reps(), ids=Strategy.to_string)
+    def test_k13_orbit_reps_agree_with_the_oracle(self, strategy):
+        # The 22 tables the homogeneous search evaluates.
+        profile = StrategyProfile.homogeneous(strategy, 13)
+        assert evaluate_exhaustive(profile) == evaluate_collapsed(profile)
 
     def test_k13_three_group_profile_agrees_with_the_oracle(self):
         profile = profile_from_groups([("021201", 4), ("210012", 4), ("220011", 5)])

@@ -37,6 +37,8 @@ PINNED_PAYLOADS = [
      "ef9fca9ddabaf2e8732200a879e2e1cda8c4596bec151b7da01ccc17bd151e67"),
     (["classical", "eval", "--k", "7", "--profile", "A:3,F:4"],
      "2749c993f6727ce548052c806b3c66c8cfa4e3e1b7860bc478fecb51cb54c79f"),
+    (["classical", "eval", "--k", "10", "--profile", "021201:3,210012:3,220011:4"],
+     "99304f47ba61032350d98fa512ce7b5da340701293e9581b3756e3dfb69bddca"),
     (["classical", "search", "--k", "13"],
      "9365a35f94ccde740d6d7f07fa9829c7f5ff37fd5a687b665ded2f70cc0305ce"),
     (["bounds", "--family", "A"],
@@ -608,6 +610,15 @@ class TestHarness:
         assert code == 0
         env = json.loads(path.read_text())
         assert env["command"] == "classical"
+
+    def test_unwritable_output_exits_one_with_an_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "out.json"
+        code = cli.main(["classical", "search", "--k", "4", "--output", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not path.parent.exists()
 
     @pytest.mark.parametrize("argv", [
         ["classical", "example", "--k", "13"],

@@ -8,7 +8,6 @@ from tritgame import combinat
 from tritgame.combinat import (
     binomial,
     grouped_sum,
-    grouped_sum_primed,
     ramus,
     residue_row,
 )
@@ -88,20 +87,6 @@ class TestResidueRow:
         assert len(row) == p
         assert sum(row) == 2**n
         assert list(row) == [round(ramus(n, r, p)) for r in range(p)]
-
-
-class TestGroupedSumPrimed:
-    def test_zero_upper_index_pins_one(self):
-        assert grouped_sum_primed(0, 0, 3) == 1
-        assert grouped_sum_primed(0, 2, 3) == 1
-        assert grouped_sum_primed(-4, 1, 3) == 1
-
-    def test_matches_unprimed_for_positive_n(self):
-        assert grouped_sum_primed(3, 1, 3) == 3  # C(3,1)
-        assert grouped_sum_primed(10, 1, 3) == 341
-        for n in range(1, 30):
-            for q in range(3):
-                assert grouped_sum_primed(n, q, 3) == grouped_sum(n, q, 3)
 
 
 class TestRamus:

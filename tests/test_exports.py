@@ -13,8 +13,8 @@ from tritgame import bounds, classical, combinat, protocol, qudit
 # verification flag with its reset hook, the helpers only tests call (now in
 # tests/helpers.py), the qudit layer's amplitude cap and the helpers
 # that took its dimension parameter, the root-branch search with its
-# per-check tolerances, the class count the scan now reports itself, and the
-# exhaustive oracle's long-run gate.
+# per-check tolerances, the class count the scan now reports itself, the
+# exhaustive oracle's long-run gate, and two bound helpers nothing called.
 REMOVED = (
     "RegisterInput", "ProtocolRun", "global_function", "decode", "enumerate_admissible",
     "batch_runs", "sample_admissible", "run_dense", "run_analytic", "apply_local",
@@ -24,6 +24,7 @@ REMOVED = (
     "classify_sum_class", "digit_string", "MAX_AMPLITUDES", "_sum_class_state", "_root_gate",
     "_fourier_basis", "RootBranch", "find_valid_root_branch", "verify_root_branch",
     "_UNITARY_TOL", "_NORM_TOL", "_CERT_TOL", "transcript_class_count", "exhaustive_in_bound",
+    "plus_op", "grouped_sum_primed",
 )
 
 
