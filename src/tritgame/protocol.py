@@ -18,20 +18,22 @@ Two interchangeable engines produce the outcomes:
 * :func:`run_dense_batch` simulates the state vector (k <= 13) and
   samples a measurement from it.  Only the first h = k // 2 parties'
   gates touch full-size states: each distinct first-half bit pattern is
-  evolved once (a half state).  Gates on different parties commute, so
-  the half states are built along chains of growing zero sets, each from
-  the one before by the gates of its new zeros alone.  The second-half
-  parties' gates act on their own qudits only, so they cannot change the
-  distribution of the first half's outcomes (no-signalling).  The engine
-  therefore draws the first-half digits from each half state's row norms
-  as soon as it is built, and puts the drawn rows on one stack shared by
-  all half states.  A full stack goes through each second-half party's
-  gate in one call, on the rows whose bit is 0 there, and all its digits
-  are drawn at once.  It reports the half states and the full-size gates
-  actually applied, and the conditional rows and the gates applied to
-  them (:class:`DenseCounts`).  Every gate goes through
-  :func:`qudit.evolve`, the one routine that applies gates to amplitudes,
-  whether to a full state or to a stack of rows.
+  evolved once (a half state).  The half states are built in one walk in
+  Gray-code order of their zero sets, each from the one before: the root
+  gate acts on each party that enters the zero set, its inverse on each
+  that leaves it.  Gates on different parties commute, so any path to a
+  zero set gives its half state.  The second-half parties' gates act on
+  their own qudits only, so they cannot change the distribution of the
+  first half's outcomes (no-signalling).  The engine therefore draws the
+  first-half digits from each half state's row norms as soon as it is
+  built, and puts the drawn rows on one stack shared by all half states.
+  A full stack goes through each second-half party's gate in one call,
+  on the rows whose bit is 0 there, and all its digits are drawn at
+  once.  It reports the half states and the full-size gates actually
+  applied, and the conditional rows and the gates applied to them
+  (:class:`DenseCounts`).  Every gate goes through :func:`qudit.evolve`,
+  the one routine that applies gates to amplitudes, whether to a full
+  state or to a stack of rows.
 * :func:`run_analytic_batch` skips the state entirely and samples the
   outcome string uniformly from the digit-sum class the evolution provably
   lands in.  It runs only on a :class:`SteppingCertificate` from
@@ -110,12 +112,17 @@ def zero_triples_mod3(bits: np.ndarray) -> np.ndarray:
     return (zeros // 3) % 3
 
 
+def _check_digits(name: str, digits: np.ndarray) -> None:
+    """Rejects ``digits`` that are not integers or lie outside 0..2, by name."""
+    if digits.dtype.kind not in "biu" or digits.size and (digits.min() < 0 or digits.max() > 2):
+        raise ValueError(f"{name} out of range: every entry must be the integer 0, 1 or 2")
+
+
 def _check_trits(trits: np.ndarray, rows: np.ndarray) -> None:
     """Rejects trits shaped unlike ``rows``, not integers, or outside 0..2."""
     if trits.shape != rows.shape:
         raise ValueError(f"trits of shape {trits.shape} do not match rows of shape {rows.shape}")
-    if trits.dtype.kind not in "biu" or trits.size and (trits.min() < 0 or trits.max() > 2):
-        raise ValueError("trits out of range: every entry must be the integer 0, 1 or 2")
+    _check_digits("trits", trits)
 
 
 #: Set bits of each byte value.
@@ -169,12 +176,14 @@ def decode_batch(trits: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
     """Each row's decoded value.
 
     Party i transmits (trit + outcome) mod 3; the referee sums the
-    transmissions mod 3.  The trits must match the (n, k) outcomes.
+    transmissions mod 3.  The trits must match the (n, k) outcomes, and
+    both must be integers in 0..2.
     """
     if outcomes.ndim != 2:
         raise ValueError(f"need an (n, k) outcome array, got shape {outcomes.shape}")
     check_party_count(outcomes.shape[1])
     _check_trits(trits, outcomes)
+    _check_digits("outcomes", outcomes)
     return ((trits + outcomes) % 3).sum(axis=1, dtype=np.int64) % 3
 
 
@@ -199,7 +208,7 @@ class DenseCounts(NamedTuple):
     """What one dense batch evolved."""
 
     half_states_evolved: int  # distinct first-half bit patterns: one full-size state each
-    gates_applied: int  # root gates applied to full-size states: a chain step applies its new zeros' only
+    gates_applied: int  # root gates and inverses on full-size states: one per party a step moves
     rows_evolved: int  # conditional second-half rows: one per trial
     row_gates_applied: int  # root-gate applications to single rows (s rows through g gates: s * g)
 
@@ -234,36 +243,6 @@ def _sample_rows(
     return rows, remainders
 
 
-def _superset_chains(zero_sets: Sequence[int], h: int) -> list[list[tuple[int, list[int]]]]:
-    """Chains of growing zero sets that visit every distinct first-half pattern once.
-
-    ``zero_sets`` holds distinct patterns of h bits as bit masks of their
-    zeros, party p at bit p.  Taking them by zero count, each chain starts
-    at the first pattern left and grows by the first pattern left whose
-    zero set strictly contains the chain's last one.  Each step is (index
-    into ``zero_sets``, the parties new to the chain), so a chain's first
-    step lists its pattern's whole zero set.  Gates on different parties
-    commute, so a step's state is the state before it after the gates of
-    its new parties.  With all 2^h patterns present this needs C(h, h // 2)
-    chains, as few as any chain cover of the Boolean lattice (de Bruijn,
-    van Ebbenhorst Tengbergen and Kruyswijk, 1951), and 7, 36 and 82 gates
-    at h = 3, 5 and 6.
-    """
-    left = sorted(range(len(zero_sets)), key=lambda i: bin(zero_sets[i]).count("1"))
-    chains = []
-    while left:
-        chain: list[tuple[int, list[int]]] = []
-        below, step = 0, left[0]
-        while step is not None:
-            left.remove(step)
-            new = zero_sets[step] & ~below
-            chain.append((step, [p for p in range(h) if new >> p & 1]))
-            below = zero_sets[step]
-            step = next((i for i in left if (zero_sets[i] & below) == below), None)
-        chains.append(chain)
-    return chains
-
-
 def _measure_tails(
     rows: np.ndarray, tail_bits: np.ndarray, remainders: np.ndarray, gate: LocalGate
 ) -> np.ndarray:
@@ -292,11 +271,13 @@ def run_dense_batch(
     Only the first h = k // 2 parties' gates are applied to full-size
     states, the half states: the class-0 state after the gates of one
     distinct first-half bit pattern (suffix bits set to 1).  They are
-    built along :func:`_superset_chains`: a chain's first state is evolved
-    from the class-0 state, and each later one from the state before it,
-    by the gates of its new zeros alone.  Each half state's
-    (3^h, 3^(k-h)) matrix view is measured as soon as it exists, in two
-    steps, both driven by the trial's one uniform:
+    built in one walk, in reflected Gray-code order of their zero sets,
+    each from the one before it (or from the class-0 state, where that
+    takes fewer gates): the root gate acts on every party that enters the
+    zero set, its inverse on every party that leaves it.  Gates on
+    different parties commute, so every path gives the same state.  Each
+    half state's (3^h, 3^(k-h)) matrix view is measured as soon as it
+    exists, in two steps, both driven by the trial's one uniform:
 
     * The squared norm of row r is the probability that the first h
       parties read r.  The other parties' gates act on their own qudits
@@ -326,56 +307,54 @@ def run_dense_batch(
     # pay for the calls that measure them.
     stack_rows = 3 ** max(h - 1, 9 - (k - h))
     gate = root_gate()
+    inverse = LocalGate(gate.matrix.conj().T)
     uniforms = rng.random(n)
-    zero_sets, inverse, counts = np.unique(
-        (bits[:, :h] == 0) @ (1 << np.arange(h)), return_inverse=True, return_counts=True
-    )
-    chains = _superset_chains(zero_sets.tolist(), h)
-    # Trials in walk order: by half state in the order they are built,
-    # then by trial.  The arrays below are indexed in this order.
-    walk = np.empty(len(zero_sets), dtype=np.int64)
-    walk[[i for chain in chains for i, _ in chain]] = np.arange(len(zero_sets))
-    trials = np.argsort(walk[inverse], kind="stable")
+    # Step t of the walk visits zero set gray[t], party p at bit p: the
+    # reflected Gray code (Knuth, TAOCP vol. 4A, section 7.2.1.1).  Trials go
+    # in walk order, then by trial; the arrays below are in this order.
+    gray = np.arange(2**h) ^ (np.arange(2**h) >> 1)
+    steps = np.argsort(gray)[(bits[:, :h] == 0) @ (1 << np.arange(h))]
+    trials = np.argsort(steps, kind="stable")
+    visited, counts = np.unique(steps, return_counts=True)
     tail_bits = bits[trials, h:]
     drawn = np.empty(n, dtype=np.int64)
     remainders = np.empty(n)
     tails = np.empty(n, dtype=np.int64)
     stack = np.empty((min(stack_rows, n), width), dtype=np.complex128)
-    start = make_sum_class_state(k, 0)
-    gates = end = 0
-    for chain in chains:
-        state = start
-        for i, parties in chain:
-            state = evolve(state, gate, parties)
-            gates += len(parties)
-            matrix = state.amplitudes.reshape(3**h, width)
-            # Squared row norms in one pass: the real and imaginary parts' squares.
-            parts = matrix.view(np.float64)
-            norms = np.einsum("ij,ij->i", parts, parts)
-            begin, end = end, end + counts[i]
-            drawn[begin:end], remainders[begin:end] = _sample_rows(
-                norms, uniforms[trials[begin:end]]
-            )
-            # This half state's trials, in pieces that end where a stack fills.
-            cuts = list(range(begin - begin % stack_rows + stack_rows, end, stack_rows))
-            for lo, hi in zip([begin, *cuts], [*cuts, end]):
-                picked = drawn[lo:hi]
-                stack[lo % stack_rows:(hi - 1) % stack_rows + 1] = (
-                    matrix[picked] / np.sqrt(norms[picked])[:, None]
+    state = start = make_sum_class_state(k, 0)
+    below = gates = end = 0
+    for zeros, count in zip(gray[visited].tolist(), counts.tolist()):
+        if zeros.bit_count() < (zeros ^ below).bit_count():
+            state, below = start, 0
+        for applied, moved in ((gate, zeros & ~below), (inverse, below & ~zeros)):
+            parties = [p for p in range(h) if moved >> p & 1]
+            if parties:
+                state = evolve(state, applied, parties)
+                gates += len(parties)
+        below = zeros
+        matrix = state.amplitudes.reshape(3**h, width)
+        # Squared row norms in one pass: the real and imaginary parts' squares.
+        parts = matrix.view(np.float64)
+        norms = np.einsum("ij,ij->i", parts, parts)
+        begin, end = end, end + count
+        drawn[begin:end], remainders[begin:end] = _sample_rows(norms, uniforms[trials[begin:end]])
+        # This half state's trials, in pieces that end where a stack fills.
+        cuts = list(range(begin - begin % stack_rows + stack_rows, end, stack_rows))
+        for lo, hi in zip([begin, *cuts], [*cuts, end]):
+            picked, filled = drawn[lo:hi], slice(lo % stack_rows, (hi - 1) % stack_rows + 1)
+            stack[filled] = matrix[picked] / np.sqrt(norms[picked])[:, None]
+            if hi % stack_rows == 0 or hi == n:
+                full = slice(lo - lo % stack_rows, hi)
+                tails[full] = _measure_tails(
+                    stack[:filled.stop], tail_bits[full], remainders[full], gate
                 )
-                if hi % stack_rows == 0:
-                    full = slice(hi - stack_rows, hi)
-                    tails[full] = _measure_tails(stack, tail_bits[full], remainders[full], gate)
-            del matrix, parts  # only `state` may carry a half state into the next step
-    if n % stack_rows:
-        rest = slice(n - n % stack_rows, n)
-        tails[rest] = _measure_tails(stack[:n % stack_rows], tail_bits[rest], remainders[rest], gate)
+        del matrix, parts  # only `state` may carry a half state into the next step
     index = np.empty(n, dtype=np.int64)
     index[trials] = drawn * width + tails
     # Party 1 owns the most significant base-3 digit of the basis index.
     outcomes = index[:, None] // 3 ** np.arange(k - 1, -1, -1) % 3
     return outcomes.astype(np.int8), DenseCounts(
-        half_states_evolved=len(zero_sets),
+        half_states_evolved=len(visited),
         gates_applied=gates,
         rows_evolved=n,
         row_gates_applied=int(np.count_nonzero(bits[:, h:] == 0)),

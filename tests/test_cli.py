@@ -244,7 +244,7 @@ class TestQuantumRun:
         halves = {v[:h] for v in vectors}
         assert distinct == len(vectors)
         assert metrics["half_states_evolved"] == len(halves) == 2**h
-        # Every first half is present, so the chain walk applies 7 gates.
+        # Every first half is present, so the Gray-code walk applies 7 gates, one per step.
         assert metrics["gates_applied"] == 7
         assert metrics["rows_evolved"] == trials
         assert metrics["row_gates_applied"] == sum(row[h:].count(0) for row in bits.tolist())

@@ -61,6 +61,11 @@ def row_norms(state, h):
     return np.sum(np.abs(state.amplitudes.reshape(3**h, -1)) ** 2, axis=1)
 
 
+def gray_zero_sets(h):
+    """The zero sets of h parties in reflected Gray-code order: step t visits t ^ (t >> 1)."""
+    return [frozenset(p for p in range(h) if (t ^ t >> 1) >> p & 1) for t in range(2**h)]
+
+
 def record_run(capsys, argv):
     code = cli.main(argv)
     assert code == 0
@@ -122,6 +127,13 @@ class TestRegisterInput:
             global_function_batch(trits, rows((1, 1, 1, 1)))
         with pytest.raises(ValueError, match="trits"):
             decode_batch(trits, rows((0, 0, 0, 0)))
+
+    def test_outcomes_validated(self):
+        # An outcome of 3 or -1 would decode like 0 or 2; 1.5 is no digit at all.
+        trits = rows((0, 0, 0, 0))
+        for outcomes in [rows((3, 0, 0, 0)), rows((0, -1, 0, 0)), np.array([[1.5, 0, 0, 0]])]:
+            with pytest.raises(ValueError, match="outcomes"):
+                decode_batch(trits, outcomes)
 
     def test_trit_shape_must_match_the_rows(self):
         # A single trit row must not broadcast against five bit rows.
@@ -303,43 +315,61 @@ class TestDenseEngine:
         assert worst <= 1e-12
 
     def test_batch_evolves_each_distinct_vector_once(self, monkeypatch):
-        # The only full-size states are the half states, built along chains
-        # of growing zero sets: each distinct first half once, either from
-        # the class-0 state or from the state just built, by the gates of
-        # its new zeros alone.  With every first half present that takes 7,
-        # 36 and 82 gates.  The conditional rows then share stacks of at
-        # most stack_rows rows across half states: every stack but the last
-        # is full, and it goes through each second-half party's gate in one
-        # call, on the rows whose bit is 0 there, with parties counted from
-        # party h.
-        for k, chain_gates in [(7, 7), (10, 36), (13, 82)]:
-            self.check_chain_walk_and_stacks(k, chain_gates, monkeypatch)
+        # The only full-size states are the half states, built in one walk
+        # in reflected Gray-code order of their zero sets: each distinct
+        # first half once, from the half state just built or from the
+        # class-0 state, with the root gate on each party that enters the
+        # zero set and its inverse on each that leaves it.  With every
+        # first half present each step is one gate: 7, 31 and 63 gates.
+        # The conditional rows then share stacks of at most stack_rows rows
+        # across half states: every stack but the last is full, and it goes
+        # through each second-half party's gate in one call, on the rows
+        # whose bit is 0 there, with parties counted from party h.
+        for k, walk_gates in [(7, 7), (10, 31), (13, 63)]:
+            self.check_gray_walk_and_stacks(k, walk_gates, monkeypatch)
 
     @staticmethod
-    def check_chain_walk_and_stacks(k, chain_gates, monkeypatch):
+    def track_walk(k, monkeypatch):
+        """Records the dense engine's gate calls at k parties.
+
+        Returns ``built``, the zero set and party count of each full-size
+        call in order, and ``events``: ("gate", party, rows) per stack gate
+        call and ("draw", rows) per stack drawn.  A full-size call must
+        start from the class-0 state or the state it built last, and put
+        the root gate on parties outside the zero set or its inverse on
+        parties inside it.
+        """
         h = k // 2
-        stack_rows = 3 ** max(h - 1, 9 - (k - h))
+        gate = root_gate()
         start = make_sum_class_state(k, 0)
         zero_sets = weakref.WeakKeyDictionary({start: frozenset()})
-        built = []  # zero set of each half state, in the order built
-        last = [weakref.ref(start)]  # the half state built last, held weakly
-        events = []  # ("gate", party, rows) per stack gate call, ("draw", rows) per stack drawn
+        built = []
+        last = [weakref.ref(start)]  # the state built last, held weakly
+        events = []
         evolve, inverse_cdf = qudit.evolve, qudit.inverse_cdf
 
-        def counting_evolve(state, gate, parties):
+        def counting_evolve(state, applied, parties):
             parties = list(parties)
             if isinstance(state, QuditState):
                 assert state is start or state is last[0](), "a step starts from an older state"
                 below = zero_sets[state]
-                assert below.isdisjoint(parties) and parties == sorted(set(parties))
-                out = evolve(state, gate, parties)
-                zero_sets[out] = below | set(parties)
-                built.append(zero_sets[out])
+                assert parties and parties == sorted(set(parties)) and max(parties) < h
+                if applied is gate:
+                    assert below.isdisjoint(parties)
+                    zeros = below | set(parties)
+                else:
+                    assert np.array_equal(applied.matrix, gate.matrix.conj().T)
+                    assert below.issuperset(parties)
+                    zeros = below - set(parties)
+                out = evolve(state, applied, parties)
+                zero_sets[out] = zeros
+                built.append((zeros, len(parties)))
                 last[0] = weakref.ref(out)
                 return out
+            assert applied is gate
             assert state.shape[1] == 3 ** (k - h) and len(parties) == 1
             events.append(("gate", parties[0], len(state)))
-            return evolve(state, gate, parties)
+            return evolve(state, applied, parties)
 
         def counting_inverse_cdf(cumulative, uniforms):
             if np.ndim(cumulative) == 2:
@@ -348,6 +378,13 @@ class TestDenseEngine:
 
         monkeypatch.setattr(protocol, "evolve", counting_evolve)
         monkeypatch.setattr(protocol, "inverse_cdf", counting_inverse_cdf)
+        return built, events
+
+    @classmethod
+    def check_gray_walk_and_stacks(cls, k, walk_gates, monkeypatch):
+        h = k // 2
+        stack_rows = 3 ** max(h - 1, 9 - (k - h))
+        built, events = cls.track_walk(k, monkeypatch)
         _, sampled = sample_admissible_batch(k, 300, np.random.default_rng(12))
         # One more trial per first half, its suffix completing the zero count.
         every = np.ones((2**h, k), dtype=np.int8)
@@ -359,10 +396,13 @@ class TestDenseEngine:
         outcomes, counts = run_dense_batch(bits, np.random.default_rng(13))
         n = len(bits)
 
+        # Step 0, the empty zero set, is the class-0 state itself.
+        gray = gray_zero_sets(h)
         halves = {frozenset(np.flatnonzero(row[:h] == 0).tolist()) for row in bits}
-        assert len(built) == len(set(built)) == len(halves) == 2**h == counts.half_states_evolved
-        assert set(built) == halves
-        assert counts.gates_applied == chain_gates
+        assert halves == set(gray)
+        assert built == [(zeros, 1) for zeros in gray[1:]]
+        assert counts.half_states_evolved == len(halves) == 2**h
+        assert counts.gates_applied == walk_gates == 2**h - 1
 
         stacks, gated, parties = [], Counter(), []
         for event in events:
@@ -382,6 +422,30 @@ class TestDenseEngine:
         assert counts.rows_evolved == n
         assert counts.row_gates_applied == sum(gated.values())
         assert outcomes.shape == (n, k) and outcomes.dtype == np.int8
+        assert np.array_equal(decode_batch(trits, outcomes), global_function_batch(trits, bits))
+
+    def test_sparse_batch_applies_no_more_gates_than_evolving_each_half(
+        self, monkeypatch, per_vector_outcomes
+    ):
+        # With few first halves present, consecutive ones in Gray order may
+        # differ in many parties; a step then starts from the class-0 state
+        # when that takes fewer gates, so the walk never applies more gates
+        # than evolving every half state from the class-0 state.
+        k, h = 13, 6
+        trits, bits = sample_admissible_batch(k, 10, np.random.default_rng(31))
+        uniforms = np.random.default_rng(32).random(len(bits))
+        expected, _ = per_vector_outcomes(bits, uniforms)
+        built, _ = self.track_walk(k, monkeypatch)
+        outcomes, counts = run_dense_batch(bits, np.random.default_rng(32))
+
+        halves = {frozenset(np.flatnonzero(row[:h] == 0).tolist()) for row in bits}
+        assert counts.half_states_evolved == len(halves)
+        assert halves - {frozenset()} <= {zeros for zeros, _ in built}
+        walk = sorted(halves, key=gray_zero_sets(h).index)
+        shortest = sum(min(len(z), len(y ^ z)) for y, z in zip([frozenset(), *walk], walk))
+        assert counts.gates_applied == sum(gates for _, gates in built) == shortest
+        assert counts.gates_applied <= sum(len(zeros) for zeros in halves)
+        assert np.array_equal(outcomes, expected)
         assert np.array_equal(decode_batch(trits, outcomes), global_function_batch(trits, bits))
 
     @pytest.mark.parametrize("k", [4, 7, 10, 13])
