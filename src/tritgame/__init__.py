@@ -38,7 +38,6 @@ from .classical import (
 from .combinat import (
     binomial,
     grouped_sum,
-    ramus,
     residue_row,
 )
 from .protocol import (
@@ -68,7 +67,7 @@ from .qudit import (
 __all__ = [
     "__version__",
     # combinatorics
-    "binomial", "grouped_sum", "ramus", "residue_row",
+    "binomial", "grouped_sum", "residue_row",
     # qudit simulation
     "LocalGate", "QuditState", "evolve", "inverse_cdf", "make_sum_class_state",
     "permutation_gate", "root_gate",

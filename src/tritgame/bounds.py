@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .combinat import binomial, residue_row
 
@@ -65,6 +65,18 @@ def _picker(im_rule: ImRule) -> Callable[[tuple[int, int, int]], int]:
     raise ValueError(f"im_rule must be 0, 1, 2 or 'max', got {im_rule!r}")
 
 
+def _every_third_binomial(n: int, a: int) -> Iterator[tuple[int, int]]:
+    """(am, C(n, am)) for am = a, a + 3, ... <= n, each binomial from the one before.
+
+    C(n, am + 3) = C(n, am) (n - am)(n - am - 1)(n - am - 2) / ((am + 1)(am + 2)(am + 3)),
+    an exact integer division.
+    """
+    binom = binomial(n, a)
+    for am in range(a, n + 1, 3):
+        yield am, binom
+        binom = binom * (n - am) * (n - am - 1) * (n - am - 2) // ((am + 1) * (am + 2) * (am + 3))
+
+
 def bound_A(j: int, i: int, m: int) -> Fraction:
     """(2,2,2) family: zero-count classes against all admissible classes."""
     n = _parties(j)
@@ -81,8 +93,7 @@ def bound_F(j: int, a: int, im_rule: ImRule = "max") -> Fraction:
     pick = _picker(im_rule)
     numerator = 2 * binomial(n, a)
     denominator = 0
-    for am in range(a, n + 1, 3):
-        binom = binomial(n, am)
+    for am, binom in _every_third_binomial(n, a):
         if am > a:
             numerator += binom * pick(residue_row(am, 3))
         denominator += binom << am
@@ -112,8 +123,8 @@ def bound_N(j: int, a: int) -> Fraction:
     """
     n = _parties(j, a)
     denominator, power = 0, 3**a  # power = 3^am
-    for am in range(a, n + 1, 3):
-        denominator += binomial(n, am) * power
+    for _, binom in _every_third_binomial(n, a):
+        denominator += binom * power
         power *= 27
     return Fraction(denominator + 2 * (a == 0), 3 * denominator)
 

@@ -29,6 +29,12 @@ group Z9 and compute the referee's exact success probability:
   count allows.
 
 Both return reduced fractions and must agree wherever both run.
+
+:func:`best_homogeneous` searches the tables one party uses in every
+seat.  It bounds each table's success exactly from its character sums
+(:func:`_character_sums`, :func:`_character_bound`) and runs the
+collapsed evaluator only on tables whose bound reaches the best value
+found.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .combinat import binomial, check_party_count, digit_sums, grouped_sum
+from .combinat import _cos_pi_fraction, binomial, check_party_count, digit_sums, grouped_sum
 
 #: Register values in serialization order; a strategy string lists the sent
 #: trit for each of these six values in this order.
@@ -95,8 +101,7 @@ class Strategy:
         or c1 with that party's bit, which the transcript does not fix, so
         only c0 = c1 keeps the success of every profile.
         """
-        c = (c0, c0 if c1 is None else c1)
-        return Strategy(tuple(self.sent[2 * ((i // 2 - c[i % 2]) % 3) + i % 2] for i in range(6)))
+        return Strategy(tuple(self.sent[i] for i in _shift_indices(c0, c0 if c1 is None else c1)))
 
     def to_string(self) -> str:
         return "".join(str(t) for t in self.sent)
@@ -110,6 +115,12 @@ class Strategy:
     def lookup_array(self) -> np.ndarray:
         """(3, 2) array: row = register trit, column = register bit."""
         return np.array(self.sent, dtype=np.int64).reshape(3, 2)
+
+
+def _shift_indices(c0: int, c1: int) -> tuple[int, ...]:
+    """Index map of :meth:`Strategy.shift`: entry i is the index whose trit lands at i."""
+    c = (c0, c1)
+    return tuple(2 * ((i // 2 - c[i % 2]) % 3) + i % 2 for i in range(6))
 
 
 # Named division families by their 0-cell, as (trit, bit) register values.
@@ -356,6 +367,7 @@ def evaluator_metrics(k: int, work: Counter) -> dict:
         "crt_bound_bits": math.prod(primes[:-1]).bit_length() - 1,
         "transcript_classes": work["transcript_classes"],
         "strategy_orbits": work["strategy_orbits"],
+        "orbits_evaluated": work["orbits_evaluated"],
         "classes_scanned": work["classes_scanned"],
         "prime_class_products": work["prime_class_products"],
     }
@@ -681,6 +693,76 @@ def _collapsed_value(
 
 
 # ---------------------------------------------------------------------------
+# Character-sum bound on a table's success
+# ---------------------------------------------------------------------------
+
+#: Decimal digits of the cosines in :func:`_character_sums`.  More digits
+#: make the bound tighter; with any number it stays an upper bound.
+_BOUND_DIGITS = 30
+
+
+@lru_cache(maxsize=1)
+def _cosine_ceilings() -> tuple[int, ...]:
+    """Per d = 1..4 (index d - 1), an integer c_d with c_d / 10^D >= cos(2 pi d / 9).
+
+    D is :data:`_BOUND_DIGITS`; :func:`combinat._cos_pi_fraction` is within
+    10^-D of the cosine, which the added 1 covers.
+    """
+    scale = 10**_BOUND_DIGITS
+    return tuple(math.ceil(Fraction(_cos_pi_fraction(2 * d, 9, _BOUND_DIGITS)) * scale) + 1
+                 for d in range(1, 5))
+
+
+@lru_cache(maxsize=None)
+def _character_sums(sent: tuple[int, ...]) -> tuple[int, int, int]:
+    """Integers U_s with U_s / 10^D >= S_s = sum_t |chi_(1+3s)(P_t)|, for s = 0, 1, 2.
+
+    P_t is row t of :func:`_step_polys`, chi_c(P) = sum_r P[r] z^(c*r) with
+    z = exp(2 pi i / 9) is character c of Z9, and D is :data:`_BOUND_DIGITS`.
+    With R_d = sum_r P[r] P[r + d mod 9], the cyclic autocorrelation of P,
+    |chi_c(P)|^2 = R_0 + 2 sum_(d=1..4) R_d cos(2 pi c d / 9).  Every R_d is
+    a nonnegative integer, so replacing each cosine by its ceiling from
+    :func:`_cosine_ceilings` gives an integer T >= 10^D |chi_c(P)|^2, and
+    isqrt(10^D T) + 1 > 10^D |chi_c(P)|.  No float enters.
+    """
+    cos_ceilings = _cosine_ceilings()
+    scale = 10**_BOUND_DIGITS
+    sums = [0, 0, 0]
+    for row in _step_polys(sent).tolist():
+        auto = [sum(row[r] * row[(r + d) % 9] for r in range(9)) for d in range(5)]
+        for s in range(3):
+            c = 1 + 3 * s
+            square = auto[0] * scale + 2 * sum(
+                auto[d] * cos_ceilings[min(c * d % 9, -c * d % 9) - 1] for d in range(1, 5)
+            )
+            sums[s] += math.isqrt(square * scale) + 1
+    return tuple(sums)
+
+
+def _character_bound(sums: Sequence[int], k: int) -> Fraction:
+    """U(k) = 1/3 + (2/9) sum_s (U_s / 10^D)^k / N(k): bounds a homogeneous profile's success.
+
+    ``sums`` are a table's :func:`_character_sums` and N(k) = 3^k *
+    sum_i C(k, 3i) counts the admissible inputs.  Proof: take a transcript
+    t and let n_t(v) count the admissible inputs that send it with global
+    value v, n_t their total and w = z^3.  For every v,
+    3 n_t(v) = n_t + 2 Re(w^-v sum_u w^u n_t(u)), so the referee's count
+    max_v n_t(v) is at most (n_t + 2 |sum_v w^v n_t(v)|) / 3.  An input
+    whose register residues add up to r (mod 9) is admissible when
+    r = 0 (mod 3), with w^v = z^r, and that test is (1/3) sum_s z^(3 s r),
+    so sum_v w^v n_t(v) = (1/3) sum_s prod_i chi_(1+3s)(P_(t_i)), party i
+    sending t_i.  Summed over all transcripts, the absolute values of the
+    products factor into prod_i S_(i,s); for one table used by all k
+    parties that is S_s^k.  With sum_t n_t = N(k) the success is at most
+    1/3 + (2/9) sum_s S_s^k / N(k).
+    """
+    scale = 10 ** (_BOUND_DIGITS * k)
+    admissible = 3**k * grouped_sum(k, 0, 3)
+    return Fraction(3 * admissible * scale + 2 * sum(u**k for u in sums),
+                    9 * admissible * scale)
+
+
+# ---------------------------------------------------------------------------
 # Strategy search and the ten-player worked example
 # ---------------------------------------------------------------------------
 
@@ -703,39 +785,53 @@ def strategy_orbit_reps() -> tuple[Strategy, ...]:
     single party's tables reduce only under S3 x Z3 (c0 = c1), 44 orbits,
     so these 22 do not reduce the parties of a mixed profile.
     """
-    seen: set[Strategy] = set()
+    moves = [(_shift_indices(c0, c1), perm)
+             for c0 in range(3) for c1 in range(3) for perm in _PERMS3]
+    seen: set[tuple[int, ...]] = set()
     reps: list[Strategy] = []
     for sent in itertools.product(range(3), repeat=6):
-        strategy = Strategy(sent)
-        if strategy not in seen:
-            reps.append(strategy)
-            seen.update(strategy.shift(c0, c1).relabel(perm)
-                        for c0 in range(3) for c1 in range(3) for perm in _PERMS3)
+        if sent not in seen:
+            reps.append(Strategy(sent))
+            seen.update(tuple(perm[sent[i]] for i in index) for index, perm in moves)
     return tuple(reps)
 
 
 def best_homogeneous(k: int, work: Counter | None = None) -> tuple[Strategy, Fraction]:
     """Best success probability over all single-strategy profiles at k parties.
 
-    Evaluates the 22 :func:`strategy_orbit_reps`, one per orbit under
+    Searches the 22 :func:`strategy_orbit_reps`, one per orbit under
     S3 x Z3^2 (relabeling the sent trit, shifting the register trit by c0
-    where the bit is 0 and by c1 where it is 1, in every party), with the
-    collapsed evaluator, each as one group of k parties, and returns the
-    first maximizer.  The shift moves every global value by c1, because
-    an admissible input's zero count m is 0 and k is 1 (mod 3), so every
-    table of an orbit has the same value; each orbit's representative is
-    its smallest member, so this is also the first maximizer in
-    lexicographic order among all 729 tables.  ``work``, when given, sums
-    the scans' counters and gains the orbits evaluated
-    (``strategy_orbits``).
+    where the bit is 0 and by c1 where it is 1, in every party), and
+    returns the first maximizer.  The shift moves every global value by
+    c1, because an admissible input's zero count m is 0 and k is 1
+    (mod 3), so every table of an orbit has the same value; each orbit's
+    representative is its smallest member, so this is also the first
+    maximizer in lexicographic order among all 729 tables.
+
+    The search is bound first: each orbit gets the exact upper bound
+    :func:`_character_bound` of its table's :func:`_character_sums`, and
+    the orbits are evaluated with the collapsed evaluator, each as one
+    group of k parties, in decreasing order of that bound, until one's
+    bound is below the best value found.  The orbits not evaluated have
+    bounds below it, so they cannot reach it.  ``work``, when given, sums
+    the evaluated orbits' scan counters and gains the orbits searched
+    (``strategy_orbits``) and evaluated (``orbits_evaluated``).
     """
     check_party_count(k)
     primes = crt_primes(k)
     reps = strategy_orbit_reps()
+    sums = [_character_sums(s.sent) for s in reps]
+    # U(k) grows with sum_s U_s^k, so this visits the orbits by decreasing
+    # bound, ties in representative order.
+    order = sorted(range(len(reps)), key=lambda i: sum(u**k for u in sums[i]), reverse=True)
+    values: dict[int, Fraction] = {}
+    for i in order:
+        if values and _character_bound(sums[i], k) < max(values.values()):
+            break
+        values[i] = _collapsed_value([(reps[i], k)], primes, work)
     if work is not None:
-        work["strategy_orbits"] += len(reps)
-    values = [_collapsed_value([(strategy, k)], primes, work) for strategy in reps]
-    best = max(range(len(reps)), key=values.__getitem__)  # max keeps the first maximizer
+        work.update(strategy_orbits=len(reps), orbits_evaluated=len(values))
+    best = min(values, key=lambda i: (-values[i], i))  # the first maximizer
     return reps[best], values[best]
 
 

@@ -1,9 +1,9 @@
 """Exact counting shared by every layer: the party-count rule, digit sums, binomial sums.
 
-Everything on the counting path is arbitrary-precision integer arithmetic;
-the only non-integer routine is :func:`ramus`, the trigonometric closed
-form for a grouped sum, evaluated in decimal arithmetic as an independent
-cross-check of the exact summation.
+Everything on the counting path is arbitrary-precision integer arithmetic.
+The only non-integer routines are pi and cos(j*pi/p) in decimal
+arithmetic, to a stated absolute error, which the classical search turns
+into certified integer bounds on its character sums.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
-
-#: Decimal digits :func:`ramus` carries beyond the integer digits of 2^n.
-_RAMUS_GUARD_DIGITS = 20
 
 
 def check_party_count(k: int) -> None:
@@ -127,25 +124,3 @@ def _cos_pi_fraction(j: int, p: int, prec: int) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = prec
         return +(sign * total)
-
-
-def ramus(n: int, q: int, p: int) -> Decimal:
-    """Closed trigonometric form of :func:`grouped_sum`.
-
-    Evaluates (1/p) * sum_{0<=i<p} (2 cos(i*pi/p))^n * cos(i*(n-2q)*pi/p)
-    in stdlib :mod:`decimal`, so the result does not depend on the
-    platform's floating point.  Every term is at most 2^n in magnitude, so
-    the working precision is the digit count of 2^n plus 20 guard digits.
-    That keeps the error far below 1/2 at every n, and rounding the result
-    recovers the exact sum.
-    """
-    _check_spec(n, q, p)
-    prec = len(str(2**n)) + _RAMUS_GUARD_DIGITS
-    with localcontext() as ctx:
-        ctx.prec = prec
-        total = Decimal(0)
-        for i in range(p):
-            base = 2 * _cos_pi_fraction(i, p, prec)
-            total += base**n * _cos_pi_fraction(i * (n - 2 * q) % (2 * p), p, prec)
-        return total / p
-

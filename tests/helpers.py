@@ -5,8 +5,9 @@ S3 x Z3 orbit representatives, random profiles, a per-bit-vector
 enumeration that the exhaustive oracle is checked against, a full scan, its
 class count and per-class statistics of the collapsed evaluator, a sum-class classifier
 for dense states, the nine cube-root branches of the shift gate, a
-rejection sampler that unpacks every drawn row, and the four bound
-families summed term by term.
+rejection sampler that unpacks every drawn row, the four bound
+families summed term by term, and the trigonometric closed form of a
+grouped sum that the exact summation is checked against.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from functools import cache
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -37,7 +39,7 @@ from tritgame.classical import (
     crt_primes,
     strategy_groups,
 )
-from tritgame.combinat import digit_sums, grouped_sum
+from tritgame.combinat import _check_spec, _cos_pi_fraction, digit_sums, grouped_sum
 from tritgame.protocol import admissible_bit_vectors, zero_triples_mod3
 from tritgame.qudit import QuditState, sum_class_deviation
 
@@ -369,3 +371,29 @@ def reference_bound(family: str, j: int, point, im_rule="max") -> Fraction:
         numerator = sum(math.comb(n, am) * 3 ** max(am - 1, 0) for am in terms)
         denominator = sum(math.comb(n, am) * 3**am for am in terms)
     return Fraction(numerator, denominator)
+
+
+#: Decimal digits :func:`ramus` carries beyond the integer digits of 2^n.
+_RAMUS_GUARD_DIGITS = 20
+
+
+def ramus(n: int, q: int, p: int) -> Decimal:
+    """Closed trigonometric form of :func:`grouped_sum`.
+
+    Evaluates (1/p) * sum_{0<=i<p} (2 cos(i*pi/p))^n * cos(i*(n-2q)*pi/p)
+    in stdlib :mod:`decimal`, so the result does not depend on the
+    platform's floating point.  Every term is at most 2^n in magnitude, so
+    the working precision is the digit count of 2^n plus 20 guard digits.
+    That keeps the error far below 1/2 at every n, and rounding the result
+    recovers the exact sum.
+    """
+    _check_spec(n, q, p)
+    prec = len(str(2**n)) + _RAMUS_GUARD_DIGITS
+    with localcontext() as ctx:
+        ctx.prec = prec
+        total = Decimal(0)
+        for i in range(p):
+            base = 2 * _cos_pi_fraction(i, p, prec)
+            total += base**n * _cos_pi_fraction(i * (n - 2 * q) % (2 * p), p, prec)
+        return total / p
+

@@ -23,7 +23,7 @@ from tritgame.classical import (
     evaluate_exhaustive,
     ten_player_worked_example,
 )
-from tritgame.combinat import grouped_sum, ramus
+from tritgame.combinat import grouped_sum
 from tritgame.protocol import (
     admissible_bit_vectors,
     decode_batch,
@@ -35,7 +35,7 @@ from tritgame.protocol import (
 )
 from tritgame.qudit import permutation_gate, root_gate, verify_root_gate
 
-from helpers import random_profile
+from helpers import ramus, random_profile
 
 TOL = 1e-10
 THIRD = Fraction(1, 3)

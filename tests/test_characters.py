@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -14,10 +16,15 @@ from tritgame.classical import (
     REGISTER_VALUES,
     Strategy,
     StrategyProfile,
+    _BOUND_DIGITS,
+    _character_bound,
+    _character_sums,
     _collapsed_value,
+    _cosine_ceilings,
     _group_powers,
     _is_prime,
     _prime_tables,
+    _step_polys,
     best_homogeneous,
     canonical_division,
     crt_primes,
@@ -112,6 +119,16 @@ def table_values(k):
     """
     values = {s: homogeneous_value(s, k) for s in CANONICAL_REPS}
     return tuple(values[canonical(Strategy(tuple(t)))] for t in TABLES.tolist())
+
+
+#: The party counts of the bound's orbit checks: every k = 1 (mod 3) from 4 to 61.
+BOUND_KS = range(4, 62, 3)
+
+
+@lru_cache(maxsize=None)
+def orbit_values(k):
+    """Homogeneous value of each of the 22 :func:`strategy_orbit_reps` at k, in their order."""
+    return tuple(homogeneous_value(s, k) for s in strategy_orbit_reps())
 
 
 class TestPrimes:
@@ -353,3 +370,70 @@ class TestRedundantPrime:
         profile = StrategyProfile.homogeneous(canonical_division("F"), 7)
         value = _collapsed_value(strategy_groups(profile), crt_primes(7))
         assert value == evaluate_exhaustive(profile)
+
+
+class TestCharacterBound:
+    def test_cosine_ceilings_are_certified(self):
+        # 2 cos(2 pi d / 9) for d = 1, 2, 4 are the roots of f(x) = x^3 - 3x + 1,
+        # where f increases at d = 1 and 4 and decreases at d = 2; at d = 3 it is -1.
+        # So exact signs of f place each root between c_d - 3 and c_d (over 10^D).
+        def f(x):
+            return x**3 - 3 * x + 1
+
+        scale = 10**_BOUND_DIGITS
+        slope = {1: 1, 2: -1, 4: 1}
+        for d, c in zip(range(1, 5), _cosine_ceilings()):
+            hi, lo = Fraction(2 * c, scale), Fraction(2 * (c - 3), scale)
+            if d == 3:
+                assert lo < -1 <= hi
+            else:
+                assert slope[d] * f(hi) >= 0 > slope[d] * f(lo), d
+
+    def test_character_sums_are_tight_upper_bounds(self):
+        scale = 10**_BOUND_DIGITS
+        z = np.exp(2j * np.pi / 9)
+        for s in S3_Z3_REPS:
+            polys = _step_polys(s.sent)
+            for sums_index, u in enumerate(_character_sums(s.sent)):
+                c = 1 + 3 * sums_index
+                exact = np.abs(polys @ z ** (c * np.arange(9))).sum()
+                assert u / scale == pytest.approx(exact, abs=1e-12), (s, c)
+        # Division A: S = 6 (cos pi/9, cos 4pi/9, cos 2pi/9).
+        a = _character_sums(canonical_division("A").sent)
+        expected = [6 * math.cos(math.pi * e / 9) for e in (1, 4, 2)]
+        assert [u / scale for u in a] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [4, 7])
+    def test_bound_holds_on_every_table(self, k):
+        for t, value in zip(TABLES.tolist(), table_values(k)):
+            assert _character_bound(_character_sums(tuple(t)), k) >= value, t
+
+    def test_bound_holds_on_every_orbit(self):
+        for k in BOUND_KS:
+            for s, value in zip(strategy_orbit_reps(), orbit_values(k)):
+                assert _character_bound(_character_sums(s.sent), k) >= value, (s, k)
+
+    @pytest.mark.parametrize("dropped", range(3))
+    def test_every_character_is_needed(self, dropped):
+        # With one of the three characters left out the sum is no bound.
+        failing = 0
+        for k in (4, 7):
+            for t, value in zip(TABLES.tolist(), table_values(k)):
+                sums = list(_character_sums(tuple(t)))
+                del sums[dropped]
+                failing += _character_bound(sums, k) < value
+        assert failing > 0
+
+    def test_pruned_search_is_the_first_maximizer_of_the_full_scan(self):
+        reps = strategy_orbit_reps()
+        for k in BOUND_KS:
+            values = orbit_values(k)
+            best = max(range(len(reps)), key=values.__getitem__)  # the first maximizer
+            assert best_homogeneous(k) == (reps[best], values[best]), k
+
+    @pytest.mark.parametrize("k", [31, 61])
+    def test_one_orbit_is_evaluated(self, k):
+        work = Counter()
+        best_homogeneous(k, work)
+        assert work["strategy_orbits"] == 22
+        assert work["orbits_evaluated"] == 1

@@ -366,21 +366,25 @@ class TestClassical:
         assert metrics["primes"] == list(crt_primes(13))
         assert metrics["crt_bound_bits"] >= (6**13).bit_length()
         assert metrics["strategy_orbits"] == 22
-        assert metrics["transcript_classes"] == 22 * 105
+        # The character bound leaves one orbit to evaluate: its 105 classes.
+        assert metrics["orbits_evaluated"] == 1
+        assert metrics["transcript_classes"] == 105
         assert "collapsed" in metrics["evaluator"]
         assert "metrics" not in env["payload"]
         canonical = json.dumps(env["payload"], sort_keys=True, separators=(",", ":"))
         assert env["payload_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
 
-    @pytest.mark.parametrize("k, scanned, products", [(31, 7_617, 24_596), (61, 27_777, 139_321)])
+    @pytest.mark.parametrize("k, scanned, products", [(31, 528, 1_584), (61, 1_953, 7_812)])
     def test_search_metrics_count_the_scan(self, capsys, k, scanned, products):
-        # Classes that send an empty cell are skipped, and each class's
-        # counts are computed modulo only the primes its bound needs.
+        # Only the orbit the character bound keeps is scanned, division A's,
+        # which sends every trit; its counts are computed modulo only the
+        # primes its bound needs.
         _, env = run_json(capsys, ["classical", "search", "--k", str(k)])
         metrics = env["metrics"]
+        assert metrics["orbits_evaluated"] == 1
         assert metrics["classes_scanned"] == scanned
         assert metrics["prime_class_products"] == products
-        assert metrics["transcript_classes"] == 22 * (k + 1) * (k + 2) // 2
+        assert metrics["transcript_classes"] == (k + 1) * (k + 2) // 2
         assert "classes_scanned" not in env["payload"]
 
     def test_search_metrics_time_each_stage(self, capsys):

@@ -8,9 +8,10 @@ from tritgame import combinat
 from tritgame.combinat import (
     binomial,
     grouped_sum,
-    ramus,
     residue_row,
 )
+
+from helpers import ramus
 
 
 class TestBinomial:
