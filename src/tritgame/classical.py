@@ -50,7 +50,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .combinat import _cos_pi_fraction, binomial, check_party_count, digit_sums, grouped_sum
+from .combinat import binomial, check_party_count, digit_sums, grouped_sum
 
 #: Register values in serialization order; a strategy string lists the sent
 #: trit for each of these six values in this order.
@@ -696,21 +696,35 @@ def _collapsed_value(
 # Character-sum bound on a table's success
 # ---------------------------------------------------------------------------
 
-#: Decimal digits of the cosines in :func:`_character_sums`.  More digits
-#: make the bound tighter; with any number it stays an upper bound.
+#: Decimal digits of the cosine ceilings in :func:`_character_sums`.  More
+#: digits make the bound tighter; with any number it stays an upper bound.
 _BOUND_DIGITS = 30
 
 
 @lru_cache(maxsize=1)
 def _cosine_ceilings() -> tuple[int, ...]:
-    """Per d = 1..4 (index d - 1), an integer c_d with c_d / 10^D >= cos(2 pi d / 9).
+    """Per d = 1..4 (index d - 1), the least integer c_d with c_d / 10^D >= cos(2 pi d / 9).
 
-    D is :data:`_BOUND_DIGITS`; :func:`combinat._cos_pi_fraction` is within
-    10^-D of the cosine, which the added 1 covers.
+    D is :data:`_BOUND_DIGITS` and S = 10^D.  cos(6 pi / 9) = -1/2, so
+    c_3 = -S/2.  For d = 1, 2 and 4, 2 cos(2 pi d / 9) is the root of
+    f(x) = x^3 - 3x + 1 in (1, 2], (0, 1] and (-2, -1], where f rises,
+    falls and rises, and f has no rational root.  So c / S >= cos(2 pi d / 9)
+    exactly when the integer S^3 f(2c / S) = (2c)^3 - 3 (2c) S^2 + S^3 has
+    the sign of the slope, and bisection on that sign over (S/2, S],
+    (0, S/2] and (-S, -S/2] finds c_d.  No float or decimal enters.
     """
     scale = 10**_BOUND_DIGITS
-    return tuple(math.ceil(Fraction(_cos_pi_fraction(2 * d, 9, _BOUND_DIGITS)) * scale) + 1
-                 for d in range(1, 5))
+    ceilings = {3: -scale // 2}
+    for d, lo, hi, slope in ((1, scale // 2, scale, 1), (2, 0, scale // 2, -1),
+                             (4, -scale, -scale // 2, 1)):
+        while hi - lo > 1:  # lo / S is below the cosine, hi / S is not
+            mid = (lo + hi) // 2
+            if slope * ((2 * mid) ** 3 - 6 * mid * scale**2 + scale**3) >= 0:
+                hi = mid
+            else:
+                lo = mid
+        ceilings[d] = hi
+    return tuple(ceilings[d] for d in range(1, 5))
 
 
 @lru_cache(maxsize=None)

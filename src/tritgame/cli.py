@@ -393,6 +393,7 @@ def cmd_gap_report(args: argparse.Namespace) -> Report:
     metrics = _protocol_metrics("analytic")
     metrics["stage_seconds"]["search"] = 0.0
     certificate = _timed_verify(metrics)
+    work = Counter()
     entries = []
     table = [["k", "quantum_trials", "quantum_successes", "classical_strategy",
               "classical_num", "classical_den", "classical_float", "baseline_float"]]
@@ -401,7 +402,7 @@ def cmd_gap_report(args: argparse.Namespace) -> Report:
         rng = _make_rng(args.seed, stream)
         successes = _run_trials(k, args.trials, rng, metrics, None, certificate)
         t0 = time.perf_counter()
-        strategy, value = best_homogeneous(k)
+        strategy, value = best_homogeneous(k, work)
         metrics["stage_seconds"]["search"] += time.perf_counter() - t0
         ok = ok and successes == args.trials
         entries.append(
@@ -417,6 +418,8 @@ def cmd_gap_report(args: argparse.Namespace) -> Report:
         )
         table.append([k, args.trials, successes, strategy.to_string(), value.numerator,
                       value.denominator, float(value), float(Fraction(1, 3))])
+    metrics.update((key, work[key]) for key in ("orbits_evaluated", "transcript_classes",
+                                               "classes_scanned", "prime_class_products"))
     return Report({"rows": entries}, metrics, EXIT_OK if ok else EXIT_CHECK_FAILED, table)
 
 

@@ -1,16 +1,11 @@
 """Exact counting shared by every layer: the party-count rule, digit sums, binomial sums.
 
-Everything on the counting path is arbitrary-precision integer arithmetic.
-The only non-integer routines are pi and cos(j*pi/p) in decimal
-arithmetic, to a stated absolute error, which the classical search turns
-into certified integer bounds on its character sums.
+Everything here is arbitrary-precision integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
-from functools import lru_cache
 
 import numpy as np
 
@@ -75,52 +70,3 @@ def grouped_sum(n: int, q: int, p: int) -> int:
     _check_spec(n, q, p)
     below = range(q % p, min(q, n + 1), p)
     return residue_row(n, p)[q % p] - sum(math.comb(n, r) for r in below)
-
-
-@lru_cache(maxsize=64)
-def _pi(prec: int) -> Decimal:
-    """Pi to ``prec`` significant digits, from Machin's formula."""
-    with localcontext() as ctx:
-        ctx.prec = prec + 5
-
-        def arctan_inverse(x: int) -> Decimal:
-            # arctan(1/x) = sum_m (-1)^m / ((2m+1) x^(2m+1))
-            tiny = Decimal(1).scaleb(-ctx.prec)
-            total, power, m = Decimal(0), Decimal(1) / x, 0
-            while power >= tiny:
-                total += power / (2 * m + 1) * (-1) ** m
-                power /= x * x
-                m += 1
-            return total
-
-        value = 4 * (4 * arctan_inverse(5) - arctan_inverse(239))
-    with localcontext() as ctx:
-        ctx.prec = prec
-        return +value
-
-
-@lru_cache(maxsize=1024)
-def _cos_pi_fraction(j: int, p: int, prec: int) -> Decimal:
-    """cos(j*pi/p), rounded to ``prec`` digits, with absolute error below 10^-prec.
-
-    Takes 0 <= j < 2p.  The angle is folded into [0, pi/2] by symmetry,
-    where the Taylor series converges quickly.
-    """
-    if j > p:
-        j = 2 * p - j  # cos(2pi - x) = cos(x)
-    sign = 1
-    if 2 * j > p:
-        j, sign = p - j, -1  # cos(pi - x) = -cos(x)
-    with localcontext() as ctx:
-        ctx.prec = prec + 5
-        x2 = (_pi(prec + 5) * j / p) ** 2
-        # |cos| <= 1, so an absolute cut-off keeps prec + 5 digits after the point.
-        tiny = Decimal(1).scaleb(-ctx.prec)
-        total, term, m = Decimal(1), Decimal(1), 0
-        while abs(term) >= tiny:
-            m += 2
-            term = -term * x2 / (m * (m - 1))
-            total += term
-    with localcontext() as ctx:
-        ctx.prec = prec
-        return +(sign * total)

@@ -15,11 +15,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from functools import cache
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+import mpmath
 import numpy as np
 
 from tritgame.classical import (
@@ -39,7 +40,7 @@ from tritgame.classical import (
     crt_primes,
     strategy_groups,
 )
-from tritgame.combinat import _check_spec, _cos_pi_fraction, digit_sums, grouped_sum
+from tritgame.combinat import _check_spec, digit_sums, grouped_sum
 from tritgame.protocol import admissible_bit_vectors, zero_triples_mod3
 from tritgame.qudit import QuditState, sum_class_deviation
 
@@ -381,19 +382,18 @@ def ramus(n: int, q: int, p: int) -> Decimal:
     """Closed trigonometric form of :func:`grouped_sum`.
 
     Evaluates (1/p) * sum_{0<=i<p} (2 cos(i*pi/p))^n * cos(i*(n-2q)*pi/p)
-    in stdlib :mod:`decimal`, so the result does not depend on the
+    in :mod:`mpmath`, independent of tritgame's own arithmetic and of the
     platform's floating point.  Every term is at most 2^n in magnitude, so
     the working precision is the digit count of 2^n plus 20 guard digits.
-    That keeps the error far below 1/2 at every n, and rounding the result
-    recovers the exact sum.
+    That keeps the error far below 1/2 at every n.  The result is returned
+    as a Decimal of all its working digits, on which round() is exact, so
+    rounding it recovers the exact sum.
     """
     _check_spec(n, q, p)
-    prec = len(str(2**n)) + _RAMUS_GUARD_DIGITS
-    with localcontext() as ctx:
-        ctx.prec = prec
-        total = Decimal(0)
-        for i in range(p):
-            base = 2 * _cos_pi_fraction(i, p, prec)
-            total += base**n * _cos_pi_fraction(i * (n - 2 * q) % (2 * p), p, prec)
-        return total / p
-
+    with mpmath.workdps(len(str(2**n)) + _RAMUS_GUARD_DIGITS):
+        total = mpmath.fsum(
+            (2 * mpmath.cospi(mpmath.mpf(i) / p)) ** n
+            * mpmath.cospi(mpmath.mpf(i * (n - 2 * q)) / p)
+            for i in range(p)
+        )
+        return Decimal(str(total / p))

@@ -376,18 +376,20 @@ class TestCharacterBound:
     def test_cosine_ceilings_are_certified(self):
         # 2 cos(2 pi d / 9) for d = 1, 2, 4 are the roots of f(x) = x^3 - 3x + 1,
         # where f increases at d = 1 and 4 and decreases at d = 2; at d = 3 it is -1.
-        # So exact signs of f place each root between c_d - 3 and c_d (over 10^D).
+        # So exact signs of f place each root in ((c_d - 1) / S, c_d / S] (times 2):
+        # c_d is the least integer ceiling, and c_d - 1 is none.
         def f(x):
             return x**3 - 3 * x + 1
 
         scale = 10**_BOUND_DIGITS
-        slope = {1: 1, 2: -1, 4: 1}
-        for d, c in zip(range(1, 5), _cosine_ceilings()):
-            hi, lo = Fraction(2 * c, scale), Fraction(2 * (c - 3), scale)
-            if d == 3:
-                assert lo < -1 <= hi
-            else:
-                assert slope[d] * f(hi) >= 0 > slope[d] * f(lo), d
+        ceilings = _cosine_ceilings()
+        assert ceilings[2] == -scale // 2
+        for d, slope in ((1, 1), (2, -1), (4, 1)):
+            c = ceilings[d - 1]
+            hi, lo = Fraction(2 * c, scale), Fraction(2 * (c - 1), scale)
+            assert slope * f(hi) >= 0 > slope * f(lo), d
+            # The float cosine only tells which root the sign change brackets.
+            assert c / scale == pytest.approx(math.cos(2 * math.pi * d / 9), abs=1e-12), d
 
     def test_character_sums_are_tight_upper_bounds(self):
         scale = 10**_BOUND_DIGITS

@@ -501,6 +501,18 @@ class TestGapReport:
             "verify", "sample", "engine", "search", "render",
         }
 
+    def test_search_metrics_sit_outside_the_hashed_payload(self, capsys):
+        argv = ["gap-report", "--k", "4", "13", "--trials", "50"]
+        digest = next(d for a, d in PINNED_PAYLOADS if a == argv)
+        _, env = run_json(capsys, argv)
+        metrics = env["metrics"]
+        # Summed over k = 4 and 13: one orbit each, 15 + 105 transcript classes.
+        assert metrics["orbits_evaluated"] == 2
+        assert metrics["transcript_classes"] == 120
+        assert metrics["classes_scanned"] > 0
+        assert metrics["prime_class_products"] >= metrics["classes_scanned"]
+        assert env["payload_sha256"] == digest
+
     def test_negative_trials_is_usage_error(self, capsys, monkeypatch):
         # Rejected while parsing: no verification, sampling or search runs.
         for name in ("verify_class_stepping", "best_homogeneous"):

@@ -14,8 +14,9 @@ from tritgame import bounds, classical, combinat, protocol, qudit
 # tests/helpers.py), the qudit layer's amplitude cap and the helpers
 # that took its dimension parameter, the root-branch search with its
 # per-check tolerances, the class count the scan now reports itself, the
-# exhaustive oracle's long-run gate, two bound helpers nothing called, and
-# the closed-form grouped sum with its guard digits (now in tests/helpers.py).
+# exhaustive oracle's long-run gate, two bound helpers nothing called, the
+# closed-form grouped sum with its guard digits (now in tests/helpers.py), and
+# the decimal pi and cosines that the cubic x^3 - 3x + 1 replaced.
 REMOVED = (
     "RegisterInput", "ProtocolRun", "global_function", "decode", "enumerate_admissible",
     "batch_runs", "sample_admissible", "run_dense", "run_analytic", "apply_local",
@@ -25,7 +26,7 @@ REMOVED = (
     "classify_sum_class", "digit_string", "MAX_AMPLITUDES", "_sum_class_state", "_root_gate",
     "_fourier_basis", "RootBranch", "find_valid_root_branch", "verify_root_branch",
     "_UNITARY_TOL", "_NORM_TOL", "_CERT_TOL", "transcript_class_count", "exhaustive_in_bound",
-    "plus_op", "grouped_sum_primed", "ramus", "_RAMUS_GUARD_DIGITS",
+    "plus_op", "grouped_sum_primed", "ramus", "_RAMUS_GUARD_DIGITS", "_pi", "_cos_pi_fraction",
 )
 
 
