@@ -12,10 +12,10 @@ global value is then s / 3.  Two independent evaluators count on this
 group Z9 and compute the referee's exact success probability:
 
 * :func:`evaluate_exhaustive` counts every admissible input by full
-  transcript, up to k = :data:`EXHAUSTIVE_MAX_K` (13).  Each
-  half of the parties is histogrammed once by half transcript and
-  residue, and three integer matrix products join the halves into the
-  counts per global value.
+  transcript, up to k = :data:`EXHAUSTIVE_MAX_K` (13).  Each half of the
+  parties enumerates its inputs by register value into one histogram by
+  half transcript and residue, and three integer matrix products join the
+  halves into the counts per global value.
 * :func:`evaluate_collapsed` groups parties with identical strategies and
   scans transcript classes weighted by their multinomial multiplicity.
   Per-party contributions are vectors over the residues, multiplied
@@ -50,7 +50,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .combinat import binomial, check_party_count, digit_sums, grouped_sum
+from .combinat import binomial, check_party_count, grouped_sum
 
 #: Register values in serialization order; a strategy string lists the sent
 #: trit for each of these six values in this order.
@@ -111,10 +111,6 @@ class Strategy:
         if len(s) != 6 or any(ch not in "012" for ch in s):
             raise ValueError(f"strategy string must be six trits, got {s!r}")
         return cls(tuple(int(ch) for ch in s))
-
-    def lookup_array(self) -> np.ndarray:
-        """(3, 2) array: row = register trit, column = register bit."""
-        return np.array(self.sent, dtype=np.int64).reshape(3, 2)
 
 
 def _shift_indices(c0: int, c1: int) -> tuple[int, ...]:
@@ -188,35 +184,19 @@ def strategy_groups(profile: StrategyProfile) -> list[tuple[Strategy, int]]:
 # Exhaustive evaluator (enumeration oracle)
 # ---------------------------------------------------------------------------
 
-def _half_codes(luts: Sequence[np.ndarray]) -> np.ndarray:
-    """(2^n, 3^n): transcript codes of n parties under every bit pattern.
-
-    Row b is the bit pattern with party 1's bit most significant; column y
-    is the trit vector read in base 3, party 1 most significant; the entry
-    is the sent trits read the same way.  Each party extends the codes by
-    one base-3 digit, an outer sum with its lookup column.
-    """
-    patterns = np.arange(2 ** len(luts))
-    codes = np.zeros((len(patterns), 1), dtype=np.intp)
-    for i, lut in enumerate(luts):
-        sent = lut[:, (patterns >> (len(luts) - 1 - i)) & 1].T  # (2^n, 3)
-        codes = (codes[:, :, None] * 3 + sent[:, None, :]).reshape(len(patterns), -1)
-    return codes
-
-
-def _half_histogram(luts: Sequence[np.ndarray]) -> np.ndarray:
+def _half_histogram(strategies: Sequence[Strategy]) -> np.ndarray:
     """(3^n, 9): input counts of n parties by half transcript and residue.
 
-    Column s holds the (bit pattern, trit vector) pairs with residue
-    s = (zero count + 3 * trit sum) mod 9; every pair is counted once, by
-    one ``bincount`` over :func:`_half_codes`.
+    The 6^n inputs take one register value per party, party 1 most
+    significant; each party appends its sent trit to the code and adds
+    [x = 0] + 3y to the residue.
     """
-    n = len(luts)
-    patterns = np.arange(2**n)
-    zeros = n - (patterns[:, None] >> np.arange(n) & 1).sum(axis=1)
-    column = (zeros[:, None] + 3 * digit_sums(n)) % 9  # (2^n, 3^n)
-    flat = _half_codes(luts) * 9 + column
-    return np.bincount(flat.reshape(-1), minlength=3**n * 9).reshape(3**n, 9)
+    residue = [(x == 0) + 3 * y for y, x in REGISTER_VALUES]
+    codes = residues = np.zeros(1, dtype=np.int64)
+    for strategy in strategies:
+        codes = (3 * codes[:, None] + strategy.sent).reshape(-1)
+        residues = (residues[:, None] + residue).reshape(-1)
+    return np.bincount(9 * codes + residues % 9, minlength=9 * 3 ** len(strategies)).reshape(-1, 9)
 
 
 #: Largest party count the exhaustive oracle enumerates, the dense engine's
@@ -224,7 +204,7 @@ def _half_histogram(luts: Sequence[np.ndarray]) -> np.ndarray:
 EXHAUSTIVE_MAX_K = 13
 
 #: How :func:`exhaustive_transcript_counts` covers the admissible inputs.
-EXHAUSTIVE_METHOD = "half histograms joined by zero count and global value"
+EXHAUSTIVE_METHOD = "half inputs enumerated by register value, half histograms joined by residue"
 
 
 def exhaustive_transcript_counts(profile: StrategyProfile) -> np.ndarray:
@@ -235,20 +215,19 @@ def exhaustive_transcript_counts(profile: StrategyProfile) -> np.ndarray:
     bit vector) inputs that send it and have global value v = (trit sum +
     zero count / 3) mod 3.  Every input is covered, about 4.4 billion at
     k = 13, without a loop over them: the parties split at h = k // 2, and
-    each half counts its inputs by half transcript and residue
-    (:func:`_half_histogram`).  An input is a pair of half inputs, whose
-    residues s and s' join into global value g exactly when
-    s + s' = 3g (mod 9), so the counts of g are the integer product
-    hi @ lo[:, (3g - s) mod 9].T, whose entry (c_hi, c_lo) is transcript
-    c_hi * 3^(k-h) + c_lo.  Refuses k above :data:`EXHAUSTIVE_MAX_K`.
+    each half counts its inputs, enumerated by register value, by half
+    transcript and residue (:func:`_half_histogram`).  An input is a pair
+    of half inputs, whose residues s and s' join into global value g
+    exactly when s + s' = 3g (mod 9), so the counts of g are the integer
+    product hi @ lo[:, (3g - s) mod 9].T, whose entry (c_hi, c_lo) is
+    transcript c_hi * 3^(k-h) + c_lo.  Refuses k above :data:`EXHAUSTIVE_MAX_K`.
     """
     k = profile.k
     if k > EXHAUSTIVE_MAX_K:
         raise ValueError(f"enumeration bound exceeded for k={k} > {EXHAUSTIVE_MAX_K}")
 
     h = k // 2
-    luts = [s.lookup_array() for s in profile.strategies]
-    hi, lo = _half_histogram(luts[:h]), _half_histogram(luts[h:])
+    hi, lo = _half_histogram(profile.strategies[:h]), _half_histogram(profile.strategies[h:])
     counts = np.empty((len(hi) * len(lo), 3), dtype=np.int64)
     for g in range(3):  # one value's products at a time
         counts[:, g] = (hi @ lo[:, (3 * g - np.arange(9)) % 9].T).reshape(-1)
@@ -268,8 +247,8 @@ def evaluate_exhaustive(profile: StrategyProfile) -> Fraction:
 
     Counts every admissible (trit vector, bit vector) pair by its exact
     transcript (:func:`exhaustive_transcript_counts`, two half histograms
-    joined by matrix products) and sums the per-transcript maximum, in
-    exact integer arithmetic throughout.  Bounded to k <= :data:`EXHAUSTIVE_MAX_K`.
+    by register value joined by matrix products) and sums the
+    per-transcript maximum, in exact integer arithmetic throughout.  Bounded to k <= :data:`EXHAUSTIVE_MAX_K`.
     """
     return referee_success(exhaustive_transcript_counts(profile))
 

@@ -5,7 +5,8 @@ else, and reads every option it accepts.  ``classical`` has three
 subcommands: ``example`` takes no options, ``eval`` takes ``--k``, one of
 ``--strategy`` or ``--profile``, and ``--long-run``, and ``search`` takes
 ``--k``.  Every command takes ``--output``.  ``eval`` cross-checks against
-the exhaustive oracle below its cap k = 13, and at 13 with ``--long-run``.
+the exhaustive oracle below its cap k = 13, and at 13 with ``--long-run``;
+``--long-run`` above the cap is a usage error.
 
 Each command returns a :class:`Report`; :func:`main` alone times it, maps
 errors to exit codes, renders it and writes it to ``--output`` or stdout.
@@ -67,7 +68,7 @@ from .classical import (
     ten_player_worked_example,
 )
 from .combinat import check_party_count, grouped_sum
-from .protocol import verify_class_stepping
+from .protocol import _CERT_KS, verify_class_stepping
 from .qudit import DENSE_MAX_K, VerificationError
 
 EXIT_OK = 0
@@ -310,6 +311,8 @@ def cmd_classical_example(args: argparse.Namespace) -> Report:
 
 
 def cmd_classical_eval(args: argparse.Namespace) -> Report:
+    if args.long_run and args.k > EXHAUSTIVE_MAX_K:
+        raise ValueError(f"--long-run cross-checks up to k = {EXHAUSTIVE_MAX_K}, got {args.k}")
     if args.strategy is not None:
         profile = StrategyProfile.homogeneous(_parse_strategy(args.strategy), args.k)
     else:
@@ -441,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantum-verify", parents=[output],
                        help="run the protocol verification suite")
-    p.add_argument("--k", type=int, nargs="+", default=[4, 7], help="dense sweep sizes")
+    p.add_argument("--k", type=int, nargs="+", default=list(_CERT_KS), help="dense sweep sizes")
     p.set_defaults(func=cmd_quantum_verify)
 
     p = sub.add_parser("quantum-run", parents=[output],
@@ -468,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated divisions/6-trit strings, optional :count (e.g. 'A:3,100122')",
     )
     p.add_argument("--long-run", action="store_true",
-                   help=f"also cross-check at k = {EXHAUSTIVE_MAX_K}")
+                   help=f"also cross-check at k = {EXHAUSTIVE_MAX_K}; an error above it")
     p.set_defaults(func=cmd_classical_eval)
     p = leaves.add_parser("search", parents=[output], help="best homogeneous strategy")
     p.add_argument("--k", type=int, default=4)

@@ -31,7 +31,6 @@ from tritgame.classical import (
     _composition_values,
     _compositions,
     _from_digits,
-    _half_codes,
     _group_powers,
     _largest,
     _mixed_radix,
@@ -112,30 +111,43 @@ def random_profile(
     return StrategyProfile(tuple(strategies[g] for g in assignment))
 
 
+def _trit_vector_codes(strategies: Sequence[Strategy], bits: Sequence[int]) -> np.ndarray:
+    """(3^n,): transcript code of every trit vector of n parties with fixed bits.
+
+    Entry y is the trit vector read in base 3, party 1 most significant; the
+    code is the sent trits read the same way.
+    """
+    codes = np.zeros(1, dtype=np.int64)
+    for strategy, x in zip(strategies, bits):
+        sent = [strategy.sent[REGISTER_VALUES.index((y, x))] for y in range(3)]
+        codes = (3 * codes[:, None] + sent).reshape(-1)
+    return codes
+
+
 def per_vector_transcript_counts(profile: StrategyProfile) -> np.ndarray:
     """(3^k, 3) admissible counts per transcript and global value, one bit vector at a time.
 
-    The reference for :func:`exhaustive_transcript_counts`, feasible to
-    k = 10.  The parties split at h = k // 2 and each half's codes are built
-    once per half bit pattern (:func:`_half_codes`).  Under a bit vector the
-    code of the trit vector (y_hi, y_lo) is hi[y_hi] * 3^(k-h) + lo[y_lo],
-    its global value is (trit sum + zero triples) mod 3 with the zero
-    triples from :func:`zero_triples_mod3`, and one ``bincount`` adds the
-    vector's 3^k inputs to the histogram.
+    The reference for the exhaustive oracle, feasible to k = 10; it builds
+    its own transcript codes.  The parties split at h = k // 2 and each
+    half's codes are built once per half bit pattern.  Under a bit vector
+    the code of the trit vector (y_hi, y_lo) is hi[y_hi] * 3^(k-h) +
+    lo[y_lo], its global value is (trit sum + zero triples) mod 3 with the
+    zero triples from :func:`zero_triples_mod3`, and one ``bincount`` adds
+    the vector's 3^k inputs to the histogram.
     """
     k = profile.k
     h = k // 2
-    luts = [s.lookup_array() for s in profile.strategies]
     # Histogram index code * 3 + g, with the factor 3 folded into the halves.
-    hi = _half_codes(luts[:h]) * 3 ** (k - h + 1)
-    lo = _half_codes(luts[h:]) * 3
+    hi = {bits: _trit_vector_codes(profile.strategies[:h], bits) * 3 ** (k - h + 1)
+          for bits in itertools.product((0, 1), repeat=h)}
+    lo = {bits: _trit_vector_codes(profile.strategies[h:], bits) * 3
+          for bits in itertools.product((0, 1), repeat=k - h)}
     global_values = (digit_sums(k) + np.arange(3)[:, None]) % 3
 
     vectors = admissible_bit_vectors(k)
-    codes = vectors @ (1 << np.arange(k - 1, -1, -1))  # party 1's bit most significant
     acc = np.zeros(3**k * 3, dtype=np.int64)
-    for code, g in zip(codes.tolist(), zero_triples_mod3(vectors).tolist()):
-        index = hi[code >> (k - h), :, None] + lo[code & ((1 << (k - h)) - 1)]
+    for bits, g in zip(vectors.tolist(), zero_triples_mod3(vectors).tolist()):
+        index = hi[tuple(bits[:h])][:, None] + lo[tuple(bits[h:])]
         acc += np.bincount((index.reshape(-1) + global_values[g]), minlength=acc.size)
     return acc.reshape(-1, 3)
 

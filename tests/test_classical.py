@@ -24,7 +24,7 @@ from tritgame.classical import (
     strategy_groups,
     strategy_orbit_reps,
 )
-from tritgame.combinat import digit_sums, grouped_sum
+from tritgame.combinat import grouped_sum
 from tritgame.protocol import admissible_bit_vectors
 
 from helpers import (
@@ -133,6 +133,28 @@ K10_PROFILES = {
         [("021201", 2), ("100012", 3), ("220011", 2), ("012210", 3)]
     ),
 }
+
+
+def product_half_histogram(strategies, residue=lambda zeros, trits: zeros + 3 * trits):
+    """(3^n, 9) half histogram counted one input at a time over ``itertools.product``.
+
+    Row: the sent trits in base 3, party 1 most significant; column:
+    ``residue(zero count, trit sum)`` mod 9.
+    """
+    hist = np.zeros((3 ** len(strategies), 9), dtype=np.int64)
+    for values in itertools.product(range(6), repeat=len(strategies)):
+        code = 0
+        for strategy, i in zip(strategies, values):
+            code = 3 * code + strategy.sent[i]
+        register = [REGISTER_VALUES[i] for i in values]
+        zeros = sum(x == 0 for _, x in register)
+        trits = sum(y for y, _ in register)
+        hist[code, residue(zeros, trits) % 9] += 1
+    return hist
+
+
+def random_tables(n: int, rng: np.random.Generator) -> tuple[Strategy, ...]:
+    return tuple(Strategy(tuple(rng.integers(0, 3, size=6))) for _ in range(n))
 
 
 def brute_force_success(profile: StrategyProfile) -> Fraction:
@@ -327,19 +349,42 @@ class TestEvaluators:
         # Mutation of the oracle's residue: the zero count taken mod 3, not
         # mod 9, so g = trit sum mod 3 without the zero-triple term; the
         # admissibility condition is kept.
-        def mutated_histogram(luts):
-            n = len(luts)
-            patterns = np.arange(2**n)
-            zeros = n - (patterns[:, None] >> np.arange(n) & 1).sum(axis=1)
-            column = (zeros[:, None] % 3 + 3 * digit_sums(n)) % 9
-            flat = classical._half_codes(luts) * 9 + column
-            return np.bincount(flat.reshape(-1), minlength=3**n * 9).reshape(3**n, 9)
+        def mutated_histogram(strategies):
+            return product_half_histogram(strategies, lambda zeros, trits: zeros % 3 + 3 * trits)
 
         value = evaluate_collapsed(K7_THREE_GROUPS)
         assert evaluate_exhaustive(K7_THREE_GROUPS) == value == Fraction(1397, 3483)
         monkeypatch.setattr(classical, "_half_histogram", mutated_histogram)
         assert evaluate_exhaustive(K7_THREE_GROUPS) == Fraction(454, 1161)
         assert evaluate_collapsed(K7_THREE_GROUPS) == value
+
+    def test_half_histogram_counts_every_half_input(self):
+        rng = np.random.default_rng(25)
+        for n in range(8):
+            for _ in range(3):
+                hist = classical._half_histogram(random_tables(n, rng))
+                assert hist.shape == (3**n, 9)
+                assert hist.sum() == 6**n
+
+    def test_half_histogram_rows_multiply_the_cell_sizes(self):
+        # Row c counts the half inputs whose parties send c's trits: each
+        # party independently takes any register value of that trit's cell.
+        rng = np.random.default_rng(2501)
+        for n in range(8):
+            strategies = random_tables(n, rng)
+            totals = classical._half_histogram(strategies).sum(axis=1)
+            for code, total in enumerate(totals.tolist()):
+                trits = np.base_repr(code, 3).zfill(n)
+                assert total == math.prod(s.sent.count(int(t)) for s, t in zip(strategies, trits))
+
+    def test_half_histogram_matches_an_itertools_count(self):
+        rng = np.random.default_rng(2502)
+        for n in range(5):
+            for _ in range(4):
+                strategies = random_tables(n, rng)
+                assert np.array_equal(
+                    classical._half_histogram(strategies), product_half_histogram(strategies)
+                )
 
     @pytest.mark.parametrize("name", K10_PROFILES)
     def test_k10_transcript_counts_match_per_vector_enumeration(self, name):

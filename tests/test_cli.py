@@ -81,6 +81,12 @@ class TestQuantumVerify:
         assert "token" not in env["payload"]
         assert env["config"] == {"k": [4, 7]}
 
+    def test_default_sweep_is_the_certificate_sweep(self):
+        # One definition of the canonical sweep: the one the analytic
+        # engine's certificate needs.
+        args = cli.build_parser().parse_args(["quantum-verify"])
+        assert args.k == list(protocol._CERT_KS) == [4, 7]
+
     def test_class_sweep_reports_worst_deviation_per_k(self, capsys):
         code, env = run_json(capsys, ["quantum-verify"])
         assert code == 0
@@ -333,6 +339,15 @@ class TestClassical:
         assert code == 0
         assert env["payload"]["evaluators_agree"] is True
         assert env["payload"]["exhaustive"] == env["payload"]["collapsed"]
+
+    def test_eval_long_run_above_the_cap_is_usage_error(self, capsys, monkeypatch):
+        # The cross-check it asks for cannot run, so nothing runs.
+        monkeypatch.setattr(cli, "evaluate_collapsed", None)
+        code = cli.main(["classical", "eval", "--strategy", "A", "--k", "16", "--long-run"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --long-run cross-checks up to k = 13, got 16\n"
 
     def test_eval_bad_strategy_is_usage_error(self, capsys):
         assert cli.main(["classical", "eval", "--strategy", "01", "--k", "4"]) == 2

@@ -15,8 +15,9 @@ from tritgame import bounds, classical, combinat, protocol, qudit
 # that took its dimension parameter, the root-branch search with its
 # per-check tolerances, the class count the scan now reports itself, the
 # exhaustive oracle's long-run gate, two bound helpers nothing called, the
-# closed-form grouped sum with its guard digits (now in tests/helpers.py), and
-# the decimal pi and cosines that the cubic x^3 - 3x + 1 replaced.
+# closed-form grouped sum with its guard digits (now in tests/helpers.py), the
+# decimal pi and cosines that the cubic x^3 - 3x + 1 replaced, and the
+# oracle's (bit pattern, trit vector) code grid.
 REMOVED = (
     "RegisterInput", "ProtocolRun", "global_function", "decode", "enumerate_admissible",
     "batch_runs", "sample_admissible", "run_dense", "run_analytic", "apply_local",
@@ -27,6 +28,7 @@ REMOVED = (
     "_fourier_basis", "RootBranch", "find_valid_root_branch", "verify_root_branch",
     "_UNITARY_TOL", "_NORM_TOL", "_CERT_TOL", "transcript_class_count", "exhaustive_in_bound",
     "plus_op", "grouped_sum_primed", "ramus", "_RAMUS_GUARD_DIGITS", "_pi", "_cos_pi_fraction",
+    "_half_codes",
 )
 
 
@@ -50,7 +52,8 @@ def test_removed_names_are_gone():
 
 
 def test_removed_methods_are_gone():
-    for name in ("sent_for", "cells", "canonical"):
+    # A table has one layout, its six trits in REGISTER_VALUES order.
+    for name in ("sent_for", "cells", "canonical", "lookup_array"):
         assert not hasattr(tritgame.Strategy, name), name
     assert not hasattr(tritgame.QuditState, "basis_label")
 
@@ -73,6 +76,51 @@ def test_exhaustive_oracle_has_no_knobs():
     # One reach, EXHAUSTIVE_MAX_K: nothing admits a larger k.
     for function in (classical.evaluate_exhaustive, classical.exhaustive_transcript_counts):
         assert list(inspect.signature(function).parameters) == ["profile"], function.__name__
+
+
+def _top_level_definitions(path: Path) -> dict[str, ast.AST]:
+    """Each module-level function, class and assigned name of ``path``, by name."""
+    definitions = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            definitions[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            definitions.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return definitions
+
+
+def _references(path: Path, roots: tuple[str, ...]) -> set[str]:
+    """Names that ``roots`` use, followed through the private names they reach."""
+    definitions = _top_level_definitions(path)
+    used, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in used:
+            continue
+        used.add(name)
+        if name in definitions and (name in roots or name.startswith("_")):
+            for node in ast.walk(definitions[name]):
+                if isinstance(node, ast.Name):
+                    todo.append(node.id)
+                elif isinstance(node, ast.Attribute):
+                    todo.append(node.attr)
+    return used
+
+
+def test_exhaustive_oracle_is_independent():
+    # The oracle computes its residues itself, and its per-vector reference
+    # builds its own codes.
+    source = Path(classical.__file__)
+    private = {name for name in _top_level_definitions(source) if name.startswith("_")}
+    collapsed = _references(source, ("evaluate_collapsed", "best_homogeneous")) & private
+    assert {"_step_polys", "_group_powers", "_collapsed_value"} <= collapsed
+    oracle = _references(source, ("_half_histogram", "exhaustive_transcript_counts"))
+    assert not oracle & collapsed
+    reference = _references(Path(__file__).with_name("helpers.py"),
+                            ("per_vector_transcript_counts",))
+    assert not reference & {"_half_histogram", "exhaustive_transcript_counts",
+                            "evaluate_exhaustive"}
 
 
 def _package_imports(module) -> set[str]:
