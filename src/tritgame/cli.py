@@ -21,6 +21,8 @@ Probabilities always carry exact numerator/denominator next to their
 float rendering.  ``quantum-run`` draws its inputs and outcomes from
 ``numpy.random.default_rng([seed, 0])``; ``gap-report`` draws those of its
 i-th ``--k`` (counting from 0) from ``default_rng([seed, i])``.
+The analytic engine runs on the exact certificate alone, with no dense
+state; only ``quantum-verify`` adds the dense sweep.
 
 Exit codes: 0 all checks passed, 1 a check failed (a failed verification
 of the analytic engine among them) or the output was not written
@@ -68,7 +70,7 @@ from .classical import (
     ten_player_worked_example,
 )
 from .combinat import check_party_count, grouped_sum
-from .protocol import _CERT_KS, verify_class_stepping
+from .protocol import _CERT_KS, sweep_class_states, verify_class_stepping
 from .qudit import DENSE_MAX_K, VerificationError
 
 EXIT_OK = 0
@@ -161,30 +163,30 @@ def _parse_profile(text: str, k: int) -> StrategyProfile:
 # ---------------------------------------------------------------------------
 
 def cmd_quantum_verify(args: argparse.Namespace) -> Report:
+    t0 = time.perf_counter()
     try:
-        cert = verify_class_stepping(ks=tuple(args.k))
+        sweep_deviations = sweep_class_states(args.k)  # checks every --k before any gate
+        t1 = time.perf_counter()
+        cert = verify_class_stepping(ks=())
     except VerificationError as exc:
         return Report({"ok": False, "error": str(exc)}, code=EXIT_CHECK_FAILED)
+    stages = {"identities": time.perf_counter() - t1, "sweep": t1 - t0, "render": 0.0}
     # A certificate exists only if every check passed.
     payload = {
         "ok": True,
         "checks": [
             {"name": "root-cube-and-class-step", "ok": True},
             {"name": "dim2-swap", "ok": True},
-            {"name": "class-sweep", "ok": True, "k": list(cert.checked_k),
-             "bit_vectors_checked": [grouped_sum(k, 0, 3) for k in cert.checked_k]},
+            {"name": "class-sweep", "ok": True, "k": list(args.k),
+             "bit_vectors_checked": [grouped_sum(k, 0, 3) for k in args.k]},
         ],
     }
-    # The measured floats depend on the order numpy sums in, so they stay
-    # out of the hashed payload.
+    # The identities are decided on integers.  The measured floats depend on
+    # the order numpy sums in, so they stay out of the hashed payload.
     metrics = {
-        "root-cube-and-class-step": {
-            "max_deviation": cert.root_check.max_deviation,
-            "phase_real": cert.root_check.phase.real,
-            "phase_imag": cert.root_check.phase.imag,
-        },
-        "dim2-swap": {"max_deviation": cert.swap_check.max_deviation},
-        "class-sweep": {"max_deviation": list(cert.sweep_deviations)},
+        "root-cube-and-class-step": {"gate_deviation": cert.gate_deviation},
+        "class-sweep": {"max_deviation": list(sweep_deviations)},
+        "stage_seconds": stages,
     }
     return Report(payload, metrics)
 
@@ -203,9 +205,9 @@ def _protocol_metrics(engine: str) -> dict:
 
 
 def _timed_verify(metrics: dict) -> protocol.SteppingCertificate:
-    """The analytic engine's certificate; a failed verification raises VerificationError."""
+    """The analytic engine's certificate, no dense sweep; a failure raises VerificationError."""
     t0 = time.perf_counter()
-    certificate = verify_class_stepping()
+    certificate = verify_class_stepping(ks=())
     metrics["stage_seconds"]["verify"] += time.perf_counter() - t0
     return certificate
 
@@ -293,7 +295,9 @@ def cmd_quantum_run(args: argparse.Namespace) -> Report:
 
 
 def cmd_classical_example(args: argparse.Namespace) -> Report:
+    t0 = time.perf_counter()
     report = ten_player_worked_example()
+    stages = {"example": time.perf_counter() - t0, "render": 0.0}
     payload = {
         "k": report.k,
         "strategy": report.strategy.to_string(),
@@ -307,7 +311,7 @@ def cmd_classical_example(args: argparse.Namespace) -> Report:
         "success": _fraction_payload(report.success),
         "label_note": report.label_note,
     }
-    return Report(payload)
+    return Report(payload, {"stage_seconds": stages})
 
 
 def cmd_classical_eval(args: argparse.Namespace) -> Report:
@@ -329,6 +333,8 @@ def cmd_classical_eval(args: argparse.Namespace) -> Report:
     }
     code = EXIT_OK
     metrics = evaluator_metrics(args.k, work)
+    # Only a search has orbits to count.
+    del metrics["strategy_orbits"], metrics["orbits_evaluated"]
     # At the cap the oracle takes about 50 MB, so it runs there only on request.
     if args.k < EXHAUSTIVE_MAX_K or (args.long_run and args.k == EXHAUSTIVE_MAX_K):
         t0 = time.perf_counter()

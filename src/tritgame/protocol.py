@@ -37,12 +37,11 @@ Two interchangeable engines produce the outcomes:
 * :func:`run_analytic_batch` skips the state entirely and samples the
   outcome string uniformly from the digit-sum class the evolution provably
   lands in.  It runs only on a :class:`SteppingCertificate` from
-  :func:`verify_class_stepping` that covers the canonical sweep, so the
-  shortcut never outruns the evidence for it.
+  :func:`verify_class_stepping`, whose exact identities prove the class
+  step at every k; it builds no dense state.
 
 :func:`admissible_bit_vectors` enumerates the admissible bit vectors, and
-:func:`zero_triples_mod3` gives each row's class, for the verification
-sweep.
+:func:`zero_triples_mod3` gives each row's class, for the dense sweep.
 """
 
 from __future__ import annotations
@@ -58,9 +57,8 @@ from .qudit import (
     DENSE_MAX_K,
     LocalGate,
     QuditState,
-    RootCheck,
+    TOL,
     VerificationError,
-    class_step_ok,
     evolve,
     inverse_cdf,
     make_sum_class_state,
@@ -72,7 +70,7 @@ from .qudit import (
 
 
 class AnalyticEngineLockedError(RuntimeError):
-    """The analytic engine ran without a certificate for the canonical sweep."""
+    """The analytic engine ran without a certificate."""
 
 
 def admissible_bit_vectors(k: int) -> np.ndarray:
@@ -372,66 +370,55 @@ _CERT_KS = (4, 7)
 class SteppingCertificate:
     """Evidence that the analytic shortcut is sound in this build.
 
-    Every check passed at tolerance :data:`qudit.TOL`.  ``sweep_deviations[i]``
-    is the worst sum-class deviation at ``checked_k[i]``; ``max_deviation``
-    covers every check.
+    The root gate passed its exact identities, which prove the class step at
+    every k; ``gate_deviation`` is the float gate's distance from the exact
+    one.  ``sweep_deviations[i]`` is the dense states' worst sum-class
+    deviation at ``checked_k[i]``.
     """
 
-    root_check: RootCheck
-    swap_check: RootCheck
+    gate_deviation: float
     checked_k: tuple[int, ...]
     sweep_deviations: tuple[float, ...]
-    max_deviation: float
 
 
-def verify_class_stepping(ks: Sequence[int] = _CERT_KS) -> SteppingCertificate:
-    """Run the full evidence chain for the analytic engine.
+def sweep_class_states(ks: Sequence[int]) -> tuple[float, ...]:
+    """The dense sweep: the worst sum-class deviation at each k in ``ks``.
 
-    Checks, in order: the root gate cubes to the shift and steps 3-party
-    classes with one modulus-1 phase; the dimension-2 analog swaps the
-    parity classes; and for every admissible bit vector at each k in
-    ``ks`` the dense pre-measurement state is exactly the class predicted
-    by the zero-triple count.  A k in ``ks`` that is not a party count or
-    exceeds DENSE_MAX_K raises ValueError before any check runs.  Returns
-    the certificate, or raises VerificationError on any failure (a NaN
-    deviation fails too).  It changes no state: :func:`run_analytic_batch`
-    runs on the certificate when it covers the canonical suite (k = 4 and
-    7).
+    Every admissible bit vector's dense state must be the class its zero
+    triples predict, times a modulus-1 phase, within :data:`qudit.TOL`; a
+    NaN deviation fails.  Every k is checked before any state is built.
+    Raises VerificationError on a failure, ValueError on a bad k.
     """
     for k in ks:
         if k > DENSE_MAX_K:
             raise ValueError(f"verification needs dense states; k={k} exceeds {DENSE_MAX_K}")
         check_party_count(k)
-    root_check = verify_root_gate()
-    if not root_check.ok:
-        raise VerificationError(f"root gate failed: max deviation {root_check.max_deviation:.3e}")
-    swap_check = verify_dim2_swap()
-    if not swap_check.ok:
-        raise VerificationError(
-            f"dimension-2 swap check failed: max deviation {swap_check.max_deviation:.3e}"
-        )
-
-    sweep_devs = []
+    deviations = []
     for k in ks:
         worst = 0.0
         vectors = admissible_bit_vectors(k)
         for bits, expected in zip(vectors.tolist(), zero_triples_mod3(vectors).tolist()):
-            state = dense_pre_measurement_state(k, bits)
-            phase, dev = sum_class_deviation(state, expected)
-            if not class_step_ok(phase, dev):
+            phase, dev = sum_class_deviation(dense_pre_measurement_state(k, bits), expected)
+            if not (dev <= TOL and abs(abs(phase) - 1.0) <= TOL):
                 raise VerificationError(
                     f"evolved state at k={k}, bits={tuple(bits)} is not class {expected}"
                 )
             worst = max(worst, dev)
-        sweep_devs.append(worst)
+        deviations.append(worst)
+    return tuple(deviations)
 
-    return SteppingCertificate(
-        root_check=root_check,
-        swap_check=swap_check,
-        checked_k=tuple(ks),
-        sweep_deviations=tuple(sweep_devs),
-        max_deviation=max(root_check.max_deviation, swap_check.max_deviation, *sweep_devs),
-    )
+
+def verify_class_stepping(ks: Sequence[int] = _CERT_KS) -> SteppingCertificate:
+    """Run the dense sweep at ``ks``, then the root gate's exact identities.
+
+    The identities prove the class step at every k, so ``ks=()`` certifies
+    the analytic engine with no sweep.  Raises VerificationError on any
+    failure; it changes no state.
+    """
+    sweep_deviations = sweep_class_states(ks)
+    gate_deviation = verify_root_gate()
+    verify_dim2_swap()
+    return SteppingCertificate(gate_deviation, tuple(ks), sweep_deviations)
 
 
 def run_analytic_batch(
@@ -442,10 +429,10 @@ def run_analytic_batch(
     Samples each row's outcome string uniformly from the digit-sum class
     the dense evolution lands in (k-1 free digits, last digit forced),
     which is the exact measurement distribution.  Returns int8 (n, k)
-    outcomes.  Refuses to run unless ``certificate`` comes from a
-    :func:`verify_class_stepping` that swept k = 4 and 7.
+    outcomes.  Refuses to run without the certificate of
+    :func:`verify_class_stepping`, with or without a sweep.
     """
-    if certificate is None or not set(_CERT_KS).issubset(certificate.checked_k):
+    if certificate is None:
         raise AnalyticEngineLockedError(
             "analytic engine is locked: pass the certificate of verify_class_stepping()"
         )

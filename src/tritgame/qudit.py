@@ -3,12 +3,12 @@
 Provides the sum-class superpositions shared by the parties, the cyclic
 shift gate, its principal cube root obtained through the discrete-Fourier
 eigenbasis, :func:`evolve`, the one routine that applies gates to
-amplitudes, inverse-CDF sampling of basis indices, and the check that
-the root gate steps sum classes.  Every numerical check uses the one
-tolerance :data:`TOL`.  The two-qubit analog of the last check
-(the qubit protocol of Brukner, Zukowski, Pan and Zeilinger, PRL 92,
-127901 (2004)) is one fixed computation on 4-vectors,
-:func:`verify_dim2_swap`; nothing else here knows about qubits.
+amplitudes, inverse-CDF sampling of basis indices, and the exact
+certificate that the root gate steps sum classes.  Every numerical check
+uses the one tolerance :data:`TOL`.  The certificate's qubit analog (the
+protocol of Brukner, Zukowski, Pan and Zeilinger, PRL 92, 127901 (2004))
+is one fixed identity, :func:`verify_dim2_swap`; nothing else here knows
+about qubits.
 
 Conventions: the first party owns the most significant base-3 digit
 (:func:`evolve` numbers parties from 0); states are unit vectors
@@ -30,7 +30,7 @@ from .combinat import digit_sums
 #: Dense party cap: 3^13 amplitudes is the largest state built.
 DENSE_MAX_K = 13
 
-#: Tolerance of every numerical check: unitarity, unit norm and the class-step rule.
+#: Tolerance of every numerical check: unitarity, unit norm, the class step and the float gate.
 TOL = 1e-10
 
 
@@ -120,7 +120,7 @@ class LocalGate:
         return lifted
 
 
-# Sixteen entries hold every class state one verify_class_stepping() uses.
+# Sixteen entries hold every class state the dense sweep and engine use.
 @lru_cache(maxsize=16)
 def make_sum_class_state(k: int, j: int) -> QuditState:
     """Uniform superposition over all strings with digit sum = j mod 3.
@@ -239,66 +239,68 @@ def sum_class_deviation(state: QuditState, j: int) -> tuple[complex, float]:
     return c, dev
 
 
-def class_step_ok(phase: complex, dev: float) -> bool:
-    """The pass rule of every class-step check; a NaN deviation or phase fails.
+def _times(a: dict, b: dict, p: int) -> dict:
+    """The product in Z[Z_(p^2) x Z_p]: key (e, t) holds the coefficient of zeta^e X^t."""
+    product: dict = {}
+    for (e, t), c in a.items():
+        for (f, u), d in b.items():
+            key = ((e + f) % p**2, (t + u) % p)
+            product[key] = product.get(key, 0) + c * d
+    return product
 
-    The worst entrywise deviation and the phase's distance from modulus 1
-    must both be within :data:`TOL`.
+
+def _vanishes(a: dict, p: int) -> bool:
+    """Whether ``a`` is zero once zeta is a primitive p^2-th root of unity.
+
+    Exactly the multiples of Phi_(p^2) = sum_(i<p) x^(ip) vanish at zeta:
+    the elements whose coefficients are constant on each coset e + pZ.
     """
-    return dev <= TOL and abs(abs(phase) - 1.0) <= TOL
+    return all(c == a.get(((e + p) % p**2, t), 0) for (e, t), c in a.items())
 
 
-@dataclass(frozen=True)
-class RootCheck:
-    """Result of checking a class-stepping property of a root gate."""
+def _holds(identity: tuple) -> bool:
+    """Whether root^power == target in Z[zeta][X], for identity = (p, root, power, target)."""
+    p, root, power, target = identity
+    value = root
+    for _ in range(power - 1):
+        value = _times(value, root, p)
+    return _vanishes({key: value.get(key, 0) - target.get(key, 0) for key in value | target}, p)
 
-    phase: complex
-    max_deviation: float
-    ok: bool
+
+#: (3G)^3 = 27X, zeta = exp(2 pi i / 9): G = S^-1 diag(1, zeta, zeta^2) S with
+#: S the Fourier matrix is the circulant 3G = sum_(r,t) zeta^(r - 3rt) X^t.
+_ROOT_CUBE = (3, {((r - 3 * r * t) % 9, t): 1 for r in range(3) for t in range(3)},
+              3, {(0, 1): 27})
+#: (2R)^2 = 4 NOT, i = zeta_4: 2R = (1 + i) + (1 - i) NOT = [[1+i, 1-i], [1-i, 1+i]].
+_SQRT_NOT_SQUARE = (2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (3, 1): 1}, 2, {(0, 1): 4})
 
 
-def verify_root_gate() -> RootCheck:
-    """Check that the root gate cubes to the shift and steps classes.
+def verify_root_gate() -> float:
+    """Certify (3G)^3 = 27X by integer equality, and tie the float gate to G.
 
-    The gate applied at all three parties of a 3-party sum-class state must
-    advance the class by one, with a single modulus-1 constant shared by
-    all three classes.  Deviations are entrywise maxima.
+    G is a polynomial in the shift X, so it is diagonal in X's Fourier
+    eigenbasis f_a, where the identity makes its eigenvalues cube to X's.
+    Class states are sums of the f_a^(x)k, so m = 3n gates take class 0 to
+    class n at every k.  Returns the distance of :func:`root_gate`, the
+    dense engine's float gate, from G; raises VerificationError if the
+    identity fails or that distance exceeds :data:`TOL` (or is NaN).
     """
-    gate = root_gate()
-    shift = permutation_gate()
-    cubed = gate.matrix @ gate.matrix @ gate.matrix
-    dev = float(np.max(np.abs(cubed - shift.matrix)))
-
-    phase: complex | None = None
-    for p in range(3):
-        out = evolve(make_sum_class_state(3, p), gate, range(3))
-        c, class_dev = sum_class_deviation(out, (p + 1) % 3)
-        if phase is None:
-            phase = c
-        dev = max(dev, class_dev, abs(c - phase))
-    assert phase is not None
-    return RootCheck(phase, dev, class_step_ok(phase, dev))
+    if not _holds(_ROOT_CUBE):
+        raise VerificationError("root gate failed: (3G)^3 != 27X in Z[zeta_9][X]")
+    zeta, shift = np.exp(2j * np.pi / 9), permutation_gate().matrix
+    exact = sum(c * zeta**e * np.linalg.matrix_power(shift, t)
+                for (e, t), c in _ROOT_CUBE[1].items()) / 3
+    deviation = float(np.max(np.abs(root_gate().matrix - exact)))
+    if not deviation <= TOL:
+        raise VerificationError(f"root gate failed: the float gate deviates by {deviation:.3e}")
+    return deviation
 
 
-#: The two-qubit analog: the principal square root of NOT, and the even- and
-#: odd-parity Bell pairs over the basis |00>, |01>, |10>, |11>.  They are
-#: tuples: built as numpy arrays at import, they raised the peak RSS of
-#: `tritgame classical search` by about 0.4 MB.
-_SQRT_NOT = ((0.5 + 0.5j, 0.5 - 0.5j), (0.5 - 0.5j, 0.5 + 0.5j))
-_BELL_EVEN = (2**-0.5, 0.0, 0.0, 2**-0.5)
-_BELL_ODD = (0.0, 2**-0.5, 2**-0.5, 0.0)
+def verify_dim2_swap() -> None:
+    """Certify (2R)^2 = 4 NOT by integer equality, R the principal root of NOT.
 
-
-def verify_dim2_swap() -> RootCheck:
-    """Check the two-qubit analog of the class-stepping law.
-
-    R = (1/2) [[1+i, 1-i], [1-i, 1+i]], the principal square root of NOT,
-    applied at both parties must take the even-parity Bell pair
-    (|00>+|11>)/sqrt(2) to a modulus-1 phase times the odd-parity pair
-    (|01>+|10>)/sqrt(2).  The evolution is R (x) R applied to the 4-vector.
+    As in :func:`verify_root_gate`, R (x) R then takes the even-parity Bell
+    pair (|00>+|11>)/sqrt(2) to NOT (x) I of it, the odd-parity pair.
     """
-    odd = np.array(_BELL_ODD)
-    out = np.kron(_SQRT_NOT, _SQRT_NOT) @ np.array(_BELL_EVEN)
-    c = complex(np.vdot(odd, out))
-    dev = float(np.max(np.abs(out - c * odd)))
-    return RootCheck(c, dev, class_step_ok(c, dev))
+    if not _holds(_SQRT_NOT_SQUARE):
+        raise VerificationError("dimension-2 swap check failed: (2R)^2 != 4 NOT in Z[i][NOT]")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tritgame import protocol, qudit
+from tritgame import qudit
 from tritgame.protocol import dense_pre_measurement_state, verify_class_stepping
 from tritgame.qudit import inverse_cdf
 
@@ -14,8 +14,10 @@ def stepping_cert():
 
 @pytest.fixture
 def failed_root_check(monkeypatch):
-    """Makes the root gate fail its check."""
-    monkeypatch.setattr(protocol, "verify_root_gate", lambda: qudit.RootCheck(1.0, 1.0, False))
+    """Makes the root gate fail its exact check: the term zeta^7 X of 3G moved to zeta^8 X."""
+    p, root, power, target = qudit._ROOT_CUBE
+    moved = {key: c for key, c in root.items() if key != (7, 1)} | {(8, 1): 1}
+    monkeypatch.setattr(qudit, "_ROOT_CUBE", (p, moved, power, target))
 
 
 @pytest.fixture(scope="session")

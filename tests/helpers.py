@@ -4,7 +4,8 @@ Strategy cells and canonical forms, register-trit orbits and the 44
 S3 x Z3 orbit representatives, random profiles, a per-bit-vector
 enumeration that the exhaustive oracle is checked against, a full scan, its
 class count and per-class statistics of the collapsed evaluator, a sum-class classifier
-for dense states, the nine cube-root branches of the shift gate, a
+for dense states, the nine cube-root branches of the shift gate and the
+float class step of a gate at three parties, a
 rejection sampler that unpacks every drawn row, the four bound
 families summed term by term, and the trigonometric closed form of a
 grouped sum that the exact summation is checked against.
@@ -41,7 +42,7 @@ from tritgame.classical import (
 )
 from tritgame.combinat import _check_spec, digit_sums, grouped_sum
 from tritgame.protocol import admissible_bit_vectors, zero_triples_mod3
-from tritgame.qudit import QuditState, sum_class_deviation
+from tritgame.qudit import QuditState, evolve, make_sum_class_state, sum_class_deviation
 
 
 def cells(strategy: Strategy) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -317,6 +318,23 @@ def branch_root_matrix(r1: int, r2: int) -> np.ndarray:
         ]
     )
     return s_inv @ roots @ s
+
+
+def three_party_class_step(gate) -> tuple[complex, float]:
+    """The float class step of ``gate`` at three parties, from the definitions.
+
+    The gate acts at all three parties of each 3-party sum-class state,
+    which must become the next class times one modulus-1 phase shared by
+    all three classes.  Returns the phase and the worst deviation: entrywise
+    from each class pattern, and between the classes' phases.
+    """
+    phase, dev = None, 0.0
+    for j in range(3):
+        out = evolve(make_sum_class_state(3, j), gate, range(3))
+        c, class_dev = sum_class_deviation(out, (j + 1) % 3)
+        phase = c if phase is None else phase
+        dev = max(dev, class_dev, abs(c - phase))
+    return phase, dev
 
 
 def unpacked_admissible_sample(

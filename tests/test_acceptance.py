@@ -35,7 +35,7 @@ from tritgame.protocol import (
 )
 from tritgame.qudit import permutation_gate, root_gate, verify_root_gate
 
-from helpers import ramus, random_profile
+from helpers import ramus, random_profile, three_party_class_step
 
 TOL = 1e-10
 THIRD = Fraction(1, 3)
@@ -48,19 +48,19 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_root_gate_step_law():
-    check = verify_root_gate()
+    # The exact certificate decides (3G)^3 = 27X on integers and returns the
+    # float gate's distance from the exact G; it raises on a failure.  The
+    # float cube and the 3-party class step are computed here.
+    gate_dev = verify_root_gate()
     gate = root_gate().matrix
     cube_dev = float(np.max(np.abs(gate @ gate @ gate - permutation_gate().matrix)))
-    ok = (
-        check.ok
-        and cube_dev <= TOL
-        and check.max_deviation <= TOL
-        and abs(abs(check.phase) - 1.0) <= TOL
-    )
+    phase, step_dev = three_party_class_step(root_gate())
+    dev = max(gate_dev, cube_dev, step_dev)
+    ok = dev <= TOL and abs(abs(phase) - 1.0) <= TOL
     report(
-        "1. root gate: U^3 = shift, classes step with one phase",
+        "1. root gate: (3G)^3 = 27X exactly, U^3 = shift, classes step with one phase",
         ok,
-        f"max dev {max(cube_dev, check.max_deviation):.2e}",
+        f"max dev {dev:.2e}",
     )
 
 

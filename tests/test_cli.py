@@ -100,7 +100,39 @@ class TestQuantumVerify:
     def test_failed_branch_search_writes_a_failing_payload(self, capsys, failed_root_check):
         code, env = run_json(capsys, ["quantum-verify"])
         assert code == 1
-        assert env["payload"] == {"ok": False, "error": "root gate failed: max deviation 1.000e+00"}
+        assert env["payload"] == {
+            "ok": False, "error": "root gate failed: (3G)^3 != 27X in Z[zeta_9][X]"
+        }
+
+    def test_metrics_report_the_gate_deviation_and_time_each_stage(self, capsys):
+        _, env = run_json(capsys, ["quantum-verify"])
+        metrics = env["metrics"]
+        # The identities are decided on integers: the one measured float
+        # outside the sweep is the float gate's distance from the exact one.
+        assert set(metrics) == {"root-cube-and-class-step", "class-sweep", "stage_seconds"}
+        assert set(metrics["root-cube-and-class-step"]) == {"gate_deviation"}
+        assert 0.0 <= metrics["root-cube-and-class-step"]["gate_deviation"] <= 1e-10
+        stages = metrics["stage_seconds"]
+        assert set(stages) == {"identities", "sweep", "render"}
+        assert stages["sweep"] > 0.0 and stages["identities"] > 0.0 and stages["render"] >= 0.0
+        assert "stage_seconds" not in env["payload"]
+
+    def test_sweep_evolves_every_admissible_vector(self, capsys, monkeypatch):
+        # The dense sweep left the analytic engine's path but not this command.
+        built = []
+        evolve_state = protocol.dense_pre_measurement_state
+
+        def counted(k, bits):
+            built.append(k)
+            return evolve_state(k, bits)
+
+        monkeypatch.setattr(protocol, "dense_pre_measurement_state", counted)
+        argv = ["quantum-verify"]
+        code, env = run_json(capsys, argv)
+        assert code == 0
+        assert env["payload"]["checks"][2]["bit_vectors_checked"] == [5, 43]
+        assert sorted(built) == [4] * 5 + [7] * 43
+        assert env["payload_sha256"] == next(d for a, d in PINNED_PAYLOADS if a == argv)
 
     def test_tolerance_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -304,6 +336,14 @@ class TestClassical:
             "float": 210 / 341,
         }
 
+    def test_example_metrics_time_each_stage(self, capsys):
+        argv = ["classical", "example"]
+        _, env = run_json(capsys, argv)
+        stages = env["metrics"]["stage_seconds"]
+        assert set(stages) == {"example", "render"}
+        assert stages["example"] > 0.0 and stages["render"] >= 0.0
+        assert env["payload_sha256"] == next(d for a, d in PINNED_PAYLOADS if a == argv)
+
     def test_eval_homogeneous_division(self, capsys):
         code, env = run_json(capsys, ["classical", "eval", "--strategy", "A", "--k", "4"])
         assert code == 0
@@ -415,7 +455,9 @@ class TestClassical:
     def test_eval_metrics_count_profile_classes(self, capsys):
         _, env = run_json(capsys, ["classical", "eval", "--profile", "A:3,100122", "--k", "4"])
         assert env["metrics"]["transcript_classes"] == 10 * 3
-        assert env["metrics"]["strategy_orbits"] == 0
+        # Only a search reports its orbits.
+        assert "strategy_orbits" not in env["metrics"]
+        assert "orbits_evaluated" not in env["metrics"]
         # Every trit is used, and counts below 2^3 * 3 need two primes.
         assert env["metrics"]["classes_scanned"] == 10 * 3
         assert env["metrics"]["prime_class_products"] == 10 * 3 * 2
@@ -577,7 +619,7 @@ class TestHarness:
         ["gap-report", "--k", "4", "--trials", "10"],
     ])
     def test_failed_unlock_exits_one(self, capsys, monkeypatch, argv):
-        def fail():
+        def fail(ks):
             raise protocol.VerificationError("tampered")
 
         monkeypatch.setattr(cli, "verify_class_stepping", fail)
@@ -596,7 +638,25 @@ class TestHarness:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: root gate failed: max deviation 1.000e+00\n"
+        assert captured.err == "error: root gate failed: (3G)^3 != 27X in Z[zeta_9][X]\n"
+
+    def test_analytic_path_builds_no_dense_state(self, capsys, monkeypatch):
+        # The analytic engine runs on the exact certificate alone: no class
+        # state, no dense evolution.
+        def refuse(*args):
+            raise AssertionError("the analytic path built a dense state")
+
+        for module, name in ((protocol, "dense_pre_measurement_state"),
+                             (protocol, "make_sum_class_state"),
+                             (qudit, "make_sum_class_state")):
+            monkeypatch.setattr(module, name, refuse)
+        for argv in (
+            ["quantum-run", "--k", "100", "--engine", "analytic", "--trials", "1000", "--seed", "4"],
+            ["gap-report", "--k", "4", "13", "--trials", "50"],
+        ):
+            code, env = run_json(capsys, argv)
+            assert code == 0
+            assert env["payload_sha256"] == next(d for a, d in PINNED_PAYLOADS if a == argv)
 
     def test_bad_gate_fails_the_dense_run_by_measurement(self, capsys, monkeypatch):
         # The dense engine runs no root check: a wrong gate shows up as

@@ -16,8 +16,11 @@ from tritgame import bounds, classical, combinat, protocol, qudit
 # per-check tolerances, the class count the scan now reports itself, the
 # exhaustive oracle's long-run gate, two bound helpers nothing called, the
 # closed-form grouped sum with its guard digits (now in tests/helpers.py), the
-# decimal pi and cosines that the cubic x^3 - 3x + 1 replaced, and the
-# oracle's (bit pattern, trit vector) code grid.
+# decimal pi and cosines that the cubic x^3 - 3x + 1 replaced, the
+# oracle's (bit pattern, trit vector) code grid, and the float root-gate
+# check's result type, the qubit check's float matrix and Bell pairs, which
+# exact identities replaced, with the pass rule the dense sweep now states
+# itself.
 REMOVED = (
     "RegisterInput", "ProtocolRun", "global_function", "decode", "enumerate_admissible",
     "batch_runs", "sample_admissible", "run_dense", "run_analytic", "apply_local",
@@ -28,7 +31,7 @@ REMOVED = (
     "_fourier_basis", "RootBranch", "find_valid_root_branch", "verify_root_branch",
     "_UNITARY_TOL", "_NORM_TOL", "_CERT_TOL", "transcript_class_count", "exhaustive_in_bound",
     "plus_op", "grouped_sum_primed", "ramus", "_RAMUS_GUARD_DIGITS", "_pi", "_cos_pi_fraction",
-    "_half_codes",
+    "_half_codes", "RootCheck", "_SQRT_NOT", "_BELL_EVEN", "_BELL_ODD", "class_step_ok",
 )
 
 
@@ -66,8 +69,9 @@ def test_qutrit_types_have_no_dimension():
 def test_verification_chain_has_no_knobs():
     # One root gate, checked at one tolerance: nothing picks a branch, a
     # tolerance or a gate.
-    for function in (qudit.root_gate, protocol.verify_class_stepping, qudit.verify_dim2_swap,
-                     qudit.class_step_ok, protocol.dense_pre_measurement_state):
+    for function in (qudit.root_gate, protocol.verify_class_stepping, qudit.verify_root_gate,
+                     qudit.verify_dim2_swap, protocol.sweep_class_states,
+                     protocol.dense_pre_measurement_state):
         params = set(inspect.signature(function).parameters)
         assert not params & {"branch", "tol", "gate", "_perturb"}, function.__name__
 
@@ -121,6 +125,20 @@ def test_exhaustive_oracle_is_independent():
                             ("per_vector_transcript_counts",))
     assert not reference & {"_half_histogram", "exhaustive_transcript_counts",
                             "evaluate_exhaustive"}
+
+
+def test_exact_identities_are_integer_only():
+    # What decides the identities, followed through the private names it
+    # reaches, holds no float or complex literal and calls no numpy or math.
+    source = Path(qudit.__file__)
+    definitions = _top_level_definitions(source)
+    decided = _references(source, ("_holds", "_ROOT_CUBE", "_SQRT_NOT_SQUARE"))
+    assert {"_times", "_vanishes"} <= decided
+    for name in decided & set(definitions):
+        for node in ast.walk(definitions[name]):
+            if isinstance(node, ast.Constant):
+                assert not isinstance(node.value, (float, complex)), (name, node.value)
+            assert not (isinstance(node, ast.Name) and node.id in ("np", "numpy", "math")), name
 
 
 def _package_imports(module) -> set[str]:

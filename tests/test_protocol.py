@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import weakref
@@ -576,11 +577,16 @@ class TestAnalyticEngine:
         with pytest.raises(AnalyticEngineLockedError):
             run_analytic_batch(np.ones((3, 4), dtype=np.int8), rng, None)
 
-    def test_partial_sweep_does_not_unlock(self):
-        cert = verify_class_stepping(ks=(4,))
-        assert cert.checked_k == (4,)
+    def test_certificate_without_a_sweep_unlocks(self):
+        # The exact identities prove the class step at every k: no dense
+        # sweep is needed, but no certificate locks.
+        cert = verify_class_stepping(ks=())
+        assert cert.checked_k == () and cert.sweep_deviations == ()
+        rng = np.random.default_rng(0)
+        outcomes = run_analytic_batch(rows((0, 0, 0, 1), (1, 1, 1, 1)), rng, cert)
+        assert (outcomes.sum(axis=1) % 3).tolist() == [1, 0]
         with pytest.raises(AnalyticEngineLockedError):
-            run_analytic_batch(rows((1, 1, 1, 1)), np.random.default_rng(0), cert)
+            run_analytic_batch(rows((1, 1, 1, 1)), rng, None)
 
     def test_certificate_outlives_a_failed_verification(self, stepping_cert, failed_root_check):
         # A later failed call leaves the certificate in hand valid: nothing
@@ -612,8 +618,12 @@ class TestAnalyticEngine:
             verify_class_stepping(ks=(100,))
 
     def test_certificate_contents(self, stepping_cert):
+        assert [f.name for f in dataclasses.fields(stepping_cert)] == [
+            "gate_deviation", "checked_k", "sweep_deviations"
+        ]
         assert stepping_cert.checked_k == (4, 7)
-        assert stepping_cert.max_deviation <= 1e-10
+        assert len(stepping_cert.sweep_deviations) == 2
+        assert max(stepping_cert.gate_deviation, *stepping_cert.sweep_deviations) <= 1e-10
 
     def test_outcome_distribution_matches_dense(self, stepping_cert):
         # Same fixed input, two-sample chi-square over the 27 strings of the
@@ -641,15 +651,17 @@ class TestAnalyticEngine:
 
 class TestVerification:
     def test_tamper_hook_fails(self, failed_root_check):
-        with pytest.raises(protocol.VerificationError):
-            verify_class_stepping()
+        for ks in ((), (4, 7)):
+            with pytest.raises(protocol.VerificationError, match=r"root gate failed: \(3G\)"):
+                verify_class_stepping(ks)
 
     def test_dim2_check_can_fail(self, monkeypatch):
-        # With R replaced by NOT, R (x) R keeps the even Bell pair even, so the
-        # parity swap fails.
-        monkeypatch.setattr(qudit, "_SQRT_NOT", np.array([[0, 1], [1, 0]]))
-        with pytest.raises(protocol.VerificationError, match="dimension-2 swap check failed"):
-            verify_class_stepping()
+        # With R replaced by NOT, (2R)^2 = 4 I, not 4 NOT: R (x) R keeps the
+        # even Bell pair even, so the parity swap fails.
+        monkeypatch.setattr(qudit, "_SQRT_NOT_SQUARE", (2, {(0, 1): 2}, 2, {(0, 1): 4}))
+        for ks in ((), (4, 7)):
+            with pytest.raises(protocol.VerificationError, match="dimension-2 swap check failed"):
+                verify_class_stepping(ks)
 
     def test_nan_sweep_deviation_fails(self, monkeypatch):
         # A NaN compares false with everything, so only a test written as
@@ -663,7 +675,7 @@ class TestVerification:
         cold = verify_class_stepping()
         warm = verify_class_stepping()
         assert warm == cold
-        assert cold.root_check.ok and cold.swap_check.ok
+        assert cold.gate_deviation <= 1e-10
         # The sweep's worst deviations, recomputed against freshly built
         # class patterns, are exactly the certificate's.
         for k, reported in zip(cold.checked_k, cold.sweep_deviations):

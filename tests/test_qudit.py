@@ -3,9 +3,11 @@ import pytest
 
 from tritgame import qudit
 from tritgame.combinat import digit_sums
+from tritgame.protocol import verify_class_stepping
 from tritgame.qudit import (
     LocalGate,
     QuditState,
+    VerificationError,
     evolve,
     inverse_cdf,
     make_sum_class_state,
@@ -16,10 +18,32 @@ from tritgame.qudit import (
     verify_root_gate,
 )
 
-from helpers import branch_root_matrix, classify_sum_class
+from helpers import branch_root_matrix, classify_sum_class, three_party_class_step
 
 CHI2_99_DF8 = 20.090  # chi-square 99th percentile, 8 degrees of freedom
 NOT = np.array([[0, 1], [1, 0]])
+#: The two-qubit analog, from its definitions: R = ((1 + i) I + (1 - i) NOT) / 2,
+#: the principal square root of NOT, and the even- and odd-parity Bell pairs
+#: over the basis |00>, |01>, |10>, |11>.
+SQRT_NOT = ((1 + 1j) * np.eye(2) + (1 - 1j) * NOT) / 2
+BELL_EVEN = np.array([1, 0, 0, 1]) / np.sqrt(2)
+BELL_ODD = np.array([0, 1, 1, 0]) / np.sqrt(2)
+
+
+def exact_root(exponents):
+    """3G as {(e, t): 1} for the root with eigenvalue zeta^exponents[r] on Fourier vector r.
+
+    3G = sum_(r,t) zeta^(exponents[r] - 3rt) X^t, zeta = exp(2 pi i / 9): the
+    principal root has exponents (0, 1, 2).
+    """
+    return {((exponents[r] - 3 * r * t) % 9, t): 1 for r in range(3) for t in range(3)}
+
+
+def evaluate(element, p):
+    """An element of Z[Z_(p^2) x Z_p] in floats, as a p x p matrix."""
+    zeta = np.exp(2j * np.pi / p**2)
+    shift = np.roll(np.eye(p), 1, axis=0)
+    return sum(c * zeta**e * np.linalg.matrix_power(shift, t) for (e, t), c in element.items())
 
 
 def basis_state(digits):
@@ -120,12 +144,21 @@ class TestSumClassStates:
         np.testing.assert_allclose(state.amplitudes, [1, 0, 0], atol=1e-15)
 
     def test_two_qubit_even_class_is_bell_pair(self):
-        # The even- and odd-parity pairs of the two-qubit check.
+        # The parity classes of two qubits are the Bell pairs, and they are
+        # sums over NOT's eigenvectors f_b = (1, (-1)^b) / sqrt(2), the
+        # qubit analog of the Fourier vectors: the even pair is
+        # sum_b f_b (x) f_b / sqrt(2), the odd one weighs f_b (x) f_b by
+        # NOT's eigenvalue (-1)^b.
+        parity = np.array([a ^ b for a in (0, 1) for b in (0, 1)])
+        np.testing.assert_allclose(BELL_EVEN, (parity == 0) / np.sqrt(2), atol=1e-15)
+        np.testing.assert_allclose(BELL_ODD, (parity == 1) / np.sqrt(2), atol=1e-15)
+        f = [np.array([1, (-1) ** b]) / np.sqrt(2) for b in (0, 1)]
         np.testing.assert_allclose(
-            qudit._BELL_EVEN, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)], atol=1e-15
+            sum(np.kron(v, v) for v in f) / np.sqrt(2), BELL_EVEN, atol=1e-15
         )
         np.testing.assert_allclose(
-            qudit._BELL_ODD, [0, 1 / np.sqrt(2), 1 / np.sqrt(2), 0], atol=1e-15
+            sum((-1) ** b * np.kron(v, v) for b, v in enumerate(f)) / np.sqrt(2), BELL_ODD,
+            atol=1e-15,
         )
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
@@ -161,9 +194,7 @@ class TestGates:
         # NOT takes |1> to |0>, and on one qubit of the even Bell pair it
         # gives the odd pair.
         np.testing.assert_allclose(NOT @ [0, 1], [1, 0], atol=1e-15)
-        np.testing.assert_allclose(
-            np.kron(NOT, np.eye(2)) @ qudit._BELL_EVEN, qudit._BELL_ODD, atol=1e-15
-        )
+        np.testing.assert_allclose(np.kron(NOT, np.eye(2)) @ BELL_EVEN, BELL_ODD, atol=1e-15)
 
     def test_gate_must_be_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -198,12 +229,17 @@ class TestGates:
         assert np.array_equal(root_gate().matrix, branch_root_matrix(0, 0))
 
     def test_dim2_root_is_the_explicit_matrix(self):
+        # Both the polynomial in NOT and the certificate's exact 2R, evaluated
+        # at i, are the explicit matrix.
         expected = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
-        np.testing.assert_allclose(qudit._SQRT_NOT, expected, atol=1e-15)
+        np.testing.assert_allclose(SQRT_NOT, expected, atol=1e-15)
+        p, root, power, target = qudit._SQRT_NOT_SQUARE
+        np.testing.assert_allclose(evaluate(root, p) / 2, expected, atol=1e-15)
+        assert (p, power, target) == (2, 2, {(0, 1): 4})
 
     def test_dim2_root_squares_to_not(self):
-        m = np.array(qudit._SQRT_NOT)
-        np.testing.assert_allclose(m @ m, NOT, atol=1e-12)
+        np.testing.assert_allclose(SQRT_NOT @ SQRT_NOT, NOT, atol=1e-12)
+        assert qudit._holds(qudit._SQRT_NOT_SQUARE)
 
     @pytest.mark.parametrize("r1", [0, 1, 2])
     @pytest.mark.parametrize("r2", [0, 1, 2])
@@ -218,29 +254,98 @@ class TestRootBranchSearch:
     """Why the protocol fixes one root gate: no branch behaves differently."""
 
     def test_returned_branch_steps_all_classes_with_one_phase(self):
-        check = verify_root_gate()
-        assert check.ok
-        assert check.max_deviation <= 1e-10
-        assert abs(abs(check.phase) - 1.0) <= 1e-10
+        assert verify_root_gate() <= 1e-10
+        phase, dev = three_party_class_step(root_gate())
+        assert dev <= 1e-10
+        assert abs(abs(phase) - 1.0) <= 1e-10
 
     def test_every_branch_passes_the_step_law(self, monkeypatch):
         # A consequence of taking roots in the shift's own eigenbasis: the
         # cubed per-party root is the original eigenvalue, so the tensor
-        # cube acts identically for every root choice.  Each branch goes
-        # through the root gate's own check in place of the gate.
+        # cube acts identically for every root choice.  Each branch's exact
+        # 3G, with eigenvalue exponents (0, 1 + 3 r1, 2 + 3 r2), goes through
+        # the certificate, with the branch's float gate in place of the gate.
         for r1 in range(3):
             for r2 in range(3):
                 gate = LocalGate(branch_root_matrix(r1, r2))
+                p, _, power, target = qudit._ROOT_CUBE
+                root = exact_root((0, 1 + 3 * r1, 2 + 3 * r2))
+                monkeypatch.setattr(qudit, "_ROOT_CUBE", (p, root, power, target))
                 monkeypatch.setattr(qudit, "root_gate", lambda: gate)
-                check = verify_root_gate()
-                assert check.ok, (r1, r2)
-                assert check.max_deviation <= 1e-10
-                assert abs(abs(check.phase) - 1.0) <= 1e-10
+                assert verify_root_gate() <= 1e-10, (r1, r2)
+                phase, dev = three_party_class_step(gate)
+                assert dev <= 1e-10
+                assert abs(abs(phase) - 1.0) <= 1e-10
 
     def test_dim2_swap(self):
-        check = verify_dim2_swap()
-        assert check.ok
-        assert check.max_deviation <= 1e-10
+        assert verify_dim2_swap() is None
+
+
+class TestExactCertificate:
+    """The identities are decided on integers, and every listed mutant fails them.
+
+    NOT in place of R fails in ``test_protocol.TestVerification.test_dim2_check_can_fail``.
+    """
+
+    def test_principal_root_table(self):
+        p, root, power, target = qudit._ROOT_CUBE
+        assert root == exact_root((0, 1, 2))
+        assert (p, power, target) == (3, 3, {(0, 1): 27})
+        np.testing.assert_allclose(evaluate(root, p) / 3, root_gate().matrix, atol=1e-15)
+
+    def test_identities_hold_though_the_raw_products_differ(self):
+        # The products are not the targets term by term: only the reduction
+        # by the cyclotomic polynomial makes them equal.
+        for p, root, power, target in (qudit._ROOT_CUBE, qudit._SQRT_NOT_SQUARE):
+            assert qudit._holds((p, root, power, target))
+            value = root
+            for _ in range(power - 1):
+                value = qudit._times(value, root, p)
+            assert {key: c for key, c in value.items() if c} != target
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_vanishes_decides_zero_in_the_cyclotomic_ring(self, p):
+        # Against float evaluation: multiples of Phi_(p^2) = sum_(i<p) zeta^(ip)
+        # vanish, and random elements off them do not.
+        rng = np.random.default_rng(p)
+        phi = {(i * p, 0): 1 for i in range(p)}
+        assert qudit._vanishes(phi, p)
+        assert not qudit._vanishes({(i, 0): 1 for i in range(p)}, p)
+        for _ in range(200):
+            b = {(e, t): int(c) for (e, t), c in np.ndenumerate(rng.integers(-3, 4, (p, p)))}
+            multiple = qudit._times(phi, b, p)
+            assert qudit._vanishes(multiple, p)
+            assert np.max(np.abs(evaluate(multiple, p))) <= 1e-12
+            a = {(e, t): int(c) for (e, t), c in np.ndenumerate(rng.integers(-3, 4, (p * p, p)))}
+            is_zero = bool(np.max(np.abs(evaluate(a, p))) <= 1e-9)
+            assert qudit._vanishes(a, p) == is_zero
+
+    @pytest.mark.parametrize("term", sorted(exact_root((0, 1, 2))))
+    def test_every_moved_exponent_fails(self, monkeypatch, term):
+        p, root, power, target = qudit._ROOT_CUBE
+        for shift in range(1, 9):
+            moved = {key: c for key, c in root.items() if key != term}
+            key = ((term[0] + shift) % 9, term[1])
+            moved[key] = moved.get(key, 0) + 1
+            monkeypatch.setattr(qudit, "_ROOT_CUBE", (p, moved, power, target))
+            with pytest.raises(VerificationError, match="root gate failed"):
+                verify_class_stepping(ks=())
+
+    def test_transposed_shift_fails(self, monkeypatch):
+        # X^T = X^2: 27 in the wrong cell.
+        p, root, power, _ = qudit._ROOT_CUBE
+        monkeypatch.setattr(qudit, "_ROOT_CUBE", (p, root, power, {(0, 2): 27}))
+        with pytest.raises(VerificationError, match="root gate failed"):
+            verify_class_stepping(ks=())
+
+    def test_perturbed_float_gate_fails(self, monkeypatch):
+        # The gate times the phase exp(1e-9 i), unitary, 8.4e-10 from the exact
+        # gate entrywise: the identities still hold, but the dense engine's
+        # gate is no longer the certified one.
+        gate = LocalGate(np.exp(1e-9j) * root_gate().matrix)
+        monkeypatch.setattr(qudit, "root_gate", lambda: gate)
+        with pytest.raises(VerificationError, match="float gate deviates by 8.440e-10"):
+            verify_class_stepping(ks=())
 
 
 class TestApplyLocal:
@@ -272,11 +377,10 @@ class TestApplyLocal:
             evolve(state, permutation_gate(), [-1])
 
     def test_root_gate_on_both_qubits_swaps_parity_classes(self):
-        state = np.kron(qudit._SQRT_NOT, qudit._SQRT_NOT) @ qudit._BELL_EVEN
-        target = np.array(qudit._BELL_ODD)
-        c = np.vdot(target, state)
+        state = np.kron(SQRT_NOT, SQRT_NOT) @ BELL_EVEN
+        c = np.vdot(BELL_ODD, state)
         assert abs(abs(c) - 1.0) <= 1e-10
-        np.testing.assert_allclose(state, c * target, atol=1e-10)
+        np.testing.assert_allclose(state, c * BELL_ODD, atol=1e-10)
 
 
 class TestEvolveStack:
