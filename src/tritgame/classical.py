@@ -23,10 +23,14 @@ group Z9 and compute the referee's exact success probability:
   exactly by the Chinese remainder theorem.
   The classes are scanned as a table of all groups but the last times
   slices of the last group, skipping classes that send a trit no party of
-  its group can send.  A class's counts are bounded by the product of its
+  its group can send.  Within a group, a cell that is a cyclic shift x^e
+  of another makes compositions whose counts differ only by a rotation of
+  the global values; those merge into one class, their multiplicities
+  summed, so a group of division A (three shifts of one cell) scans one
+  class at any size.  A class's counts are bounded by the product of its
   parties' largest cells, so they are computed modulo only as many primes
-  as that bound needs and lifted to the rest.  Exact at any k the class
-  count allows.
+  as that bound needs and lifted to the rest.  Exact at any k whose
+  unmerged class count :data:`_MAX_CLASSES` allows.
 
 Both return reduced fractions and must agree wherever both run.
 
@@ -60,7 +64,8 @@ REGISTER_VALUES: tuple[tuple[int, int], ...] = (
 
 _PERMS3 = tuple(itertools.permutations(range(3)))
 
-# Cap on the number of transcript classes the collapsed evaluator will scan.
+# Cap on a profile's transcript classes, counted before merging
+# (:func:`_merged_compositions`), that the collapsed evaluator accepts.
 _MAX_CLASSES = 5_000_000
 
 
@@ -462,20 +467,33 @@ def _composition_values(
         yield values
 
 
-def _used_compositions(
+def _merged_compositions(
     strategy: Strategy, size: int, primes: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A group's :func:`_compositions` without those that send a trit ``strategy`` never sends.
+    """A group's :func:`_compositions`, one per class of equal counts up to a rotation.
 
-    A class with such a composition has no consistent register value, so
-    all its counts are 0 and the scan skips it.
+    Step vector P_t (:func:`_step_polys`) is x^(e_t) P_u, a cyclic shift,
+    for u the first trit u <= t it is a shift of.  A composition c then
+    sends x^E prod_u P_u^(n_u), with n_u the sum of c_t over the trits
+    that shift P_u and E = sum_t e_t c_t, and x^3 only moves every global
+    value by one, so the compositions of equal (n_u, E mod 3) give the same
+    best count and total.  Each such class keeps its first composition, and
+    its multinomials are summed mod each prime.  Compositions that send a
+    trit ``strategy`` never sends have counts 0 and are dropped.
     """
     comps, mults = _compositions(size, primes)
-    unused = [t for t in range(3) if t not in strategy.sent]
-    if not unused:
-        return comps, mults
-    keep = ~comps[:, unused].any(axis=1)
-    return comps[keep], mults[:, keep]
+    polys = _step_polys(strategy.sent)
+    shifted = polys[:, (np.arange(9) - np.arange(9)[:, None]) % 9]  # [u, e] is x^e P_u
+    # Per trit t the first (u, e) with P_t = x^e P_u; (t, 0) always matches.
+    matches = (shifted == polys[:, None, None]).all(axis=3).reshape(3, 27)
+    u, e = np.divmod(matches.argmax(axis=1), 9)
+    # The n_u in base size + 1, then E mod 3.
+    key = 3 * (comps @ (size + 1) ** u) + comps @ e % 3
+    kept = np.flatnonzero(~comps[:, [t for t in range(3) if t not in strategy.sent]].any(axis=1))
+    order = kept[np.argsort(key[kept], kind="stable")]
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))  # each class's first composition
+    sums = np.add.reduceat(mults[:, order], starts, axis=1)
+    return comps[order[starts]], sums % np.array(primes, dtype=np.int64)[:, None]
 
 
 def _count_bound(groups: list[tuple[Strategy, int]]) -> int:
@@ -537,16 +555,21 @@ def _class_blocks(
     """Counts (C, B, 3) mod each counting prime and multiplicities (P, B) mod each prime.
 
     ``counting`` holds the tables of a prefix of ``tables``' primes.  The
-    classes are the cartesian product of each group's compositions that
-    send only trits its strategy sends (:func:`_used_compositions`),
-    yielded in blocks of at most ``_BLOCK``.  Every group but the last is a
-    prefix group: its character values and multinomials per composition are
-    tabulated once.  The last group's compositions are taken in slices of
-    up to ``_BLOCK`` and their values computed per slice.  A block is a run
-    of prefix classes times one slice: the run's values (products of its
-    groups' table rows) times the slice's values folded to counts, one
-    integer matrix product per counting prime.  With a single group there is
-    no prefix and a block is the slice, folded directly.
+    classes are the cartesian product of each group's merged compositions
+    (:func:`_merged_compositions`): one per set of compositions whose
+    counts differ only by a rotation of the global values, which share
+    their best count and total, with the set's multinomials summed; none
+    sends a trit its strategy never sends.  They are yielded in blocks of
+    at most ``_BLOCK``, each class with the counts of its first
+    composition.  Every group but the last is a prefix group: its
+    character values and multinomials per merged composition are
+    tabulated once.  The last group's merged compositions are taken in
+    slices of up to ``_BLOCK`` and their values computed per slice.  A
+    block is a run of prefix classes times one slice: the run's values
+    (products of its groups' table rows) times the slice's values folded
+    to counts, one integer matrix product per counting prime.  With a
+    single group there is no prefix and a block is the slice, folded
+    directly.
     """
     n_counting = len(counting.primes)
     p = counting.modulus[:, None, None]
@@ -554,13 +577,13 @@ def _class_blocks(
     *head, (last, last_size) = groups
     prefix = []
     for s, size in head:
-        comps, mults = _used_compositions(s, size, tables.primes)
+        comps, mults = _merged_compositions(s, size, tables.primes)
         values = _composition_values(_group_powers(s.sent, size, counting), comps, counting)
         prefix.append((np.stack(list(values)), mults))
     shape = tuple(len(m[0]) for _, m in prefix)
     n_prefix = math.prod(shape)
     last_powers = _group_powers(last.sent, last_size, counting)
-    last_comps, last_mults = _used_compositions(last, last_size, tables.primes)
+    last_comps, last_mults = _merged_compositions(last, last_size, tables.primes)
 
     for lo in range(0, len(last_comps), _BLOCK):
         values = _composition_values(last_powers, last_comps[lo:lo + _BLOCK], counting)
@@ -641,9 +664,10 @@ def _collapsed_value(
     reconstructed once.  The denominator is the number of admissible inputs,
     3^k * sum_i C(k, 3i), which the summed class totals must match.
     ``work``, when given, gains the profile's transcript classes, counting
-    those the scan skips as empty (``transcript_classes``), the classes
-    scanned (``classes_scanned``) and those classes times the counting
-    primes (``prime_class_products``).
+    those the scan skips as empty or merges (``transcript_classes``), the
+    merged classes scanned (``classes_scanned``) and those classes times the
+    counting primes (``prime_class_products``).  :data:`_MAX_CLASSES` caps
+    the unmerged count.
     """
     n_classes = math.prod((size + 1) * (size + 2) // 2 for _, size in groups)
     if n_classes > _MAX_CLASSES:

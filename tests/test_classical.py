@@ -28,12 +28,14 @@ from tritgame.combinat import grouped_sum
 from tritgame.protocol import admissible_bit_vectors
 
 from helpers import (
+    PER_BIT_SHIFTS,
     S3_Z3_REPS,
     canonical,
     cells,
     division_type,
     full_class_count,
     full_scan_value,
+    orbit,
     per_vector_transcript_counts,
     random_profile,
     transcript_class_stats,
@@ -446,10 +448,19 @@ class TestEvaluators:
         groups = strategy_groups(K7_THREE_GROUPS)
         tables = classical._prime_tables(classical.crt_primes(7))
         counting = tables.prefix(len(counting_primes(groups)))
-        sizes = [mult.shape[1] for _, mult in classical._class_blocks(groups, tables, counting)]
+        blocks = list(classical._class_blocks(groups, tables, counting))
+        sizes = [mult.shape[1] for _, mult in blocks]
         assert max(sizes) <= 7
-        assert sum(sizes) == full_class_count(groups)
-        assert evaluate_collapsed(K7_THREE_GROUPS) == expected
+        # 021201 and 210012 (2 parties each) keep 6 merged classes of their 6
+        # compositions; 220011's cells are shifts of one another, so its 10
+        # compositions merge into 1.
+        assert sum(sizes) == 6 * 6 * 1
+        # The merged multiplicities still count every transcript once: each
+        # party of a group sends one of the trits its strategy sends.
+        transcripts = math.prod(len(set(s.sent)) ** size for s, size in groups)
+        covered = sum(mult.sum(axis=1) for _, mult in blocks) % tables.modulus
+        assert covered.tolist() == [transcripts % p for p in tables.primes]
+        assert evaluate_collapsed(K7_THREE_GROUPS) == expected == full_scan_value(groups, 7)
 
     def test_collapsed_class_count_guard(self):
         strategies = tuple(
@@ -498,6 +509,19 @@ BENCHMARK_PROFILES = [
     [("012012", 3), ("001122", 4)],
     [("021201", 3), ("210012", 3), ("220011", 4)],
 ]
+
+
+#: Profiles whose groups leave a cell empty, as (strategy, party count)
+#: groups, and the merged classes each scans.  000111 sends 0 and 1, whose
+#: cells are no shifts of each other, so a group of n keeps n + 1 classes;
+#: 020202's two cells are shifts, x^8 apart, so its classes are those of
+#: n_2 mod 3; 001122 sends three shifts of one cell and merges into one
+#: class, and 000000 has one composition.
+EMPTY_CELL_SCANS = {
+    (("000111", 13),): 14,
+    (("000111", 4), ("020202", 3)): 5 * 3,
+    (("001122", 3), ("000000", 4)): 1 * 1,
+}
 
 
 def counting_primes(groups):
@@ -568,12 +592,9 @@ class TestCountingPrimes:
         profile = profile_from_groups(groups)
         assert evaluate_collapsed(profile) == full_scan_value(strategy_groups(profile), profile.k)
 
-    @pytest.mark.parametrize("groups", [
-        [("000111", 13)],
-        [("000111", 4), ("020202", 3)],
-        [("001122", 3), ("000000", 4)],
-    ])
+    @pytest.mark.parametrize("groups", list(EMPTY_CELL_SCANS))
     def test_classes_that_send_an_empty_cell_are_skipped(self, monkeypatch, groups):
+        scanned = EMPTY_CELL_SCANS[groups]
         profile = profile_from_groups(groups)
         groups = strategy_groups(profile)
         tables = classical._prime_tables(crt_primes(profile.k))
@@ -593,17 +614,77 @@ class TestCountingPrimes:
         assert used and not any(used)
         work = Counter()
         value = evaluate_collapsed(profile, work)
-        # A group of n parties sending u distinct trits has C(n + u - 1, u - 1) compositions.
-        expected_classes = math.prod(
-            math.comb(size + len(set(s.sent)) - 1, len(set(s.sent)) - 1) for s, size in groups
-        )
-        assert sum(sizes) == work["classes_scanned"] == expected_classes
+        assert sum(sizes) == work["classes_scanned"] == scanned
         assert work["transcript_classes"] == full_class_count(groups)
         assert work["classes_scanned"] < work["transcript_classes"]
         assert work["prime_class_products"] == work["classes_scanned"] * len(counting.primes)
-        assert value == full_scan_value(groups, profile.k)
-        if profile.k <= 7:
+        assert value == full_scan_value(groups, profile.k) == evaluate_exhaustive(profile)
+
+
+def _cell_residues(strategy: Strategy) -> list[frozenset[int]]:
+    """Per sent trit, the residues [x = 0] + 3y of its cell's register values."""
+    return [frozenset((x == 0) + 3 * y for y, x in cell) for cell in cells(strategy)]
+
+
+#: The tables with two nonempty cells whose residue sets are translates of
+#: each other in Z9, the ones whose compositions can merge: drawn apart so
+#: that merging is exercised, not only the identity.  They include shifts
+#: by x^e with e = 0 (mod 3), as in A, and with e != 0, as in 020202.
+SHIFTED_TABLES = tuple(
+    Strategy(t) for t in itertools.product(range(3), repeat=6)
+    if any(a and b and any({(r + e) % 9 for r in a} == b for e in range(9))
+           for a, b in itertools.combinations(_cell_residues(Strategy(t)), 2))
+)
+
+
+@st.composite
+def merging_profiles(draw):
+    """Profiles of 1 to 3 distinct strategies at k <= 31, tables often with shifted cells."""
+    k = draw(st.sampled_from(range(4, 32, 3)))
+    n_groups = draw(st.integers(1, 3))
+    table = st.one_of(st.tuples(*[st.integers(0, 2)] * 6).map(Strategy),
+                      st.sampled_from(SHIFTED_TABLES))
+    strategies = draw(st.lists(table, min_size=n_groups, max_size=n_groups, unique=True))
+    cuts = draw(st.lists(st.integers(1, k - 1), min_size=n_groups - 1,
+                         max_size=n_groups - 1, unique=True))
+    sizes = [b - a for a, b in itertools.pairwise([0, *sorted(cuts), k])]
+    return [(s, size) for s, size in zip(strategies, sizes)]
+
+
+class TestMergedCompositions:
+    @settings(deadline=None, max_examples=50)
+    @given(merging_profiles())
+    def test_merged_scan_matches_the_full_scan(self, groups):
+        k = sum(size for _, size in groups)
+        value = classical._collapsed_value(groups, crt_primes(k))
+        assert value == full_scan_value(groups, k)
+        if k <= 10:
+            profile = StrategyProfile(tuple(s for s, size in groups for _ in range(size)))
             assert value == evaluate_exhaustive(profile)
+
+    def test_division_a_orbit_merges_into_one_class(self):
+        # Every table of A's S3 x Z3^2 orbit sends pi(y + d(x)), three
+        # shifts of one cell by multiples of x^3, so all compositions of
+        # a group of any size give one class, of multiplicity 3^size.
+        tables = orbit(canonical_division("A"), PER_BIT_SHIFTS)
+        assert len(tables) == 18
+        primes = crt_primes(100)
+        for size in range(1, 101):
+            for s in tables:
+                comps, mults = classical._merged_compositions(s, size, primes)
+                assert len(comps) == 1, (s, size)
+                assert mults[:, 0].tolist() == [3**size % p for p in primes], (s, size)
+
+    def test_division_a_value_is_the_most_likely_zero_triple_count(self):
+        # The referee adds to the trit sum the most likely number of zero
+        # triples m / 3 mod 3, m the zero count, given m = 0 (mod 3).
+        a = canonical_division("A")
+        for k in range(4, 101, 3):
+            expected = max(Fraction(grouped_sum(k, 3 * r, 9), grouped_sum(k, 0, 3))
+                           for r in range(3))
+            work = Counter()
+            assert evaluate_collapsed(StrategyProfile.homogeneous(a, k), work) == expected, k
+            assert work["classes_scanned"] == 1
 
 
 class TestTranscriptClassStats:

@@ -7,14 +7,19 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tritgame import cli, protocol, qudit
-from tritgame.classical import EXHAUSTIVE_METHOD, crt_primes
+from tritgame.classical import (
+    EXHAUSTIVE_METHOD, Strategy, StrategyProfile, crt_primes, evaluate_exhaustive,
+)
 from tritgame.combinat import grouped_sum
+
+from helpers import full_scan_value
 
 
 DENSE_COUNTERS = ("half_states_evolved", "gates_applied", "rows_evolved", "row_gates_applied")
@@ -55,6 +60,13 @@ PINNED_PAYLOADS = [
      "453651a301c5488acd4abe578e9588a782581da0d6a604b6122ab0e82799af12"),
     (["quantum-run", "--k", "100", "--engine", "analytic", "--trials", "1000", "--seed", "4"],
      "bb88ef234b3d7f2263772d873e8d53d01776c1c0cbb638ebd0976242c4939b7a"),
+    # With --records the payload holds every drawn input and outcome, so these
+    # pin the sampler's and each engine's random stream.
+    (["quantum-run", "--k", "7", "--trials", "20", "--seed", "5", "--records"],
+     "495f50236e39b6a0d8232d73e98e515a4d338b2ac8453d1c8d69b59459ba4eed"),
+    (["quantum-run", "--k", "10", "--engine", "analytic", "--trials", "20", "--seed", "5",
+      "--records"],
+     "384474e9f57f14890d6f7a7347f3f9b14638f2b3c449bb0c4c95bebd13600ced"),
     (["quantum-verify"],
      "e28717fdc5af62636efee61416279384454601b33e58b2a998f5b1d08c5144d2"),
 ]
@@ -429,10 +441,11 @@ class TestClassical:
         canonical = json.dumps(env["payload"], sort_keys=True, separators=(",", ":"))
         assert env["payload_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
 
-    @pytest.mark.parametrize("k, scanned, products", [(31, 528, 1_584), (61, 1_953, 7_812)])
+    @pytest.mark.parametrize("k, scanned, products", [(31, 1, 3), (61, 1, 4)])
     def test_search_metrics_count_the_scan(self, capsys, k, scanned, products):
-        # Only the orbit the character bound keeps is scanned, division A's,
-        # which sends every trit; its counts are computed modulo only the
+        # Only the orbit the character bound keeps is scanned, division A's.
+        # Its three cells are shifts of one another, so all its compositions
+        # merge into one class, whose counts are computed modulo only the
         # primes its bound needs.
         _, env = run_json(capsys, ["classical", "search", "--k", str(k)])
         metrics = env["metrics"]
@@ -441,6 +454,9 @@ class TestClassical:
         assert metrics["prime_class_products"] == products
         assert metrics["transcript_classes"] == (k + 1) * (k + 2) // 2
         assert "classes_scanned" not in env["payload"]
+        probability = env["payload"]["probability"]
+        value = Fraction(probability["numerator"], probability["denominator"])
+        assert value == full_scan_value([(Strategy.from_string("001122"), k)], k)
 
     def test_search_metrics_time_each_stage(self, capsys):
         _, env = run_json(capsys, ["classical", "search", "--k", "13"])
@@ -458,9 +474,16 @@ class TestClassical:
         # Only a search reports its orbits.
         assert "strategy_orbits" not in env["metrics"]
         assert "orbits_evaluated" not in env["metrics"]
-        # Every trit is used, and counts below 2^3 * 3 need two primes.
-        assert env["metrics"]["classes_scanned"] == 10 * 3
-        assert env["metrics"]["prime_class_products"] == 10 * 3 * 2
+        # A's 10 compositions merge into one class; 100122's cells are no
+        # shifts of one another, so its 3 stay.  Counts below 2^3 * 3 need
+        # two primes.
+        assert env["metrics"]["classes_scanned"] == 1 * 3
+        assert env["metrics"]["prime_class_products"] == 1 * 3 * 2
+        a, other = Strategy.from_string("001122"), Strategy.from_string("100122")
+        profile = StrategyProfile((a,) * 3 + (other,))
+        collapsed = env["payload"]["collapsed"]
+        value = Fraction(collapsed["numerator"], collapsed["denominator"])
+        assert value == evaluate_exhaustive(profile) == full_scan_value([(a, 3), (other, 1)], 4)
 
     def test_eval_metrics_name_the_exhaustive_method(self, capsys):
         _, env = run_json(capsys, ["classical", "eval", "--strategy", "F", "--k", "7"])

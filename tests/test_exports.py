@@ -32,6 +32,7 @@ REMOVED = (
     "_UNITARY_TOL", "_NORM_TOL", "_CERT_TOL", "transcript_class_count", "exhaustive_in_bound",
     "plus_op", "grouped_sum_primed", "ramus", "_RAMUS_GUARD_DIGITS", "_pi", "_cos_pi_fraction",
     "_half_codes", "RootCheck", "_SQRT_NOT", "_BELL_EVEN", "_BELL_ODD", "class_step_ok",
+    "_used_compositions",
 )
 
 
@@ -125,6 +126,17 @@ def test_exhaustive_oracle_is_independent():
                             ("per_vector_transcript_counts",))
     assert not reference & {"_half_histogram", "exhaustive_transcript_counts",
                             "evaluate_exhaustive"}
+
+
+def test_full_scan_reference_is_unmerged():
+    # The reference the merged scan is checked against scans every
+    # composition: neither it nor the package names it reaches, followed
+    # through the private names they use, merges compositions.
+    source = Path(classical.__file__)
+    helper = _references(Path(__file__).with_name("helpers.py"), ("full_scan_value",))
+    package = helper & set(_top_level_definitions(source))
+    assert {"_compositions", "_composition_values", "_group_powers"} <= package
+    assert "_merged_compositions" not in helper | _references(source, tuple(package))
 
 
 def test_exact_identities_are_integer_only():
