@@ -20,17 +20,13 @@ group Z9 and compute the referee's exact success probability:
   scans transcript classes weighted by their multinomial multiplicity.
   Per-party contributions are vectors over the residues, multiplied
   pointwise in the characters of Z9 modulo word-size primes and rebuilt
-  exactly by the Chinese remainder theorem.
-  The classes are scanned as a table of all groups but the last times
-  slices of the last group, skipping classes that send a trit no party of
-  its group can send.  Within a group, a cell that is a cyclic shift x^e
-  of another makes compositions whose counts differ only by a rotation of
-  the global values; those merge into one class, their multiplicities
-  summed, so a group of division A (three shifts of one cell) scans one
-  class at any size.  A class's counts are bounded by the product of its
-  parties' largest cells, so they are computed modulo only as many primes
-  as that bound needs and lifted to the rest.  Exact at any k whose
-  unmerged class count :data:`_MAX_CLASSES` allows.
+  exactly by the Chinese remainder theorem.  Compositions of a group
+  whose counts differ only by a rotation of the global values (cells
+  that are cyclic shifts x^e of one another) form one class, built from
+  a generating function, so division A is one class at any size.  Counts
+  are computed modulo only as many primes as the product of the parties'
+  largest cells needs.  Exact at any k whose merged class count
+  :data:`_MAX_CLASSES` allows.
 
 Both return reduced fractions and must agree wherever both run.
 
@@ -50,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,8 +60,8 @@ REGISTER_VALUES: tuple[tuple[int, int], ...] = (
 
 _PERMS3 = tuple(itertools.permutations(range(3)))
 
-# Cap on a profile's transcript classes, counted before merging
-# (:func:`_merged_compositions`), that the collapsed evaluator accepts.
+# Cap on a profile's merged transcript classes (:func:`_group_classes`)
+# that the collapsed evaluator scans.
 _MAX_CLASSES = 5_000_000
 
 
@@ -417,83 +413,117 @@ def _step_polys(sent: tuple[int, ...]) -> np.ndarray:
     return polys
 
 
-def _group_powers(sent: tuple[int, ...], size: int, tables: _PrimeTables) -> np.ndarray:
-    """(3, P, size + 1, 9): character values of each step vector to the powers 0..size."""
+def _group_powers(polys: np.ndarray, low: int, high: int, tables: _PrimeTables) -> np.ndarray:
+    """(m, P, high - low + 1, 9): character values of ``polys`` (m, 9) to the powers low..high."""
     p = tables.modulus[:, None]
-    base = (tables.characters @ _step_polys(sent).T % p[:, None]).transpose(2, 0, 1)
-    out = np.empty((3, len(tables.primes), size + 1, 9), dtype=np.int64)
-    out[:, :, 0] = 1
-    filled = 1
-    while filled <= size:  # powers filled..2*filled-1 are powers 0..filled-1 times base^filled
-        step = out[:, :, filled - 1] * base % p
-        n = min(filled, size + 1 - filled)
+    base = (tables.characters @ polys.T % p[:, None]).transpose(2, 0, 1)
+    out = np.ones((len(polys), len(tables.primes), high - low + 1, 9), dtype=np.int64)
+    square, e = base, low
+    while e:  # base^low by repeated squaring
+        if e & 1:
+            out[:, :, 0] = out[:, :, 0] * square % p
+        square, e = square * square % p, e >> 1
+    filled, step = 1, base
+    while filled <= high - low:  # from filled on, the first powers times base^filled
+        n = min(filled, high - low + 1 - filled)
         block = out[:, :, filled:filled + n]
         np.multiply(out[:, :, :n], step[:, :, None], out=block)
         block %= p[..., None]
-        filled += n
+        filled, step = filled + n, step * step % p
     return out
 
 
-def _multinomial(size: int, counts: tuple[int, int, int]) -> int:
-    return binomial(size, counts[0]) * binomial(size - counts[0], counts[1])
-
-
 @lru_cache(maxsize=16)
-def _compositions(size: int, primes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """A group's sent-count compositions (C, 3) and their multinomials mod each prime (P, C)."""
-    comps = [(c0, c1, size - c0 - c1) for c0 in range(size + 1) for c1 in range(size - c0 + 1)]
-    mults = [_multinomial(size, c) for c in comps]
-    return (
-        np.array(comps, dtype=np.intp),
-        np.array([[m % p for m in mults] for p in primes], dtype=np.int64),
-    )
+def _factorials(size: int, primes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(P, size + 1): j! and 1 / j! mod each prime, from prefix products in log2(size) steps."""
+    p = np.array(primes, dtype=np.int64)[:, None, None]
+    # The products of 1, 2, ..., size and of size, size - 1, ..., 1, each after a 1.
+    out = np.tile(np.maximum([np.arange(size + 1), np.arange(size + 1, 0, -1) % (size + 1)], 1),
+                  (len(primes), 1, 1))
+    for step in (1 << b for b in range(size.bit_length())):
+        out[..., step:] = out[..., step:] * out[..., :-step] % p
+    top = np.array([pow(int(f), -1, q) for f, q in zip(out[:, 0, -1], primes)])
+    return out[:, 0], out[:, 1, ::-1] * top[:, None] % p[:, 0]  # 1 / j! = (size! / j!) / size!
 
 
-def _composition_values(
-    powers: np.ndarray, comps: np.ndarray, tables: _PrimeTables
-) -> Iterator[np.ndarray]:
-    """Per prime, (C, 9): character values of a group sending ``comps`` (C, 3).
+def _check_class_count(n_classes: int) -> None:
+    if n_classes > _MAX_CLASSES:
+        raise ValueError(f"profile has at least {n_classes} merged transcript classes; "
+                         "reduce the number of distinct strategies")
 
-    ``powers`` are the group's step-vector powers (:func:`_group_powers`);
-    a composition's value is the product of its three sent trits' powers.
-    One prime at a time keeps the working set small.
+
+@lru_cache(maxsize=None)
+def _group_shape(sent: tuple[int, ...]) -> tuple[np.ndarray, int, np.ndarray]:
+    """A strategy's bases P_u, then Q_v (m + 1, 9); v's row; and the support of q_v^j (3, 3).
+
+    Step vector P_t (:func:`_step_polys`) of a sent trit t is x^(e_t) P_u,
+    u the first trit u <= t it is a cyclic shift of: the bases.  q_u =
+    sum_t X^(e_t mod 3) over the trits that shift P_u is 1 for a base of
+    one trit, and at most one base v of three has more; Q_v = sum_t
+    x^(3 e_t) puts q_v in Z9.  q_v^j's support in Z3 holds 0 and stops growing at j = 2.
     """
-    c0, c1, c2 = comps.T
-    for j, p in enumerate(tables.primes):
-        values = powers[0, j, c0] * powers[1, j, c1]
-        values %= p
-        values *= powers[2, j, c2]
-        values %= p
-        yield values
-
-
-def _merged_compositions(
-    strategy: Strategy, size: int, primes: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """A group's :func:`_compositions`, one per class of equal counts up to a rotation.
-
-    Step vector P_t (:func:`_step_polys`) is x^(e_t) P_u, a cyclic shift,
-    for u the first trit u <= t it is a shift of.  A composition c then
-    sends x^E prod_u P_u^(n_u), with n_u the sum of c_t over the trits
-    that shift P_u and E = sum_t e_t c_t, and x^3 only moves every global
-    value by one, so the compositions of equal (n_u, E mod 3) give the same
-    best count and total.  Each such class keeps its first composition, and
-    its multinomials are summed mod each prime.  Compositions that send a
-    trit ``strategy`` never sends have counts 0 and are dropped.
-    """
-    comps, mults = _compositions(size, primes)
-    polys = _step_polys(strategy.sent)
+    polys = _step_polys(sent)
+    used = np.flatnonzero(polys.any(axis=1))
     shifted = polys[:, (np.arange(9) - np.arange(9)[:, None]) % 9]  # [u, e] is x^e P_u
-    # Per trit t the first (u, e) with P_t = x^e P_u; (t, 0) always matches.
-    matches = (shifted == polys[:, None, None]).all(axis=3).reshape(3, 27)
-    u, e = np.divmod(matches.argmax(axis=1), 9)
-    # The n_u in base size + 1, then E mod 3.
-    key = 3 * (comps @ (size + 1) ** u) + comps @ e % 3
-    kept = np.flatnonzero(~comps[:, [t for t in range(3) if t not in strategy.sent]].any(axis=1))
-    order = kept[np.argsort(key[kept], kind="stable")]
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))  # each class's first composition
-    sums = np.add.reduceat(mults[:, order], starts, axis=1)
-    return comps[order[starts]], sums % np.array(primes, dtype=np.int64)[:, None]
+    # Per used trit t the first (u, e) with P_t = x^e P_u; (t, 0) always matches.
+    matches = (shifted == polys[used, None, None]).all(axis=3).reshape(len(used), 27)
+    base, e = np.divmod(matches.argmax(axis=1), 9)
+    bases = np.flatnonzero(np.bincount(base, minlength=3))
+    base_of = np.searchsorted(bases, base)
+    v = int(np.bincount(base_of).argmax())
+    shifts = np.bincount(3 * e[base_of == v] % 9, minlength=9)
+    q = shifts[::3].tolist()  # q_v(X) = sum_r q[r] X^r, and q_v^2 by cyclic convolution:
+    square = [sum(q[r] * q[(s - r) % 3] for r in range(3)) for s in range(3)]
+    return np.vstack([polys[bases], shifts]), v, np.array([[1, 0, 0], q, square]) > 0
+
+
+def _group_classes(
+    sent: tuple[int, ...], size: int, tables: _PrimeTables, counting: _PrimeTables
+) -> tuple[Callable[[slice], np.ndarray], np.ndarray]:
+    """A group's merged classes: their character values by slice and multiplicities (P, C).
+
+    With the bases of :func:`_group_shape`, a composition (c_t parties
+    send t) sends x^E prod_u P_u^(n_u), n_u the sum of c_t over the trits
+    that shift P_u and E = sum_t e_t c_t; x^3 only rotates the global
+    values, so a class (n_u, E mod 3) has one best count and total.  Its
+    multiplicity is multinomial(size; n_u) [X^E] q_v^(n_v) (multinomial
+    theorem), with no composition formed, for each n_u and each E in the
+    support of q_v^(min(n_v, 2)).  Values are formed per slice of classes.
+    """
+    assert size < min(tables.primes) and max(tables.primes) < _PRIME_LIMIT
+    vectors, v, support = _group_shape(sent)
+    m = len(vectors) - 1
+    _check_class_count(math.comb(size + m - 1, size))
+    if m == 1:
+        n = np.array([[size]])
+    elif m == 2:
+        n = np.stack([np.arange(size + 1), np.arange(size, -1, -1)], axis=1)
+    else:
+        i, j = np.triu_indices(size + 1)
+        n = np.stack([i, j - i, size - j], axis=1)
+    rows, offsets = np.nonzero(support[np.minimum(n[:, v], 2)])
+    n = n[rows]
+    # The exponents run from their least to size: all of 0..size when m > 1.
+    low = int(n.min())
+    index = n - low
+    powers = _group_powers(vectors, low, size, tables)
+    modulus = tables.modulus[:, None]
+    mults = (powers[-1] @ tables.fold)[:, index[:, v], offsets] % modulus  # [X^E] q_v^(n_v)
+    if m > 1:
+        facts, inverses = _factorials(size, tables.primes)
+        mults = mults * facts[:, [size]] % modulus
+        for parts in n.T:
+            mults = mults * inverses[:, parts] % modulus
+    p = counting.modulus[:, None, None]
+
+    def values(rows: slice) -> np.ndarray:
+        """(C, B, 9): per counting prime, the character values of the classes in ``rows``."""
+        out = counting.characters[:, offsets[rows]]
+        for power, i in zip(powers[:-1, :len(p)], index[rows].T):
+            out = out * power[:, i] % p
+        return out
+
+    return values, mults
 
 
 def _count_bound(groups: list[tuple[Strategy, int]]) -> int:
@@ -542,9 +572,8 @@ def evaluate_collapsed(profile: StrategyProfile, work: Counter | None = None) ->
     """Referee success probability over transcript classes, in the character domain.
 
     Exactly equals :func:`evaluate_exhaustive` wherever both run; scales to
-    large k for profiles with few distinct strategies because the scan is
-    over transcript classes, not transcripts.  ``work``, when given, counts
-    what the scan did (:func:`_collapsed_value`).
+    large k with few distinct strategies, scanning classes, not transcripts.
+    ``work``, when given, counts what the scan did (:func:`_collapsed_value`).
     """
     return _collapsed_value(strategy_groups(profile), crt_primes(profile.k), work)
 
@@ -555,49 +584,30 @@ def _class_blocks(
     """Counts (C, B, 3) mod each counting prime and multiplicities (P, B) mod each prime.
 
     ``counting`` holds the tables of a prefix of ``tables``' primes.  The
-    classes are the cartesian product of each group's merged compositions
-    (:func:`_merged_compositions`): one per set of compositions whose
-    counts differ only by a rotation of the global values, which share
-    their best count and total, with the set's multinomials summed; none
-    sends a trit its strategy never sends.  They are yielded in blocks of
-    at most ``_BLOCK``, each class with the counts of its first
-    composition.  Every group but the last is a prefix group: its
-    character values and multinomials per merged composition are
-    tabulated once.  The last group's merged compositions are taken in
-    slices of up to ``_BLOCK`` and their values computed per slice.  A
-    block is a run of prefix classes times one slice: the run's values
-    (products of its groups' table rows) times the slice's values folded
-    to counts, one integer matrix product per counting prime.  With a
-    single group there is no prefix and a block is the slice, folded
-    directly.
+    classes, the product of each group's merged classes (:func:`_group_classes`),
+    are checked against :data:`_MAX_CLASSES` before the first block.  Every
+    group but the last is tabulated once; a block of at most ``_BLOCK`` is a
+    run of those classes times a slice of the last group's, the run's values
+    times the slice's folded to counts, or with one group the slice alone.
     """
-    n_counting = len(counting.primes)
     p = counting.modulus[:, None, None]
     q = tables.modulus[:, None]
-    *head, (last, last_size) = groups
-    prefix = []
-    for s, size in head:
-        comps, mults = _merged_compositions(s, size, tables.primes)
-        values = _composition_values(_group_powers(s.sent, size, counting), comps, counting)
-        prefix.append((np.stack(list(values)), mults))
+    classes = [_group_classes(s.sent, size, tables, counting) for s, size in groups]
+    _check_class_count(math.prod(mults.shape[1] for _, mults in classes))
+    *head, (last_values, last_mults) = classes
+    prefix = [(values(slice(None)), mults) for values, mults in head]
     shape = tuple(len(m[0]) for _, m in prefix)
     n_prefix = math.prod(shape)
-    last_powers = _group_powers(last.sent, last_size, counting)
-    last_comps, last_mults = _merged_compositions(last, last_size, tables.primes)
 
-    for lo in range(0, len(last_comps), _BLOCK):
-        values = _composition_values(last_powers, last_comps[lo:lo + _BLOCK], counting)
+    for lo in range(0, last_mults.shape[1], _BLOCK):
+        values = last_values(slice(lo, lo + _BLOCK))
         mults = last_mults[:, lo:lo + _BLOCK]
         if not prefix:
-            counts = np.empty((n_counting, mults.shape[1], 3), dtype=np.int64)
-            for j, v in enumerate(values):
-                counts[j] = v @ counting.fold[j] % counting.primes[j]
-            yield counts, mults
+            yield values @ counting.fold % p, mults
             continue
         # (C, 9, 3S): column 3s + v folds slice member s's values onto global value v.
-        values = np.stack(list(values))
         folded = values[:, :, None, :] * counting.fold.transpose(0, 2, 1)[:, None] % p[..., None]
-        folded = folded.reshape(n_counting, -1, values.shape[2]).transpose(0, 2, 1)
+        folded = folded.reshape(len(p), -1, values.shape[2]).transpose(0, 2, 1)
         run = max(1, _BLOCK // mults.shape[1])
         for start in range(0, n_prefix, run):
             index = np.unravel_index(np.arange(start, min(start + run, n_prefix)), shape)
@@ -607,7 +617,7 @@ def _class_blocks(
                 head_mults = head_mults * m[:, i] % q
             counts = head_values @ folded % p
             block_mults = head_mults[:, :, None] * mults[:, None] % q[..., None]
-            yield counts.reshape(n_counting, -1, 3), block_mults.reshape(len(q), -1)
+            yield counts.reshape(len(p), -1, 3), block_mults.reshape(len(q), -1)
 
 
 def _weighted_sum(
@@ -655,7 +665,7 @@ def _collapsed_value(
 ) -> Fraction:
     """Success probability of the profile ``groups`` computed modulo ``primes``.
 
-    Scans the transcript classes block by block (:func:`_class_blocks`),
+    Scans the merged transcript classes block by block (:func:`_class_blocks`),
     their counts modulo the counting primes, the primes past
     :func:`_count_bound` (:func:`_primes_past`), a prefix of ``primes``.
     Each class's best guess is read from its exact counts' Garner digits,
@@ -663,18 +673,11 @@ def _collapsed_value(
     every prime of ``primes``; the numerator is summed mod each prime and
     reconstructed once.  The denominator is the number of admissible inputs,
     3^k * sum_i C(k, 3i), which the summed class totals must match.
-    ``work``, when given, gains the profile's transcript classes, counting
-    those the scan skips as empty or merges (``transcript_classes``), the
-    merged classes scanned (``classes_scanned``) and those classes times the
-    counting primes (``prime_class_products``).  :data:`_MAX_CLASSES` caps
-    the unmerged count.
+    ``work``, when given, gains the transcript classes before merging or
+    skipping (``transcript_classes``), the classes scanned
+    (``classes_scanned``) and those times the counting primes
+    (``prime_class_products``).
     """
-    n_classes = math.prod((size + 1) * (size + 2) // 2 for _, size in groups)
-    if n_classes > _MAX_CLASSES:
-        raise ValueError(
-            f"profile has too many transcript classes ({n_classes}); "
-            "reduce the number of distinct strategies"
-        )
     tables = _prime_tables(primes)
     counting = tables.prefix(len(_primes_past(_count_bound(groups))))
     numerator = total = np.zeros(len(primes), dtype=np.int64)
@@ -685,6 +688,7 @@ def _collapsed_value(
         total = (total + class_total) % tables.modulus
         scanned += mults.shape[1]
     if work is not None:
+        n_classes = math.prod((size + 1) * (size + 2) // 2 for _, size in groups)
         work.update(transcript_classes=n_classes, classes_scanned=scanned,
                     prime_class_products=scanned * len(counting.primes))
 
@@ -730,9 +734,9 @@ def _cosine_ceilings() -> tuple[int, ...]:
     return tuple(ceilings[d] for d in range(1, 5))
 
 
-@lru_cache(maxsize=None)
-def _character_sums(sent: tuple[int, ...]) -> tuple[int, int, int]:
-    """Integers U_s with U_s / 10^D >= S_s = sum_t |chi_(1+3s)(P_t)|, for s = 0, 1, 2.
+@lru_cache(maxsize=8)
+def _character_sums(sents: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int, int], ...]:
+    """Per table, integers U_s with U_s / 10^D >= S_s = sum_t |chi_(1+3s)(P_t)|, s = 0, 1, 2.
 
     P_t is row t of :func:`_step_polys`, chi_c(P) = sum_r P[r] z^(c*r) with
     z = exp(2 pi i / 9) is character c of Z9, and D is :data:`_BOUND_DIGITS`.
@@ -740,20 +744,21 @@ def _character_sums(sent: tuple[int, ...]) -> tuple[int, int, int]:
     |chi_c(P)|^2 = R_0 + 2 sum_(d=1..4) R_d cos(2 pi c d / 9).  Every R_d is
     a nonnegative integer, so replacing each cosine by its ceiling from
     :func:`_cosine_ceilings` gives an integer T >= 10^D |chi_c(P)|^2, and
-    isqrt(10^D T) + 1 > 10^D |chi_c(P)|.  No float enters.
+    isqrt(10^D T) + 1 > 10^D |chi_c(P)|, no float entering; the R_d of
+    all the tables' rows are one integer product.
     """
-    cos_ceilings = _cosine_ceilings()
+    ceilings = _cosine_ceilings()
     scale = 10**_BOUND_DIGITS
-    sums = [0, 0, 0]
-    for row in _step_polys(sent).tolist():
-        auto = [sum(row[r] * row[(r + d) % 9] for r in range(9)) for d in range(5)]
-        for s in range(3):
-            c = 1 + 3 * s
-            square = auto[0] * scale + 2 * sum(
-                auto[d] * cos_ceilings[min(c * d % 9, -c * d % 9) - 1] for d in range(1, 5)
-            )
-            sums[s] += math.isqrt(square * scale) + 1
-    return tuple(sums)
+    rows = np.array([_step_polys(sent) for sent in sents]).reshape(-1, 9)
+    auto = np.einsum("ir,idr->id", rows, rows[:, (np.arange(9) + np.arange(5)[:, None]) % 9])
+    # Per c = 1 + 3s, the ceilings of cos(2 pi c d / 9) for d = 1..4.
+    weights = [[ceilings[min(c * d % 9, -c * d % 9) - 1] for d in range(1, 5)] for c in (1, 4, 7)]
+    roots = {}  # per distinct R_0..R_4, the three isqrt(10^D T) + 1
+    for r in set(map(tuple, auto.tolist())):
+        roots[r] = [math.isqrt((r[0] * scale + 2 * sum(map(operator.mul, r[1:], w))) * scale) + 1
+                    for w in weights]
+    tables = auto.reshape(-1, 3, 5).tolist()
+    return tuple(tuple(map(sum, zip(*(roots[tuple(r)] for r in rows)))) for rows in tables)
 
 
 def _character_bound(sums: Sequence[int], k: int) -> Fraction:
@@ -793,37 +798,32 @@ def strategy_orbit_reps() -> tuple[Strategy, ...]:
     bits and k = 1 (mod 3), so the shift maps admissible inputs one to
     one, keeps each transcript and moves every global value by
     c0*m + c1*(k - m) = c1 (mod 3), a relabeling of the referee's guess.
-    Neither changes a homogeneous profile's success probability.  The
-    tables are scanned in lexicographic order and a table not yet seen
-    starts a new orbit, so each of the 22 orbits is represented by its
-    lexicographically smallest member.
+    Neither changes a homogeneous profile's success probability.  A
+    table whose base-3 code is the least among its 54 images' is its
+    orbit's lexicographically smallest member, and one of the 22 kept.
 
     The per-bit shift holds only when every party shifts at once.  A
     single party's tables reduce only under S3 x Z3 (c0 = c1), 44 orbits,
     so these 22 do not reduce the parties of a mixed profile.
     """
-    moves = [(_shift_indices(c0, c1), perm)
-             for c0 in range(3) for c1 in range(3) for perm in _PERMS3]
-    seen: set[tuple[int, ...]] = set()
-    reps: list[Strategy] = []
-    for sent in itertools.product(range(3), repeat=6):
-        if sent not in seen:
-            reps.append(Strategy(sent))
-            seen.update(tuple(perm[sent[i]] for i in index) for index, perm in moves)
-    return tuple(reps)
+    place = 3 ** np.arange(5, -1, -1)
+    tables = np.arange(729)[:, None] // place % 3  # in lexicographic order
+    # Image entry j is table entry index[j], which so weighs place[j] in its code.
+    weights = np.zeros((9, 6), dtype=np.int64)
+    index = [_shift_indices(c0, c1) for c0 in range(3) for c1 in range(3)]
+    np.put_along_axis(weights, np.array(index), place, axis=1)
+    codes = np.array(_PERMS3)[:, tables] @ weights.T  # (6, 729, 9): each image's code
+    smallest = codes.min(axis=2).min(axis=0) == np.arange(729)
+    return tuple(Strategy(tuple(t)) for t in tables[smallest].tolist())
 
 
 def best_homogeneous(k: int, work: Counter | None = None) -> tuple[Strategy, Fraction]:
     """Best success probability over all single-strategy profiles at k parties.
 
     Searches the 22 :func:`strategy_orbit_reps`, one per orbit under
-    S3 x Z3^2 (relabeling the sent trit, shifting the register trit by c0
-    where the bit is 0 and by c1 where it is 1, in every party), and
-    returns the first maximizer.  The shift moves every global value by
-    c1, because an admissible input's zero count m is 0 and k is 1
-    (mod 3), so every table of an orbit has the same value; each orbit's
-    representative is its smallest member, so this is also the first
-    maximizer in lexicographic order among all 729 tables.
+    S3 x Z3^2, whose tables all have one value, and returns the first
+    maximizer; each representative is its orbit's smallest member, so
+    this is also the first maximizer in lexicographic order of the 729.
 
     The search is bound first: each orbit gets the exact upper bound
     :func:`_character_bound` of its table's :func:`_character_sums`, and
@@ -837,7 +837,7 @@ def best_homogeneous(k: int, work: Counter | None = None) -> tuple[Strategy, Fra
     check_party_count(k)
     primes = crt_primes(k)
     reps = strategy_orbit_reps()
-    sums = [_character_sums(s.sent) for s in reps]
+    sums = _character_sums(tuple(s.sent for s in reps))
     # U(k) grows with sum_s U_s^k, so this visits the orbits by decreasing
     # bound, ties in representative order.
     order = sorted(range(len(reps)), key=lambda i: sum(u**k for u in sums[i]), reverse=True)

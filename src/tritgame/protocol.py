@@ -182,7 +182,7 @@ def decode_batch(trits: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
     check_party_count(outcomes.shape[1])
     _check_trits(trits, outcomes)
     _check_digits("outcomes", outcomes)
-    return ((trits + outcomes) % 3).sum(axis=1, dtype=np.int64) % 3
+    return (trits + outcomes).sum(axis=1, dtype=np.int64) % 3
 
 
 # ---------------------------------------------------------------------------

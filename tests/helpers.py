@@ -1,9 +1,11 @@
 """Helpers that only the tests use.
 
 Strategy cells and canonical forms, register-trit orbits and the 44
-S3 x Z3 orbit representatives, random profiles, a per-bit-vector
-enumeration that the exhaustive oracle is checked against, a full scan, its
-class count and per-class statistics of the collapsed evaluator, a sum-class classifier
+S3 x Z3 orbit representatives, a set-based scan for the 22 S3 x Z3^2
+representatives and a per-row autocorrelation, random profiles, a
+per-bit-vector enumeration that the exhaustive oracle is checked against,
+a full scan over every composition, its class count and per-class
+statistics of the collapsed evaluator, a sum-class classifier
 for dense states, the nine cube-root branches of the shift gate and the
 float class step of a gate at three parties, a
 rejection sampler that unpacks every drawn row, the four bound
@@ -29,13 +31,9 @@ from tritgame.classical import (
     Strategy,
     StrategyProfile,
     _BLOCK,
-    _composition_values,
-    _compositions,
     _from_digits,
-    _group_powers,
     _largest,
     _mixed_radix,
-    _multinomial,
     _prime_tables,
     crt_primes,
     strategy_groups,
@@ -177,6 +175,62 @@ class TranscriptClassStats:
         return self.g_counts.index(m)
 
 
+def orbit_reps_by_scan() -> tuple[Strategy, ...]:
+    """The reference for :func:`strategy_orbit_reps`: a scan that collects each orbit as a set.
+
+    The 729 tables are scanned in lexicographic order; a table not yet
+    seen starts a new orbit, all of whose images under S3 x Z3^2 are
+    then marked seen, so each orbit is represented by its smallest member.
+    """
+    seen: set[Strategy] = set()
+    reps: list[Strategy] = []
+    for sent in itertools.product(range(3), repeat=6):
+        if Strategy(sent) not in seen:
+            reps.append(Strategy(sent))
+            seen |= orbit(Strategy(sent), PER_BIT_SHIFTS)
+    return tuple(reps)
+
+
+def autocorrelations(row: Sequence[int]) -> list[int]:
+    """R_d = sum_r row[r] row[(r + d) mod 9], d = 0..4, one term at a time."""
+    return [sum(row[r] * row[(r + d) % 9] for r in range(9)) for d in range(5)]
+
+
+def step_vectors(strategy: Strategy) -> np.ndarray:
+    """(3, 9): per sent trit, its cell's register values counted by residue [x = 0] + 3y."""
+    steps = np.zeros((3, 9), dtype=np.int64)
+    for (y, x), t in zip(REGISTER_VALUES, strategy.sent):
+        steps[t, (x == 0) + 3 * y] += 1
+    return steps
+
+
+def _power_table(strategy: Strategy, size: int, tables) -> np.ndarray:
+    """(3, P, size + 1, 9): character values of each step vector to the powers 0..size.
+
+    One product per power, from the characters of :func:`step_vectors`.
+    """
+    p = tables.modulus[:, None]
+    base = (tables.characters @ step_vectors(strategy).T % p[:, None]).transpose(2, 0, 1)
+    powers = np.ones((3, len(tables.primes), size + 1, 9), dtype=np.int64)
+    for n in range(1, size + 1):
+        powers[:, :, n] = powers[:, :, n - 1] * base % p
+    return powers
+
+
+def _compositions(size: int, primes) -> tuple[np.ndarray, np.ndarray]:
+    """Every sent-count composition (C, 3) of a group and its multinomial mod each prime (P, C)."""
+    comps = [(c0, c1, size - c0 - c1) for c0 in range(size + 1) for c1 in range(size - c0 + 1)]
+    mults = [math.comb(size, c0) * math.comb(size - c0, c1) for c0, c1, _ in comps]
+    return np.array(comps), np.array([[m % p for m in mults] for p in primes], dtype=np.int64)
+
+
+def _composition_values(powers: np.ndarray, comps: np.ndarray, tables) -> np.ndarray:
+    """(P, C, 9): character values of a group sending ``comps``, products of its powers."""
+    p = tables.modulus[:, None, None]
+    c0, c1, c2 = comps.T
+    return powers[0][:, c0] * powers[1][:, c1] % p * powers[2][:, c2] % p
+
+
 def transcript_class_stats(
     profile: StrategyProfile, class_id: Sequence[tuple[int, int, int]]
 ) -> TranscriptClassStats:
@@ -198,10 +252,9 @@ def transcript_class_stats(
     for (strategy, size), counts in zip(groups, class_id):
         if len(counts) != 3 or any(c < 0 for c in counts) or sum(counts) != size:
             raise ValueError(f"sent counts {counts!r} do not partition group of size {size}")
-        powers = _group_powers(strategy.sent, size, tables)
-        group = _composition_values(powers, np.array([counts]), tables)
-        values = values * np.stack(list(group)) % p
-        multiplicity *= _multinomial(size, counts)
+        group = _composition_values(_power_table(strategy, size, tables), np.array([counts]), tables)
+        values = values * group % p
+        multiplicity *= math.comb(size, counts[0]) * math.comb(size - counts[0], counts[1])
     residues = (values @ tables.fold % p)[:, 0]
     digits = _mixed_radix(residues, tables)
     g_counts = tuple(_from_digits([d[v] for d in digits], primes) for v in range(3))
@@ -218,7 +271,9 @@ def _full_class_blocks(groups, tables) -> Iterator[tuple[np.ndarray, np.ndarray]
 
     Every composition of every group, in blocks of at most ``_BLOCK``: a
     run of classes of all groups but the last times a slice of the last
-    group's compositions, or the slice alone for a single group.
+    group's compositions, or the slice alone for a single group.  The
+    compositions, their ``math.comb`` multinomials and the powers are
+    formed here, apart from the evaluator's class builder.
     """
     n_primes = len(tables.primes)
     p = tables.modulus[:, None, None]
@@ -226,23 +281,18 @@ def _full_class_blocks(groups, tables) -> Iterator[tuple[np.ndarray, np.ndarray]
     prefix = []
     for s, size in head:
         comps, mults = _compositions(size, tables.primes)
-        values = _composition_values(_group_powers(s.sent, size, tables), comps, tables)
-        prefix.append((np.stack(list(values)), mults))
+        prefix.append((_composition_values(_power_table(s, size, tables), comps, tables), mults))
     shape = tuple(len(m[0]) for _, m in prefix)
     n_prefix = math.prod(shape)
-    last_powers = _group_powers(last.sent, last_size, tables)
+    last_powers = _power_table(last, last_size, tables)
     last_comps, last_mults = _compositions(last_size, tables.primes)
 
     for lo in range(0, len(last_comps), _BLOCK):
         values = _composition_values(last_powers, last_comps[lo:lo + _BLOCK], tables)
         mults = last_mults[:, lo:lo + _BLOCK]
         if not prefix:
-            counts = np.empty((n_primes, mults.shape[1], 3), dtype=np.int64)
-            for j, v in enumerate(values):
-                counts[j] = v @ tables.fold[j] % tables.primes[j]
-            yield counts, mults
+            yield values @ tables.fold % p, mults
             continue
-        values = np.stack(list(values))
         folded = values[:, :, None, :] * tables.fold.transpose(0, 2, 1)[:, None] % p[..., None]
         folded = folded.reshape(n_primes, -1, values.shape[2]).transpose(0, 2, 1)
         run = max(1, _BLOCK // mults.shape[1])

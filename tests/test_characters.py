@@ -35,7 +35,9 @@ from tritgame.classical import (
     strategy_orbit_reps,
 )
 
-from helpers import PER_BIT_SHIFTS, S3_Z3_REPS, canonical, orbit
+from helpers import (
+    PER_BIT_SHIFTS, S3_Z3_REPS, autocorrelations, canonical, orbit, orbit_reps_by_scan,
+)
 
 
 # One table per orbit under relabeling of the sent trit, in lexicographic order.
@@ -104,6 +106,7 @@ def is_prime(n):
 
 #: The 729 tables as a (729, 6) array, in lexicographic order.
 TABLES = np.array(list(itertools.product(range(3), repeat=6)))
+ALL_SENT = tuple(itertools.product(range(3), repeat=6))
 
 
 def homogeneous_value(strategy, k):
@@ -218,7 +221,11 @@ class TestTransform:
         tables = _prime_tables(self.PRIMES)
         size = 7
         for strategy in strategy_orbit_reps():
-            powers = _group_powers(strategy.sent, size, tables)
+            polys = _step_polys(strategy.sent)
+            powers = _group_powers(polys, 0, size, tables)
+            # A range that starts past 0 begins from a power by repeated squaring.
+            for low in range(size + 1):
+                assert np.array_equal(_group_powers(polys, low, size, tables), powers[:, :, low:])
             steps = np.zeros((3, 27), dtype=np.int64)
             for (y, x), t in zip(REGISTER_VALUES, strategy.sent):
                 steps[t, 3 * (x == 0) + y] += 1
@@ -291,6 +298,11 @@ class TestOrbits:
         # Each orbit is a union of S3 x Z3 orbits, represented by the smallest.
         assert len(S3_Z3_REPS) == 44
         assert set(reps) <= set(S3_Z3_REPS)
+
+    def test_orbit_reps_are_those_of_a_set_scan(self):
+        # The least code over each table's 54 images picks what a scan in
+        # lexicographic order that marks each new orbit's members picks.
+        assert strategy_orbit_reps() == orbit_reps_by_scan()
 
     def test_per_bit_shift_moves_every_global_value_by_c1(self):
         # Exactly, transcript by transcript: an admissible input's m zero bits
@@ -391,37 +403,57 @@ class TestCharacterBound:
             # The float cosine only tells which root the sign change brackets.
             assert c / scale == pytest.approx(math.cos(2 * math.pi * d / 9), abs=1e-12), d
 
+    def test_character_sums_follow_each_rows_autocorrelation(self):
+        # The batched autocorrelations give what a per-row loop gives, for
+        # all 729 tables at once and for each alone.
+        scale = 10**_BOUND_DIGITS
+        ceilings = _cosine_ceilings()
+        expected = []
+        for t in TABLES.tolist():
+            autos = [autocorrelations(row) for row in _step_polys(tuple(t)).tolist()]
+            expected.append(tuple(
+                sum(math.isqrt(scale * (a[0] * scale + 2 * sum(
+                    a[d] * ceilings[min(c * d % 9, -c * d % 9) - 1] for d in range(1, 5)))) + 1
+                    for a in autos)
+                for c in (1, 4, 7)))
+        assert list(_character_sums(ALL_SENT)) == expected
+        assert [_character_sums((t,))[0] for t in ALL_SENT[::37]] == expected[::37]
+
     def test_character_sums_are_tight_upper_bounds(self):
         scale = 10**_BOUND_DIGITS
         z = np.exp(2j * np.pi / 9)
-        for s in S3_Z3_REPS:
+        for s, sums in zip(S3_Z3_REPS, _character_sums(tuple(s.sent for s in S3_Z3_REPS))):
             polys = _step_polys(s.sent)
-            for sums_index, u in enumerate(_character_sums(s.sent)):
+            for sums_index, u in enumerate(sums):
                 c = 1 + 3 * sums_index
                 exact = np.abs(polys @ z ** (c * np.arange(9))).sum()
                 assert u / scale == pytest.approx(exact, abs=1e-12), (s, c)
         # Division A: S = 6 (cos pi/9, cos 4pi/9, cos 2pi/9).
-        a = _character_sums(canonical_division("A").sent)
+        [a] = _character_sums((canonical_division("A").sent,))
         expected = [6 * math.cos(math.pi * e / 9) for e in (1, 4, 2)]
         assert [u / scale for u in a] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("k", [4, 7])
     def test_bound_holds_on_every_table(self, k):
-        for t, value in zip(TABLES.tolist(), table_values(k)):
-            assert _character_bound(_character_sums(tuple(t)), k) >= value, t
+        sums = _character_sums(ALL_SENT)
+        for t, u, value in zip(TABLES.tolist(), sums, table_values(k)):
+            assert _character_bound(u, k) >= value, t
 
     def test_bound_holds_on_every_orbit(self):
+        reps = strategy_orbit_reps()
+        sums = _character_sums(tuple(s.sent for s in reps))
         for k in BOUND_KS:
-            for s, value in zip(strategy_orbit_reps(), orbit_values(k)):
-                assert _character_bound(_character_sums(s.sent), k) >= value, (s, k)
+            for s, u, value in zip(reps, sums, orbit_values(k)):
+                assert _character_bound(u, k) >= value, (s, k)
 
     @pytest.mark.parametrize("dropped", range(3))
     def test_every_character_is_needed(self, dropped):
         # With one of the three characters left out the sum is no bound.
         failing = 0
+        all_sums = _character_sums(ALL_SENT)
         for k in (4, 7):
-            for t, value in zip(TABLES.tolist(), table_values(k)):
-                sums = list(_character_sums(tuple(t)))
+            for sums, value in zip(all_sums, table_values(k)):
+                sums = list(sums)
                 del sums[dropped]
                 failing += _character_bound(sums, k) < value
         assert failing > 0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -463,12 +464,32 @@ class TestEvaluators:
         assert evaluate_collapsed(K7_THREE_GROUPS) == expected == full_scan_value(groups, 7)
 
     def test_collapsed_class_count_guard(self):
-        strategies = tuple(
-            Strategy.from_string(s)
-            for s in ("000000", "011111", "022222", "001212")
-        )
-        profile = StrategyProfile(tuple(itertools.chain(*[(s,) * 100 for s in strategies])))
-        with pytest.raises(ValueError, match="transcript classes"):
+        cases = [
+            # 000012 and 001212 each send a cell and its shift by x^e, e != 0
+            # (mod 3), so 100 parties keep 3 * 100 classes; 011111 and 022222
+            # keep 101.  The classes are built, then refused.
+            ([("000012", 100), ("011111", 100), ("022222", 100), ("001212", 100)],
+             300 * 101 * 101 * 300),
+            # 000112's cells have three sizes, so none merge: C(3165, 2)
+            # classes are refused before any is built.
+            ([("000112", 3163)], math.comb(3165, 2)),
+        ]
+        for groups, merged in cases:
+            with pytest.raises(ValueError, match=f"at least {merged} merged transcript classes"):
+                evaluate_collapsed(profile_from_groups(groups))
+
+    def test_class_cap_bounds_the_merged_count(self, monkeypatch):
+        # The cap counts merged classes, not transcript classes: this profile
+        # has 1,500 transcript classes and scans 90.
+        groups = [("010212", 3), ("001221", 3), ("112200", 4)]
+        profile = profile_from_groups(groups)
+        work = Counter()
+        expected = evaluate_collapsed(profile, work)
+        assert (work["classes_scanned"], work["transcript_classes"]) == (90, 1500)
+        monkeypatch.setattr(classical, "_MAX_CLASSES", 90)
+        assert evaluate_collapsed(profile) == expected == evaluate_exhaustive(profile)
+        monkeypatch.setattr(classical, "_MAX_CLASSES", 89)
+        with pytest.raises(ValueError, match="at least 90 merged transcript classes"):
             evaluate_collapsed(profile)
 
     def test_relabeling_each_party_leaves_success_unchanged(self):
@@ -599,19 +620,23 @@ class TestCountingPrimes:
         groups = strategy_groups(profile)
         tables = classical._prime_tables(crt_primes(profile.k))
         counting = tables.prefix(len(counting_primes(groups)))
-        used = []
-        values = classical._composition_values
+        powered = []
+        group_powers = classical._group_powers
 
-        def recording(powers, comps, tables):
-            # A trit no party of the group sends has zero character values
-            # from the first power on.
-            empty = [t for t in range(3) if not powers[t, :, 1].any()]
-            used.append(comps[:, empty].any())
-            return values(powers, comps, tables)
+        def recording(polys, low, high, tables):
+            # The classes are built on the cells the strategy sends: every
+            # vector raised to a power, a cell or the generating polynomial
+            # of the multiplicities, is nonzero.
+            powered.append(polys.any(axis=1).all())
+            return group_powers(polys, low, high, tables)
 
-        monkeypatch.setattr(classical, "_composition_values", recording)
-        sizes = [m.shape[1] for _, m in classical._class_blocks(groups, tables, counting)]
-        assert used and not any(used)
+        monkeypatch.setattr(classical, "_group_powers", recording)
+        blocks = list(classical._class_blocks(groups, tables, counting))
+        assert powered and all(powered)
+        # A class that sends an empty cell has no consistent input, so its
+        # counts would be 0 modulo every counting prime; no scanned class does.
+        assert all(counts.any(axis=(0, 2)).all() for counts, _ in blocks)
+        sizes = [m.shape[1] for _, m in blocks]
         work = Counter()
         value = evaluate_collapsed(profile, work)
         assert sum(sizes) == work["classes_scanned"] == scanned
@@ -666,14 +691,39 @@ class TestMergedCompositions:
         # Every table of A's S3 x Z3^2 orbit sends pi(y + d(x)), three
         # shifts of one cell by multiples of x^3, so all compositions of
         # a group of any size give one class, of multiplicity 3^size.
-        tables = orbit(canonical_division("A"), PER_BIT_SHIFTS)
-        assert len(tables) == 18
+        strategies = orbit(canonical_division("A"), PER_BIT_SHIFTS)
+        assert len(strategies) == 18
         primes = crt_primes(100)
+        tables = classical._prime_tables(primes)
         for size in range(1, 101):
-            for s in tables:
-                comps, mults = classical._merged_compositions(s, size, primes)
-                assert len(comps) == 1, (s, size)
+            for s in strategies:
+                values, mults = classical._group_classes(s.sent, size, tables, tables)
+                assert mults.shape == (len(primes), 1), (s, size)
                 assert mults[:, 0].tolist() == [3**size % p for p in primes], (s, size)
+                assert values(slice(None)).shape == (len(primes), 1, 9), (s, size)
+
+    def test_division_a_classes_take_little_memory(self):
+        # One class at any size: no array grows with it.  Each of the 3,002
+        # compositions of 3,001 parties would take (P + 3) * 8 bytes alone.
+        a = canonical_division("A").sent
+        primes = crt_primes(3001)
+        tables = classical._prime_tables(primes)
+        counting = tables.prefix(len(counting_primes([(canonical_division("A"), 3001)])))
+        tracemalloc.start()
+        try:
+            values, mults = classical._group_classes(a, 3001, tables, counting)
+            counts = values(slice(None)) @ counting.fold % counting.modulus[:, None, None]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, peak
+        assert mults[:, 0].tolist() == [pow(3, 3001, p) for p in primes]
+        # Up to a rotation, the one class counts as the all-zero transcript:
+        # C(3001, m) summed over the zero counts m = 3g (mod 9) for value g.
+        digits = classical._mixed_radix(counts[:, 0], counting)
+        expected = sorted(grouped_sum(3001, 3 * g, 9) for g in range(3))
+        assert sorted(classical._from_digits([d[g] for d in digits], counting.primes)
+                      for g in range(3)) == expected
 
     def test_division_a_value_is_the_most_likely_zero_triple_count(self):
         # The referee adds to the trit sum the most likely number of zero

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -484,6 +485,20 @@ class TestClassical:
         collapsed = env["payload"]["collapsed"]
         value = Fraction(collapsed["numerator"], collapsed["denominator"])
         assert value == evaluate_exhaustive(profile) == full_scan_value([(a, 3), (other, 1)], 4)
+
+    def test_eval_accepts_a_profile_of_few_merged_classes(self, capsys):
+        # Each party's message is a bijection of its trit (001122 and 220011
+        # are both in division A's orbit), so the referee reads the trit sum
+        # and adds the most likely number of zero triples.  The 5,829,810
+        # transcript classes merge into one.
+        code, env = run_json(capsys, ["classical", "eval", "--k", "136",
+                                      "--profile", "001122:67,220011:69"])
+        assert code == 0
+        assert env["metrics"]["classes_scanned"] == 1
+        assert env["metrics"]["transcript_classes"] == math.comb(69, 2) * math.comb(71, 2)
+        collapsed = env["payload"]["collapsed"]
+        assert Fraction(collapsed["numerator"], collapsed["denominator"]) == max(
+            Fraction(grouped_sum(136, 3 * r, 9), grouped_sum(136, 0, 3)) for r in range(3))
 
     def test_eval_metrics_name_the_exhaustive_method(self, capsys):
         _, env = run_json(capsys, ["classical", "eval", "--strategy", "F", "--k", "7"])

@@ -20,7 +20,8 @@ from tritgame import bounds, classical, combinat, protocol, qudit
 # oracle's (bit pattern, trit vector) code grid, and the float root-gate
 # check's result type, the qubit check's float matrix and Bell pairs, which
 # exact identities replaced, with the pass rule the dense sweep now states
-# itself.
+# itself, and the composition enumeration, its big-integer multinomials, the
+# per-composition values and the merge that one generating function replaced.
 REMOVED = (
     "RegisterInput", "ProtocolRun", "global_function", "decode", "enumerate_admissible",
     "batch_runs", "sample_admissible", "run_dense", "run_analytic", "apply_local",
@@ -32,7 +33,8 @@ REMOVED = (
     "_UNITARY_TOL", "_NORM_TOL", "_CERT_TOL", "transcript_class_count", "exhaustive_in_bound",
     "plus_op", "grouped_sum_primed", "ramus", "_RAMUS_GUARD_DIGITS", "_pi", "_cos_pi_fraction",
     "_half_codes", "RootCheck", "_SQRT_NOT", "_BELL_EVEN", "_BELL_ODD", "class_step_ok",
-    "_used_compositions",
+    "_used_compositions", "_compositions", "_multinomial", "_composition_values",
+    "_merged_compositions",
 )
 
 
@@ -129,14 +131,40 @@ def test_exhaustive_oracle_is_independent():
 
 
 def test_full_scan_reference_is_unmerged():
-    # The reference the merged scan is checked against scans every
-    # composition: neither it nor the package names it reaches, followed
-    # through the private names they use, merges compositions.
+    # The reference the merged scan is checked against enumerates every
+    # composition with its own multinomials and powers: neither it nor the
+    # package names it reaches, followed through the private names they
+    # use, reaches a function of the class builder.
     source = Path(classical.__file__)
-    helper = _references(Path(__file__).with_name("helpers.py"), ("full_scan_value",))
-    package = helper & set(_top_level_definitions(source))
-    assert {"_compositions", "_composition_values", "_group_powers"} <= package
-    assert "_merged_compositions" not in helper | _references(source, tuple(package))
+    definitions = _top_level_definitions(source)
+    builder = {name for name in _references(source, ("_group_classes",)) & set(definitions)
+               if isinstance(definitions[name], ast.FunctionDef)}
+    assert {"_group_classes", "_group_shape", "_group_powers", "_factorials",
+            "_step_polys"} <= builder
+    for root in ("full_scan_value", "transcript_class_stats"):
+        helper = _references(Path(__file__).with_name("helpers.py"), (root,))
+        package = helper & set(definitions)
+        assert {"_prime_tables", "_mixed_radix"} <= package, root
+        assert not builder & (helper | _references(source, tuple(package))), root
+
+
+def test_character_bound_is_integer_only():
+    # The bound's sums, followed through the private names they reach, hold
+    # no float or complex literal, divide only with //, and call no
+    # function that returns a float.
+    source = Path(classical.__file__)
+    definitions = _top_level_definitions(source)
+    decided = _references(source, ("_character_sums", "_character_bound"))
+    assert {"_cosine_ceilings", "_step_polys", "_BOUND_DIGITS"} <= decided
+    floats = {"float", "complex", "float64", "sqrt", "cos", "sin", "exp", "log", "pi",
+              "divide", "true_divide"}
+    for name in decided & set(definitions):
+        for node in ast.walk(definitions[name]):
+            if isinstance(node, ast.Constant):
+                assert not isinstance(node.value, (float, complex)), (name, node.value)
+            assert not isinstance(node, ast.Div), name
+            assert not (isinstance(node, ast.Name) and node.id in floats), (name, node.id)
+            assert not (isinstance(node, ast.Attribute) and node.attr in floats), (name, node.attr)
 
 
 def test_exact_identities_are_integer_only():

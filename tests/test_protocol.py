@@ -245,6 +245,9 @@ class TestDecode:
         assert decode_batch(rows((1, 1, 1, 1)), zeros).tolist() == [1]
         # Transmissions (0, 1, 0, 0): each party sends trit plus outcome, mod 3.
         assert decode_batch(rows((2, 2, 1, 0)), rows((1, 2, 2, 0))).tolist() == [1]
+        # A hundred parties each transmit (2 + 2) mod 3 = 1, which sum to 100 = 1 (mod 3).
+        twos = rows((2,) * 100)
+        assert decode_batch(twos, twos).tolist() == [1]
 
 
 class TestDenseEngine:
