@@ -60,8 +60,7 @@ REGISTER_VALUES: tuple[tuple[int, int], ...] = (
 
 _PERMS3 = tuple(itertools.permutations(range(3)))
 
-# Cap on a profile's merged transcript classes (:func:`_group_classes`)
-# that the collapsed evaluator scans.
+# Cap on the merged transcript classes the collapsed evaluator scans.
 _MAX_CLASSES = 5_000_000
 
 
@@ -446,12 +445,6 @@ def _factorials(size: int, primes: tuple[int, ...]) -> tuple[np.ndarray, np.ndar
     return out[:, 0], out[:, 1, ::-1] * top[:, None] % p[:, 0]  # 1 / j! = (size! / j!) / size!
 
 
-def _check_class_count(n_classes: int) -> None:
-    if n_classes > _MAX_CLASSES:
-        raise ValueError(f"profile has at least {n_classes} merged transcript classes; "
-                         "reduce the number of distinct strategies")
-
-
 @lru_cache(maxsize=None)
 def _group_shape(sent: tuple[int, ...]) -> tuple[np.ndarray, int, np.ndarray]:
     """A strategy's bases P_u, then Q_v (m + 1, 9); v's row; and the support of q_v^j (3, 3).
@@ -477,6 +470,19 @@ def _group_shape(sent: tuple[int, ...]) -> tuple[np.ndarray, int, np.ndarray]:
     return np.vstack([polys[bases], shifts]), v, np.array([[1, 0, 0], q, square]) > 0
 
 
+def _class_count(sent: tuple[int, ...], size: int) -> int:
+    """How many classes :func:`_group_classes` builds, from the group's shape alone.
+
+    Per n_v = j, the width w_j of q_v^min(j, 2)'s support times the
+    C(size - j + m - 2, m - 2) splits of size - j over the other bases;
+    the splits sum over j to C(size + m - 1, m - 1), and with one base n_v = size.
+    """
+    vectors, _, support = _group_shape(sent)
+    m, w = len(vectors) - 1, support.sum(axis=1).tolist()
+    first = [math.comb(size - j + m - 2, m - 2) if m > 1 else int(j == size) for j in (0, 1)]
+    return w[0] * first[0] + w[1] * first[1] + w[2] * (math.comb(size + m - 1, m - 1) - sum(first))
+
+
 def _group_classes(
     sent: tuple[int, ...], size: int, tables: _PrimeTables, counting: _PrimeTables
 ) -> tuple[Callable[[slice], np.ndarray], np.ndarray]:
@@ -493,7 +499,6 @@ def _group_classes(
     assert size < min(tables.primes) and max(tables.primes) < _PRIME_LIMIT
     vectors, v, support = _group_shape(sent)
     m = len(vectors) - 1
-    _check_class_count(math.comb(size + m - 1, size))
     if m == 1:
         n = np.array([[size]])
     elif m == 2:
@@ -503,8 +508,7 @@ def _group_classes(
         n = np.stack([i, j - i, size - j], axis=1)
     rows, offsets = np.nonzero(support[np.minimum(n[:, v], 2)])
     n = n[rows]
-    # The exponents run from their least to size: all of 0..size when m > 1.
-    low = int(n.min())
+    low = int(n.min())  # the exponents run from low to size: all of 0..size when m > 1
     index = n - low
     powers = _group_powers(vectors, low, size, tables)
     modulus = tables.modulus[:, None]
@@ -584,8 +588,7 @@ def _class_blocks(
     """Counts (C, B, 3) mod each counting prime and multiplicities (P, B) mod each prime.
 
     ``counting`` holds the tables of a prefix of ``tables``' primes.  The
-    classes, the product of each group's merged classes (:func:`_group_classes`),
-    are checked against :data:`_MAX_CLASSES` before the first block.  Every
+    classes are the product of each group's (:func:`_group_classes`).  Every
     group but the last is tabulated once; a block of at most ``_BLOCK`` is a
     run of those classes times a slice of the last group's, the run's values
     times the slice's folded to counts, or with one group the slice alone.
@@ -593,7 +596,6 @@ def _class_blocks(
     p = counting.modulus[:, None, None]
     q = tables.modulus[:, None]
     classes = [_group_classes(s.sent, size, tables, counting) for s, size in groups]
-    _check_class_count(math.prod(mults.shape[1] for _, mults in classes))
     *head, (last_values, last_mults) = classes
     prefix = [(values(slice(None)), mults) for values, mults in head]
     shape = tuple(len(m[0]) for _, m in prefix)
@@ -665,19 +667,22 @@ def _collapsed_value(
 ) -> Fraction:
     """Success probability of the profile ``groups`` computed modulo ``primes``.
 
-    Scans the merged transcript classes block by block (:func:`_class_blocks`),
-    their counts modulo the counting primes, the primes past
-    :func:`_count_bound` (:func:`_primes_past`), a prefix of ``primes``.
-    Each class's best guess is read from its exact counts' Garner digits,
-    and the digits of its best count and of its total count are lifted to
-    every prime of ``primes``; the numerator is summed mod each prime and
-    reconstructed once.  The denominator is the number of admissible inputs,
-    3^k * sum_i C(k, 3i), which the summed class totals must match.
-    ``work``, when given, gains the transcript classes before merging or
-    skipping (``transcript_classes``), the classes scanned
-    (``classes_scanned``) and those times the counting primes
-    (``prime_class_products``).
+    Refuses more than :data:`_MAX_CLASSES` merged classes (:func:`_class_count`)
+    before any table is built, then scans them block by block
+    (:func:`_class_blocks`), their counts modulo the primes past
+    :func:`_count_bound`, a prefix of ``primes``.  Each class's best guess
+    is read from its counts' Garner digits, and its best count and total
+    are lifted to every prime; the numerator is summed mod each prime and
+    reconstructed once.  The denominator, 3^k * sum_i C(k, 3i) admissible
+    inputs, must match the summed totals.  ``work``, when given, gains the
+    transcript classes before merging or skipping (``transcript_classes``),
+    the classes scanned (``classes_scanned``) and those times the counting
+    primes (``prime_class_products``).
     """
+    n_merged = math.prod(_class_count(s.sent, size) for s, size in groups)
+    if n_merged > _MAX_CLASSES:
+        raise ValueError(f"profile has {n_merged} merged transcript classes; "
+                         "reduce the number of distinct strategies")
     tables = _prime_tables(primes)
     counting = tables.prefix(len(_primes_past(_count_bound(groups))))
     numerator = total = np.zeros(len(primes), dtype=np.int64)
@@ -734,9 +739,9 @@ def _cosine_ceilings() -> tuple[int, ...]:
     return tuple(ceilings[d] for d in range(1, 5))
 
 
-@lru_cache(maxsize=8)
-def _character_sums(sents: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int, int], ...]:
-    """Per table, integers U_s with U_s / 10^D >= S_s = sum_t |chi_(1+3s)(P_t)|, s = 0, 1, 2.
+@lru_cache(maxsize=None)
+def _character_sums(sent: tuple[int, ...]) -> tuple[int, int, int]:
+    """Integers U_s with U_s / 10^D >= S_s = sum_t |chi_(1+3s)(P_t)|, for s = 0, 1, 2.
 
     P_t is row t of :func:`_step_polys`, chi_c(P) = sum_r P[r] z^(c*r) with
     z = exp(2 pi i / 9) is character c of Z9, and D is :data:`_BOUND_DIGITS`.
@@ -744,21 +749,16 @@ def _character_sums(sents: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int,
     |chi_c(P)|^2 = R_0 + 2 sum_(d=1..4) R_d cos(2 pi c d / 9).  Every R_d is
     a nonnegative integer, so replacing each cosine by its ceiling from
     :func:`_cosine_ceilings` gives an integer T >= 10^D |chi_c(P)|^2, and
-    isqrt(10^D T) + 1 > 10^D |chi_c(P)|, no float entering; the R_d of
-    all the tables' rows are one integer product.
+    isqrt(10^D T) + 1 > 10^D |chi_c(P)|.  No float enters.
     """
     ceilings = _cosine_ceilings()
     scale = 10**_BOUND_DIGITS
-    rows = np.array([_step_polys(sent) for sent in sents]).reshape(-1, 9)
-    auto = np.einsum("ir,idr->id", rows, rows[:, (np.arange(9) + np.arange(5)[:, None]) % 9])
+    rows = _step_polys(sent)
+    autos = np.einsum("tr,tdr->td", rows, rows[:, (np.arange(9) + np.arange(5)[:, None]) % 9])
     # Per c = 1 + 3s, the ceilings of cos(2 pi c d / 9) for d = 1..4.
     weights = [[ceilings[min(c * d % 9, -c * d % 9) - 1] for d in range(1, 5)] for c in (1, 4, 7)]
-    roots = {}  # per distinct R_0..R_4, the three isqrt(10^D T) + 1
-    for r in set(map(tuple, auto.tolist())):
-        roots[r] = [math.isqrt((r[0] * scale + 2 * sum(map(operator.mul, r[1:], w))) * scale) + 1
-                    for w in weights]
-    tables = auto.reshape(-1, 3, 5).tolist()
-    return tuple(tuple(map(sum, zip(*(roots[tuple(r)] for r in rows)))) for rows in tables)
+    return tuple(sum(math.isqrt((a[0] * scale + 2 * sum(map(operator.mul, a[1:], w))) * scale) + 1
+                     for a in autos.tolist()) for w in weights)
 
 
 def _character_bound(sums: Sequence[int], k: int) -> Fraction:
@@ -837,7 +837,7 @@ def best_homogeneous(k: int, work: Counter | None = None) -> tuple[Strategy, Fra
     check_party_count(k)
     primes = crt_primes(k)
     reps = strategy_orbit_reps()
-    sums = _character_sums(tuple(s.sent for s in reps))
+    sums = [_character_sums(s.sent) for s in reps]
     # U(k) grows with sum_s U_s^k, so this visits the orbits by decreasing
     # bound, ties in representative order.
     order = sorted(range(len(reps)), key=lambda i: sum(u**k for u in sums[i]), reverse=True)

@@ -106,7 +106,6 @@ def is_prime(n):
 
 #: The 729 tables as a (729, 6) array, in lexicographic order.
 TABLES = np.array(list(itertools.product(range(3), repeat=6)))
-ALL_SENT = tuple(itertools.product(range(3), repeat=6))
 
 
 def homogeneous_value(strategy, k):
@@ -404,8 +403,8 @@ class TestCharacterBound:
             assert c / scale == pytest.approx(math.cos(2 * math.pi * d / 9), abs=1e-12), d
 
     def test_character_sums_follow_each_rows_autocorrelation(self):
-        # The batched autocorrelations give what a per-row loop gives, for
-        # all 729 tables at once and for each alone.
+        # The autocorrelations of a table's three rows, one integer product,
+        # give what a per-row loop gives, for each of the 729 tables.
         scale = 10**_BOUND_DIGITS
         ceilings = _cosine_ceilings()
         expected = []
@@ -416,44 +415,39 @@ class TestCharacterBound:
                     a[d] * ceilings[min(c * d % 9, -c * d % 9) - 1] for d in range(1, 5)))) + 1
                     for a in autos)
                 for c in (1, 4, 7)))
-        assert list(_character_sums(ALL_SENT)) == expected
-        assert [_character_sums((t,))[0] for t in ALL_SENT[::37]] == expected[::37]
+        assert [_character_sums(tuple(t)) for t in TABLES.tolist()] == expected
 
     def test_character_sums_are_tight_upper_bounds(self):
         scale = 10**_BOUND_DIGITS
         z = np.exp(2j * np.pi / 9)
-        for s, sums in zip(S3_Z3_REPS, _character_sums(tuple(s.sent for s in S3_Z3_REPS))):
+        for s in S3_Z3_REPS:
             polys = _step_polys(s.sent)
-            for sums_index, u in enumerate(sums):
+            for sums_index, u in enumerate(_character_sums(s.sent)):
                 c = 1 + 3 * sums_index
                 exact = np.abs(polys @ z ** (c * np.arange(9))).sum()
                 assert u / scale == pytest.approx(exact, abs=1e-12), (s, c)
         # Division A: S = 6 (cos pi/9, cos 4pi/9, cos 2pi/9).
-        [a] = _character_sums((canonical_division("A").sent,))
+        a = _character_sums(canonical_division("A").sent)
         expected = [6 * math.cos(math.pi * e / 9) for e in (1, 4, 2)]
         assert [u / scale for u in a] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("k", [4, 7])
     def test_bound_holds_on_every_table(self, k):
-        sums = _character_sums(ALL_SENT)
-        for t, u, value in zip(TABLES.tolist(), sums, table_values(k)):
-            assert _character_bound(u, k) >= value, t
+        for t, value in zip(TABLES.tolist(), table_values(k)):
+            assert _character_bound(_character_sums(tuple(t)), k) >= value, t
 
     def test_bound_holds_on_every_orbit(self):
-        reps = strategy_orbit_reps()
-        sums = _character_sums(tuple(s.sent for s in reps))
         for k in BOUND_KS:
-            for s, u, value in zip(reps, sums, orbit_values(k)):
-                assert _character_bound(u, k) >= value, (s, k)
+            for s, value in zip(strategy_orbit_reps(), orbit_values(k)):
+                assert _character_bound(_character_sums(s.sent), k) >= value, (s, k)
 
     @pytest.mark.parametrize("dropped", range(3))
     def test_every_character_is_needed(self, dropped):
         # With one of the three characters left out the sum is no bound.
         failing = 0
-        all_sums = _character_sums(ALL_SENT)
         for k in (4, 7):
-            for sums, value in zip(all_sums, table_values(k)):
-                sums = list(sums)
+            for t, value in zip(TABLES.tolist(), table_values(k)):
+                sums = list(_character_sums(tuple(t)))
                 del sums[dropped]
                 failing += _character_bound(sums, k) < value
         assert failing > 0

@@ -463,20 +463,30 @@ class TestEvaluators:
         assert covered.tolist() == [transcripts % p for p in tables.primes]
         assert evaluate_collapsed(K7_THREE_GROUPS) == expected == full_scan_value(groups, 7)
 
-    def test_collapsed_class_count_guard(self):
+    def test_collapsed_class_count_guard(self, monkeypatch):
+        # The merged classes are counted from each group's shape, and a
+        # profile over the cap is refused before any prime table, power or
+        # factorial is built.
+        built = []
+        for name in ("_prime_tables", "_group_classes", "_group_powers", "_factorials"):
+            monkeypatch.setattr(classical, name, lambda *args, name=name: built.append(name))
         cases = [
             # 000012 and 001212 each send a cell and its shift by x^e, e != 0
             # (mod 3), so 100 parties keep 3 * 100 classes; 011111 and 022222
-            # keep 101.  The classes are built, then refused.
+            # keep 101.
             ([("000012", 100), ("011111", 100), ("022222", 100), ("001212", 100)],
              300 * 101 * 101 * 300),
-            # 000112's cells have three sizes, so none merge: C(3165, 2)
-            # classes are refused before any is built.
+            # 000112's cells have three sizes, so none merge: C(3165, 2).
             ([("000112", 3163)], math.comb(3165, 2)),
+            # Nor do 000121's: each group of 1,001 alone is within the cap,
+            # their product is not.
+            ([("000112", 1001), ("000121", 1001)], math.comb(1003, 2) ** 2),
         ]
+        assert math.comb(1003, 2) < classical._MAX_CLASSES
         for groups, merged in cases:
-            with pytest.raises(ValueError, match=f"at least {merged} merged transcript classes"):
+            with pytest.raises(ValueError, match=f"profile has {merged} merged transcript classes"):
                 evaluate_collapsed(profile_from_groups(groups))
+        assert built == []
 
     def test_class_cap_bounds_the_merged_count(self, monkeypatch):
         # The cap counts merged classes, not transcript classes: this profile
@@ -489,7 +499,7 @@ class TestEvaluators:
         monkeypatch.setattr(classical, "_MAX_CLASSES", 90)
         assert evaluate_collapsed(profile) == expected == evaluate_exhaustive(profile)
         monkeypatch.setattr(classical, "_MAX_CLASSES", 89)
-        with pytest.raises(ValueError, match="at least 90 merged transcript classes"):
+        with pytest.raises(ValueError, match="profile has 90 merged transcript classes"):
             evaluate_collapsed(profile)
 
     def test_relabeling_each_party_leaves_success_unchanged(self):
@@ -686,6 +696,16 @@ class TestMergedCompositions:
         if k <= 10:
             profile = StrategyProfile(tuple(s for s, size in groups for _ in range(size)))
             assert value == evaluate_exhaustive(profile)
+
+    def test_class_count_is_what_the_builder_builds(self):
+        # The cap's count, read from a table's shape alone, is the number of
+        # classes built, for all 729 tables: at the sizes 1 and 2, where the
+        # support of q_v^n_v still grows, and past them.
+        tables = classical._prime_tables(crt_primes(7))
+        for sent in itertools.product(range(3), repeat=6):
+            for size in (1, 2, 3, 4, 7):
+                _, mults = classical._group_classes(sent, size, tables, tables)
+                assert classical._class_count(sent, size) == mults.shape[1], (sent, size)
 
     def test_division_a_orbit_merges_into_one_class(self):
         # Every table of A's S3 x Z3^2 orbit sends pi(y + d(x)), three
