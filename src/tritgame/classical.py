@@ -23,9 +23,9 @@ group Z9 and compute the referee's exact success probability:
   exactly by the Chinese remainder theorem.  Compositions of a group
   whose counts differ only by a rotation of the global values (cells
   that are cyclic shifts x^e of one another) form one class, built from
-  a generating function, so division A is one class at any size.  Counts
-  are computed modulo only as many primes as the product of the parties'
-  largest cells needs.  Exact at any k whose merged class count
+  a generating function, so division A is one class at any size.  Every
+  count and the numerator are computed modulo the primes of
+  :func:`crt_primes`.  Exact at any k whose merged class count
   :data:`_MAX_CLASSES` allows.
 
 Both return reduced fractions and must agree wherever both run.
@@ -43,7 +43,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
@@ -267,17 +267,12 @@ def evaluate_exhaustive(profile: StrategyProfile) -> Fraction:
 # character values, and one matrix product maps it back to the admissible
 # counts per global value: the count of g is the inverse transform at
 # state 3g.
-# A party's register value lies in the cell of the trit it sent, so a
-# class's counts are at most B = prod_g m_g^size_g, m_g the largest cell of
-# group g's strategy; the numerator is below 6^k.  The counts are computed
-# modulo the shortest prefix of the primes whose product, without its last
-# prime, exceeds B, and the numerator modulo all of them, whose product
-# without the last exceeds 6^k.  In both sets the last prime is redundant:
-# its Garner digit (Knuth, TAOCP vol. 2, section 4.3.2) is zero exactly when
-# a value lies below the other primes' product, so a nonzero digit raises
-# instead of returning a wrong count.  A count's residues modulo the other
-# primes follow from its digits d_i: N = sum_i d_i * R_i, R_i the product of
-# the first i primes.
+# The numerator is below 6^k, and so is every count, so all are computed
+# modulo the primes of :func:`crt_primes`, whose product without the last
+# prime exceeds 6^k.  The last prime is redundant: its Garner digit (Knuth,
+# TAOCP vol. 2, section 4.3.2) is zero exactly when a value lies below the
+# other primes' product, so a nonzero digit raises instead of returning a
+# wrong count.
 
 #: Transcript classes evaluated per numpy block; bounds the working set.
 _BLOCK = 1024
@@ -304,13 +299,14 @@ def _is_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _primes_past(bound: int) -> tuple[int, ...]:
-    """Primes p = 1 (mod 9) below 2^28, largest first, until their product exceeds ``bound``.
+def crt_primes(k: int) -> tuple[int, ...]:
+    """Primes the collapsed evaluator works modulo at k parties.
 
-    Then one more, redundant prime: the shortest prefix of those primes
-    whose product without its last prime exceeds ``bound``.  Each set is a
-    prefix of every larger one.
+    Primes p = 1 (mod 9) below 2^28, largest first, until their product
+    exceeds 6^k, which bounds the numerator and every count; then one
+    more, redundant prime.
     """
+    bound = 6**k
     primes: list[int] = []
     product = 1
     p = _PRIME_LIMIT - 1 - (_PRIME_LIMIT - 2) % 18
@@ -321,15 +317,6 @@ def _primes_past(bound: int) -> tuple[int, ...]:
                 return tuple(primes)
             product *= p
         p -= 18
-
-
-def crt_primes(k: int) -> tuple[int, ...]:
-    """Primes the collapsed evaluator works modulo at k parties.
-
-    The primes past 6^k, which bounds the numerator and every count
-    (:func:`_primes_past`).
-    """
-    return _primes_past(6**k)
 
 
 def evaluator_metrics(k: int, work: Counter) -> dict:
@@ -359,19 +346,17 @@ class _PrimeTables:
     ``characters[c, s]`` is z^(c*s), character c at state s;
     ``fold[c, g]`` is z^(-3*c*g) / 9, the inverse transform at state 3g,
     so character values times ``fold`` are the admissible counts per
-    global value.  ``garner[i][j]`` is the inverse of ``primes[j]``
-    modulo ``primes[i]``.
+    global value.  ``radix[i, j]`` is R_j mod ``primes[i]``, R_j the
+    product of the first j primes, and ``inverse[i]`` is 1 / R_i mod
+    ``primes[i]``: the constants of the Garner digits.
     """
 
     primes: tuple[int, ...]
     modulus: np.ndarray  # (P,)
     characters: np.ndarray  # (P, 9, 9)
     fold: np.ndarray  # (P, 9, 3)
-    garner: tuple[tuple[int, ...], ...]
-
-    def prefix(self, n: int) -> "_PrimeTables":
-        """The tables of the first n primes, as views of these."""
-        return _PrimeTables(*(getattr(self, f.name)[:n] for f in fields(self)))
+    radix: np.ndarray  # (P, P)
+    inverse: np.ndarray  # (P,)
 
 
 def _root_of_unity9(p: int) -> int:
@@ -390,12 +375,18 @@ def _prime_tables(primes: tuple[int, ...]) -> _PrimeTables:
         z_pow = np.array([pow(z, e, p) for e in range(9)], dtype=np.int64)
         characters.append(z_pow[np.outer(c, c) % 9])
         fold.append(z_pow[-3 * np.outer(c, range(3)) % 9] * pow(9, -1, p) % p)
+    modulus = np.array(primes, dtype=np.int64)
+    radix = np.ones((len(primes), len(primes)), dtype=np.int64)
+    for j in range(1, len(primes)):  # R_j = R_(j-1) * p_(j-1), mod every prime at once
+        radix[:, j] = radix[:, j - 1] * primes[j - 1] % modulus
     return _PrimeTables(
         primes=primes,
-        modulus=np.array(primes, dtype=np.int64),
+        modulus=modulus,
         characters=np.stack(characters),
         fold=np.stack(fold),
-        garner=tuple(tuple(pow(q, -1, p) for q in primes[:i]) for i, p in enumerate(primes)),
+        radix=radix,
+        inverse=np.array([pow(int(r), -1, p) for r, p in zip(radix.diagonal(), primes)],
+                         dtype=np.int64),
     )
 
 
@@ -484,7 +475,7 @@ def _class_count(sent: tuple[int, ...], size: int) -> int:
 
 
 def _group_classes(
-    sent: tuple[int, ...], size: int, tables: _PrimeTables, counting: _PrimeTables
+    sent: tuple[int, ...], size: int, tables: _PrimeTables
 ) -> tuple[Callable[[slice], np.ndarray], np.ndarray]:
     """A group's merged classes: their character values by slice and multiplicities (P, C).
 
@@ -518,48 +509,52 @@ def _group_classes(
         mults = mults * facts[:, [size]] % modulus
         for parts in n.T:
             mults = mults * inverses[:, parts] % modulus
-    p = counting.modulus[:, None, None]
+    p = modulus[..., None]
 
     def values(rows: slice) -> np.ndarray:
-        """(C, B, 9): per counting prime, the character values of the classes in ``rows``."""
-        out = counting.characters[:, offsets[rows]]
-        for power, i in zip(powers[:-1, :len(p)], index[rows].T):
+        """(P, B, 9): the character values of the classes in ``rows``."""
+        out = tables.characters[:, offsets[rows]]
+        for power, i in zip(powers[:-1], index[rows].T):
             out = out * power[:, i] % p
         return out
 
     return values, mults
 
 
-def _count_bound(groups: list[tuple[Strategy, int]]) -> int:
-    """B = prod_g m_g^size_g, m_g the largest cell of group g's strategy: bounds every count."""
-    return math.prod(max(map(s.sent.count, range(3))) ** size for s, size in groups)
-
-
-def _mixed_radix(residues: np.ndarray, tables: _PrimeTables) -> list[np.ndarray]:
+def _mixed_radix(residues: np.ndarray, tables: _PrimeTables) -> np.ndarray:
     """Garner digits of exact integers from their residues along axis 0.
 
     Digits come least significant first, without the redundant prime's
     digit; raises ArithmeticError when that digit is nonzero anywhere.
+    Before step i, x_j = N - sum_(l<i) d_l R_l mod p_j for every j >= i, so
+    d_i = x_i / R_i mod p_i, and d_i R_i is taken off every later residue
+    in one numpy pass, each product below 2^56.  The redundant digit is
+    zero exactly when the last residue left is.
     """
-    digits: list[np.ndarray] = []
-    for p, x, inverses in zip(tables.primes, residues, tables.garner):
-        for d, inv in zip(digits, inverses):
-            x = (x - d) * inv % p
-        digits.append(x)
-    if np.any(digits[-1]):
+    x = residues.copy()
+    radix = tables.radix.reshape(tables.radix.shape + (1,) * (residues.ndim - 1))
+    modulus = tables.modulus.reshape(radix.shape[1:])
+    for i, p in enumerate(tables.primes[:-1]):
+        x[i] = x[i] * tables.inverse[i] % p
+        x[i + 1:] = (x[i + 1:] - x[i] * radix[i + 1:, i]) % modulus[i + 1:]
+    if np.any(x[-1]):
         raise ArithmeticError(
             f"a count reached the CRT bound of primes {tables.primes[:-1]}; "
             f"the redundant prime {tables.primes[-1]}'s digit is nonzero"
         )
-    return digits[:-1]
+    return x[:-1]
 
 
 def _from_digits(digits: Sequence[int], primes: Sequence[int]) -> int:
-    return sum(int(d) * math.prod(primes[:i]) for i, d in enumerate(digits))
+    """sum_i d_i R_i by Horner's rule, d_0 + p_0 * (d_1 + p_1 * (d_2 + ...))."""
+    n = 0
+    for d, p in zip(reversed(digits), reversed(primes[:len(digits)])):
+        n = n * p + int(d)
+    return n
 
 
-def _largest(digits: list[np.ndarray]) -> np.ndarray:
-    """Per row of (B, 3) digit arrays, the column of the largest count (first on ties)."""
+def _largest(digits: np.ndarray) -> np.ndarray:
+    """Per row of (n, B, 3) digits, the column of the largest count (first on ties)."""
 
     def greater(i: int, j: int) -> np.ndarray:
         out = np.zeros(len(digits[0]), dtype=bool)
@@ -583,19 +578,17 @@ def evaluate_collapsed(profile: StrategyProfile, work: Counter | None = None) ->
 
 
 def _class_blocks(
-    groups: list[tuple[Strategy, int]], tables: _PrimeTables, counting: _PrimeTables
+    groups: list[tuple[Strategy, int]], tables: _PrimeTables
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Counts (C, B, 3) mod each counting prime and multiplicities (P, B) mod each prime.
+    """Counts (P, B, 3) and multiplicities (P, B) of the merged classes, mod each prime.
 
-    ``counting`` holds the tables of a prefix of ``tables``' primes.  The
-    classes are the product of each group's (:func:`_group_classes`).  Every
+    The classes are the product of each group's (:func:`_group_classes`).  Every
     group but the last is tabulated once; a block of at most ``_BLOCK`` is a
     run of those classes times a slice of the last group's, the run's values
     times the slice's folded to counts, or with one group the slice alone.
     """
-    p = counting.modulus[:, None, None]
-    q = tables.modulus[:, None]
-    classes = [_group_classes(s.sent, size, tables, counting) for s, size in groups]
+    p = tables.modulus[:, None, None]
+    classes = [_group_classes(s.sent, size, tables) for s, size in groups]
     *head, (last_values, last_mults) = classes
     prefix = [(values(slice(None)), mults) for values, mults in head]
     shape = tuple(len(m[0]) for _, m in prefix)
@@ -605,10 +598,10 @@ def _class_blocks(
         values = last_values(slice(lo, lo + _BLOCK))
         mults = last_mults[:, lo:lo + _BLOCK]
         if not prefix:
-            yield values @ counting.fold % p, mults
+            yield values @ tables.fold % p, mults
             continue
-        # (C, 9, 3S): column 3s + v folds slice member s's values onto global value v.
-        folded = values[:, :, None, :] * counting.fold.transpose(0, 2, 1)[:, None] % p[..., None]
+        # (P, 9, 3S): column 3s + v folds slice member s's values onto global value v.
+        folded = values[:, :, None, :] * tables.fold.transpose(0, 2, 1)[:, None] % p[..., None]
         folded = folded.reshape(len(p), -1, values.shape[2]).transpose(0, 2, 1)
         run = max(1, _BLOCK // mults.shape[1])
         for start in range(0, n_prefix, run):
@@ -616,50 +609,10 @@ def _class_blocks(
             head_values, head_mults = (t[:, index[0]] for t in prefix[0])
             for (v, m), i in zip(prefix[1:], index[1:]):
                 head_values = head_values * v[:, i] % p
-                head_mults = head_mults * m[:, i] % q
+                head_mults = head_mults * m[:, i] % p[..., 0]
             counts = head_values @ folded % p
-            block_mults = head_mults[:, :, None] * mults[:, None] % q[..., None]
-            yield counts.reshape(len(p), -1, 3), block_mults.reshape(len(q), -1)
-
-
-def _weighted_sum(
-    digits: list[np.ndarray], mults: np.ndarray, primes: Sequence[int], q: np.ndarray
-) -> np.ndarray:
-    """(P,) sums over a block of multiplicity (P, B) times integer N, each term mod q (P, 1).
-
-    Each N is given by its Garner digits (n arrays (B,)) over ``primes`` and
-    lifted to q by Horner's rule, N = d_0 + p_0 * (d_1 + p_1 * (d_2 + ...)),
-    reduced at every step: for digits below 3 * 2^28 each intermediate stays
-    below 2^57, however many digits there are.
-    """
-    lifted = digits[-1] % q
-    for d, p in zip(digits[-2::-1], primes[len(digits) - 2::-1]):
-        lifted *= p % q
-        lifted += d
-        lifted %= q
-    lifted *= mults
-    lifted %= q
-    return lifted.sum(axis=1)
-
-
-def _block_sums(
-    counts: np.ndarray, mults: np.ndarray, counting: _PrimeTables, modulus: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """A block's sums of multiplicity times best count and times class total, mod each prime.
-
-    ``counts`` (C, B, 3) are residues mod the counting primes; their Garner
-    digits give each class's best guess, and the digits of its best count
-    and the digit-wise sums of its three counts are lifted to every prime
-    of ``modulus`` (:func:`_weighted_sum`).  Returns two (P,) arrays.
-    """
-    digits = _mixed_radix(counts, counting)
-    best = _largest(digits)
-    q = modulus[:, None]
-    top = [d[np.arange(len(best)), best] for d in digits]
-    return (
-        _weighted_sum(top, mults, counting.primes, q),
-        _weighted_sum([d.sum(axis=1) for d in digits], mults, counting.primes, q),
-    )
+            block_mults = head_mults[:, :, None] * mults[:, None] % p
+            yield counts.reshape(len(p), -1, 3), block_mults.reshape(len(p), -1)
 
 
 def _collapsed_value(
@@ -669,33 +622,34 @@ def _collapsed_value(
 
     Refuses more than :data:`_MAX_CLASSES` merged classes (:func:`_class_count`)
     before any table is built, then scans them block by block
-    (:func:`_class_blocks`), their counts modulo the primes past
-    :func:`_count_bound`, a prefix of ``primes``.  Each class's best guess
-    is read from its counts' Garner digits, and its best count and total
-    are lifted to every prime; the numerator is summed mod each prime and
-    reconstructed once.  The denominator, 3^k * sum_i C(k, 3i) admissible
-    inputs, must match the summed totals.  ``work``, when given, gains the
-    transcript classes before merging or skipping (``transcript_classes``),
-    the classes scanned (``classes_scanned``) and those times the counting
-    primes (``prime_class_products``).
+    (:func:`_class_blocks`), every count modulo every prime.  Each class's
+    best guess is read from its counts' Garner digits; its best count and
+    its total, times its multiplicity, are summed mod each prime, and the
+    numerator is reconstructed once.  The denominator, 3^k * sum_i C(k, 3i)
+    admissible inputs, must match the summed totals.  ``work``, when given,
+    gains the transcript classes before merging or skipping
+    (``transcript_classes``), the classes scanned (``classes_scanned``) and
+    those times the primes (``prime_class_products``).
     """
     n_merged = math.prod(_class_count(s.sent, size) for s, size in groups)
     if n_merged > _MAX_CLASSES:
         raise ValueError(f"profile has {n_merged} merged transcript classes; "
                          "reduce the number of distinct strategies")
     tables = _prime_tables(primes)
-    counting = tables.prefix(len(_primes_past(_count_bound(groups))))
+    p = tables.modulus[:, None]
     numerator = total = np.zeros(len(primes), dtype=np.int64)
     scanned = 0
-    for counts, mults in _class_blocks(groups, tables, counting):
-        top, class_total = _block_sums(counts, mults, counting, tables.modulus)
-        numerator = (numerator + top) % tables.modulus
-        total = (total + class_total) % tables.modulus
+    for counts, mults in _class_blocks(groups, tables):
+        best = _largest(_mixed_radix(counts, tables))
+        top = counts[:, np.arange(len(best)), best]
+        numerator = (numerator + (mults * top % p).sum(axis=1)) % tables.modulus
+        weighted = mults[..., None] * counts % p[..., None]
+        total = (total + weighted.sum(axis=(1, 2))) % tables.modulus
         scanned += mults.shape[1]
     if work is not None:
         n_classes = math.prod((size + 1) * (size + 2) // 2 for _, size in groups)
         work.update(transcript_classes=n_classes, classes_scanned=scanned,
-                    prime_class_products=scanned * len(counting.primes))
+                    prime_class_products=scanned * len(primes))
 
     k = sum(size for _, size in groups)
     denominator = 3**k * grouped_sum(k, 0, 3)

@@ -311,10 +311,10 @@ def full_scan_value(groups: list[tuple[Strategy, int]], k: int) -> Fraction:
     """The collapsed evaluator's value from every class's counts modulo every prime.
 
     The reference for the evaluator's scan, which skips the classes that
-    send a trit their group never sends and computes counts modulo only
-    the primes the class counts need: here every composition of every group
-    is scanned, every count is computed modulo every prime of
-    ``crt_primes(k)``, and the best count is taken from those residues.
+    send a trit their group never sends and merges compositions by cell
+    shape: here every composition of every group is scanned, every count is
+    computed modulo every prime of ``crt_primes(k)``, and the best count is
+    taken from those residues.
     """
     primes = crt_primes(k)
     tables = _prime_tables(primes)

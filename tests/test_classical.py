@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -448,8 +449,7 @@ class TestEvaluators:
         monkeypatch.setattr(classical, "_BLOCK", 7)
         groups = strategy_groups(K7_THREE_GROUPS)
         tables = classical._prime_tables(classical.crt_primes(7))
-        counting = tables.prefix(len(counting_primes(groups)))
-        blocks = list(classical._class_blocks(groups, tables, counting))
+        blocks = list(classical._class_blocks(groups, tables))
         sizes = [mult.shape[1] for _, mult in blocks]
         assert max(sizes) <= 7
         # 021201 and 210012 (2 parties each) keep 6 merged classes of their 6
@@ -555,13 +555,14 @@ EMPTY_CELL_SCANS = {
 }
 
 
-def counting_primes(groups):
-    return classical._primes_past(classical._count_bound(groups))
-
-
 class TestCountingPrimes:
     @pytest.mark.parametrize("k", [4, 7])
     def test_class_counts_stay_within_the_bound(self, k):
+        # Every count is at most the admissible input count N(k), which the
+        # primes without the redundant one exceed, and at most the product of
+        # each group's largest cell to the group's size.
+        admissible = 3**k * grouped_sum(k, 0, 3)
+        assert admissible < math.prod(crt_primes(k)[:-1])
         profiles = [StrategyProfile.homogeneous(s, k) for s in S3_Z3_REPS]
         if k == 7:
             profiles.append(K7_THREE_GROUPS)
@@ -570,44 +571,35 @@ class TestCountingPrimes:
             bound = math.prod(
                 max(s.sent.count(t) for t in range(3)) ** size for s, size in groups
             )
-            assert classical._count_bound(groups) == bound
-            assert exhaustive_transcript_counts(profile).max() <= bound
-            # The shortest prefix whose product without its last prime exceeds B.
-            primes = counting_primes(groups)
-            assert primes == crt_primes(k)[:len(primes)]
-            assert math.prod(primes[:-1]) > bound
-            assert len(primes) == 2 or math.prod(primes[:-2]) <= bound
+            counts = exhaustive_transcript_counts(profile)
+            assert counts.max() <= min(bound, admissible)
 
-    def test_counting_primes_at_k61_follow_the_largest_cell(self):
-        expected = {2: 4, 3: 5, 4: 6, 5: 7, 6: 7}
-        for s in S3_Z3_REPS:
-            largest = max(s.sent.count(t) for t in range(3))
-            assert len(counting_primes([(s, 61)])) == expected[largest], s
-
-    def test_a_bound_too_small_raises_naming_the_redundant_prime(self, monkeypatch):
+    def test_a_bound_too_small_raises_naming_the_redundant_prime(self):
         groups = [(canonical_division("F"), 31)]
         expected = full_scan_value(groups, 31)
         assert classical._collapsed_value(groups, crt_primes(31)) == expected
-        bound = classical._count_bound
-        monkeypatch.setattr(classical, "_count_bound", lambda g: bound(g) // 2**28)
-        # B / 2^28 is below the first prime, so the counting set is its first
-        # two primes, the second redundant, and a count of F at k = 31 exceeds it.
-        assert counting_primes(groups) == crt_primes(31)[:2]
+        # The first prime alone bounds too little, the second is redundant,
+        # and a count of F at k = 31 exceeds the first.
         with pytest.raises(ArithmeticError, match=f"redundant prime {crt_primes(31)[1]}"):
-            evaluate_collapsed(StrategyProfile.homogeneous(canonical_division("F"), 31))
+            classical._collapsed_value(groups, crt_primes(31)[:2])
 
-    def test_lifting_is_exact_for_many_digits(self):
-        # Digit sums at their largest, 3 (p - 1), over the 93 base primes of
-        # k = 1000: a plain sum of digit * radix products would pass 2^63.
-        primes = crt_primes(1000)
-        q = np.array(primes)[:, None]
-        digits = np.array([[3 * (p - 1), p - 1, 1] for p in primes[:-1]], dtype=np.int64)
-        mults = np.array([[1, 2, p - 1] for p in primes], dtype=np.int64)
-        n = [sum(int(d) * math.prod(primes[:i]) for i, d in enumerate(column))
-             for column in digits.T]
-        expected = [(n[0] + 2 * n[1] - n[2]) % p for p in primes]
-        sums = classical._weighted_sum(list(digits), mults, primes, q)
-        assert (sums % q[:, 0]).tolist() == expected
+    @pytest.mark.parametrize("k", [4, 31, 1000, 10000])
+    def test_garner_digits_rebuild_every_integer_below_the_bound(self, k):
+        # Random integers below the CRT bound, the bound minus 1 and 0 come
+        # back exactly from their residues; the bound itself raises.
+        primes = crt_primes(k)
+        tables = classical._prime_tables(primes)
+        bound = math.prod(primes[:-1])
+        rng = random.Random(k)
+        values = [rng.randrange(bound) for _ in range(5)] + [bound - 1, 0]
+        residues = np.array([[n % p for n in values] for p in primes], dtype=np.int64)
+        digits = classical._mixed_radix(residues, tables)
+        assert digits.shape == (len(primes) - 1, len(values))
+        assert all(0 <= d < p for row, p in zip(digits.tolist(), primes) for d in row)
+        assert [classical._from_digits(digits[:, i], primes)
+                for i in range(len(values))] == values
+        with pytest.raises(ArithmeticError, match=f"redundant prime {primes[-1]}"):
+            classical._mixed_radix(np.array([bound % p for p in primes], dtype=np.int64), tables)
 
     @pytest.mark.parametrize("k", [13, 31])
     def test_homogeneous_values_match_the_full_scan(self, k):
@@ -629,7 +621,6 @@ class TestCountingPrimes:
         profile = profile_from_groups(groups)
         groups = strategy_groups(profile)
         tables = classical._prime_tables(crt_primes(profile.k))
-        counting = tables.prefix(len(counting_primes(groups)))
         powered = []
         group_powers = classical._group_powers
 
@@ -641,10 +632,10 @@ class TestCountingPrimes:
             return group_powers(polys, low, high, tables)
 
         monkeypatch.setattr(classical, "_group_powers", recording)
-        blocks = list(classical._class_blocks(groups, tables, counting))
+        blocks = list(classical._class_blocks(groups, tables))
         assert powered and all(powered)
         # A class that sends an empty cell has no consistent input, so its
-        # counts would be 0 modulo every counting prime; no scanned class does.
+        # counts would be 0 modulo every prime; no scanned class does.
         assert all(counts.any(axis=(0, 2)).all() for counts, _ in blocks)
         sizes = [m.shape[1] for _, m in blocks]
         work = Counter()
@@ -652,7 +643,7 @@ class TestCountingPrimes:
         assert sum(sizes) == work["classes_scanned"] == scanned
         assert work["transcript_classes"] == full_class_count(groups)
         assert work["classes_scanned"] < work["transcript_classes"]
-        assert work["prime_class_products"] == work["classes_scanned"] * len(counting.primes)
+        assert work["prime_class_products"] == work["classes_scanned"] * len(tables.primes)
         assert value == full_scan_value(groups, profile.k) == evaluate_exhaustive(profile)
 
 
@@ -704,7 +695,7 @@ class TestMergedCompositions:
         tables = classical._prime_tables(crt_primes(7))
         for sent in itertools.product(range(3), repeat=6):
             for size in (1, 2, 3, 4, 7):
-                _, mults = classical._group_classes(sent, size, tables, tables)
+                _, mults = classical._group_classes(sent, size, tables)
                 assert classical._class_count(sent, size) == mults.shape[1], (sent, size)
 
     def test_division_a_orbit_merges_into_one_class(self):
@@ -717,7 +708,7 @@ class TestMergedCompositions:
         tables = classical._prime_tables(primes)
         for size in range(1, 101):
             for s in strategies:
-                values, mults = classical._group_classes(s.sent, size, tables, tables)
+                values, mults = classical._group_classes(s.sent, size, tables)
                 assert mults.shape == (len(primes), 1), (s, size)
                 assert mults[:, 0].tolist() == [3**size % p for p in primes], (s, size)
                 assert values(slice(None)).shape == (len(primes), 1, 9), (s, size)
@@ -728,11 +719,10 @@ class TestMergedCompositions:
         a = canonical_division("A").sent
         primes = crt_primes(3001)
         tables = classical._prime_tables(primes)
-        counting = tables.prefix(len(counting_primes([(canonical_division("A"), 3001)])))
         tracemalloc.start()
         try:
-            values, mults = classical._group_classes(a, 3001, tables, counting)
-            counts = values(slice(None)) @ counting.fold % counting.modulus[:, None, None]
+            values, mults = classical._group_classes(a, 3001, tables)
+            counts = values(slice(None)) @ tables.fold % tables.modulus[:, None, None]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -740,9 +730,9 @@ class TestMergedCompositions:
         assert mults[:, 0].tolist() == [pow(3, 3001, p) for p in primes]
         # Up to a rotation, the one class counts as the all-zero transcript:
         # C(3001, m) summed over the zero counts m = 3g (mod 9) for value g.
-        digits = classical._mixed_radix(counts[:, 0], counting)
+        digits = classical._mixed_radix(counts[:, 0], tables)
         expected = sorted(grouped_sum(3001, 3 * g, 9) for g in range(3))
-        assert sorted(classical._from_digits([d[g] for d in digits], counting.primes)
+        assert sorted(classical._from_digits(digits[:, g], primes)
                       for g in range(3)) == expected
 
     def test_division_a_value_is_the_most_likely_zero_triple_count(self):

@@ -442,17 +442,16 @@ class TestClassical:
         canonical = json.dumps(env["payload"], sort_keys=True, separators=(",", ":"))
         assert env["payload_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
 
-    @pytest.mark.parametrize("k, scanned, products", [(31, 1, 3), (61, 1, 4)])
+    @pytest.mark.parametrize("k, scanned, products", [(31, 1, 4), (61, 1, 7)])
     def test_search_metrics_count_the_scan(self, capsys, k, scanned, products):
         # Only the orbit the character bound keeps is scanned, division A's.
         # Its three cells are shifts of one another, so all its compositions
-        # merge into one class, whose counts are computed modulo only the
-        # primes its bound needs.
+        # merge into one class, whose counts are computed modulo every prime.
         _, env = run_json(capsys, ["classical", "search", "--k", str(k)])
         metrics = env["metrics"]
         assert metrics["orbits_evaluated"] == 1
         assert metrics["classes_scanned"] == scanned
-        assert metrics["prime_class_products"] == products
+        assert metrics["prime_class_products"] == products == len(crt_primes(k))
         assert metrics["transcript_classes"] == (k + 1) * (k + 2) // 2
         assert "classes_scanned" not in env["payload"]
         probability = env["payload"]["probability"]
@@ -476,8 +475,7 @@ class TestClassical:
         assert "strategy_orbits" not in env["metrics"]
         assert "orbits_evaluated" not in env["metrics"]
         # A's 10 compositions merge into one class; 100122's cells are no
-        # shifts of one another, so its 3 stay.  Counts below 2^3 * 3 need
-        # two primes.
+        # shifts of one another, so its 3 stay.  k = 4 needs two primes.
         assert env["metrics"]["classes_scanned"] == 1 * 3
         assert env["metrics"]["prime_class_products"] == 1 * 3 * 2
         a, other = Strategy.from_string("001122"), Strategy.from_string("100122")

@@ -20,8 +20,10 @@ from tritgame import bounds, classical, combinat, protocol, qudit
 # oracle's (bit pattern, trit vector) code grid, and the float root-gate
 # check's result type, the qubit check's float matrix and Bell pairs, which
 # exact identities replaced, with the pass rule the dense sweep now states
-# itself, and the composition enumeration, its big-integer multinomials, the
-# per-composition values and the merge that one generating function replaced.
+# itself, the composition enumeration, its big-integer multinomials, the
+# per-composition values and the merge that one generating function replaced,
+# and the counting primes' bound, their prime search and the lift of their
+# counts to every prime, which counting modulo every prime replaced.
 REMOVED = (
     "RegisterInput", "ProtocolRun", "global_function", "decode", "enumerate_admissible",
     "batch_runs", "sample_admissible", "run_dense", "run_analytic", "apply_local",
@@ -34,7 +36,7 @@ REMOVED = (
     "plus_op", "grouped_sum_primed", "ramus", "_RAMUS_GUARD_DIGITS", "_pi", "_cos_pi_fraction",
     "_half_codes", "RootCheck", "_SQRT_NOT", "_BELL_EVEN", "_BELL_ODD", "class_step_ok",
     "_used_compositions", "_compositions", "_multinomial", "_composition_values",
-    "_merged_compositions",
+    "_merged_compositions", "_count_bound", "_weighted_sum", "_block_sums", "_primes_past",
 )
 
 
@@ -62,6 +64,8 @@ def test_removed_methods_are_gone():
     for name in ("sent_for", "cells", "canonical", "lookup_array"):
         assert not hasattr(tritgame.Strategy, name), name
     assert not hasattr(tritgame.QuditState, "basis_label")
+    # Counts are taken modulo one prime set, so its tables have no prefix view.
+    assert not hasattr(classical._PrimeTables, "prefix")
 
 
 def test_qutrit_types_have_no_dimension():
