@@ -26,7 +26,6 @@ from .classical import (
     StrategyProfile,
     best_homogeneous,
     canonical_division,
-    crt_primes,
     evaluate_collapsed,
     evaluate_exhaustive,
     evaluator_metrics,
@@ -78,7 +77,7 @@ __all__ = [
     "verify_class_stepping", "zero_triples_mod3",
     # classical analysis
     "DIVISION_NAMES", "REGISTER_VALUES", "Strategy", "StrategyProfile",
-    "best_homogeneous", "canonical_division", "crt_primes", "evaluate_collapsed",
+    "best_homogeneous", "canonical_division", "evaluate_collapsed",
     "evaluate_exhaustive", "evaluator_metrics", "exhaustive_transcript_counts",
     "ten_player_worked_example", "strategy_groups", "strategy_orbit_reps",
     # bounds

@@ -19,13 +19,11 @@ group Z9 and compute the referee's exact success probability:
 * :func:`evaluate_collapsed` groups parties with identical strategies and
   scans transcript classes weighted by their multinomial multiplicity.
   Per-party contributions are vectors over the residues, multiplied
-  pointwise in the characters of Z9 modulo word-size primes and rebuilt
-  exactly by the Chinese remainder theorem.  Compositions of a group
-  whose counts differ only by a rotation of the global values (cells
-  that are cyclic shifts x^e of one another) form one class, built from
-  a generating function, so division A is one class at any size.  Every
-  count and the numerator are computed modulo the primes of
-  :func:`crt_primes`.  Exact at any k whose merged class count
+  exactly in the group ring Z[Z9], each vector packed into one Python
+  int.  Compositions of a group whose counts differ only by a rotation
+  of the global values (cells that are cyclic shifts x^e of one another)
+  form one class, built from a generating function, so division A is
+  one class at any size.  Exact at any k whose merged class count
   :data:`_MAX_CLASSES` allows.
 
 Both return reduced fractions and must agree wherever both run.
@@ -45,8 +43,8 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from functools import cache, lru_cache, partial, reduce
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -59,9 +57,6 @@ REGISTER_VALUES: tuple[tuple[int, int], ...] = (
 )
 
 _PERMS3 = tuple(itertools.permutations(range(3)))
-
-# Cap on the merged transcript classes the collapsed evaluator scans.
-_MAX_CLASSES = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -254,140 +249,69 @@ def evaluate_exhaustive(profile: StrategyProfile) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Collapsed evaluator (characters of Z9 modulo primes)
+# Collapsed evaluator (exact integers in the group ring Z[Z9])
 # ---------------------------------------------------------------------------
 #
 # A party's consistent register values form a vector in the group ring
-# Z[Z9]: state s counts the values of residue s, and a set of parties
-# multiplies (convolves) their vectors.  The 9 characters
-# chi_c(s) = z^(c*s), z a primitive 9th root of unity, turn that
-# convolution into pointwise multiplication (Pollard, "The fast Fourier
-# transform in a finite field", 1971).  Modulo a prime p = 1 (mod 9) z
-# exists in Z/p, so a transcript class is a pointwise product of per-party
-# character values, and one matrix product maps it back to the admissible
-# counts per global value: the count of g is the inverse transform at
-# state 3g.
-# The numerator is below 6^k, and so is every count, so all are computed
-# modulo the primes of :func:`crt_primes`, whose product without the last
-# prime exceeds 6^k.  The last prime is redundant: its Garner digit (Knuth,
-# TAOCP vol. 2, section 4.3.2) is zero exactly when a value lies below the
-# other primes' product, so a nonzero digit raises instead of returning a
-# wrong count.
+# Z[Z9] = Z[x]/(x^9 - 1): coefficient s counts the values of residue s, and
+# a set of parties multiplies their vectors.  The admissible counts of
+# global value g are a product's coefficients at x^(3g).  A vector is one
+# Python int, coefficient s at bit w*s (Kronecker substitution; Knuth,
+# TAOCP vol. 2, section 4.6.4), so a ring product is one integer product,
+# folded.  The coefficients of a product of step vectors add up to the
+# product of the parties' cell sizes, so with :func:`_slot_width` no slot
+# carries: nothing is reduced, and nothing is reconstructed.
 
-#: Transcript classes evaluated per numpy block; bounds the working set.
-_BLOCK = 1024
-#: Primes stay below 2^28, so a 9-term sum of products fits in int64.
-_PRIME_LIMIT = 1 << 28
+# Cap on the merged transcript classes the collapsed evaluator scans.  A
+# class costs a few ring products of up to 9 k log2(3) bits: homogeneous
+# 000112, whose classes do not merge, scans 45,753 classes in 1.2-1.5 s at
+# k = 301 on a 2-core x86-64 machine, so a profile at the cap takes minutes.
+_MAX_CLASSES = 5_000_000
 
 
-def _is_prime(n: int) -> bool:
-    # Miller-Rabin with bases 2, 3, 5, 7 is deterministic below 3.2e9.
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@lru_cache(maxsize=64)
-def crt_primes(k: int) -> tuple[int, ...]:
-    """Primes the collapsed evaluator works modulo at k parties.
-
-    Primes p = 1 (mod 9) below 2^28, largest first, until their product
-    exceeds 6^k, which bounds the numerator and every count; then one
-    more, redundant prime.
-    """
-    bound = 6**k
-    primes: list[int] = []
-    product = 1
-    p = _PRIME_LIMIT - 1 - (_PRIME_LIMIT - 2) % 18
-    while True:
-        if _is_prime(p):
-            primes.append(p)
-            if product > bound:
-                return tuple(primes)
-            product *= p
-        p -= 18
-
-
-def evaluator_metrics(k: int, work: Counter) -> dict:
-    """Report of a collapsed-evaluator run at k parties: evaluator, primes, exact range.
+def evaluator_metrics(work: Counter) -> dict:
+    """Report of a collapsed-evaluator run: the evaluator and what it scanned.
 
     ``work`` is the counter the evaluator filled (:func:`_collapsed_value`,
     :func:`best_homogeneous`); a key it lacks reads 0.
     """
-    primes = crt_primes(k)
     return {
-        "evaluator": "collapsed, characters of Z9 modulo primes",
-        "primes": list(primes),
-        # Values below 2^crt_bound_bits are exact; the last prime is redundant.
-        "crt_bound_bits": math.prod(primes[:-1]).bit_length() - 1,
+        "evaluator": "collapsed, exact integers in Z[Z9]",
         "transcript_classes": work["transcript_classes"],
         "strategy_orbits": work["strategy_orbits"],
         "orbits_evaluated": work["orbits_evaluated"],
         "classes_scanned": work["classes_scanned"],
-        "prime_class_products": work["prime_class_products"],
     }
 
 
-@dataclass(frozen=True)
-class _PrimeTables:
-    """Transform constants for a prime set, stacked along axis 0.
+def _slot_width(groups: list[tuple[Strategy, int]]) -> int:
+    """Bits w per packed coefficient: prod_g (largest cell of g)^(size of g) < 2^w.
 
-    ``characters[c, s]`` is z^(c*s), character c at state s;
-    ``fold[c, g]`` is z^(-3*c*g) / 9, the inverse transform at state 3g,
-    so character values times ``fold`` are the admissible counts per
-    global value.  ``radix[i, j]`` is R_j mod ``primes[i]``, R_j the
-    product of the first j primes, and ``inverse[i]`` is 1 / R_i mod
-    ``primes[i]``: the constants of the Garner digits.
+    A product of step vectors, one per party, has coefficients that add up
+    to the product of the parties' cell sizes, so each is below 2^w.
     """
-
-    primes: tuple[int, ...]
-    modulus: np.ndarray  # (P,)
-    characters: np.ndarray  # (P, 9, 9)
-    fold: np.ndarray  # (P, 9, 3)
-    radix: np.ndarray  # (P, P)
-    inverse: np.ndarray  # (P,)
+    return math.prod(max(map(s.sent.count, range(3))) ** size for s, size in groups).bit_length()
 
 
-def _root_of_unity9(p: int) -> int:
-    h = 2
-    while pow(z := pow(h, (p - 1) // 9, p), 3, p) == 1:
-        h += 1
-    return z
+def _ring_product(a: int, b: int, w: int) -> int:
+    """Product in Z[Z9] of two vectors packed at slot width w.
+
+    The integer product holds the 17 coefficients of the polynomial
+    product; x^(9 + s) = x^s folds the top 8 onto the low 9.  Exact while
+    every coefficient of the result is below 2^w.
+    """
+    n = a * b
+    return (n & ((1 << 9 * w) - 1)) + (n >> 9 * w)
 
 
-@lru_cache(maxsize=8)
-def _prime_tables(primes: tuple[int, ...]) -> _PrimeTables:
-    c = np.arange(9)
-    characters, fold = [], []
-    for p in primes:
-        z = _root_of_unity9(p)
-        z_pow = np.array([pow(z, e, p) for e in range(9)], dtype=np.int64)
-        characters.append(z_pow[np.outer(c, c) % 9])
-        fold.append(z_pow[-3 * np.outer(c, range(3)) % 9] * pow(9, -1, p) % p)
-    modulus = np.array(primes, dtype=np.int64)
-    radix = np.ones((len(primes), len(primes)), dtype=np.int64)
-    for j in range(1, len(primes)):  # R_j = R_(j-1) * p_(j-1), mod every prime at once
-        radix[:, j] = radix[:, j - 1] * primes[j - 1] % modulus
-    return _PrimeTables(
-        primes=primes,
-        modulus=modulus,
-        characters=np.stack(characters),
-        fold=np.stack(fold),
-        radix=radix,
-        inverse=np.array([pow(int(r), -1, p) for r, p in zip(radix.diagonal(), primes)],
-                         dtype=np.int64),
-    )
+def _ring_power(a: int, n: int, w: int) -> int:
+    """a^n in Z[Z9] by repeated squaring, left to right: every square is a^j, j <= n."""
+    out = 1
+    for bit in bin(n)[2:]:
+        out = _ring_product(out, out, w)
+        if bit == "1":
+            out = _ring_product(out, a, w)
+    return out
 
 
 def _step_polys(sent: tuple[int, ...]) -> np.ndarray:
@@ -401,39 +325,6 @@ def _step_polys(sent: tuple[int, ...]) -> np.ndarray:
     for (y, x), t in zip(REGISTER_VALUES, sent):
         polys[t, (x == 0) + 3 * y] += 1
     return polys
-
-
-def _group_powers(polys: np.ndarray, low: int, high: int, tables: _PrimeTables) -> np.ndarray:
-    """(m, P, high - low + 1, 9): character values of ``polys`` (m, 9) to the powers low..high."""
-    p = tables.modulus[:, None]
-    base = (tables.characters @ polys.T % p[:, None]).transpose(2, 0, 1)
-    out = np.ones((len(polys), len(tables.primes), high - low + 1, 9), dtype=np.int64)
-    square, e = base, low
-    while e:  # base^low by repeated squaring
-        if e & 1:
-            out[:, :, 0] = out[:, :, 0] * square % p
-        square, e = square * square % p, e >> 1
-    filled, step = 1, base
-    while filled <= high - low:  # from filled on, the first powers times base^filled
-        n = min(filled, high - low + 1 - filled)
-        block = out[:, :, filled:filled + n]
-        np.multiply(out[:, :, :n], step[:, :, None], out=block)
-        block %= p[..., None]
-        filled, step = filled + n, step * step % p
-    return out
-
-
-@lru_cache(maxsize=16)
-def _factorials(size: int, primes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(P, size + 1): j! and 1 / j! mod each prime, from prefix products in log2(size) steps."""
-    p = np.array(primes, dtype=np.int64)[:, None, None]
-    # The products of 1, 2, ..., size and of size, size - 1, ..., 1, each after a 1.
-    out = np.tile(np.maximum([np.arange(size + 1), np.arange(size + 1, 0, -1) % (size + 1)], 1),
-                  (len(primes), 1, 1))
-    for step in (1 << b for b in range(size.bit_length())):
-        out[..., step:] = out[..., step:] * out[..., :-step] % p
-    top = np.array([pow(int(f), -1, q) for f, q in zip(out[:, 0, -1], primes)])
-    return out[:, 0], out[:, 1, ::-1] * top[:, None] % p[:, 0]  # 1 / j! = (size! / j!) / size!
 
 
 @lru_cache(maxsize=None)
@@ -474,10 +365,8 @@ def _class_count(sent: tuple[int, ...], size: int) -> int:
     return w[0] * first[0] + w[1] * first[1] + w[2] * (math.comb(size + m - 1, m - 1) - sum(first))
 
 
-def _group_classes(
-    sent: tuple[int, ...], size: int, tables: _PrimeTables
-) -> tuple[Callable[[slice], np.ndarray], np.ndarray]:
-    """A group's merged classes: their character values by slice and multiplicities (P, C).
+def _group_classes(sent: tuple[int, ...], size: int, w: int) -> Iterator[tuple[int, int]]:
+    """A group's merged classes: (vector packed at slot width w, multiplicity) pairs.
 
     With the bases of :func:`_group_shape`, a composition (c_t parties
     send t) sends x^E prod_u P_u^(n_u), n_u the sum of c_t over the trits
@@ -485,177 +374,90 @@ def _group_classes(
     values, so a class (n_u, E mod 3) has one best count and total.  Its
     multiplicity is multinomial(size; n_u) [X^E] q_v^(n_v) (multinomial
     theorem), with no composition formed, for each n_u and each E in the
-    support of q_v^(min(n_v, 2)).  Values are formed per slice of classes.
+    support of q_v^(min(n_v, 2)); [X^E] q_v^n is Q_v^n's coefficient at
+    x^(3E), whose coefficients add up to at most 3^size.  A group of one
+    base has one n_u, its power taken by repeated squaring; otherwise
+    every power 0..size is taken along a walk, one product per step.  The
+    classes are yielded one at a time, so none is held after its use.
     """
-    assert size < min(tables.primes) and max(tables.primes) < _PRIME_LIMIT
     vectors, v, support = _group_shape(sent)
     m = len(vectors) - 1
-    if m == 1:
-        n = np.array([[size]])
-    elif m == 2:
-        n = np.stack([np.arange(size + 1), np.arange(size, -1, -1)], axis=1)
-    else:
-        i, j = np.triu_indices(size + 1)
-        n = np.stack([i, j - i, size - j], axis=1)
-    rows, offsets = np.nonzero(support[np.minimum(n[:, v], 2)])
-    n = n[rows]
-    low = int(n.min())  # the exponents run from low to size: all of 0..size when m > 1
-    index = n - low
-    powers = _group_powers(vectors, low, size, tables)
-    modulus = tables.modulus[:, None]
-    mults = (powers[-1] @ tables.fold)[:, index[:, v], offsets] % modulus  # [X^E] q_v^(n_v)
-    if m > 1:
-        facts, inverses = _factorials(size, tables.primes)
-        mults = mults * facts[:, [size]] % modulus
-        for parts in n.T:
-            mults = mults * inverses[:, parts] % modulus
-    p = modulus[..., None]
+    w_q = (3**size).bit_length()
 
-    def values(rows: slice) -> np.ndarray:
-        """(P, B, 9): the character values of the classes in ``rows``."""
-        out = tables.characters[:, offsets[rows]]
-        for power, i in zip(powers[:-1], index[rows].T):
-            out = out * power[:, i] % p
-        return out
+    def powers(vector: list[int], width: int) -> dict[int, int] | list[int]:
+        packed = sum(c << width * s for s, c in enumerate(vector))
+        if m == 1:
+            return {size: _ring_power(packed, size, width)}
+        walk = itertools.repeat(packed, size)
+        return list(itertools.accumulate(walk, partial(_ring_product, w=width), initial=1))
 
-    return values, mults
-
-
-def _mixed_radix(residues: np.ndarray, tables: _PrimeTables) -> np.ndarray:
-    """Garner digits of exact integers from their residues along axis 0.
-
-    Digits come least significant first, without the redundant prime's
-    digit; raises ArithmeticError when that digit is nonzero anywhere.
-    Before step i, x_j = N - sum_(l<i) d_l R_l mod p_j for every j >= i, so
-    d_i = x_i / R_i mod p_i, and d_i R_i is taken off every later residue
-    in one numpy pass, each product below 2^56.  The redundant digit is
-    zero exactly when the last residue left is.
-    """
-    x = residues.copy()
-    radix = tables.radix.reshape(tables.radix.shape + (1,) * (residues.ndim - 1))
-    modulus = tables.modulus.reshape(radix.shape[1:])
-    for i, p in enumerate(tables.primes[:-1]):
-        x[i] = x[i] * tables.inverse[i] % p
-        x[i + 1:] = (x[i + 1:] - x[i] * radix[i + 1:, i]) % modulus[i + 1:]
-    if np.any(x[-1]):
-        raise ArithmeticError(
-            f"a count reached the CRT bound of primes {tables.primes[:-1]}; "
-            f"the redundant prime {tables.primes[-1]}'s digit is nonzero"
-        )
-    return x[:-1]
-
-
-def _from_digits(digits: Sequence[int], primes: Sequence[int]) -> int:
-    """sum_i d_i R_i by Horner's rule, d_0 + p_0 * (d_1 + p_1 * (d_2 + ...))."""
-    n = 0
-    for d, p in zip(reversed(digits), reversed(primes[:len(digits)])):
-        n = n * p + int(d)
-    return n
-
-
-def _largest(digits: np.ndarray) -> np.ndarray:
-    """Per row of (n, B, 3) digits, the column of the largest count (first on ties)."""
-
-    def greater(i: int, j: int) -> np.ndarray:
-        out = np.zeros(len(digits[0]), dtype=bool)
-        for d in digits:  # a more significant digit that differs decides
-            out = np.where(d[:, i] != d[:, j], d[:, i] > d[:, j], out)
-        return out
-
-    best = greater(1, 0).astype(np.intp)
-    best[np.where(best == 1, greater(2, 1), greater(2, 0))] = 2
-    return best
+    bases = [powers(row, w) for row in vectors[:m].tolist()]
+    q = powers(vectors[m].tolist(), w_q)
+    offsets = [list(itertools.compress(range(3), row)) for row in support.tolist()]
+    factorial = cache(math.factorial)
+    for cuts in itertools.combinations_with_replacement(range(size + 1), m - 1):
+        n = [b - a for a, b in itertools.pairwise((0, *cuts, size))]
+        vector = reduce(partial(_ring_product, w=w), map(operator.getitem, bases, n))
+        multinomial = factorial(size) // math.prod(map(factorial, n))
+        for e in offsets[min(n[v], 2)]:
+            coefficient = q[n[v]] >> 3 * e * w_q & (1 << w_q) - 1
+            yield _ring_product(vector, 1 << e * w, w), multinomial * coefficient
 
 
 def evaluate_collapsed(profile: StrategyProfile, work: Counter | None = None) -> Fraction:
-    """Referee success probability over transcript classes, in the character domain.
+    """Referee success probability over transcript classes, in exact integers.
 
     Exactly equals :func:`evaluate_exhaustive` wherever both run; scales to
     large k with few distinct strategies, scanning classes, not transcripts.
     ``work``, when given, counts what the scan did (:func:`_collapsed_value`).
     """
-    return _collapsed_value(strategy_groups(profile), crt_primes(profile.k), work)
+    return _collapsed_value(strategy_groups(profile), work)
 
 
-def _class_blocks(
-    groups: list[tuple[Strategy, int]], tables: _PrimeTables
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Counts (P, B, 3) and multiplicities (P, B) of the merged classes, mod each prime.
-
-    The classes are the product of each group's (:func:`_group_classes`).  Every
-    group but the last is tabulated once; a block of at most ``_BLOCK`` is a
-    run of those classes times a slice of the last group's, the run's values
-    times the slice's folded to counts, or with one group the slice alone.
-    """
-    p = tables.modulus[:, None, None]
-    classes = [_group_classes(s.sent, size, tables) for s, size in groups]
-    *head, (last_values, last_mults) = classes
-    prefix = [(values(slice(None)), mults) for values, mults in head]
-    shape = tuple(len(m[0]) for _, m in prefix)
-    n_prefix = math.prod(shape)
-
-    for lo in range(0, last_mults.shape[1], _BLOCK):
-        values = last_values(slice(lo, lo + _BLOCK))
-        mults = last_mults[:, lo:lo + _BLOCK]
-        if not prefix:
-            yield values @ tables.fold % p, mults
-            continue
-        # (P, 9, 3S): column 3s + v folds slice member s's values onto global value v.
-        folded = values[:, :, None, :] * tables.fold.transpose(0, 2, 1)[:, None] % p[..., None]
-        folded = folded.reshape(len(p), -1, values.shape[2]).transpose(0, 2, 1)
-        run = max(1, _BLOCK // mults.shape[1])
-        for start in range(0, n_prefix, run):
-            index = np.unravel_index(np.arange(start, min(start + run, n_prefix)), shape)
-            head_values, head_mults = (t[:, index[0]] for t in prefix[0])
-            for (v, m), i in zip(prefix[1:], index[1:]):
-                head_values = head_values * v[:, i] % p
-                head_mults = head_mults * m[:, i] % p[..., 0]
-            counts = head_values @ folded % p
-            block_mults = head_mults[:, :, None] * mults[:, None] % p
-            yield counts.reshape(len(p), -1, 3), block_mults.reshape(len(p), -1)
-
-
-def _collapsed_value(
-    groups: list[tuple[Strategy, int]], primes: tuple[int, ...], work: Counter | None = None
-) -> Fraction:
-    """Success probability of the profile ``groups`` computed modulo ``primes``.
+def _collapsed_value(groups: list[tuple[Strategy, int]], work: Counter | None = None) -> Fraction:
+    """Success probability of the profile ``groups``, summed over its merged classes.
 
     Refuses more than :data:`_MAX_CLASSES` merged classes (:func:`_class_count`)
-    before any table is built, then scans them block by block
-    (:func:`_class_blocks`), every count modulo every prime.  Each class's
-    best guess is read from its counts' Garner digits; its best count and
-    its total, times its multiplicity, are summed mod each prime, and the
-    numerator is reconstructed once.  The denominator, 3^k * sum_i C(k, 3i)
-    admissible inputs, must match the summed totals.  ``work``, when given,
-    gains the transcript classes before merging or skipping
-    (``transcript_classes``), the classes scanned (``classes_scanned``) and
-    those times the primes (``prime_class_products``).
+    before any class is built.  The classes are the product of each group's
+    (:func:`_group_classes`): the products of head classes, one per group
+    but the last, are formed once, and each class of the last group, as it
+    is built, meets every one of them in one ring product, whose
+    coefficients at x^0, x^3 and x^6 count global values 0, 1 and 2.
+    The best count and the total, times the multiplicity, are summed
+    exactly.  The denominator, 3^k * sum_i C(k, 3i) admissible inputs, must
+    match the summed totals.  ``work``, when given, gains the transcript
+    classes before merging or skipping (``transcript_classes``) and the
+    classes scanned (``classes_scanned``).
     """
     n_merged = math.prod(_class_count(s.sent, size) for s, size in groups)
     if n_merged > _MAX_CLASSES:
         raise ValueError(f"profile has {n_merged} merged transcript classes; "
                          "reduce the number of distinct strategies")
-    tables = _prime_tables(primes)
-    p = tables.modulus[:, None]
-    numerator = total = np.zeros(len(primes), dtype=np.int64)
-    scanned = 0
-    for counts, mults in _class_blocks(groups, tables):
-        best = _largest(_mixed_radix(counts, tables))
-        top = counts[:, np.arange(len(best)), best]
-        numerator = (numerator + (mults * top % p).sum(axis=1)) % tables.modulus
-        weighted = mults[..., None] * counts % p[..., None]
-        total = (total + weighted.sum(axis=(1, 2))) % tables.modulus
-        scanned += mults.shape[1]
+    w = _slot_width(groups)
+    mask = (1 << w) - 1
+    *head, last = [_group_classes(s.sent, size, w) for s, size in groups]
+    heads = [(reduce(partial(_ring_product, w=w), (u for u, _ in pairs), 1),
+              math.prod(m for _, m in pairs)) for pairs in itertools.product(*head)]
+    numerator = total = scanned = 0
+    for u, mult in last:
+        best = inputs = 0
+        for vector, head_mult in heads:
+            n = _ring_product(vector, u, w)
+            counts = (n & mask, n >> 3 * w & mask, n >> 6 * w & mask)
+            best += head_mult * max(counts)
+            inputs += head_mult * sum(counts)
+        numerator += mult * best
+        total += mult * inputs
+        scanned += len(heads)
     if work is not None:
         n_classes = math.prod((size + 1) * (size + 2) // 2 for _, size in groups)
-        work.update(transcript_classes=n_classes, classes_scanned=scanned,
-                    prime_class_products=scanned * len(primes))
+        work.update(transcript_classes=n_classes, classes_scanned=scanned)
 
     k = sum(size for _, size in groups)
     denominator = 3**k * grouped_sum(k, 0, 3)
-    if total.tolist() != [denominator % q for q in primes]:
+    if total != denominator:
         raise ArithmeticError("transcript-class totals do not match the admissible input count")
-    return Fraction(_from_digits(_mixed_radix(numerator, tables), primes), denominator)
+    return Fraction(numerator, denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +591,6 @@ def best_homogeneous(k: int, work: Counter | None = None) -> tuple[Strategy, Fra
     (``strategy_orbits``) and evaluated (``orbits_evaluated``).
     """
     check_party_count(k)
-    primes = crt_primes(k)
     reps = strategy_orbit_reps()
     sums = [_character_sums(s.sent) for s in reps]
     # U(k) grows with sum_s U_s^k, so this visits the orbits by decreasing
@@ -799,7 +600,7 @@ def best_homogeneous(k: int, work: Counter | None = None) -> tuple[Strategy, Fra
     for i in order:
         if values and _character_bound(sums[i], k) < max(values.values()):
             break
-        values[i] = _collapsed_value([(reps[i], k)], primes, work)
+        values[i] = _collapsed_value([(reps[i], k)], work)
     if work is not None:
         work.update(strategy_orbits=len(reps), orbits_evaluated=len(values))
     best = min(values, key=lambda i: (-values[i], i))  # the first maximizer

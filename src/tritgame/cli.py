@@ -332,7 +332,7 @@ def cmd_classical_eval(args: argparse.Namespace) -> Report:
         "collapsed": _fraction_payload(collapsed),
     }
     code = EXIT_OK
-    metrics = evaluator_metrics(args.k, work)
+    metrics = evaluator_metrics(work)
     # Only a search has orbits to count.
     del metrics["strategy_orbits"], metrics["orbits_evaluated"]
     # At the cap the oracle takes about 50 MB, so it runs there only on request.
@@ -363,7 +363,7 @@ def cmd_classical_search(args: argparse.Namespace) -> Report:
         "best_strategy": strategy.to_string(),
         "probability": _fraction_payload(value),
     }
-    metrics = evaluator_metrics(args.k, work)
+    metrics = evaluator_metrics(work)
     metrics["stage_seconds"] = {"search": searched, "render": 0.0}
     return Report(payload, metrics)
 
@@ -427,8 +427,8 @@ def cmd_gap_report(args: argparse.Namespace) -> Report:
         )
         table.append([k, args.trials, successes, strategy.to_string(), value.numerator,
                       value.denominator, float(value), float(Fraction(1, 3))])
-    metrics.update((key, work[key]) for key in ("orbits_evaluated", "transcript_classes",
-                                               "classes_scanned", "prime_class_products"))
+    metrics.update((key, work[key])
+                   for key in ("orbits_evaluated", "transcript_classes", "classes_scanned"))
     return Report({"rows": entries}, metrics, EXIT_OK if ok else EXIT_CHECK_FAILED, table)
 
 

@@ -17,27 +17,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cache
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import mpmath
 import numpy as np
 
-from tritgame.classical import (
-    REGISTER_VALUES,
-    Strategy,
-    StrategyProfile,
-    _BLOCK,
-    _from_digits,
-    _largest,
-    _mixed_radix,
-    _prime_tables,
-    crt_primes,
-    strategy_groups,
-)
+from tritgame.classical import REGISTER_VALUES, Strategy, StrategyProfile, strategy_groups
 from tritgame.combinat import _check_spec, digit_sums, grouped_sum
 from tritgame.protocol import admissible_bit_vectors, zero_triples_mod3
 from tritgame.qudit import QuditState, evolve, make_sum_class_state, sum_class_deviation
@@ -196,39 +186,45 @@ def autocorrelations(row: Sequence[int]) -> list[int]:
     return [sum(row[r] * row[(r + d) % 9] for r in range(9)) for d in range(5)]
 
 
-def step_vectors(strategy: Strategy) -> np.ndarray:
-    """(3, 9): per sent trit, its cell's register values counted by residue [x = 0] + 3y."""
-    steps = np.zeros((3, 9), dtype=np.int64)
+def step_vectors(strategy: Strategy) -> list[list[int]]:
+    """Per sent trit, its cell's register values counted by residue [x = 0] + 3y: 9 ints."""
+    steps = [[0] * 9 for _ in range(3)]
     for (y, x), t in zip(REGISTER_VALUES, strategy.sent):
-        steps[t, (x == 0) + 3 * y] += 1
+        steps[t][(x == 0) + 3 * y] += 1
     return steps
 
 
-def _power_table(strategy: Strategy, size: int, tables) -> np.ndarray:
-    """(3, P, size + 1, 9): character values of each step vector to the powers 0..size.
+def _cyclic_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product in Z[Z9] = Z[x]/(x^9 - 1), term by term: x^r x^s = x^((r + s) mod 9)."""
+    out = [0] * 9
+    for r, x in enumerate(a):
+        for s, y in enumerate(b):
+            out[(r + s) % 9] += x * y
+    return out
 
-    One product per power, from the characters of :func:`step_vectors`.
+
+def _composition_vectors(strategy: Strategy, size: int) -> dict[tuple[int, int, int], list[int]]:
+    """Each sent-count composition (c_0, c_1, c_2) of a group, and its count vector in Z[Z9].
+
+    Each step vector's powers 0..size are tabulated once, one product per
+    power, and a composition's vector is the product of one power of each.
     """
-    p = tables.modulus[:, None]
-    base = (tables.characters @ step_vectors(strategy).T % p[:, None]).transpose(2, 0, 1)
-    powers = np.ones((3, len(tables.primes), size + 1, 9), dtype=np.int64)
-    for n in range(1, size + 1):
-        powers[:, :, n] = powers[:, :, n - 1] * base % p
-    return powers
+    powers = []
+    for step in step_vectors(strategy):
+        table = [[1] + [0] * 8]
+        for _ in range(size):
+            table.append(_cyclic_product(table[-1], step))
+        powers.append(table)
+    return {
+        (c0, c1, size - c0 - c1): _cyclic_product(
+            _cyclic_product(powers[0][c0], powers[1][c1]), powers[2][size - c0 - c1])
+        for c0 in range(size + 1) for c1 in range(size - c0 + 1)
+    }
 
 
-def _compositions(size: int, primes) -> tuple[np.ndarray, np.ndarray]:
-    """Every sent-count composition (C, 3) of a group and its multinomial mod each prime (P, C)."""
-    comps = [(c0, c1, size - c0 - c1) for c0 in range(size + 1) for c1 in range(size - c0 + 1)]
-    mults = [math.comb(size, c0) * math.comb(size - c0, c1) for c0, c1, _ in comps]
-    return np.array(comps), np.array([[m % p for m in mults] for p in primes], dtype=np.int64)
-
-
-def _composition_values(powers: np.ndarray, comps: np.ndarray, tables) -> np.ndarray:
-    """(P, C, 9): character values of a group sending ``comps``, products of its powers."""
-    p = tables.modulus[:, None, None]
-    c0, c1, c2 = comps.T
-    return powers[0][:, c0] * powers[1][:, c1] % p * powers[2][:, c2] % p
+def _sent_count_multinomial(counts: Sequence[int]) -> int:
+    """Transcripts of a group whose parties send 0, 1 and 2 ``counts`` times."""
+    return math.comb(sum(counts), counts[0]) * math.comb(counts[1] + counts[2], counts[1])
 
 
 def transcript_class_stats(
@@ -244,21 +240,14 @@ def transcript_class_stats(
     if len(class_id) != len(groups):
         raise ValueError(f"expected counts for {len(groups)} group(s), got {len(class_id)}")
 
-    primes = crt_primes(profile.k)
-    tables = _prime_tables(primes)
-    p = tables.modulus[:, None, None]
-    values = np.ones((len(primes), 1, 9), dtype=np.int64)
+    vector = [1] + [0] * 8
     multiplicity = 1
     for (strategy, size), counts in zip(groups, class_id):
         if len(counts) != 3 or any(c < 0 for c in counts) or sum(counts) != size:
             raise ValueError(f"sent counts {counts!r} do not partition group of size {size}")
-        group = _composition_values(_power_table(strategy, size, tables), np.array([counts]), tables)
-        values = values * group % p
-        multiplicity *= math.comb(size, counts[0]) * math.comb(size - counts[0], counts[1])
-    residues = (values @ tables.fold % p)[:, 0]
-    digits = _mixed_radix(residues, tables)
-    g_counts = tuple(_from_digits([d[v] for d in digits], primes) for v in range(3))
-    return TranscriptClassStats(class_id, g_counts, multiplicity)
+        vector = _cyclic_product(vector, _composition_vectors(strategy, size)[counts])
+        multiplicity *= _sent_count_multinomial(counts)
+    return TranscriptClassStats(class_id, (vector[0], vector[3], vector[6]), multiplicity)
 
 
 def full_class_count(groups: list[tuple[Strategy, int]]) -> int:
@@ -266,69 +255,33 @@ def full_class_count(groups: list[tuple[Strategy, int]]) -> int:
     return math.prod(math.comb(size + 2, 2) for _, size in groups)
 
 
-def _full_class_blocks(groups, tables) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Counts (P, B, 3) and multiplicities (P, B) of every transcript class, mod each prime.
-
-    Every composition of every group, in blocks of at most ``_BLOCK``: a
-    run of classes of all groups but the last times a slice of the last
-    group's compositions, or the slice alone for a single group.  The
-    compositions, their ``math.comb`` multinomials and the powers are
-    formed here, apart from the evaluator's class builder.
-    """
-    n_primes = len(tables.primes)
-    p = tables.modulus[:, None, None]
-    *head, (last, last_size) = groups
-    prefix = []
-    for s, size in head:
-        comps, mults = _compositions(size, tables.primes)
-        prefix.append((_composition_values(_power_table(s, size, tables), comps, tables), mults))
-    shape = tuple(len(m[0]) for _, m in prefix)
-    n_prefix = math.prod(shape)
-    last_powers = _power_table(last, last_size, tables)
-    last_comps, last_mults = _compositions(last_size, tables.primes)
-
-    for lo in range(0, len(last_comps), _BLOCK):
-        values = _composition_values(last_powers, last_comps[lo:lo + _BLOCK], tables)
-        mults = last_mults[:, lo:lo + _BLOCK]
-        if not prefix:
-            yield values @ tables.fold % p, mults
-            continue
-        folded = values[:, :, None, :] * tables.fold.transpose(0, 2, 1)[:, None] % p[..., None]
-        folded = folded.reshape(n_primes, -1, values.shape[2]).transpose(0, 2, 1)
-        run = max(1, _BLOCK // mults.shape[1])
-        for start in range(0, n_prefix, run):
-            index = np.unravel_index(np.arange(start, min(start + run, n_prefix)), shape)
-            head_values, head_mults = (t[:, index[0]] for t in prefix[0])
-            for (v, m), i in zip(prefix[1:], index[1:]):
-                head_values = head_values * v[:, i] % p
-                head_mults = head_mults * m[:, i] % p[..., 0]
-            counts = head_values @ folded % p
-            block_mults = head_mults[:, :, None] * mults[:, None] % p
-            yield counts.reshape(n_primes, -1, 3), block_mults.reshape(n_primes, -1)
-
-
 def full_scan_value(groups: list[tuple[Strategy, int]], k: int) -> Fraction:
-    """The collapsed evaluator's value from every class's counts modulo every prime.
+    """The collapsed evaluator's value from every transcript class, in exact integers.
 
     The reference for the evaluator's scan, which skips the classes that
     send a trit their group never sends and merges compositions by cell
-    shape: here every composition of every group is scanned, every count is
-    computed modulo every prime of ``crt_primes(k)``, and the best count is
-    taken from those residues.
+    shape: here every composition of every group is scanned, with its
+    ``math.comb`` multinomial, and each class's counts of global value g
+    are its vector's coefficients at x^(3g), summed term by term.
     """
-    primes = crt_primes(k)
-    tables = _prime_tables(primes)
-    p = tables.modulus[:, None]
-    numerator = total = np.zeros(len(primes), dtype=np.int64)
-    for counts, mult in _full_class_blocks(groups, tables):
-        best = _largest(_mixed_radix(counts, tables))
-        top = np.take_along_axis(counts, best[None, :, None], axis=2)[:, :, 0]
-        numerator = (numerator + (mult * top % p).sum(axis=1)) % tables.modulus
-        total = (total + (mult * (counts.sum(axis=2) % p) % p).sum(axis=1)) % tables.modulus
+    *head, last = [[(vector, _sent_count_multinomial(counts))
+                    for counts, vector in _composition_vectors(s, size).items()]
+                   for s, size in groups]
+    # Row g of a last-group class pairs x^r of the head with x^(3g - r).
+    last = [([[u[(3 * g - r) % 9] for r in range(9)] for g in range(3)], mult) for u, mult in last]
+    numerator = total = 0
+    for pairs in itertools.product(*head):
+        vector, head_mult = [1] + [0] * 8, 1
+        for u, mult in pairs:
+            vector, head_mult = _cyclic_product(vector, u), head_mult * mult
+        for rows, mult in last:
+            counts = [sum(map(operator.mul, vector, row)) for row in rows]
+            numerator += head_mult * mult * max(counts)
+            total += head_mult * mult * sum(counts)
     denominator = 3**k * grouped_sum(k, 0, 3)
-    if total.tolist() != [denominator % q for q in primes]:
+    if total != denominator:
         raise ArithmeticError("transcript-class totals do not match the admissible input count")
-    return Fraction(_from_digits(_mixed_radix(numerator, tables), primes), denominator)
+    return Fraction(numerator, denominator)
 
 
 def classify_sum_class(

@@ -1,4 +1,4 @@
-"""The character-domain core of the collapsed evaluator against direct oracles."""
+"""The collapsed evaluator's ring, its character-sum bound and the orbit search against direct oracles."""
 
 import itertools
 import math
@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritgame.classical import (
-    REGISTER_VALUES,
     Strategy,
     StrategyProfile,
     _BOUND_DIGITS,
@@ -21,13 +20,11 @@ from tritgame.classical import (
     _character_sums,
     _collapsed_value,
     _cosine_ceilings,
-    _group_powers,
-    _is_prime,
-    _prime_tables,
+    _ring_power,
+    _ring_product,
     _step_polys,
     best_homogeneous,
     canonical_division,
-    crt_primes,
     evaluate_collapsed,
     evaluate_exhaustive,
     exhaustive_transcript_counts,
@@ -89,19 +86,15 @@ def onto_z9(vec):
     return out
 
 
-def ring_characters(p):
-    """(27, 27) characters z^(a*u + 3*b*w) of Z9 x Z3 mod p: rows 3a + b, columns 3u + w."""
-    h = 2
-    while pow(h, (p - 1) // 3, p) == 1:  # z = h^((p-1)/9) must have order 9
-        h += 1
-    z = pow(h, (p - 1) // 9, p)
-    a, b = np.divmod(np.arange(27), 3)
-    return np.array([[pow(z, int(e), p) for e in row]
-                     for row in (np.outer(a, a) + 3 * np.outer(b, b)) % 9], dtype=np.int64)
+def pack(vec, w):
+    """A Z[Z9] vector as one int, coefficient s at bit w*s."""
+    return sum(c << w * s for s, c in enumerate(vec))
 
 
-def is_prime(n):
-    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+def unpack(n, w):
+    """The nine w-bit coefficients of a packed vector; n must fit in 9w bits."""
+    assert 0 <= n < 1 << 9 * w
+    return [n >> w * s & (1 << w) - 1 for s in range(9)]
 
 
 #: The 729 tables as a (729, 6) array, in lexicographic order.
@@ -133,24 +126,7 @@ def orbit_values(k):
     return tuple(homogeneous_value(s, k) for s in strategy_orbit_reps())
 
 
-class TestPrimes:
-    @pytest.mark.parametrize("k", [4, 31, 61, 100])
-    def test_bound_and_redundant_prime(self, k):
-        primes = crt_primes(k)
-        assert len(set(primes)) == len(primes)
-        assert all(p % 9 == 1 and p < 2**28 and is_prime(p) for p in primes)
-        # The base primes are the fewest whose product exceeds 6^k; the
-        # last prime is the redundant check.
-        assert math.prod(primes[:-1]) > 6**k >= math.prod(primes[:-2])
-
-    def test_primality_test(self):
-        for n in itertools.chain(range(11, 3000), range(2**28 - 3000, 2**28)):
-            assert _is_prime(n) == is_prime(n), n
-
-
 class TestTransform:
-    PRIMES = crt_primes(13)
-
     def random_vectors(self, seed, size=9, n=20):
         rng = random.Random(seed)
         for _ in range(n):
@@ -159,84 +135,40 @@ class TestTransform:
                 [rng.randrange(1000) for _ in range(size)],
             )
 
-    def inverse(self, i):
-        """(9, 9) inverse transform z^(-c*s) / 9 mod the i-th prime, states by characters."""
-        p = self.PRIMES[i]
-        z = int(_prime_tables(self.PRIMES).characters[i][1, 1])
-        assert pow(z, 9, p) == 1 and pow(z, 3, p) != 1
-        return np.array([[pow(z, -c * s % 9, p) * pow(9, -1, p) % p for c in range(9)]
-                         for s in range(9)], dtype=np.int64)
-
-    def test_inverse_undoes_transform(self):
-        tables = _prime_tables(self.PRIMES)
-        for i, p in enumerate(self.PRIMES):
-            z = int(tables.characters[i][1, 1])
-            assert tables.characters[i].tolist() == [
-                [pow(z, c * s, p) for s in range(9)] for c in range(9)
-            ]
-        for a, _ in self.random_vectors(1):
-            for i, p in enumerate(self.PRIMES):
-                back = self.inverse(i) @ (tables.characters[i] @ a % p) % p
-                assert back.tolist() == a
-
-    def test_pointwise_product_is_convolution(self):
-        tables = _prime_tables(self.PRIMES)
-        for a, b in self.random_vectors(2):
+    def test_ring_product_is_convolution(self):
+        # At the least slot width w that holds the product's coefficients,
+        # one folded integer product is the product in Z[Z9], also where
+        # coefficients reach 2^w - 1: every one of them, one that folds
+        # from x^16 onto x^7, and 9 * 7 * 1 = 63 = 2^6 - 1 summed over nine terms.
+        cases = list(self.random_vectors(2))
+        for top in (1, 31, 2**64 - 1):
+            cases += [([top] * 9, [1] + [0] * 8),
+                      ([0] * 8 + [top], [0] * 8 + [1]),
+                      ([0] * 4 + [top] + [0] * 4, [0] * 7 + [1, 0])]
+        cases += [([7] * 9, [1] * 9), ([1] * 9, [455] * 9)]
+        for a, b in cases:
             expected = convolve9(a, b)
-            for i, p in enumerate(self.PRIMES):
-                fa = tables.characters[i] @ a % p
-                fb = tables.characters[i] @ b % p
-                back = self.inverse(i) @ (fa * fb % p) % p
-                assert back.tolist() == [c % p for c in expected]
-
-    def test_fold_matches_explicit_product(self):
-        tables = _prime_tables(self.PRIMES)
-        for i in range(len(self.PRIMES)):  # the inverse transform at states 0, 3 and 6
-            assert tables.fold[i].tolist() == self.inverse(i)[[0, 3, 6]].T.tolist()
-        for a, b in self.random_vectors(3):
-            expected = explicit_fold9(convolve9(a, b))
-            for i, p in enumerate(self.PRIMES):
-                product = (tables.characters[i] @ a % p) * (tables.characters[i] @ b % p) % p
-                assert (product @ tables.fold[i] % p).tolist() == [c % p for c in expected]
+            w = max(expected).bit_length()
+            assert unpack(_ring_product(pack(a, w), pack(b, w), w), w) == expected, (a, b)
+        # Powers by repeated squaring are repeated products.
+        for a, _ in self.random_vectors(3, n=5):
+            power = [1] + [0] * 8
+            for n in range(12):
+                w = max(power).bit_length()
+                assert unpack(_ring_power(pack(a, w), n, w), w) == power, (a, n)
+                power = convolve9(power, a)
 
     def test_residue_map_carries_the_27_state_ring_onto_z9(self):
         # phi(u, w) = u + 3w (mod 9) is a homomorphism Z9 x Z3 -> Z9 whose
         # fibres over 0, 3 and 6 are the admissible states of global value
         # 0, 1 and 2, so it keeps products and folds.
-        tables = _prime_tables(self.PRIMES)
         for a, b in self.random_vectors(4, size=27):
             product = convolve(a, b)
             assert onto_z9(product) == convolve9(onto_z9(a), onto_z9(b))
             assert explicit_fold(product) == explicit_fold9(onto_z9(product))
-            for i, p in enumerate(self.PRIMES):
-                fa = tables.characters[i] @ onto_z9(a) % p
-                fb = tables.characters[i] @ onto_z9(b) % p
-                folded = (fa * fb % p) @ tables.fold[i] % p
-                assert folded.tolist() == [c % p for c in explicit_fold(product)]
-
-    def test_group_powers_are_the_27_state_characters_trivial_on_h(self):
-        # H = {(0, 0), (3, 2), (6, 1)} is the kernel of phi; the Z9
-        # characters are the Z9 x Z3 characters trivial on it, in order.
-        tables = _prime_tables(self.PRIMES)
-        size = 7
-        for strategy in strategy_orbit_reps():
-            polys = _step_polys(strategy.sent)
-            powers = _group_powers(polys, 0, size, tables)
-            # A range that starts past 0 begins from a power by repeated squaring.
-            for low in range(size + 1):
-                assert np.array_equal(_group_powers(polys, low, size, tables), powers[:, :, low:])
-            steps = np.zeros((3, 27), dtype=np.int64)
-            for (y, x), t in zip(REGISTER_VALUES, strategy.sent):
-                steps[t, 3 * (x == 0) + y] += 1
-            for i, p in enumerate(self.PRIMES):
-                ring = ring_characters(p)
-                trivial = ring[np.all(ring[:, [0, 3 * 3 + 2, 3 * 6 + 1]] == 1, axis=1)]
-                assert len(trivial) == 9
-                base = steps @ trivial.T % p
-                expected = np.ones((3, 9), dtype=np.int64)
-                for n in range(size + 1):
-                    assert np.array_equal(powers[:, i, n], expected), (strategy, p, n)
-                    expected = expected * base % p
+            w = max(onto_z9(product)).bit_length()
+            packed = _ring_product(pack(onto_z9(a), w), pack(onto_z9(b), w), w)
+            assert explicit_fold9(unpack(packed, w)) == explicit_fold(product)
 
 
 @st.composite
@@ -368,18 +300,9 @@ class TestOrbits:
 
 
 class TestRedundantPrime:
-    def test_one_prime_short_raises(self):
-        k = 31
-        groups = strategy_groups(StrategyProfile.homogeneous(canonical_division("A"), k))
-        primes = crt_primes(k)
-        short = primes[:-2] + primes[-1:]
-        assert math.prod(short[:-1]) < 6**k
-        with pytest.raises(ArithmeticError, match="redundant prime"):
-            _collapsed_value(groups, short)
-
     def test_full_prime_set_matches_oracle(self):
         profile = StrategyProfile.homogeneous(canonical_division("F"), 7)
-        value = _collapsed_value(strategy_groups(profile), crt_primes(7))
+        value = _collapsed_value(strategy_groups(profile))
         assert value == evaluate_exhaustive(profile)
 
 

@@ -1,6 +1,6 @@
+import functools
 import itertools
 import math
-import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -18,7 +18,6 @@ from tritgame.classical import (
     StrategyProfile,
     best_homogeneous,
     canonical_division,
-    crt_primes,
     evaluate_collapsed,
     evaluate_exhaustive,
     exhaustive_transcript_counts,
@@ -432,43 +431,23 @@ class TestEvaluators:
         assert exhaustive == Fraction(678836, 1990899)
 
     def test_large_last_group_behind_a_prefix(self):
-        # 1,891 compositions of the 60-party group exceed one block, so its
-        # slices meet the prefix more than once; in reverse order the same
-        # classes come as a 1,891-class prefix times a 3-composition group.
+        # The 60-party group's 1,891 compositions, as the last group, each
+        # meet every class of the one-party prefix; in reverse order the
+        # same classes come as a 1,891-class prefix times a 3-composition group.
         a, b = Strategy.from_string("021201"), Strategy.from_string("210012")
         forward = StrategyProfile((a,) + (b,) * 60)
         reverse = StrategyProfile((b,) * 60 + (a,))
         assert strategy_groups(forward) == [(a, 1), (b, 60)]
-        assert 1891 > classical._BLOCK
+        w = classical._slot_width(strategy_groups(forward))
+        assert len(list(classical._group_classes(b.sent, 60, w))) == 1891
         assert evaluate_collapsed(forward) == evaluate_collapsed(reverse)
-
-    def test_class_blocks_cover_every_class_once(self, monkeypatch):
-        # A tiny block splits the last group into slices and the prefix into
-        # runs that end mid-group; the value must not move.
-        expected = evaluate_exhaustive(K7_THREE_GROUPS)
-        monkeypatch.setattr(classical, "_BLOCK", 7)
-        groups = strategy_groups(K7_THREE_GROUPS)
-        tables = classical._prime_tables(classical.crt_primes(7))
-        blocks = list(classical._class_blocks(groups, tables))
-        sizes = [mult.shape[1] for _, mult in blocks]
-        assert max(sizes) <= 7
-        # 021201 and 210012 (2 parties each) keep 6 merged classes of their 6
-        # compositions; 220011's cells are shifts of one another, so its 10
-        # compositions merge into 1.
-        assert sum(sizes) == 6 * 6 * 1
-        # The merged multiplicities still count every transcript once: each
-        # party of a group sends one of the trits its strategy sends.
-        transcripts = math.prod(len(set(s.sent)) ** size for s, size in groups)
-        covered = sum(mult.sum(axis=1) for _, mult in blocks) % tables.modulus
-        assert covered.tolist() == [transcripts % p for p in tables.primes]
-        assert evaluate_collapsed(K7_THREE_GROUPS) == expected == full_scan_value(groups, 7)
 
     def test_collapsed_class_count_guard(self, monkeypatch):
         # The merged classes are counted from each group's shape, and a
-        # profile over the cap is refused before any prime table, power or
-        # factorial is built.
+        # profile over the cap is refused before any class or ring product
+        # is built.
         built = []
-        for name in ("_prime_tables", "_group_classes", "_group_powers", "_factorials"):
+        for name in ("_group_classes", "_ring_product"):
             monkeypatch.setattr(classical, name, lambda *args, name=name: built.append(name))
         cases = [
             # 000012 and 001212 each send a cell and its shift by x^e, e != 0
@@ -558,11 +537,10 @@ EMPTY_CELL_SCANS = {
 class TestCountingPrimes:
     @pytest.mark.parametrize("k", [4, 7])
     def test_class_counts_stay_within_the_bound(self, k):
-        # Every count is at most the admissible input count N(k), which the
-        # primes without the redundant one exceed, and at most the product of
-        # each group's largest cell to the group's size.
+        # Every count is at most the admissible input count N(k) and at most
+        # the product of each group's largest cell to the group's size, which
+        # is below 2 to the slot width.
         admissible = 3**k * grouped_sum(k, 0, 3)
-        assert admissible < math.prod(crt_primes(k)[:-1])
         profiles = [StrategyProfile.homogeneous(s, k) for s in S3_Z3_REPS]
         if k == 7:
             profiles.append(K7_THREE_GROUPS)
@@ -571,35 +549,20 @@ class TestCountingPrimes:
             bound = math.prod(
                 max(s.sent.count(t) for t in range(3)) ** size for s, size in groups
             )
+            assert bound < 2 ** classical._slot_width(groups)
             counts = exhaustive_transcript_counts(profile)
             assert counts.max() <= min(bound, admissible)
 
-    def test_a_bound_too_small_raises_naming_the_redundant_prime(self):
+    def test_a_slot_width_too_small_raises(self, monkeypatch):
         groups = [(canonical_division("F"), 31)]
         expected = full_scan_value(groups, 31)
-        assert classical._collapsed_value(groups, crt_primes(31)) == expected
-        # The first prime alone bounds too little, the second is redundant,
-        # and a count of F at k = 31 exceeds the first.
-        with pytest.raises(ArithmeticError, match=f"redundant prime {crt_primes(31)[1]}"):
-            classical._collapsed_value(groups, crt_primes(31)[:2])
-
-    @pytest.mark.parametrize("k", [4, 31, 1000, 10000])
-    def test_garner_digits_rebuild_every_integer_below_the_bound(self, k):
-        # Random integers below the CRT bound, the bound minus 1 and 0 come
-        # back exactly from their residues; the bound itself raises.
-        primes = crt_primes(k)
-        tables = classical._prime_tables(primes)
-        bound = math.prod(primes[:-1])
-        rng = random.Random(k)
-        values = [rng.randrange(bound) for _ in range(5)] + [bound - 1, 0]
-        residues = np.array([[n % p for n in values] for p in primes], dtype=np.int64)
-        digits = classical._mixed_radix(residues, tables)
-        assert digits.shape == (len(primes) - 1, len(values))
-        assert all(0 <= d < p for row, p in zip(digits.tolist(), primes) for d in row)
-        assert [classical._from_digits(digits[:, i], primes)
-                for i in range(len(values))] == values
-        with pytest.raises(ArithmeticError, match=f"redundant prime {primes[-1]}"):
-            classical._mixed_radix(np.array([bound % p for p in primes], dtype=np.int64), tables)
+        assert classical._collapsed_value(groups) == expected
+        # At half the width the counts of F at k = 31 carry out of their
+        # slots, and the totals no longer add up to the admissible inputs.
+        width = classical._slot_width
+        monkeypatch.setattr(classical, "_slot_width", lambda groups: width(groups) // 2)
+        with pytest.raises(ArithmeticError, match="totals do not match"):
+            classical._collapsed_value(groups)
 
     @pytest.mark.parametrize("k", [13, 31])
     def test_homogeneous_values_match_the_full_scan(self, k):
@@ -616,34 +579,29 @@ class TestCountingPrimes:
         assert evaluate_collapsed(profile) == full_scan_value(strategy_groups(profile), profile.k)
 
     @pytest.mark.parametrize("groups", list(EMPTY_CELL_SCANS))
-    def test_classes_that_send_an_empty_cell_are_skipped(self, monkeypatch, groups):
+    def test_classes_that_send_an_empty_cell_are_skipped(self, groups):
         scanned = EMPTY_CELL_SCANS[groups]
         profile = profile_from_groups(groups)
         groups = strategy_groups(profile)
-        tables = classical._prime_tables(crt_primes(profile.k))
-        powered = []
-        group_powers = classical._group_powers
-
-        def recording(polys, low, high, tables):
-            # The classes are built on the cells the strategy sends: every
-            # vector raised to a power, a cell or the generating polynomial
-            # of the multiplicities, is nonzero.
-            powered.append(polys.any(axis=1).all())
-            return group_powers(polys, low, high, tables)
-
-        monkeypatch.setattr(classical, "_group_powers", recording)
-        blocks = list(classical._class_blocks(groups, tables))
-        assert powered and all(powered)
+        # The classes are built on the cells the strategy sends: every
+        # vector raised to a power, a cell or the generating polynomial of
+        # the multiplicities, is nonzero.
+        for s, _ in groups:
+            assert classical._group_shape(s.sent)[0].any(axis=1).all()
+        w = classical._slot_width(groups)
+        classes = [list(classical._group_classes(s.sent, size, w)) for s, size in groups]
         # A class that sends an empty cell has no consistent input, so its
-        # counts would be 0 modulo every prime; no scanned class does.
-        assert all(counts.any(axis=(0, 2)).all() for counts, _ in blocks)
-        sizes = [m.shape[1] for _, m in blocks]
+        # counts would be 0; no scanned class does.
+        for pairs in itertools.product(*classes):
+            n = functools.reduce(functools.partial(classical._ring_product, w=w),
+                                 (u for u, _ in pairs))
+            assert any(n >> 3 * g * w & (1 << w) - 1 for g in range(3))
         work = Counter()
         value = evaluate_collapsed(profile, work)
-        assert sum(sizes) == work["classes_scanned"] == scanned
+        assert math.prod(map(len, classes)) == work["classes_scanned"] == scanned
         assert work["transcript_classes"] == full_class_count(groups)
         assert work["classes_scanned"] < work["transcript_classes"]
-        assert work["prime_class_products"] == work["classes_scanned"] * len(tables.primes)
+        assert set(work) == {"transcript_classes", "classes_scanned"}
         assert value == full_scan_value(groups, profile.k) == evaluate_exhaustive(profile)
 
 
@@ -682,7 +640,7 @@ class TestMergedCompositions:
     @given(merging_profiles())
     def test_merged_scan_matches_the_full_scan(self, groups):
         k = sum(size for _, size in groups)
-        value = classical._collapsed_value(groups, crt_primes(k))
+        value = classical._collapsed_value(groups)
         assert value == full_scan_value(groups, k)
         if k <= 10:
             profile = StrategyProfile(tuple(s for s, size in groups for _ in range(size)))
@@ -691,49 +649,49 @@ class TestMergedCompositions:
     def test_class_count_is_what_the_builder_builds(self):
         # The cap's count, read from a table's shape alone, is the number of
         # classes built, for all 729 tables: at the sizes 1 and 2, where the
-        # support of q_v^n_v still grows, and past them.
-        tables = classical._prime_tables(crt_primes(7))
+        # support of q_v^n_v still grows, and past them.  The merged
+        # multiplicities still count every transcript once: each party of
+        # the group sends one of the trits its strategy sends.
         for sent in itertools.product(range(3), repeat=6):
             for size in (1, 2, 3, 4, 7):
-                _, mults = classical._group_classes(sent, size, tables)
-                assert classical._class_count(sent, size) == mults.shape[1], (sent, size)
+                w = classical._slot_width([(Strategy(sent), size)])
+                classes = list(classical._group_classes(sent, size, w))
+                assert classical._class_count(sent, size) == len(classes), (sent, size)
+                assert sum(m for _, m in classes) == len(set(sent)) ** size, (sent, size)
 
     def test_division_a_orbit_merges_into_one_class(self):
         # Every table of A's S3 x Z3^2 orbit sends pi(y + d(x)), three
         # shifts of one cell by multiples of x^3, so all compositions of
-        # a group of any size give one class, of multiplicity 3^size.
+        # a group of any size give one class, of multiplicity 3^size, whose
+        # vector counts the 2^size register values that send its transcript.
         strategies = orbit(canonical_division("A"), PER_BIT_SHIFTS)
         assert len(strategies) == 18
-        primes = crt_primes(100)
-        tables = classical._prime_tables(primes)
         for size in range(1, 101):
+            w = classical._slot_width([(canonical_division("A"), size)])
             for s in strategies:
-                values, mults = classical._group_classes(s.sent, size, tables)
-                assert mults.shape == (len(primes), 1), (s, size)
-                assert mults[:, 0].tolist() == [3**size % p for p in primes], (s, size)
-                assert values(slice(None)).shape == (len(primes), 1, 9), (s, size)
+                [(vector, mult)] = classical._group_classes(s.sent, size, w)
+                assert mult == 3**size, (s, size)
+                assert vector < 1 << 9 * w, (s, size)
+                coefficients = [vector >> i * w & (1 << w) - 1 for i in range(9)]
+                assert sum(coefficients) == 2**size, (s, size)
 
     def test_division_a_classes_take_little_memory(self):
         # One class at any size: no array grows with it.  Each of the 3,002
-        # compositions of 3,001 parties would take (P + 3) * 8 bytes alone.
-        a = canonical_division("A").sent
-        primes = crt_primes(3001)
-        tables = classical._prime_tables(primes)
+        # compositions of 3,001 parties would take a packed vector alone.
+        a = canonical_division("A")
+        w = classical._slot_width([(a, 3001)])
         tracemalloc.start()
         try:
-            values, mults = classical._group_classes(a, 3001, tables)
-            counts = values(slice(None)) @ tables.fold % tables.modulus[:, None, None]
+            [(vector, mult)] = classical._group_classes(a.sent, 3001, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20, peak
-        assert mults[:, 0].tolist() == [pow(3, 3001, p) for p in primes]
+        assert mult == 3**3001
         # Up to a rotation, the one class counts as the all-zero transcript:
         # C(3001, m) summed over the zero counts m = 3g (mod 9) for value g.
-        digits = classical._mixed_radix(counts[:, 0], tables)
         expected = sorted(grouped_sum(3001, 3 * g, 9) for g in range(3))
-        assert sorted(classical._from_digits(digits[:, g], primes)
-                      for g in range(3)) == expected
+        assert sorted(vector >> 3 * g * w & (1 << w) - 1 for g in range(3)) == expected
 
     def test_division_a_value_is_the_most_likely_zero_triple_count(self):
         # The referee adds to the trit sum the most likely number of zero

@@ -22,8 +22,10 @@ from tritgame import bounds, classical, combinat, protocol, qudit
 # exact identities replaced, with the pass rule the dense sweep now states
 # itself, the composition enumeration, its big-integer multinomials, the
 # per-composition values and the merge that one generating function replaced,
-# and the counting primes' bound, their prime search and the lift of their
-# counts to every prime, which counting modulo every prime replaced.
+# the counting primes' bound, their prime search and the lift of their
+# counts to every prime, which counting modulo every prime replaced, and
+# every prime, character table, power table and Garner digit of the modular
+# evaluator, which exact integers in Z[Z9] replaced.
 REMOVED = (
     "RegisterInput", "ProtocolRun", "global_function", "decode", "enumerate_admissible",
     "batch_runs", "sample_admissible", "run_dense", "run_analytic", "apply_local",
@@ -37,6 +39,9 @@ REMOVED = (
     "_half_codes", "RootCheck", "_SQRT_NOT", "_BELL_EVEN", "_BELL_ODD", "class_step_ok",
     "_used_compositions", "_compositions", "_multinomial", "_composition_values",
     "_merged_compositions", "_count_bound", "_weighted_sum", "_block_sums", "_primes_past",
+    "_BLOCK", "_PRIME_LIMIT", "_is_prime", "crt_primes", "_PrimeTables", "_root_of_unity9",
+    "_prime_tables", "_group_powers", "_factorials", "_mixed_radix", "_from_digits", "_largest",
+    "_class_blocks",
 )
 
 
@@ -64,8 +69,6 @@ def test_removed_methods_are_gone():
     for name in ("sent_for", "cells", "canonical", "lookup_array"):
         assert not hasattr(tritgame.Strategy, name), name
     assert not hasattr(tritgame.QuditState, "basis_label")
-    # Counts are taken modulo one prime set, so its tables have no prefix view.
-    assert not hasattr(classical._PrimeTables, "prefix")
 
 
 def test_qutrit_types_have_no_dimension():
@@ -125,7 +128,7 @@ def test_exhaustive_oracle_is_independent():
     source = Path(classical.__file__)
     private = {name for name in _top_level_definitions(source) if name.startswith("_")}
     collapsed = _references(source, ("evaluate_collapsed", "best_homogeneous")) & private
-    assert {"_step_polys", "_group_powers", "_collapsed_value"} <= collapsed
+    assert {"_step_polys", "_ring_product", "_collapsed_value"} <= collapsed
     oracle = _references(source, ("_half_histogram", "exhaustive_transcript_counts"))
     assert not oracle & collapsed
     reference = _references(Path(__file__).with_name("helpers.py"),
@@ -136,20 +139,23 @@ def test_exhaustive_oracle_is_independent():
 
 def test_full_scan_reference_is_unmerged():
     # The reference the merged scan is checked against enumerates every
-    # composition with its own multinomials and powers: neither it nor the
-    # package names it reaches, followed through the private names they
-    # use, reaches a function of the class builder.
+    # composition with its own multinomials, powers and ring products: it
+    # reaches no private name of classical.py, and the public names it
+    # uses, followed through the private names they reach, reach no
+    # function of the evaluator.
     source = Path(classical.__file__)
     definitions = _top_level_definitions(source)
-    builder = {name for name in _references(source, ("_group_classes",)) & set(definitions)
-               if isinstance(definitions[name], ast.FunctionDef)}
-    assert {"_group_classes", "_group_shape", "_group_powers", "_factorials",
-            "_step_polys"} <= builder
+    private = {name for name in definitions if name.startswith("_")}
+    evaluator = {name for name in _references(source, ("_collapsed_value",)) & private
+                 if isinstance(definitions[name], ast.FunctionDef)}
+    assert {"_group_classes", "_group_shape", "_ring_product", "_ring_power",
+            "_step_polys"} <= evaluator
     for root in ("full_scan_value", "transcript_class_stats"):
         helper = _references(Path(__file__).with_name("helpers.py"), (root,))
+        assert not helper & private, root
         package = helper & set(definitions)
-        assert {"_prime_tables", "_mixed_radix"} <= package, root
-        assert not builder & (helper | _references(source, tuple(package))), root
+        assert package, root
+        assert not evaluator & _references(source, tuple(package)), root
 
 
 def test_character_bound_is_integer_only():
