@@ -15,12 +15,13 @@ group Z9 and compute the referee's exact success probability:
   transcript, up to k = :data:`EXHAUSTIVE_MAX_K` (13).  Each half of the
   parties enumerates its inputs by register value into one histogram by
   half transcript and residue, and three integer matrix products join the
-  halves into the counts per global value.
+  halves into the counts per global value.  It alone computes on numpy
+  arrays.
 * :func:`evaluate_collapsed` groups parties with identical strategies and
   scans transcript classes weighted by their multinomial multiplicity.
-  Per-party contributions are vectors over the residues, multiplied
-  exactly in the group ring Z[Z9], each vector packed into one Python
-  int.  Compositions of a group whose counts differ only by a rotation
+  Per-party contributions are vectors over the residues, lists of 9 ints,
+  multiplied exactly in the group ring Z[Z9], each vector packed into one
+  Python int.  Compositions of a group whose counts differ only by a rotation
   of the global values (cells that are cyclic shifts x^e of one another)
   form one class, built from a generating function, so division A is
   one class at any size.  Exact at any k whose merged class count
@@ -29,7 +30,8 @@ group Z9 and compute the referee's exact success probability:
 Both return reduced fractions and must agree wherever both run.
 
 :func:`best_homogeneous` searches the tables one party uses in every
-seat.  It bounds each table's success exactly from its character sums
+seat, one per orbit (:func:`strategy_orbit_reps`, written out).  It
+bounds each table's success exactly from its character sums
 (:func:`_character_sums`, :func:`_character_bound`) and runs the
 collapsed evaluator only on tables whose bound reaches the best value
 found.
@@ -43,7 +45,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial, reduce
+from functools import lru_cache, partial, reduce
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -55,8 +57,6 @@ from .combinat import binomial, check_party_count, grouped_sum
 REGISTER_VALUES: tuple[tuple[int, int], ...] = (
     (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1),
 )
-
-_PERMS3 = tuple(itertools.permutations(range(3)))
 
 
 @dataclass(frozen=True)
@@ -79,25 +79,6 @@ class Strategy:
             raise ValueError(f"strategy table must be six trits, got {self.sent!r}")
         object.__setattr__(self, "sent", sent)
 
-    def relabel(self, perm: Sequence[int]) -> "Strategy":
-        """Apply a permutation of the sent alphabet."""
-        return Strategy(tuple(perm[t] for t in self.sent))
-
-    def shift(self, c0: int, c1: int | None = None) -> "Strategy":
-        """Shift the register trit by c0 where the bit is 0 and by c1 where it is 1.
-
-        Sends for (y + c_x, x) what was sent for (y, x); ``c1`` defaults to
-        ``c0``, one shift of every register trit.  In every party at once
-        the shift keeps each transcript, and an admissible input's trit sum
-        moves by c0*m + c1*(k - m) = c1 (mod 3), m its zero count, since
-        m = 0 and k = 1 (mod 3): every global value moves by c1, and the
-        group S3 x Z3^2 of relabelings and these shifts keeps a homogeneous
-        profile's success.  In one party alone the global value moves by c0
-        or c1 with that party's bit, which the transcript does not fix, so
-        only c0 = c1 keeps the success of every profile.
-        """
-        return Strategy(tuple(self.sent[i] for i in _shift_indices(c0, c0 if c1 is None else c1)))
-
     def to_string(self) -> str:
         return "".join(str(t) for t in self.sent)
 
@@ -106,12 +87,6 @@ class Strategy:
         if len(s) != 6 or any(ch not in "012" for ch in s):
             raise ValueError(f"strategy string must be six trits, got {s!r}")
         return cls(tuple(int(ch) for ch in s))
-
-
-def _shift_indices(c0: int, c1: int) -> tuple[int, ...]:
-    """Index map of :meth:`Strategy.shift`: entry i is the index whose trit lands at i."""
-    c = (c0, c1)
-    return tuple(2 * ((i // 2 - c[i % 2]) % 3) + i % 2 for i in range(6))
 
 
 # Named division families by their 0-cell, as (trit, bit) register values.
@@ -314,42 +289,44 @@ def _ring_power(a: int, n: int, w: int) -> int:
     return out
 
 
-def _step_polys(sent: tuple[int, ...]) -> np.ndarray:
-    """(3, 9): per sent trit, the vector of the consistent register values' residues.
+def _step_polys(sent: tuple[int, ...]) -> list[list[int]]:
+    """Per sent trit, the vector of the consistent register values' residues: 9 ints.
 
     A register value (y, x) contributes one unit at state
     (x == 0) + 3y; the vector for sent trit t sums the contributions of
     t's preimage cell.
     """
-    polys = np.zeros((3, 9), dtype=np.int64)
+    polys = [[0] * 9 for _ in range(3)]
     for (y, x), t in zip(REGISTER_VALUES, sent):
-        polys[t, (x == 0) + 3 * y] += 1
+        polys[t][(x == 0) + 3 * y] += 1
     return polys
 
 
 @lru_cache(maxsize=None)
-def _group_shape(sent: tuple[int, ...]) -> tuple[np.ndarray, int, np.ndarray]:
-    """A strategy's bases P_u, then Q_v (m + 1, 9); v's row; and the support of q_v^j (3, 3).
+def _group_shape(sent: tuple[int, ...]) -> tuple[list[list[int]], int, list[list[int]]]:
+    """A strategy's bases P_u, then Q_v (m + 1 vectors); v's index; and the support of q_v^j.
 
     Step vector P_t (:func:`_step_polys`) of a sent trit t is x^(e_t) P_u,
-    u the first trit u <= t it is a cyclic shift of: the bases.  q_u =
-    sum_t X^(e_t mod 3) over the trits that shift P_u is 1 for a base of
-    one trit, and at most one base v of three has more; Q_v = sum_t
-    x^(3 e_t) puts q_v in Z9.  q_v^j's support in Z3 holds 0 and stops growing at j = 2.
+    u the first trit it is a cyclic shift of, e_t the least such shift: the
+    bases.  q_u = sum_t X^(e_t mod 3) over the trits that shift P_u is 1
+    for a base of one trit, and at most one base v of three has more (the
+    first base of the most trits); Q_v = sum_t x^(3 e_t) puts q_v in Z9.
+    Support row j lists the exponents of q_v^j in Z3, j = 0, 1, 2: it holds
+    0 and stops growing at j = 2.
     """
     polys = _step_polys(sent)
-    used = np.flatnonzero(polys.any(axis=1))
-    shifted = polys[:, (np.arange(9) - np.arange(9)[:, None]) % 9]  # [u, e] is x^e P_u
-    # Per used trit t the first (u, e) with P_t = x^e P_u; (t, 0) always matches.
-    matches = (shifted == polys[used, None, None]).all(axis=3).reshape(len(used), 27)
-    base, e = np.divmod(matches.argmax(axis=1), 9)
-    bases = np.flatnonzero(np.bincount(base, minlength=3))
-    base_of = np.searchsorted(bases, base)
-    v = int(np.bincount(base_of).argmax())
-    shifts = np.bincount(3 * e[base_of == v] % 9, minlength=9)
-    q = shifts[::3].tolist()  # q_v(X) = sum_r q[r] X^r, and q_v^2 by cyclic convolution:
+    rotations = [[p[-e:] + p[:-e] for e in range(9)] for p in polys]  # [u][e] is x^e P_u
+    # Per sent trit t the first (u, e) with P_t = x^e P_u; (t, 0) always matches.
+    pairs = [next((u, e) for u in range(3) for e in range(9) if rotations[u][e] == p)
+             for p in polys if any(p)]
+    bases = sorted({u for u, _ in pairs})
+    shifts = [[e for u, e in pairs if u == b] for b in bases]
+    v = max(range(len(bases)), key=lambda i: len(shifts[i]))
+    q = [sum(e % 3 == r for e in shifts[v]) for r in range(3)]  # q_v(X) = sum_r q[r] X^r
     square = [sum(q[r] * q[(s - r) % 3] for r in range(3)) for s in range(3)]
-    return np.vstack([polys[bases], shifts]), v, np.array([[1, 0, 0], q, square]) > 0
+    support = [[0], [r for r in range(3) if q[r]], [s for s in range(3) if square[s]]]
+    q_v = [0 if s % 3 else q[s // 3] for s in range(9)]
+    return [polys[b] for b in bases] + [q_v], v, support
 
 
 def _class_count(sent: tuple[int, ...], size: int) -> int:
@@ -360,7 +337,7 @@ def _class_count(sent: tuple[int, ...], size: int) -> int:
     the splits sum over j to C(size + m - 1, m - 1), and with one base n_v = size.
     """
     vectors, _, support = _group_shape(sent)
-    m, w = len(vectors) - 1, support.sum(axis=1).tolist()
+    m, w = len(vectors) - 1, list(map(len, support))
     first = [math.comb(size - j + m - 2, m - 2) if m > 1 else int(j == size) for j in (0, 1)]
     return w[0] * first[0] + w[1] * first[1] + w[2] * (math.comb(size + m - 1, m - 1) - sum(first))
 
@@ -375,8 +352,9 @@ def _group_classes(sent: tuple[int, ...], size: int, w: int) -> Iterator[tuple[i
     multiplicity is multinomial(size; n_u) [X^E] q_v^(n_v) (multinomial
     theorem), with no composition formed, for each n_u and each E in the
     support of q_v^(min(n_v, 2)); [X^E] q_v^n is Q_v^n's coefficient at
-    x^(3E), whose coefficients add up to at most 3^size.  A group of one
-    base has one n_u, its power taken by repeated squaring; otherwise
+    x^(3E), whose coefficients add up to at most 3^size.  The multinomial
+    is the product of C(n_1 + ... + n_i, n_i), 1 for one base.  A group of
+    one base has one n_u, its power taken by repeated squaring; otherwise
     every power 0..size is taken along a walk, one product per step.  The
     classes are yielded one at a time, so none is held after its use.
     """
@@ -391,15 +369,13 @@ def _group_classes(sent: tuple[int, ...], size: int, w: int) -> Iterator[tuple[i
         walk = itertools.repeat(packed, size)
         return list(itertools.accumulate(walk, partial(_ring_product, w=width), initial=1))
 
-    bases = [powers(row, w) for row in vectors[:m].tolist()]
-    q = powers(vectors[m].tolist(), w_q)
-    offsets = [list(itertools.compress(range(3), row)) for row in support.tolist()]
-    factorial = cache(math.factorial)
+    bases = [powers(row, w) for row in vectors[:m]]
+    q = powers(vectors[m], w_q)
     for cuts in itertools.combinations_with_replacement(range(size + 1), m - 1):
         n = [b - a for a, b in itertools.pairwise((0, *cuts, size))]
         vector = reduce(partial(_ring_product, w=w), map(operator.getitem, bases, n))
-        multinomial = factorial(size) // math.prod(map(factorial, n))
-        for e in offsets[min(n[v], 2)]:
+        multinomial = math.prod(map(math.comb, (*cuts, size), n))
+        for e in support[min(n[v], 2)]:
             coefficient = q[n[v]] >> 3 * e * w_q & (1 << w_q) - 1
             yield _ring_product(vector, 1 << e * w, w), multinomial * coefficient
 
@@ -419,23 +395,27 @@ def _collapsed_value(groups: list[tuple[Strategy, int]], work: Counter | None = 
 
     Refuses more than :data:`_MAX_CLASSES` merged classes (:func:`_class_count`)
     before any class is built.  The classes are the product of each group's
-    (:func:`_group_classes`): the products of head classes, one per group
-    but the last, are formed once, and each class of the last group, as it
-    is built, meets every one of them in one ring product, whose
-    coefficients at x^0, x^3 and x^6 count global values 0, 1 and 2.
+    (:func:`_group_classes`), the groups taken by increasing merged class
+    count: the products of head classes, one per group but the last, are
+    formed once and held, and each class of the last group, the one of
+    most classes, meets every one of them as it is built, in one ring
+    product, whose coefficients at x^0, x^3 and x^6 count global values 0,
+    1 and 2.
     The best count and the total, times the multiplicity, are summed
     exactly.  The denominator, 3^k * sum_i C(k, 3i) admissible inputs, must
     match the summed totals.  ``work``, when given, gains the transcript
     classes before merging or skipping (``transcript_classes``) and the
     classes scanned (``classes_scanned``).
     """
-    n_merged = math.prod(_class_count(s.sent, size) for s, size in groups)
+    counts = [_class_count(s.sent, size) for s, size in groups]
+    n_merged = math.prod(counts)
     if n_merged > _MAX_CLASSES:
         raise ValueError(f"profile has {n_merged} merged transcript classes; "
                          "reduce the number of distinct strategies")
     w = _slot_width(groups)
     mask = (1 << w) - 1
-    *head, last = [_group_classes(s.sent, size, w) for s, size in groups]
+    by_count = sorted(zip(counts, groups), key=operator.itemgetter(0))
+    *head, last = [_group_classes(s.sent, size, w) for _, (s, size) in by_count]
     heads = [(reduce(partial(_ring_product, w=w), (u for u, _ in pairs), 1),
               math.prod(m for _, m in pairs)) for pairs in itertools.product(*head)]
     numerator = total = scanned = 0
@@ -509,12 +489,12 @@ def _character_sums(sent: tuple[int, ...]) -> tuple[int, int, int]:
     """
     ceilings = _cosine_ceilings()
     scale = 10**_BOUND_DIGITS
-    rows = _step_polys(sent)
-    autos = np.einsum("tr,tdr->td", rows, rows[:, (np.arange(9) + np.arange(5)[:, None]) % 9])
+    autos = [[sum(p[r] * p[(r + d) % 9] for r in range(9)) for d in range(5)]
+             for p in _step_polys(sent)]
     # Per c = 1 + 3s, the ceilings of cos(2 pi c d / 9) for d = 1..4.
     weights = [[ceilings[min(c * d % 9, -c * d % 9) - 1] for d in range(1, 5)] for c in (1, 4, 7)]
     return tuple(sum(math.isqrt((a[0] * scale + 2 * sum(map(operator.mul, a[1:], w))) * scale) + 1
-                     for a in autos.tolist()) for w in weights)
+                     for a in autos) for w in weights)
 
 
 def _character_bound(sums: Sequence[int], k: int) -> Fraction:
@@ -549,28 +529,23 @@ def strategy_orbit_reps() -> tuple[Strategy, ...]:
     """One representative per orbit of the 729 tables under S3 x Z3^2.
 
     S3 relabels the sent alphabet.  Z3^2 shifts the register trit by c0
-    where the bit is 0 and by c1 where it is 1 (:meth:`Strategy.shift`),
-    in every party at once: an admissible input has m = 0 (mod 3) zero
-    bits and k = 1 (mod 3), so the shift maps admissible inputs one to
-    one, keeps each transcript and moves every global value by
-    c0*m + c1*(k - m) = c1 (mod 3), a relabeling of the referee's guess.
-    Neither changes a homogeneous profile's success probability.  A
-    table whose base-3 code is the least among its 54 images' is its
-    orbit's lexicographically smallest member, and one of the 22 kept.
+    where the bit is 0 and by c1 where it is 1, sending for (y + c_x, x)
+    what was sent for (y, x), in every party at once: an admissible input
+    has m = 0 (mod 3) zero bits and k = 1 (mod 3), so the shift maps
+    admissible inputs one to one, keeps each transcript and moves every
+    global value by c0*m + c1*(k - m) = c1 (mod 3), a relabeling of the
+    referee's guess.  Neither changes a homogeneous profile's success
+    probability.  Each representative is its orbit's lexicographically
+    smallest member, and they are listed in lexicographic order.
 
     The per-bit shift holds only when every party shifts at once.  A
     single party's tables reduce only under S3 x Z3 (c0 = c1), 44 orbits,
     so these 22 do not reduce the parties of a mixed profile.
     """
-    place = 3 ** np.arange(5, -1, -1)
-    tables = np.arange(729)[:, None] // place % 3  # in lexicographic order
-    # Image entry j is table entry index[j], which so weighs place[j] in its code.
-    weights = np.zeros((9, 6), dtype=np.int64)
-    index = [_shift_indices(c0, c1) for c0 in range(3) for c1 in range(3)]
-    np.put_along_axis(weights, np.array(index), place, axis=1)
-    codes = np.array(_PERMS3)[:, tables] @ weights.T  # (6, 729, 9): each image's code
-    smallest = codes.min(axis=2).min(axis=0) == np.arange(729)
-    return tuple(Strategy(tuple(t)) for t in tables[smallest].tolist())
+    return tuple(map(Strategy.from_string, (
+        "000000 000001 000010 000011 000012 000101 000102 000111 000112 000121 000122 "
+        "001010 001012 001020 001021 001022 001122 001212 001221 010101 010102 010121"
+    ).split()))
 
 
 def best_homogeneous(k: int, work: Counter | None = None) -> tuple[Strategy, Fraction]:

@@ -167,7 +167,7 @@ def cmd_quantum_verify(args: argparse.Namespace) -> Report:
     try:
         sweep_deviations = sweep_class_states(args.k)  # checks every --k before any gate
         t1 = time.perf_counter()
-        cert = verify_class_stepping(ks=())
+        cert = verify_class_stepping()
     except VerificationError as exc:
         return Report({"ok": False, "error": str(exc)}, code=EXIT_CHECK_FAILED)
     stages = {"identities": time.perf_counter() - t1, "sweep": t1 - t0, "render": 0.0}
@@ -207,7 +207,7 @@ def _protocol_metrics(engine: str) -> dict:
 def _timed_verify(metrics: dict) -> protocol.SteppingCertificate:
     """The analytic engine's certificate, no dense sweep; a failure raises VerificationError."""
     t0 = time.perf_counter()
-    certificate = verify_class_stepping(ks=())
+    certificate = verify_class_stepping()
     metrics["stage_seconds"]["verify"] += time.perf_counter() - t0
     return certificate
 

@@ -1,4 +1,4 @@
-"""Exact counting shared by every layer: the party-count rule, digit sums, binomial sums.
+"""Exact counting shared by every layer: the party-count rule and binomial sums.
 
 Everything here is arbitrary-precision integer arithmetic.
 """
@@ -7,22 +7,11 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 
 def check_party_count(k: int) -> None:
     """Rejects a party count that is not 4, 7, 10, ... (>= 4 and 1 mod 3)."""
     if k < 4 or k % 3 != 1:
         raise ValueError(f"party count must be >= 4 and 1 mod 3, got {k}")
-
-
-def digit_sums(k: int) -> np.ndarray:
-    """Digit sum of every length-k base-3 string, in basis order."""
-    sums = np.zeros(1, dtype=np.int16)
-    step = np.arange(3, dtype=np.int16)
-    for _ in range(k):
-        sums = (sums[:, None] + step[None, :]).reshape(-1)
-    return sums
 
 
 def _check_spec(n: int, q: int, p: int) -> None:

@@ -363,6 +363,7 @@ def run_dense_batch(
 # Analytic engine, gated on a verification certificate
 # ---------------------------------------------------------------------------
 
+#: The party counts ``quantum-verify`` sweeps by default.
 _CERT_KS = (4, 7)
 
 
@@ -372,13 +373,10 @@ class SteppingCertificate:
 
     The root gate passed its exact identities, which prove the class step at
     every k; ``gate_deviation`` is the float gate's distance from the exact
-    one.  ``sweep_deviations[i]`` is the dense states' worst sum-class
-    deviation at ``checked_k[i]``.
+    one.
     """
 
     gate_deviation: float
-    checked_k: tuple[int, ...]
-    sweep_deviations: tuple[float, ...]
 
 
 def sweep_class_states(ks: Sequence[int]) -> tuple[float, ...]:
@@ -408,17 +406,15 @@ def sweep_class_states(ks: Sequence[int]) -> tuple[float, ...]:
     return tuple(deviations)
 
 
-def verify_class_stepping(ks: Sequence[int] = _CERT_KS) -> SteppingCertificate:
-    """Run the dense sweep at ``ks``, then the root gate's exact identities.
+def verify_class_stepping() -> SteppingCertificate:
+    """Check the root gate's exact identities, which prove the class step at every k.
 
-    The identities prove the class step at every k, so ``ks=()`` certifies
-    the analytic engine with no sweep.  Raises VerificationError on any
-    failure; it changes no state.
+    No dense sweep is needed (:func:`sweep_class_states` is one).  Raises
+    VerificationError on any failure; it changes no state.
     """
-    sweep_deviations = sweep_class_states(ks)
     gate_deviation = verify_root_gate()
     verify_dim2_swap()
-    return SteppingCertificate(gate_deviation, tuple(ks), sweep_deviations)
+    return SteppingCertificate(gate_deviation)
 
 
 def run_analytic_batch(
@@ -430,7 +426,7 @@ def run_analytic_batch(
     the dense evolution lands in (k-1 free digits, last digit forced),
     which is the exact measurement distribution.  Returns int8 (n, k)
     outcomes.  Refuses to run without the certificate of
-    :func:`verify_class_stepping`, with or without a sweep.
+    :func:`verify_class_stepping`.
     """
     if certificate is None:
         raise AnalyticEngineLockedError(

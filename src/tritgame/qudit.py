@@ -1,6 +1,7 @@
 """Dense state-vector simulation of k qutrits, k <= DENSE_MAX_K.
 
-Provides the sum-class superpositions shared by the parties, the cyclic
+Provides the sum-class superpositions shared by the parties, built from
+the digit sums of the basis strings (:func:`digit_sums`), the cyclic
 shift gate, its principal cube root obtained through the discrete-Fourier
 eigenbasis, :func:`evolve`, the one routine that applies gates to
 amplitudes, inverse-CDF sampling of basis indices, and the exact
@@ -24,8 +25,6 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-
-from .combinat import digit_sums
 
 #: Dense party cap: 3^13 amplitudes is the largest state built.
 DENSE_MAX_K = 13
@@ -118,6 +117,15 @@ class LocalGate:
             lifted.setflags(write=False)
             self._lifted[block] = lifted
         return lifted
+
+
+def digit_sums(k: int) -> np.ndarray:
+    """Digit sum of every length-k base-3 string, in basis order."""
+    sums = np.zeros(1, dtype=np.int16)
+    step = np.arange(3, dtype=np.int16)
+    for _ in range(k):
+        sums = (sums[:, None] + step[None, :]).reshape(-1)
+    return sums
 
 
 # Sixteen entries hold every class state the dense sweep and engine use.

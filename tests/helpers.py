@@ -1,8 +1,9 @@
 """Helpers that only the tests use.
 
-Strategy cells and canonical forms, register-trit orbits and the 44
-S3 x Z3 orbit representatives, a set-based scan for the 22 S3 x Z3^2
-representatives and a per-row autocorrelation, random profiles, a
+Strategy cells, relabelings, register-trit shifts and canonical forms,
+register-trit orbits and the 44 S3 x Z3 orbit representatives, a
+set-based scan for the 22 S3 x Z3^2 representatives, per-row step
+vectors and autocorrelations, random profiles, a
 per-bit-vector enumeration that the exhaustive oracle is checked against,
 a full scan over every composition, its class count and per-class
 statistics of the collapsed evaluator, a sum-class classifier
@@ -28,9 +29,9 @@ import mpmath
 import numpy as np
 
 from tritgame.classical import REGISTER_VALUES, Strategy, StrategyProfile, strategy_groups
-from tritgame.combinat import _check_spec, digit_sums, grouped_sum
+from tritgame.combinat import _check_spec, grouped_sum
 from tritgame.protocol import admissible_bit_vectors, zero_triples_mod3
-from tritgame.qudit import QuditState, evolve, make_sum_class_state, sum_class_deviation
+from tritgame.qudit import QuditState, digit_sums, evolve, make_sum_class_state, sum_class_deviation
 
 
 def cells(strategy: Strategy) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -41,23 +42,43 @@ def cells(strategy: Strategy) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple(cell) for cell in out)
 
 
+def relabel(strategy: Strategy, perm: Sequence[int]) -> Strategy:
+    """The table with sent trit t replaced by perm[t]: a permutation of the sent alphabet."""
+    return Strategy(tuple(perm[t] for t in strategy.sent))
+
+
+def shift(strategy: Strategy, c0: int, c1: int | None = None) -> Strategy:
+    """Shift the register trit by c0 where the bit is 0 and by c1 where it is 1.
+
+    Sends for (y + c_x, x) what ``strategy`` sent for (y, x); ``c1``
+    defaults to ``c0``, one shift of every register trit.  In every party
+    at once the shift keeps each transcript and moves every global value
+    by c1 (:func:`tritgame.classical.strategy_orbit_reps`).  In one party
+    alone the global value moves by c0 or c1 with that party's bit, which
+    the transcript does not fix, so only c0 = c1 keeps the success of
+    every profile.
+    """
+    c = (c0, c0 if c1 is None else c1)
+    return Strategy(tuple(strategy.sent[2 * ((i // 2 - c[i % 2]) % 3) + i % 2] for i in range(6)))
+
+
 def canonical(strategy: Strategy) -> Strategy:
     """Lexicographically smallest relabeling of the sent alphabet."""
     return min(
-        (strategy.relabel(perm) for perm in itertools.permutations(range(3))),
+        (relabel(strategy, perm) for perm in itertools.permutations(range(3))),
         key=lambda s: s.sent,
     )
 
 
-#: The register-trit shifts (c0, c1) of :meth:`Strategy.shift`: by c0 where
-#: the bit is 0 and by c1 where it is 1.
+#: The register-trit shifts (c0, c1) of :func:`shift`: by c0 where the bit
+#: is 0 and by c1 where it is 1.
 PER_BIT_SHIFTS = tuple(itertools.product(range(3), repeat=2))
 
 
 def orbit(strategy: Strategy, shifts: Sequence[tuple[int, int]]) -> set[Strategy]:
     """The tables ``strategy`` reaches by one of ``shifts`` and a relabeling of the sent alphabet."""
     return {
-        strategy.shift(c0, c1).relabel(perm)
+        relabel(shift(strategy, c0, c1), perm)
         for c0, c1 in shifts
         for perm in itertools.permutations(range(3))
     }

@@ -22,7 +22,6 @@ from tritgame.classical import (
     _cosine_ceilings,
     _ring_power,
     _ring_product,
-    _step_polys,
     best_homogeneous,
     canonical_division,
     evaluate_collapsed,
@@ -33,7 +32,8 @@ from tritgame.classical import (
 )
 
 from helpers import (
-    PER_BIT_SHIFTS, S3_Z3_REPS, autocorrelations, canonical, orbit, orbit_reps_by_scan,
+    PER_BIT_SHIFTS, S3_Z3_REPS, autocorrelations, canonical, orbit, orbit_reps_by_scan, shift,
+    step_vectors,
 )
 
 
@@ -201,19 +201,19 @@ class TestDifferential:
 class TestOrbits:
     def test_shift_moves_register_trits(self):
         s = Strategy.from_string("001122")
-        assert s.shift(1).to_string() == "220011"
-        assert s.shift(1).shift(2) == s
+        assert shift(s, 1).to_string() == "220011"
+        assert shift(shift(s, 1), 2) == s
         for (y, x) in itertools.product(range(3), range(2)):
-            assert s.shift(2).sent[2 * ((y + 2) % 3) + x] == s.sent[2 * y + x]
+            assert shift(s, 2).sent[2 * ((y + 2) % 3) + x] == s.sent[2 * y + x]
         # By bit: c0 where the bit is 0, c1 where it is 1.
         s = Strategy.from_string("012012")
-        assert s.shift(1, 2).to_string() == "100221"
-        assert s.shift(1, 2).shift(2, 1) == s
-        assert s.shift(1, 1) == s.shift(1)
+        assert shift(s, 1, 2).to_string() == "100221"
+        assert shift(shift(s, 1, 2), 2, 1) == s
+        assert shift(s, 1, 1) == shift(s, 1)
         for c0, c1 in PER_BIT_SHIFTS:
             for (y, x) in itertools.product(range(3), range(2)):
                 c = (c0, c1)[x]
-                assert s.shift(c0, c1).sent[2 * ((y + c) % 3) + x] == s.sent[2 * y + x]
+                assert shift(s, c0, c1).sent[2 * ((y + c) % 3) + x] == s.sent[2 * y + x]
 
     def test_22_orbits_cover_all_tables(self):
         reps = strategy_orbit_reps()
@@ -231,8 +231,8 @@ class TestOrbits:
         assert set(reps) <= set(S3_Z3_REPS)
 
     def test_orbit_reps_are_those_of_a_set_scan(self):
-        # The least code over each table's 54 images picks what a scan in
-        # lexicographic order that marks each new orbit's members picks.
+        # The written-out representatives are what a scan in lexicographic
+        # order that marks each new orbit's members picks.
         assert strategy_orbit_reps() == orbit_reps_by_scan()
 
     def test_per_bit_shift_moves_every_global_value_by_c1(self):
@@ -241,7 +241,7 @@ class TestOrbits:
         for s in S3_Z3_REPS:
             counts = exhaustive_transcript_counts(StrategyProfile.homogeneous(s, 7))
             for c0, c1 in PER_BIT_SHIFTS:
-                shifted = StrategyProfile.homogeneous(s.shift(c0, c1), 7)
+                shifted = StrategyProfile.homogeneous(shift(s, c0, c1), 7)
                 assert np.array_equal(
                     exhaustive_transcript_counts(shifted), np.roll(counts, c1, axis=1)
                 ), (s, c0, c1)
@@ -263,7 +263,7 @@ class TestOrbits:
         for c0, c1 in PER_BIT_SHIFTS:
             pi = tuple(2 * ((i // 2 + (c0, c1)[i % 2]) % 3) + i % 2 for i in range(6))
             assert TABLES[:, np.argsort(pi)].tolist() == [
-                list(Strategy(tuple(t)).shift(c0, c1).sent) for t in TABLES.tolist()
+                list(shift(Strategy(tuple(t)), c0, c1).sent) for t in TABLES.tolist()
             ]
             shifts[pi] = (c0, c1)
         assert keeping == set(shifts)
@@ -274,15 +274,15 @@ class TestOrbits:
         a, deviant = canonical_division("A"), Strategy.from_string("000112")
         value = evaluate_exhaustive(StrategyProfile((a, a, a, deviant)))
         for c0, c1 in PER_BIT_SHIFTS:
-            shifted = evaluate_exhaustive(StrategyProfile((a, a, a, deviant.shift(c0, c1))))
+            shifted = evaluate_exhaustive(StrategyProfile((a, a, a, shift(deviant, c0, c1))))
             assert (shifted == value) == (c0 == c1), (c0, c1)
 
     def test_shift_invariance_at_k7(self):
         assert len(CANONICAL_REPS) == 122
         for s in CANONICAL_REPS:
             value = homogeneous_value(s, 7)
-            assert homogeneous_value(s.shift(1), 7) == value
-            assert homogeneous_value(s.shift(2), 7) == value
+            assert homogeneous_value(shift(s, 1), 7) == value
+            assert homogeneous_value(shift(s, 2), 7) == value
 
     @pytest.mark.parametrize("k", [7, 10])
     def test_orbit_search_is_the_first_maximizer_of_all_tables(self, k):
@@ -326,13 +326,13 @@ class TestCharacterBound:
             assert c / scale == pytest.approx(math.cos(2 * math.pi * d / 9), abs=1e-12), d
 
     def test_character_sums_follow_each_rows_autocorrelation(self):
-        # The autocorrelations of a table's three rows, one integer product,
-        # give what a per-row loop gives, for each of the 729 tables.
+        # The sums follow from the autocorrelations of the reference step
+        # vectors, one term at a time, for each of the 729 tables.
         scale = 10**_BOUND_DIGITS
         ceilings = _cosine_ceilings()
         expected = []
         for t in TABLES.tolist():
-            autos = [autocorrelations(row) for row in _step_polys(tuple(t)).tolist()]
+            autos = [autocorrelations(row) for row in step_vectors(Strategy(tuple(t)))]
             expected.append(tuple(
                 sum(math.isqrt(scale * (a[0] * scale + 2 * sum(
                     a[d] * ceilings[min(c * d % 9, -c * d % 9) - 1] for d in range(1, 5)))) + 1
@@ -344,7 +344,7 @@ class TestCharacterBound:
         scale = 10**_BOUND_DIGITS
         z = np.exp(2j * np.pi / 9)
         for s in S3_Z3_REPS:
-            polys = _step_polys(s.sent)
+            polys = np.array(step_vectors(s))
             for sums_index, u in enumerate(_character_sums(s.sent)):
                 c = 1 + 3 * sums_index
                 exact = np.abs(polys @ z ** (c * np.arange(9))).sum()

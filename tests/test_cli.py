@@ -656,7 +656,7 @@ class TestHarness:
         ["gap-report", "--k", "4", "--trials", "10"],
     ])
     def test_failed_unlock_exits_one(self, capsys, monkeypatch, argv):
-        def fail(ks):
+        def fail():
             raise protocol.VerificationError("tampered")
 
         monkeypatch.setattr(cli, "verify_class_stepping", fail)

@@ -25,7 +25,9 @@ from tritgame import bounds, classical, combinat, protocol, qudit
 # the counting primes' bound, their prime search and the lift of their
 # counts to every prime, which counting modulo every prime replaced, and
 # every prime, character table, power table and Garner digit of the modular
-# evaluator, which exact integers in Z[Z9] replaced.
+# evaluator, which exact integers in Z[Z9] replaced, and the numpy scan's
+# permutations and shift index map, which the written-out orbit
+# representatives replaced.
 REMOVED = (
     "RegisterInput", "ProtocolRun", "global_function", "decode", "enumerate_admissible",
     "batch_runs", "sample_admissible", "run_dense", "run_analytic", "apply_local",
@@ -41,7 +43,7 @@ REMOVED = (
     "_merged_compositions", "_count_bound", "_weighted_sum", "_block_sums", "_primes_past",
     "_BLOCK", "_PRIME_LIMIT", "_is_prime", "crt_primes", "_PrimeTables", "_root_of_unity9",
     "_prime_tables", "_group_powers", "_factorials", "_mixed_radix", "_from_digits", "_largest",
-    "_class_blocks",
+    "_class_blocks", "_PERMS3", "_shift_indices",
 )
 
 
@@ -65,8 +67,9 @@ def test_removed_names_are_gone():
 
 
 def test_removed_methods_are_gone():
-    # A table has one layout, its six trits in REGISTER_VALUES order.
-    for name in ("sent_for", "cells", "canonical", "lookup_array"):
+    # A table has one layout, its six trits in REGISTER_VALUES order; its
+    # relabelings and register shifts only the tests use (tests/helpers.py).
+    for name in ("sent_for", "cells", "canonical", "lookup_array", "relabel", "shift"):
         assert not hasattr(tritgame.Strategy, name), name
     assert not hasattr(tritgame.QuditState, "basis_label")
 
@@ -175,6 +178,21 @@ def test_character_bound_is_integer_only():
             assert not isinstance(node, ast.Div), name
             assert not (isinstance(node, ast.Name) and node.id in floats), (name, node.id)
             assert not (isinstance(node, ast.Attribute) and node.attr in floats), (name, node.attr)
+
+
+def test_exact_classical_core_is_numpy_free():
+    # The collapsed evaluator, the homogeneous search and the character
+    # bound, followed through the private names they reach, never name
+    # numpy: in classical.py only the exhaustive oracle computes on arrays.
+    source = Path(classical.__file__)
+    definitions = _top_level_definitions(source)
+    core = _references(source, ("evaluate_collapsed", "best_homogeneous", "_character_bound",
+                                "strategy_orbit_reps"))
+    assert {"_step_polys", "_group_shape", "_group_classes", "_character_sums"} <= core
+    assert not core & {"np", "numpy"}
+    arrays = {name for name, node in definitions.items()
+              if any(isinstance(n, ast.Name) and n.id in ("np", "numpy") for n in ast.walk(node))}
+    assert arrays == {"_half_histogram", "exhaustive_transcript_counts", "referee_success"}
 
 
 def test_exact_identities_are_integer_only():

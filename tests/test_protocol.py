@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tritgame import cli, protocol, qudit
-from tritgame.combinat import binomial, digit_sums
+from tritgame.combinat import binomial
 from tritgame.protocol import (
     AnalyticEngineLockedError,
     admissible_bit_vectors,
@@ -24,6 +24,7 @@ from tritgame.protocol import (
 from tritgame.qudit import (
     LocalGate,
     QuditState,
+    digit_sums,
     make_sum_class_state,
     root_gate,
 )
@@ -583,8 +584,7 @@ class TestAnalyticEngine:
     def test_certificate_without_a_sweep_unlocks(self):
         # The exact identities prove the class step at every k: no dense
         # sweep is needed, but no certificate locks.
-        cert = verify_class_stepping(ks=())
-        assert cert.checked_k == () and cert.sweep_deviations == ()
+        cert = verify_class_stepping()
         rng = np.random.default_rng(0)
         outcomes = run_analytic_batch(rows((0, 0, 0, 1), (1, 1, 1, 1)), rng, cert)
         assert (outcomes.sum(axis=1) % 3).tolist() == [1, 0]
@@ -618,15 +618,14 @@ class TestAnalyticEngine:
 
         monkeypatch.setattr(protocol, "admissible_bit_vectors", enumerate_vectors)
         with pytest.raises(ValueError, match="k=100 exceeds 13"):
-            verify_class_stepping(ks=(100,))
+            protocol.sweep_class_states((100,))
 
     def test_certificate_contents(self, stepping_cert):
-        assert [f.name for f in dataclasses.fields(stepping_cert)] == [
-            "gate_deviation", "checked_k", "sweep_deviations"
-        ]
-        assert stepping_cert.checked_k == (4, 7)
-        assert len(stepping_cert.sweep_deviations) == 2
-        assert max(stepping_cert.gate_deviation, *stepping_cert.sweep_deviations) <= 1e-10
+        assert [f.name for f in dataclasses.fields(stepping_cert)] == ["gate_deviation"]
+        assert stepping_cert.gate_deviation <= 1e-10
+        sweep_deviations = protocol.sweep_class_states((4, 7))
+        assert len(sweep_deviations) == 2
+        assert max(sweep_deviations) <= 1e-10
 
     def test_outcome_distribution_matches_dense(self, stepping_cert):
         # Same fixed input, two-sample chi-square over the 27 strings of the
@@ -654,34 +653,32 @@ class TestAnalyticEngine:
 
 class TestVerification:
     def test_tamper_hook_fails(self, failed_root_check):
-        for ks in ((), (4, 7)):
-            with pytest.raises(protocol.VerificationError, match=r"root gate failed: \(3G\)"):
-                verify_class_stepping(ks)
+        with pytest.raises(protocol.VerificationError, match=r"root gate failed: \(3G\)"):
+            verify_class_stepping()
 
     def test_dim2_check_can_fail(self, monkeypatch):
         # With R replaced by NOT, (2R)^2 = 4 I, not 4 NOT: R (x) R keeps the
         # even Bell pair even, so the parity swap fails.
         monkeypatch.setattr(qudit, "_SQRT_NOT_SQUARE", (2, {(0, 1): 2}, 2, {(0, 1): 4}))
-        for ks in ((), (4, 7)):
-            with pytest.raises(protocol.VerificationError, match="dimension-2 swap check failed"):
-                verify_class_stepping(ks)
+        with pytest.raises(protocol.VerificationError, match="dimension-2 swap check failed"):
+            verify_class_stepping()
 
     def test_nan_sweep_deviation_fails(self, monkeypatch):
         # A NaN compares false with everything, so only a test written as
         # "not (dev <= tol)" rejects it.
         monkeypatch.setattr(protocol, "sum_class_deviation", lambda state, j: (1.0, float("nan")))
         with pytest.raises(protocol.VerificationError, match="is not class"):
-            verify_class_stepping()
+            protocol.sweep_class_states((4, 7))
 
     def test_certificate_unchanged_by_class_state_cache(self):
         qudit.make_sum_class_state.cache_clear()
-        cold = verify_class_stepping()
-        warm = verify_class_stepping()
+        cold = protocol.sweep_class_states((4, 7))
+        warm = protocol.sweep_class_states((4, 7))
         assert warm == cold
-        assert cold.gate_deviation <= 1e-10
+        assert verify_class_stepping().gate_deviation <= 1e-10
         # The sweep's worst deviations, recomputed against freshly built
-        # class patterns, are exactly the certificate's.
-        for k, reported in zip(cold.checked_k, cold.sweep_deviations):
+        # class patterns, are exactly the cached ones'.
+        for k, reported in zip((4, 7), cold):
             worst = 0.0
             for bits in admissible_bit_vectors(k).tolist():
                 amps = dense_pre_measurement_state(k, bits).amplitudes
@@ -690,7 +687,7 @@ class TestVerification:
                 c = np.vdot(target, amps)
                 worst = max(worst, float(np.max(np.abs(amps - c * target))))
             assert reported == worst
-        assert max(cold.sweep_deviations) <= 1e-10
+        assert max(cold) <= 1e-10
 
     def test_record_serialization(self, capsys):
         records = record_run(capsys, ["quantum-run", "--k", "7", "--engine", "analytic",

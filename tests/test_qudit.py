@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from tritgame import qudit
-from tritgame.combinat import digit_sums
 from tritgame.protocol import verify_class_stepping
 from tritgame.qudit import (
     LocalGate,
     QuditState,
     VerificationError,
+    digit_sums,
     evolve,
     inverse_cdf,
     make_sum_class_state,
@@ -329,14 +329,14 @@ class TestExactCertificate:
             moved[key] = moved.get(key, 0) + 1
             monkeypatch.setattr(qudit, "_ROOT_CUBE", (p, moved, power, target))
             with pytest.raises(VerificationError, match="root gate failed"):
-                verify_class_stepping(ks=())
+                verify_class_stepping()
 
     def test_transposed_shift_fails(self, monkeypatch):
         # X^T = X^2: 27 in the wrong cell.
         p, root, power, _ = qudit._ROOT_CUBE
         monkeypatch.setattr(qudit, "_ROOT_CUBE", (p, root, power, {(0, 2): 27}))
         with pytest.raises(VerificationError, match="root gate failed"):
-            verify_class_stepping(ks=())
+            verify_class_stepping()
 
     def test_perturbed_float_gate_fails(self, monkeypatch):
         # The gate times the phase exp(1e-9 i), unitary, 8.4e-10 from the exact
@@ -345,7 +345,7 @@ class TestExactCertificate:
         gate = LocalGate(np.exp(1e-9j) * root_gate().matrix)
         monkeypatch.setattr(qudit, "root_gate", lambda: gate)
         with pytest.raises(VerificationError, match="float gate deviates by 8.440e-10"):
-            verify_class_stepping(ks=())
+            verify_class_stepping()
 
 
 class TestApplyLocal:
