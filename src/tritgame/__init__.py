@@ -40,9 +40,7 @@ from .combinat import (
     residue_row,
 )
 from .protocol import (
-    AnalyticEngineLockedError,
     DenseCounts,
-    SteppingCertificate,
     VerificationError,
     decode_batch,
     dense_pre_measurement_state,
@@ -71,9 +69,8 @@ __all__ = [
     "LocalGate", "QuditState", "evolve", "inverse_cdf", "make_sum_class_state",
     "permutation_gate", "root_gate",
     # protocol
-    "AnalyticEngineLockedError", "DenseCounts", "SteppingCertificate", "VerificationError",
-    "decode_batch", "dense_pre_measurement_state", "global_function_batch",
-    "run_analytic_batch", "run_dense_batch", "sample_admissible_batch",
+    "DenseCounts", "VerificationError", "decode_batch", "dense_pre_measurement_state",
+    "global_function_batch", "run_analytic_batch", "run_dense_batch", "sample_admissible_batch",
     "verify_class_stepping", "zero_triples_mod3",
     # classical analysis
     "DIVISION_NAMES", "REGISTER_VALUES", "Strategy", "StrategyProfile",

@@ -6,8 +6,9 @@ sums, one family per division type: ``bound_A`` (the trit-revealing
 (2,2,2) division), ``bound_F`` ((3,2,1) types), ``bound_L`` and ``bound_N``
 ((4,1,1) types).  All four converge to 1/3 as j grows, which is the
 quantitative content of "the best classical protocol fails".  Every
-grouped sum is read from :func:`combinat.residue_row`, one exact table of
-Pascal rows summed by residue class mod 3 and mod 9, so any j is cheap.
+grouped sum comes from :func:`combinat.residue_row`, a Pascal row summed by
+residue class mod 3 or mod 9 and computed afresh as a power of 1 + x, so
+any j is cheap and nothing is kept between calls.
 
 Values are exact fractions; floats appear only in table renderings.  The
 residue-selection rule ``im_rule`` (how sub-configuration counts attach to
@@ -78,25 +79,36 @@ def _every_third_binomial(n: int, a: int) -> Iterator[tuple[int, int]]:
 
 
 def bound_A(j: int, i: int, m: int) -> Fraction:
-    """(2,2,2) family: zero-count classes against all admissible classes."""
+    """(2,2,2) family: zero-count classes against all admissible classes.
+
+    Both sums come from the row mod 9; its classes r, r + 3 and r + 6 make
+    up class r mod 3.
+    """
     n = _parties(j)
     if i not in (0, 1):
         raise ValueError(f"offset i must be 0 or 1, got {i}")
     if m not in (0, 3, 6):
         raise ValueError(f"offset m must be 0, 3 or 6, got {m}")
-    return Fraction(residue_row(n, 9)[1 + i + m], residue_row(n, 3)[1 + i])
+    row = residue_row(n, 9)
+    return Fraction(row[1 + i + m], sum(row[1 + i::3]))
 
 
 def bound_F(j: int, a: int, im_rule: ImRule = "max") -> Fraction:
-    """(3,2,1) family: one three-value cell, residue a from outside parties."""
+    """(3,2,1) family: one three-value cell, residue a from outside parties.
+
+    The residue row of am steps to that of am + 3 by (1 + x)^3 = 2 + 3x + 3x^2
+    mod x^3 - 1: row[r] becomes 3 * 2^am - row[r], since the row adds up to 2^am.
+    """
     n = _parties(j, a)
     pick = _picker(im_rule)
     numerator = 2 * binomial(n, a)
     denominator = 0
+    row = residue_row(a, 3)
     for am, binom in _every_third_binomial(n, a):
         if am > a:
-            numerator += binom * pick(residue_row(am, 3))
+            numerator += binom * pick(row)
         denominator += binom << am
+        row = tuple((3 << am) - r for r in row)
     return Fraction(numerator, denominator)
 
 

@@ -1,6 +1,7 @@
 """Exact counting shared by every layer: the party-count rule and binomial sums.
 
-Everything here is arbitrary-precision integer arithmetic.
+Everything here is arbitrary-precision integer arithmetic, and nothing is
+kept between calls: a residue row is computed afresh from n and p.
 """
 
 from __future__ import annotations
@@ -32,23 +33,28 @@ def binomial(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
-#: Per step p, the rows of :func:`residue_row` built so far, row n at index n.
-_RESIDUE_ROWS: dict[int, list[tuple[int, ...]]] = {}
-
-
 def residue_row(n: int, p: int) -> tuple[int, ...]:
     """Row n of Pascal's triangle by residue class: entry r sums C(n, i) over i = r (mod p).
 
-    Rows come from Pascal's rule on residues, row_{n+1}[r] = row_n[r] +
-    row_n[r-1 mod p], into one table per p that grows to the largest n asked for.
+    The row is (1 + x)^n in Z[x]/(x^p - 1), raised by binary powering (Knuth,
+    TAOCP vol. 2, section 4.6.3) on one integer that packs coefficient r in
+    bits r*w .. r*w + w - 1, w = n + 1 (Kronecker substitution).  Each
+    step squares, multiplies by 1 + x at a one bit of n, and folds slots
+    p .. 2p - 1 onto 0 .. p - 1 (x^p = 1).  The coefficients then add up to
+    2^e for the exponent e <= n reached so far, so no slot carries into the
+    next.
     """
-    rows = _RESIDUE_ROWS.get(p, ())
-    if not 0 <= n < len(rows):
-        _check_spec(n, 0, p)
-        rows = _RESIDUE_ROWS.setdefault(p, [(1,) + (0,) * (p - 1)])
-        while len(rows) <= n:
-            rows.append(tuple(rows[-1][r] + rows[-1][r - 1] for r in range(p)))
-    return rows[n]
+    _check_spec(n, 0, p)
+    w = n + 1
+    low = (1 << p * w) - 1
+    packed = 1
+    for bit in bin(n)[2:]:
+        packed *= packed
+        if bit == "1":
+            packed += packed << w
+        packed = (packed & low) + (packed >> p * w)
+    mask = (1 << w) - 1
+    return tuple(packed >> r * w & mask for r in range(p))
 
 
 def grouped_sum(n: int, q: int, p: int) -> int:

@@ -36,9 +36,9 @@ Two interchangeable engines produce the outcomes:
   state or to a stack of rows.
 * :func:`run_analytic_batch` skips the state entirely and samples the
   outcome string uniformly from the digit-sum class the evolution provably
-  lands in.  It runs only on a :class:`SteppingCertificate` from
-  :func:`verify_class_stepping`, whose exact identities prove the class
-  step at every k; it builds no dense state.
+  lands in.  Every call first runs :func:`verify_class_stepping`, whose
+  exact identities prove the class step at every k, and a failure raises;
+  it builds no dense state.
 
 :func:`admissible_bit_vectors` enumerates the admissible bit vectors, and
 :func:`zero_triples_mod3` gives each row's class, for the dense sweep.
@@ -47,7 +47,6 @@ Two interchangeable engines produce the outcomes:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -67,10 +66,6 @@ from .qudit import (
     verify_dim2_swap,
     verify_root_gate,
 )
-
-
-class AnalyticEngineLockedError(RuntimeError):
-    """The analytic engine ran without a certificate."""
 
 
 def admissible_bit_vectors(k: int) -> np.ndarray:
@@ -360,24 +355,8 @@ def run_dense_batch(
 
 
 # ---------------------------------------------------------------------------
-# Analytic engine, gated on a verification certificate
+# Analytic engine, checked by exact identities on every call
 # ---------------------------------------------------------------------------
-
-#: The party counts ``quantum-verify`` sweeps by default.
-_CERT_KS = (4, 7)
-
-
-@dataclass(frozen=True)
-class SteppingCertificate:
-    """Evidence that the analytic shortcut is sound in this build.
-
-    The root gate passed its exact identities, which prove the class step at
-    every k; ``gate_deviation`` is the float gate's distance from the exact
-    one.
-    """
-
-    gate_deviation: float
-
 
 def sweep_class_states(ks: Sequence[int]) -> tuple[float, ...]:
     """The dense sweep: the worst sum-class deviation at each k in ``ks``.
@@ -406,32 +385,28 @@ def sweep_class_states(ks: Sequence[int]) -> tuple[float, ...]:
     return tuple(deviations)
 
 
-def verify_class_stepping() -> SteppingCertificate:
+def verify_class_stepping() -> float:
     """Check the root gate's exact identities, which prove the class step at every k.
 
-    No dense sweep is needed (:func:`sweep_class_states` is one).  Raises
-    VerificationError on any failure; it changes no state.
+    No dense sweep is needed (:func:`sweep_class_states` is one).  Returns
+    the float gate's distance from the exact one.  Raises VerificationError
+    on any failure; it changes no state.
     """
     gate_deviation = verify_root_gate()
     verify_dim2_swap()
-    return SteppingCertificate(gate_deviation)
+    return gate_deviation
 
 
-def run_analytic_batch(
-    bits: np.ndarray, rng: np.random.Generator, certificate: SteppingCertificate | None
-) -> np.ndarray:
+def run_analytic_batch(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Measurement outcomes without state evolution, at any k.
 
     Samples each row's outcome string uniformly from the digit-sum class
     the dense evolution lands in (k-1 free digits, last digit forced),
     which is the exact measurement distribution.  Returns int8 (n, k)
-    outcomes.  Refuses to run without the certificate of
-    :func:`verify_class_stepping`.
+    outcomes.  Runs :func:`verify_class_stepping` first, on every call, and
+    lets its VerificationError through.
     """
-    if certificate is None:
-        raise AnalyticEngineLockedError(
-            "analytic engine is locked: pass the certificate of verify_class_stepping()"
-        )
+    verify_class_stepping()
     target = zero_triples_mod3(bits)
     n, k = bits.shape
     outcomes = np.empty((n, k), dtype=np.int8)

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from tritgame import qudit
-from tritgame.protocol import dense_pre_measurement_state, verify_class_stepping
+from tritgame.protocol import dense_pre_measurement_state
 from tritgame.qudit import inverse_cdf
-
-
-@pytest.fixture(scope="session")
-def stepping_cert():
-    """The default verification certificate, computed once for the session."""
-    return verify_class_stepping()
 
 
 @pytest.fixture

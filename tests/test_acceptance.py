@@ -31,7 +31,6 @@ from tritgame.protocol import (
     run_analytic_batch,
     run_dense_batch,
     sample_admissible_batch,
-    verify_class_stepping,
 )
 from tritgame.qudit import permutation_gate, root_gate, verify_root_gate
 
@@ -105,9 +104,8 @@ def test_criterion_3_quantum_perfect_success():
     outcomes, _ = run_dense_batch(bits, rng)
     failures += check(trits, bits, outcomes)
     counts["k=10 dense sampled"] = len(bits)
-    cert = verify_class_stepping()
     trits, bits = sample_admissible_batch(100, 100_000, rng)
-    failures += check(trits, bits, run_analytic_batch(bits, rng, cert))
+    failures += check(trits, bits, run_analytic_batch(bits, rng))
     counts["k=100 analytic sampled"] = len(bits)
     ok = failures == 0
     report(

@@ -96,11 +96,10 @@ class TestQuantumVerify:
         assert "token" not in env["payload"]
         assert env["config"] == {"k": [4, 7]}
 
-    def test_default_sweep_is_the_certificate_sweep(self):
-        # One definition of the canonical sweep: the one the analytic
-        # engine's certificate needs.
+    def test_default_sweep_is_k_4_and_7(self):
+        # The parser holds the one definition of the default sweep.
         args = cli.build_parser().parse_args(["quantum-verify"])
-        assert args.k == list(protocol._CERT_KS) == [4, 7]
+        assert args.k == [4, 7]
 
     def test_class_sweep_reports_worst_deviation_per_k(self, capsys):
         code, env = run_json(capsys, ["quantum-verify"])
@@ -237,7 +236,7 @@ class TestQuantumRun:
         def fail():
             raise AssertionError("verification ran before the k check")
 
-        monkeypatch.setattr(cli, "verify_class_stepping", fail)
+        monkeypatch.setattr(protocol, "verify_class_stepping", fail)
         assert cli.main(["quantum-run", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -262,8 +261,7 @@ class TestQuantumRun:
         assert metrics["rows_evolved"] == 100
         assert metrics["row_gates_applied"] >= 1
         assert metrics["first_failure"] is None
-        assert set(metrics["stage_seconds"]) == {"verify", "sample", "engine", "render"}
-        assert metrics["stage_seconds"]["verify"] == 0.0
+        assert set(metrics["stage_seconds"]) == {"sample", "engine", "render"}
         assert all(v >= 0.0 for v in metrics["stage_seconds"].values())
 
     def test_dense_counters_leave_the_payload_hash_unchanged(self, capsys, per_vector_outcomes):
@@ -318,7 +316,9 @@ class TestQuantumRun:
         assert env["metrics"]["trials"] == 20
         for name in DENSE_COUNTERS:
             assert name not in env["metrics"]
-        assert env["metrics"]["stage_seconds"]["verify"] > 0.0
+        # The engine's own check of the root gate counts under the engine stage.
+        assert set(env["metrics"]["stage_seconds"]) == {"sample", "engine", "render"}
+        assert env["metrics"]["stage_seconds"]["engine"] > 0.0
 
     def test_negative_trials_is_usage_error(self, capsys, monkeypatch):
         # Rejected while parsing: nothing is sampled and no payload is written.
@@ -591,9 +591,7 @@ class TestGapReport:
         assert metrics["trials"] == 80
         assert metrics["blocks"] == 2
         assert metrics["first_failure"] is None
-        assert set(metrics["stage_seconds"]) == {
-            "verify", "sample", "engine", "search", "render",
-        }
+        assert set(metrics["stage_seconds"]) == {"sample", "engine", "search", "render"}
 
     def test_search_metrics_sit_outside_the_hashed_payload(self, capsys):
         argv = ["gap-report", "--k", "4", "13", "--trials", "50"]
@@ -609,9 +607,9 @@ class TestGapReport:
 
     def test_negative_trials_is_usage_error(self, capsys, monkeypatch):
         # Rejected while parsing: no verification, sampling or search runs.
-        for name in ("verify_class_stepping", "best_homogeneous"):
-            monkeypatch.setattr(cli, name, None)
-        monkeypatch.setattr(protocol, "sample_admissible_batch", None)
+        monkeypatch.setattr(cli, "best_homogeneous", None)
+        for name in ("verify_class_stepping", "sample_admissible_batch"):
+            monkeypatch.setattr(protocol, name, None)
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["gap-report", "--k", "4", "--trials", "-5"])
         assert excinfo.value.code == 2
@@ -624,7 +622,7 @@ class TestGapReport:
         def fail():
             raise AssertionError("verification ran before the k check")
 
-        monkeypatch.setattr(cli, "verify_class_stepping", fail)
+        monkeypatch.setattr(protocol, "verify_class_stepping", fail)
         assert cli.main(["gap-report", "--k", "31", "61", "5", "--trials", "10"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -659,7 +657,7 @@ class TestHarness:
         def fail():
             raise protocol.VerificationError("tampered")
 
-        monkeypatch.setattr(cli, "verify_class_stepping", fail)
+        monkeypatch.setattr(protocol, "verify_class_stepping", fail)
         code = cli.main(argv)
         assert code == 1
         captured = capsys.readouterr()
@@ -677,8 +675,22 @@ class TestHarness:
         assert captured.out == ""
         assert captured.err == "error: root gate failed: (3G)^3 != 27X in Z[zeta_9][X]\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["quantum-run", "--k", "7", "--engine", "analytic", "--trials", "0"],
+        ["gap-report", "--k", "4", "--trials", "0"],
+    ], ids=["analytic", "gap-report"])
+    def test_zero_trials_run_no_check(self, capsys, failed_root_check, argv):
+        # The engine checks the root gate when it runs; at --trials 0 it never
+        # runs, so a failed identity goes unnoticed and the command exits 0.
+        # quantum-verify still fails.
+        code, env = run_json(capsys, argv)
+        assert code == 0
+        assert env["metrics"]["trials"] == 0
+        assert cli.main(["quantum-verify"]) == 1
+        assert '"ok": false' in capsys.readouterr().out
+
     def test_analytic_path_builds_no_dense_state(self, capsys, monkeypatch):
-        # The analytic engine runs on the exact certificate alone: no class
+        # The analytic engine checks the exact identities alone: no class
         # state, no dense evolution.
         def refuse(*args):
             raise AssertionError("the analytic path built a dense state")

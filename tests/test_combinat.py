@@ -1,10 +1,10 @@
+import tracemalloc
 from decimal import Decimal
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tritgame import combinat
 from tritgame.combinat import (
     binomial,
     grouped_sum,
@@ -45,14 +45,23 @@ class TestGroupedSum:
         assert grouped_sum(181, 2, 3) == direct
         assert grouped_sum(181, 2, 3) == direct
         assert grouped_sum(181, 182, 3) == 0  # the whole class lies below q
-        # A rejected call never extends the table, nor starts one for a new step.
-        grown = len(combinat._RESIDUE_ROWS[3])
-        for call in [lambda: grouped_sum(grown + 500, -1, 3), lambda: grouped_sum(-1, 0, 3),
-                     lambda: residue_row(-1, 3), lambda: residue_row(grown + 500, 0)]:
+        for call in [lambda: grouped_sum(700, -1, 3), lambda: grouped_sum(-1, 0, 3),
+                     lambda: residue_row(-1, 3), lambda: residue_row(700, 0)]:
             with pytest.raises(ValueError):
                 call()
-        assert len(combinat._RESIDUE_ROWS[3]) == grown
-        assert 0 not in combinat._RESIDUE_ROWS
+
+    def test_large_row_keeps_nothing(self):
+        # Nothing is kept between calls: after one grouped sum of row 12,000
+        # less than 1 MiB is still allocated.  Above about n = 14,000 the
+        # closed form's Decimal passes Python's 4,300-digit string limit.
+        tracemalloc.start()
+        try:
+            value = grouped_sum(12000, 0, 3)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**20
+        assert value == round(ramus(12000, 0, 3))
 
     def test_empty_progression(self):
         assert grouped_sum(3, 5, 2) == 0

@@ -6,7 +6,7 @@ import inspect
 from pathlib import Path
 
 import tritgame
-from tritgame import bounds, classical, combinat, protocol, qudit
+from tritgame import bounds, classical, cli, combinat, protocol, qudit
 
 # Names of the per-row protocol API and the helpers only it used, the bound
 # dispatch layer, the unused grouped-sum parameter tuple, the process-wide
@@ -25,9 +25,12 @@ from tritgame import bounds, classical, combinat, protocol, qudit
 # the counting primes' bound, their prime search and the lift of their
 # counts to every prime, which counting modulo every prime replaced, and
 # every prime, character table, power table and Garner digit of the modular
-# evaluator, which exact integers in Z[Z9] replaced, and the numpy scan's
+# evaluator, which exact integers in Z[Z9] replaced, the numpy scan's
 # permutations and shift index map, which the written-out orbit
-# representatives replaced.
+# representatives replaced, the analytic engine's certificate, its lock, the
+# CLI's timed fetch of it and the sweep constant only the parser read, which
+# the engine's own check on every call replaced, and the table of Pascal rows
+# by residue, which powers of 1 + x replaced.
 REMOVED = (
     "RegisterInput", "ProtocolRun", "global_function", "decode", "enumerate_admissible",
     "batch_runs", "sample_admissible", "run_dense", "run_analytic", "apply_local",
@@ -43,7 +46,8 @@ REMOVED = (
     "_merged_compositions", "_count_bound", "_weighted_sum", "_block_sums", "_primes_past",
     "_BLOCK", "_PRIME_LIMIT", "_is_prime", "crt_primes", "_PrimeTables", "_root_of_unity9",
     "_prime_tables", "_group_powers", "_factorials", "_mixed_radix", "_from_digits", "_largest",
-    "_class_blocks", "_PERMS3", "_shift_indices",
+    "_class_blocks", "_PERMS3", "_shift_indices", "SteppingCertificate",
+    "AnalyticEngineLockedError", "_timed_verify", "_CERT_KS", "_RESIDUE_ROWS",
 )
 
 
@@ -62,7 +66,7 @@ def test_star_import():
 def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in tritgame.__all__
-        for module in (tritgame, bounds, classical, combinat, protocol, qudit):
+        for module in (tritgame, bounds, classical, cli, combinat, protocol, qudit):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
@@ -87,6 +91,14 @@ def test_verification_chain_has_no_knobs():
                      protocol.dense_pre_measurement_state):
         params = set(inspect.signature(function).parameters)
         assert not params & {"branch", "tol", "gate", "_perturb"}, function.__name__
+
+
+def test_analytic_engine_checks_itself():
+    # The engine takes the trials and the random stream, nothing that could
+    # stand in for its check, and the check is in its own code.
+    assert list(inspect.signature(protocol.run_analytic_batch).parameters) == ["bits", "rng"]
+    source = Path(protocol.__file__)
+    assert "verify_class_stepping" in _references(source, ("run_analytic_batch",))
 
 
 def test_exhaustive_oracle_has_no_knobs():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import weakref
@@ -10,7 +9,6 @@ import pytest
 from tritgame import cli, protocol, qudit
 from tritgame.combinat import binomial
 from tritgame.protocol import (
-    AnalyticEngineLockedError,
     admissible_bit_vectors,
     decode_batch,
     dense_pre_measurement_state,
@@ -574,40 +572,38 @@ class TestRowSampler:
 
 
 class TestAnalyticEngine:
-    def test_locked_without_verification(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(AnalyticEngineLockedError):
-            run_analytic_batch(rows((1, 1, 1, 1)), rng, None)
-        with pytest.raises(AnalyticEngineLockedError):
-            run_analytic_batch(np.ones((3, 4), dtype=np.int8), rng, None)
-
-    def test_certificate_without_a_sweep_unlocks(self):
+    def test_runs_without_a_sweep(self, monkeypatch):
         # The exact identities prove the class step at every k: no dense
-        # sweep is needed, but no certificate locks.
-        cert = verify_class_stepping()
+        # sweep is needed.
+        def refuse(ks):
+            raise AssertionError("the analytic engine ran the dense sweep")
+
+        monkeypatch.setattr(protocol, "sweep_class_states", refuse)
         rng = np.random.default_rng(0)
-        outcomes = run_analytic_batch(rows((0, 0, 0, 1), (1, 1, 1, 1)), rng, cert)
+        outcomes = run_analytic_batch(rows((0, 0, 0, 1), (1, 1, 1, 1)), rng)
         assert (outcomes.sum(axis=1) % 3).tolist() == [1, 0]
-        with pytest.raises(AnalyticEngineLockedError):
-            run_analytic_batch(rows((1, 1, 1, 1)), rng, None)
 
-    def test_certificate_outlives_a_failed_verification(self, stepping_cert, failed_root_check):
-        # A later failed call leaves the certificate in hand valid: nothing
-        # but the certificate decides whether the engine runs.
-        with pytest.raises(protocol.VerificationError):
-            verify_class_stepping()
-        outcomes = run_analytic_batch(rows((0, 0, 0, 1)), np.random.default_rng(0), stepping_cert)
-        assert outcomes.sum() % 3 == 1
+    def test_every_call_checks_the_root_gate(self, request):
+        # A call that succeeded is no evidence for the next: once the
+        # identity fails, every call raises, before it validates or draws.
+        rng = np.random.default_rng(0)
+        assert run_analytic_batch(rows((0, 0, 0, 1)), rng).sum() % 3 == 1
+        request.getfixturevalue("failed_root_check")
+        state = rng.bit_generator.state
+        for bits in (rows((0, 0, 0, 1)), np.ones((3, 4), dtype=np.int8)):
+            with pytest.raises(protocol.VerificationError, match=r"root gate failed: \(3G\)"):
+                run_analytic_batch(bits, rng)
+        assert rng.bit_generator.state == state
 
-    def test_always_correct_at_large_k(self, stepping_cert):
+    def test_always_correct_at_large_k(self):
         rng = np.random.default_rng(31)
         trits, bits = sample_admissible_batch(100, 2000, rng)
-        outcomes = run_analytic_batch(bits, rng, stepping_cert)
+        outcomes = run_analytic_batch(bits, rng)
         assert np.array_equal(decode_batch(trits, outcomes), global_function_batch(trits, bits))
         zeros = np.count_nonzero(bits == 0, axis=1)
         assert np.array_equal(outcomes.sum(axis=1) % 3, zeros // 3 % 3)
         trits, bits = sample_admissible_batch(1000, 200, rng)
-        outcomes = run_analytic_batch(bits, rng, stepping_cert)
+        outcomes = run_analytic_batch(bits, rng)
         assert np.array_equal(decode_batch(trits, outcomes), global_function_batch(trits, bits))
 
     def test_sweep_beyond_dense_bound_fails_before_enumerating(self, monkeypatch):
@@ -620,20 +616,23 @@ class TestAnalyticEngine:
         with pytest.raises(ValueError, match="k=100 exceeds 13"):
             protocol.sweep_class_states((100,))
 
-    def test_certificate_contents(self, stepping_cert):
-        assert [f.name for f in dataclasses.fields(stepping_cert)] == ["gate_deviation"]
-        assert stepping_cert.gate_deviation <= 1e-10
+    def test_certificate_contents(self):
+        # The exact identities return one measured float: the float gate's
+        # distance from the exact one.
+        gate_deviation = verify_class_stepping()
+        assert type(gate_deviation) is float
+        assert 0.0 <= gate_deviation <= 1e-10
         sweep_deviations = protocol.sweep_class_states((4, 7))
         assert len(sweep_deviations) == 2
         assert max(sweep_deviations) <= 1e-10
 
-    def test_outcome_distribution_matches_dense(self, stepping_cert):
+    def test_outcome_distribution_matches_dense(self):
         # Same fixed input, two-sample chi-square over the 27 strings of the
         # predicted class, 10,000 trials per engine.
         trials = 10_000
         bits = np.tile(np.array([[0, 0, 0, 1]], dtype=np.int8), (trials, 1))
         dense, evolved = run_dense_batch(bits, np.random.default_rng(777))
-        analytic = run_analytic_batch(bits, np.random.default_rng(778), stepping_cert)
+        analytic = run_analytic_batch(bits, np.random.default_rng(778))
         assert evolved.half_states_evolved == 1 and evolved.rows_evolved == trials
         dense_counts: dict[tuple, int] = {}
         analytic_counts: dict[tuple, int] = {}
@@ -675,7 +674,7 @@ class TestVerification:
         cold = protocol.sweep_class_states((4, 7))
         warm = protocol.sweep_class_states((4, 7))
         assert warm == cold
-        assert verify_class_stepping().gate_deviation <= 1e-10
+        assert verify_class_stepping() <= 1e-10
         # The sweep's worst deviations, recomputed against freshly built
         # class patterns, are exactly the cached ones'.
         for k, reported in zip((4, 7), cold):
