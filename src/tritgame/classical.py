@@ -569,8 +569,11 @@ def best_homogeneous(k: int, work: Counter | None = None) -> tuple[Strategy, Fra
     reps = strategy_orbit_reps()
     sums = [_character_sums(s.sent) for s in reps]
     # U(k) grows with sum_s U_s^k, so this visits the orbits by decreasing
-    # bound, ties in representative order.
-    order = sorted(range(len(reps)), key=lambda i: sum(u**k for u in sums[i]), reverse=True)
+    # bound, ties in representative order.  The 66 sums hold fewer distinct
+    # values, each raised to the k-th power once.
+    powers = {u: u**k for u in set().union(*sums)}
+    order = sorted(range(len(reps)), key=lambda i: sum(powers[u] for u in sums[i]),
+                   reverse=True)
     values: dict[int, Fraction] = {}
     for i in order:
         if values and _character_bound(sums[i], k) < max(values.values()):

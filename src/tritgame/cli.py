@@ -13,9 +13,10 @@ errors to exit codes, renders it and writes it to ``--output`` or stdout.
 ``--format csv`` writes the report's table and no envelope.  Otherwise
 the output is a JSON envelope: command name, config, result payload,
 the SHA-256 of the canonical payload encoding, package version,
-wall-clock duration and any metrics.  The config is the parsed options,
-without ``--output`` and ``--format``, which say how to render rather
-than what to compute.  The hash covers only the payload, so two runs with
+wall-clock duration and any metrics.  The envelope is indented, but its
+payload is one line: the canonical encoding itself, the bytes that were
+hashed.  The config is the parsed options, without ``--output`` and
+``--format``, which say how to render rather than what to compute.  The hash covers only the payload, so two runs with
 the same command line and seed are byte-identical in the hashed region.
 Probabilities always carry exact numerator/denominator next to their
 float rendering.  ``quantum-run`` draws its inputs and outcomes from
@@ -24,6 +25,9 @@ i-th ``--k`` (counting from 0) from ``default_rng([seed, i])``.
 The analytic engine checks the root gate's exact identities on every
 call and builds no dense state; only ``quantum-verify`` adds the dense
 sweep.
+
+:func:`main` builds its parser once per process, on its first call, and
+every later call reuses it.
 
 Exit codes: 0 all checks passed, 1 a check failed (a failed verification
 of the analytic engine among them) or the output was not written
@@ -41,6 +45,7 @@ import os
 import sys
 import time
 from collections import Counter
+from functools import cache
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -102,15 +107,18 @@ def _fraction_payload(value: Fraction) -> dict:
     }
 
 
-def _envelope(command: str, config: dict, report: Report, started: float) -> dict:
-    # Render time covers hashing the payload, plus whatever the command
-    # already counted under "render" (building records or table rows).
+def _envelope(command: str, config: dict, report: Report, started: float) -> str:
+    # The payload is encoded once, canonically: those characters are hashed
+    # and written verbatim, on one line, as the otherwise indented envelope's
+    # "payload" value.  Render time covers that encoding and hash, plus
+    # whatever the command already counted under "render" (building records
+    # or table rows).
     t0 = time.perf_counter()
     canonical = json.dumps(report.payload, sort_keys=True, separators=(",", ":"))
     envelope = {
         "command": command,
         "config": config,
-        "payload": report.payload,
+        "payload": None,
         "payload_sha256": sha256(canonical.encode()).hexdigest(),
         "version": __version__,
         "duration_seconds": round(time.perf_counter() - started, 6),
@@ -122,7 +130,11 @@ def _envelope(command: str, config: dict, report: Report, started: float) -> dic
             for name, seconds in stages.items():
                 stages[name] = round(seconds, 6)
         envelope["metrics"] = report.metrics
-    return envelope
+    # Keys are sorted and nested ones indented deeper: this line occurs once.
+    placeholder = '\n  "payload": null,\n'
+    parts = json.dumps(envelope, indent=2, sort_keys=True).split(placeholder)
+    assert len(parts) == 2, "the envelope's payload placeholder must occur exactly once"
+    return f'{parts[0]}\n  "payload": {canonical},\n{parts[1]}\n'
 
 
 def _make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -424,7 +436,15 @@ def cmd_gap_report(args: argparse.Namespace) -> Report:
 # Parser
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Dispatch goes through the ``cmd_*`` functions bound here, so patching
+    one after the first call does not re-route it.  Parsing keeps no state
+    between calls; a list default is one shared object, which no command
+    mutates.
+    """
     parser = argparse.ArgumentParser(
         prog="tritgame",
         description="Exact quantum/classical analysis of the one-trit communication game.",
@@ -506,8 +526,7 @@ def main(argv: list[str] | None = None) -> int:
         # The config is what to compute; these say how to dispatch and render.
         config = {name: value for name, value in vars(args).items()
                   if name not in ("command", "func", "output", "format")}
-        text = json.dumps(_envelope(args.command, config, report, started), indent=2,
-                          sort_keys=True)
+        text = _envelope(args.command, config, report, started)
     if args.output:
         try:
             with open(args.output, "w") as fh:
@@ -516,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot write --output: {exc}", file=sys.stderr)
             return EXIT_CHECK_FAILED
         return report.code
-    data = memoryview((text if text.endswith("\n") else text + "\n").encode())
+    data = memoryview(text.encode())
     try:
         # Unbuffered stdout (PYTHONUNBUFFERED) is a raw file whose write may
         # take only part of the data when the reader closes; writing the

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -687,7 +688,7 @@ class TestHarness:
         assert code == 0
         assert env["metrics"]["trials"] == 0
         assert cli.main(["quantum-verify"]) == 1
-        assert '"ok": false' in capsys.readouterr().out
+        assert json.loads(capsys.readouterr().out)["payload"]["ok"] is False
 
     def test_analytic_path_builds_no_dense_state(self, capsys, monkeypatch):
         # The analytic engine checks the exact identities alone: no class
@@ -743,6 +744,66 @@ class TestHarness:
         code, env = run_json(capsys, argv)
         assert code == 0
         assert env["payload_sha256"] == digest
+
+    @pytest.mark.parametrize("argv, digest", PINNED_PAYLOADS,
+                             ids=[" ".join(argv) for argv, _ in PINNED_PAYLOADS])
+    def test_written_payload_is_the_hashed_bytes(self, capsys, monkeypatch, tmp_path,
+                                                 argv, digest):
+        # A stopped clock makes every duration 0, so two runs write the same bytes.
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        path = tmp_path / "report.json"
+        assert cli.main([*argv, "--output", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == out.encode()
+
+        env = json.loads(out)
+        assert set(env) == {"command", "config", "duration_seconds", "metrics", "payload",
+                            "payload_sha256", "version"}
+        lines = out.split("\n")
+        (i,) = [n for n, line in enumerate(lines) if line.startswith('  "payload": ')]
+        raw = lines[i].removeprefix('  "payload": ').removesuffix(",")
+        assert hashlib.sha256(raw.encode()).hexdigest() == env["payload_sha256"] == digest
+        assert json.loads(raw) == env["payload"]
+        # Outside its payload line the envelope is laid out as json.dumps(...,
+        # indent=2, sort_keys=True) lays out the whole of it.
+        lines[i] = '  "payload": null,'
+        assert "\n".join(lines) == json.dumps({**env, "payload": None}, indent=2,
+                                              sort_keys=True) + "\n"
+
+    def test_one_parser_serves_every_call(self, capsys):
+        cli.build_parser.cache_clear()
+        code, env = run_json(capsys, ["bounds", "--family", "A", "--j", "5", "--im-rule", "0"])
+        assert code == 0
+        assert (env["config"]["j"], env["config"]["im_rule"]) == ([5], "0")
+        # A list default is one object shared by every parse: it must come
+        # back unchanged after a call that gave --j.
+        code, env = run_json(capsys, ["bounds", "--family", "F"])
+        assert code == 0
+        assert (env["config"]["j"], env["config"]["im_rule"]) == ([5, 10, 20, 40, 60], "max")
+
+        code, env = run_json(capsys, ["classical", "eval", "--k", "7", "--strategy", "A"])
+        assert code == 0
+        assert (env["config"]["strategy"], env["config"]["profile"]) == ("A", None)
+        # The mutually exclusive group starts afresh: --strategy was seen last call.
+        code, env = run_json(capsys, ["classical", "eval", "--k", "7", "--profile", "A:7"])
+        assert code == 0
+        assert (env["config"]["strategy"], env["config"]["profile"]) == (None, "A:7")
+
+        for argv, exit_code in ((["classical", "eval", "--k", "7"], 2),
+                                (["quantum-run", "--k"], 2),
+                                (["--help"], 0),
+                                (["--version"], 0)):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(argv)
+            assert excinfo.value.code == exit_code
+        capsys.readouterr()
+        argv, digest = PINNED_PAYLOADS[1]
+        code, env = run_json(capsys, argv)
+        assert code == 0
+        assert env["payload_sha256"] == digest
+        assert cli.build_parser.cache_info().misses == 1
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
