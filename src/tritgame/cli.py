@@ -16,8 +16,9 @@ the SHA-256 of the canonical payload encoding, package version,
 wall-clock duration and any metrics.  The envelope is indented, but its
 payload is one line: the canonical encoding itself, the bytes that were
 hashed.  The config is the parsed options, without ``--output`` and
-``--format``, which say how to render rather than what to compute.  The hash covers only the payload, so two runs with
-the same command line and seed are byte-identical in the hashed region.
+``--format``, which say how to render rather than what to compute.  The
+hash covers only the payload, so two runs with the same command line and
+seed are byte-identical in the hashed region.
 Probabilities always carry exact numerator/denominator next to their
 float rendering.  ``quantum-run`` draws its inputs and outcomes from
 ``numpy.random.default_rng([seed, 0])``; ``gap-report`` draws those of its
@@ -440,10 +441,9 @@ def cmd_gap_report(args: argparse.Namespace) -> Report:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after it.
 
-    Dispatch goes through the ``cmd_*`` functions bound here, so patching
-    one after the first call does not re-route it.  Parsing keeps no state
-    between calls; a list default is one shared object, which no command
-    mutates.
+    Its leaves bind the ``cmd_*`` functions, so patching one afterwards does
+    not re-route dispatch.  A list default is one object for every parse:
+    no command may mutate it.
     """
     parser = argparse.ArgumentParser(
         prog="tritgame",
