@@ -53,7 +53,6 @@ from .protocol import (
 )
 from .qudit import (
     LocalGate,
-    QuditState,
     evolve,
     inverse_cdf,
     make_sum_class_state,
@@ -66,7 +65,7 @@ __all__ = [
     # combinatorics
     "binomial", "grouped_sum", "residue_row",
     # qudit simulation
-    "LocalGate", "QuditState", "evolve", "inverse_cdf", "make_sum_class_state",
+    "LocalGate", "evolve", "inverse_cdf", "make_sum_class_state",
     "permutation_gate", "root_gate",
     # protocol
     "DenseCounts", "VerificationError", "decode_batch", "dense_pre_measurement_state",

@@ -497,11 +497,13 @@ def _character_sums(sent: tuple[int, ...]) -> tuple[int, int, int]:
                      for a in autos) for w in weights)
 
 
-def _character_bound(sums: Sequence[int], k: int) -> Fraction:
+def _character_bound(power_sum: int, k: int) -> tuple[int, int]:
     """U(k) = 1/3 + (2/9) sum_s (U_s / 10^D)^k / N(k): bounds a homogeneous profile's success.
 
-    ``sums`` are a table's :func:`_character_sums` and N(k) = 3^k *
-    sum_i C(k, 3i) counts the admissible inputs.  Proof: take a transcript
+    ``power_sum`` is sum_s U_s^k over a table's :func:`_character_sums`,
+    and N(k) = 3^k * sum_i C(k, 3i) counts the admissible inputs.  Returns
+    U(k) as an unreduced (numerator, denominator) pair, so that a caller
+    compares it by cross-multiplication.  Proof: take a transcript
     t and let n_t(v) count the admissible inputs that send it with global
     value v, n_t their total and w = z^3.  For every v,
     3 n_t(v) = n_t + 2 Re(w^-v sum_u w^u n_t(u)), so the referee's count
@@ -516,8 +518,7 @@ def _character_bound(sums: Sequence[int], k: int) -> Fraction:
     """
     scale = 10 ** (_BOUND_DIGITS * k)
     admissible = 3**k * grouped_sum(k, 0, 3)
-    return Fraction(3 * admissible * scale + 2 * sum(u**k for u in sums),
-                    9 * admissible * scale)
+    return 3 * admissible * scale + 2 * power_sum, 9 * admissible * scale
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +573,17 @@ def best_homogeneous(k: int, work: Counter | None = None) -> tuple[Strategy, Fra
     # bound, ties in representative order.  The 66 sums hold fewer distinct
     # values, each raised to the k-th power once.
     powers = {u: u**k for u in set().union(*sums)}
-    order = sorted(range(len(reps)), key=lambda i: sum(powers[u] for u in sums[i]),
-                   reverse=True)
+    keys = [sum(powers[u] for u in row) for row in sums]
+    order = sorted(range(len(reps)), key=keys.__getitem__, reverse=True)
     values: dict[int, Fraction] = {}
+    top = Fraction(0)  # the best value found so far
     for i in order:
-        if values and _character_bound(sums[i], k) < max(values.values()):
-            break
+        if values:
+            numerator, denominator = _character_bound(keys[i], k)
+            if numerator * top.denominator < top.numerator * denominator:
+                break
         values[i] = _collapsed_value([(reps[i], k)], work)
+        top = max(top, values[i])
     if work is not None:
         work.update(strategy_orbits=len(reps), orbits_evaluated=len(values))
     best = min(values, key=lambda i: (-values[i], i))  # the first maximizer

@@ -31,9 +31,10 @@ Two interchangeable engines produce the outcomes:
   on the rows whose bit is 0 there, and all its digits are drawn at
   once.  It reports the half states and the full-size gates actually
   applied, and the conditional rows and the gates applied to them
-  (:class:`DenseCounts`).  Every gate goes through :func:`qudit.evolve`,
-  the one routine that applies gates to amplitudes, whether to a full
-  state or to a stack of rows.
+  (:class:`DenseCounts`).  States are plain complex arrays: a half state
+  is a (3^k,) array and the stack an (s, 3^(k-h)) array.  Every gate goes
+  through :func:`qudit.evolve`, the one routine that applies gates to
+  amplitudes, which maps either shape to an array of the same shape.
 * :func:`run_analytic_batch` skips the state entirely and samples the
   outcome string uniformly from the digit-sum class the evolution provably
   lands in.  Every call first runs :func:`verify_class_stepping`, whose
@@ -55,7 +56,6 @@ from .combinat import check_party_count
 from .qudit import (
     DENSE_MAX_K,
     LocalGate,
-    QuditState,
     TOL,
     VerificationError,
     evolve,
@@ -184,7 +184,7 @@ def decode_batch(trits: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
 # Dense engine
 # ---------------------------------------------------------------------------
 
-def dense_pre_measurement_state(k: int, bits: Sequence[int]) -> QuditState:
+def dense_pre_measurement_state(k: int, bits: Sequence[int]) -> np.ndarray:
     """Shared state after every zero-bit party applied the root gate.
 
     The gates act on the digit-sum-0 class state, in party order, through
@@ -325,7 +325,7 @@ def run_dense_batch(
                 state = evolve(state, applied, parties)
                 gates += len(parties)
         below = zeros
-        matrix = state.amplitudes.reshape(3**h, width)
+        matrix = state.reshape(3**h, width)
         # Squared row norms in one pass: the real and imaginary parts' squares.
         parts = matrix.view(np.float64)
         norms = np.einsum("ij,ij->i", parts, parts)

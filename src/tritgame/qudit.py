@@ -11,16 +11,17 @@ protocol of Brukner, Zukowski, Pan and Zeilinger, PRL 92, 127901 (2004))
 is one fixed identity, :func:`verify_dim2_swap`; nothing else here knows
 about qubits.
 
-Conventions: the first party owns the most significant base-3 digit
-(:func:`evolve` numbers parties from 0); states are unit vectors
-(sum-class states are stored normalized even where they are usually
-written as plain ket sums).
+Conventions: a state of m qutrits is a complex (3^m,) array of unit
+norm, and a stack of s states an (s, 3^m) array of unit rows; the first
+party owns the most significant base-3 digit (:func:`evolve` numbers
+parties from 0); sum-class states are stored normalized even where they
+are usually written as plain ket sums.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
@@ -45,45 +46,13 @@ def _check_size(k: int) -> None:
         raise ValueError(f"state of 3^{k} amplitudes exceeds the dense cap 3^{DENSE_MAX_K}")
 
 
-def _check_unit_norms(norm_sq) -> None:
-    """Raises ValueError unless every squared norm given is finite and within TOL of 1.
-
-    A NaN or infinite amplitude makes its state's squared norm NaN or
-    infinite, so one pass over the amplitudes checks both.  Comparisons are
-    phrased so that NaN fails.
-    """
-    norm_sq = np.asarray(norm_sq, dtype=float).reshape(-1)
-    bad = ~np.isfinite(norm_sq)
-    if bad.any():
-        raise ValueError(f"amplitudes are not finite: sum |amp|^2 = {float(norm_sq[bad][0])!r}")
-    bad = ~(np.abs(norm_sq - 1.0) <= TOL)
-    if bad.any():
-        raise ValueError(f"state is not normalized: sum |amp|^2 = {float(norm_sq[bad][0])!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class QuditState:
-    """Unit-norm dense amplitude vector over all k-digit base-3 strings.
-
-    The amplitudes are stored read-only.  The constructor copies them, so
-    the caller's array can change afterwards; ``_copy=False`` adopts an
-    array nobody else holds, such as one :func:`evolve` just built, and
-    validates it all the same.  States compare by identity.
-    """
-
-    k: int
-    amplitudes: np.ndarray
-    _copy: InitVar[bool] = True
-
-    def __post_init__(self, _copy: bool) -> None:
-        _check_size(self.k)
-        copy = True if _copy else None  # None: copy only to convert the dtype
-        amps = np.array(self.amplitudes, dtype=np.complex128, copy=copy).reshape(-1)
-        if amps.size != 3**self.k:
-            raise ValueError(f"expected {3**self.k} amplitudes, got {amps.size}")
-        _check_unit_norms(np.vdot(amps, amps).real)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+def _qutrit_count(length: int) -> int:
+    """The m of a state of 3^m amplitudes; rejects any other length and m above DENSE_MAX_K."""
+    m = round(math.log(length, 3)) if length > 1 else 0
+    if m < 1 or length != 3**m:
+        raise ValueError(f"a state needs 3^m amplitudes, m >= 1, got {length}")
+    _check_size(m)
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,12 +99,12 @@ def digit_sums(k: int) -> np.ndarray:
 
 # Sixteen entries hold every class state the dense sweep and engine use.
 @lru_cache(maxsize=16)
-def make_sum_class_state(k: int, j: int) -> QuditState:
+def make_sum_class_state(k: int, j: int) -> np.ndarray:
     """Uniform superposition over all strings with digit sum = j mod 3.
 
     Each of the 3^(k-1) strings in the class carries amplitude
     3**(-(k-1)/2); every other amplitude is zero.  Built once per (k, j)
-    and shared: the state is frozen and its amplitudes are read-only.
+    and shared, so the array is read-only.
     """
     _check_size(k)
     if not 0 <= j < 3:
@@ -143,7 +112,8 @@ def make_sum_class_state(k: int, j: int) -> QuditState:
     mask = digit_sums(k) % 3 == j
     amps = np.zeros(3**k, dtype=np.complex128)
     amps[mask] = 3 ** (-(k - 1) / 2)
-    return QuditState(k, amps, _copy=False)
+    amps.setflags(write=False)
+    return amps
 
 
 def permutation_gate() -> LocalGate:
@@ -170,46 +140,46 @@ def root_gate() -> LocalGate:
     return LocalGate(s_inv @ roots @ s)
 
 
-def evolve(
-    state: QuditState | np.ndarray, gate: LocalGate, parties: Iterable[int]
-) -> QuditState | np.ndarray:
+def evolve(state: np.ndarray, gate: LocalGate, parties: Iterable[int]) -> np.ndarray:
     """The state after ``gate`` acted on each listed party, in the order given.
 
-    ``state`` is a :class:`QuditState`, or a stack of s states of m qutrits
-    each: an (s, 3^m) array of unit rows.  The result is of the same kind.
-    Parties are numbered from 0, party 0 owning the most significant
-    digit.  One party loop serves both kinds, with a leading stack axis
-    (s = 1 for a single state): party p's gate is one matmul on the
-    (s 3^p, 3, B) view of the amplitudes, B = 3^(m-p-1).  For the last
-    parties, where B < 27, that view would mean thousands of tiny
-    products, so the same map is one matmul of the (s 3^p, 3B) view
-    with the transpose of gate ⊗ I_B, which the gate builds once per B and
-    keeps.  The result is validated once, at the end: a state is adopted
-    without a copy, and every row of a stack is checked for finite
-    amplitudes and unit norm.
+    ``state`` is one state of m qutrits, a (3^m,) array, or a stack of s
+    of them, an (s, 3^m) array; the result has the same shape.  Parties
+    are numbered from 0, party 0 owning the most significant digit.  The
+    party loop works on s rows (s = 1 for one state): party p's gate is
+    one matmul on the (s 3^p, 3, B) view of the amplitudes,
+    B = 3^(m-p-1).  For the last parties, where B < 27, that view would
+    mean thousands of tiny products, so the same map is one matmul of the
+    (s 3^p, 3B) view with the transpose of gate ⊗ I_B, which the gate
+    builds once per B and keeps.  The result is validated once, at the
+    end: every row must have finite amplitudes and unit norm.
     """
-    if isinstance(state, QuditState):
-        k = state.k
-        amps = state.amplitudes[None]
-    else:
-        amps = np.asarray(state, dtype=np.complex128)
-        k = round(math.log(amps.shape[1], 3)) if amps.ndim == 2 and amps.shape[1] > 1 else 0
-        if k < 1 or amps.shape[1] != 3**k:
-            raise ValueError(f"need an (s, 3^m) stack of states, got shape {amps.shape}")
-    s = len(amps)
+    amps = np.ascontiguousarray(state, dtype=np.complex128)
+    if amps.ndim > 2:
+        raise ValueError(f"need a (3^m,) state or an (s, 3^m) stack, got shape {amps.shape}")
+    k = _qutrit_count(amps.shape[-1])
+    rows = amps.reshape(-1, 3**k)
+    s = len(rows)
     for party in parties:
         if not 0 <= party < k:
             raise ValueError(f"party must be in 0..{k - 1}, got {party}")
         block = 3 ** (k - party - 1)
         if block >= 27:
-            amps = np.matmul(gate.matrix, amps.reshape(s * 3**party, 3, block))
+            rows = np.matmul(gate.matrix, rows.reshape(s * 3**party, 3, block))
         else:
-            amps = amps.reshape(s * 3**party, 3 * block) @ gate.lifted_transpose(block)
-    if isinstance(state, QuditState):
-        return QuditState(k, amps.reshape(-1), _copy=False)
-    amps = amps.reshape(s, 3**k)
-    _check_unit_norms(np.sum(np.abs(amps) ** 2, axis=1))
-    return amps
+            rows = rows.reshape(s * 3**party, 3 * block) @ gate.lifted_transpose(block)
+    # Each row's squared norm is one float dot product on the real view of
+    # its amplitudes.  A NaN or infinite amplitude makes it NaN or infinite,
+    # so this one pass checks both; the comparisons are phrased so NaN fails.
+    parts = rows.reshape(s, 3**k).view(np.float64)
+    norm_sq = (parts[:, None, :] @ parts[:, :, None]).reshape(-1)
+    bad = ~np.isfinite(norm_sq)
+    if bad.any():
+        raise ValueError(f"amplitudes are not finite: sum |amp|^2 = {float(norm_sq[bad][0])!r}")
+    bad = ~(np.abs(norm_sq - 1.0) <= TOL)
+    if bad.any():
+        raise ValueError(f"state is not normalized: sum |amp|^2 = {float(norm_sq[bad][0])!r}")
+    return rows.reshape(amps.shape)
 
 
 def inverse_cdf(cumulative: np.ndarray, uniforms) -> np.ndarray:
@@ -233,17 +203,18 @@ def inverse_cdf(cumulative: np.ndarray, uniforms) -> np.ndarray:
     return np.minimum(index, last)
 
 
-def sum_class_deviation(state: QuditState, j: int) -> tuple[complex, float]:
-    """Best-fit phase and worst amplitude error against class j (digit sum mod 3).
+def sum_class_deviation(state: np.ndarray, j: int) -> tuple[complex, float]:
+    """The overlap c of a (3^m,) state with class j (digit sum mod 3), and its error.
 
-    Returns (c, dev) minimizing nothing fancy: c is the overlap with the
-    normalized class state, dev the max entrywise deviation of the
-    amplitudes from c times the class pattern.  The class state is the
-    shared one of :func:`make_sum_class_state`, not rebuilt per call.
+    c = <class j | state> is the state's component along the normalized
+    class state, so a unit state has |c| = 1 exactly when it is that class
+    state times the phase c.  dev = max_i |state_i - c class_i| is the
+    largest entrywise distance of the state from that multiple.  The class state
+    is the shared one of :func:`make_sum_class_state`, not rebuilt per call.
     """
-    target = make_sum_class_state(state.k, j).amplitudes
-    c = complex(np.vdot(target, state.amplitudes))
-    dev = float(np.max(np.abs(state.amplitudes - c * target)))
+    target = make_sum_class_state(_qutrit_count(len(state)), j)
+    c = complex(np.vdot(target, state))
+    dev = float(np.max(np.abs(state - c * target)))
     return c, dev
 
 

@@ -30,7 +30,7 @@ def per_vector_outcomes():
         index = np.empty(len(bits), dtype=np.int64)
         for i, row in enumerate(bits.tolist()):
             if tuple(row) not in cumulative:
-                amps = dense_pre_measurement_state(k, row).amplitudes
+                amps = dense_pre_measurement_state(k, row)
                 cumulative[tuple(row)] = np.cumsum(np.abs(amps) ** 2)
             index[i] = inverse_cdf(cumulative[tuple(row)], uniforms[i])
         digits = index[:, None] // 3 ** np.arange(k - 1, -1, -1) % 3

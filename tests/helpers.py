@@ -31,7 +31,7 @@ import numpy as np
 from tritgame.classical import REGISTER_VALUES, Strategy, StrategyProfile, strategy_groups
 from tritgame.combinat import _check_spec, grouped_sum
 from tritgame.protocol import admissible_bit_vectors, zero_triples_mod3
-from tritgame.qudit import QuditState, digit_sums, evolve, make_sum_class_state, sum_class_deviation
+from tritgame.qudit import digit_sums, evolve, make_sum_class_state, sum_class_deviation
 
 
 def cells(strategy: Strategy) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -306,7 +306,7 @@ def full_scan_value(groups: list[tuple[Strategy, int]], k: int) -> Fraction:
 
 
 def classify_sum_class(
-    state: QuditState, tol: float = 1e-10
+    state: np.ndarray, tol: float = 1e-10
 ) -> tuple[int, complex] | None:
     """Recognize c times a sum-class state; None if nothing matches.
 
@@ -314,7 +314,7 @@ def classify_sum_class(
     the match must have every amplitude within ``tol`` of the phased class
     pattern and a phase of modulus 1 within ``tol``.
     """
-    peak = np.base_repr(int(np.argmax(np.abs(state.amplitudes))), 3).zfill(state.k)
+    peak = np.base_repr(int(np.argmax(np.abs(state))), 3)
     candidate = sum(map(int, peak)) % 3
     c, dev = sum_class_deviation(state, candidate)
     if dev <= tol and abs(abs(c) - 1.0) <= tol:

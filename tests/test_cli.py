@@ -68,6 +68,9 @@ PINNED_PAYLOADS = [
     # pin the sampler's and each engine's random stream.
     (["quantum-run", "--k", "7", "--trials", "20", "--seed", "5", "--records"],
      "495f50236e39b6a0d8232d73e98e515a4d338b2ac8453d1c8d69b59459ba4eed"),
+    # The dense engine's stack holds 81 rows at k=10, so 300 trials take four flushes.
+    (["quantum-run", "--k", "10", "--trials", "300", "--seed", "5", "--records"],
+     "922d6ba9fff4fc957fc46db28e0ae1b16476b6368b247289a45e580873c1bff6"),
     (["quantum-run", "--k", "10", "--engine", "analytic", "--trials", "20", "--seed", "5",
       "--records"],
      "384474e9f57f14890d6f7a7347f3f9b14638f2b3c449bb0c4c95bebd13600ced"),

@@ -29,8 +29,9 @@ from tritgame import bounds, classical, cli, combinat, protocol, qudit
 # permutations and shift index map, which the written-out orbit
 # representatives replaced, the analytic engine's certificate, its lock, the
 # CLI's timed fetch of it and the sweep constant only the parser read, which
-# the engine's own check on every call replaced, and the table of Pascal rows
-# by residue, which powers of 1 + x replaced.
+# the engine's own check on every call replaced, the table of Pascal rows by
+# residue, which powers of 1 + x replaced, and the frozen state type, which
+# plain amplitude arrays replaced.
 REMOVED = (
     "RegisterInput", "ProtocolRun", "global_function", "decode", "enumerate_admissible",
     "batch_runs", "sample_admissible", "run_dense", "run_analytic", "apply_local",
@@ -47,7 +48,7 @@ REMOVED = (
     "_BLOCK", "_PRIME_LIMIT", "_is_prime", "crt_primes", "_PrimeTables", "_root_of_unity9",
     "_prime_tables", "_group_powers", "_factorials", "_mixed_radix", "_from_digits", "_largest",
     "_class_blocks", "_PERMS3", "_shift_indices", "SteppingCertificate",
-    "AnalyticEngineLockedError", "_timed_verify", "_CERT_KS", "_RESIDUE_ROWS",
+    "AnalyticEngineLockedError", "_timed_verify", "_CERT_KS", "_RESIDUE_ROWS", "QuditState",
 )
 
 
@@ -75,12 +76,10 @@ def test_removed_methods_are_gone():
     # relabelings and register shifts only the tests use (tests/helpers.py).
     for name in ("sent_for", "cells", "canonical", "lookup_array", "relabel", "shift"):
         assert not hasattr(tritgame.Strategy, name), name
-    assert not hasattr(tritgame.QuditState, "basis_label")
 
 
 def test_qutrit_types_have_no_dimension():
-    for cls in (tritgame.QuditState, tritgame.LocalGate):
-        assert "d" not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
+    assert "d" not in {f.name for f in dataclasses.fields(tritgame.LocalGate)}
 
 
 def test_verification_chain_has_no_knobs():

@@ -5,7 +5,6 @@ from tritgame import qudit
 from tritgame.protocol import verify_class_stepping
 from tritgame.qudit import (
     LocalGate,
-    QuditState,
     VerificationError,
     digit_sums,
     evolve,
@@ -53,95 +52,106 @@ def basis_state(digits):
     for t in digits:
         index = index * 3 + t
     amps[index] = 1.0
-    return QuditState(k, amps)
+    return amps
+
+
+def label(state, index):
+    """The basis string of ``index`` in a state's basis, party 1's digit first."""
+    return np.base_repr(int(index), 3).zfill(qudit._qutrit_count(len(state)))
+
+
+def peak(state):
+    """The basis string of a state's largest amplitude."""
+    return label(state, np.argmax(np.abs(state)))
 
 
 def measure_all(state, rng):
     """One basis string drawn with probability |amplitude|^2, by inverse CDF."""
-    cumulative = np.cumsum(np.abs(state.amplitudes) ** 2)
-    return np.base_repr(int(inverse_cdf(cumulative, rng.random())), 3).zfill(state.k)
+    cumulative = np.cumsum(np.abs(state) ** 2)
+    return label(state, inverse_cdf(cumulative, rng.random()))
 
 
 class TestQuditState:
+    """What a qudit state is, a unit (3^m,) array, checked by :func:`evolve` on every result."""
+
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            QuditState(1, [1.0, 1.0, 0.0])
+        for parties in ([], [0]):
+            with pytest.raises(ValueError, match="not normalized"):
+                evolve(np.array([1.0, 1.0, 0.0]), permutation_gate(), parties)
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="amplitudes"):
-            QuditState(2, [1.0, 0.0, 0.0])
+        for length in (0, 1, 4, 10, 3**5 + 1):
+            with pytest.raises(ValueError, match="amplitudes"):
+                evolve(np.eye(1, length, dtype=complex).reshape(-1), permutation_gate(), [])
 
     def test_rejects_oversized_register(self):
         with pytest.raises(ValueError, match="cap"):
             make_sum_class_state(16, 0)
-        # The cap is DENSE_MAX_K = 13 qutrits, checked before any amplitude is read.
+        # The cap is DENSE_MAX_K = 13 qutrits, checked before any amplitude is
+        # read: the zeros of 3^14 amplitudes are never touched.
         with pytest.raises(ValueError, match="cap"):
             make_sum_class_state(14, 0)
         with pytest.raises(ValueError, match="cap"):
-            QuditState(14, np.zeros(1))
+            evolve(np.zeros(3**14, dtype=complex), permutation_gate(), [])
 
+    # A gate's zero entries times an infinite amplitude make NaN, with a warning.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_rejects_non_finite_amplitudes(self, bad):
-        with pytest.raises(ValueError, match="not finite"):
-            QuditState(1, np.full(3, bad, dtype=complex))
-        # One bad entry beside a unit amplitude fails as well.
-        with pytest.raises(ValueError, match="not finite"):
-            QuditState(2, np.r_[1.0, np.zeros(7), bad])
+        for parties in ([], [0], [1, 0]):
+            with pytest.raises(ValueError, match="not finite"):
+                evolve(np.full(9, bad, dtype=complex), permutation_gate(), parties)
+            # One bad entry beside a unit amplitude fails as well.
+            with pytest.raises(ValueError, match="not finite"):
+                evolve(np.r_[1.0, np.zeros(7), bad], permutation_gate(), parties)
 
     def test_amplitudes_are_frozen(self):
         state = make_sum_class_state(2, 0)
         with pytest.raises(ValueError):
-            state.amplitudes[0] = 0.5
-
-    def test_constructor_copies_the_callers_array(self):
-        amps = np.zeros(9, dtype=complex)
-        amps[4] = 1.0
-        state = QuditState(2, amps)
-        amps[4], amps[0] = 0.0, 1.0
-        assert state.amplitudes[4] == 1.0 and state.amplitudes[0] == 0.0
-        assert not np.shares_memory(state.amplitudes, amps)
+            state[0] = 0.5
 
     def test_adopted_arrays_are_validated_not_copied(self):
+        # With no gate to apply, evolve checks the caller's array and returns
+        # it as it is, read-only when it was.
         amps = np.zeros(3, dtype=complex)
         amps[1] = 1.0
-        assert np.shares_memory(QuditState(1, amps, _copy=False).amplitudes, amps)
+        assert np.shares_memory(evolve(amps, permutation_gate(), []), amps)
         with pytest.raises(ValueError, match="not finite"):
-            QuditState(1, np.array([np.nan, 0, 0], dtype=complex), _copy=False)
+            evolve(np.array([np.nan, 0, 0], dtype=complex), permutation_gate(), [])
         with pytest.raises(ValueError, match="not normalized"):
-            QuditState(1, np.ones(3, dtype=complex), _copy=False)
-        # With no gate to apply, evolve adopts the start's read-only array.
+            evolve(np.ones(3, dtype=complex), permutation_gate(), [])
         start = make_sum_class_state(3, 1)
         out = evolve(start, permutation_gate(), [])
-        assert out is not start
-        assert np.shares_memory(out.amplitudes, start.amplitudes)
-        assert not out.amplitudes.flags.writeable
+        assert np.shares_memory(out, start)
+        assert not out.flags.writeable
+
+    def test_input_is_left_as_it_was(self):
+        state = basis_state((0, 1))
+        out = evolve(state, permutation_gate(), [0, 1])
+        assert peak(out) == "12"
+        assert np.array_equal(state, basis_state((0, 1)))
 
     def test_equality_returns_a_bool(self):
         gate_a, gate_b = permutation_gate(), permutation_gate()
         assert (gate_a == gate_b) is False
         assert (gate_a == gate_a) is True
-        a, b = make_sum_class_state(3, 0), basis_state((0, 0, 0))
-        assert ((a, b) == (a, b)) is True
-        assert ((a, b) == (b, a)) is False
 
     def test_basis_labels_party_one_first(self):
         state = basis_state((0, 1, 2))
-        assert np.base_repr(int(np.argmax(np.abs(state.amplitudes))), 3).zfill(state.k) == "012"
+        assert peak(state) == "012"
         assert np.base_repr(5, 3).zfill(3) == "012"
 
 
 class TestSumClassStates:
     def test_three_party_class_one_listing(self):
         state = make_sum_class_state(3, 1)
-        support = {np.base_repr(i, 3).zfill(state.k) for i in np.nonzero(state.amplitudes)[0]}
+        support = {label(state, i) for i in np.nonzero(state)[0]}
         assert support == {"001", "010", "100", "211", "121", "112", "220", "202", "022"}
-        np.testing.assert_allclose(
-            state.amplitudes[state.amplitudes != 0], 1 / 3, atol=1e-15
-        )
+        np.testing.assert_allclose(state[state != 0], 1 / 3, atol=1e-15)
 
     def test_single_party_class_is_basis_state(self):
         state = make_sum_class_state(1, 0)
-        np.testing.assert_allclose(state.amplitudes, [1, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(state, [1, 0, 0], atol=1e-15)
 
     def test_two_qubit_even_class_is_bell_pair(self):
         # The parity classes of two qubits are the Bell pairs, and they are
@@ -165,11 +175,12 @@ class TestSumClassStates:
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_support_size_and_uniformity(self, k, j):
         state = make_sum_class_state(k, j)
-        nonzero = state.amplitudes[state.amplitudes != 0]
+        assert state.shape == (3**k,)
+        nonzero = state[state != 0]
         assert nonzero.size == 3 ** (k - 1)
         np.testing.assert_allclose(nonzero, nonzero[0], atol=1e-15)
         sums = digit_sums(k)
-        assert np.all(sums[state.amplitudes != 0] % 3 == j)
+        assert np.all(sums[state != 0] % 3 == j)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
@@ -178,9 +189,9 @@ class TestSumClassStates:
     def test_cached_state_is_shared_and_read_only(self):
         state = make_sum_class_state(4, 1)
         assert make_sum_class_state(4, 1) is state
-        assert not state.amplitudes.flags.writeable
+        assert not state.flags.writeable
         with pytest.raises(ValueError):
-            state.amplitudes[0] = 1.0
+            state[0] = 1.0
 
 
 class TestGates:
@@ -188,7 +199,7 @@ class TestGates:
         gate = permutation_gate()
         for start, want in ((0, 1), (1, 2), (2, 0)):
             out = evolve(basis_state((start,)), gate, [0])
-            assert np.base_repr(int(np.argmax(np.abs(out.amplitudes))), 3).zfill(out.k) == str(want)
+            assert peak(out) == str(want)
 
     def test_not_gate(self):
         # NOT takes |1> to |0>, and on one qubit of the even Bell pair it
@@ -354,20 +365,20 @@ class TestApplyLocal:
     def test_identity_gate_keeps_amplitudes(self):
         state = make_sum_class_state(3, 2)
         out = evolve(state, LocalGate(np.eye(3)), [1])
-        np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
+        np.testing.assert_allclose(out, state, atol=1e-15)
 
     def test_shift_on_party_one(self):
         out = evolve(basis_state((0, 1, 2)), permutation_gate(), [0])
-        assert np.base_repr(int(np.argmax(np.abs(out.amplitudes))), 3).zfill(out.k) == "112"
+        assert peak(out) == "112"
 
     def test_norm_preserved_on_random_state(self):
         rng = np.random.default_rng(42)
         raw = rng.normal(size=27) + 1j * rng.normal(size=27)
-        state = QuditState(3, raw / np.linalg.norm(raw))
+        state = raw / np.linalg.norm(raw)
         gate = LocalGate(branch_root_matrix(1, 2))
         for party in (0, 1, 2):
             state = evolve(state, gate, [party])
-        assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) <= 1e-10
+        assert abs(np.sum(np.abs(state) ** 2) - 1.0) <= 1e-10
 
     def test_dimension_and_index_errors(self):
         state = make_sum_class_state(2, 0)
@@ -397,8 +408,9 @@ class TestEvolveStack:
         out = evolve(stack, gate, parties)
         assert out.shape == stack.shape
         for row, evolved in zip(stack, out):
-            single = evolve(QuditState(5, row), gate, parties)
-            assert np.array_equal(evolved, single.amplitudes)
+            single = evolve(row, gate, parties)
+            assert single.shape == row.shape
+            assert np.array_equal(evolved, single)
 
     def test_every_row_is_checked(self):
         stack = np.zeros((3, 9), dtype=complex)
@@ -414,14 +426,38 @@ class TestEvolveStack:
         with pytest.raises(ValueError, match="not finite"):
             evolve(broken, gate, [0])
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+    def test_one_bad_state_fails_in_either_shape(self):
+        # A 1-D state with one NaN fails, and so does a stack in which one
+        # row of six is bad; the good rows alone pass.
+        rng = np.random.default_rng(11)
+        raw = rng.normal(size=(6, 27)) + 1j * rng.normal(size=(6, 27))
+        stack = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        gate = root_gate()
+        for parties in ([], [2], [0, 1, 2]):
+            assert evolve(stack, gate, parties).shape == (6, 27)
+            state = stack[3].copy()
+            state[5] = np.nan
+            with pytest.raises(ValueError, match="not finite"):
+                evolve(state, gate, parties)
+            for bad, message in ((np.inf, "not finite"), (2.0, "not normalized")):
+                broken = stack.copy()
+                broken[3, 5] = bad
+                with pytest.raises(ValueError, match=message):
+                    evolve(broken, gate, parties)
+
     def test_shape_and_index_errors(self):
         gate = permutation_gate()
-        for bad in (np.ones(9, dtype=complex), np.ones((2, 10), dtype=complex),
-                    np.ones((2, 1), dtype=complex)):
-            with pytest.raises(ValueError, match="stack"):
+        for bad in (np.ones((2, 10), dtype=complex), np.ones((2, 1), dtype=complex),
+                    np.ones(10, dtype=complex), np.ones((1, 1, 9), dtype=complex)):
+            with pytest.raises(ValueError, match=r"3\^m"):
                 evolve(bad, gate, [])
+        # One state is a 1-D array of 3^m amplitudes.
+        assert peak(evolve(np.eye(9, dtype=complex)[4], gate, [1])) == "12"
         with pytest.raises(ValueError, match="party"):
             evolve(np.eye(9, dtype=complex), gate, [2])
+        with pytest.raises(ValueError, match="party"):
+            evolve(np.eye(9, dtype=complex)[4], gate, [2])
 
 
 class TestInverseCdf:
@@ -491,7 +527,7 @@ class TestClassify:
     def test_recovers_global_phase(self):
         phase = np.exp(0.7j)
         state = make_sum_class_state(3, 0)
-        phased = QuditState(3, phase * state.amplitudes)
+        phased = phase * state
         result = classify_sum_class(phased)
         assert result is not None
         assert result[0] == 0
